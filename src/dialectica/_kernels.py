@@ -1,4 +1,4 @@
-"""Reference implementations of the bitmask kernels.
+"""The bitmask kernels, in pure Python.
 
 A predicate over an object with ``ne`` elements, interpreted at ``nw``
 worlds, is one Python int: bit ``e * nw + w`` records whether element
@@ -7,7 +7,9 @@ on such masks; none of them assumes the masks fit a machine word.
 """
 from __future__ import annotations
 
-import itertools
+# perfbench prints BACKEND and counts kernel calls on masks over _WORD bits.
+BACKEND = "pure"
+_WORD = 64
 
 
 def reindex_mask(alpha: int, fmap, nw: int) -> int:
@@ -140,30 +142,3 @@ def witness_pair(alpha: int, beta: int, ni: int, nu: int, nx: int,
             f0.append(found)
             f1.extend(rows)
     return tuple(f0), tuple(f1)
-
-
-def witness_pair_naive(alpha: int, beta: int, ni: int, nu: int, nx: int,
-                       nv: int, ny: int, nw: int):
-    """Exhaustive reference search over every candidate pair (f0, f1)."""
-    full = (1 << nw) - 1
-    niu = ni * nu
-    for f0 in itertools.product(range(nv), repeat=niu):
-        for f1 in itertools.product(range(nx), repeat=niu * ny):
-            ok = True
-            for i in range(ni):
-                for u in range(nu):
-                    iu = i * nu + u
-                    for y in range(ny):
-                        x = f1[iu * ny + y]
-                        acol = (alpha >> ((iu * nx + x) * nw)) & full
-                        bcol = (beta >> (((i * nv + f0[iu]) * ny + y) * nw)) & full
-                        if acol & ~bcol:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if ok:
-                return f0, f1
-    return None

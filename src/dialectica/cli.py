@@ -748,6 +748,9 @@ def main(argv=None) -> int:
     except FolError as exc:
         print(f"error: formula: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: formula nested too deeply", file=sys.stderr)
+        return 2
     except (PosetError, DoctrineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -962,6 +962,10 @@ def doctrine_from_json(data: dict, cap: int = DEFAULT_CAP,
     and checked against the declared universe.  Otherwise the tables
     are replayed as a TabularDoctrine.
     """
+    declared = data.get("universe")
+    if declared is not None and not (
+            isinstance(declared, list) and all(isinstance(o, dict) for o in declared)):
+        raise DoctrineDataError("universe must be a list of objects")
     gen = data.get("generator")
     if gen:
         kind = gen.get("kind")
@@ -974,7 +978,6 @@ def doctrine_from_json(data: dict, cap: int = DEFAULT_CAP,
                                 cap=cap, fibre_cap=fibre_cap)
         else:
             raise DoctrineDataError(f"unknown generator kind {kind!r}")
-        declared = data.get("universe")
         if declared is not None:
             got = [(o.name, len(o)) for o in D.universe]
             want = [(o["name"], len(o["elements"])) for o in declared]
@@ -983,7 +986,7 @@ def doctrine_from_json(data: dict, cap: int = DEFAULT_CAP,
         return D
     universe = []
     by_name = {}
-    for entry in data.get("universe", []):
+    for entry in declared or []:
         els = tuple(tuple(e) for e in entry["elements"])
         obj = FinObj(entry["name"], els, arity=entry.get("arity"))
         universe.append(obj)

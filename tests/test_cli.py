@@ -297,6 +297,22 @@ class TestErrorChannels:
         assert code == 2
         assert err.startswith("error: malformed doctrine JSON:")
 
+    def test_universe_that_is_not_a_list(self, capsys, tmp_path):
+        bad = tmp_path / "universe.json"
+        bad.write_text('{"universe": 5}')
+        code, _, err = run(capsys, "doctrine", "check", "--doctrine",
+                           str(bad))
+        assert code == 2
+        assert err.startswith("error: malformed doctrine JSON:")
+
+    @pytest.mark.parametrize("formula", ["(" * 1000 + "q" + ")" * 1000,
+                                         "~" * 3000 + "q"])
+    def test_deeply_nested_formula_exits_2(self, capsys, formula):
+        code, out, err = run(capsys, "translate", "--formula", formula)
+        assert code == 2
+        assert out == ""
+        assert err == "error: formula nested too deeply\n"
+
     def test_cap_exceeded_message(self, capsys, pow_path):
         code, _, err = run(capsys, "doctrine", "free", "--doctrine", pow_path,
                            "--cap", "3")
