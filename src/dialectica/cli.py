@@ -227,7 +227,7 @@ def cmd_doctrine_adjoints(args):
     for a in D.universe:
         for b in D.universe:
             try:
-                p = product(a, b, getattr(D, "cap", 4096))
+                p = product(a, b, D.cap)
             except CapExceeded as exc:
                 rows.append({"product": f"{a.name}*{b.name}", "skipped": str(exc)})
                 continue
@@ -310,7 +310,7 @@ def _failing_json(D, failing):
     if split.failure is not None:
         partner_name, beta = split.failure
         partner = next(o for o in D.universe if o.name == partner_name)
-        pfib = D.fibre(product(obj, partner, getattr(D, "cap", 4096)).obj)
+        pfib = D.fibre(product(obj, partner, D.cap).obj)
         entry["partner"] = partner_name
         entry["cover"] = pfib.describe(beta)
         entry["coverIndex"] = pfib.index(beta)

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 
 from . import _kernels as K
-from .doctrine import ConcreteDoctrine, DoctrineError, mor_key
+from .doctrine import ConcreteDoctrine, DoctrineError, mor_json
 from .fincat import (
     CapExceeded,
     FinMor,
@@ -61,25 +61,11 @@ class WitnessPair:
     f1: FinMor
 
     def to_json(self) -> dict:
-        return {
-            "f0": {"mor": mor_key(self.f0),
-                   "table": _index_table(self.f0)},
-            "f1": {"mor": mor_key(self.f1),
-                   "table": _index_table(self.f1)},
-        }
-
-
-def _index_table(f: FinMor) -> list:
-    pos = {e: k for k, e in enumerate(f.cod.elements)}
-    return [pos[f(e)] for e in f.dom.elements]
+        return {"f0": mor_json(self.f0), "f1": mor_json(self.f1)}
 
 
 def _proj(dom: FinObj, cod: FinObj, pick) -> FinMor:
     return FinMor(dom, cod, tuple(pick(e) for e in dom.elements))
-
-
-def _arities(q: DialObject) -> tuple[int, int]:
-    return q.I.arity, q.U.arity
 
 
 def pair_is_valid(D, a: DialObject, b: DialObject, p: WitnessPair) -> bool:

@@ -17,6 +17,7 @@ from . import _kernels as K
 from .fincat import (
     DEFAULT_CAP,
     CapExceeded,
+    CategoryError,
     FinMor,
     FinObj,
     enumerate_morphisms,
@@ -27,7 +28,7 @@ from .fincat import (
     product,
     unit_obj,
 )
-from .posets import FinitePoset, poset_violations
+from .posets import FinitePoset
 
 DEFAULT_FIBRE_CAP = 4096
 
@@ -52,6 +53,11 @@ class AdjointMissing(DoctrineError):
 
 def mor_key(f: FinMor) -> str:
     return f"{f.dom.name}->{f.cod.name}#{morphism_index(f)}"
+
+
+def mor_json(f: FinMor) -> dict:
+    """A morphism as its key and its table of codomain indices."""
+    return {"mor": mor_key(f), "table": [f.cod.index(v) for v in f.table]}
 
 
 def mor_from_key(key: str, objects: dict) -> FinMor:
@@ -128,17 +134,6 @@ class MaskFibre:
     def index(self, mask: int) -> int:
         self.elements()
         return self._index[mask]
-
-    def is_element(self, mask: int) -> bool:
-        if mask & ~self.full:
-            return False
-        colmask = (1 << self.nw) - 1
-        for e in range(len(self.obj)):
-            col = (mask >> (e * self.nw)) & colmask
-            for w in range(self.nw):
-                if (col >> w) & 1 and self.upmasks[w] & ~col:
-                    return False
-        return True
 
     def leq(self, a: int, b: int) -> bool:
         return a & ~b == 0
@@ -235,9 +230,6 @@ class PosetFibre:
     def describe(self, a: int) -> str:
         return self.labels[a]
 
-    def order_violations(self) -> list[str]:
-        return poset_violations(len(self.labels), self.up)
-
 
 class ConcreteDoctrine:
     """Doctrine of up-closed predicates over a Kripke frame.
@@ -315,9 +307,10 @@ class TabularDoctrine:
     kind = "tabular"
 
     def __init__(self, name: str, universe, fibres: dict, reindex: dict,
-                 generator: dict | None = None):
+                 cap: int = DEFAULT_CAP, generator: dict | None = None):
         self.name = name
         self.universe = tuple(universe)
+        self.cap = cap
         self.frame = None
         self.generator = generator
         self._fibres = dict(fibres)
@@ -807,7 +800,7 @@ def quantifier_structure(D, direction: str, objects=None) -> QuantifierStructure
     for a1 in objs:
         for a2 in objs:
             try:
-                p = product(a1, a2, getattr(D, "cap", DEFAULT_CAP))
+                p = product(a1, a2, D.cap)
             except CapExceeded as exc:
                 failures.append(AdjointFailure(direction, f"{a1.name}*{a2.name}", None, str(exc)))
                 continue
@@ -963,18 +956,30 @@ def doctrine_from_json(data: dict, cap: int = DEFAULT_CAP,
     are replayed as a TabularDoctrine.
     """
     declared = data.get("universe")
-    if declared is not None and not (
-            isinstance(declared, list) and all(isinstance(o, dict) for o in declared)):
-        raise DoctrineDataError("universe must be a list of objects")
+    if declared is not None and not (isinstance(declared, list) and all(
+            isinstance(o, dict) and isinstance(o.get("name"), str)
+            and isinstance(o.get("elements"), list)
+            and all(isinstance(e, list) for e in o["elements"])
+            for o in declared)):
+        raise DoctrineDataError(
+            "universe must be a list of objects with a name and element lists")
     gen = data.get("generator")
     if gen:
+        if not isinstance(gen, dict):
+            raise DoctrineDataError("generator must be an object")
+        sizes = gen.get("sizes")
+        if not (isinstance(sizes, list) and all(isinstance(n, int) for n in sizes)):
+            raise DoctrineDataError("generator sizes must be a list of integers")
         kind = gen.get("kind")
         if kind == "powerset":
-            D = powerset_doctrine(tuple(gen["sizes"]), name=data.get("name"),
+            D = powerset_doctrine(tuple(sizes), name=data.get("name"),
                                   cap=cap, fibre_cap=fibre_cap)
         elif kind == "kripke":
-            frame = FinitePoset.from_json(gen["frame"])
-            D = kripke_doctrine(frame, tuple(gen["sizes"]), name=data.get("name"),
+            try:
+                frame = FinitePoset.from_json(gen["frame"])
+            except (KeyError, TypeError):
+                raise DoctrineDataError("generator frame is malformed") from None
+            D = kripke_doctrine(frame, tuple(sizes), name=data.get("name"),
                                 cap=cap, fibre_cap=fibre_cap)
         else:
             raise DoctrineDataError(f"unknown generator kind {kind!r}")
@@ -988,7 +993,10 @@ def doctrine_from_json(data: dict, cap: int = DEFAULT_CAP,
     by_name = {}
     for entry in declared or []:
         els = tuple(tuple(e) for e in entry["elements"])
-        obj = FinObj(entry["name"], els, arity=entry.get("arity"))
+        try:
+            obj = FinObj(entry["name"], els, arity=entry.get("arity"))
+        except CategoryError as exc:
+            raise DoctrineDataError(f"object {entry['name']}: {exc}") from None
         universe.append(obj)
         by_name[obj.name] = obj
     if not universe:
@@ -1023,4 +1031,5 @@ def doctrine_from_json(data: dict, cap: int = DEFAULT_CAP,
     for key, table in data.get("reindex", {}).items():
         f = mor_from_key(key, by_name)
         reindex[f] = tuple(int(v) for v in table)
-    return TabularDoctrine(data.get("name", "tabular"), universe, fibres, reindex)
+    return TabularDoctrine(data.get("name", "tabular"), universe, fibres, reindex,
+                           cap=cap)

@@ -137,7 +137,7 @@ class FreenessAnalyzer:
         failure = None
         checked = 0
         for B in self.objects:
-            p = product(A, B, getattr(D, "cap", 4096))
+            p = product(A, B, D.cap)
             betas = self._scope_elements(p.obj, scope)
             for beta in betas:
                 if kind == "existential":
@@ -147,7 +147,7 @@ class FreenessAnalyzer:
                     if not fib_a.leq(D.forall_along(p.proj_left, beta), alpha):
                         continue
                 checked += 1
-                g = self._choice_map(kind, A, B, p, alpha, beta)
+                g = self.choice_map(kind, A, B, p, alpha, beta)
                 if g is None:
                     failure = (B.name, beta)
                     break
@@ -159,7 +159,12 @@ class FreenessAnalyzer:
         self._split[key] = report
         return report
 
-    def _choice_map(self, kind, A, B, p, alpha, beta):
+    def choice_map(self, kind, A, B, p, alpha, beta):
+        """The first g: A -> B, in `enumerate_morphisms` order, whose graph
+        realises the cover: alpha <= beta(a, g a) for "existential",
+        beta(a, g a) <= alpha for "universal"; None when no map does.
+        Concrete doctrines use the bitmask kernel, others search every
+        map; either way the map is revalidated before it is returned."""
         D = self.D
         g_table = None
         if isinstance(D, ConcreteDoctrine):
@@ -168,7 +173,7 @@ class FreenessAnalyzer:
             if g_idx is not None:
                 g_table = tuple(B.elements[j] for j in g_idx)
         else:
-            for cand in enumerate_morphisms(A, B, getattr(D, "cap", 4096)):
+            for cand in enumerate_morphisms(A, B, D.cap):
                 if self._graph_ok(kind, A, p, alpha, beta, cand.table):
                     g_table = cand.table
                     break
@@ -262,7 +267,7 @@ class FreenessAnalyzer:
                 found = None
                 for A in sorted(self.objects, key=lambda o: (len(o), o.name)):
                     try:
-                        p = product(I, A, getattr(D, "cap", 4096))
+                        p = product(I, A, D.cap)
                         for beta in self.exfree_elements(p.obj):
                             if D.exists_along(p.proj_left, beta) == alpha:
                                 found = (I.name, alpha, A.name, beta)
@@ -294,7 +299,7 @@ class FreenessAnalyzer:
                 found = None
                 for A in sorted(self.objects, key=lambda o: (len(o), o.name)):
                     try:
-                        p = product(I, A, getattr(D, "cap", 4096))
+                        p = product(I, A, D.cap)
                         for beta in self.exfree_elements(p.obj):
                             if D.forall_along(p.proj_left, beta) != alpha:
                                 continue
@@ -321,7 +326,7 @@ class FreenessAnalyzer:
         for A in self.objects:
             for B in self.objects:
                 try:
-                    p = product(A, B, getattr(D, "cap", 4096))
+                    p = product(A, B, D.cap)
                     betas = self.exfree_elements(p.obj)
                 except CapExceeded as exc:
                     notes.append(f"{A.name} x {B.name} skipped: {exc}")
@@ -344,7 +349,7 @@ class FreenessAnalyzer:
         skipped: list = []
         for U in ordered:
             try:
-                p_iu = product(I, U, getattr(D, "cap", 4096))
+                p_iu = product(I, U, D.cap)
                 gammas = [g for g in self.exfree_elements(p_iu.obj)
                           if D.exists_along(p_iu.proj_left, g) == alpha]
             except CapExceeded as exc:
@@ -354,7 +359,7 @@ class FreenessAnalyzer:
                 continue
             for X in ordered:
                 try:
-                    p3 = product(p_iu.obj, X, getattr(D, "cap", 4096))
+                    p3 = product(p_iu.obj, X, D.cap)
                     betas = self.exfree_elements(p3.obj)
                 except CapExceeded as exc:
                     skipped.append(str(exc))
@@ -372,7 +377,7 @@ class FreenessAnalyzer:
 
     def godel_report(self, skolem_only: bool = False) -> GodelReport:
         D = self.D
-        closure = base_closure(D, getattr(D, "cap", 4096))
+        closure = base_closure(D, D.cap)
         ex_struct = quantifier_structure(D, "exists", self.objects)
         fa_struct = quantifier_structure(D, "forall", self.objects)
         enough_ex = self.enough_existential_free()

@@ -72,9 +72,6 @@ class FinitePoset:
     def leq(self, x, y) -> bool:
         return self.leq_idx(self._index[x], self._index[y])
 
-    def up_mask(self, i: int) -> int:
-        return self.up[i]
-
     def __len__(self):
         return len(self.elements)
 
@@ -158,9 +155,6 @@ class MonotoneMap:
                 if self.dom.leq_idx(i, j) and not self.cod.leq_idx(self.table[i], self.table[j]):
                     out.append(f"not monotone on {i} <= {j}")
         return out
-
-    def apply_idx(self, i: int) -> int:
-        return self.table[i]
 
     def __call__(self, x):
         return self.cod.elements[self.table[self.dom.index(x)]]

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import _kernels as K
-from .doctrine import DoctrineError, mor_key
+from .doctrine import mor_json
 from .fincat import CapExceeded, FinMor, exponential, product, product_n
 from .freeness import FreenessAnalyzer
 
@@ -63,36 +62,55 @@ class RuleReport:
         }
 
 
-def _graph(A, B, p, table):
-    """The map <1, t>: A -> A x B from an index table for t."""
-    return FinMor(A, p.obj, tuple(A.elements[i] + B.elements[table[i]]
-                                  for i in range(len(A))))
+def _report(rule, D, mode, scanned, instances, vacuous, skipped, witnesses,
+            violations, notes, gate=None) -> RuleReport:
+    """Assemble one rule's report.  ``gate`` is ``(key, {object: holds})``
+    for a corollary rule's doctrine-level hypothesis; in strict mode a
+    failed gate leaves every instance unjudged."""
+    hypothesis = None
+    if gate is not None:
+        key, gates = gate
+        holds = all(gates.values())
+        hypothesis = {key: gates, "holds": holds}
+        if mode == "strict" and not holds:
+            notes.append("corollary hypothesis fails; instances not judged")
+            return RuleReport(rule, D.name, mode, "hypothesis-failed",
+                              tuple(scanned), 0, vacuous, skipped + instances,
+                              (), (), hypothesis, tuple(notes))
+    return RuleReport(rule, D.name, mode, "fail" if violations else "pass",
+                      tuple(scanned), instances, vacuous, skipped,
+                      tuple(witnesses), tuple(violations), hypothesis,
+                      tuple(notes))
 
 
-def _mor_json(f: FinMor) -> dict:
-    pos = {e: k for k, e in enumerate(f.cod.elements)}
-    return {"mor": mor_key(f), "table": [pos[f(e)] for e in f.dom.elements]}
+def _judge(entry, g, key, witnesses, violations, witness_cap, seq=True):
+    """Record one judged instance: a violation when its sequent fails or
+    no term witness ``g`` exists, otherwise (up to the cap) a witness
+    carrying ``g`` under ``key``."""
+    if not seq or g is None:
+        entry["kind"] = "no-term-witness" if seq else "sequent-fails"
+        violations.append(entry)
+    elif len(witnesses) < witness_cap:
+        entry[key] = mor_json(g)
+        witnesses.append(entry)
 
 
-def _verdict(strict_gate_ok, mode, violations) -> str:
-    if mode == "strict" and not strict_gate_ok:
-        return "hypothesis-failed"
-    return "fail" if violations else "pass"
-
-
-def _scan_pairs(D, objects):
+def _scan(D, objects, notes, scanned):
+    """Yield ``(A, B, p, fibA, fibAB)`` for every ordered pair of carriers
+    whose fibres fit the cap, recording each scanned pair."""
     objs = tuple(objects) if objects is not None else tuple(D.universe)
     for A in objs:
         for B in objs:
-            yield A, B, product(A, B)
-
-
-def _fibres(D, A, p, notes):
-    try:
-        return D.fibre(A).elements(), D.fibre(p.obj).elements()
-    except CapExceeded as exc:
-        notes.append(f"{A.name} with partner fibre skipped: {exc}")
-        return None, None
+            p = product(A, B)
+            fibA, fibAB = D.fibre(A), D.fibre(p.obj)
+            try:
+                fibA.elements()
+                fibAB.elements()
+            except CapExceeded as exc:
+                notes.append(f"{A.name} with partner fibre skipped: {exc}")
+                continue
+            scanned.append(f"{A.name}|{B.name}")
+            yield A, B, p, fibA, fibAB
 
 
 def check_ip_rule(D, analyzer: FreenessAnalyzer | None = None,
@@ -107,16 +125,11 @@ def check_ip_rule(D, analyzer: FreenessAnalyzer | None = None,
     violations: list = []
     scanned: list = []
     instances = vacuous = skipped = 0
-    for A, B, p in _scan_pairs(D, objects):
-        alphas, betas = _fibres(D, A, p, notes)
-        if alphas is None:
-            continue
-        scanned.append(f"{A.name}|{B.name}")
-        fibA = D.fibre(A)
-        fibAB = D.fibre(p.obj)
+    for A, B, p, fibA, fibAB in _scan(D, objects, notes, scanned):
         topA = fibA.top()
+        betas = fibAB.elements()
         exfree = set(fa.exfree_elements(A))
-        for alpha in alphas:
+        for alpha in fibA.elements():
             qualifies = alpha in exfree
             if mode == "strict" and not qualifies:
                 skipped += len(betas)
@@ -130,29 +143,18 @@ def check_ip_rule(D, analyzer: FreenessAnalyzer | None = None,
                 instances += 1
                 seq = fibA.leq(topA, D.exists_along(p.proj_left, fibAB.imp(
                     D.reindex_el(p.proj_left, alpha), beta)))
-                t = K.exists_gap_g(alpha, beta, len(A), len(B), D.nw)
+                # by residuation, top <= alpha -> beta(a, t a) iff alpha <= beta(a, t a)
+                t = (fa.choice_map("existential", A, B, p, alpha, beta)
+                     if seq else None)
                 entry = {
                     "base": A.name, "partner": B.name,
                     "alpha": fibA.describe(alpha),
                     "beta": fibAB.describe(beta),
                     "preconditionsHold": qualifies,
                 }
-                if t is None or not seq:
-                    entry["kind"] = ("sequent-fails" if not seq
-                                     else "no-term-witness")
-                    violations.append(entry)
-                    continue
-                g = _graph(A, B, p, t)
-                if not fibA.leq(topA, fibA.imp(alpha, D.reindex_el(g, beta))):
-                    raise DoctrineError("term witness failed revalidation")
-                if len(witnesses) < witness_cap:
-                    entry["t"] = _mor_json(FinMor(
-                        A, B, tuple(B.elements[i] for i in t)))
-                    witnesses.append(entry)
-    return RuleReport("independence-of-premise", D.name, mode,
-                      _verdict(True, mode, violations), tuple(scanned),
-                      instances, vacuous, skipped, tuple(witnesses),
-                      tuple(violations), None, tuple(notes))
+                _judge(entry, t, "t", witnesses, violations, witness_cap, seq)
+    return _report("independence-of-premise", D, mode, scanned, instances,
+                   vacuous, skipped, witnesses, violations, notes)
 
 
 def _markov_scan(D, fa, mode, objects, witness_cap, bottom_only: bool,
@@ -170,21 +172,14 @@ def _markov_scan(D, fa, mode, objects, witness_cap, bottom_only: bool,
     scanned: list = []
     instances = vacuous = skipped = 0
     gates = {}
-    for A, B, p in _scan_pairs(D, objects):
-        alphas, _ = _fibres(D, A, p, notes)
-        if alphas is None:
-            continue
-        fibA = D.fibre(A)
-        fibAB = D.fibre(p.obj)
-        alphas = fibAB.elements()
-        scanned.append(f"{A.name}|{B.name}")
+    for A, B, p, fibA, fibAB in _scan(D, objects, notes, scanned):
         topA = fibA.top()
         botA = fibA.bottom()
         if bottom_only and A.name not in gates:
             gates[A.name] = fa.quantifier_free(A, botA)
         targets = [botA] if bottom_only else list(fibA.elements())
         exfree = set(fa.exfree_elements(p.obj))
-        for alpha in alphas:
+        for alpha in fibAB.elements():
             if mode == "strict":
                 ok = (fa.quantifier_free(p.obj, alpha) if bottom_only
                       else alpha in exfree)
@@ -204,39 +199,17 @@ def _markov_scan(D, fa, mode, objects, witness_cap, bottom_only: bool,
                 instances += 1
                 seq = fibA.leq(topA, D.exists_along(p.proj_left, fibAB.imp(
                     alpha, D.reindex_el(p.proj_left, betaD))))
-                t = K.forall_gap_g(betaD, alpha, len(A), len(B), D.nw)
+                t = (fa.choice_map("universal", A, B, p, betaD, alpha)
+                     if seq else None)
                 entry = {
                     "base": A.name, "partner": B.name,
                     "alpha": fibAB.describe(alpha),
                     "betaD": fibA.describe(betaD),
                 }
-                if t is None or not seq:
-                    entry["kind"] = ("sequent-fails" if not seq
-                                     else "no-term-witness")
-                    violations.append(entry)
-                    continue
-                g = _graph(A, B, p, t)
-                if not fibA.leq(D.reindex_el(g, alpha), betaD):
-                    raise DoctrineError("term witness failed revalidation")
-                if len(witnesses) < witness_cap:
-                    entry["t"] = _mor_json(FinMor(
-                        A, B, tuple(B.elements[i] for i in t)))
-                    witnesses.append(entry)
-    hypothesis = None
-    gate_ok = True
-    if bottom_only:
-        gate_ok = all(gates.values())
-        hypothesis = {"bottomQuantifierFree": gates, "holds": gate_ok}
-        if mode == "strict" and not gate_ok:
-            notes.append("corollary hypothesis fails; instances not judged")
-            return RuleReport(rule_name, D.name, mode, "hypothesis-failed",
-                              tuple(scanned), 0, vacuous,
-                              skipped + instances, (), (),
-                              hypothesis, tuple(notes))
-    return RuleReport(rule_name, D.name, mode,
-                      _verdict(gate_ok, mode, violations), tuple(scanned),
-                      instances, vacuous, skipped, tuple(witnesses),
-                      tuple(violations), hypothesis, tuple(notes))
+                _judge(entry, t, "t", witnesses, violations, witness_cap, seq)
+    gate = ("bottomQuantifierFree", gates) if bottom_only else None
+    return _report(rule_name, D, mode, scanned, instances, vacuous, skipped,
+                   witnesses, violations, notes, gate)
 
 
 def check_modified_markov(D, analyzer: FreenessAnalyzer | None = None,
@@ -272,49 +245,24 @@ def check_counterexample_property(D, analyzer: FreenessAnalyzer | None = None,
     scanned: list = []
     instances = vacuous = 0
     gates = {}
-    for A, B, p in _scan_pairs(D, objects):
-        alphas, betas = _fibres(D, A, p, notes)
-        if alphas is None:
-            continue
-        scanned.append(f"{A.name}|{B.name}")
-        fibA = D.fibre(A)
-        fibAB = D.fibre(p.obj)
+    for A, B, p, fibA, fibAB in _scan(D, objects, notes, scanned):
         botA = fibA.bottom()
         if A.name not in gates:
             gates[A.name] = fa.quantifier_free(A, botA)
-        for alpha in betas:
+        for alpha in fibAB.elements():
             if not fibA.leq(D.forall_along(p.proj_left, alpha), botA):
                 vacuous += 1
                 continue
             instances += 1
-            g = K.forall_gap_g(botA, alpha, len(A), len(B), D.nw)
+            g = fa.choice_map("universal", A, B, p, botA, alpha)
             entry = {
                 "base": A.name, "partner": B.name,
                 "alpha": fibAB.describe(alpha),
             }
-            if g is None:
-                entry["kind"] = "no-term-witness"
-                violations.append(entry)
-                continue
-            gm = _graph(A, B, p, g)
-            if not fibA.leq(D.reindex_el(gm, alpha), botA):
-                raise DoctrineError("term witness failed revalidation")
-            if len(witnesses) < witness_cap:
-                entry["g"] = _mor_json(FinMor(
-                    A, B, tuple(B.elements[i] for i in g)))
-                witnesses.append(entry)
-    gate_ok = all(gates.values())
-    hypothesis = {"bottomQuantifierFree": gates, "holds": gate_ok}
-    if mode == "strict" and not gate_ok:
-        notes.append("corollary hypothesis fails; instances not judged")
-        return RuleReport("counterexample-property", D.name, mode,
-                          "hypothesis-failed", tuple(scanned), 0,
-                          vacuous, instances, (), (), hypothesis,
-                          tuple(notes))
-    return RuleReport("counterexample-property", D.name, mode,
-                      _verdict(gate_ok, mode, violations), tuple(scanned),
-                      instances, vacuous, 0, tuple(witnesses),
-                      tuple(violations), hypothesis, tuple(notes))
+            _judge(entry, g, "g", witnesses, violations, witness_cap)
+    return _report("counterexample-property", D, mode, scanned, instances,
+                   vacuous, 0, witnesses, violations, notes,
+                   ("bottomQuantifierFree", gates))
 
 
 def check_rule_of_choice(D, analyzer: FreenessAnalyzer | None = None,
@@ -330,18 +278,12 @@ def check_rule_of_choice(D, analyzer: FreenessAnalyzer | None = None,
     scanned: list = []
     instances = vacuous = skipped = 0
     gates = {}
-    for A, B, p in _scan_pairs(D, objects):
-        alphas, betas = _fibres(D, A, p, notes)
-        if alphas is None:
-            continue
-        scanned.append(f"{A.name}|{B.name}")
-        fibA = D.fibre(A)
-        fibAB = D.fibre(p.obj)
+    for A, B, p, fibA, fibAB in _scan(D, objects, notes, scanned):
         topA = fibA.top()
         if A.name not in gates:
             gates[A.name] = fa.is_existential_free(A, topA)
         exfree = set(fa.exfree_elements(p.obj))
-        for alpha in betas:
+        for alpha in fibAB.elements():
             qualifies = alpha in exfree
             if mode == "strict" and not qualifies:
                 skipped += 1
@@ -350,35 +292,16 @@ def check_rule_of_choice(D, analyzer: FreenessAnalyzer | None = None,
                 vacuous += 1
                 continue
             instances += 1
-            g = K.exists_gap_g(topA, alpha, len(A), len(B), D.nw)
+            g = fa.choice_map("existential", A, B, p, topA, alpha)
             entry = {
                 "base": A.name, "partner": B.name,
                 "alpha": fibAB.describe(alpha),
                 "preconditionsHold": qualifies,
             }
-            if g is None:
-                entry["kind"] = "no-term-witness"
-                violations.append(entry)
-                continue
-            gm = _graph(A, B, p, g)
-            if not fibA.leq(topA, D.reindex_el(gm, alpha)):
-                raise DoctrineError("term witness failed revalidation")
-            if len(witnesses) < witness_cap:
-                entry["g"] = _mor_json(FinMor(
-                    A, B, tuple(B.elements[i] for i in g)))
-                witnesses.append(entry)
-    gate_ok = all(gates.values())
-    hypothesis = {"topExistentialFree": gates, "holds": gate_ok}
-    if mode == "strict" and not gate_ok:
-        notes.append("corollary hypothesis fails; instances not judged")
-        return RuleReport("rule-of-choice", D.name, mode,
-                          "hypothesis-failed", tuple(scanned), 0,
-                          vacuous, skipped + instances, (), (),
-                          hypothesis, tuple(notes))
-    return RuleReport("rule-of-choice", D.name, mode,
-                      _verdict(gate_ok, mode, violations), tuple(scanned),
-                      instances, vacuous, skipped, tuple(witnesses),
-                      tuple(violations), hypothesis, tuple(notes))
+            _judge(entry, g, "g", witnesses, violations, witness_cap)
+    return _report("rule-of-choice", D, mode, scanned, instances, vacuous,
+                   skipped, witnesses, violations, notes,
+                   ("topExistentialFree", gates))
 
 
 def check_skolemisation(D, analyzer: FreenessAnalyzer | None = None,
@@ -440,10 +363,8 @@ def check_skolemisation(D, analyzer: FreenessAnalyzer | None = None,
                         violations.append(entry)
                     elif len(witnesses) < witness_cap:
                         witnesses.append(entry)
-    return RuleReport("skolemisation", D.name, mode,
-                      "fail" if violations else "pass", tuple(scanned),
-                      instances, 0, 0, tuple(witnesses), tuple(violations),
-                      None, tuple(notes))
+    return _report("skolemisation", D, mode, scanned, instances, 0, 0,
+                   witnesses, violations, notes)
 
 
 RULES = {

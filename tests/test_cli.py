@@ -174,6 +174,20 @@ class TestDoctrineCommands:
         assert data["existentialFree"] is True
         assert "predicate" in data
 
+    def test_cap_applies_to_tabular_input(self, capsys, pow_path, tmp_path):
+        """--cap reaches a doctrine replayed from tables, as it does one
+        rebuilt from its generator."""
+        with open(pow_path) as fh:
+            data = json.load(fh)
+        del data["generator"]
+        tab = tmp_path / "tabular.json"
+        tab.write_text(json.dumps(data))
+        skipped = "  A*A: skipped (product size 4 exceeds cap 3)\n"
+        for path in (pow_path, str(tab)):
+            _, out, _ = run(capsys, "doctrine", "adjoints", "--doctrine",
+                            path, "--cap", "3", "--format", "text")
+            assert skipped in out
+
     def test_adjoints_lists_both_directions(self, capsys, pow_path):
         data = run_json(capsys, "doctrine", "adjoints", "--doctrine",
                         pow_path)
@@ -303,6 +317,23 @@ class TestErrorChannels:
         code, _, err = run(capsys, "doctrine", "check", "--doctrine",
                            str(bad))
         assert code == 2
+        assert err.startswith("error: malformed doctrine JSON:")
+
+    @pytest.mark.parametrize("text", [
+        '{"universe": [{}]}',
+        '{"universe": [{"name": "A", "elements": [1]}]}',
+        '{"generator": 5}',
+        '{"generator": {"kind": "powerset", "sizes": 5}}',
+        '{"generator": {"kind": "kripke", "sizes": [2], "frame": 5}}',
+    ], ids=["entry-without-elements", "element-not-a-list",
+            "generator-not-an-object", "sizes-not-a-list", "frame-not-an-object"])
+    def test_malformed_doctrine_shape_exits_2(self, capsys, tmp_path, text):
+        bad = tmp_path / "shape.json"
+        bad.write_text(text)
+        code, out, err = run(capsys, "doctrine", "check", "--doctrine",
+                             str(bad))
+        assert code == 2
+        assert out == ""
         assert err.startswith("error: malformed doctrine JSON:")
 
     @pytest.mark.parametrize("formula", ["(" * 1000 + "q" + ")" * 1000,

@@ -1,7 +1,9 @@
+import itertools
+
 import pytest
 
 from dialectica.doctrine import kripke_doctrine, powerset_doctrine
-from dialectica.fincat import FinMor, product
+from dialectica.fincat import FinMor, enumerate_morphisms, product
 from dialectica.freeness import FreenessAnalyzer
 from dialectica.posets import antichain_poset, chain_poset
 
@@ -113,6 +115,35 @@ class TestSplittingWitnesses:
         A = POW.universe[1]
         rep = fa.existential_splitting(A, 0)
         assert rep.passed and rep.checked > 0
+
+
+class TestChoiceMap:
+    """On a concrete doctrine the bitmask kernel picks the choice map; for
+    every pair of predicates it must be the first map the exhaustive
+    search accepts, and None exactly when the search finds none."""
+
+    @pytest.mark.parametrize("kind", ("existential", "universal"))
+    def test_kernel_returns_the_first_fitting_map(self, kind):
+        fa = FreenessAnalyzer(ANTI)
+        outcomes = set()
+        for A in ANTI.universe:
+            fib_a = ANTI.fibre(A)
+            for B in ANTI.universe:
+                p = product(A, B)
+                for alpha, beta in itertools.product(
+                        fib_a.elements(), ANTI.fibre(p.obj).elements()):
+                    first = None
+                    for g in enumerate_morphisms(A, B):
+                        graph = FinMor(A, p.obj,
+                                       tuple(e + g(e) for e in A.elements))
+                        pulled = ANTI.reindex_el(graph, beta)
+                        if (fib_a.leq(alpha, pulled) if kind == "existential"
+                                else fib_a.leq(pulled, alpha)):
+                            first = g
+                            break
+                    assert fa.choice_map(kind, A, B, p, alpha, beta) == first
+                    outcomes.add(first is None)
+        assert outcomes == {True, False}
 
 
 class TestGodelReports:

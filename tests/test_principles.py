@@ -1,10 +1,18 @@
 import pytest
 
-from dialectica.doctrine import kripke_doctrine, mor_from_key, powerset_doctrine
-from dialectica.fincat import FinMor, product
+from dialectica.doctrine import (
+    ConcreteDoctrine,
+    doctrine_from_json,
+    doctrine_to_json,
+    kripke_doctrine,
+    mor_from_key,
+    powerset_doctrine,
+)
+from dialectica.fincat import FinMor, product, unit_obj
 from dialectica.freeness import FreenessAnalyzer
-from dialectica.posets import antichain_poset, chain_poset
+from dialectica.posets import FinitePoset, antichain_poset, chain_poset
 from dialectica.principles import (
+    RULES,
     check_counterexample_property,
     check_ip_rule,
     check_markov,
@@ -272,6 +280,26 @@ class TestWitnessReplay:
         assert kinds <= {"sequent-fails", "no-term-witness"}
         for v in rep.violations[:4]:
             assert set(v) >= {"base", "partner", "alpha", "betaD", "kind"}
+
+
+class TestTabularReplay:
+    """A doctrine replayed from its tables gets the same reports as the
+    closed form it was written from.  The universe is the terminal object
+    alone, so every product the checkers scan has a recorded fibre."""
+
+    @pytest.mark.parametrize("frame", [
+        FinitePoset(("w0",), [(0, 0)]), chain_poset(2), antichain_poset(2)],
+        ids=["one-world", "chain2", "antichain2"])
+    def test_tabular_and_concrete_reports_agree(self, frame):
+        D = ConcreteDoctrine("twin", frame, (unit_obj(),))
+        data = doctrine_to_json(D)
+        data.pop("generator", None)
+        T = doctrine_from_json(data)
+        assert T.kind == "tabular"
+        for rule in ("ip", "mmr", "markov", "cex", "choice"):
+            for mode in ("strict", "diagnostic"):
+                assert (RULES[rule](T, mode=mode).to_json()
+                        == RULES[rule](D, mode=mode).to_json()), (rule, mode)
 
 
 class TestSequentSemantics:
