@@ -101,6 +101,66 @@ def forall_gap_g(alpha: int, beta: int, na: int, nb: int, nw: int):
     return tuple(g)
 
 
+def _supersets(col: int, nw: int) -> int:
+    """Bitmask over the ``2**nw`` column values: bit ``c`` is set when
+    ``col`` is a subset of ``c``.  Built one world at a time, doubling the
+    value range: a world in ``col`` keeps only the upper half."""
+    out = 1
+    for w in range(nw):
+        out = out << (1 << w) if (col >> w) & 1 else out | (out << (1 << w))
+    return out
+
+
+def order_signature(alpha: int, ni: int, nu: int, nx: int, nw: int):
+    """Summarise a quadruple over I*U*X for the order of ``witness_pair``.
+
+    Returns ``(left, right)``, each a tuple per ``i`` of one bitmask per
+    ``u`` over the ``2**nw`` column values ``c``.  ``left[i][u]`` has bit
+    ``c`` set when some ``x`` has ``alpha(i, u, x) <= c``: the columns a
+    counterexample map can answer from slot (i, u) when this quadruple is
+    the smaller one.  ``right[i][u]`` has bit ``c`` set for each column
+    ``alpha(i, u, x)`` takes as ``x`` varies: what it must answer when it
+    is the larger one.
+    """
+    full = (1 << nw) - 1
+    sup = {}
+    left = []
+    right = []
+    for i in range(ni):
+        lrow = []
+        rrow = []
+        for u in range(nu):
+            base = (i * nu + u) * nx
+            lmask = 0
+            rmask = 0
+            for x in range(nx):
+                col = (alpha >> ((base + x) * nw)) & full
+                s = sup.get(col)
+                if s is None:
+                    s = sup[col] = _supersets(col, nw)
+                lmask |= s
+                rmask |= 1 << col
+            lrow.append(lmask)
+            rrow.append(rmask)
+        left.append(tuple(lrow))
+        right.append(tuple(rrow))
+    return tuple(left), tuple(right)
+
+
+def signature_leq(left_a, right_b) -> bool:
+    """Whether ``witness_pair`` finds a pair, from the signatures alone:
+    every slot (i, u) of ``a`` needs some ``v`` of ``b`` all of whose
+    columns lie in ``left_a[i][u]``."""
+    for lrow, rrow in zip(left_a, right_b):
+        for lmask in lrow:
+            for rmask in rrow:
+                if rmask & ~lmask == 0:
+                    break
+            else:
+                return False
+    return True
+
+
 def witness_pair(alpha: int, beta: int, ni: int, nu: int, nx: int,
                  nv: int, ny: int, nw: int):
     """Search for (f0: IxU -> V, f1: IxUxY -> X) with

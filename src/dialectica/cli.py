@@ -41,6 +41,7 @@ from .doctrine import (
 )
 from .fincat import CapExceeded, product
 from .fol import (
+    FolDepthError,
     FolError,
     Implies,
     Signature,
@@ -488,6 +489,8 @@ def cmd_dial_complete(args):
             if i == j or not fib.leq(i, j):
                 continue
             p = dial_leq(D, fib.quads[i], fib.quads[j])
+            if p is None:
+                raise DoctrineError(f"order matrix cell ({i}, {j}) has no witness pair")
             pairs.append({"from": i, "to": j, "pair": p.to_json()})
             if len(pairs) >= args.pairs:
                 break
@@ -745,11 +748,11 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"error: cap exceeded: {exc}", file=sys.stderr)
         return 2
+    except (FolDepthError, RecursionError):
+        print("error: formula nested too deeply", file=sys.stderr)
+        return 2
     except FolError as exc:
         print(f"error: formula: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print("error: formula nested too deeply", file=sys.stderr)
         return 2
     except (PosetError, DoctrineError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -963,6 +963,9 @@ def doctrine_from_json(data: dict, cap: int = DEFAULT_CAP,
             for o in declared)):
         raise DoctrineDataError(
             "universe must be a list of objects with a name and element lists")
+    if declared is not None and any(isinstance(c, (dict, list))
+                                    for o in declared for e in o["elements"] for c in e):
+        raise DoctrineDataError("element components must not be objects or arrays")
     gen = data.get("generator")
     if gen:
         if not isinstance(gen, dict):

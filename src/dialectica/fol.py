@@ -23,6 +23,13 @@ class FolSyntaxError(FolError):
         self.pos = pos
 
 
+class FolDepthError(FolError):
+    """Input nested too deeply for the recursive-descent parser."""
+
+    def __init__(self, what: str):
+        super().__init__(f"{what} nested too deeply")
+
+
 class FolSortError(FolError):
     """Sort mismatch; `subject` renders the offending subterm."""
 
@@ -839,6 +846,17 @@ class _InferringParser(_Parser):
         return super().primary()
 
 
+def _run(p: _Parser, rule, what: str):
+    """Parse the whole input of `p` with `rule`, one of its bound methods;
+    running out of stack becomes a FolDepthError."""
+    try:
+        out = rule()
+    except RecursionError:
+        raise FolDepthError(what) from None
+    p.done()
+    return out
+
+
 def parse_formula(text: str, sig: Signature | None = None,
                   context: dict[str, Var] | None = None) -> Formula:
     """Parse a formula; without a signature, infer one from the input."""
@@ -846,20 +864,14 @@ def parse_formula(text: str, sig: Signature | None = None,
         p: _Parser = _InferringParser(text, Signature(), context)
     else:
         p = _Parser(text, sig, context)
-    f = p.formula()
-    p.done()
-    return f
+    return _run(p, p.formula, "formula")
 
 
 def parse_term(text: str, sig: Signature, context: dict[str, Var] | None = None) -> Term:
     p = _Parser(text, sig, context)
-    t = p.term()
-    p.done()
-    return t
+    return _run(p, p.term, "term")
 
 
 def parse_sort(text: str, sig: Signature | None = None) -> Sort:
     p = _Parser(text, sig)
-    s = p.sort()
-    p.done()
-    return s
+    return _run(p, p.sort, "sort")

@@ -325,8 +325,11 @@ class TestErrorChannels:
         '{"generator": 5}',
         '{"generator": {"kind": "powerset", "sizes": 5}}',
         '{"generator": {"kind": "kripke", "sizes": [2], "frame": 5}}',
+        '{"universe": [{"name": "A", "elements": [[{}]]}]}',
+        '{"universe": [{"name": "A", "elements": [[[0]]]}]}',
     ], ids=["entry-without-elements", "element-not-a-list",
-            "generator-not-an-object", "sizes-not-a-list", "frame-not-an-object"])
+            "generator-not-an-object", "sizes-not-a-list", "frame-not-an-object",
+            "object-component", "array-component"])
     def test_malformed_doctrine_shape_exits_2(self, capsys, tmp_path, text):
         bad = tmp_path / "shape.json"
         bad.write_text(text)

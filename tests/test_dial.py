@@ -11,14 +11,31 @@ from dialectica.dial import (
     dial_leq,
     dial_reindex,
     enumerate_quads,
+    has_pair,
     identity_pair,
     pair_is_valid,
     prenex_order,
 )
-from dialectica.doctrine import DoctrineError, kripke_doctrine, powerset_doctrine
-from dialectica.fincat import FinMor, compose, enumerate_morphisms, identity, product
+from dialectica.doctrine import (
+    ConcreteDoctrine,
+    DoctrineError,
+    doctrine_from_json,
+    doctrine_to_json,
+    kripke_doctrine,
+    powerset_doctrine,
+)
+from dialectica.fincat import (
+    FinMor,
+    FinObj,
+    compose,
+    enumerate_morphisms,
+    identity,
+    product,
+    product_n,
+    unit_obj,
+)
 from dialectica.freeness import FreenessAnalyzer
-from dialectica.posets import antichain_poset, chain_poset
+from dialectica.posets import FinitePoset, antichain_poset, chain_poset
 
 POW = powerset_doctrine((2, 2))
 CHAIN = kripke_doctrine(chain_poset(2), (2, 2))
@@ -163,6 +180,60 @@ class TestCompletedFibres:
     def test_classes_collapse_to_the_base_order(self):
         fib = build_dial_fibre(POW, POW.universe[0], quad_cap=128)
         assert len(fib.classes()) == 2
+
+
+def pair_matrix(D, quads):
+    return tuple(sum(1 << j for j, b in enumerate(quads)
+                     if dial_leq(D, a, b) is not None) for a in quads)
+
+
+class TestSignatureOrder:
+    """The matrix decided from signatures is the one the witness-pair
+    search gives, cell by cell."""
+
+    @pytest.mark.parametrize("D", (POW, CHAIN, ANTI), ids=lambda d: d.name)
+    def test_rows_match_the_pair_search(self, D):
+        fib = build_dial_fibre(D, D.universe[0], quad_cap=84)
+        assert fib.rows == pair_matrix(D, fib.quads)
+        assert all(has_pair(D, a, b) == fib.leq(i, j)
+                   for i, a in enumerate(fib.quads[:12])
+                   for j, b in enumerate(fib.quads))
+
+    @pytest.mark.parametrize("frame", [
+        FinitePoset(("w0",), [(0, 0)]), chain_poset(2), antichain_poset(2)],
+        ids=["one-world", "chain2", "antichain2"])
+    def test_tabular_replay_searches_for_pairs(self, frame):
+        """A table-replayed doctrine has no signatures; its matrix comes
+        from the exhaustive pair search.  The universe holds every carrier
+        the search reindexes over: the one-world replay lists the products
+        of the terminal object with A, the Kripke ones the terminal object
+        alone."""
+        one = unit_obj()
+        objs = (one,)
+        if len(frame) == 1:
+            A = FinObj("A", (("a0",), ("a1",)))
+            objs = (one, A)
+        carriers = tuple(product_n((one, U, X))[0] for U in objs for X in objs)
+        D = ConcreteDoctrine("closed", frame, tuple(dict.fromkeys(objs + carriers)))
+        data = doctrine_to_json(D)
+        data.pop("generator", None)
+        T = doctrine_from_json(data)
+        assert T.kind == "tabular"
+        fib = build_dial_fibre(T, one, quad_cap=84, universe=objs)
+        assert fib.rows == pair_matrix(T, fib.quads)
+        assert fib.rows == build_dial_fibre(D, one, quad_cap=84, universe=objs).rows
+        assert len(fib.classes()) == len(D.fibre(one).elements())
+
+    @pytest.mark.parametrize("D", (POW, CHAIN), ids=lambda d: d.name)
+    def test_unsampled_fibres_collapse_to_the_base(self, D):
+        """Every quadruple listed, the completed fibre has one order class
+        per predicate of the base fibre (the Goedel doctrines)."""
+        for I in D.universe:
+            _, total, _ = enumerate_quads(D, I, quad_cap=1)
+            fib = build_dial_fibre(D, I, quad_cap=total)
+            assert len(fib.quads) == total
+            assert not any("sampled" in n for n in fib.notes)
+            assert len(fib.classes()) == len(D.fibre(I).elements())
 
 
 class TestPrenexOrder:

@@ -11,6 +11,8 @@ from dialectica.fol import (
     Bottom,
     Ev,
     Exists,
+    FolDepthError,
+    FolError,
     FolSortError,
     FolSyntaxError,
     Forall,
@@ -130,6 +132,18 @@ class TestFormulaParsing:
     def test_trailing_input(self):
         with pytest.raises(FolSyntaxError):
             parse_formula("s0 s0", SIG)
+
+    @pytest.mark.parametrize("parse,text,what", [
+        (lambda t: parse_formula(t), "(" * 1000 + "q" + ")" * 1000, "formula"),
+        (lambda t: parse_formula(t, SIG), "~" * 3000 + "s0", "formula"),
+        (lambda t: parse_term(t, SIG), "(" * 1000 + "cU" + ")" * 1000, "term"),
+        (lambda t: parse_sort(t, SIG), "U -> " * 1000 + "U", "sort"),
+    ], ids=["parens", "negations", "term", "sort"])
+    def test_deep_nesting_raises_a_fol_error(self, parse, text, what):
+        with pytest.raises(FolDepthError) as e:
+            parse(text)
+        assert isinstance(e.value, FolError)
+        assert str(e.value) == f"{what} nested too deeply"
 
     def test_atom_sort_error_names_subterm(self):
         with pytest.raises(FolSortError) as e:

@@ -102,6 +102,35 @@ class TestSearchAgreement:
             assert K.witness_pair(*args) == witness_pair_naive(*args)
 
 
+class TestOrderSignature:
+    def test_signature_layout(self):
+        # one world, nx = 2: alpha(0, 0, x0) = {w0}, alpha(0, 0, x1) = {}
+        left, right = K.order_signature(0b01, 1, 1, 2, 1)
+        assert left == ((0b11,),)  # {} lies below both column values
+        assert right == ((0b11,),)  # the row takes both column values
+        left, right = K.order_signature(0b11, 1, 1, 2, 1)
+        assert left == ((0b10,),) and right == ((0b10,),)
+        # two worlds: column {w1} = 0b10 lies below values 0b10 and 0b11
+        left, right = K.order_signature(0b10, 1, 1, 1, 2)
+        assert left == ((0b1100,),) and right == ((0b0100,),)
+        assert K.order_signature(0, 0, 2, 2, 1) == ((), ())
+
+    def test_signatures_decide_what_the_searches_find(self):
+        """Compared with the kernel search and the exhaustive oracle on
+        random masks, zero-size dimensions and up to three worlds."""
+        rng = random.Random(33)
+        for _ in range(400):
+            ni, nu, nx, nv, ny = (rng.randint(0, 2) for _ in range(5))
+            nw = rng.randint(1, 3)
+            alpha = rng.getrandbits(ni * nu * nx * nw)
+            beta = rng.getrandbits(ni * nv * ny * nw)
+            args = (alpha, beta, ni, nu, nx, nv, ny, nw)
+            decided = K.signature_leq(K.order_signature(alpha, ni, nu, nx, nw)[0],
+                                      K.order_signature(beta, ni, nv, ny, nw)[1])
+            assert decided == (K.witness_pair(*args) is not None)
+            assert decided == (witness_pair_naive(*args) is not None)
+
+
 class TestDispatch:
     def test_backend_badge(self):
         assert K.BACKEND == "pure"
