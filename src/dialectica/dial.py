@@ -20,6 +20,8 @@ Table-replayed doctrines decide the order by that search.
 """
 from __future__ import annotations
 
+import bisect
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -109,16 +111,13 @@ def identity_pair(D, a: DialObject) -> WitnessPair:
     return p
 
 
-def dial_leq(D, a: DialObject, b: DialObject, method: str = "auto"):
+def dial_leq(D, a: DialObject, b: DialObject):
     """Search for a witness pair; a returned pair is revalidated, None is
-    the outcome of an exhaustive scan.
-
-    method "auto" uses the kernels on concrete doctrines, "generic"
-    forces the doctrine-level search over all candidate maps.
-    """
+    the outcome of an exhaustive scan: the kernel on concrete doctrines,
+    ``search_pair`` otherwise."""
     if a.I != b.I:
         raise DoctrineError("dialectica order compares quadruples over one base")
-    if method == "auto" and isinstance(D, ConcreteDoctrine):
+    if isinstance(D, ConcreteDoctrine):
         found = K.witness_pair(
             a.alpha, b.alpha,
             len(a.I), len(a.U), len(a.X), len(b.U), len(b.X), D.nw,
@@ -134,6 +133,12 @@ def dial_leq(D, a: DialObject, b: DialObject, method: str = "auto"):
         if not pair_is_valid(D, a, b, p):
             raise DoctrineError("kernel witness pair failed revalidation")
         return p
+    return search_pair(D, a, b)
+
+
+def search_pair(D, a: DialObject, b: DialObject):
+    """The first candidate pair, in enumeration order, that passes
+    revalidation through the doctrine's own reindexing, or None."""
     iu = product(a.I, a.U).obj
     iuy = product_n((a.I, a.U, b.X))[0]
     for f0 in enumerate_morphisms(iu, b.U):
@@ -284,24 +289,6 @@ def build_dial_fibre(D, I: FinObj, matrices=None, quad_cap: int = DEFAULT_QUAD_C
     return DialFibre(I, tuple(quads), tuple(rows), total, tuple(notes))
 
 
-def _random_bit(rng, mask: int) -> int:
-    """A uniformly chosen set-bit position of a nonzero mask."""
-    r = rng.randrange(mask.bit_count())
-    base = 0
-    word = (1 << 64) - 1
-    while True:
-        chunk = mask & word
-        c = chunk.bit_count()
-        if r < c:
-            while r:
-                chunk &= chunk - 1
-                r -= 1
-            return base + (chunk & -chunk).bit_length() - 1
-        r -= c
-        mask >>= 64
-        base += 64
-
-
 def check_preorder(D, fib: DialFibre, compositions: int = 64,
                    seed: int = 0) -> PreorderReport:
     """Reflexivity via explicit identity pairs, transitivity on the full
@@ -327,44 +314,35 @@ def check_preorder(D, fib: DialFibre, compositions: int = 64,
                 trans.append((i, j, k))
         if trans:
             break
-    # Sample composable triples; dense fibres have far too many to
-    # materialise, so only small ones are walked exhaustively.
-    rng = random.Random(seed)
+    # Sample composable triples i -> j -> k (i != j, j != k) without
+    # repeats: rank them in (i, j, k) order, draw distinct ranks, and
+    # locate each by bisection over the per-i prefix ends, then by walking
+    # the links of i and of j.  links[i] holds the j != i above i and
+    # reach[j] counts links[j]; grouping j by reach turns each i's count
+    # of triples into one popcount per distinct reach.
+    links = [row & ~(1 << i) for i, row in enumerate(fib.rows)]
+    reach = [m.bit_count() for m in links]
+    with_reach = {}
+    for j, c in enumerate(reach):
+        with_reach[c] = with_reach.get(c, 0) | 1 << j
+    ends = list(itertools.accumulate(
+        sum(c * (m & js).bit_count() for c, js in with_reach.items()) for m in links))
+    total = ends[-1] if ends else 0
     chains = []
-    pairs = sum(r.bit_count() for r in fib.rows)
-    estimated = pairs * (pairs // n + 1) if n else 0
-    if estimated <= 200_000:
-        seen = 0
-        for i in range(n):
-            m = fib.rows[i]
-            while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
-                m2 = fib.rows[j]
-                while m2:
-                    k = (m2 & -m2).bit_length() - 1
-                    m2 &= m2 - 1
-                    if i == j or j == k:
-                        continue
-                    seen += 1
-                    if len(chains) < compositions:
-                        chains.append((i, j, k))
-                    else:
-                        slot = rng.randrange(seen)
-                        if slot < compositions:
-                            chains[slot] = (i, j, k)
-    else:
-        starts = [i for i in range(n) if fib.rows[i]]
-        attempts = 0
-        while len(chains) < compositions and attempts < compositions * 40:
-            attempts += 1
-            i = rng.choice(starts)
-            j = _random_bit(rng, fib.rows[i])
-            if i == j or not fib.rows[j]:
-                continue
-            k = _random_bit(rng, fib.rows[j])
-            if j != k:
-                chains.append((i, j, k))
+    for r in sorted(random.Random(seed).sample(range(total), min(compositions, total))):
+        i = bisect.bisect_right(ends, r)
+        r -= ends[i - 1] if i else 0
+        m = links[i]
+        while True:
+            j = (m & -m).bit_length() - 1
+            if r < reach[j]:
+                break
+            r -= reach[j]
+            m &= m - 1
+        m = links[j]
+        for _ in range(r):
+            m &= m - 1
+        chains.append((i, j, (m & -m).bit_length() - 1))
     comp_fail = []
     for (i, j, k) in chains:
         a, b, c = fib.quads[i], fib.quads[j], fib.quads[k]

@@ -57,7 +57,7 @@ def mor_key(f: FinMor) -> str:
 
 def mor_json(f: FinMor) -> dict:
     """A morphism as its key and its table of codomain indices."""
-    return {"mor": mor_key(f), "table": [f.cod.index(v) for v in f.table]}
+    return {"mor": mor_key(f), "table": list(f.idx)}
 
 
 def mor_from_key(key: str, objects: dict) -> FinMor:
@@ -231,6 +231,14 @@ class PosetFibre:
         return self.labels[a]
 
 
+def _fibres_of(f: FinMor) -> list:
+    """The domain indices over each codomain index of f."""
+    fibs = [[] for _ in range(len(f.cod))]
+    for d, c in enumerate(f.idx):
+        fibs[c].append(d)
+    return fibs
+
+
 class ConcreteDoctrine:
     """Doctrine of up-closed predicates over a Kripke frame.
 
@@ -252,8 +260,6 @@ class ConcreteDoctrine:
         self.fibre_cap = fibre_cap
         self.generator = generator
         self._fibres: dict[FinObj, MaskFibre] = {}
-        self._fmaps: dict[FinMor, tuple] = {}
-        self._fibs: dict[FinMor, list] = {}
 
     @property
     def nw(self) -> int:
@@ -266,30 +272,14 @@ class ConcreteDoctrine:
             self._fibres[obj] = fib
         return fib
 
-    def _fmap(self, f: FinMor) -> tuple:
-        fm = self._fmaps.get(f)
-        if fm is None:
-            fm = tuple(f.cod.index(v) for v in f.table)
-            self._fmaps[f] = fm
-        return fm
-
-    def _fibres_of(self, f: FinMor) -> list:
-        fb = self._fibs.get(f)
-        if fb is None:
-            fb = [[] for _ in range(len(f.cod))]
-            for d, c in enumerate(self._fmap(f)):
-                fb[c].append(d)
-            self._fibs[f] = fb
-        return fb
-
     def reindex_el(self, f: FinMor, alpha: int) -> int:
-        return K.reindex_mask(alpha, self._fmap(f), self.nw)
+        return K.reindex_mask(alpha, f.idx, self.nw)
 
     def exists_along(self, f: FinMor, alpha: int) -> int:
-        return K.exists_image(alpha, self._fibres_of(f), self.nw)
+        return K.exists_image(alpha, _fibres_of(f), self.nw)
 
     def forall_along(self, f: FinMor, alpha: int) -> int:
-        return K.forall_preimage(alpha, self._fibres_of(f), self.nw)
+        return K.forall_preimage(alpha, _fibres_of(f), self.nw)
 
     def morphisms(self, a: FinObj, b: FinObj) -> list[FinMor]:
         return enumerate_morphisms(a, b, self.cap)
@@ -947,6 +937,23 @@ def doctrine_to_json(D, heyting_cap: int = 64) -> dict:
     return data
 
 
+def _section(data: dict, key: str) -> dict:
+    value = data.get(key, {})
+    if not isinstance(value, dict):
+        raise DoctrineDataError(f"{key} must be an object")
+    return value
+
+
+def _is_matrix(value, n: int) -> bool:
+    """Whether value is an n by n list of lists."""
+    return isinstance(value, list) and len(value) == n and all(
+        isinstance(row, list) and len(row) == n for row in value)
+
+
+def _is_index(value, n: int) -> bool:
+    return isinstance(value, int) and 0 <= value < n
+
+
 def doctrine_from_json(data: dict, cap: int = DEFAULT_CAP,
                        fibre_cap: int = DEFAULT_FIBRE_CAP):
     """Rebuild a doctrine serialised by `doctrine_to_json`.
@@ -1004,35 +1011,41 @@ def doctrine_from_json(data: dict, cap: int = DEFAULT_CAP,
         by_name[obj.name] = obj
     if not universe:
         raise DoctrineDataError("doctrine data declares no universe")
-    heyting_data = data.get("heyting", {})
+    fibre_data = _section(data, "fibres")
+    heyting_data = _section(data, "heyting")
+    for name in heyting_data:
+        if name not in fibre_data:
+            raise DoctrineDataError(f"lattice tables over {name!r}, which has no fibre")
     fibres = {}
-    for name, fd in data.get("fibres", {}).items():
+    for name, fd in fibre_data.items():
         if name not in by_name:
             raise DoctrineDataError(f"fibre over unknown object {name!r}")
+        if not (isinstance(fd, dict) and isinstance(fd.get("elements"), list)):
+            raise DoctrineDataError(f"fibre over {name} must be an object with an elements list")
         labels = [str(x) for x in fd["elements"]]
-        leq = fd["leq"]
-        if len(leq) != len(labels) or any(len(row) != len(labels) for row in leq):
+        n = len(labels)
+        leq = fd.get("leq")
+        if not _is_matrix(leq, n):
             raise DoctrineDataError(f"fibre over {name}: malformed order matrix")
         up = [sum(1 << j for j, v in enumerate(row) if v) for row in leq]
         tables = None
         if name in heyting_data:
             h = heyting_data[name]
-            n = len(labels)
-            for mat in (h["meet"], h["join"], h["imp"]):
-                if len(mat) != n or any(len(r) != n for r in mat):
-                    raise DoctrineDataError(f"lattice tables over {name} are malformed")
-                if any(v < 0 or v >= n for r in mat for v in r):
-                    raise DoctrineDataError(f"lattice tables over {name} point outside the fibre")
-            tables = HeytingTables(
-                h["top"], h["bottom"],
-                tuple(tuple(r) for r in h["meet"]),
-                tuple(tuple(r) for r in h["join"]),
-                tuple(tuple(r) for r in h["imp"]),
-            )
+            if not (isinstance(h, dict)
+                    and all(_is_matrix(h.get(k), n) for k in ("meet", "join", "imp"))):
+                raise DoctrineDataError(f"lattice tables over {name} are malformed")
+            meet, join, imp = (tuple(tuple(r) for r in h[k]) for k in ("meet", "join", "imp"))
+            entries = [h.get("top"), h.get("bottom")]
+            entries += [v for mat in (meet, join, imp) for r in mat for v in r]
+            if not all(_is_index(v, n) for v in entries):
+                raise DoctrineDataError(f"lattice tables over {name} point outside the fibre")
+            tables = HeytingTables(h["top"], h["bottom"], meet, join, imp)
         fibres[by_name[name]] = PosetFibre(by_name[name], labels, up, tables)
     reindex = {}
-    for key, table in data.get("reindex", {}).items():
+    for key, table in _section(data, "reindex").items():
         f = mor_from_key(key, by_name)
-        reindex[f] = tuple(int(v) for v in table)
+        if not (isinstance(table, list) and all(isinstance(v, int) for v in table)):
+            raise DoctrineDataError(f"reindex table for {key} must be a list of integers")
+        reindex[f] = tuple(table)
     return TabularDoctrine(data.get("name", "tabular"), universe, fibres, reindex,
                            cap=cap)

@@ -94,9 +94,14 @@ def fin_obj(name: str, labels) -> FinObj:
 
 
 class FinMor:
-    """Map between finite objects, tabulated in domain enumeration order."""
+    """Map between finite objects, tabulated in domain enumeration order.
 
-    __slots__ = ("dom", "cod", "table")
+    ``table`` holds the value at each domain element and ``idx`` the
+    codomain index of that value: the map as the index table that
+    reindexing and the morphism encodings read.
+    """
+
+    __slots__ = ("dom", "cod", "table", "idx")
 
     def __init__(self, dom: FinObj, cod: FinObj, table):
         self.dom = dom
@@ -104,9 +109,11 @@ class FinMor:
         self.table = tuple(table)
         if len(self.table) != len(dom):
             raise CategoryError("table length does not match the domain")
-        for v in self.table:
-            if v not in cod:
-                raise CategoryError(f"value {v!r} outside the codomain")
+        index = cod._index
+        try:
+            self.idx = tuple([index[v] for v in self.table])
+        except KeyError as exc:
+            raise CategoryError(f"value {exc.args[0]!r} outside the codomain") from None
 
     def __call__(self, el):
         return self.table[self.dom.index(el)]
@@ -116,11 +123,11 @@ class FinMor:
             isinstance(other, FinMor)
             and self.dom == other.dom
             and self.cod == other.cod
-            and self.table == other.table
+            and self.idx == other.idx
         )
 
     def __hash__(self):
-        return hash((self.dom, self.cod, self.table))
+        return hash((self.dom, self.cod, self.idx))
 
     def __repr__(self):
         return f"FinMor({self.dom.name} -> {self.cod.name})"
@@ -245,8 +252,8 @@ def enumerate_morphisms(a: FinObj, b: FinObj, cap: int = DEFAULT_CAP) -> list[Fi
 
 def morphism_index(f: FinMor) -> int:
     """Rank of f within enumerate_morphisms(f.dom, f.cod)."""
-    idx = 0
+    rank = 0
     nb = len(f.cod)
-    for v in f.table:
-        idx = idx * nb + f.cod.index(v)
-    return idx
+    for c in f.idx:
+        rank = rank * nb + c
+    return rank

@@ -14,6 +14,10 @@ SPEC_OUTPUT = ("exists u0:(U -> V) -> U. exists u1:(U -> V) * Y -> U. "
                "forall x0:U -> V. forall x1:Y. "
                "p(u1 @ <x0, x1>, x0 @ (u1 @ <x0, x1>)) -> q(u0 @ x0, x1)")
 
+# A one-element tabular doctrine, the base of the malformed-table cases.
+ONE = '{"universe": [{"name": "A", "elements": [[0]]}]'
+FIBRE = ', "fibres": {"A": {"elements": ["{}"], "leq": [[1]]}}'
+
 
 def run(capsys, *argv):
     try:
@@ -327,9 +331,20 @@ class TestErrorChannels:
         '{"generator": {"kind": "kripke", "sizes": [2], "frame": 5}}',
         '{"universe": [{"name": "A", "elements": [[{}]]}]}',
         '{"universe": [{"name": "A", "elements": [[[0]]]}]}',
+        ONE + ', "fibres": []}',
+        ONE + ', "fibres": {"A": 5}}',
+        ONE + ', "fibres": {"A": {"elements": 5, "leq": []}}}',
+        ONE + FIBRE + ', "heyting": {"A": {"meet": 5, "join": [[0]], "imp": [[0]], '
+        '"top": 0, "bottom": 0}}}',
+        ONE + FIBRE + ', "reindex": 5}',
+        ONE + FIBRE + ', "reindex": {"A->A#0": ["a"]}}',
+        ONE + FIBRE + ', "heyting": {"A": {"meet": [[0]], "join": [[0]], "imp": [[0]], '
+        '"top": 7, "bottom": 0}}}',
     ], ids=["entry-without-elements", "element-not-a-list",
             "generator-not-an-object", "sizes-not-a-list", "frame-not-an-object",
-            "object-component", "array-component"])
+            "object-component", "array-component", "fibres-not-an-object",
+            "fibre-not-an-object", "fibre-elements-not-a-list", "meet-not-a-table",
+            "reindex-not-an-object", "reindex-entry-not-an-index", "top-outside-the-fibre"])
     def test_malformed_doctrine_shape_exits_2(self, capsys, tmp_path, text):
         bad = tmp_path / "shape.json"
         bad.write_text(text)

@@ -1,5 +1,6 @@
 import pytest
 
+from dialectica import dial
 from dialectica.dial import (
     DialObject,
     WitnessPair,
@@ -15,6 +16,7 @@ from dialectica.dial import (
     identity_pair,
     pair_is_valid,
     prenex_order,
+    search_pair,
 )
 from dialectica.doctrine import (
     ConcreteDoctrine,
@@ -59,7 +61,7 @@ class TestWitnessPairs:
         for a in quads:
             for b in quads:
                 fast = dial_leq(POW, a, b)
-                slow = dial_leq(POW, a, b, method="generic")
+                slow = search_pair(POW, a, b)
                 assert (fast is None) == (slow is None)
                 if fast is not None:
                     assert pair_is_valid(POW, a, b, fast)
@@ -156,6 +158,25 @@ class TestCompletedFibres:
         rep = check_preorder(D, fib, seed=0)
         assert rep.passed
         assert rep.compositions_checked > 0
+
+    @pytest.mark.parametrize("D", (POW, ANTI), ids=lambda d: d.name)
+    def test_compositions_cover_every_composable_triple(self, D, monkeypatch):
+        """Asked for more compositions than there are, the sampler draws
+        every triple i <= j <= k with i != j and j != k exactly once."""
+        fib = build_dial_fibre(D, D.universe[0], quad_cap=12)
+        n = len(fib.quads)
+        triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)
+                   if i != j and j != k and fib.leq(i, j) and fib.leq(j, k)]
+        drawn = []
+
+        def recording(D, a, b, c, p, q):
+            drawn.append(tuple(fib.quads.index(x) for x in (a, b, c)))
+            return compose_pairs(D, a, b, c, p, q)
+
+        monkeypatch.setattr(dial, "compose_pairs", recording)
+        rep = check_preorder(D, fib, compositions=10**6)
+        assert rep.passed and rep.compositions_checked == len(triples) > 0
+        assert drawn == triples
 
     def test_sampling_is_recorded(self):
         quads, total, notes = enumerate_quads(POW, POW.universe[1], quad_cap=50)

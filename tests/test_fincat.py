@@ -70,6 +70,19 @@ class TestMorphisms:
         for i, f in enumerate(mors):
             assert morphism_index(f) == i
 
+    def test_index_table(self):
+        for dom, cod in ((A, B), (B, A), (unit_obj(), C), (FinObj("E", (), arity=1), A)):
+            for f in enumerate_morphisms(dom, cod):
+                assert f.idx == tuple(cod.elements.index(v) for v in f.table)
+
+    def test_equality_ignores_carrier_names(self):
+        A2, B2 = fin_obj("X", ["a0", "a1"]), fin_obj("Y", ["b0", "b1", "b2"])
+        for f in enumerate_morphisms(A, B):
+            g = FinMor(A2, B2, f.table)
+            assert f == g and hash(f) == hash(g)
+        assert FinMor(A, B, (("b0",), ("b1",))) != FinMor(A, B, (("b1",), ("b0",)))
+        assert len(set(enumerate_morphisms(A, B))) == 9
+
     def test_cap(self):
         big = fin_obj("G", [f"g{i}" for i in range(13)])
         with pytest.raises(CapExceeded):
