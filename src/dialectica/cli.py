@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import sys
 
 from .dial import (
@@ -85,6 +84,7 @@ def _read_text(path: str | None) -> tuple[str, str]:
 
 
 def _load_doctrine(args):
+    """The doctrine named by ``--doctrine`` (default stdin), capped by ``--cap``."""
     text, src = _read_text(getattr(args, "doctrine", None))
     try:
         data = json.loads(text)
@@ -92,11 +92,9 @@ def _load_doctrine(args):
         raise CliError(f"malformed doctrine JSON: {src}: {exc}") from None
     if not isinstance(data, dict):
         raise CliError(f"malformed doctrine JSON: {src}: top level must be an object")
-    kwargs = {}
-    if args.cap is not None:
-        kwargs = {"cap": args.cap, "fibre_cap": args.cap}
+    kwargs = {} if args.cap is None else {"cap": args.cap}
     try:
-        return doctrine_from_json(data, **kwargs), data
+        return doctrine_from_json(data, **kwargs)
     except DoctrineDataError as exc:
         raise CliError(f"malformed doctrine JSON: {src}: {exc}") from None
 
@@ -177,7 +175,7 @@ def cmd_chain(args):
 
 
 def cmd_doctrine_check(args):
-    D, _ = _load_doctrine(args)
+    D = _load_doctrine(args)
     laws = check_doctrine(D)
     ex = quantifier_structure(D, "exists")
     fa = quantifier_structure(D, "forall")
@@ -222,7 +220,7 @@ def cmd_doctrine_check(args):
 
 
 def cmd_doctrine_adjoints(args):
-    D, _ = _load_doctrine(args)
+    D = _load_doctrine(args)
     rows = []
     failures = 0
     for a in D.universe:
@@ -285,7 +283,7 @@ def _side_conditions(D, analyzer):
         ex_ok = analyzer.is_existential_free(obj, fib.bottom())
         rep2 = None
         if ex_ok:
-            rep2 = analyzer.universal_free_report(obj, fib.bottom(), scope="exfree")
+            rep2 = analyzer.universal_free_report(obj, fib.bottom())
         bottoms[obj.name] = bool(ex_ok and rep2 is not None and rep2.passed)
         if not bottoms[obj.name]:
             entry = {"condition": "bottom quantifier-free", "object": obj.name}
@@ -319,7 +317,7 @@ def _failing_json(D, failing):
 
 
 def cmd_doctrine_godel(args):
-    D, _ = _load_doctrine(args)
+    D = _load_doctrine(args)
     analyzer = FreenessAnalyzer(D)
     rep = analyzer.godel_report()
     side = _side_conditions(D, analyzer)
@@ -372,7 +370,7 @@ def _godel_failures(rep):
 
 
 def cmd_doctrine_free(args):
-    D, _ = _load_doctrine(args)
+    D = _load_doctrine(args)
     analyzer = FreenessAnalyzer(D)
     if args.predicate is not None:
         return _free_single(D, analyzer, args.predicate)
@@ -381,7 +379,7 @@ def cmd_doctrine_free(args):
         fib = D.fibre(obj)
         els = fib.elements()
         ex = [a for a in els if analyzer.is_existential_free(obj, a)]
-        qf = [a for a in ex if analyzer.is_universal_free(obj, a, scope="exfree")]
+        qf = [a for a in ex if analyzer.is_universal_free(obj, a)]
         rows.append({
             "object": obj.name,
             "predicates": len(els),
@@ -423,7 +421,7 @@ def _free_single(D, analyzer, spec_text):
         raise CliError(f"no predicate {el_text!r} in the fibre over {obj_name}"
                        " (use an index or the exact set notation)")
     ex_rep = analyzer.existential_free_report(obj, alpha)
-    un_rep = analyzer.universal_free_report(obj, alpha, scope="exfree")
+    un_rep = analyzer.universal_free_report(obj, alpha)
     payload = {
         "command": "doctrine free",
         "doctrine": D.name,
@@ -462,7 +460,11 @@ def _parse_bounds(text):
 
 
 def cmd_dial_complete(args):
-    D, _ = _load_doctrine(args)
+    for flag, value, least in (("--quad-cap", args.quad_cap, 1), ("--list", args.list, 0),
+                               ("--pairs", args.pairs, 0)):
+        if value < least:
+            raise CliError(f"{flag} must be at least {least}")
+    D = _load_doctrine(args)
     base = _find_object(D, args.fibre) if args.fibre else D.universe[0]
     bounds = _parse_bounds(args.bound)
     universe = None
@@ -525,27 +527,11 @@ def cmd_dial_complete(args):
 # Principles subcommand
 
 
-def _principles_worker(job):
-    text, rule, mode, cap = job
-    data = json.loads(text)
-    kwargs = {}
-    if cap is not None:
-        kwargs = {"cap": cap, "fibre_cap": cap}
-    D = doctrine_from_json(data, **kwargs)
-    return RULES[rule](D, FreenessAnalyzer(D), mode=mode).to_json()
-
-
 def cmd_principles(args):
-    D, data = _load_doctrine(args)
+    D = _load_doctrine(args)
     mode = "diagnostic" if args.diagnostic else "strict"
     rules = [args.rule] if args.rule else list(RULES)
-    if args.jobs > 1 and len(rules) > 1:
-        jobs = [(json.dumps(data), r, mode, args.cap) for r in rules]
-        with multiprocessing.Pool(min(args.jobs, len(rules))) as pool:
-            reports = pool.map(_principles_worker, jobs)
-    else:
-        reports = [r.to_json() for r in run_suite(D, FreenessAnalyzer(D),
-                                                  mode=mode, rules=rules)]
+    reports = [r.to_json() for r in run_suite(D, mode=mode, rules=rules)]
     passed = all(r["verdict"] == "pass" for r in reports)
     payload = {
         "command": "principles",
@@ -633,7 +619,7 @@ def _global_flags() -> argparse.ArgumentParser:
     g.add_argument("--diagnostic", action="store_true",
                    help="drop rule preconditions to exhibit failures")
     g.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers for rule scans (default %(default)s)")
+                   help="accepted for compatibility; only 1 is allowed")
     return g
 
 
@@ -734,8 +720,8 @@ def main(argv=None) -> int:
         print("error: --format latex applies to translate and chain only",
               file=sys.stderr)
         return 2
-    if args.jobs < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
+    if args.jobs != 1:
+        print("error: --jobs: parallel rule runs were removed; use 1", file=sys.stderr)
         return 2
     if args.cap is not None and args.cap < 1:
         print("error: --cap must be positive", file=sys.stderr)

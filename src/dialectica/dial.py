@@ -394,15 +394,14 @@ def prenex_order(D, I, U, X, alpha):
 
 
 def check_theorem2(D, analyzer, I: FinObj, samples: int = 200,
-                   seed: int = 0, universe=None) -> Theorem2Report:
+                   seed: int = 0) -> Theorem2Report:
     """On quantifier-free matrices the order between prenex forms in P(I)
     must coincide with the existence of a witness pair."""
-    objs = tuple(universe) if universe is not None else tuple(D.universe)
     rng = random.Random(seed)
     pools = {}
     notes = []
-    for U in objs:
-        for X in objs:
+    for U in D.universe:
+        for X in D.universe:
             try:
                 carrier = product_n((I, U, X))[0]
                 qf = tuple(a for a in D.fibre(carrier).elements()
@@ -455,12 +454,11 @@ class Theorem4Report:
                     or self.prenex_missing)
 
 
-def check_theorem4(D, analyzer, I: FinObj, quad_cap: int = DEFAULT_QUAD_CAP,
-                   universe=None) -> Theorem4Report:
+def check_theorem4(D, analyzer, I: FinObj,
+                   quad_cap: int = DEFAULT_QUAD_CAP) -> Theorem4Report:
     """The prenex presentation must embed P(I) into the completed fibre
     order-exactly, and every quantifier-free quadruple must collapse back
     to the predicate its prenex form presents."""
-    objs = tuple(universe) if universe is not None else tuple(D.universe)
     alphas = D.fibre(I).elements()
     quads = {}
     missing = []
@@ -484,7 +482,7 @@ def check_theorem4(D, analyzer, I: FinObj, quad_cap: int = DEFAULT_QUAD_CAP,
                 "fibreOrder": lhs, "witnessPair": rhs,
             })
     qf_quads, _, notes = enumerate_quads(D, I, matrices=analyzer.quantifier_free,
-                                         quad_cap=quad_cap, universe=objs)
+                                         quad_cap=quad_cap)
     sur_fail = []
     sur_checked = 0
     for q in qf_quads:

@@ -30,7 +30,19 @@ from .fincat import (
 )
 from .posets import FinitePoset
 
-DEFAULT_FIBRE_CAP = 4096
+# Sample bounds of the audits (fibre order, lattice-law triples, reindexing
+# pairs, adjoint monotonicity, predicates per Beck-Chevalley square) and
+# the largest fibre whose lattice tables are serialised.
+ORDER_SAMPLE = 64
+TRIPLE_SAMPLE = 24
+PAIR_SAMPLE = 256
+MONOTONE_SAMPLE = 4096
+PRED_SAMPLE = 4096
+HEYTING_TABLE_CAP = 64
+
+# The top-level keys `doctrine_to_json` writes, the only ones read back.
+JSON_KEYS = ("name", "kind", "generator", "frame", "universe", "fibres",
+             "heyting", "reindex", "notes")
 
 
 class DoctrineError(Exception):
@@ -60,17 +72,17 @@ def mor_json(f: FinMor) -> dict:
     return {"mor": mor_key(f), "table": list(f.idx)}
 
 
-def mor_from_key(key: str, objects: dict) -> FinMor:
-    """Rebuild a morphism from its key against named objects."""
+def mor_from_key(key: str, by_name: dict) -> FinMor:
+    """Rebuild a morphism from its key against objects keyed by name."""
     try:
         names, idx_text = key.rsplit("#", 1)
         dom_name, cod_name = names.split("->", 1)
         idx = int(idx_text)
     except ValueError:
         raise DoctrineDataError(f"malformed morphism key {key!r}") from None
-    if dom_name not in objects or cod_name not in objects:
+    if dom_name not in by_name or cod_name not in by_name:
         raise DoctrineDataError(f"morphism key {key!r} names unknown objects")
-    dom, cod = objects[dom_name], objects[cod_name]
+    dom, cod = by_name[dom_name], by_name[cod_name]
     na, nb = len(dom), len(cod)
     if nb == 0 and na > 0:
         raise DoctrineDataError(f"no morphisms {dom_name} -> {cod_name}")
@@ -252,12 +264,11 @@ class ConcreteDoctrine:
     kind = "concrete"
 
     def __init__(self, name: str, frame: FinitePoset, universe, cap: int = DEFAULT_CAP,
-                 fibre_cap: int = DEFAULT_FIBRE_CAP, generator: dict | None = None):
+                 generator: dict | None = None):
         self.name = name
         self.frame = frame
         self.universe = tuple(universe)
         self.cap = cap
-        self.fibre_cap = fibre_cap
         self.generator = generator
         self._fibres: dict[FinObj, MaskFibre] = {}
 
@@ -268,7 +279,7 @@ class ConcreteDoctrine:
     def fibre(self, obj: FinObj) -> MaskFibre:
         fib = self._fibres.get(obj)
         if fib is None:
-            fib = MaskFibre(obj, self.nw, self.frame.up, self.frame.elements, self.fibre_cap)
+            fib = MaskFibre(obj, self.nw, self.frame.up, self.frame.elements, self.cap)
             self._fibres[obj] = fib
         return fib
 
@@ -348,22 +359,22 @@ class TabularDoctrine:
         return out
 
 
-def powerset_doctrine(sizes=(2, 2), name: str | None = None, cap: int = DEFAULT_CAP,
-                      fibre_cap: int = DEFAULT_FIBRE_CAP) -> ConcreteDoctrine:
+def powerset_doctrine(sizes=(2, 2), name: str | None = None,
+                      cap: int = DEFAULT_CAP) -> ConcreteDoctrine:
     """Subset doctrine over finite carriers: one world, all predicates."""
     frame = FinitePoset(("w0",), [(0, 0)])
     universe = _lettered_universe(sizes)
     label = name or "powerset-" + "x".join(str(s) for s in sizes)
-    return ConcreteDoctrine(label, frame, universe, cap, fibre_cap,
+    return ConcreteDoctrine(label, frame, universe, cap,
                             generator={"kind": "powerset", "sizes": list(sizes)})
 
 
 def kripke_doctrine(frame: FinitePoset, sizes=(2, 2), name: str | None = None,
-                    cap: int = DEFAULT_CAP, fibre_cap: int = DEFAULT_FIBRE_CAP) -> ConcreteDoctrine:
+                    cap: int = DEFAULT_CAP) -> ConcreteDoctrine:
     """Doctrine of up-closed predicates over the given frame."""
     universe = _lettered_universe(sizes)
     label = name or f"kripke-{frame.shape_label()}-" + "x".join(str(s) for s in sizes)
-    return ConcreteDoctrine(label, frame, universe, cap, fibre_cap,
+    return ConcreteDoctrine(label, frame, universe, cap,
                             generator={"kind": "kripke", "frame": frame.to_json(),
                                        "sizes": list(sizes)})
 
@@ -418,7 +429,7 @@ class AdjointFailure:
     reason: str
 
 
-def adjoint_along(D, f: FinMor, direction: str, pair_cap: int = 4096):
+def adjoint_along(D, f: FinMor, direction: str):
     """Search the whole fibre for the quantifier along f and certify it.
 
     Returns an AdjointWitness whose table was re-checked against the
@@ -460,7 +471,7 @@ def adjoint_along(D, f: FinMor, direction: str, pair_cap: int = 4096):
                                       f"adjunction law fails against {cod_fib.describe(b)}")
     monotone = True
     checked = 0
-    for alpha, beta in _sample_pairs(dom_els, pair_cap):
+    for alpha, beta in _sample_pairs(dom_els, MONOTONE_SAMPLE):
         if dom_fib.leq(alpha, beta):
             checked += 1
             if not cod_fib.leq(table[alpha], table[beta]):
@@ -494,8 +505,7 @@ class DoctrineReport:
     notes: list
 
 
-def check_doctrine(D, objects=None, poset_cap: int = 64, triple_cap: int = 24,
-                   pair_cap: int = 256) -> DoctrineReport:
+def check_doctrine(D) -> DoctrineReport:
     """Audit the doctrine laws over the declared universe.
 
     Covers fibre order axioms, lattice laws with residuation where the
@@ -503,13 +513,12 @@ def check_doctrine(D, objects=None, poset_cap: int = 64, triple_cap: int = 24,
     preservation of the lattice operations.  Large fibres are sampled
     deterministically; every shortcut is recorded in the notes.
     """
-    objs = tuple(objects or D.universe)
     violations: list[str] = []
     notes: list[str] = []
     counts = {"fibres": 0, "predicates": 0, "morphisms": 0,
               "compositions": 0, "triples": 0}
     fibre_els = {}
-    for obj in objs:
+    for obj in D.universe:
         try:
             fib = D.fibre(obj)
             els = fib.elements()
@@ -519,15 +528,15 @@ def check_doctrine(D, objects=None, poset_cap: int = 64, triple_cap: int = 24,
         fibre_els[obj] = els
         counts["fibres"] += 1
         counts["predicates"] += len(els)
-        _check_fibre_order(fib, obj, els, violations, notes, poset_cap, triple_cap)
+        _check_fibre_order(fib, obj, els, violations, notes)
         if fib.has_heyting:
-            _check_heyting(fib, obj, els, violations, notes, poset_cap, triple_cap, counts)
-    _check_reindex(D, objs, fibre_els, violations, notes, pair_cap, counts)
+            _check_heyting(fib, obj, els, violations, notes, counts)
+    _check_reindex(D, fibre_els, violations, notes, counts)
     return DoctrineReport(D.name, not violations, violations, counts, notes)
 
 
-def _check_fibre_order(fib, obj, els, violations, notes, poset_cap, triple_cap):
-    sample = _sample(els, poset_cap)
+def _check_fibre_order(fib, obj, els, violations, notes):
+    sample = _sample(els, ORDER_SAMPLE)
     if len(sample) < len(els):
         notes.append(f"fibre order over {obj.name} sampled at {len(sample)}/{len(els)}")
     for a in sample:
@@ -538,7 +547,7 @@ def _check_fibre_order(fib, obj, els, violations, notes, poset_cap, triple_cap):
             if a != b and fib.leq(a, b) and fib.leq(b, a):
                 violations.append(
                     f"{obj.name}: antisymmetry fails on {fib.describe(a)}, {fib.describe(b)}")
-    tri = _sample(sample, triple_cap)
+    tri = _sample(sample, TRIPLE_SAMPLE)
     for a in tri:
         for b in tri:
             if not fib.leq(a, b):
@@ -557,8 +566,8 @@ def _check_fibre_order(fib, obj, els, violations, notes, poset_cap, triple_cap):
     violations[:] = out
 
 
-def _check_heyting(fib, obj, els, violations, notes, poset_cap, triple_cap, counts):
-    sample = _sample(els, poset_cap)
+def _check_heyting(fib, obj, els, violations, notes, counts):
+    sample = _sample(els, ORDER_SAMPLE)
     try:
         top, bot = fib.top(), fib.bottom()
     except DoctrineDataError as exc:
@@ -569,7 +578,7 @@ def _check_heyting(fib, obj, els, violations, notes, poset_cap, triple_cap, coun
             violations.append(f"{obj.name}: top is not above {fib.describe(a)}")
         if not fib.leq(bot, a):
             violations.append(f"{obj.name}: bottom is not below {fib.describe(a)}")
-    tri = _sample(els, triple_cap)
+    tri = _sample(els, TRIPLE_SAMPLE)
     if len(tri) < len(els):
         notes.append(f"lattice laws over {obj.name} sampled at {len(tri)}/{len(els)}")
     for a in tri:
@@ -603,10 +612,10 @@ def _available_morphisms(D, a, b):
         return None
 
 
-def _check_reindex(D, objs, fibre_els, violations, notes, pair_cap, counts):
+def _check_reindex(D, fibre_els, violations, notes, counts):
     for obj, els in fibre_els.items():
         ident = identity(obj)
-        sample = _sample(els, pair_cap)
+        sample = _sample(els, PAIR_SAMPLE)
         try:
             for alpha in sample:
                 if D.reindex_el(ident, alpha) != alpha:
@@ -617,8 +626,8 @@ def _check_reindex(D, objs, fibre_els, violations, notes, pair_cap, counts):
         except DoctrineDataError:
             notes.append(f"identity reindex over {obj.name} not recorded; skipped")
     mors = {}
-    for a in objs:
-        for b in objs:
+    for a in D.universe:
+        for b in D.universe:
             if a in fibre_els and b in fibre_els:
                 found = _available_morphisms(D, a, b)
                 if found is None:
@@ -629,7 +638,7 @@ def _check_reindex(D, objs, fibre_els, violations, notes, pair_cap, counts):
     for (a, b), fs in mors.items():
         fib_a = D.fibre(a)
         fib_b = D.fibre(b)
-        pairs = [(x, y) for x, y in _sample_pairs(fibre_els[b], pair_cap) if fib_b.leq(x, y)]
+        pairs = [(x, y) for x, y in _sample_pairs(fibre_els[b], PAIR_SAMPLE) if fib_b.leq(x, y)]
         for f in fs:
             try:
                 for x, y in pairs:
@@ -642,7 +651,7 @@ def _check_reindex(D, objs, fibre_els, violations, notes, pair_cap, counts):
                         violations.append(f"reindex along {mor_key(f)} moves top")
                     if D.reindex_el(f, fib_b.bottom()) != fib_a.bottom():
                         violations.append(f"reindex along {mor_key(f)} moves bottom")
-                    for x, y in _sample_pairs(fibre_els[b], pair_cap):
+                    for x, y in _sample_pairs(fibre_els[b], PAIR_SAMPLE):
                         rx, ry = D.reindex_el(f, x), D.reindex_el(f, y)
                         if D.reindex_el(f, fib_b.meet(x, y)) != fib_a.meet(rx, ry):
                             violations.append(
@@ -662,7 +671,7 @@ def _check_reindex(D, objs, fibre_els, violations, notes, pair_cap, counts):
         for (b2, c), gs in mors.items():
             if b2 != b:
                 continue
-            sample = _sample(fibre_els[c], pair_cap)
+            sample = _sample(fibre_els[c], PAIR_SAMPLE)
             for f in fs:
                 for g in gs:
                     gf_table = tuple(g(v) for v in f.table)
@@ -706,35 +715,33 @@ class BCReport:
         return not self.equality_failures and not self.inequality_failures and not self.skipped
 
 
-def beck_chevalley(D, objects=None, direction: str = "both", pred_cap: int = 4096,
-                   cap: int = DEFAULT_CAP) -> BCReport:
+def beck_chevalley(D, direction: str = "both") -> BCReport:
     """Check the Beck-Chevalley condition on every pullback square of
     projections over the universe: for f: A2 -> A1 and the square formed
     with B, quantifying along the projections must commute with
     reindexing along f and f x id.  The lax inequality is checked
     separately from equality."""
-    objs = tuple(objects or D.universe)
     dirs = ("exists", "forall") if direction == "both" else (direction,)
     eq_fail: list = []
     ineq_fail: list = []
     skipped: list = []
     squares = 0
     preds = 0
-    for b in objs:
-        for a1 in objs:
-            for a2 in objs:
+    for b in D.universe:
+        for a1 in D.universe:
+            for a2 in D.universe:
                 fs = _available_morphisms(D, a2, a1)
                 if fs is None:
                     skipped.append(f"morphisms {a2.name} -> {a1.name} exceed cap")
                     continue
                 for f in fs:
                     try:
-                        p1 = product(a1, b, cap)
-                        p2 = product(a2, b, cap)
-                        fp = f_times_id(f, b, cap)
+                        p1 = product(a1, b, D.cap)
+                        p2 = product(a2, b, D.cap)
+                        fp = f_times_id(f, b, D.cap)
                         fib1 = D.fibre(p1.obj)
                         fib_a2 = D.fibre(a2)
-                        betas = _sample(fib1.elements(), pred_cap)
+                        betas = _sample(fib1.elements(), PRED_SAMPLE)
                     except (CapExceeded, DoctrineDataError) as exc:
                         skipped.append(f"square over {a2.name} -> {a1.name} with {b.name}: {exc}")
                         continue
@@ -779,16 +786,15 @@ class QuantifierStructureReport:
         return not self.failures and self.bc.passed
 
 
-def quantifier_structure(D, direction: str, objects=None) -> QuantifierStructureReport:
+def quantifier_structure(D, direction: str) -> QuantifierStructureReport:
     """Certify the quantifier structure of the doctrine in one direction:
     adjoints along both projections of every binary product over the
     universe, plus Beck-Chevalley for the corresponding squares."""
-    objs = tuple(objects or D.universe)
     witnesses: list = []
     failures: list = []
     agrees = True
-    for a1 in objs:
-        for a2 in objs:
+    for a1 in D.universe:
+        for a2 in D.universe:
             try:
                 p = product(a1, a2, D.cap)
             except CapExceeded as exc:
@@ -812,7 +818,7 @@ def quantifier_structure(D, direction: str, objects=None) -> QuantifierStructure
                 except (AdjointMissing, DoctrineDataError) as exc:
                     agrees = False
                     failures.append(AdjointFailure(direction, res.along, None, str(exc)))
-    bc = beck_chevalley(D, objs, direction)
+    bc = beck_chevalley(D, direction)
     return QuantifierStructureReport(D.name, direction, witnesses, failures, bc, agrees)
 
 
@@ -824,7 +830,7 @@ class ClosureReport:
     notes: list
 
 
-def base_closure(D, cap: int = DEFAULT_CAP) -> ClosureReport:
+def base_closure(D) -> ClosureReport:
     """Judge cartesian closure of the base over the declared universe.
 
     For concrete doctrines products and exponentials of finite carriers
@@ -838,8 +844,8 @@ def base_closure(D, cap: int = DEFAULT_CAP) -> ClosureReport:
         for a in D.universe:
             for b in D.universe:
                 try:
-                    product(a, b, cap)
-                    exponential(b, a, cap)
+                    product(a, b, D.cap)
+                    exponential(b, a, D.cap)
                 except CapExceeded as exc:
                     notes.append(f"{a.name}, {b.name}: {exc}")
         notes.append("base is finite carriers; products and exponentials are constructed")
@@ -848,10 +854,10 @@ def base_closure(D, cap: int = DEFAULT_CAP) -> ClosureReport:
     for a in D.universe:
         for b in D.universe:
             try:
-                p = product(a, b, cap)
+                p = product(a, b, D.cap)
                 if p.obj.elements not in carriers:
                     missing_p.append(f"{a.name}*{b.name}")
-                e = exponential(b, a, cap)
+                e = exponential(b, a, D.cap)
                 if e.obj.elements not in carriers:
                     missing_e.append(f"{b.name}^{a.name}")
             except CapExceeded as exc:
@@ -875,7 +881,7 @@ def _encode_element(e: tuple) -> list:
     return out
 
 
-def doctrine_to_json(D, heyting_cap: int = 64) -> dict:
+def doctrine_to_json(D) -> dict:
     """Serialise the doctrine over its declared universe."""
     data: dict = {"name": D.name, "kind": D.kind}
     if D.generator:
@@ -900,7 +906,7 @@ def doctrine_to_json(D, heyting_cap: int = 64) -> dict:
                     for i in range(n)],
         }
         if fib.has_heyting:
-            if n > heyting_cap:
+            if n > HEYTING_TABLE_CAP:
                 notes.append(f"lattice tables over {obj.name} omitted ({n} predicates)")
                 continue
             idx = {a: i for i, a in enumerate(els)}
@@ -954,14 +960,17 @@ def _is_index(value, n: int) -> bool:
     return isinstance(value, int) and 0 <= value < n
 
 
-def doctrine_from_json(data: dict, cap: int = DEFAULT_CAP,
-                       fibre_cap: int = DEFAULT_FIBRE_CAP):
+def doctrine_from_json(data: dict, cap: int = DEFAULT_CAP):
     """Rebuild a doctrine serialised by `doctrine_to_json`.
 
     A recorded generator wins: the doctrine is rebuilt in closed form
     and checked against the declared universe.  Otherwise the tables
-    are replayed as a TabularDoctrine.
+    are replayed as a TabularDoctrine.  A top-level key that
+    `doctrine_to_json` does not write is an error.
     """
+    unknown = next((k for k in data if k not in JSON_KEYS), None)
+    if unknown is not None:
+        raise DoctrineDataError(f"unknown top-level key {unknown!r}")
     declared = data.get("universe")
     if declared is not None and not (isinstance(declared, list) and all(
             isinstance(o, dict) and isinstance(o.get("name"), str)
@@ -982,15 +991,13 @@ def doctrine_from_json(data: dict, cap: int = DEFAULT_CAP,
             raise DoctrineDataError("generator sizes must be a list of integers")
         kind = gen.get("kind")
         if kind == "powerset":
-            D = powerset_doctrine(tuple(sizes), name=data.get("name"),
-                                  cap=cap, fibre_cap=fibre_cap)
+            D = powerset_doctrine(tuple(sizes), name=data.get("name"), cap=cap)
         elif kind == "kripke":
             try:
                 frame = FinitePoset.from_json(gen["frame"])
             except (KeyError, TypeError):
                 raise DoctrineDataError("generator frame is malformed") from None
-            D = kripke_doctrine(frame, tuple(sizes), name=data.get("name"),
-                                cap=cap, fibre_cap=fibre_cap)
+            D = kripke_doctrine(frame, tuple(sizes), name=data.get("name"), cap=cap)
         else:
             raise DoctrineDataError(f"unknown generator kind {kind!r}")
         if declared is not None:

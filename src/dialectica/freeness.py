@@ -42,7 +42,6 @@ class SplittingReport:
     witnesses: list
     failure: tuple | None
     checked: int
-    scope: str
 
 
 @dataclass
@@ -109,25 +108,26 @@ class GodelReport:
 class FreenessAnalyzer:
     """Memoised splitting, freeness and presentation search over one
     doctrine.  All quantification over carriers and maps ranges over the
-    declared universe; reports carry that caveat."""
+    declared universe; reports carry that caveat.
 
-    def __init__(self, D, objects=None):
+    Existential splitting covers by every predicate over the product;
+    universal splitting, hence universal freeness, covers only by the
+    existential-free ones: it is judged inside that subdoctrine."""
+
+    def __init__(self, D):
         self.D = D
-        self.objects = tuple(objects or D.universe)
+        self._by_size = tuple(sorted(D.universe, key=lambda o: (len(o), o.name)))
         self._split: dict = {}
         self._free: dict = {}
         self._free_elements: dict = {}
 
     # -- splitting ---------------------------------------------------
 
-    def existential_splitting(self, A, alpha, scope: str = "all") -> SplittingReport:
-        return self._splitting("existential", A, alpha, scope)
+    def existential_splitting(self, A, alpha) -> SplittingReport:
+        return self._splitting("existential", A, alpha)
 
-    def universal_splitting(self, A, alpha, scope: str = "all") -> SplittingReport:
-        return self._splitting("universal", A, alpha, scope)
-
-    def _splitting(self, kind, A, alpha, scope) -> SplittingReport:
-        key = (kind, A.name, A.elements, alpha, scope)
+    def _splitting(self, kind, A, alpha) -> SplittingReport:
+        key = (kind, A.name, A.elements, alpha)
         hit = self._split.get(key)
         if hit is not None:
             return hit
@@ -136,9 +136,10 @@ class FreenessAnalyzer:
         witnesses: list = []
         failure = None
         checked = 0
-        for B in self.objects:
+        for B in D.universe:
             p = product(A, B, D.cap)
-            betas = self._scope_elements(p.obj, scope)
+            betas = (D.fibre(p.obj).elements() if kind == "existential"
+                     else self.exfree_elements(p.obj))
             for beta in betas:
                 if kind == "existential":
                     if not fib_a.leq(alpha, D.exists_along(p.proj_left, beta)):
@@ -155,7 +156,7 @@ class FreenessAnalyzer:
             if failure:
                 break
         report = SplittingReport(kind, A.name, alpha, failure is None,
-                                 witnesses, failure, checked, scope)
+                                 witnesses, failure, checked)
         self._split[key] = report
         return report
 
@@ -192,38 +193,31 @@ class FreenessAnalyzer:
             return fib_a.leq(alpha, pulled)
         return fib_a.leq(pulled, alpha)
 
-    def _scope_elements(self, obj, scope):
-        if scope == "all":
-            return self.D.fibre(obj).elements()
-        if scope == "exfree":
-            return self.exfree_elements(obj)
-        raise ValueError(f"unknown scope {scope!r}")
-
     # -- freeness ----------------------------------------------------
 
     def is_existential_free(self, I, alpha) -> bool:
         return self.existential_free_report(I, alpha).passed
 
-    def is_universal_free(self, I, alpha, scope: str = "all") -> bool:
-        return self.universal_free_report(I, alpha, scope).passed
+    def is_universal_free(self, I, alpha) -> bool:
+        return self.universal_free_report(I, alpha).passed
 
     def existential_free_report(self, I, alpha) -> FreeReport:
-        return self._free_report("existential", I, alpha, "all")
+        return self._free_report("existential", I, alpha)
 
-    def universal_free_report(self, I, alpha, scope: str = "all") -> FreeReport:
-        return self._free_report("universal", I, alpha, scope)
+    def universal_free_report(self, I, alpha) -> FreeReport:
+        return self._free_report("universal", I, alpha)
 
-    def _free_report(self, kind, I, alpha, scope) -> FreeReport:
-        key = (kind, I.name, I.elements, alpha, scope)
+    def _free_report(self, kind, I, alpha) -> FreeReport:
+        key = (kind, I.name, I.elements, alpha)
         hit = self._free.get(key)
         if hit is not None:
             return hit
         D = self.D
         failing = None
-        for A in self.objects:
+        for A in D.universe:
             for f in D.morphisms(A, I):
                 pulled = D.reindex_el(f, alpha)
-                rep = self._splitting(kind, A, pulled, scope)
+                rep = self._splitting(kind, A, pulled)
                 if not rep.passed:
                     failing = (A.name, mor_key(f), pulled, rep)
                     break
@@ -246,64 +240,44 @@ class FreenessAnalyzer:
         """Existential-free, and universal-free within the subdoctrine of
         existential-free predicates."""
         return (self.is_existential_free(I, alpha)
-                and self.is_universal_free(I, alpha, scope="exfree"))
+                and self.is_universal_free(I, alpha))
 
     # -- enough free predicates ---------------------------------------
 
     def enough_existential_free(self) -> EnoughReport:
         """Every predicate must be a quantified image of an
         existential-free predicate over some product with the universe."""
-        D = self.D
-        witnesses: list = []
-        failures: list = []
-        notes: list = []
-        for I in self.objects:
-            try:
-                alphas = D.fibre(I).elements()
-            except CapExceeded as exc:
-                notes.append(f"fibre over {I.name} skipped: {exc}")
-                continue
-            for alpha in alphas:
-                found = None
-                for A in sorted(self.objects, key=lambda o: (len(o), o.name)):
-                    try:
-                        p = product(I, A, D.cap)
-                        for beta in self.exfree_elements(p.obj):
-                            if D.exists_along(p.proj_left, beta) == alpha:
-                                found = (I.name, alpha, A.name, beta)
-                                break
-                    except CapExceeded as exc:
-                        notes.append(f"{I.name} x {A.name} skipped: {exc}")
-                    if found:
-                        break
-                if found:
-                    witnesses.append(found)
-                else:
-                    failures.append((I.name, alpha))
-        return EnoughReport("existential", not failures, witnesses, failures, notes)
+        return self._enough("existential")
 
     def enough_universal_free_sub(self) -> EnoughReport:
         """Inside the existential-free part, every predicate must be a
         universally quantified image of a universal-free one."""
+        return self._enough("universal")
+
+    def _enough(self, kind) -> EnoughReport:
+        """For each target alpha over I, the first existential-free beta
+        over I x A, partners A in size order, whose image along the
+        projection is alpha (and, for "universal", that is universal-free)."""
         D = self.D
+        existential = kind == "existential"
+        along = D.exists_along if existential else D.forall_along
         witnesses: list = []
         failures: list = []
         notes: list = []
-        for I in self.objects:
+        for I in D.universe:
             try:
-                alphas = self.exfree_elements(I)
+                alphas = D.fibre(I).elements() if existential else self.exfree_elements(I)
             except CapExceeded as exc:
                 notes.append(f"fibre over {I.name} skipped: {exc}")
                 continue
             for alpha in alphas:
                 found = None
-                for A in sorted(self.objects, key=lambda o: (len(o), o.name)):
+                for A in self._by_size:
                     try:
                         p = product(I, A, D.cap)
                         for beta in self.exfree_elements(p.obj):
-                            if D.forall_along(p.proj_left, beta) != alpha:
-                                continue
-                            if self.is_universal_free(p.obj, beta, scope="exfree"):
+                            if along(p.proj_left, beta) == alpha and (
+                                    existential or self.is_universal_free(p.obj, beta)):
                                 found = (I.name, alpha, A.name, beta)
                                 break
                     except CapExceeded as exc:
@@ -314,7 +288,7 @@ class FreenessAnalyzer:
                     witnesses.append(found)
                 else:
                     failures.append((I.name, alpha))
-        return EnoughReport("universal", not failures, witnesses, failures, notes)
+        return EnoughReport(kind, not failures, witnesses, failures, notes)
 
     def stability_under_forall(self) -> StabilityReport:
         """Quantifying an existential-free predicate universally along a
@@ -323,8 +297,8 @@ class FreenessAnalyzer:
         failures: list = []
         notes: list = []
         checked = 0
-        for A in self.objects:
-            for B in self.objects:
+        for A in D.universe:
+            for B in D.universe:
                 try:
                     p = product(A, B, D.cap)
                     betas = self.exfree_elements(p.obj)
@@ -345,9 +319,8 @@ class FreenessAnalyzer:
         universal image of a predicate free for both quantifiers.
         Partners are searched through the universe in size order."""
         D = self.D
-        ordered = sorted(self.objects, key=lambda o: (len(o), o.name))
         skipped: list = []
-        for U in ordered:
+        for U in self._by_size:
             try:
                 p_iu = product(I, U, D.cap)
                 gammas = [g for g in self.exfree_elements(p_iu.obj)
@@ -357,7 +330,7 @@ class FreenessAnalyzer:
                 continue
             if not gammas:
                 continue
-            for X in ordered:
+            for X in self._by_size:
                 try:
                     p3 = product(p_iu.obj, X, D.cap)
                     betas = self.exfree_elements(p3.obj)
@@ -368,7 +341,7 @@ class FreenessAnalyzer:
                     for beta in betas:
                         if D.forall_along(p3.proj_left, beta) != gamma:
                             continue
-                        if self.is_universal_free(p3.obj, beta, scope="exfree"):
+                        if self.is_universal_free(p3.obj, beta):
                             return PrenexWitness(I, alpha, U, X,
                                                  beta, gamma)
         return None
@@ -377,9 +350,9 @@ class FreenessAnalyzer:
 
     def godel_report(self, skolem_only: bool = False) -> GodelReport:
         D = self.D
-        closure = base_closure(D, D.cap)
-        ex_struct = quantifier_structure(D, "exists", self.objects)
-        fa_struct = quantifier_structure(D, "forall", self.objects)
+        closure = base_closure(D)
+        ex_struct = quantifier_structure(D, "exists")
+        fa_struct = quantifier_structure(D, "forall")
         enough_ex = self.enough_existential_free()
         stab = self.stability_under_forall()
         enough_un = None if skolem_only else self.enough_universal_free_sub()

@@ -21,7 +21,10 @@ from .doctrine import mor_json
 from .fincat import CapExceeded, FinMor, exponential, product, product_n
 from .freeness import FreenessAnalyzer
 
+# Positive witnesses kept per report; every violation is kept.
 WITNESS_CAP = 6
+# Bound on the exponential B^A2 that Skolemisation builds.
+EXP_CAP = 64
 
 
 @dataclass
@@ -83,24 +86,23 @@ def _report(rule, D, mode, scanned, instances, vacuous, skipped, witnesses,
                       tuple(notes))
 
 
-def _judge(entry, g, key, witnesses, violations, witness_cap, seq=True):
+def _judge(entry, g, key, witnesses, violations, seq=True):
     """Record one judged instance: a violation when its sequent fails or
     no term witness ``g`` exists, otherwise (up to the cap) a witness
     carrying ``g`` under ``key``."""
     if not seq or g is None:
         entry["kind"] = "no-term-witness" if seq else "sequent-fails"
         violations.append(entry)
-    elif len(witnesses) < witness_cap:
+    elif len(witnesses) < WITNESS_CAP:
         entry[key] = mor_json(g)
         witnesses.append(entry)
 
 
-def _scan(D, objects, notes, scanned):
+def _scan(D, notes, scanned):
     """Yield ``(A, B, p, fibA, fibAB)`` for every ordered pair of carriers
     whose fibres fit the cap, recording each scanned pair."""
-    objs = tuple(objects) if objects is not None else tuple(D.universe)
-    for A in objs:
-        for B in objs:
+    for A in D.universe:
+        for B in D.universe:
             p = product(A, B)
             fibA, fibAB = D.fibre(A), D.fibre(p.obj)
             try:
@@ -114,18 +116,17 @@ def _scan(D, objects, notes, scanned):
 
 
 def check_ip_rule(D, analyzer: FreenessAnalyzer | None = None,
-                  mode: str = "strict", objects=None,
-                  witness_cap: int = WITNESS_CAP) -> RuleReport:
+                  mode: str = "strict") -> RuleReport:
     """Independence of premise: when top entails alpha -> exists-b beta
     for existential-free alpha, some t: A -> B makes top entail
     alpha -> beta(a, t(a)), and the existential sequent follows."""
-    fa = analyzer or FreenessAnalyzer(D, objects)
+    fa = analyzer or FreenessAnalyzer(D)
     notes: list = []
     witnesses: list = []
     violations: list = []
     scanned: list = []
     instances = vacuous = skipped = 0
-    for A, B, p, fibA, fibAB in _scan(D, objects, notes, scanned):
+    for A, B, p, fibA, fibAB in _scan(D, notes, scanned):
         topA = fibA.top()
         betas = fibAB.elements()
         exfree = set(fa.exfree_elements(A))
@@ -152,13 +153,12 @@ def check_ip_rule(D, analyzer: FreenessAnalyzer | None = None,
                     "beta": fibAB.describe(beta),
                     "preconditionsHold": qualifies,
                 }
-                _judge(entry, t, "t", witnesses, violations, witness_cap, seq)
+                _judge(entry, t, "t", witnesses, violations, seq)
     return _report("independence-of-premise", D, mode, scanned, instances,
                    vacuous, skipped, witnesses, violations, notes)
 
 
-def _markov_scan(D, fa, mode, objects, witness_cap, bottom_only: bool,
-                 rule_name: str):
+def _markov_scan(D, fa, mode, bottom_only: bool, rule_name: str):
     """Shared scan for the modified Markov rule and its bottom instance.
 
     With bottom_only the target is pinned to bottom and alpha must be
@@ -172,7 +172,7 @@ def _markov_scan(D, fa, mode, objects, witness_cap, bottom_only: bool,
     scanned: list = []
     instances = vacuous = skipped = 0
     gates = {}
-    for A, B, p, fibA, fibAB in _scan(D, objects, notes, scanned):
+    for A, B, p, fibA, fibAB in _scan(D, notes, scanned):
         topA = fibA.top()
         botA = fibA.bottom()
         if bottom_only and A.name not in gates:
@@ -206,46 +206,42 @@ def _markov_scan(D, fa, mode, objects, witness_cap, bottom_only: bool,
                     "alpha": fibAB.describe(alpha),
                     "betaD": fibA.describe(betaD),
                 }
-                _judge(entry, t, "t", witnesses, violations, witness_cap, seq)
+                _judge(entry, t, "t", witnesses, violations, seq)
     gate = ("bottomQuantifierFree", gates) if bottom_only else None
     return _report(rule_name, D, mode, scanned, instances, vacuous, skipped,
                    witnesses, violations, notes, gate)
 
 
 def check_modified_markov(D, analyzer: FreenessAnalyzer | None = None,
-                          mode: str = "strict", objects=None,
-                          witness_cap: int = WITNESS_CAP) -> RuleReport:
+                          mode: str = "strict") -> RuleReport:
     """Modified Markov rule: when top entails (forall-b alpha) -> betaD
     for existential-free alpha and quantifier-free betaD, some t: A -> B
     makes alpha(a, t(a)) entail betaD(a)."""
-    fa = analyzer or FreenessAnalyzer(D, objects)
-    return _markov_scan(D, fa, mode, objects, witness_cap, False,
-                        "modified-markov")
+    fa = analyzer or FreenessAnalyzer(D)
+    return _markov_scan(D, fa, mode, False, "modified-markov")
 
 
 def check_markov(D, analyzer: FreenessAnalyzer | None = None,
-                 mode: str = "strict", objects=None,
-                 witness_cap: int = WITNESS_CAP) -> RuleReport:
+                 mode: str = "strict") -> RuleReport:
     """Markov rule: the modified rule instantiated at betaD = bottom,
     guarded by the hypothesis that bottom is quantifier-free."""
-    fa = analyzer or FreenessAnalyzer(D, objects)
-    return _markov_scan(D, fa, mode, objects, witness_cap, True, "markov")
+    fa = analyzer or FreenessAnalyzer(D)
+    return _markov_scan(D, fa, mode, True, "markov")
 
 
 def check_counterexample_property(D, analyzer: FreenessAnalyzer | None = None,
-                                  mode: str = "strict", objects=None,
-                                  witness_cap: int = WITNESS_CAP) -> RuleReport:
+                                  mode: str = "strict") -> RuleReport:
     """When forall-b alpha entails bottom, some g: A -> B makes
     alpha(a, g(a)) entail bottom; guarded by bottom being
     quantifier-free."""
-    fa = analyzer or FreenessAnalyzer(D, objects)
+    fa = analyzer or FreenessAnalyzer(D)
     notes: list = []
     witnesses: list = []
     violations: list = []
     scanned: list = []
     instances = vacuous = 0
     gates = {}
-    for A, B, p, fibA, fibAB in _scan(D, objects, notes, scanned):
+    for A, B, p, fibA, fibAB in _scan(D, notes, scanned):
         botA = fibA.bottom()
         if A.name not in gates:
             gates[A.name] = fa.quantifier_free(A, botA)
@@ -259,26 +255,25 @@ def check_counterexample_property(D, analyzer: FreenessAnalyzer | None = None,
                 "base": A.name, "partner": B.name,
                 "alpha": fibAB.describe(alpha),
             }
-            _judge(entry, g, "g", witnesses, violations, witness_cap)
+            _judge(entry, g, "g", witnesses, violations)
     return _report("counterexample-property", D, mode, scanned, instances,
                    vacuous, 0, witnesses, violations, notes,
                    ("bottomQuantifierFree", gates))
 
 
 def check_rule_of_choice(D, analyzer: FreenessAnalyzer | None = None,
-                         mode: str = "strict", objects=None,
-                         witness_cap: int = WITNESS_CAP) -> RuleReport:
+                         mode: str = "strict") -> RuleReport:
     """When top entails exists-b alpha for existential-free alpha, some
     g: A -> B makes top entail alpha(a, g(a)); guarded by top being
     existential-free."""
-    fa = analyzer or FreenessAnalyzer(D, objects)
+    fa = analyzer or FreenessAnalyzer(D)
     notes: list = []
     witnesses: list = []
     violations: list = []
     scanned: list = []
     instances = vacuous = skipped = 0
     gates = {}
-    for A, B, p, fibA, fibAB in _scan(D, objects, notes, scanned):
+    for A, B, p, fibA, fibAB in _scan(D, notes, scanned):
         topA = fibA.top()
         if A.name not in gates:
             gates[A.name] = fa.is_existential_free(A, topA)
@@ -298,16 +293,14 @@ def check_rule_of_choice(D, analyzer: FreenessAnalyzer | None = None,
                 "alpha": fibAB.describe(alpha),
                 "preconditionsHold": qualifies,
             }
-            _judge(entry, g, "g", witnesses, violations, witness_cap)
+            _judge(entry, g, "g", witnesses, violations)
     return _report("rule-of-choice", D, mode, scanned, instances, vacuous,
                    skipped, witnesses, violations, notes,
                    ("topExistentialFree", gates))
 
 
 def check_skolemisation(D, analyzer: FreenessAnalyzer | None = None,
-                        mode: str = "strict", objects=None,
-                        witness_cap: int = WITNESS_CAP,
-                        exp_cap: int = 64) -> RuleReport:
+                        mode: str = "strict") -> RuleReport:
     """Equality of forall-a2 exists-b alpha with exists-f forall-a2 of
     alpha(a1, a2, f a2), computed through the exponential B^A2 and its
     evaluation, for every predicate over A1 x A2 x B."""
@@ -317,12 +310,12 @@ def check_skolemisation(D, analyzer: FreenessAnalyzer | None = None,
     violations: list = []
     scanned: list = []
     instances = 0
-    objs = tuple(objects) if objects is not None else tuple(D.universe)
+    objs = D.universe
     for A1 in objs:
         for A2 in objs:
             for B in objs:
                 try:
-                    E = exponential(B, A2, exp_cap)
+                    E = exponential(B, A2, EXP_CAP)
                     tri, projs = product_n((A1, A2, B))
                     alphas = D.fibre(tri).elements()
                     fe, fe_projs = product_n((A1, E.obj, A2))
@@ -361,7 +354,7 @@ def check_skolemisation(D, analyzer: FreenessAnalyzer | None = None,
                         entry["prenexSide"] = fibA1.describe(lhs)
                         entry["skolemSide"] = fibA1.describe(rhs)
                         violations.append(entry)
-                    elif len(witnesses) < witness_cap:
+                    elif len(witnesses) < WITNESS_CAP:
                         witnesses.append(entry)
     return _report("skolemisation", D, mode, scanned, instances, 0, 0,
                    witnesses, violations, notes)
@@ -378,8 +371,8 @@ RULES = {
 
 
 def run_suite(D, analyzer: FreenessAnalyzer | None = None,
-              mode: str = "strict", objects=None, rules=None) -> list:
+              mode: str = "strict", rules=None) -> list:
     """Run the named rules (default all) with one shared analyzer."""
-    fa = analyzer or FreenessAnalyzer(D, objects)
+    fa = analyzer or FreenessAnalyzer(D)
     picked = rules if rules is not None else list(RULES)
-    return [RULES[r](D, fa, mode=mode, objects=objects) for r in picked]
+    return [RULES[r](D, fa, mode=mode) for r in picked]

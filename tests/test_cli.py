@@ -258,13 +258,6 @@ class TestPrinciples:
         assert data["reports"][0]["verdict"] == "fail"
         assert len(data["reports"][0]["violations"]) == 132
 
-    def test_parallel_jobs_match_serial_output(self, capsys, pow_path):
-        serial = run(capsys, "principles", "--doctrine", pow_path,
-                     "--rule", "ip", "--jobs", "1")
-        parallel = run(capsys, "principles", "--doctrine", pow_path,
-                       "--rule", "ip", "--jobs", "4")
-        assert serial == parallel
-
 
 class TestExamples:
     def test_out_writes_the_doctrine_file(self, tmp_path, capsys):
@@ -340,11 +333,13 @@ class TestErrorChannels:
         ONE + FIBRE + ', "reindex": {"A->A#0": ["a"]}}',
         ONE + FIBRE + ', "heyting": {"A": {"meet": [[0]], "join": [[0]], "imp": [[0]], '
         '"top": 7, "bottom": 0}}}',
+        ONE + FIBRE + ', "frobnicate": 1}',
     ], ids=["entry-without-elements", "element-not-a-list",
             "generator-not-an-object", "sizes-not-a-list", "frame-not-an-object",
             "object-component", "array-component", "fibres-not-an-object",
             "fibre-not-an-object", "fibre-elements-not-a-list", "meet-not-a-table",
-            "reindex-not-an-object", "reindex-entry-not-an-index", "top-outside-the-fibre"])
+            "reindex-not-an-object", "reindex-entry-not-an-index", "top-outside-the-fibre",
+            "unknown-top-level-key"])
     def test_malformed_doctrine_shape_exits_2(self, capsys, tmp_path, text):
         bad = tmp_path / "shape.json"
         bad.write_text(text)
@@ -375,12 +370,36 @@ class TestErrorChannels:
         assert "latex" in err
 
     def test_invalid_jobs_and_cap_values(self, capsys):
-        code, _, err = run(capsys, "translate", "--formula", "p()",
-                           "--jobs", "0")
-        assert code == 2
+        for jobs in ("0", "2"):
+            code, out, err = run(capsys, "translate", "--formula", "p()",
+                                 "--jobs", jobs)
+            assert code == 2
+            assert out == ""
+            assert err == "error: --jobs: parallel rule runs were removed; use 1\n"
         code, _, err = run(capsys, "translate", "--formula", "p()",
                            "--cap", "0")
         assert code == 2
+
+    def test_unknown_top_level_key_is_named(self, capsys, pow_path, tmp_path):
+        data = json.loads(open(pow_path, encoding="utf-8").read())
+        data["frobnicate"] = 1
+        bad = tmp_path / "extra.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run(capsys, "doctrine", "check", "--doctrine", str(bad))
+        assert (code, out) == (2, "")
+        assert err == (f"error: malformed doctrine JSON: {bad}: "
+                       "unknown top-level key 'frobnicate'\n")
+
+    @pytest.mark.parametrize("flags,message", [
+        (("--quad-cap", "0"), "--quad-cap must be at least 1"),
+        (("--quad-cap", "-5"), "--quad-cap must be at least 1"),
+        (("--list", "-1"), "--list must be at least 0"),
+        (("--pairs", "-1"), "--pairs must be at least 0"),
+    ], ids=["quad-cap-zero", "quad-cap-negative", "list-negative", "pairs-negative"])
+    def test_dial_complete_rejects_bad_bounds(self, capsys, pow_path, flags, message):
+        code, out, err = run(capsys, "dial", "complete", "--doctrine", pow_path, *flags)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
 
     def test_unknown_subcommand_exits_2(self, capsys):
         code, _, _ = run(capsys, "frobnicate")

@@ -19,7 +19,7 @@ def census(D):
         fib = D.fibre(obj)
         els = fib.elements()
         ex = [a for a in els if fa.is_existential_free(obj, a)]
-        qf = [a for a in ex if fa.is_universal_free(obj, a, scope="exfree")]
+        qf = [a for a in ex if fa.is_universal_free(obj, a)]
         out[obj.name] = (len(ex), len(qf), len(els))
     return out
 
@@ -39,7 +39,7 @@ class TestCensus:
         A = ANTI.universe[1]
         for alpha in ANTI.fibre(A).elements():
             expect = (fa.is_existential_free(A, alpha)
-                      and fa.is_universal_free(A, alpha, scope="exfree"))
+                      and fa.is_universal_free(A, alpha))
             assert fa.quantifier_free(A, alpha) == expect
 
 
