@@ -244,8 +244,11 @@ def enumerate_quads(D, I: FinObj, matrices=None, quad_cap: int = DEFAULT_QUAD_CA
     alpha drawn from `matrices` (a filter on predicates; default all).
 
     Over the cap the list is stride-sampled and a note records the
-    sampling; the returned triple is (quads, total, notes).
+    sampling; the returned triple is (quads, total, notes).  A cap
+    below 1 is a ValueError.
     """
+    if quad_cap < 1:
+        raise ValueError(f"quad_cap must be at least 1, got {quad_cap}")
     objs = tuple(universe) if universe is not None else tuple(D.universe)
     notes = []
     quads = []

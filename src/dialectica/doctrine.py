@@ -40,9 +40,11 @@ MONOTONE_SAMPLE = 4096
 PRED_SAMPLE = 4096
 HEYTING_TABLE_CAP = 64
 
-# The top-level keys `doctrine_to_json` writes, the only ones read back.
+# The top-level keys `doctrine_to_json` writes, the only ones read back,
+# and those of them that a generator file must record as regenerated.
 JSON_KEYS = ("name", "kind", "generator", "frame", "universe", "fibres",
              "heyting", "reindex", "notes")
+TABLE_KEYS = ("frame", "universe", "fibres", "heyting", "reindex")
 
 
 class DoctrineError(Exception):
@@ -883,6 +885,28 @@ def _encode_element(e: tuple) -> list:
 
 def doctrine_to_json(D) -> dict:
     """Serialise the doctrine over its declared universe."""
+    notes: list = []
+    data = _carriers_json(D, notes)
+    reindex = {}
+    for a in D.universe:
+        for b in D.universe:
+            fs = _available_morphisms(D, a, b)
+            if fs is None:
+                notes.append(f"morphisms {a.name} -> {b.name} exceed cap; omitted")
+                continue
+            for f in fs:
+                try:
+                    reindex[mor_key(f)] = _reindex_json(D, f)
+                except DoctrineDataError:
+                    continue
+    data["reindex"] = reindex
+    if notes:
+        data["notes"] = notes
+    return data
+
+
+def _carriers_json(D, notes: list) -> dict:
+    """Every section of `doctrine_to_json` but the reindexing tables."""
     data: dict = {"name": D.name, "kind": D.kind}
     if D.generator:
         data["generator"] = D.generator
@@ -895,7 +919,6 @@ def doctrine_to_json(D) -> dict:
     ]
     fibres = {}
     heyting = {}
-    notes: list = []
     for obj in D.universe:
         fib = D.fibre(obj)
         els = fib.elements()
@@ -920,27 +943,14 @@ def doctrine_to_json(D) -> dict:
     data["fibres"] = fibres
     if heyting:
         data["heyting"] = heyting
-    reindex = {}
-    for a in D.universe:
-        for b in D.universe:
-            fs = _available_morphisms(D, a, b)
-            if fs is None:
-                notes.append(f"morphisms {a.name} -> {b.name} exceed cap; omitted")
-                continue
-            fib_a = D.fibre(a)
-            fib_b = D.fibre(b)
-            els_b = fib_b.elements()
-            for f in fs:
-                try:
-                    reindex[mor_key(f)] = [
-                        fib_a.index(D.reindex_el(f, beta)) for beta in els_b
-                    ]
-                except DoctrineDataError:
-                    continue
-    data["reindex"] = reindex
-    if notes:
-        data["notes"] = notes
     return data
+
+
+def _reindex_json(D, f: FinMor) -> list:
+    """The reindexing table along f: the index over f's domain of the
+    pullback of each predicate over its codomain."""
+    fib_a = D.fibre(f.dom)
+    return [fib_a.index(D.reindex_el(f, beta)) for beta in D.fibre(f.cod).elements()]
 
 
 def _section(data: dict, key: str) -> dict:
@@ -960,13 +970,65 @@ def _is_index(value, n: int) -> bool:
     return isinstance(value, int) and 0 <= value < n
 
 
+def _from_generator(gen, name, cap: int) -> ConcreteDoctrine:
+    if not isinstance(gen, dict):
+        raise DoctrineDataError("generator must be an object")
+    sizes = gen.get("sizes")
+    if not (isinstance(sizes, list) and all(isinstance(n, int) for n in sizes)):
+        raise DoctrineDataError("generator sizes must be a list of integers")
+    kind = gen.get("kind")
+    if kind == "powerset":
+        return powerset_doctrine(tuple(sizes), name=name, cap=cap)
+    if kind == "kripke":
+        try:
+            frame = FinitePoset.from_json(gen["frame"])
+        except (KeyError, TypeError):
+            raise DoctrineDataError("generator frame is malformed") from None
+        return kripke_doctrine(frame, tuple(sizes), name=name, cap=cap)
+    raise DoctrineDataError(f"unknown generator kind {kind!r}")
+
+
+def _match_recorded(data: dict, D: ConcreteDoctrine, gen: dict) -> None:
+    """Every table a generator file records must be the one
+    `doctrine_to_json` writes for the regenerated doctrine; a file may
+    record fewer.  A reindexing table is recomputed from its key alone,
+    so no hom-set is enumerated.  Fibres are listed at the default cap
+    or the load cap, if larger: `--cap` does not turn a stock file into
+    a mismatch."""
+    recorded = [k for k in TABLE_KEYS if k in data]
+    if not recorded:
+        return
+    if D.cap < DEFAULT_CAP:
+        D = _from_generator(gen, D.name, DEFAULT_CAP)
+    ref = _carriers_json(D, [])
+    ref["universe"] = {o["name"]: o for o in ref["universe"]}
+    by_name = {o.name: o for o in D.universe}
+    missing = object()
+    for section in recorded:
+        if section == "universe":
+            entries = {o["name"]: o for o in data["universe"]}
+        else:
+            entries = _section(data, section)
+        for key, value in entries.items():
+            if section != "reindex":
+                want = ref.get(section, {}).get(key, missing)
+            else:
+                try:
+                    want = _reindex_json(D, mor_from_key(key, by_name))
+                except DoctrineDataError:
+                    want = missing
+            if value != want:
+                raise DoctrineDataError(
+                    f"recorded {section} {key!r} does not match the generator")
+
+
 def doctrine_from_json(data: dict, cap: int = DEFAULT_CAP):
     """Rebuild a doctrine serialised by `doctrine_to_json`.
 
-    A recorded generator wins: the doctrine is rebuilt in closed form
-    and checked against the declared universe.  Otherwise the tables
-    are replayed as a TabularDoctrine.  A top-level key that
-    `doctrine_to_json` does not write is an error.
+    A recorded generator wins: the doctrine is rebuilt in closed form,
+    and the declared universe and every recorded table must match it.
+    Otherwise the tables are replayed as a TabularDoctrine.  A top-level
+    key that `doctrine_to_json` does not write is an error.
     """
     unknown = next((k for k in data if k not in JSON_KEYS), None)
     if unknown is not None:
@@ -984,27 +1046,13 @@ def doctrine_from_json(data: dict, cap: int = DEFAULT_CAP):
         raise DoctrineDataError("element components must not be objects or arrays")
     gen = data.get("generator")
     if gen:
-        if not isinstance(gen, dict):
-            raise DoctrineDataError("generator must be an object")
-        sizes = gen.get("sizes")
-        if not (isinstance(sizes, list) and all(isinstance(n, int) for n in sizes)):
-            raise DoctrineDataError("generator sizes must be a list of integers")
-        kind = gen.get("kind")
-        if kind == "powerset":
-            D = powerset_doctrine(tuple(sizes), name=data.get("name"), cap=cap)
-        elif kind == "kripke":
-            try:
-                frame = FinitePoset.from_json(gen["frame"])
-            except (KeyError, TypeError):
-                raise DoctrineDataError("generator frame is malformed") from None
-            D = kripke_doctrine(frame, tuple(sizes), name=data.get("name"), cap=cap)
-        else:
-            raise DoctrineDataError(f"unknown generator kind {kind!r}")
+        D = _from_generator(gen, data.get("name"), cap)
         if declared is not None:
             got = [(o.name, len(o)) for o in D.universe]
             want = [(o["name"], len(o["elements"])) for o in declared]
             if got != want:
                 raise DoctrineDataError("declared universe does not match the generator")
+        _match_recorded(data, D, gen)
         return D
     universe = []
     by_name = {}

@@ -12,6 +12,7 @@ existential-free part.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import _kernels as K
@@ -208,24 +209,69 @@ class FreenessAnalyzer:
         return self._free_report("universal", I, alpha)
 
     def _free_report(self, kind, I, alpha) -> FreeReport:
+        """alpha is free when f*alpha splits for every f: A -> I, A in
+        the universe; `failing` is (A, key of the first such f in
+        `enumerate_morphisms` order whose pullback does not split, the
+        pullback, its splitting report).
+
+        On concrete doctrines f*alpha only reads which column of alpha
+        each element of A lands on, so the pullbacks along all maps
+        A -> I are exactly the tuples over alpha's distinct columns:
+        at most |cols|^|A| of them, against |I|^|A| maps.  The columns
+        are listed in first-occurrence order, each keyed to the first
+        index of I that carries it, and the tuples are walked as the
+        same odometer as the maps.  Among the maps with one tuple, the
+        one through those first indices comes first; and since first
+        indices grow with the column order, tuple order is map order on
+        those maps.  So the first failing tuple names the first failing
+        map, which is built only then.  Other doctrines reindex by an
+        arbitrary table and scan the maps themselves."""
         key = (kind, I.name, I.elements, alpha)
         hit = self._free.get(key)
         if hit is not None:
             return hit
+        scan = (self._first_failing_tuple if isinstance(self.D, ConcreteDoctrine)
+                else self.first_failing_map)
+        failing = scan(kind, I, alpha)
+        report = FreeReport(kind, I.name, alpha, failing is None, failing)
+        self._free[key] = report
+        return report
+
+    def first_failing_map(self, kind, I, alpha):
+        """The free-report failure found by pulling alpha back along
+        every map A -> I from `D.morphisms`, or None."""
         D = self.D
-        failing = None
         for A in D.universe:
             for f in D.morphisms(A, I):
                 pulled = D.reindex_el(f, alpha)
                 rep = self._splitting(kind, A, pulled)
                 if not rep.passed:
-                    failing = (A.name, mor_key(f), pulled, rep)
-                    break
-            if failing:
-                break
-        report = FreeReport(kind, I.name, alpha, failing is None, failing)
-        self._free[key] = report
-        return report
+                    return (A.name, mor_key(f), pulled, rep)
+        return None
+
+    def _first_failing_tuple(self, kind, I, alpha):
+        """`first_failing_map` on a concrete doctrine, walking tuples of
+        alpha's distinct columns and building no map until one fails."""
+        D = self.D
+        nw = D.nw
+        full = (1 << nw) - 1
+        first: dict = {}
+        for c in range(len(I)):
+            first.setdefault((alpha >> (c * nw)) & full, c)
+        cols = tuple(first)
+        for A in D.universe:
+            n = len(I) ** len(A) if len(A) else 1
+            if n > D.cap:
+                raise CapExceeded(f"{n} morphisms exceed cap {D.cap}")
+            shifts = [d * nw for d in range(len(A))]
+            for parts in itertools.product(*[[col << s for col in cols] for s in shifts]):
+                pulled = sum(parts)
+                rep = self._splitting(kind, A, pulled)
+                if not rep.passed:
+                    f = FinMor(A, I, tuple(I.elements[first[p >> s]]
+                                           for p, s in zip(parts, shifts)))
+                    return (A.name, mor_key(f), pulled, rep)
+        return None
 
     def exfree_elements(self, obj) -> tuple:
         key = obj.elements

@@ -390,6 +390,18 @@ class TestErrorChannels:
         assert err == (f"error: malformed doctrine JSON: {bad}: "
                        "unknown top-level key 'frobnicate'\n")
 
+    def test_tampered_generator_file_is_named(self, capsys, pow_path, tmp_path):
+        """A generator file's recorded tables must match the generator."""
+        data = json.loads(open(pow_path, encoding="utf-8").read())
+        data["fibres"]["1"]["leq"] = [[1, 1], [1, 1]]
+        data["reindex"] = {"bogus": 5}
+        bad = tmp_path / "tampered.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run(capsys, "doctrine", "check", "--doctrine", str(bad))
+        assert (code, out) == (2, "")
+        assert err == (f"error: malformed doctrine JSON: {bad}: "
+                       "recorded fibres '1' does not match the generator\n")
+
     @pytest.mark.parametrize("flags,message", [
         (("--quad-cap", "0"), "--quad-cap must be at least 1"),
         (("--quad-cap", "-5"), "--quad-cap must be at least 1"),

@@ -183,6 +183,11 @@ class TestCompletedFibres:
         assert total == 1092 and len(quads) <= 50
         assert any("sampled" in n for n in notes)
 
+    @pytest.mark.parametrize("cap", (0, -5))
+    def test_cap_below_one_is_rejected(self, cap):
+        with pytest.raises(ValueError, match="quad_cap must be at least 1"):
+            enumerate_quads(POW, POW.universe[0], quad_cap=cap)
+
     def test_quad_json_key_order(self):
         q = quads_over(POW, POW.universe[0], cap=4)[1]
         data = q.to_json(POW)

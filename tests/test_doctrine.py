@@ -284,6 +284,44 @@ class TestJsonRoundTrip:
         with pytest.raises(DoctrineDataError, match="does not match"):
             doctrine_from_json(data)
 
+    def test_generator_file_tables_must_match(self):
+        """A generator file's recorded tables are checked, not ignored:
+        the first mismatching section and key is named."""
+        data = doctrine_to_json(POW)
+        data["fibres"]["1"]["leq"] = [[1, 1], [1, 1]]
+        data["reindex"] = {"bogus": 5}
+        with pytest.raises(DoctrineDataError,
+                           match="recorded fibres '1' does not match the generator"):
+            doctrine_from_json(data)
+        del data["fibres"]
+        with pytest.raises(DoctrineDataError, match="recorded reindex 'bogus'"):
+            doctrine_from_json(data)
+
+    @pytest.mark.parametrize("section,key", [
+        ("frame", "pairs"), ("universe", "A"), ("heyting", "A"), ("reindex", "A->1#0")])
+    def test_each_recorded_section_is_checked(self, section, key):
+        data = doctrine_to_json(CHAIN)
+        if section == "universe":
+            data["universe"][1]["elements"] = [["x"], ["y"]]
+        elif section == "heyting":
+            data["heyting"]["A"]["top"] = 0
+        elif section == "reindex":
+            data["reindex"]["A->1#0"] = [0, 0, 0]
+        else:
+            data["frame"]["pairs"] = data["frame"]["pairs"][:-1]
+        with pytest.raises(DoctrineDataError, match=f"recorded {section} '{key}'"):
+            doctrine_from_json(data)
+
+    def test_generator_only_file_loads(self):
+        data = {"name": "gen-only", "generator": {"kind": "powerset", "sizes": [2, 2]}}
+        D = doctrine_from_json(data)
+        assert isinstance(D, ConcreteDoctrine)
+        assert [len(o) for o in D.universe] == [1, 2, 2]
+
+    def test_small_cap_loads_a_stock_file(self):
+        D = doctrine_from_json(doctrine_to_json(POW), cap=3)
+        assert D.cap == 3
+
     def test_malformed_order_matrix_rejected(self):
         data = doctrine_to_json(POW)
         del data["generator"]

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from dialectica.doctrine import kripke_doctrine, powerset_doctrine
-from dialectica.fincat import FinMor, enumerate_morphisms, product
+from dialectica.fincat import CapExceeded, FinMor, enumerate_morphisms, product
 from dialectica.freeness import FreenessAnalyzer
 from dialectica.posets import antichain_poset, chain_poset
 
@@ -144,6 +144,55 @@ class TestChoiceMap:
                     assert fa.choice_map(kind, A, B, p, alpha, beta) == first
                     outcomes.add(first is None)
         assert outcomes == {True, False}
+
+
+class TestColumnScan:
+    """On a concrete doctrine the free report scans tuples of alpha's
+    distinct columns; the map enumeration tabular doctrines use is its
+    oracle, failing map included."""
+
+    @staticmethod
+    def failing_maps(D, kind, objs):
+        """Check the two scans agree over objs; the failing map keys."""
+        fa = FreenessAnalyzer(D)
+        keys = []
+        for I in objs:
+            for alpha in D.fibre(I).elements():
+                rep = fa._free_report(kind, I, alpha)
+                by_maps = fa.first_failing_map(kind, I, alpha)
+                assert rep.passed == (by_maps is None)
+                if by_maps is not None:
+                    assert rep.failing[:3] == by_maps[:3], (I.name, alpha)
+                    assert rep.failing[3].failure == by_maps[3].failure
+                    keys.append(rep.failing[1])
+        return keys
+
+    @pytest.mark.parametrize("D", (POW, CHAIN, ANTI), ids=lambda d: d.name)
+    @pytest.mark.parametrize("kind", ("existential", "universal"))
+    def test_reports_equal_the_map_scan(self, D, kind):
+        objs = list(D.universe) + [product(a, b).obj
+                                   for a in D.universe for b in D.universe]
+        assert bool(self.failing_maps(D, kind, objs)) == (D is ANTI)
+
+    @pytest.mark.parametrize("kind", ("existential", "universal"))
+    def test_column_order_picks_the_first_failing_map(self, kind):
+        """Over three incomparable worlds several columns fail on their
+        own, so the order of the tuples decides which map is reported."""
+        D = kripke_doctrine(antichain_poset(3), (2,))
+        keys = self.failing_maps(D, kind, D.universe[1:])
+        assert {"1->A#0", "1->A#1"} <= set(keys)
+
+    def test_cap_below_the_map_count_raises_as_the_map_scan(self):
+        """Maps from 1 fit the cap, maps A -> A x B (16) do not."""
+        D = powerset_doctrine((2, 2), cap=4)
+        I = product(D.universe[1], D.universe[2]).obj
+        alpha = D.fibre(I).top()
+        with pytest.raises(CapExceeded) as by_maps:
+            FreenessAnalyzer(D).first_failing_map("existential", I, alpha)
+        with pytest.raises(CapExceeded) as by_columns:
+            FreenessAnalyzer(D).existential_free_report(I, alpha)
+        assert str(by_maps.value) == "16 morphisms exceed cap 4"
+        assert str(by_columns.value) == str(by_maps.value)
 
 
 class TestGodelReports:
