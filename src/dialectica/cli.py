@@ -8,7 +8,8 @@ output is deterministic: fixed key order, no timestamps, and a fixed
 default seed for every sampled scan.
 
 Exit status: 0 when every requested check passes, 1 when a check fails
-(the report still goes to stdout), 2 for usage and input errors.
+(the report still goes to stdout), 2 for usage and input errors, 3 for
+an internal fault (one ``error: internal:`` line on stderr).
 """
 
 from __future__ import annotations
@@ -728,6 +729,7 @@ def main(argv=None) -> int:
         return 2
     try:
         code, payload, lines = args.handler(args)
+        return _emit(code, payload, lines, args.format)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
@@ -743,7 +745,10 @@ def main(argv=None) -> int:
     except (PosetError, DoctrineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return _emit(code, payload, lines, args.format)
+    except Exception as exc:  # a fault of the program, not of the input
+        message = " ".join(str(exc).splitlines())
+        print(f"error: internal: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -245,22 +245,15 @@ class PosetFibre:
         return self.labels[a]
 
 
-def _fibres_of(f: FinMor) -> list:
-    """The domain indices over each codomain index of f."""
-    fibs = [[] for _ in range(len(f.cod))]
-    for d, c in enumerate(f.idx):
-        fibs[c].append(d)
-    return fibs
-
-
 class ConcreteDoctrine:
     """Doctrine of up-closed predicates over a Kripke frame.
 
-    Carriers are constant along the frame, so reindexing is preimage,
-    the left adjoint along any map is direct image per world, and the
-    right adjoint is intersection over fibres of the map.  Fibres exist
-    for every finite carrier, not only the declared universe; the
-    universe fixes what the audits quantify over.
+    Carriers are constant along the frame, so reindexing is preimage
+    along the map's `idx`, the left adjoint along any map is direct
+    image per world, and the right adjoint is intersection over the
+    map's preimage lists (`FinMor.preimages`, built once per map).
+    Fibres exist for every finite carrier, not only the declared
+    universe; the universe fixes what the audits quantify over.
     """
 
     kind = "concrete"
@@ -269,14 +262,11 @@ class ConcreteDoctrine:
                  generator: dict | None = None):
         self.name = name
         self.frame = frame
+        self.nw = len(frame)
         self.universe = tuple(universe)
         self.cap = cap
         self.generator = generator
         self._fibres: dict[FinObj, MaskFibre] = {}
-
-    @property
-    def nw(self) -> int:
-        return len(self.frame)
 
     def fibre(self, obj: FinObj) -> MaskFibre:
         fib = self._fibres.get(obj)
@@ -289,10 +279,10 @@ class ConcreteDoctrine:
         return K.reindex_mask(alpha, f.idx, self.nw)
 
     def exists_along(self, f: FinMor, alpha: int) -> int:
-        return K.exists_image(alpha, _fibres_of(f), self.nw)
+        return K.exists_image(alpha, f.preimages(), self.nw)
 
     def forall_along(self, f: FinMor, alpha: int) -> int:
-        return K.forall_preimage(alpha, _fibres_of(f), self.nw)
+        return K.forall_preimage(alpha, f.preimages(), self.nw)
 
     def morphisms(self, a: FinObj, b: FinObj) -> list[FinMor]:
         return enumerate_morphisms(a, b, self.cap)
@@ -393,20 +383,31 @@ def _lettered_universe(sizes) -> tuple:
 
 def least_exists_value(D, f: FinMor, alpha):
     """Least b in the codomain fibre with alpha <= P_f(b), or None."""
-    dom_fib = D.fibre(f.dom)
-    cod_fib = D.fibre(f.cod)
-    cands = [b for b in cod_fib.elements() if dom_fib.leq(alpha, D.reindex_el(f, b))]
+    dom_fib, cod_fib = D.fibre(f.dom), D.fibre(f.cod)
+    return _least_exists(dom_fib, cod_fib, _pullbacks(D, f), alpha)
+
+
+def greatest_forall_value(D, f: FinMor, alpha):
+    """Greatest b in the codomain fibre with P_f(b) <= alpha, or None."""
+    dom_fib, cod_fib = D.fibre(f.dom), D.fibre(f.cod)
+    return _greatest_forall(dom_fib, cod_fib, _pullbacks(D, f), alpha)
+
+
+def _pullbacks(D, f: FinMor) -> list:
+    """``(b, P_f(b))`` for every b in the codomain fibre, in its order."""
+    return [(b, D.reindex_el(f, b)) for b in D.fibre(f.cod).elements()]
+
+
+def _least_exists(dom_fib, cod_fib, pulled, alpha):
+    cands = [b for b, pb in pulled if dom_fib.leq(alpha, pb)]
     for b in cands:
         if all(cod_fib.leq(b, c) for c in cands):
             return b
     return None
 
 
-def greatest_forall_value(D, f: FinMor, alpha):
-    """Greatest b in the codomain fibre with P_f(b) <= alpha, or None."""
-    dom_fib = D.fibre(f.dom)
-    cod_fib = D.fibre(f.cod)
-    cands = [b for b in cod_fib.elements() if dom_fib.leq(D.reindex_el(f, b), alpha)]
+def _greatest_forall(dom_fib, cod_fib, pulled, alpha):
+    cands = [b for b, pb in pulled if dom_fib.leq(pb, alpha)]
     for b in cands:
         if all(cod_fib.leq(c, b) for c in cands):
             return b
@@ -436,7 +437,9 @@ def adjoint_along(D, f: FinMor, direction: str):
 
     Returns an AdjointWitness whose table was re-checked against the
     adjunction law on every (predicate, candidate) pair, or an
-    AdjointFailure naming the first predicate without a value.
+    AdjointFailure naming the first predicate without a value.  Each
+    codomain predicate is pulled back along f once, for the search and
+    the law check alike.
     """
     if direction not in ("exists", "forall"):
         raise ValueError("direction must be 'exists' or 'forall'")
@@ -445,29 +448,28 @@ def adjoint_along(D, f: FinMor, direction: str):
         dom_fib = D.fibre(f.dom)
         cod_fib = D.fibre(f.cod)
         dom_els = dom_fib.elements()
-        cod_els = cod_fib.elements()
+        cod_fib.elements()
+        # an empty domain fibre reads no reindexing table
+        pulled = _pullbacks(D, f) if dom_els else []
     except (CapExceeded, DoctrineDataError) as exc:
         return AdjointFailure(direction, key, None, str(exc))
-    search = least_exists_value if direction == "exists" else greatest_forall_value
+    search = _least_exists if direction == "exists" else _greatest_forall
     table = {}
-    try:
-        for alpha in dom_els:
-            val = search(D, f, alpha)
-            if val is None:
-                return AdjointFailure(direction, key, alpha,
-                                      f"no {direction} value for {dom_fib.describe(alpha)}")
-            table[alpha] = val
-    except DoctrineDataError as exc:
-        return AdjointFailure(direction, key, None, str(exc))
+    for alpha in dom_els:
+        val = search(dom_fib, cod_fib, pulled, alpha)
+        if val is None:
+            return AdjointFailure(direction, key, alpha,
+                                  f"no {direction} value for {dom_fib.describe(alpha)}")
+        table[alpha] = val
     pairs = 0
     for alpha in dom_els:
         v = table[alpha]
-        for b in cod_els:
+        for b, pb in pulled:
             pairs += 1
             if direction == "exists":
-                law = cod_fib.leq(v, b) == dom_fib.leq(alpha, D.reindex_el(f, b))
+                law = cod_fib.leq(v, b) == dom_fib.leq(alpha, pb)
             else:
-                law = cod_fib.leq(b, v) == dom_fib.leq(D.reindex_el(f, b), alpha)
+                law = cod_fib.leq(b, v) == dom_fib.leq(pb, alpha)
             if not law:
                 return AdjointFailure(direction, key, alpha,
                                       f"adjunction law fails against {cod_fib.describe(b)}")
@@ -1027,12 +1029,25 @@ def doctrine_from_json(data: dict, cap: int = DEFAULT_CAP):
 
     A recorded generator wins: the doctrine is rebuilt in closed form,
     and the declared universe and every recorded table must match it.
-    Otherwise the tables are replayed as a TabularDoctrine.  A top-level
-    key that `doctrine_to_json` does not write is an error.
+    Otherwise the tables are replayed as a TabularDoctrine, whatever
+    ``kind`` says: a concrete doctrine's file without its generator is
+    its table replay.  A top-level key that `doctrine_to_json` does not
+    write is an error, as are a ``kind`` other than ``concrete`` or
+    ``tabular``, ``tabular`` with a generator, and ``notes`` that are
+    not a list of strings.
     """
     unknown = next((k for k in data if k not in JSON_KEYS), None)
     if unknown is not None:
         raise DoctrineDataError(f"unknown top-level key {unknown!r}")
+    kind = data.get("kind")
+    if kind not in (None, ConcreteDoctrine.kind, TabularDoctrine.kind):
+        raise DoctrineDataError(f"unknown doctrine kind {kind!r}")
+    gen = data.get("generator")
+    if gen and kind == TabularDoctrine.kind:
+        raise DoctrineDataError("a tabular doctrine records no generator")
+    notes = data.get("notes", [])
+    if not (isinstance(notes, list) and all(isinstance(n, str) for n in notes)):
+        raise DoctrineDataError("notes must be a list of strings")
     declared = data.get("universe")
     if declared is not None and not (isinstance(declared, list) and all(
             isinstance(o, dict) and isinstance(o.get("name"), str)
@@ -1044,7 +1059,6 @@ def doctrine_from_json(data: dict, cap: int = DEFAULT_CAP):
     if declared is not None and any(isinstance(c, (dict, list))
                                     for o in declared for e in o["elements"] for c in e):
         raise DoctrineDataError("element components must not be objects or arrays")
-    gen = data.get("generator")
     if gen:
         D = _from_generator(gen, data.get("name"), cap)
         if declared is not None:

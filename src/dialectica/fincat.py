@@ -98,10 +98,11 @@ class FinMor:
 
     ``table`` holds the value at each domain element and ``idx`` the
     codomain index of that value: the map as the index table that
-    reindexing and the morphism encodings read.
+    reindexing and the morphism encodings read.  `preimages` inverts
+    ``idx`` for the quantifiers, once per map.
     """
 
-    __slots__ = ("dom", "cod", "table", "idx")
+    __slots__ = ("dom", "cod", "table", "idx", "_preimages")
 
     def __init__(self, dom: FinObj, cod: FinObj, table):
         self.dom = dom
@@ -114,6 +115,17 @@ class FinMor:
             self.idx = tuple([index[v] for v in self.table])
         except KeyError as exc:
             raise CategoryError(f"value {exc.args[0]!r} outside the codomain") from None
+        self._preimages = None
+
+    def preimages(self) -> tuple:
+        """The domain indices over each codomain index, in domain order
+        (empty where the map misses); built on first use and kept."""
+        if self._preimages is None:
+            fibs = [[] for _ in range(len(self.cod))]
+            for d, c in enumerate(self.idx):
+                fibs[c].append(d)
+            self._preimages = tuple(map(tuple, fibs))
+        return self._preimages
 
     def __call__(self, el):
         return self.table[self.dom.index(el)]

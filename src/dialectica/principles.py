@@ -89,13 +89,16 @@ def _report(rule, D, mode, scanned, instances, vacuous, skipped, witnesses,
 def _judge(entry, g, key, witnesses, violations, seq=True):
     """Record one judged instance: a violation when its sequent fails or
     no term witness ``g`` exists, otherwise (up to the cap) a witness
-    carrying ``g`` under ``key``."""
+    carrying ``g`` under ``key``.  ``entry()`` builds the instance's
+    report entry; it is called only for an instance that is recorded."""
     if not seq or g is None:
-        entry["kind"] = "no-term-witness" if seq else "sequent-fails"
-        violations.append(entry)
+        e = entry()
+        e["kind"] = "no-term-witness" if seq else "sequent-fails"
+        violations.append(e)
     elif len(witnesses) < WITNESS_CAP:
-        entry[key] = mor_json(g)
-        witnesses.append(entry)
+        e = entry()
+        e[key] = mor_json(g)
+        witnesses.append(e)
 
 
 def _scan(D, notes, scanned):
@@ -147,13 +150,12 @@ def check_ip_rule(D, analyzer: FreenessAnalyzer | None = None,
                 # by residuation, top <= alpha -> beta(a, t a) iff alpha <= beta(a, t a)
                 t = (fa.choice_map("existential", A, B, p, alpha, beta)
                      if seq else None)
-                entry = {
+                _judge(lambda: {
                     "base": A.name, "partner": B.name,
                     "alpha": fibA.describe(alpha),
                     "beta": fibAB.describe(beta),
                     "preconditionsHold": qualifies,
-                }
-                _judge(entry, t, "t", witnesses, violations, seq)
+                }, t, "t", witnesses, violations, seq)
     return _report("independence-of-premise", D, mode, scanned, instances,
                    vacuous, skipped, witnesses, violations, notes)
 
@@ -201,12 +203,11 @@ def _markov_scan(D, fa, mode, bottom_only: bool, rule_name: str):
                     alpha, D.reindex_el(p.proj_left, betaD))))
                 t = (fa.choice_map("universal", A, B, p, betaD, alpha)
                      if seq else None)
-                entry = {
+                _judge(lambda: {
                     "base": A.name, "partner": B.name,
                     "alpha": fibAB.describe(alpha),
                     "betaD": fibA.describe(betaD),
-                }
-                _judge(entry, t, "t", witnesses, violations, seq)
+                }, t, "t", witnesses, violations, seq)
     gate = ("bottomQuantifierFree", gates) if bottom_only else None
     return _report(rule_name, D, mode, scanned, instances, vacuous, skipped,
                    witnesses, violations, notes, gate)
@@ -251,11 +252,10 @@ def check_counterexample_property(D, analyzer: FreenessAnalyzer | None = None,
                 continue
             instances += 1
             g = fa.choice_map("universal", A, B, p, botA, alpha)
-            entry = {
+            _judge(lambda: {
                 "base": A.name, "partner": B.name,
                 "alpha": fibAB.describe(alpha),
-            }
-            _judge(entry, g, "g", witnesses, violations)
+            }, g, "g", witnesses, violations)
     return _report("counterexample-property", D, mode, scanned, instances,
                    vacuous, 0, witnesses, violations, notes,
                    ("bottomQuantifierFree", gates))
@@ -288,12 +288,11 @@ def check_rule_of_choice(D, analyzer: FreenessAnalyzer | None = None,
                 continue
             instances += 1
             g = fa.choice_map("existential", A, B, p, topA, alpha)
-            entry = {
+            _judge(lambda: {
                 "base": A.name, "partner": B.name,
                 "alpha": fibAB.describe(alpha),
                 "preconditionsHold": qualifies,
-            }
-            _judge(entry, g, "g", witnesses, violations)
+            }, g, "g", witnesses, violations)
     return _report("rule-of-choice", D, mode, scanned, instances, vacuous,
                    skipped, witnesses, violations, notes,
                    ("topExistentialFree", gates))
@@ -344,6 +343,8 @@ def check_skolemisation(D, analyzer: FreenessAnalyzer | None = None,
                     lhs = D.forall_along(p1, D.exists_along(p12, alpha))
                     rhs = D.exists_along(r, D.forall_along(
                         q, D.reindex_el(subst, alpha)))
+                    if lhs == rhs and len(witnesses) >= WITNESS_CAP:
+                        continue
                     entry = {
                         "carriers": [A1.name, A2.name, B.name],
                         "alpha": D.fibre(tri).describe(alpha),
@@ -354,7 +355,7 @@ def check_skolemisation(D, analyzer: FreenessAnalyzer | None = None,
                         entry["prenexSide"] = fibA1.describe(lhs)
                         entry["skolemSide"] = fibA1.describe(rhs)
                         violations.append(entry)
-                    elif len(witnesses) < WITNESS_CAP:
+                    else:
                         witnesses.append(entry)
     return _report("skolemisation", D, mode, scanned, instances, 0, 0,
                    witnesses, violations, notes)

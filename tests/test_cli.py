@@ -334,12 +334,16 @@ class TestErrorChannels:
         ONE + FIBRE + ', "heyting": {"A": {"meet": [[0]], "join": [[0]], "imp": [[0]], '
         '"top": 7, "bottom": 0}}}',
         ONE + FIBRE + ', "frobnicate": 1}',
+        ONE + FIBRE + ', "kind": "tabulated"}',
+        ONE + FIBRE + ', "notes": [1]}',
+        '{"kind": "tabular", "generator": {"kind": "powerset", "sizes": [2]}}',
     ], ids=["entry-without-elements", "element-not-a-list",
             "generator-not-an-object", "sizes-not-a-list", "frame-not-an-object",
             "object-component", "array-component", "fibres-not-an-object",
             "fibre-not-an-object", "fibre-elements-not-a-list", "meet-not-a-table",
             "reindex-not-an-object", "reindex-entry-not-an-index", "top-outside-the-fibre",
-            "unknown-top-level-key"])
+            "unknown-top-level-key", "unknown-kind", "notes-not-strings",
+            "tabular-kind-with-generator"])
     def test_malformed_doctrine_shape_exits_2(self, capsys, tmp_path, text):
         bad = tmp_path / "shape.json"
         bad.write_text(text)
@@ -412,6 +416,15 @@ class TestErrorChannels:
         code, out, err = run(capsys, "dial", "complete", "--doctrine", pow_path, *flags)
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
+
+    def test_unexpected_exception_is_one_line_exit_3(self, capsys, monkeypatch):
+        def broken(args):
+            raise ValueError("planted fault\nsecond line")
+
+        monkeypatch.setattr(cli, "cmd_translate", broken)
+        code, out, err = run(capsys, "translate", "--formula", "p()")
+        assert (code, out) == (3, "")
+        assert err == "error: internal: ValueError: planted fault second line\n"
 
     def test_unknown_subcommand_exits_2(self, capsys):
         code, _, _ = run(capsys, "frobnicate")

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -17,13 +18,24 @@ from dialectica.doctrine import (
     doctrine_from_json,
     doctrine_to_json,
     f_times_id,
+    greatest_forall_value,
     kripke_doctrine,
+    least_exists_value,
     mor_from_key,
     mor_key,
     powerset_doctrine,
     quantifier_structure,
 )
-from dialectica.fincat import CapExceeded, FinMor, fin_obj, identity, product, product_n, unit_obj
+from dialectica.fincat import (
+    CapExceeded,
+    FinMor,
+    FinObj,
+    fin_obj,
+    identity,
+    product,
+    product_n,
+    unit_obj,
+)
 from dialectica.posets import antichain_poset, chain_poset
 
 POW = powerset_doctrine((2, 2))
@@ -136,6 +148,78 @@ class TestAdjunctionLaws:
     def test_beck_chevalley(self, D):
         rep = beck_chevalley(D)
         assert rep.passed and rep.squares > 0
+
+
+def _index_table(D, f, table):
+    """An adjoint table over masks as one over fibre indices."""
+    dom, cod = D.fibre(f.dom), D.fibre(f.cod)
+    return {dom.index(a): cod.index(v) for a, v in table.items()}
+
+
+class TestQuantifierCrossCheck:
+    """The closed-form quantifiers read each map's preimage lists, built
+    once per map; they must equal the order search on every map, however
+    often a map is reused."""
+
+    CARRIERS = (FinObj("0", (), arity=1), unit_obj(), fin_obj("A", ["a0", "a1"]),
+                fin_obj("C", ["c0", "c1", "c2"]))
+
+    def _random_maps(self, rng, count):
+        maps = []
+        while len(maps) < count:
+            dom, cod = rng.choice(self.CARRIERS), rng.choice(self.CARRIERS)
+            if len(cod) == 0 and len(dom) > 0:
+                continue
+            maps.append(FinMor(dom, cod, tuple(rng.choice(cod.elements) for _ in dom)))
+        # a constant map misses codomain indices; the empty map misses all
+        maps.append(FinMor(self.CARRIERS[3], self.CARRIERS[2], (("a1",),) * 3))
+        maps.append(FinMor(self.CARRIERS[0], self.CARRIERS[3], ()))
+        return maps
+
+    @pytest.mark.parametrize("D", (POW, CHAIN, ANTI, kripke_doctrine(chain_poset(3), (2,))),
+                             ids=lambda d: d.name)
+    def test_closed_form_equals_the_search(self, D):
+        rng = random.Random(f"quantify:{D.name}")
+        maps = self._random_maps(rng, 40)
+        assert any(set(f.idx) != set(range(len(f.cod))) for f in maps)
+        assert any(not len(f.dom) and len(f.cod) for f in maps)
+        for f in maps:
+            els = D.fibre(f.dom).elements()
+            for alpha in [rng.choice(els) for _ in range(6)]:
+                assert D.exists_along(f, alpha) == least_exists_value(D, f, alpha)
+                assert D.forall_along(f, alpha) == greatest_forall_value(D, f, alpha)
+
+    @pytest.mark.parametrize("D", (POW, CHAIN, ANTI), ids=lambda d: d.name)
+    def test_a_reused_map_answers_like_a_fresh_one(self, D):
+        rng = random.Random(f"reuse:{D.name}")
+        for f in self._random_maps(rng, 12):
+            els = D.fibre(f.dom).elements()
+            for alpha in [rng.choice(els) for _ in range(8)]:
+                fresh = FinMor(f.dom, f.cod, f.table)
+                assert D.exists_along(f, alpha) == D.exists_along(fresh, alpha)
+                assert D.forall_along(f, alpha) == D.forall_along(fresh, alpha)
+            assert f.preimages() is f.preimages()
+            assert sorted(d for ds in f.preimages() for d in ds) == list(range(len(f.dom)))
+
+    @pytest.mark.parametrize("D", (
+        ConcreteDoctrine("chain2-over-1", chain_poset(2), (unit_obj(),)),
+        ConcreteDoctrine("antichain2-over-1", antichain_poset(2), (unit_obj(),)),
+        POW, CHAIN, ANTI), ids=lambda d: d.name)
+    def test_adjoint_search_agrees_with_the_table_replay(self, D):
+        data = doctrine_to_json(D)
+        data.pop("generator", None)
+        T = doctrine_from_json(data)
+        assert T.kind == "tabular"
+        for key in data["reindex"]:
+            f = mor_from_key(key, {o.name: o for o in D.universe})
+            for direction in ("exists", "forall"):
+                got, want = adjoint_along(T, f, direction), adjoint_along(D, f, direction)
+                assert isinstance(want, AdjointWitness)
+                assert got.table == _index_table(D, f, want.table), (key, direction)
+                assert (got.pairs_checked, got.monotone) == \
+                    (want.pairs_checked, want.monotone)
+                assert want.pairs_checked == \
+                    len(D.fibre(f.dom).elements()) * len(D.fibre(f.cod).elements())
 
 
 class TestHeyting:
@@ -317,6 +401,32 @@ class TestJsonRoundTrip:
         D = doctrine_from_json(data)
         assert isinstance(D, ConcreteDoctrine)
         assert [len(o) for o in D.universe] == [1, 2, 2]
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("kind", "tabulated", "unknown doctrine kind 'tabulated'"),
+        ("kind", 5, "unknown doctrine kind 5"),
+        ("kind", "tabular", "a tabular doctrine records no generator"),
+        ("notes", "a note", "notes must be a list of strings"),
+        ("notes", ["a note", 5], "notes must be a list of strings"),
+    ], ids=["unknown-kind", "kind-not-a-string", "tabular-with-generator",
+            "notes-not-a-list", "note-not-a-string"])
+    def test_kind_and_notes_are_checked(self, key, value, message):
+        data = doctrine_to_json(POW)
+        data[key] = value
+        with pytest.raises(DoctrineDataError, match=message):
+            doctrine_from_json(data)
+
+    def test_kind_and_notes_that_fit_load(self):
+        data = doctrine_to_json(POW)
+        data["notes"] = ["written by hand"]
+        assert isinstance(doctrine_from_json(data), ConcreteDoctrine)
+        del data["generator"]
+        assert data["kind"] == "concrete"
+        assert isinstance(doctrine_from_json(data), TabularDoctrine)
+        data["kind"] = "tabular"
+        assert isinstance(doctrine_from_json(data), TabularDoctrine)
+        del data["kind"]
+        assert isinstance(doctrine_from_json(data), TabularDoctrine)
 
     def test_small_cap_loads_a_stock_file(self):
         D = doctrine_from_json(doctrine_to_json(POW), cap=3)

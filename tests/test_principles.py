@@ -1,5 +1,10 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
+from dialectica import cli
 from dialectica.doctrine import (
     ConcreteDoctrine,
     doctrine_from_json,
@@ -300,6 +305,24 @@ class TestTabularReplay:
             for mode in ("strict", "diagnostic"):
                 assert (RULES[rule](T, mode=mode).to_json()
                         == RULES[rule](D, mode=mode).to_json()), (rule, mode)
+
+
+class TestReportBytes:
+    """Report entries are built only for the instances a report keeps;
+    the bytes must be those the benchmark's digest table pins."""
+
+    def test_diagnostic_antichain_stdout_matches_the_digest(self, tmp_path, monkeypatch, capsys):
+        name = "kripke-antichain2-2x2.json"
+        text = json.dumps(doctrine_to_json(ANTI), indent=2) + "\n"
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        argv = ["principles", "--diagnostic", "--doctrine", name, "--jobs", "1"]
+        assert cli.main(argv) == 1
+        out = capsys.readouterr().out
+        digests = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+        table = json.loads(digests.read_text(encoding="utf-8"))
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()[:16]
+        assert digest == table[" ".join(argv)]
 
 
 class TestSequentSemantics:
