@@ -15,6 +15,7 @@ an internal fault (one ``error: internal:`` line on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -624,7 +625,14 @@ def _global_flags() -> argparse.ArgumentParser:
     return g
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first ``main`` call.
+
+    Each subcommand's ``handler`` default is the handler's name, looked up
+    in this module when ``main`` dispatches, so a function replaced on the
+    module after the parser was built is the one that runs.
+    """
     g = _global_flags()
     parser = argparse.ArgumentParser(
         prog="dialectica",
@@ -636,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Dialectica interpretation of one formula")
     p.add_argument("--formula", required=True, help="formula text")
     p.add_argument("--sig", help="signature JSON (default: inferred)")
-    p.set_defaults(handler=cmd_translate)
+    p.set_defaults(handler="cmd_translate")
 
     p = sub.add_parser("chain", parents=[g],
                        help="six-step derivation chain for an implication")
@@ -644,15 +652,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sig", help="signature JSON (default: inferred)")
     p.add_argument("--latex", action="store_true",
                    help="render the chain formulas as LaTeX")
-    p.set_defaults(handler=cmd_chain)
+    p.set_defaults(handler="cmd_chain")
 
     p = sub.add_parser("doctrine", parents=[g], help="audit a finite doctrine")
     dsub = p.add_subparsers(dest="action", required=True, metavar="action")
     for name, handler, extra in (
-            ("check", cmd_doctrine_check, "order, lattice, and reindexing laws"),
-            ("adjoints", cmd_doctrine_adjoints, "certified quantifiers along projections"),
-            ("free", cmd_doctrine_free, "existential- and quantifier-free census"),
-            ("godel", cmd_doctrine_godel, "the five characterisation conditions")):
+            ("check", "cmd_doctrine_check", "order, lattice, and reindexing laws"),
+            ("adjoints", "cmd_doctrine_adjoints", "certified quantifiers along projections"),
+            ("free", "cmd_doctrine_free", "existential- and quantifier-free census"),
+            ("godel", "cmd_doctrine_godel", "the five characterisation conditions")):
         q = dsub.add_parser(name, parents=[g], help=extra)
         q.add_argument("--doctrine", help="doctrine JSON path (default: stdin)")
         if name == "free":
@@ -672,14 +680,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bound on listed quadruples and matrix size (default %(default)s)")
     q.add_argument("--pairs", type=int, default=8,
                    help="witness pairs to include (default %(default)s)")
-    q.set_defaults(handler=cmd_dial_complete)
+    q.set_defaults(handler="cmd_dial_complete")
 
     p = sub.add_parser("principles", parents=[g],
                        help="logical rule checkers over one doctrine")
     p.add_argument("--doctrine", help="doctrine JSON path (default: stdin)")
     p.add_argument("--rule", choices=tuple(RULES),
                    help="single rule (default: the whole suite)")
-    p.set_defaults(handler=cmd_principles)
+    p.set_defaults(handler="cmd_principles")
 
     p = sub.add_parser("examples", parents=[g], help="generate a stock doctrine")
     esub = p.add_subparsers(dest="family", required=True, metavar="family")
@@ -695,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--out", help="write the doctrine JSON to this path")
         q.add_argument("--pipe", action="store_true",
                        help="stream to stdout even when --out is set")
-        q.set_defaults(handler=cmd_examples)
+        q.set_defaults(handler="cmd_examples")
 
     return parser
 
@@ -717,7 +725,7 @@ def _emit(code: int, payload, lines, fmt: str) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.format == "latex" and args.handler not in (cmd_translate, cmd_chain):
+    if args.format == "latex" and args.handler not in ("cmd_translate", "cmd_chain"):
         print("error: --format latex applies to translate and chain only",
               file=sys.stderr)
         return 2
@@ -728,7 +736,7 @@ def main(argv=None) -> int:
         print("error: --cap must be positive", file=sys.stderr)
         return 2
     try:
-        code, payload, lines = args.handler(args)
+        code, payload, lines = globals()[args.handler](args)
         return _emit(code, payload, lines, args.format)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

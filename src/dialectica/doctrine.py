@@ -309,6 +309,7 @@ class TabularDoctrine:
         self._fibres = dict(fibres)
         self._reindex = dict(reindex)
         self._adj_memo: dict = {}
+        self._pulled: dict = {}
         for f, table in self._reindex.items():
             nc = len(self.fibre(f.cod).elements())
             nd = len(self.fibre(f.dom).elements())
@@ -327,10 +328,17 @@ class TabularDoctrine:
             raise DoctrineDataError(f"no reindex table for {mor_key(f)}")
         return table[alpha]
 
+    def _search(self, f: FinMor, alpha: int, search):
+        """``search`` over f's pullbacks, which are listed once per map."""
+        pulled = self._pulled.get(f)
+        if pulled is None:
+            pulled = self._pulled[f] = _pullbacks(self, f)
+        return search(self.fibre(f.dom), self.fibre(f.cod), pulled, alpha)
+
     def exists_along(self, f: FinMor, alpha: int) -> int:
         key = ("e", f, alpha)
         if key not in self._adj_memo:
-            self._adj_memo[key] = least_exists_value(self, f, alpha)
+            self._adj_memo[key] = self._search(f, alpha, _least_exists)
         val = self._adj_memo[key]
         if val is None:
             raise AdjointMissing("exists", mor_key(f), alpha)
@@ -339,7 +347,7 @@ class TabularDoctrine:
     def forall_along(self, f: FinMor, alpha: int) -> int:
         key = ("a", f, alpha)
         if key not in self._adj_memo:
-            self._adj_memo[key] = greatest_forall_value(self, f, alpha)
+            self._adj_memo[key] = self._search(f, alpha, _greatest_forall)
         val = self._adj_memo[key]
         if val is None:
             raise AdjointMissing("forall", mor_key(f), alpha)
@@ -972,9 +980,7 @@ def _is_index(value, n: int) -> bool:
     return isinstance(value, int) and 0 <= value < n
 
 
-def _from_generator(gen, name, cap: int) -> ConcreteDoctrine:
-    if not isinstance(gen, dict):
-        raise DoctrineDataError("generator must be an object")
+def _from_generator(gen: dict, name, cap: int) -> ConcreteDoctrine:
     sizes = gen.get("sizes")
     if not (isinstance(sizes, list) and all(isinstance(n, int) for n in sizes)):
         raise DoctrineDataError("generator sizes must be a list of integers")
@@ -1033,8 +1039,9 @@ def doctrine_from_json(data: dict, cap: int = DEFAULT_CAP):
     ``kind`` says: a concrete doctrine's file without its generator is
     its table replay.  A top-level key that `doctrine_to_json` does not
     write is an error, as are a ``kind`` other than ``concrete`` or
-    ``tabular``, ``tabular`` with a generator, and ``notes`` that are
-    not a list of strings.
+    ``tabular``, a ``generator`` that is not a non-empty object,
+    ``tabular`` with a generator, and ``notes`` that are not a list of
+    strings.
     """
     unknown = next((k for k in data if k not in JSON_KEYS), None)
     if unknown is not None:
@@ -1043,7 +1050,9 @@ def doctrine_from_json(data: dict, cap: int = DEFAULT_CAP):
     if kind not in (None, ConcreteDoctrine.kind, TabularDoctrine.kind):
         raise DoctrineDataError(f"unknown doctrine kind {kind!r}")
     gen = data.get("generator")
-    if gen and kind == TabularDoctrine.kind:
+    if "generator" in data and not (isinstance(gen, dict) and gen):
+        raise DoctrineDataError("generator must be a non-empty object")
+    if gen is not None and kind == TabularDoctrine.kind:
         raise DoctrineDataError("a tabular doctrine records no generator")
     notes = data.get("notes", [])
     if not (isinstance(notes, list) and all(isinstance(n, str) for n in notes)):
@@ -1059,7 +1068,7 @@ def doctrine_from_json(data: dict, cap: int = DEFAULT_CAP):
     if declared is not None and any(isinstance(c, (dict, list))
                                     for o in declared for e in o["elements"] for c in e):
         raise DoctrineDataError("element components must not be objects or arrays")
-    if gen:
+    if gen is not None:
         D = _from_generator(gen, data.get("name"), cap)
         if declared is not None:
             got = [(o.name, len(o)) for o in D.universe]

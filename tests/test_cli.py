@@ -337,13 +337,18 @@ class TestErrorChannels:
         ONE + FIBRE + ', "kind": "tabulated"}',
         ONE + FIBRE + ', "notes": [1]}',
         '{"kind": "tabular", "generator": {"kind": "powerset", "sizes": [2]}}',
+        ONE + FIBRE + ', "generator": null}',
+        ONE + FIBRE + ', "generator": []}',
+        ONE + FIBRE + ', "generator": {}}',
+        ONE + FIBRE + ', "generator": 0}',
     ], ids=["entry-without-elements", "element-not-a-list",
             "generator-not-an-object", "sizes-not-a-list", "frame-not-an-object",
             "object-component", "array-component", "fibres-not-an-object",
             "fibre-not-an-object", "fibre-elements-not-a-list", "meet-not-a-table",
             "reindex-not-an-object", "reindex-entry-not-an-index", "top-outside-the-fibre",
             "unknown-top-level-key", "unknown-kind", "notes-not-strings",
-            "tabular-kind-with-generator"])
+            "tabular-kind-with-generator", "generator-null", "generator-empty-list",
+            "generator-empty-object", "generator-zero"])
     def test_malformed_doctrine_shape_exits_2(self, capsys, tmp_path, text):
         bad = tmp_path / "shape.json"
         bad.write_text(text)
@@ -433,6 +438,35 @@ class TestErrorChannels:
     def test_missing_subcommand_exits_2(self, capsys):
         code, _, _ = run(capsys)
         assert code == 2
+
+
+class TestReusedParser:
+    """`main` builds its argument parser on the first call and reuses it;
+    no call's arguments leak into a later one."""
+
+    def test_parser_is_built_once(self, capsys):
+        cli.build_parser.cache_clear()
+        for argv in (("translate", "--formula", SPEC_INPUT), ("frobnicate",),
+                     ("chain", "--formula", "p() -> q()"), ("translate", "--formula", "p()")):
+            run(capsys, *argv)
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
+    def test_usage_error_between_calls_leaves_the_output_unchanged(self, capsys):
+        first = run(capsys, "translate", "--formula", SPEC_INPUT)
+        code, out, err = run(capsys, "translate", "--format", "text", "--formula")
+        assert (code, out) == (2, "")
+        assert "expected one argument" in err
+        assert run(capsys, "translate", "--formula", SPEC_INPUT) == first
+        assert json.loads(first[1])["formula"] == SPEC_OUTPUT
+
+    def test_latex_guard_after_a_formula_command(self, capsys, pow_path):
+        code, out, _ = run(capsys, "translate", "--formula", SPEC_INPUT, "--format", "latex")
+        assert code == 0 and out
+        code, out, err = run(capsys, "doctrine", "godel", "--doctrine", pow_path,
+                             "--format", "latex")
+        assert (code, out) == (2, "")
+        assert err == "error: --format latex applies to translate and chain only\n"
 
 
 class TestInstalledEntryPoint:

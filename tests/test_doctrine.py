@@ -221,6 +221,25 @@ class TestQuantifierCrossCheck:
                 assert want.pairs_checked == \
                     len(D.fibre(f.dom).elements()) * len(D.fibre(f.cod).elements())
 
+    def test_table_replay_pulls_back_once_per_map(self, monkeypatch):
+        """Both searches for all 16 predicates over A along one map A -> B
+        reindex each of the 16 predicates over B once, and give the
+        closed-form quantifiers."""
+        data = doctrine_to_json(ANTI)
+        del data["generator"]
+        T = doctrine_from_json(data)
+        objs = {o.name: o for o in ANTI.universe}
+        f = next(mor_from_key(k, objs) for k in data["reindex"] if k.startswith("A->B#"))
+        reindex, calls = T.reindex_el, []
+        monkeypatch.setattr(T, "reindex_el", lambda g, b: calls.append(g) or reindex(g, b))
+        dom, cod = ANTI.fibre(f.dom), ANTI.fibre(f.cod)
+        assert len(dom.elements()) == len(cod.elements()) == 16
+        for alpha in dom.elements():
+            a = dom.index(alpha)
+            assert T.exists_along(f, a) == cod.index(ANTI.exists_along(f, alpha))
+            assert T.forall_along(f, a) == cod.index(ANTI.forall_along(f, alpha))
+        assert calls == [f] * 16
+
 
 class TestHeyting:
     @pytest.mark.parametrize("D", (POW, CHAIN, ANTI), ids=lambda d: d.name)
