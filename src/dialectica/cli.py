@@ -107,7 +107,7 @@ def _load_signature(path: str | None) -> Signature | None:
     text, src = _read_text(path)
     try:
         return Signature.from_json(json.loads(text))
-    except (json.JSONDecodeError, KeyError, TypeError, FolError) as exc:
+    except (json.JSONDecodeError, FolError) as exc:
         raise CliError(f"cannot read input: {src}: not a signature: {exc}") from None
 
 

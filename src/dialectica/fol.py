@@ -7,10 +7,13 @@ and the sorted quantifiers `exists v:S.` / `forall v:S.`.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable, NamedTuple
 
 
 class FolError(Exception):
@@ -79,20 +82,6 @@ def prod_sort(factors) -> Sort:
     return ProdSort(tuple(flat))
 
 
-def sort_to_text(s: Sort, prec: int = 0) -> str:
-    if isinstance(s, BaseSort):
-        return s.name
-    if isinstance(s, ProdSort):
-        if not s.factors:
-            return "1"
-        body = " * ".join(sort_to_text(f, 2) for f in s.factors)
-        return f"({body})" if prec >= 2 else body
-    if isinstance(s, FunSort):
-        body = f"{sort_to_text(s.dom, 1)} -> {sort_to_text(s.cod, 0)}"
-        return f"({body})" if prec >= 1 else body
-    raise TypeError(f"not a sort: {s!r}")
-
-
 # ---------------------------------------------------------------------------
 # Terms
 
@@ -134,14 +123,21 @@ def term_sort(t: Term) -> Sort:
         fs = term_sort(t.fn)
         if not isinstance(fs, FunSort):
             raise FolSortError("applied term is not of function sort", term_to_text(t.fn))
-        arg = term_sort(t.arg)
-        if arg != fs.dom:
-            raise FolSortError(
-                f"argument has sort {sort_to_text(arg)}, expected {sort_to_text(fs.dom)}",
-                term_to_text(t.arg),
-            )
+        _match_sorts((fs.dom,), (t.arg,), term_sort)
         return fs.cod
     raise TypeError(f"not a term: {t!r}")
+
+
+def _match_sorts(expected, args, sort_of) -> None:
+    """Raise FolSortError at the first argument whose sort, as `sort_of`
+    finds it, is not the expected one."""
+    for exp, a in zip(expected, args):
+        got = sort_of(a)
+        if got != exp:
+            raise FolSortError(
+                f"argument has sort {sort_to_text(got)}, expected {sort_to_text(exp)}",
+                term_to_text(a),
+            )
 
 
 def term_to_text(t: Term, prec: int = 0) -> str:
@@ -300,20 +296,9 @@ def alpha_canonical(phi: Formula) -> Formula:
     """Rename bound variables to positional names; equal outputs mean alpha-equal inputs."""
     ctr = itertools.count()
 
-    def go_t(t: Term, env: dict[Var, Var]) -> Term:
-        if isinstance(t, Var):
-            return env.get(t, t)
-        if isinstance(t, App):
-            return App(t.func, tuple(go_t(a, env) for a in t.args), t.sort)
-        if isinstance(t, Pair):
-            return Pair(tuple(go_t(i, env) for i in t.items))
-        if isinstance(t, Ev):
-            return Ev(go_t(t.fn, env), go_t(t.arg, env))
-        raise TypeError(f"not a term: {t!r}")
-
     def go(f: Formula, env: dict[Var, Var]) -> Formula:
         if isinstance(f, Atom):
-            return Atom(f.pred, tuple(go_t(a, env) for a in f.args))
+            return Atom(f.pred, tuple(subst_term(a, env) for a in f.args))
         if isinstance(f, (Top, Bottom)):
             return f
         if isinstance(f, (And, Or, Implies)):
@@ -364,49 +349,6 @@ def classify_syntactic(phi: Formula) -> SyntacticClass:
     return SyntacticClass.QUANTIFIER_FREE
 
 
-# precedence: -> and quantifiers 1, | 2, & 3, ~ 4, atoms 5
-def formula_to_text(phi: Formula, prec: int = 0) -> str:
-    if isinstance(phi, Atom):
-        if not phi.args:
-            return phi.pred
-        return f"{phi.pred}({', '.join(term_to_text(a) for a in phi.args)})"
-    if isinstance(phi, Top):
-        return "true"
-    if isinstance(phi, Bottom):
-        return "false"
-    if is_negation(phi):
-        body = f"~{formula_to_text(phi.left, 4)}"
-        return body
-    if isinstance(phi, Implies):
-        body = f"{formula_to_text(phi.left, 2)} -> {formula_to_text(phi.right, 1)}"
-        return f"({body})" if prec >= 2 else body
-    if isinstance(phi, Or):
-        body = f"{formula_to_text(phi.left, 2)} | {formula_to_text(phi.right, 3)}"
-        return f"({body})" if prec >= 3 else body
-    if isinstance(phi, And):
-        body = f"{formula_to_text(phi.left, 3)} & {formula_to_text(phi.right, 4)}"
-        return f"({body})" if prec >= 4 else body
-    if isinstance(phi, (Exists, Forall)):
-        kw = "exists" if isinstance(phi, Exists) else "forall"
-        body = f"{kw} {phi.var.name}:{sort_to_text(phi.var.sort)}. {formula_to_text(phi.body, 1)}"
-        return f"({body})" if prec >= 2 else body
-    raise TypeError(f"not a formula: {phi!r}")
-
-
-def sort_to_latex(s: Sort, prec: int = 0) -> str:
-    if isinstance(s, BaseSort):
-        return s.name
-    if isinstance(s, ProdSort):
-        if not s.factors:
-            return "1"
-        body = " \\times ".join(sort_to_latex(f, 2) for f in s.factors)
-        return f"({body})" if prec >= 2 else body
-    if isinstance(s, FunSort):
-        body = f"{sort_to_latex(s.dom, 1)} \\to {sort_to_latex(s.cod, 0)}"
-        return f"({body})" if prec >= 1 else body
-    raise TypeError(f"not a sort: {s!r}")
-
-
 def term_to_latex(t: Term) -> str:
     if isinstance(t, Var):
         return t.name
@@ -423,32 +365,93 @@ def term_to_latex(t: Term) -> str:
     raise TypeError(f"not a term: {t!r}")
 
 
+class _Notation(NamedTuple):
+    """The symbols of one output format."""
+
+    term: Callable[[Term], str]
+    true: str
+    false: str
+    neg: str
+    imp: str
+    vee: str
+    wedge: str
+    exists: str
+    forall: str
+    colon: str
+    dot: str
+    times: str
+    to: str
+
+
+def _renderers(notation: _Notation):
+    """The sort and formula walks of one format.  Formula precedence:
+    -> and the quantifiers 1, | 2, & 3, ~ 4, atoms 5."""
+    term, true, false, neg, imp, vee, wedge, exists, forall, colon, dot, times, to = notation
+
+    def sort(s: Sort, prec: int) -> str:
+        if isinstance(s, BaseSort):
+            return s.name
+        if isinstance(s, ProdSort):
+            if not s.factors:
+                return "1"
+            body = times.join(sort(f, 2) for f in s.factors)
+            return f"({body})" if prec >= 2 else body
+        if isinstance(s, FunSort):
+            body = f"{sort(s.dom, 1)}{to}{sort(s.cod, 0)}"
+            return f"({body})" if prec >= 1 else body
+        raise TypeError(f"not a sort: {s!r}")
+
+    def formula(phi: Formula, prec: int) -> str:
+        if isinstance(phi, Atom):
+            if not phi.args:
+                return phi.pred
+            return f"{phi.pred}({', '.join(term(a) for a in phi.args)})"
+        if isinstance(phi, Top):
+            return true
+        if isinstance(phi, Bottom):
+            return false
+        if is_negation(phi):
+            return neg + formula(phi.left, 4)
+        if isinstance(phi, Implies):
+            body = f"{formula(phi.left, 2)}{imp}{formula(phi.right, 1)}"
+            return f"({body})" if prec >= 2 else body
+        if isinstance(phi, Or):
+            body = f"{formula(phi.left, 2)}{vee}{formula(phi.right, 3)}"
+            return f"({body})" if prec >= 3 else body
+        if isinstance(phi, And):
+            body = f"{formula(phi.left, 3)}{wedge}{formula(phi.right, 4)}"
+            return f"({body})" if prec >= 4 else body
+        if isinstance(phi, (Exists, Forall)):
+            kw = exists if isinstance(phi, Exists) else forall
+            body = f"{kw} {phi.var.name}{colon}{sort(phi.var.sort, 0)}{dot}{formula(phi.body, 1)}"
+            return f"({body})" if prec >= 2 else body
+        raise TypeError(f"not a formula: {phi!r}")
+
+    return sort, formula
+
+
+_text_sort, _text_formula = _renderers(_Notation(
+    term_to_text, "true", "false", "~", " -> ", " | ", " & ",
+    "exists", "forall", ":", ". ", " * ", " -> "))
+_latex_sort, _latex_formula = _renderers(_Notation(
+    term_to_latex, "\\top", "\\bot", "\\neg ", " \\rightarrow ", " \\vee ", " \\wedge ",
+    "\\exists", "\\forall", "\\colon ", ".\\, ", " \\times ", " \\to "))
+
+
+def sort_to_text(s: Sort, prec: int = 0) -> str:
+    return _text_sort(s, prec)
+
+
+def sort_to_latex(s: Sort, prec: int = 0) -> str:
+    return _latex_sort(s, prec)
+
+
+def formula_to_text(phi: Formula, prec: int = 0) -> str:
+    return _text_formula(phi, prec)
+
+
 def formula_to_latex(phi: Formula, prec: int = 0) -> str:
-    if isinstance(phi, Atom):
-        if not phi.args:
-            return phi.pred
-        return f"{phi.pred}({', '.join(term_to_latex(a) for a in phi.args)})"
-    if isinstance(phi, Top):
-        return "\\top"
-    if isinstance(phi, Bottom):
-        return "\\bot"
-    if is_negation(phi):
-        return f"\\neg {formula_to_latex(phi.left, 4)}"
-    if isinstance(phi, Implies):
-        body = f"{formula_to_latex(phi.left, 2)} \\rightarrow {formula_to_latex(phi.right, 1)}"
-        return f"({body})" if prec >= 2 else body
-    if isinstance(phi, Or):
-        body = f"{formula_to_latex(phi.left, 2)} \\vee {formula_to_latex(phi.right, 3)}"
-        return f"({body})" if prec >= 3 else body
-    if isinstance(phi, And):
-        body = f"{formula_to_latex(phi.left, 3)} \\wedge {formula_to_latex(phi.right, 4)}"
-        return f"({body})" if prec >= 4 else body
-    if isinstance(phi, (Exists, Forall)):
-        kw = "\\exists" if isinstance(phi, Exists) else "\\forall"
-        head = f"{kw} {phi.var.name}\\colon {sort_to_latex(phi.var.sort)}.\\,"
-        body = f"{head} {formula_to_latex(phi.body, 1)}"
-        return f"({body})" if prec >= 2 else body
-    raise TypeError(f"not a formula: {phi!r}")
+    return _latex_formula(phi, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -481,20 +484,44 @@ class Signature:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "Signature":
-        sorts = tuple(data.get("sorts", ()))
-        preds = {
-            p["name"]: tuple(parse_sort(s) for s in p.get("args", []))
-            for p in data.get("predicates", [])
-        }
-        funcs = {
-            f["name"]: (
-                tuple(parse_sort(s) for s in f.get("args", [])),
-                parse_sort(f["result"]),
-            )
-            for f in data.get("functions", [])
-        }
-        return cls(sorts, preds, funcs)
+    def from_json(cls, data) -> "Signature":
+        """The signature `to_json` writes; FolError names the first part of
+        `data` that does not have that shape."""
+        if not isinstance(data, dict):
+            raise FolError("top level must be an object")
+        for key in data:
+            if key not in ("sorts", "predicates", "functions"):
+                raise FolError(f"unknown key {key!r}")
+        sorts = data.get("sorts", [])
+        if not _strings(sorts):
+            raise FolError("sorts must be a list of strings")
+        parse = functools.cache(parse_sort)  # a signature repeats few sorts
+        preds = {p["name"]: tuple(map(parse, p.get("args", [])))
+                 for p in _entries(data, "predicates", False)}
+        funcs = {f["name"]: (tuple(map(parse, f.get("args", []))), parse(f["result"]))
+                 for f in _entries(data, "functions", True)}
+        return cls(tuple(sorts), preds, funcs)
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(s, str) for s in value)
+
+
+def _entries(data: dict, key: str, result: bool) -> list:
+    """The list `data[key]` of objects with a string name, an optional args
+    list of strings, a string result if `result`, and no other key."""
+    entries = data.get(key, [])
+    if not isinstance(entries, list):
+        raise FolError(f"{key} must be a list")
+    need = {"name", "result"} if result else {"name"}
+    for e in entries:
+        if not (isinstance(e, dict) and e.keys() - {"args"} == need
+                and isinstance(e["name"], str) and isinstance(e.get("result", ""), str)
+                and _strings(e.get("args", []))):
+            fields = ", a string result" if result else ""
+            raise FolError(f"{key} entry {json.dumps(e)} needs a string name, an args "
+                           f"list of strings{fields} and no other key")
+    return entries
 
 
 def check_term(t: Term, sig: Signature) -> Sort:
@@ -507,13 +534,7 @@ def check_term(t: Term, sig: Signature) -> Sort:
         args, res = sig.functions[t.func]
         if len(args) != len(t.args):
             raise FolSortError(f"{t.func} expects {len(args)} arguments", term_to_text(t))
-        for expected, a in zip(args, t.args):
-            got = check_term(a, sig)
-            if got != expected:
-                raise FolSortError(
-                    f"argument has sort {sort_to_text(got)}, expected {sort_to_text(expected)}",
-                    term_to_text(a),
-                )
+        _match_sorts(args, t.args, lambda a: check_term(a, sig))
         if t.sort != res:
             raise FolSortError(f"{t.func} results in {sort_to_text(res)}", term_to_text(t))
         return res
@@ -550,13 +571,7 @@ def check_formula(phi: Formula, sig: Signature) -> None:
             raise FolSortError(
                 f"{phi.pred} expects {len(expected)} arguments", formula_to_text(phi)
             )
-        for exp, a in zip(expected, phi.args):
-            got = check_term(a, sig)
-            if got != exp:
-                raise FolSortError(
-                    f"argument has sort {sort_to_text(got)}, expected {sort_to_text(exp)}",
-                    term_to_text(a),
-                )
+        _match_sorts(expected, phi.args, lambda a: check_term(a, sig))
     elif isinstance(phi, (Top, Bottom)):
         pass
     elif isinstance(phi, (And, Or, Implies)):
@@ -670,18 +685,9 @@ class _Parser:
     def term(self) -> Term:
         t = self.term_atom()
         while self.at("op", "@"):
-            _, _, pos = self.advance()
-            arg = self.term_atom()
-            fs = term_sort(t)
-            if not isinstance(fs, FunSort):
-                raise FolSortError("applied term is not of function sort", term_to_text(t))
-            got = term_sort(arg)
-            if got != fs.dom:
-                raise FolSortError(
-                    f"argument has sort {sort_to_text(got)}, expected {sort_to_text(fs.dom)}",
-                    term_to_text(arg),
-                )
-            t = Ev(t, arg)
+            self.advance()
+            t = Ev(t, self.term_atom())
+            term_sort(t)
         return t
 
     def term_atom(self) -> Term:
@@ -698,14 +704,7 @@ class _Parser:
                     args = ()
                 if len(args) != len(arg_sorts):
                     raise FolSortError(f"{v} expects {len(arg_sorts)} arguments", v)
-                for expected, a in zip(arg_sorts, args):
-                    got = term_sort(a)
-                    if got != expected:
-                        raise FolSortError(
-                            f"argument has sort {sort_to_text(got)}, "
-                            f"expected {sort_to_text(expected)}",
-                            term_to_text(a),
-                        )
+                _match_sorts(arg_sorts, args, term_sort)
                 return App(v, args, res)
             raise FolSyntaxError(f"unknown identifier {v!r}", pos)
         if k == "op" and v == "<":
@@ -801,13 +800,7 @@ class _Parser:
             args = self.term_args() if self.at("op", "(") else ()
             if len(args) != len(expected):
                 raise FolSortError(f"{v} expects {len(expected)} arguments", v)
-            for exp, a in zip(expected, args):
-                got = term_sort(a)
-                if got != exp:
-                    raise FolSortError(
-                        f"argument has sort {sort_to_text(got)}, expected {sort_to_text(exp)}",
-                        term_to_text(a),
-                    )
+            _match_sorts(expected, args, term_sort)
             return Atom(v, args)
         raise FolSyntaxError(f"expected a formula, found {v or k!r}", pos)
 

@@ -33,6 +33,7 @@ from .fol import (
     Term,
     Top,
     Var,
+    _fresh_name,
     check_formula,
     classify_syntactic,
     free_vars,
@@ -54,12 +55,7 @@ class DialecticaForm:
     matrix: Formula
 
     def as_formula(self) -> Formula:
-        f = self.matrix
-        for v in reversed(self.counters):
-            f = Forall(v, f)
-        for v in reversed(self.witnesses):
-            f = Exists(v, f)
-        return f
+        return _exists_block(self.witnesses, _forall_block(self.counters, self.matrix))
 
 
 def _exists_block(vs, body):
@@ -81,17 +77,28 @@ class _Translator:
     def fresh(self, sort: Sort) -> Var:
         return Var(f"\x00t{next(self._n)}", sort)
 
-    def funvar(self, domain: list[Var], target: Sort) -> tuple[Var, Term]:
-        """Witness functionalised over `domain`; returns the new variable and
-        the term that replaces the old one."""
-        if not domain:
-            v = self.fresh(target)
-            return v, v
-        if len(domain) == 1:
-            f = self.fresh(FunSort(domain[0].sort, target))
-            return f, Ev(f, domain[0])
-        f = self.fresh(FunSort(prod_sort([d.sort for d in domain]), target))
-        return f, Ev(f, Pair(tuple(domain)))
+    def functionalise(self, block: list[Var], domain: list[Var]) -> tuple[list[Var], dict]:
+        """One fresh witness per variable of `block`, a function of `domain`;
+        returns the witnesses and the substitution that replaces each old
+        variable by its witness applied to `domain`."""
+        if not block:
+            return [], {}
+        dom = prod_sort([d.sort for d in domain])
+        arg = domain[0] if len(domain) == 1 else Pair(tuple(domain))
+        wit, sub = [], {}
+        for v in block:
+            f = self.fresh(FunSort(dom, v.sort) if domain else v.sort)
+            sub[v] = Ev(f, arg) if domain else f
+            wit.append(f)
+        return wit, sub
+
+    def implication(self, u, x, a, v, y, b):
+        """The implication clause: from exists u. forall x. a and
+        exists v. forall y. b, the witnesses for v over u and for x over
+        u, y, and the matrix a -> b with both substituted."""
+        wv, sub_v = self.functionalise(v, u)
+        wx, sub_x = self.functionalise(x, u + y)
+        return wv, wx, Implies(substitute_many(a, sub_x), substitute_many(b, sub_v))
 
     def run(self, phi: Formula) -> tuple[list[Var], list[Var], Formula]:
         if isinstance(phi, (Atom, Top, Bottom)):
@@ -113,46 +120,29 @@ class _Translator:
         if isinstance(phi, Forall):
             nv = self.fresh(phi.var.sort)
             u, x, a = self.run(substitute_many(phi.body, {phi.var: nv}))
-            sub: dict[Var, Term] = {}
-            wit = []
-            for uj in u:
-                fj, app = self.funvar([nv], uj.sort)
-                wit.append(fj)
-                sub[uj] = app
+            wit, sub = self.functionalise(u, [nv])
             return wit, [nv] + x, substitute_many(a, sub)
         if isinstance(phi, Implies):
             u, x, a = self.run(phi.left)
             v, y, b = self.run(phi.right)
-            sub_r: dict[Var, Term] = {}
-            wit = []
-            for vj in v:
-                fj, app = self.funvar(u, vj.sort)
-                wit.append(fj)
-                sub_r[vj] = app
-            sub_l: dict[Var, Term] = {}
-            for xi in x:
-                fj, app = self.funvar(u + y, xi.sort)
-                wit.append(fj)
-                sub_l[xi] = app
-            mat = Implies(substitute_many(a, sub_l), substitute_many(b, sub_r))
-            return wit, u + y, mat
+            wv, wx, mat = self.implication(u, x, a, v, y, b)
+            return wv + wx, u + y, mat
         raise TypeError(f"not a formula: {phi!r}")
 
 
-def _canonical_names(witnesses, counters, matrix, avoid):
+def _rename(blocks, formula: Formula, taken: set[str]) -> tuple[list, Formula]:
+    """Name the k-th variable of each (prefix, variables) block prefix + k,
+    primed until no name in `taken` (which gains each new name) is reused;
+    returns the renamed blocks and `formula` with the new names."""
     sub: dict[Var, Term] = {}
-    taken = set(avoid)
-    out_w, out_c = [], []
-    for prefix, block, out in (("u", witnesses, out_w), ("x", counters, out_c)):
+    out = []
+    for prefix, block in blocks:
+        out.append([])
         for k, v in enumerate(block):
-            name = f"{prefix}{k}"
-            while name in taken:
-                name += "'"
-            taken.add(name)
-            nv = Var(name, v.sort)
-            sub[v] = nv
-            out.append(nv)
-    return tuple(out_w), tuple(out_c), substitute_many(matrix, sub)
+            nv = sub[v] = Var(_fresh_name(f"{prefix}{k}", taken), v.sort)
+            taken.add(nv.name)
+            out[-1].append(nv)
+    return out, substitute_many(formula, sub)
 
 
 def translate(phi: Formula, sig: Signature | None = None) -> DialecticaForm:
@@ -160,9 +150,8 @@ def translate(phi: Formula, sig: Signature | None = None) -> DialecticaForm:
     if sig is not None:
         check_formula(phi, sig)
     u, x, mat = _Translator().run(phi)
-    avoid = {v.name for v in free_vars(phi)}
-    w, c, m = _canonical_names(u, x, mat, avoid)
-    return DialecticaForm(w, c, m)
+    (w, c), m = _rename((("u", u), ("x", x)), mat, {v.name for v in free_vars(phi)})
+    return DialecticaForm(tuple(w), tuple(c), m)
 
 
 # ---------------------------------------------------------------------------
@@ -177,21 +166,6 @@ class ChainStep:
     direction: str = "iff"
 
 
-def _rename_apart(form: DialecticaForm, wprefix: str, cprefix: str, taken: set[str]):
-    sub: dict[Var, Term] = {}
-    ws, cs = [], []
-    for prefix, block, out in ((wprefix, form.witnesses, ws), (cprefix, form.counters, cs)):
-        for k, v in enumerate(block):
-            name = f"{prefix}{k}"
-            while name in taken:
-                name += "'"
-            taken.add(name)
-            nv = Var(name, v.sort)
-            sub[v] = nv
-            out.append(nv)
-    return ws, cs, substitute_many(form.matrix, sub)
-
-
 def implication_chain(psi_d: DialecticaForm, phi_d: DialecticaForm) -> list[ChainStep]:
     """Six formulas from (psi)^D -> (phi)^D to its Skolemised Dialectica form.
 
@@ -200,8 +174,8 @@ def implication_chain(psi_d: DialecticaForm, phi_d: DialecticaForm) -> list[Chai
     reached by applying AC once per witness block, so it carries two labels.
     """
     taken = {v.name for v in free_vars(psi_d.as_formula()) | free_vars(phi_d.as_formula())}
-    u, x, psi_m = _rename_apart(psi_d, "u", "x", taken)
-    v, y, phi_m = _rename_apart(phi_d, "v", "y", taken)
+    (u, x), psi_m = _rename((("u", psi_d.witnesses), ("x", psi_d.counters)), psi_d.matrix, taken)
+    (v, y), phi_m = _rename((("v", phi_d.witnesses), ("y", phi_d.counters)), phi_d.matrix, taken)
 
     f1 = Implies(
         _exists_block(u, _forall_block(x, psi_m)),
@@ -213,29 +187,9 @@ def implication_chain(psi_d: DialecticaForm, phi_d: DialecticaForm) -> list[Chai
     f4 = _forall_block(u, _exists_block(v, _forall_block(y, Implies(lhs_core, phi_m))))
     f5 = _forall_block(u, _exists_block(v, _forall_block(y, _exists_block(x, Implies(psi_m, phi_m)))))
 
-    tr = _Translator()
-    sub_v: dict[Var, Term] = {}
-    wit = []
-    for k, vj in enumerate(v):
-        fj, app = tr.funvar(u, vj.sort)
-        wit.append((f"V{k}", fj))
-        sub_v[vj] = app
-    sub_x: dict[Var, Term] = {}
-    for k, xi in enumerate(x):
-        fj, app = tr.funvar(u + y, xi.sort)
-        wit.append((f"X{k}", fj))
-        sub_x[xi] = app
-    mat = Implies(substitute_many(psi_m, sub_x), substitute_many(phi_m, sub_v))
-    ren: dict[Var, Term] = {}
-    named = []
-    for name, fj in wit:
-        while name in taken:
-            name += "'"
-        taken.add(name)
-        nv = Var(name, fj.sort)
-        ren[fj] = nv
-        named.append(nv)
-    f6 = _exists_block(named, _forall_block(u + y, substitute_many(mat, ren)))
+    wv, wx, mat = _Translator().implication(u, x, psi_m, v, y, phi_m)
+    (wv, wx), mat = _rename((("V", wv), ("X", wx)), mat, taken)
+    f6 = _exists_block(wv + wx, _forall_block(u + y, mat))
 
     return [
         ChainStep(0, f1, ()),
@@ -247,17 +201,10 @@ def implication_chain(psi_d: DialecticaForm, phi_d: DialecticaForm) -> list[Chai
     ]
 
 
-def _strip_exists(f: Formula):
+def _strip(f: Formula, kind: type):
+    """The variables of the leading `kind` quantifiers of f, and the rest."""
     block = []
-    while isinstance(f, Exists):
-        block.append(f.var)
-        f = f.body
-    return block, f
-
-
-def _strip_forall(f: Formula):
-    block = []
-    while isinstance(f, Forall):
+    while isinstance(f, kind):
         block.append(f.var)
         f = f.body
     return block, f
@@ -267,7 +214,7 @@ def rewrite_classical_equiv(f: Formula) -> Formula:
     """(exists u. p) -> q  becomes  forall u. (p -> q)."""
     if not isinstance(f, Implies):
         return f
-    block, core = _strip_exists(f.left)
+    block, core = _strip(f.left, Exists)
     if not block:
         return f
     return _forall_block(block, Implies(core, f.right))
@@ -275,10 +222,10 @@ def rewrite_classical_equiv(f: Formula) -> Formula:
 
 def rewrite_ip_star(f: Formula) -> Formula:
     """Under leading foralls: p -> exists v. q  becomes  exists v. (p -> q)."""
-    outer, core = _strip_forall(f)
+    outer, core = _strip(f, Forall)
     if not isinstance(core, Implies):
         return f
-    block, inner = _strip_exists(core.right)
+    block, inner = _strip(core.right, Exists)
     if not block:
         return f
     return _forall_block(outer, _exists_block(block, Implies(core.left, inner)))
@@ -286,11 +233,11 @@ def rewrite_ip_star(f: Formula) -> Formula:
 
 def rewrite_intuitionistic(f: Formula) -> Formula:
     """Under leading foralls and existses: p -> forall y. q  becomes  forall y. (p -> q)."""
-    outer_a, rest = _strip_forall(f)
-    outer_e, core = _strip_exists(rest)
+    outer_a, rest = _strip(f, Forall)
+    outer_e, core = _strip(rest, Exists)
     if not isinstance(core, Implies):
         return f
-    block, inner = _strip_forall(core.right)
+    block, inner = _strip(core.right, Forall)
     if not block:
         return f
     return _forall_block(
@@ -300,12 +247,12 @@ def rewrite_intuitionistic(f: Formula) -> Formula:
 
 def rewrite_mp(f: Formula) -> Formula:
     """Under the prenex prefix: (forall x. p) -> q  becomes  exists x. (p -> q)."""
-    outer_a, rest = _strip_forall(f)
-    outer_e, rest2 = _strip_exists(rest)
-    outer_a2, core = _strip_forall(rest2)
+    outer_a, rest = _strip(f, Forall)
+    outer_e, rest2 = _strip(rest, Exists)
+    outer_a2, core = _strip(rest2, Forall)
     if not isinstance(core, Implies):
         return f
-    block, inner = _strip_forall(core.left)
+    block, inner = _strip(core.left, Forall)
     if not block:
         return f
     return _forall_block(
@@ -319,37 +266,15 @@ def rewrite_mp(f: Formula) -> Formula:
 
 def rewrite_ac(f: Formula) -> Formula:
     """Skolemise the leftmost exists block lying under a forall block."""
-    outer_e, rest = _strip_exists(f)
-    outer_a, rest2 = _strip_forall(rest)
-    block, core = _strip_exists(rest2)
+    outer_e, rest = _strip(f, Exists)
+    outer_a, rest2 = _strip(rest, Forall)
+    block, core = _strip(rest2, Exists)
     if not block or not outer_a:
         return f
-    tr = _Translator()
-    sub: dict[Var, Term] = {}
-    wit = []
-    for b in block:
-        fj, app = tr.funvar(outer_a, b.sort)
-        wit.append(fj)
-        sub[b] = app
-    core2 = substitute_many(core, sub)
-    taken = (
-        {v.name for v in free_vars(f)}
-        | {v.name for v in outer_e}
-        | {v.name for v in outer_a}
-    )
-    ren: dict[Var, Term] = {}
-    out = []
-    for k, w in enumerate(wit):
-        name = f"F{k}"
-        while name in taken:
-            name += "'"
-        taken.add(name)
-        nv = Var(name, w.sort)
-        ren[w] = nv
-        out.append(nv)
-    return _exists_block(
-        outer_e, _exists_block(out, _forall_block(outer_a, substitute_many(core2, ren)))
-    )
+    wit, sub = _Translator().functionalise(block, outer_a)
+    taken = {v.name for v in free_vars(f)} | {v.name for v in outer_e + outer_a}
+    (named,), core = _rename((("F", wit),), substitute_many(core, sub), taken)
+    return _exists_block(outer_e, _exists_block(named, _forall_block(outer_a, core)))
 
 
 _REWRITES = {
@@ -426,10 +351,7 @@ def markov_rule(theta: Formula, x: Var) -> Rule:
 
 def axiom_of_choice(theta: Formula, y: Var, x: Var) -> Formula:
     taken = {v.name for v in free_vars(theta)} | {y.name, x.name}
-    name = "V"
-    while name in taken:
-        name += "'"
-    fv = Var(name, FunSort(y.sort, x.sort))
+    fv = Var(_fresh_name("V", taken), FunSort(y.sort, x.sort))
     chosen = substitute_many(theta, {x: Ev(fv, y)})
     return Implies(
         Forall(y, Exists(x, theta)), Exists(fv, Forall(y, chosen))

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from dialectica import cli
+from dialectica.fol import BaseSort, FunSort, Signature
 
 SPEC_INPUT = ("(forall x:U. exists v:V. p(x,v)) -> "
               "(exists u:U. forall y:Y. q(u,y))")
@@ -357,6 +358,48 @@ class TestErrorChannels:
         assert code == 2
         assert out == ""
         assert err.startswith("error: malformed doctrine JSON:")
+
+    @pytest.mark.parametrize("text,reason", [
+        ("[]", "top level must be an object"),
+        ("5", "top level must be an object"),
+        ('{"sort": ["U"]}', "unknown key 'sort'"),
+        ('{"sorts": "UV"}', "sorts must be a list of strings"),
+        ('{"sorts": ["U", 1]}', "sorts must be a list of strings"),
+        ('{"predicates": {"p": ["U"]}}', "predicates must be a list"),
+        ('{"predicates": [5]}', "predicates entry 5 needs a string name, an args "
+         "list of strings and no other key"),
+        ('{"predicates": [{"name": "p", "arg": ["U"]}]}', 'predicates entry {"name": '
+         '"p", "arg": ["U"]} needs a string name, an args list of strings and no other key'),
+        ('{"predicates": [{"name": 5, "args": []}]}', 'predicates entry {"name": 5, '
+         '"args": []} needs a string name, an args list of strings and no other key'),
+        ('{"predicates": [{"name": "p", "args": "U"}]}', 'predicates entry {"name": '
+         '"p", "args": "U"} needs a string name, an args list of strings and no other key'),
+        ('{"functions": [{"name": "c", "args": []}]}', 'functions entry {"name": "c", '
+         '"args": []} needs a string name, an args list of strings, a string result and '
+         'no other key'),
+        ('{"functions": [{"name": "c", "args": [], "result": ["U"]}]}', 'functions entry '
+         '{"name": "c", "args": [], "result": ["U"]} needs a string name, an args list of '
+         'strings, a string result and no other key'),
+    ], ids=["array", "number", "misspelt-key", "sorts-string", "sorts-not-strings",
+            "predicates-object", "predicate-number", "predicate-extra-key",
+            "predicate-name-number", "predicate-args-string", "function-without-result",
+            "function-result-list"])
+    def test_malformed_signature_exits_2(self, capsys, tmp_path, text, reason):
+        bad = tmp_path / "sig.json"
+        bad.write_text(text)
+        code, out, err = run(capsys, "translate", "--sig", str(bad), "--formula", "true")
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read input: {bad}: not a signature: {reason}\n"
+
+    def test_written_signature_loads(self, capsys, tmp_path):
+        sig = Signature(("U", "V"), {"r": (BaseSort("U"), BaseSort("V"))},
+                        {"f": ((BaseSort("U"),), FunSort(BaseSort("U"), BaseSort("V")))})
+        path = tmp_path / "sig.json"
+        path.write_text(json.dumps(sig.to_json()))
+        assert Signature.from_json(json.loads(path.read_text())) == sig
+        data = run_json(capsys, "translate", "--sig", str(path),
+                        "--formula", "forall u:U. r(u, f(u) @ u)")
+        assert data["formula"] == "forall x0:U. r(x0, f(x0) @ x0)"
 
     @pytest.mark.parametrize("formula", ["(" * 1000 + "q" + ")" * 1000,
                                          "~" * 3000 + "q"])

@@ -29,6 +29,7 @@ from dialectica.fol import (
     alpha_canonical,
     alpha_equal,
     check_formula,
+    check_term,
     classify_syntactic,
     formula_to_latex,
     formula_to_text,
@@ -36,6 +37,7 @@ from dialectica.fol import (
     parse_formula,
     parse_sort,
     parse_term,
+    sort_to_latex,
     sort_to_text,
     substitute,
     term_sort,
@@ -270,3 +272,66 @@ class TestSignature:
         rng = random.Random(7)
         for _ in range(50):
             check_formula(random_formula(rng), SIG)
+
+
+CU, CV = App("cU", (), U), App("cV", (), V)
+FF = App("FF", (), FunSort(U, V))
+
+
+class TestSortErrorMessages:
+    """Every argument sort check gives one message, naming the argument."""
+
+    @pytest.mark.parametrize("run,message,subject", [
+        (lambda: parse_term("fUV(cV)", SIG),
+         "argument has sort V, expected U", "cV"),
+        (lambda: check_term(App("fUV", (CV,), V), SIG),
+         "argument has sort V, expected U", "cV"),
+        (lambda: parse_formula("r(cU, hUU(cU))", SIG),
+         "argument has sort U, expected V", "hUU(cU)"),
+        (lambda: check_formula(Atom("r", (CU, App("hUU", (CU,), U))), SIG),
+         "argument has sort U, expected V", "hUU(cU)"),
+        (lambda: parse_term("hUU(cU) @ cU", SIG),
+         "applied term is not of function sort", "hUU(cU)"),
+        (lambda: check_term(Ev(App("hUU", (CU,), U), CU), SIG),
+         "applied term is not of function sort", "hUU(cU)"),
+        (lambda: parse_formula("q(FF @ fUV(cU))", SIG),
+         "argument has sort V, expected U", "fUV(cU)"),
+        (lambda: check_formula(Atom("q", (Ev(FF, App("fUV", (CU,), V)),)), SIG),
+         "argument has sort V, expected U", "fUV(cU)"),
+    ], ids=["function-parsed", "function-checked", "predicate-parsed",
+            "predicate-checked", "ev-non-function-parsed", "ev-non-function-checked",
+            "ev-argument-parsed", "ev-argument-checked"])
+    def test_message_and_subject(self, run, message, subject):
+        with pytest.raises(FolSortError) as e:
+            run()
+        assert str(e.value) == f"{message}: {subject}"
+        assert e.value.subject == subject
+
+
+class TestRenderings:
+    @pytest.mark.parametrize("text,plain,latex", [
+        ("1", "1", "1"),
+        ("(U * V) -> U", "U * V -> U", "U \\times V \\to U"),
+        ("U -> (U -> U)", "U -> U -> U", "U \\to U \\to U"),
+        ("(U -> U) -> U", "(U -> U) -> U", "(U \\to U) \\to U"),
+        ("(U -> U) * V", "(U -> U) * V", "(U \\to U) \\times V"),
+    ])
+    def test_sorts(self, text, plain, latex):
+        s = parse_sort(text)
+        assert (sort_to_text(s), sort_to_latex(s)) == (plain, latex)
+
+    @pytest.mark.parametrize("text,plain,latex", [
+        ("~(p(cU) & s0)", "~(p(cU) & s0)", "\\neg (p(cU) \\wedge s0)"),
+        ("(s0 -> s0) -> (s0 | s0 -> s0)", "(s0 -> s0) -> s0 | s0 -> s0",
+         "(s0 \\rightarrow s0) \\rightarrow s0 \\vee s0 \\rightarrow s0"),
+        ("exists u:U. true & forall w:V. q(w) -> ~false",
+         "exists u:U. true & (forall w:V. q(w) -> ~false)",
+         "\\exists u\\colon U.\\, \\top \\wedge "
+         "(\\forall w\\colon V.\\, q(w) \\rightarrow \\neg \\bot)"),
+        ("exists h:U * V -> U. p(h @ <cU, cV>)",
+         "exists h:U * V -> U. p(h @ <cU, cV>)",
+         "\\exists h\\colon U \\times V \\to U.\\, p(h(cU, cV))"),
+    ], ids=["negated-conjunction", "nested-implications", "quantifiers", "ev-of-pair"])
+    def test_formulas(self, text, plain, latex):
+        phi = parse_formula(text, SIG)
+        assert (formula_to_text(phi), formula_to_latex(phi)) == (plain, latex)

@@ -1,6 +1,11 @@
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
+
+from dialectica import cli
 
 from dialectica.fol import (
     And,
@@ -37,6 +42,8 @@ from dialectica.transform import (
     translate,
 )
 from gen import SIG, U, V, random_formula
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 PAPER_SIG = Signature(
     sorts=("U", "X", "V", "Y", "Z"),
@@ -288,3 +295,30 @@ class TestPrincipleSchemas:
         assert isinstance(out, Implies)
         with pytest.raises(KeyError):
             state_principle("NOPE")
+
+
+class TestOutputBytes:
+    """`translate` and `chain` in every format on the benchmark's formula
+    pool; the stdout bytes must be those the benchmark's digest table pins."""
+
+    def test_formula_pool_stdout_matches_the_digests(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import workloads
+
+        (tmp_path / "sig.json").write_text(json.dumps(workloads.SIGNATURE) + "\n",
+                                           encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        table = json.loads((PERFBENCH / "digests.json").read_text(encoding="utf-8"))
+        wrong, ran = [], 0
+        for index, text in enumerate(workloads.formula_pool()):
+            for verb in ("translate", "chain"):
+                for fmt in workloads.FORMATS:
+                    op = workloads.formula_op(index, text, verb, fmt)
+                    code = cli.main(op["argv"])
+                    out = capsys.readouterr().out
+                    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()[:16]
+                    if code != 0 or digest != table[op["key"]]:
+                        wrong.append((op["key"], code))
+                    ran += 1
+        assert ran == 1800
+        assert wrong == []
