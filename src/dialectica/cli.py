@@ -40,7 +40,7 @@ from .doctrine import (
     quantifier_structure,
     universe_note,
 )
-from .fincat import CapExceeded, product
+from .fincat import CapExceeded
 from .fol import (
     FolDepthError,
     FolError,
@@ -228,7 +228,7 @@ def cmd_doctrine_adjoints(args):
     for a in D.universe:
         for b in D.universe:
             try:
-                p = product(a, b, D.cap)
+                p = D.product(a, b)
             except CapExceeded as exc:
                 rows.append({"product": f"{a.name}*{b.name}", "skipped": str(exc)})
                 continue
@@ -311,7 +311,7 @@ def _failing_json(D, failing):
     if split.failure is not None:
         partner_name, beta = split.failure
         partner = next(o for o in D.universe if o.name == partner_name)
-        pfib = D.fibre(product(obj, partner, D.cap).obj)
+        pfib = D.fibre(D.product(obj, partner).obj)
         entry["partner"] = partner_name
         entry["cover"] = pfib.describe(beta)
         entry["coverIndex"] = pfib.index(beta)

@@ -17,6 +17,13 @@ used: by ``dial_leq`` for CLI witness pairs and sampled compositions, by
 through the doctrine's own reindexing and order, so a returned pair is a
 checked certificate, and None means the exhaustive search ran dry.
 Table-replayed doctrines decide the order by that search.
+
+Carriers such as I*U*X come from the doctrine's product table
+(``D.product``, ``D.product_n``), built once each at ``D.cap``.  Products
+enumerate the left factor slowest, so element ``(i, u, x)`` of I*U*X has
+index ``(i * |U| + u) * |X| + x``, and every map this module builds
+(revalidation, identity, composition, reindexing) is computed on index
+tables by that arithmetic and handed to ``FinMor`` as ``idx``.
 """
 from __future__ import annotations
 
@@ -27,14 +34,7 @@ from dataclasses import dataclass
 
 from . import _kernels as K
 from .doctrine import ConcreteDoctrine, DoctrineError, mor_json
-from .fincat import (
-    CapExceeded,
-    FinMor,
-    FinObj,
-    enumerate_morphisms,
-    product,
-    product_n,
-)
+from .fincat import CapExceeded, FinMor, FinObj, enumerate_morphisms
 
 DEFAULT_QUAD_CAP = 512
 
@@ -48,11 +48,8 @@ class DialObject:
     X: FinObj
     alpha: int
 
-    def carrier(self) -> FinObj:
-        return product_n((self.I, self.U, self.X))[0]
-
     def to_json(self, D) -> dict:
-        fib = D.fibre(self.carrier())
+        fib = D.fibre(_carrier(D, self.I, self.U, self.X))
         return {
             "I": self.I.name,
             "X": self.X.name,
@@ -72,40 +69,48 @@ class WitnessPair:
         return {"f0": mor_json(self.f0), "f1": mor_json(self.f1)}
 
 
-def _proj(dom: FinObj, cod: FinObj, pick) -> FinMor:
-    return FinMor(dom, cod, tuple(pick(e) for e in dom.elements))
+def _carrier(D, I: FinObj, U: FinObj, X: FinObj) -> FinObj:
+    """I*U*X from the doctrine's product table."""
+    return D.product_n((I, U, X))[0]
 
 
 def pair_is_valid(D, a: DialObject, b: DialObject, p: WitnessPair) -> bool:
-    """Re-check the defining inequality through the doctrine itself."""
+    """Re-check the defining inequality through the doctrine itself:
+    alpha pulled back along m1 below beta pulled back along m2, in the
+    fibre over I*U*Y (`_pair_maps`)."""
     if a.I != b.I:
         return False
-    ki = a.I.arity
-    ku = a.U.arity
-    iuy = product_n((a.I, a.U, b.X))[0]
-    iux = product_n((a.I, a.U, a.X))[0]
-    ivy = product_n((a.I, b.U, b.X))[0]
-    if p.f0.dom != product(a.I, a.U).obj or p.f0.cod != b.U:
+    if p.f0.dom != D.product(a.I, a.U).obj or p.f0.cod != b.U:
         return False
-    if p.f1.dom != iuy or p.f1.cod != a.X:
+    if p.f1.dom != _carrier(D, a.I, a.U, b.X) or p.f1.cod != a.X:
         return False
-    m1 = _proj(iuy, iux, lambda e: e[: ki + ku] + p.f1(e))
-    m2 = _proj(iuy, ivy, lambda e: e[:ki] + p.f0(e[: ki + ku]) + e[ki + ku:])
+    m1, m2 = _pair_maps(D, a, b, p)
     lhs = D.reindex_el(m1, a.alpha)
     rhs = D.reindex_el(m2, b.alpha)
-    return D.fibre(iuy).leq(lhs, rhs)
+    return D.fibre(m1.dom).leq(lhs, rhs)
+
+
+def _pair_maps(D, a: DialObject, b: DialObject, p: WitnessPair):
+    """m1 = (i, u, f1(i, u, y)) into I*U*X and m2 = (i, f0(i, u), y) into
+    I*V*Y, both out of f1's domain I*U*Y.  With s = (i * |U| + u) * |Y| + y,
+    m1 sends s to ``s // |Y| * |X| + f1[s]`` and m2 to
+    ``(i * |V| + f0[s // |Y|]) * |Y| + y``."""
+    iuy = p.f1.dom
+    nu, nx, nv, ny = len(a.U), len(a.X), len(b.U), len(b.X)
+    f0, f1 = p.f0.idx, p.f1.idx
+    cells = range(len(iuy))
+    m1 = FinMor(iuy, _carrier(D, a.I, a.U, a.X),
+                idx=[s // ny * nx + f1[s] for s in cells])
+    m2 = FinMor(iuy, _carrier(D, a.I, b.U, b.X),
+                idx=[(s // (nu * ny) * nv + f0[s // ny]) * ny + s % ny for s in cells])
+    return m1, m2
 
 
 def identity_pair(D, a: DialObject) -> WitnessPair:
     """The pair certifying a <= a: project the witness, project the
-    counterexample."""
-    iu = product(a.I, a.U)
-    iux = product_n((a.I, a.U, a.X))[0]
-    ki = a.I.arity
-    ku = a.U.arity
-    f0 = _proj(iu.obj, a.U, lambda e: e[ki:])
-    f1 = _proj(iux, a.X, lambda e: e[ki + ku:])
-    p = WitnessPair(f0, f1)
+    counterexample (the right projections of I*U and (I*U)*X)."""
+    iu = D.product(a.I, a.U)
+    p = WitnessPair(iu.proj_right, D.product(iu.obj, a.X).proj_right)
     if not pair_is_valid(D, a, a, p):
         raise DoctrineError("identity pair failed revalidation")
     return p
@@ -125,11 +130,8 @@ def dial_leq(D, a: DialObject, b: DialObject):
         if found is None:
             return None
         f0_idx, f1_idx = found
-        iu = product(a.I, a.U).obj
-        iuy = product_n((a.I, a.U, b.X))[0]
-        f0 = FinMor(iu, b.U, tuple(b.U.elements[k] for k in f0_idx))
-        f1 = FinMor(iuy, a.X, tuple(a.X.elements[k] for k in f1_idx))
-        p = WitnessPair(f0, f1)
+        p = WitnessPair(FinMor(D.product(a.I, a.U).obj, b.U, idx=f0_idx),
+                        FinMor(_carrier(D, a.I, a.U, b.X), a.X, idx=f1_idx))
         if not pair_is_valid(D, a, b, p):
             raise DoctrineError("kernel witness pair failed revalidation")
         return p
@@ -139,8 +141,8 @@ def dial_leq(D, a: DialObject, b: DialObject):
 def search_pair(D, a: DialObject, b: DialObject):
     """The first candidate pair, in enumeration order, that passes
     revalidation through the doctrine's own reindexing, or None."""
-    iu = product(a.I, a.U).obj
-    iuy = product_n((a.I, a.U, b.X))[0]
+    iu = D.product(a.I, a.U).obj
+    iuy = _carrier(D, a.I, a.U, b.X)
     for f0 in enumerate_morphisms(iu, b.U):
         for f1 in enumerate_morphisms(iuy, a.X):
             p = WitnessPair(f0, f1)
@@ -165,18 +167,17 @@ def has_pair(D, a: DialObject, b: DialObject) -> bool:
 
 def compose_pairs(D, a: DialObject, b: DialObject, c: DialObject,
                   p: WitnessPair, q: WitnessPair) -> WitnessPair:
-    """Compose certificates a <= b and b <= c into one for a <= c."""
-    ki = a.I.arity
-    ku = a.U.arity
-    iu = product(a.I, a.U).obj
-    iuz = product_n((a.I, a.U, c.X))[0]
-    f0 = _proj(iu, c.U, lambda e: q.f0(e[:ki] + p.f0(e)))
-    f1 = _proj(
-        iuz, a.X,
-        lambda e: p.f1(e[: ki + ku]
-                       + q.f1(e[:ki] + p.f0(e[: ki + ku]) + e[ki + ku:])),
-    )
-    out = WitnessPair(f0, f1)
+    """Compose certificates a <= b and b <= c into one for a <= c:
+    (i, u) goes to q.f0(i, p.f0(i, u)), and (i, u, z) to
+    p.f1(i, u, q.f1(i, p.f0(i, u), z)), on index tables."""
+    nu, nv, ny, nz = len(a.U), len(b.U), len(b.X), len(c.X)
+    f0, f1, g0, g1 = p.f0.idx, p.f1.idx, q.f0.idx, q.f1.idx
+    iu = D.product(a.I, a.U).obj
+    iuz = _carrier(D, a.I, a.U, c.X)
+    h0 = [g0[s // nu * nv + f0[s]] for s in range(len(iu))]
+    h1 = [f1[t // nz * ny + g1[(t // nz // nu * nv + f0[t // nz]) * nz + t % nz]]
+          for t in range(len(iuz))]
+    out = WitnessPair(FinMor(iu, c.U, idx=h0), FinMor(iuz, a.X, idx=h1))
     if not pair_is_valid(D, a, c, out):
         raise DoctrineError("composed witness pair failed revalidation")
     return out
@@ -186,10 +187,11 @@ def dial_reindex(D, f: FinMor, q: DialObject) -> DialObject:
     """Pull a quadruple over I back along f: J -> I, keeping U and X."""
     if f.cod != q.I:
         raise DoctrineError("reindexing map must target the quadruple's base")
-    jux = product_n((f.dom, q.U, q.X))[0]
-    iux = product_n((q.I, q.U, q.X))[0]
-    kj = f.dom.arity
-    m = _proj(jux, iux, lambda e: f(e[:kj]) + e[kj:])
+    jux = _carrier(D, f.dom, q.U, q.X)
+    n = len(q.U) * len(q.X)
+    fi = f.idx
+    m = FinMor(jux, _carrier(D, q.I, q.U, q.X),
+               idx=[fi[t // n] * n + t % n for t in range(len(jux))])
     return DialObject(f.dom, q.U, q.X, D.reindex_el(m, q.alpha))
 
 
@@ -256,7 +258,7 @@ def enumerate_quads(D, I: FinObj, matrices=None, quad_cap: int = DEFAULT_QUAD_CA
     for U in objs:
         for X in objs:
             try:
-                carrier = product_n((I, U, X))[0]
+                carrier = _carrier(D, I, U, X)
                 alphas = D.fibre(carrier).elements()
             except CapExceeded as exc:
                 notes.append(f"quads over {I.name}*{U.name}*{X.name} skipped: {exc}")
@@ -382,18 +384,12 @@ class Theorem2Report:
         return not self.mismatches
 
 
-def _proj_iu(D, I, U, X):
-    iux = product_n((I, U, X))[0]
-    iu = product(I, U).obj
-    k = I.arity + U.arity
-    return _proj(iux, iu, lambda e: e[:k]), iu
-
-
 def prenex_order(D, I, U, X, alpha):
-    """The predicate over I presented by exists-u forall-x alpha."""
-    p2, iu = _proj_iu(D, I, U, X)
-    p1 = _proj(iu, I, lambda e: e[: I.arity])
-    return D.exists_along(p1, D.forall_along(p2, alpha))
+    """The predicate over I presented by exists-u forall-x alpha, along
+    the left projections of (I*U)*X and I*U."""
+    iu = D.product(I, U)
+    return D.exists_along(iu.proj_left,
+                          D.forall_along(D.product(iu.obj, X).proj_left, alpha))
 
 
 def check_theorem2(D, analyzer, I: FinObj, samples: int = 200,
@@ -406,7 +402,7 @@ def check_theorem2(D, analyzer, I: FinObj, samples: int = 200,
     for U in D.universe:
         for X in D.universe:
             try:
-                carrier = product_n((I, U, X))[0]
+                carrier = _carrier(D, I, U, X)
                 qf = tuple(a for a in D.fibre(carrier).elements()
                            if analyzer.quantifier_free(carrier, a))
             except CapExceeded as exc:

@@ -4,9 +4,13 @@ A doctrine here assigns to every finite carrier a poset of predicates,
 with reindexing along maps and (where present) quantifier adjoints.  Two
 implementations share one calling surface: `ConcreteDoctrine` computes
 fibres of up-closed bitmask predicates in closed form, `TabularDoctrine`
-replays fibres and reindexing tables loaded from data.  On top of both
-sit a generic adjoint search with self-certifying witnesses, structural
-audits, Beck-Chevalley checks, and a JSON exchange format.
+replays fibres and reindexing tables loaded from data.  Each doctrine
+owns its fibres (`D.fibre`) and its carrier products (`D.product`,
+`D.product_n`), each built once at the doctrine's cap, so every audit,
+scan and completion check over one doctrine shares one carrier, and one
+set of projections, per shape.  On top of both sit a generic adjoint
+search with self-certifying witnesses, structural audits, Beck-Chevalley
+checks, and a JSON exchange format.
 """
 from __future__ import annotations
 
@@ -20,12 +24,14 @@ from .fincat import (
     CategoryError,
     FinMor,
     FinObj,
+    Product,
     enumerate_morphisms,
     exponential,
     fin_obj,
     identity,
     morphism_index,
     product,
+    product_n,
     unit_obj,
 )
 from .posets import FinitePoset
@@ -245,7 +251,33 @@ class PosetFibre:
         return self.labels[a]
 
 
-class ConcreteDoctrine:
+class ProductTable:
+    """A doctrine's carrier products, built once each at its cap.
+
+    ``D.product(a, b)`` and ``D.product_n(objs)`` key each product by its
+    factors' names, arities and elements: `FinObj` equality ignores
+    names, but a product's name (``A*B``) reaches the output.  A kept
+    product keeps its projections, and so their preimage lists.  A
+    product over the cap raises CapExceeded and is not kept.
+    """
+
+    def product(self, a: FinObj, b: FinObj) -> Product:
+        key = (a.name, a.arity, a.elements, b.name, b.arity, b.elements)
+        hit = self._products.get(key)
+        if hit is None:
+            hit = self._products[key] = product(a, b, self.cap)
+        return hit
+
+    def product_n(self, objs) -> tuple[FinObj, list[FinMor]]:
+        objs = tuple(objs)
+        key = tuple([(o.name, o.arity, o.elements) for o in objs])
+        hit = self._products_n.get(key)
+        if hit is None:
+            hit = self._products_n[key] = product_n(objs, self.cap)
+        return hit
+
+
+class ConcreteDoctrine(ProductTable):
     """Doctrine of up-closed predicates over a Kripke frame.
 
     Carriers are constant along the frame, so reindexing is preimage
@@ -267,6 +299,8 @@ class ConcreteDoctrine:
         self.cap = cap
         self.generator = generator
         self._fibres: dict[FinObj, MaskFibre] = {}
+        self._products: dict = {}
+        self._products_n: dict = {}
 
     def fibre(self, obj: FinObj) -> MaskFibre:
         fib = self._fibres.get(obj)
@@ -288,7 +322,7 @@ class ConcreteDoctrine:
         return enumerate_morphisms(a, b, self.cap)
 
 
-class TabularDoctrine:
+class TabularDoctrine(ProductTable):
     """Doctrine replayed from explicit fibre and reindexing tables.
 
     Quantifier values are found by search over the recorded order, so
@@ -310,6 +344,8 @@ class TabularDoctrine:
         self._reindex = dict(reindex)
         self._adj_memo: dict = {}
         self._pulled: dict = {}
+        self._products: dict = {}
+        self._products_n: dict = {}
         for f, table in self._reindex.items():
             nc = len(self.fibre(f.cod).elements())
             nd = len(self.fibre(f.dom).elements())
@@ -703,13 +739,15 @@ def _check_reindex(D, fibre_els, violations, notes, counts):
                         break
 
 
-def f_times_id(f: FinMor, b: FinObj, cap: int = DEFAULT_CAP) -> FinMor:
-    """The map f x id_B between the evident products."""
-    p_dom = product(f.dom, b, cap)
-    p_cod = product(f.cod, b, cap)
-    k = f.dom.arity
-    table = tuple(f(e[:k]) + e[k:] for e in p_dom.obj.elements)
-    return FinMor(p_dom.obj, p_cod.obj, table)
+def f_times_id(D, f: FinMor, b: FinObj) -> FinMor:
+    """The map f x id_B between the evident products of D's table, from
+    its index table: ``(a, y)`` goes to ``(f a, y)``."""
+    p_dom = D.product(f.dom, b)
+    p_cod = D.product(f.cod, b)
+    nb = len(b)
+    fi = f.idx
+    return FinMor(p_dom.obj, p_cod.obj,
+                  idx=[fi[s // nb] * nb + s % nb for s in range(len(p_dom.obj))])
 
 
 @dataclass
@@ -748,9 +786,9 @@ def beck_chevalley(D, direction: str = "both") -> BCReport:
                     continue
                 for f in fs:
                     try:
-                        p1 = product(a1, b, D.cap)
-                        p2 = product(a2, b, D.cap)
-                        fp = f_times_id(f, b, D.cap)
+                        p1 = D.product(a1, b)
+                        p2 = D.product(a2, b)
+                        fp = f_times_id(D, f, b)
                         fib1 = D.fibre(p1.obj)
                         fib_a2 = D.fibre(a2)
                         betas = _sample(fib1.elements(), PRED_SAMPLE)
@@ -808,7 +846,7 @@ def quantifier_structure(D, direction: str) -> QuantifierStructureReport:
     for a1 in D.universe:
         for a2 in D.universe:
             try:
-                p = product(a1, a2, D.cap)
+                p = D.product(a1, a2)
             except CapExceeded as exc:
                 failures.append(AdjointFailure(direction, f"{a1.name}*{a2.name}", None, str(exc)))
                 continue
@@ -856,7 +894,7 @@ def base_closure(D) -> ClosureReport:
         for a in D.universe:
             for b in D.universe:
                 try:
-                    product(a, b, D.cap)
+                    D.product(a, b)
                     exponential(b, a, D.cap)
                 except CapExceeded as exc:
                     notes.append(f"{a.name}, {b.name}: {exc}")
@@ -866,7 +904,7 @@ def base_closure(D) -> ClosureReport:
     for a in D.universe:
         for b in D.universe:
             try:
-                p = product(a, b, D.cap)
+                p = D.product(a, b)
                 if p.obj.elements not in carriers:
                     missing_p.append(f"{a.name}*{b.name}")
                 e = exponential(b, a, D.cap)

@@ -96,26 +96,42 @@ def fin_obj(name: str, labels) -> FinObj:
 class FinMor:
     """Map between finite objects, tabulated in domain enumeration order.
 
-    ``table`` holds the value at each domain element and ``idx`` the
-    codomain index of that value: the map as the index table that
-    reindexing and the morphism encodings read.  `preimages` inverts
-    ``idx`` for the quantifiers, once per map.
+    ``idx`` holds the codomain index of the value at each domain element:
+    the map as the index table that reindexing and the morphism encodings
+    read.  ``table`` holds the values themselves.  A map is given by one
+    of the two: ``FinMor(dom, cod, table)`` looks each value up in the
+    codomain, ``FinMor(dom, cod, idx=...)`` range-checks each index and
+    reads the values off only when ``table`` is first asked for.
+    `preimages` inverts ``idx`` for the quantifiers, once per map.
     """
 
-    __slots__ = ("dom", "cod", "table", "idx", "_preimages")
+    __slots__ = ("dom", "cod", "_table", "idx", "_preimages")
 
-    def __init__(self, dom: FinObj, cod: FinObj, table):
+    def __init__(self, dom: FinObj, cod: FinObj, table=None, idx=None):
         self.dom = dom
         self.cod = cod
-        self.table = tuple(table)
-        if len(self.table) != len(dom):
+        given = tuple(table) if idx is None else tuple(idx)
+        if len(given) != len(dom.elements):
             raise CategoryError("table length does not match the domain")
-        index = cod._index
-        try:
-            self.idx = tuple([index[v] for v in self.table])
-        except KeyError as exc:
-            raise CategoryError(f"value {exc.args[0]!r} outside the codomain") from None
+        if idx is None:
+            self._table = given
+            index = cod._index
+            try:
+                self.idx = tuple([index[v] for v in given])
+            except KeyError as exc:
+                raise CategoryError(f"value {exc.args[0]!r} outside the codomain") from None
+        else:
+            if given and (min(given) < 0 or max(given) >= len(cod.elements)):
+                raise CategoryError("index outside the codomain")
+            self._table = None
+            self.idx = given
         self._preimages = None
+
+    @property
+    def table(self) -> tuple:
+        if self._table is None:
+            self._table = tuple(map(self.cod.elements.__getitem__, self.idx))
+        return self._table
 
     def preimages(self) -> tuple:
         """The domain indices over each codomain index, in domain order
@@ -177,7 +193,8 @@ class Product:
 
 
 def product(a: FinObj, b: FinObj, cap: int = DEFAULT_CAP) -> Product:
-    """Cartesian product in enumeration order with `a` as the slow index."""
+    """Cartesian product in enumeration order with `a` as the slow index:
+    element ``i * len(b) + j`` is ``a[i] + b[j]``."""
     n = len(a) * len(b)
     if n > cap:
         raise CapExceeded(f"product size {n} exceeds cap {cap}")
@@ -186,8 +203,9 @@ def product(a: FinObj, b: FinObj, cap: int = DEFAULT_CAP) -> Product:
         tuple(x + y for x in a.elements for y in b.elements),
         arity=a.arity + b.arity,
     )
-    pl = FinMor(obj, a, tuple(x for x in a.elements for _ in b.elements))
-    pr = FinMor(obj, b, tuple(y for _ in a.elements for y in b.elements))
+    nb = len(b)
+    pl = FinMor(obj, a, idx=[s // nb for s in range(n)])
+    pr = FinMor(obj, b, idx=[s % nb for s in range(n)])
     return Product(obj, a, b, pl, pr)
 
 

@@ -7,7 +7,6 @@ and the sorted quantifiers `exists v:S.` / `forall v:S.`.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import re
@@ -486,7 +485,9 @@ class Signature:
     @classmethod
     def from_json(cls, data) -> "Signature":
         """The signature `to_json` writes; FolError names the first part of
-        `data` that does not have that shape."""
+        `data` that does not have that shape, a predicate or function
+        name given twice, or an entry whose sorts `sorts` does not
+        declare."""
         if not isinstance(data, dict):
             raise FolError("top level must be an object")
         for key in data:
@@ -495,11 +496,28 @@ class Signature:
         sorts = data.get("sorts", [])
         if not _strings(sorts):
             raise FolError("sorts must be a list of strings")
-        parse = functools.cache(parse_sort)  # a signature repeats few sorts
-        preds = {p["name"]: tuple(map(parse, p.get("args", [])))
-                 for p in _entries(data, "predicates", False)}
-        funcs = {f["name"]: (tuple(map(parse, f.get("args", []))), parse(f["result"]))
-                 for f in _entries(data, "functions", True)}
+        declared = cls(tuple(sorts))
+        memo: dict = {}
+
+        def parse(text):
+            """Parse against the declared sorts, which rejects an undeclared
+            one; a signature repeats few sorts, so each is parsed once."""
+            if text not in memo:
+                memo[text] = parse_sort(text, declared)
+            return memo[text]
+
+        preds: dict = {}
+        funcs: dict = {}
+        for key, out, result in (("predicates", preds, False), ("functions", funcs, True)):
+            for e in _entries(data, key, result):
+                if e["name"] in out:
+                    raise FolError(f"{key} entry {json.dumps(e['name'])} is declared twice")
+                try:
+                    parsed = tuple(map(parse, e.get("args", []) + ([e["result"]] if result else [])))
+                except FolSortError as exc:
+                    raise FolError(f"{key} entry {json.dumps(e['name'])} names undeclared "
+                                   f"sort {exc.subject}") from None
+                out[e["name"]] = (parsed[:-1], parsed[-1]) if result else parsed
         return cls(tuple(sorts), preds, funcs)
 
 

@@ -24,7 +24,7 @@ from .doctrine import (
     quantifier_structure,
     universe_note,
 )
-from .fincat import CapExceeded, FinMor, enumerate_morphisms, product
+from .fincat import CapExceeded, FinMor, enumerate_morphisms
 
 
 @dataclass
@@ -138,7 +138,7 @@ class FreenessAnalyzer:
         failure = None
         checked = 0
         for B in D.universe:
-            p = product(A, B, D.cap)
+            p = D.product(A, B)
             betas = (D.fibre(p.obj).elements() if kind == "existential"
                      else self.exfree_elements(p.obj))
             for beta in betas:
@@ -168,26 +168,28 @@ class FreenessAnalyzer:
         Concrete doctrines use the bitmask kernel, others search every
         map; either way the map is revalidated before it is returned."""
         D = self.D
-        g_table = None
+        g_idx = None
         if isinstance(D, ConcreteDoctrine):
             search = K.exists_gap_g if kind == "existential" else K.forall_gap_g
             g_idx = search(alpha, beta, len(A), len(B), D.nw)
-            if g_idx is not None:
-                g_table = tuple(B.elements[j] for j in g_idx)
         else:
             for cand in enumerate_morphisms(A, B, D.cap):
-                if self._graph_ok(kind, A, p, alpha, beta, cand.table):
-                    g_table = cand.table
+                if self._graph_ok(kind, A, p, alpha, beta, cand.idx):
+                    g_idx = cand.idx
                     break
-        if g_table is None:
+        if g_idx is None:
             return None
-        if not self._graph_ok(kind, A, p, alpha, beta, g_table):
+        if not self._graph_ok(kind, A, p, alpha, beta, g_idx):
             raise DoctrineError("choice map failed revalidation")
-        return FinMor(A, B, g_table)
+        return FinMor(A, B, idx=g_idx)
 
-    def _graph_ok(self, kind, A, p, alpha, beta, g_table) -> bool:
+    def _graph_ok(self, kind, A, p, alpha, beta, g_idx) -> bool:
+        """Whether the graph of g (given by its index table) pulls beta
+        back above alpha ("existential") or below it ("universal"); the
+        graph ``a -> (a, g a)`` into ``p.obj`` is index ``a * nb + g[a]``."""
         D = self.D
-        graph = FinMor(A, p.obj, tuple(e + g_table[i] for i, e in enumerate(A.elements)))
+        nb = len(p.right)
+        graph = FinMor(A, p.obj, idx=[a * nb + g for a, g in enumerate(g_idx)])
         pulled = D.reindex_el(graph, beta)
         fib_a = D.fibre(A)
         if kind == "existential":
@@ -320,7 +322,7 @@ class FreenessAnalyzer:
                 found = None
                 for A in self._by_size:
                     try:
-                        p = product(I, A, D.cap)
+                        p = D.product(I, A)
                         for beta in self.exfree_elements(p.obj):
                             if along(p.proj_left, beta) == alpha and (
                                     existential or self.is_universal_free(p.obj, beta)):
@@ -346,7 +348,7 @@ class FreenessAnalyzer:
         for A in D.universe:
             for B in D.universe:
                 try:
-                    p = product(A, B, D.cap)
+                    p = D.product(A, B)
                     betas = self.exfree_elements(p.obj)
                 except CapExceeded as exc:
                     notes.append(f"{A.name} x {B.name} skipped: {exc}")
@@ -368,7 +370,7 @@ class FreenessAnalyzer:
         skipped: list = []
         for U in self._by_size:
             try:
-                p_iu = product(I, U, D.cap)
+                p_iu = D.product(I, U)
                 gammas = [g for g in self.exfree_elements(p_iu.obj)
                           if D.exists_along(p_iu.proj_left, g) == alpha]
             except CapExceeded as exc:
@@ -378,7 +380,7 @@ class FreenessAnalyzer:
                 continue
             for X in self._by_size:
                 try:
-                    p3 = product(p_iu.obj, X, D.cap)
+                    p3 = D.product(p_iu.obj, X)
                     betas = self.exfree_elements(p3.obj)
                 except CapExceeded as exc:
                     skipped.append(str(exc))

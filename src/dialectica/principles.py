@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .doctrine import mor_json
-from .fincat import CapExceeded, FinMor, exponential, product, product_n
+from .fincat import CapExceeded, FinMor, exponential
 from .freeness import FreenessAnalyzer
 
 # Positive witnesses kept per report; every violation is kept.
@@ -103,12 +103,12 @@ def _judge(entry, g, key, witnesses, violations, seq=True):
 
 def _scan(D, notes, scanned):
     """Yield ``(A, B, p, fibA, fibAB)`` for every ordered pair of carriers
-    whose fibres fit the cap, recording each scanned pair."""
+    whose product and fibres fit the cap, recording each scanned pair."""
     for A in D.universe:
         for B in D.universe:
-            p = product(A, B)
-            fibA, fibAB = D.fibre(A), D.fibre(p.obj)
             try:
+                p = D.product(A, B)
+                fibA, fibAB = D.fibre(A), D.fibre(p.obj)
                 fibA.elements()
                 fibAB.elements()
             except CapExceeded as exc:
@@ -315,28 +315,24 @@ def check_skolemisation(D, analyzer: FreenessAnalyzer | None = None,
             for B in objs:
                 try:
                     E = exponential(B, A2, EXP_CAP)
-                    tri, projs = product_n((A1, A2, B))
-                    alphas = D.fibre(tri).elements()
-                    fe, fe_projs = product_n((A1, E.obj, A2))
+                    a12 = D.product(A1, A2)
+                    tri = D.product(a12.obj, B)
+                    alphas = D.fibre(tri.obj).elements()
+                    a1e = D.product(A1, E.obj)
+                    fe = D.product(a1e.obj, A2)
                 except CapExceeded as exc:
                     notes.append(
                         f"{A1.name},{A2.name},{B.name} skipped: {exc}")
                     continue
                 scanned.append(f"{A1.name},{A2.name},{B.name}")
                 k1 = A1.arity
-                p12 = FinMor(tri, product(A1, A2).obj,
-                             tuple(e[: k1 + A2.arity] for e in tri.elements))
-                p1 = FinMor(product(A1, A2).obj, A1,
-                            tuple(e[:k1]
-                                  for e in product(A1, A2).obj.elements))
-                subst = FinMor(fe, tri, tuple(
+                # (a1, f, a2) goes to (a1, a2, f a2); the projections are
+                # those of the products, A1*A2*B being (A1*A2)*B
+                subst = FinMor(fe.obj, tri.obj, tuple(
                     e[:k1] + e[k1 + 1:] + e[k1](e[k1 + 1:])
-                    for e in fe.elements))
-                q = FinMor(fe, product(A1, E.obj).obj,
-                           tuple(e[: k1 + 1] for e in fe.elements))
-                r = FinMor(product(A1, E.obj).obj, A1,
-                           tuple(e[:k1]
-                                 for e in product(A1, E.obj).obj.elements))
+                    for e in fe.obj.elements))
+                p12, p1 = tri.proj_left, a12.proj_left
+                q, r = fe.proj_left, a1e.proj_left
                 fibA1 = D.fibre(A1)
                 for alpha in alphas:
                     instances += 1
@@ -347,7 +343,7 @@ def check_skolemisation(D, analyzer: FreenessAnalyzer | None = None,
                         continue
                     entry = {
                         "carriers": [A1.name, A2.name, B.name],
-                        "alpha": D.fibre(tri).describe(alpha),
+                        "alpha": D.fibre(tri.obj).describe(alpha),
                         "bothSides": fibA1.describe(lhs),
                     }
                     if lhs != rhs:

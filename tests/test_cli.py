@@ -380,10 +380,22 @@ class TestErrorChannels:
         ('{"functions": [{"name": "c", "args": [], "result": ["U"]}]}', 'functions entry '
          '{"name": "c", "args": [], "result": ["U"]} needs a string name, an args list of '
          'strings, a string result and no other key'),
+        ('{"sorts": ["U"], "predicates": [{"name": "p", "args": ["U"]}, {"name": "p"}]}',
+         'predicates entry "p" is declared twice'),
+        ('{"sorts": ["U"], "functions": [{"name": "c", "result": "U"}, '
+         '{"name": "c", "args": ["U"], "result": "U"}]}', 'functions entry "c" is declared twice'),
+        ('{"sorts": ["U"], "predicates": [{"name": "p", "args": ["U * (V -> U)"]}]}',
+         'predicates entry "p" names undeclared sort V'),
+        ('{"sorts": ["U"], "functions": [{"name": "f", "args": ["W"], "result": "U"}]}',
+         'functions entry "f" names undeclared sort W'),
+        ('{"sorts": ["U"], "functions": [{"name": "f", "args": ["U"], "result": "V"}]}',
+         'functions entry "f" names undeclared sort V'),
     ], ids=["array", "number", "misspelt-key", "sorts-string", "sorts-not-strings",
             "predicates-object", "predicate-number", "predicate-extra-key",
             "predicate-name-number", "predicate-args-string", "function-without-result",
-            "function-result-list"])
+            "function-result-list", "predicate-twice", "function-twice",
+            "predicate-undeclared-sort", "function-undeclared-arg",
+            "function-undeclared-result"])
     def test_malformed_signature_exits_2(self, capsys, tmp_path, text, reason):
         bad = tmp_path / "sig.json"
         bad.write_text(text)

@@ -124,6 +124,105 @@ class TestWitnessPairs:
             compose_pairs(POW, a, b, c, p, bad)
 
 
+def value_pair_maps(a, b, p):
+    """`pair_is_valid`'s two maps, built value by value: (i, u, f1(i, u, y))
+    and (i, f0(i, u), y) out of I*U*Y."""
+    ki, ku = a.I.arity, a.U.arity
+    iuy = product_n((a.I, a.U, b.X))[0]
+    iux = product_n((a.I, a.U, a.X))[0]
+    ivy = product_n((a.I, b.U, b.X))[0]
+    m1 = FinMor(iuy, iux, [e[:ki + ku] + p.f1(e) for e in iuy.elements])
+    m2 = FinMor(iuy, ivy, [e[:ki] + p.f0(e[:ki + ku]) + e[ki + ku:] for e in iuy.elements])
+    return m1, m2
+
+
+@pytest.fixture(scope="module")
+def fibre_a():
+    """The powerset-2x2 fibre over A at quad cap 48, with its cells i < j
+    (i != j) and the witness pair of each."""
+    fib = build_dial_fibre(POW, POW.universe[1], quad_cap=48)
+    n = len(fib.quads)
+    cells = [(i, j) for i in range(n) for j in range(n) if i != j and fib.leq(i, j)]
+    pairs = [(fib.quads[i], fib.quads[j], dial_leq(POW, fib.quads[i], fib.quads[j]))
+             for i, j in cells]
+    return fib, cells, pairs
+
+
+class TestIndexTables:
+    """The maps built from index arithmetic equal those built value by
+    value, names included, on the powerset-2x2 fibre over A."""
+
+    def test_revalidation_maps(self, fibre_a):
+        checked = 0
+        for a, b, p in fibre_a[2]:
+            got = dial._pair_maps(POW, a, b, p)
+            want = value_pair_maps(a, b, p)
+            assert got == want
+            assert [(m.dom.name, m.cod.name) for m in got] == \
+                [(m.dom.name, m.cod.name) for m in want]
+            checked += 1
+        assert checked > 100
+
+    def test_identity_pairs(self, fibre_a):
+        for q in fibre_a[0].quads:
+            ki, ku = q.I.arity, q.U.arity
+            iu = product(q.I, q.U).obj
+            iux = product_n((q.I, q.U, q.X))[0]
+            p = identity_pair(POW, q)
+            assert p.f0 == FinMor(iu, q.U, [e[ki:] for e in iu.elements])
+            assert p.f1 == FinMor(iux, q.X, [e[ki + ku:] for e in iux.elements])
+            assert (p.f0.dom.name, p.f1.dom.name) == (iu.name, iux.name)
+
+    def test_compositions(self, fibre_a):
+        fib, cells, pairs = fibre_a
+        quads, composed = fib.quads, 0
+        for (i, j), (a, b, p) in list(zip(cells, pairs))[:60]:
+            for k in range(len(quads)):
+                if not fib.leq(j, k):
+                    continue
+                c = quads[k]
+                q = dial_leq(POW, b, c)
+                r = compose_pairs(POW, a, b, c, p, q)
+                ki, ku = a.I.arity, a.U.arity
+                iu = product(a.I, a.U).obj
+                iuz = product_n((a.I, a.U, c.X))[0]
+                assert r.f0 == FinMor(iu, c.U, [q.f0(e[:ki] + p.f0(e)) for e in iu.elements])
+                assert r.f1 == FinMor(iuz, a.X, [
+                    p.f1(e[:ki + ku] + q.f1(e[:ki] + p.f0(e[:ki + ku]) + e[ki + ku:]))
+                    for e in iuz.elements])
+                composed += 1
+        assert composed > 100
+
+    def test_reindexing(self):
+        A, B = POW.universe[1], POW.universe[2]
+        for f in (FinMor(A, B, (("b1",), ("b0",))), FinMor(A, B, (("b0",), ("b0",)))):
+            for q in quads_over(POW, B, cap=48):
+                jux = product_n((A, q.U, q.X))[0]
+                iux = product_n((B, q.U, q.X))[0]
+                m = FinMor(jux, iux, [f(e[:1]) + e[1:] for e in jux.elements])
+                assert dial_reindex(POW, f, q) == DialObject(
+                    A, q.U, q.X, POW.reindex_el(m, q.alpha))
+
+    def test_a_tampered_counterexample_map_is_rejected(self, fibre_a):
+        """Every one-entry change to f1 is judged as the value-built maps
+        judge it, and some change breaks the inequality."""
+        rejected = 0
+        for a, b, p in [abp for abp in fibre_a[2] if len(abp[0].X) > 1][:40]:
+            for s in range(len(p.f1.idx)):
+                for x in range(len(a.X)):
+                    if x == p.f1.idx[s]:
+                        continue
+                    idx = list(p.f1.idx)
+                    idx[s] = x
+                    bad = WitnessPair(p.f0, FinMor(p.f1.dom, p.f1.cod, idx=idx))
+                    m1, m2 = value_pair_maps(a, b, bad)
+                    holds = POW.fibre(m1.dom).leq(POW.reindex_el(m1, a.alpha),
+                                                  POW.reindex_el(m2, b.alpha))
+                    assert pair_is_valid(POW, a, b, bad) == holds
+                    rejected += not holds
+        assert rejected > 0
+
+
 class TestReindexing:
     def test_identity_reindex_is_identity(self):
         A = POW.universe[1]

@@ -280,8 +280,58 @@ class TestMorphismKeys:
     def test_f_times_id(self):
         A, B = POW.universe[1], POW.universe[2]
         swap = FinMor(A, A, (("a1",), ("a0",)))
-        g = f_times_id(swap, B)
+        g = f_times_id(POW, swap, B)
         assert g(("a0", "b1")) == ("a1", "b1")
+
+
+class TestProductTable:
+    def test_a_product_is_built_once(self):
+        D = powerset_doctrine((2, 2))
+        A, B = D.universe[1], D.universe[2]
+        p = D.product(A, B)
+        assert p is D.product(A, B)
+        assert p == product(A, B)
+        assert D.product_n((A, B, A)) is D.product_n((A, B, A))
+        assert D.product_n((A, B, A))[0] == product_n((A, B, A))[0]
+
+    def test_a_kept_projection_keeps_its_preimages(self):
+        D = powerset_doctrine((2, 2))
+        A, B = D.universe[1], D.universe[2]
+        fibs = D.product(A, B).proj_left.preimages()
+        assert D.product(A, B).proj_left.preimages() is fibs
+
+    def test_names_are_part_of_the_key(self):
+        D = powerset_doctrine((2, 2))
+        A, B = D.universe[1], D.universe[2]
+        Z = FinObj("Z", A.elements)
+        assert Z == A
+        assert D.product(A, B).obj.name == "A*B"
+        assert D.product(Z, B).obj.name == "Z*B"
+        assert D.product(Z, B) is not D.product(A, B)
+        assert D.product_n((Z, B, A))[0].name == "Z*B*A"
+        assert D.product_n((A, B, A))[0].name == "A*B*A"
+
+    def test_cap_overrun_is_raised_and_not_kept(self):
+        D = powerset_doctrine((2, 2), cap=3)
+        A, B = D.universe[1], D.universe[2]
+        for _ in range(2):
+            with pytest.raises(CapExceeded, match="product size 4 exceeds cap 3"):
+                D.product(A, B)
+            with pytest.raises(CapExceeded):
+                D.product_n((A, B))
+        D.cap = 4
+        assert len(D.product(A, B).obj) == 4
+
+    @pytest.mark.parametrize("generator", [True, False], ids=["generator", "table-replay"])
+    def test_a_doctrine_loaded_at_a_small_cap_raises(self, generator):
+        data = doctrine_to_json(CHAIN)
+        if not generator:
+            del data["generator"]
+        D = doctrine_from_json(data, cap=3)
+        A, B = D.universe[1], D.universe[2]
+        with pytest.raises(CapExceeded):
+            D.product(A, B)
+        assert D.product(D.universe[0], A).obj.name == "1*A"
 
 
 def _diamond_fibre(obj):

@@ -75,6 +75,14 @@ class TestMorphisms:
             for f in enumerate_morphisms(dom, cod):
                 assert f.idx == tuple(cod.elements.index(v) for v in f.table)
 
+    def test_built_from_an_index_table(self):
+        for f in enumerate_morphisms(A, B):
+            g = FinMor(A, B, idx=f.idx)
+            assert g == f and g.table == f.table and g(("a1",)) == f(("a1",))
+        for bad in ((0,), (0, 3), (-1, 0)):
+            with pytest.raises(CategoryError):
+                FinMor(A, B, idx=bad)
+
     def test_equality_ignores_carrier_names(self):
         A2, B2 = fin_obj("X", ["a0", "a1"]), fin_obj("Y", ["b0", "b1", "b2"])
         for f in enumerate_morphisms(A, B):
@@ -128,6 +136,14 @@ class TestProduct:
     def test_unit_neutral(self):
         assert product(A, unit_obj()).obj == A
         assert product(unit_obj(), A).obj == A
+
+    def test_product_order(self):
+        p = product(A, B)
+        for s, e in enumerate(p.obj.elements):
+            assert e == A.elements[s // len(B)] + B.elements[s % len(B)]
+            assert p.proj_left(e) == e[:1] and p.proj_right(e) == e[1:]
+        assert product(product(A, B).obj, C).obj.name == product_n([A, B, C])[0].name
+        assert product(product(A, B).obj, C).obj == product_n([A, B, C])[0]
 
     def test_product_n_projections(self):
         obj, projs = product_n([A, B, C])
