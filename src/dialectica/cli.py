@@ -88,16 +88,10 @@ def _read_text(path: str | None) -> tuple[str, str]:
 def _load_doctrine(args):
     """The doctrine named by ``--doctrine`` (default stdin), capped by ``--cap``."""
     text, src = _read_text(getattr(args, "doctrine", None))
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CliError(f"malformed doctrine JSON: {src}: {exc}") from None
-    if not isinstance(data, dict):
-        raise CliError(f"malformed doctrine JSON: {src}: top level must be an object")
     kwargs = {} if args.cap is None else {"cap": args.cap}
     try:
-        return doctrine_from_json(data, **kwargs)
-    except DoctrineDataError as exc:
+        return doctrine_from_json(json.loads(text), **kwargs)
+    except (json.JSONDecodeError, DoctrineDataError) as exc:
         raise CliError(f"malformed doctrine JSON: {src}: {exc}") from None
 
 
@@ -611,6 +605,9 @@ def _verdict_line(label: str, ok: bool) -> str:
 
 
 def _global_flags() -> argparse.ArgumentParser:
+    """The flags every command takes, a parent of each parser that runs a
+    command and of no other: a leaf's defaults would overwrite a value
+    given before the command name."""
     g = argparse.ArgumentParser(add_help=False)
     g.add_argument("--cap", type=int, default=None,
                    help="bound on carrier products and fibre enumerations")
@@ -636,7 +633,6 @@ def build_parser() -> argparse.ArgumentParser:
     g = _global_flags()
     parser = argparse.ArgumentParser(
         prog="dialectica",
-        parents=[g],
         description="Dialectica translation and finite doctrine checkers.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
@@ -654,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="render the chain formulas as LaTeX")
     p.set_defaults(handler="cmd_chain")
 
-    p = sub.add_parser("doctrine", parents=[g], help="audit a finite doctrine")
+    p = sub.add_parser("doctrine", help="audit a finite doctrine")
     dsub = p.add_subparsers(dest="action", required=True, metavar="action")
     for name, handler, extra in (
             ("check", "cmd_doctrine_check", "order, lattice, and reindexing laws"),
@@ -667,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
             q.add_argument("--predicate", help="single predicate as OBJECT:ELEMENT")
         q.set_defaults(handler=handler)
 
-    p = sub.add_parser("dial", parents=[g], help="Dialectica completion")
+    p = sub.add_parser("dial", help="Dialectica completion")
     dsub = p.add_subparsers(dest="action", required=True, metavar="action")
     q = dsub.add_parser("complete", parents=[g],
                         help="build one completed fibre and check its order")
@@ -689,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="single rule (default: the whole suite)")
     p.set_defaults(handler="cmd_principles")
 
-    p = sub.add_parser("examples", parents=[g], help="generate a stock doctrine")
+    p = sub.add_parser("examples", help="generate a stock doctrine")
     esub = p.add_subparsers(dest="family", required=True, metavar="family")
     for fam, extra in (("powerset", "subset doctrine over finite carriers"),
                        ("kripke", "up-set doctrine over a finite frame")):

@@ -34,7 +34,8 @@ from .fincat import (
     product_n,
     unit_obj,
 )
-from .posets import FinitePoset
+from ._shape import SCALAR, ShapeError, check
+from .posets import FRAME, FinitePoset, PosetError
 
 # Sample bounds of the audits (fibre order, lattice-law triples, reindexing
 # pairs, adjoint monotonicity, predicates per Beck-Chevalley square) and
@@ -46,10 +47,17 @@ MONOTONE_SAMPLE = 4096
 PRED_SAMPLE = 4096
 HEYTING_TABLE_CAP = 64
 
-# The top-level keys `doctrine_to_json` writes, the only ones read back,
-# and those of them that a generator file must record as regenerated.
-JSON_KEYS = ("name", "kind", "generator", "frame", "universe", "fibres",
-             "heyting", "reindex", "notes")
+# The shape of the JSON `doctrine_to_json` writes, the only one read back
+# (see `_shape`), and the top-level keys that a generator file must
+# record as regenerated.
+DOCTRINE = {
+    "?name": str, "?kind": str, "?notes": [str], "?frame": FRAME,
+    "?generator": {"kind": str, "sizes": [int], "?frame": FRAME},
+    "?universe": [{"name": str, "?arity": int, "elements": [[SCALAR]]}],
+    "?fibres": {"*": {"elements": [str], "leq": [[int]]}},
+    "?heyting": {"*": {"top": int, "bottom": int, "meet": [[int]], "join": [[int]],
+                       "imp": [[int]]}},
+    "?reindex": {"*": [int]}}
 TABLE_KEYS = ("frame", "universe", "fibres", "heyting", "reindex")
 
 
@@ -81,20 +89,20 @@ def mor_json(f: FinMor) -> dict:
 
 
 def mor_from_key(key: str, by_name: dict) -> FinMor:
-    """Rebuild a morphism from its key against objects keyed by name."""
-    try:
-        names, idx_text = key.rsplit("#", 1)
-        dom_name, cod_name = names.split("->", 1)
-        idx = int(idx_text)
-    except ValueError:
-        raise DoctrineDataError(f"malformed morphism key {key!r}") from None
+    """Rebuild a morphism from its key, written as `mor_key` writes it (so
+    two keys name two morphisms), against objects keyed by name."""
+    names, _, idx_text = key.rpartition("#")
+    dom_name, arrow, cod_name = names.partition("->")
+    if not (arrow and idx_text.isdecimal() and str(int(idx_text)) == idx_text):
+        raise DoctrineDataError(f"malformed morphism key {key!r}")
+    idx = int(idx_text)
     if dom_name not in by_name or cod_name not in by_name:
         raise DoctrineDataError(f"morphism key {key!r} names unknown objects")
     dom, cod = by_name[dom_name], by_name[cod_name]
     na, nb = len(dom), len(cod)
     if nb == 0 and na > 0:
         raise DoctrineDataError(f"no morphisms {dom_name} -> {cod_name}")
-    if idx < 0 or (na and idx >= nb**na) or (not na and idx):
+    if (na and idx >= nb**na) or (not na and idx):
         raise DoctrineDataError(f"morphism index out of range in {key!r}")
     digits = []
     for i in range(na):
@@ -1001,37 +1009,27 @@ def _reindex_json(D, f: FinMor) -> list:
     return [fib_a.index(D.reindex_el(f, beta)) for beta in D.fibre(f.cod).elements()]
 
 
-def _section(data: dict, key: str) -> dict:
-    value = data.get(key, {})
-    if not isinstance(value, dict):
-        raise DoctrineDataError(f"{key} must be an object")
-    return value
+def _is_table(value: list, n: int, cells) -> bool:
+    """Whether value, a list of lists, is n by n with every entry in cells."""
+    return len(value) == n and all(len(row) == n and all(v in cells for v in row)
+                                   for row in value)
 
 
-def _is_matrix(value, n: int) -> bool:
-    """Whether value is an n by n list of lists."""
-    return isinstance(value, list) and len(value) == n and all(
-        isinstance(row, list) and len(row) == n for row in value)
-
-
-def _is_index(value, n: int) -> bool:
-    return isinstance(value, int) and 0 <= value < n
+def _frame(data: dict, path: str) -> FinitePoset:
+    try:
+        return FinitePoset.from_json(data)
+    except PosetError as exc:
+        raise DoctrineDataError(f"{path}: {exc}") from None
 
 
 def _from_generator(gen: dict, name, cap: int) -> ConcreteDoctrine:
-    sizes = gen.get("sizes")
-    if not (isinstance(sizes, list) and all(isinstance(n, int) for n in sizes)):
-        raise DoctrineDataError("generator sizes must be a list of integers")
-    kind = gen.get("kind")
-    if kind == "powerset":
-        return powerset_doctrine(tuple(sizes), name=name, cap=cap)
-    if kind == "kripke":
-        try:
-            frame = FinitePoset.from_json(gen["frame"])
-        except (KeyError, TypeError):
-            raise DoctrineDataError("generator frame is malformed") from None
-        return kripke_doctrine(frame, tuple(sizes), name=name, cap=cap)
-    raise DoctrineDataError(f"unknown generator kind {kind!r}")
+    kind, sizes, framed = gen["kind"], tuple(gen["sizes"]), "frame" in gen
+    if kind == "powerset" and not framed:
+        return powerset_doctrine(sizes, name=name, cap=cap)
+    if kind == "kripke" and framed:
+        return kripke_doctrine(_frame(gen["frame"], "generator.frame"), sizes, name=name, cap=cap)
+    raise DoctrineDataError(f"unknown generator kind {kind!r} {'with' if framed else 'without'}"
+                            " a frame")
 
 
 def _match_recorded(data: dict, D: ConcreteDoctrine, gen: dict) -> None:
@@ -1054,7 +1052,7 @@ def _match_recorded(data: dict, D: ConcreteDoctrine, gen: dict) -> None:
         if section == "universe":
             entries = {o["name"]: o for o in data["universe"]}
         else:
-            entries = _section(data, section)
+            entries = data[section]
         for key, value in entries.items():
             if section != "reindex":
                 want = ref.get(section, {}).get(key, missing)
@@ -1068,67 +1066,44 @@ def _match_recorded(data: dict, D: ConcreteDoctrine, gen: dict) -> None:
                     f"recorded {section} {key!r} does not match the generator")
 
 
-def doctrine_from_json(data: dict, cap: int = DEFAULT_CAP):
-    """Rebuild a doctrine serialised by `doctrine_to_json`.
-
-    A recorded generator wins: the doctrine is rebuilt in closed form,
-    and the declared universe and every recorded table must match it.
+def doctrine_from_json(data, cap: int = DEFAULT_CAP):
+    """Rebuild a doctrine of the `DOCTRINE` shape that `doctrine_to_json`
+    writes.  A recorded generator wins: the doctrine is rebuilt in closed
+    form, and the declared universe and every recorded table must match it.
     Otherwise the tables are replayed as a TabularDoctrine, whatever
-    ``kind`` says: a concrete doctrine's file without its generator is
-    its table replay.  A top-level key that `doctrine_to_json` does not
-    write is an error, as are a ``kind`` other than ``concrete`` or
-    ``tabular``, a ``generator`` that is not a non-empty object,
-    ``tabular`` with a generator, and ``notes`` that are not a list of
-    strings.
-    """
-    unknown = next((k for k in data if k not in JSON_KEYS), None)
-    if unknown is not None:
-        raise DoctrineDataError(f"unknown top-level key {unknown!r}")
+    ``kind`` says."""
+    try:
+        check(data, DOCTRINE, "")
+    except ShapeError as exc:
+        raise DoctrineDataError(str(exc)) from None
     kind = data.get("kind")
     if kind not in (None, ConcreteDoctrine.kind, TabularDoctrine.kind):
         raise DoctrineDataError(f"unknown doctrine kind {kind!r}")
     gen = data.get("generator")
-    if "generator" in data and not (isinstance(gen, dict) and gen):
-        raise DoctrineDataError("generator must be a non-empty object")
     if gen is not None and kind == TabularDoctrine.kind:
         raise DoctrineDataError("a tabular doctrine records no generator")
-    notes = data.get("notes", [])
-    if not (isinstance(notes, list) and all(isinstance(n, str) for n in notes)):
-        raise DoctrineDataError("notes must be a list of strings")
     declared = data.get("universe")
-    if declared is not None and not (isinstance(declared, list) and all(
-            isinstance(o, dict) and isinstance(o.get("name"), str)
-            and isinstance(o.get("elements"), list)
-            and all(isinstance(e, list) for e in o["elements"])
-            for o in declared)):
-        raise DoctrineDataError(
-            "universe must be a list of objects with a name and element lists")
-    if declared is not None and any(isinstance(c, (dict, list))
-                                    for o in declared for e in o["elements"] for c in e):
-        raise DoctrineDataError("element components must not be objects or arrays")
     if gen is not None:
         D = _from_generator(gen, data.get("name"), cap)
-        if declared is not None:
-            got = [(o.name, len(o)) for o in D.universe]
-            want = [(o["name"], len(o["elements"])) for o in declared]
-            if got != want:
-                raise DoctrineDataError("declared universe does not match the generator")
+        if declared is not None and [o["name"] for o in declared] != [o.name for o in D.universe]:
+            raise DoctrineDataError("declared universe does not match the generator")
         _match_recorded(data, D, gen)
         return D
-    universe = []
+    if "frame" in data:  # a replay has no frame, but a recorded one must be a poset
+        _frame(data["frame"], "frame")
     by_name = {}
-    for entry in declared or []:
-        els = tuple(tuple(e) for e in entry["elements"])
+    for i, entry in enumerate(declared or []):
         try:
-            obj = FinObj(entry["name"], els, arity=entry.get("arity"))
+            obj = FinObj(entry["name"], map(tuple, entry["elements"]), entry.get("arity"))
         except CategoryError as exc:
             raise DoctrineDataError(f"object {entry['name']}: {exc}") from None
-        universe.append(obj)
-        by_name[obj.name] = obj
-    if not universe:
+        if entry.get("arity", obj.arity) != obj.arity:
+            raise DoctrineDataError(f"universe[{i}].arity: elements have arity {obj.arity}")
+        if by_name.setdefault(obj.name, obj) is not obj:
+            raise DoctrineDataError(f"universe[{i}].name: object {obj.name} is declared twice")
+    if not by_name:
         raise DoctrineDataError("doctrine data declares no universe")
-    fibre_data = _section(data, "fibres")
-    heyting_data = _section(data, "heyting")
+    fibre_data, heyting_data = data.get("fibres", {}), data.get("heyting", {})
     for name in heyting_data:
         if name not in fibre_data:
             raise DoctrineDataError(f"lattice tables over {name!r}, which has no fibre")
@@ -1136,32 +1111,17 @@ def doctrine_from_json(data: dict, cap: int = DEFAULT_CAP):
     for name, fd in fibre_data.items():
         if name not in by_name:
             raise DoctrineDataError(f"fibre over unknown object {name!r}")
-        if not (isinstance(fd, dict) and isinstance(fd.get("elements"), list)):
-            raise DoctrineDataError(f"fibre over {name} must be an object with an elements list")
-        labels = [str(x) for x in fd["elements"]]
-        n = len(labels)
-        leq = fd.get("leq")
-        if not _is_matrix(leq, n):
+        n, leq, h = len(fd["elements"]), fd["leq"], heyting_data.get(name)
+        if not _is_table(leq, n, (0, 1)):
             raise DoctrineDataError(f"fibre over {name}: malformed order matrix")
+        if h and not (h["top"] in range(n) and h["bottom"] in range(n) and all(
+                _is_table(h[k], n, range(n)) for k in ("meet", "join", "imp"))):
+            raise DoctrineDataError(f"lattice tables over {name} are malformed")
+        tables = HeytingTables(h["top"], h["bottom"], *(
+            tuple(map(tuple, h[k])) for k in ("meet", "join", "imp"))) if h else None
         up = [sum(1 << j for j, v in enumerate(row) if v) for row in leq]
-        tables = None
-        if name in heyting_data:
-            h = heyting_data[name]
-            if not (isinstance(h, dict)
-                    and all(_is_matrix(h.get(k), n) for k in ("meet", "join", "imp"))):
-                raise DoctrineDataError(f"lattice tables over {name} are malformed")
-            meet, join, imp = (tuple(tuple(r) for r in h[k]) for k in ("meet", "join", "imp"))
-            entries = [h.get("top"), h.get("bottom")]
-            entries += [v for mat in (meet, join, imp) for r in mat for v in r]
-            if not all(_is_index(v, n) for v in entries):
-                raise DoctrineDataError(f"lattice tables over {name} point outside the fibre")
-            tables = HeytingTables(h["top"], h["bottom"], meet, join, imp)
-        fibres[by_name[name]] = PosetFibre(by_name[name], labels, up, tables)
-    reindex = {}
-    for key, table in _section(data, "reindex").items():
-        f = mor_from_key(key, by_name)
-        if not (isinstance(table, list) and all(isinstance(v, int) for v in table)):
-            raise DoctrineDataError(f"reindex table for {key} must be a list of integers")
-        reindex[f] = tuple(table)
-    return TabularDoctrine(data.get("name", "tabular"), universe, fibres, reindex,
-                           cap=cap)
+        fibres[by_name[name]] = PosetFibre(by_name[name], fd["elements"], up, tables)
+    reindex = {mor_from_key(key, by_name): tuple(table)
+               for key, table in data.get("reindex", {}).items()}
+    return TabularDoctrine(data.get("name", "tabular"), list(by_name.values()), fibres,
+                           reindex, cap=cap)

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple
 
+from ._shape import ShapeError, check
+
 
 class FolError(Exception):
     pass
@@ -457,6 +459,11 @@ def formula_to_latex(phi: Formula, prec: int = 0) -> str:
 # Signatures
 
 
+# The shape of the JSON `Signature.to_json` writes (see `_shape`).
+SIGNATURE = {"?sorts": [str], "?predicates": [{"name": str, "?args": [str]}],
+             "?functions": [{"name": str, "?args": [str], "result": str}]}
+
+
 @dataclass
 class Signature:
     sorts: tuple[str, ...] = ()
@@ -485,18 +492,14 @@ class Signature:
     @classmethod
     def from_json(cls, data) -> "Signature":
         """The signature `to_json` writes; FolError names the first part of
-        `data` that does not have that shape, a predicate or function
-        name given twice, or an entry whose sorts `sorts` does not
-        declare."""
-        if not isinstance(data, dict):
-            raise FolError("top level must be an object")
-        for key in data:
-            if key not in ("sorts", "predicates", "functions"):
-                raise FolError(f"unknown key {key!r}")
-        sorts = data.get("sorts", [])
-        if not _strings(sorts):
-            raise FolError("sorts must be a list of strings")
-        declared = cls(tuple(sorts))
+        `data` not of the `SIGNATURE` shape, a predicate or function name
+        given twice, or an entry whose sorts `sorts` does not declare."""
+        try:
+            check(data, SIGNATURE, "")
+        except ShapeError as exc:
+            raise FolError(str(exc)) from None
+        sorts = tuple(data.get("sorts", ()))
+        declared = cls(sorts)
         memo: dict = {}
 
         def parse(text):
@@ -506,10 +509,9 @@ class Signature:
                 memo[text] = parse_sort(text, declared)
             return memo[text]
 
-        preds: dict = {}
-        funcs: dict = {}
+        preds, funcs = {}, {}
         for key, out, result in (("predicates", preds, False), ("functions", funcs, True)):
-            for e in _entries(data, key, result):
+            for e in data.get(key, ()):
                 if e["name"] in out:
                     raise FolError(f"{key} entry {json.dumps(e['name'])} is declared twice")
                 try:
@@ -518,28 +520,7 @@ class Signature:
                     raise FolError(f"{key} entry {json.dumps(e['name'])} names undeclared "
                                    f"sort {exc.subject}") from None
                 out[e["name"]] = (parsed[:-1], parsed[-1]) if result else parsed
-        return cls(tuple(sorts), preds, funcs)
-
-
-def _strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(s, str) for s in value)
-
-
-def _entries(data: dict, key: str, result: bool) -> list:
-    """The list `data[key]` of objects with a string name, an optional args
-    list of strings, a string result if `result`, and no other key."""
-    entries = data.get(key, [])
-    if not isinstance(entries, list):
-        raise FolError(f"{key} must be a list")
-    need = {"name", "result"} if result else {"name"}
-    for e in entries:
-        if not (isinstance(e, dict) and e.keys() - {"args"} == need
-                and isinstance(e["name"], str) and isinstance(e.get("result", ""), str)
-                and _strings(e.get("args", []))):
-            fields = ", a string result" if result else ""
-            raise FolError(f"{key} entry {json.dumps(e)} needs a string name, an args "
-                           f"list of strings{fields} and no other key")
-    return entries
+        return cls(sorts, preds, funcs)
 
 
 def check_term(t: Term, sig: Signature) -> Sort:

@@ -1,6 +1,12 @@
-"""Finite posets and monotone maps, with validation separated from
-construction so deliberately broken inputs can still be represented."""
+"""Finite posets, with validation separated from construction so
+deliberately broken inputs can still be represented."""
 from __future__ import annotations
+
+from ._shape import ShapeError, check
+
+# The shape of a frame in JSON: world labels, and (i, j) index pairs
+# meaning world i lies below world j.
+FRAME = {"elements": [str], "pairs": [[int]]}
 
 
 class PosetError(Exception):
@@ -39,7 +45,8 @@ def poset_violations(n: int, up: list[int]) -> list[str]:
 
 
 class FinitePoset:
-    """Poset on labelled elements; the order is kept as up-set bitmasks."""
+    """Poset on labelled elements; the order is kept as up-set bitmasks.
+    Each pair (i, j) gives two element indices, element i below element j."""
 
     __slots__ = ("elements", "up", "_index")
 
@@ -48,15 +55,14 @@ class FinitePoset:
         self._index = {e: i for i, e in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
             raise PosetError("duplicate elements")
-        idx_pairs = []
-        for a, b in pairs:
-            if a in self._index and b in self._index:
-                idx_pairs.append((self._index[a], self._index[b]))
-            else:
-                idx_pairs.append((int(a), int(b)))
-        self.up = _up_masks(len(self.elements), idx_pairs)
+        n = len(self.elements)
+        pairs = list(pairs)
+        for p in pairs:
+            if len(p) != 2 or not (0 <= p[0] < n and 0 <= p[1] < n):
+                raise PosetError(f"pair {list(p)} is not two indices below {n}")
+        self.up = _up_masks(n, pairs)
         if validate:
-            bad = poset_violations(len(self.elements), self.up)
+            bad = poset_violations(n, self.up)
             if bad:
                 raise PosetError("; ".join(bad[:5]))
 
@@ -104,8 +110,13 @@ class FinitePoset:
         return {"elements": list(self.elements), "pairs": pairs}
 
     @classmethod
-    def from_json(cls, data: dict, validate: bool = True) -> "FinitePoset":
-        return cls(tuple(data["elements"]), [tuple(p) for p in data["pairs"]], validate)
+    def from_json(cls, data) -> "FinitePoset":
+        """The poset `to_json` writes; PosetError names a part not of `FRAME` shape."""
+        try:
+            check(data, FRAME, "")
+        except ShapeError as exc:
+            raise PosetError(str(exc)) from None
+        return cls(data["elements"], data["pairs"])
 
     def shape_label(self) -> str:
         """Short tag for the order shape: chainN, antichainN, or posetN-Ke."""
@@ -129,43 +140,3 @@ def chain_poset(n: int, prefix: str = "w") -> FinitePoset:
 def antichain_poset(n: int, prefix: str = "w") -> FinitePoset:
     els = [f"{prefix}{i}" for i in range(n)]
     return FinitePoset(els, [(i, i) for i in range(n)])
-
-
-class MonotoneMap:
-    """Order-preserving map between finite posets, tabulated by index."""
-
-    __slots__ = ("dom", "cod", "table")
-
-    def __init__(self, dom: FinitePoset, cod: FinitePoset, table, validate: bool = True):
-        self.dom = dom
-        self.cod = cod
-        self.table = tuple(table)
-        if len(self.table) != len(dom):
-            raise PosetError("table length does not match the domain")
-        if validate:
-            bad = self.violations()
-            if bad:
-                raise PosetError("; ".join(bad[:5]))
-
-    def violations(self) -> list[str]:
-        out = []
-        n = len(self.dom)
-        for i in range(n):
-            for j in range(n):
-                if self.dom.leq_idx(i, j) and not self.cod.leq_idx(self.table[i], self.table[j]):
-                    out.append(f"not monotone on {i} <= {j}")
-        return out
-
-    def __call__(self, x):
-        return self.cod.elements[self.table[self.dom.index(x)]]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MonotoneMap)
-            and self.dom == other.dom
-            and self.cod == other.cod
-            and self.table == other.table
-        )
-
-    def __hash__(self):
-        return hash((self.dom, self.cod, self.table))

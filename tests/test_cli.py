@@ -18,6 +18,10 @@ SPEC_OUTPUT = ("exists u0:(U -> V) -> U. exists u1:(U -> V) * Y -> U. "
 # A one-element tabular doctrine, the base of the malformed-table cases.
 ONE = '{"universe": [{"name": "A", "elements": [[0]]}]'
 FIBRE = ', "fibres": {"A": {"elements": ["{}"], "leq": [[1]]}}'
+FIBRE2 = ', "fibres": {"A": {"elements": ["{}", "{a0}"], "leq": [[1, 1], [0, 1]]}}'
+HEYTING2 = ('"meet": [[0, 0], [0, 1]], "join": [[0, 1], [1, 1]], "imp": [[1, 1], [0, 1]], '
+            '"bottom": 0')
+KRIPKE = '{"generator": {"kind": "kripke", "sizes": [2], "frame": {"elements": %s, "pairs": %s}}}'
 
 
 def run(capsys, *argv):
@@ -359,27 +363,67 @@ class TestErrorChannels:
         assert out == ""
         assert err.startswith("error: malformed doctrine JSON:")
 
+    @pytest.mark.parametrize("text,argv,reason", [
+        (KRIPKE % ('["a", "b"]', "[[0, 0], [1, 1], [0, 2]]"), (),
+         "generator.frame: pair [0, 2] is not two indices below 2"),
+        (KRIPKE % ('["a", "b"]', "[[0, 0], [1, 1], [0]]"), (),
+         "generator.frame: pair [0] is not two indices below 2"),
+        (KRIPKE % ("[7, 8]", "[[0, 0], [1, 1]]"), ("free", "--predicate", "1:1"),
+         "generator.frame.elements[0]: expected a string, got 7"),
+        (KRIPKE % ('["a", "b"]', "[[0, 0], [1, 1], [-1, 0]]"), (),
+         "generator.frame: pair [-1, 0] is not two indices below 2"),
+        ('{"universe": [{"name": "A", "elements": [[0]], "size": 1}]}', (),
+         "universe[0].size: unknown key"),
+        (ONE + ', "fibres": {"A": {"elements": ["{}"], "leq": [[1]], "top": 0}}}', (),
+         "fibres.A.top: unknown key"),
+        (ONE + FIBRE2 + ', "heyting": {"A": {' + HEYTING2 + ', "top": 1, "one": 1}}}', (),
+         "heyting.A.one: unknown key"),
+        ('{"generator": {"kind": "powerset", "sizes": [2], "seed": 0}}', (),
+         "generator.seed: unknown key"),
+        ('{"universe": [{"name": "A", "arity": 1.5, "elements": [[0]]}]}', (),
+         "universe[0].arity: expected an integer, got 1.5"),
+        (ONE + ', "fibres": {"A": {"elements": ["{}"], "leq": [["no"]]}}}', (),
+         'fibres.A.leq[0][0]: expected an integer, got "no"'),
+        (ONE + FIBRE2 + ', "heyting": {"A": {' + HEYTING2 + ', "top": true}}}', (),
+         "heyting.A.top: expected an integer, got true"),
+        (ONE + FIBRE2 + ', "reindex": {"A->A#0": [0, true]}}', (),
+         "reindex.A->A#0[1]: expected an integer, got true"),
+        (ONE + ', "fibres": {"A": {"elements": [0], "leq": [[1]]}}}', (),
+         "fibres.A.elements[0]: expected a string, got 0"),
+        ('{"name": ["d"], "universe": [{"name": "A", "elements": [[0]]}]}', (),
+         'name: expected a string, got ["d"]'),
+        (ONE + FIBRE + ', "frame": {"worlds": 2}}', (), "frame.worlds: unknown key"),
+    ], ids=["frame-pair-out-of-range", "frame-pair-short", "world-labels-not-strings",
+            "frame-pair-negative", "universe-entry-extra-key", "fibre-extra-key",
+            "heyting-extra-key", "generator-extra-key", "arity-not-an-integer",
+            "leq-cell-a-string", "top-a-bool", "reindex-entry-a-bool",
+            "fibre-labels-not-strings", "name-a-list", "junk-frame-on-a-replay"])
+    def test_misread_input_is_named(self, capsys, tmp_path, text, argv, reason):
+        """Each of these once ended in exit 3 or loaded with a part misread
+        or ignored; now the file is rejected, naming the part's path."""
+        bad = tmp_path / "input.json"
+        bad.write_text(text)
+        code, out, err = run(capsys, "doctrine", *(argv or ("check",)), "--doctrine", str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"error: malformed doctrine JSON: {bad}: {reason}\n"
+
     @pytest.mark.parametrize("text,reason", [
-        ("[]", "top level must be an object"),
-        ("5", "top level must be an object"),
-        ('{"sort": ["U"]}', "unknown key 'sort'"),
-        ('{"sorts": "UV"}', "sorts must be a list of strings"),
-        ('{"sorts": ["U", 1]}', "sorts must be a list of strings"),
-        ('{"predicates": {"p": ["U"]}}', "predicates must be a list"),
-        ('{"predicates": [5]}', "predicates entry 5 needs a string name, an args "
-         "list of strings and no other key"),
-        ('{"predicates": [{"name": "p", "arg": ["U"]}]}', 'predicates entry {"name": '
-         '"p", "arg": ["U"]} needs a string name, an args list of strings and no other key'),
-        ('{"predicates": [{"name": 5, "args": []}]}', 'predicates entry {"name": 5, '
-         '"args": []} needs a string name, an args list of strings and no other key'),
-        ('{"predicates": [{"name": "p", "args": "U"}]}', 'predicates entry {"name": '
-         '"p", "args": "U"} needs a string name, an args list of strings and no other key'),
-        ('{"functions": [{"name": "c", "args": []}]}', 'functions entry {"name": "c", '
-         '"args": []} needs a string name, an args list of strings, a string result and '
-         'no other key'),
-        ('{"functions": [{"name": "c", "args": [], "result": ["U"]}]}', 'functions entry '
-         '{"name": "c", "args": [], "result": ["U"]} needs a string name, an args list of '
-         'strings, a string result and no other key'),
+        ("[]", "top level: expected an object, got []"),
+        ("5", "top level: expected an object, got 5"),
+        ('{"sort": ["U"]}', "sort: unknown key"),
+        ('{"sorts": "UV"}', 'sorts: expected an array, got "UV"'),
+        ('{"sorts": ["U", 1]}', "sorts[1]: expected a string, got 1"),
+        ('{"predicates": {"p": ["U"]}}', 'predicates: expected an array, got {"p": ["U"]}'),
+        ('{"predicates": [5]}', "predicates[0]: expected an object, got 5"),
+        ('{"predicates": [{"name": "p", "arg": ["U"]}]}', "predicates[0].arg: unknown key"),
+        ('{"predicates": [{"name": 5, "args": []}]}',
+         "predicates[0].name: expected a string, got 5"),
+        ('{"predicates": [{"name": "p", "args": "U"}]}',
+         'predicates[0].args: expected an array, got "U"'),
+        ('{"functions": [{"name": "c", "args": []}]}',
+         "functions[0].result: expected a string, got nothing"),
+        ('{"functions": [{"name": "c", "args": [], "result": ["U"]}]}',
+         'functions[0].result: expected a string, got ["U"]'),
         ('{"sorts": ["U"], "predicates": [{"name": "p", "args": ["U"]}, {"name": "p"}]}',
          'predicates entry "p" is declared twice'),
         ('{"sorts": ["U"], "functions": [{"name": "c", "result": "U"}, '
@@ -451,8 +495,7 @@ class TestErrorChannels:
         bad.write_text(json.dumps(data))
         code, out, err = run(capsys, "doctrine", "check", "--doctrine", str(bad))
         assert (code, out) == (2, "")
-        assert err == (f"error: malformed doctrine JSON: {bad}: "
-                       "unknown top-level key 'frobnicate'\n")
+        assert err == f"error: malformed doctrine JSON: {bad}: frobnicate: unknown key\n"
 
     def test_tampered_generator_file_is_named(self, capsys, pow_path, tmp_path):
         """A generator file's recorded tables must match the generator."""
@@ -464,7 +507,7 @@ class TestErrorChannels:
         code, out, err = run(capsys, "doctrine", "check", "--doctrine", str(bad))
         assert (code, out) == (2, "")
         assert err == (f"error: malformed doctrine JSON: {bad}: "
-                       "recorded fibres '1' does not match the generator\n")
+                       "reindex.bogus: expected an array, got 5\n")
 
     @pytest.mark.parametrize("flags,message", [
         (("--quad-cap", "0"), "--quad-cap must be at least 1"),
@@ -493,6 +536,17 @@ class TestErrorChannels:
     def test_missing_subcommand_exits_2(self, capsys):
         code, _, _ = run(capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("--format", "text", "translate", "--formula", "p"),
+        ("doctrine", "--cap", "3", "free", "--doctrine", "POW"),
+    ], ids=["format-before-the-command", "cap-before-the-action"])
+    def test_shared_flag_before_the_command_exits_2(self, capsys, pow_path, argv):
+        """The shared flags belong to the parsers that run a command; one
+        given earlier is a usage error, not silently dropped."""
+        code, out, err = run(capsys, *(pow_path if a == "POW" else a for a in argv))
+        assert (code, out) == (2, "")
+        assert "error:" in err
 
 
 class TestReusedParser:

@@ -277,6 +277,13 @@ class TestMorphismKeys:
             with pytest.raises(DoctrineDataError):
                 mor_from_key(bad, objs)
 
+    @pytest.mark.parametrize("key", ["A->B#01", "A->B#+1", "A->B# 1", "A->B#1_0"])
+    def test_other_spellings_of_an_index_rejected(self, key):
+        """A replay's reindex keys each name their own morphism: a second
+        spelling of `A->B#1` would silently replace its table."""
+        with pytest.raises(DoctrineDataError, match="malformed morphism key"):
+            mor_from_key(key, {o.name: o for o in POW.universe})
+
     def test_f_times_id(self):
         A, B = POW.universe[1], POW.universe[2]
         swap = FinMor(A, A, (("a1",), ("a0",)))
@@ -444,6 +451,19 @@ class TestJsonRoundTrip:
         data["fibres"]["1"]["leq"] = [[1, 1], [1, 1]]
         data["reindex"] = {"bogus": 5}
         with pytest.raises(DoctrineDataError,
+                           match="reindex.bogus: expected an array, got 5"):
+            doctrine_from_json(data)
+        del data["fibres"]
+        with pytest.raises(DoctrineDataError, match="reindex.bogus: expected an array, got 5"):
+            doctrine_from_json(data)
+
+    def test_well_shaped_tables_are_matched_section_by_section(self):
+        """Once the shape holds, the first mismatching section and key is
+        named: fibres before reindexing tables."""
+        data = doctrine_to_json(POW)
+        data["fibres"]["1"]["leq"] = [[1, 1], [1, 1]]
+        data["reindex"] = {"bogus": [5]}
+        with pytest.raises(DoctrineDataError,
                            match="recorded fibres '1' does not match the generator"):
             doctrine_from_json(data)
         del data["fibres"]
@@ -473,10 +493,10 @@ class TestJsonRoundTrip:
 
     @pytest.mark.parametrize("key,value,message", [
         ("kind", "tabulated", "unknown doctrine kind 'tabulated'"),
-        ("kind", 5, "unknown doctrine kind 5"),
+        ("kind", 5, "kind: expected a string, got 5"),
         ("kind", "tabular", "a tabular doctrine records no generator"),
-        ("notes", "a note", "notes must be a list of strings"),
-        ("notes", ["a note", 5], "notes must be a list of strings"),
+        ("notes", "a note", 'notes: expected an array, got "a note"'),
+        ("notes", ["a note", 5], r"notes\[1\]: expected a string, got 5"),
     ], ids=["unknown-kind", "kind-not-a-string", "tabular-with-generator",
             "notes-not-a-list", "note-not-a-string"])
     def test_kind_and_notes_are_checked(self, key, value, message):

@@ -1,10 +1,10 @@
 import itertools
+import re
 
 import pytest
 
 from dialectica.posets import (
     FinitePoset,
-    MonotoneMap,
     PosetError,
     antichain_poset,
     chain_poset,
@@ -25,9 +25,15 @@ class TestConstruction:
             assert p.leq(a, b) == (a == b)
 
     def test_pairs_by_label_or_index(self):
-        by_label = FinitePoset("ab", [("a", "a"), ("b", "b"), ("a", "b")])
+        """Pairs are element indices only; the label reading is gone."""
         by_index = FinitePoset("ab", [(0, 0), (1, 1), (0, 1)])
-        assert by_label == by_index
+        assert by_index.leq("a", "b") and not by_index.leq("b", "a")
+
+    @pytest.mark.parametrize("pair", [(0, 2), (-1, 0), (0,), (0, 1, 1)],
+                             ids=["out-of-range", "negative", "short", "long"])
+    def test_pair_must_be_two_indices_in_range(self, pair):
+        with pytest.raises(PosetError, match=fr"pair \[{', '.join(map(str, pair))}\]"):
+            FinitePoset("ab", [(0, 0), (1, 1), pair])
 
     def test_duplicates_rejected(self):
         with pytest.raises(PosetError):
@@ -35,7 +41,7 @@ class TestConstruction:
 
     def test_missing_reflexivity_rejected(self):
         with pytest.raises(PosetError):
-            FinitePoset("ab", [("a", "b")])
+            FinitePoset("ab", [(0, 1)])
 
     def test_antisymmetry_rejected(self):
         with pytest.raises(PosetError):
@@ -73,26 +79,18 @@ class TestJson:
 
     def test_round_trip_preserves_violations(self):
         broken = FinitePoset("ab", [(0, 0), (1, 1), (0, 1), (1, 0)], validate=False)
-        back = FinitePoset.from_json(broken.to_json(), validate=False)
+        data = broken.to_json()
+        back = FinitePoset(data["elements"], data["pairs"], validate=False)
         assert back.violations() == broken.violations()
+        with pytest.raises(PosetError, match="antisymmetry"):
+            FinitePoset.from_json(data)
 
-
-class TestMonotoneMap:
-    def test_application(self):
-        f = MonotoneMap(chain_poset(2), chain_poset(3), (0, 2))
-        assert f("w0") == "w0" and f("w1") == "w2"
-
-    def test_monotonicity_enforced(self):
-        with pytest.raises(PosetError):
-            MonotoneMap(chain_poset(2), chain_poset(2), (1, 0))
-        broken = MonotoneMap(chain_poset(2), chain_poset(2), (1, 0), validate=False)
-        assert broken.violations() == ["not monotone on 0 <= 1"]
-
-    def test_table_length_checked(self):
-        with pytest.raises(PosetError):
-            MonotoneMap(chain_poset(2), chain_poset(2), (0,))
-
-    def test_any_map_from_antichain_is_monotone(self):
-        dom, cod = antichain_poset(2), chain_poset(2)
-        tables = list(itertools.product(range(2), repeat=2))
-        assert all(not MonotoneMap(dom, cod, t).violations() for t in tables)
+    @pytest.mark.parametrize("data,message", [
+        ({"elements": [7, 8], "pairs": []}, "elements[0]: expected a string, got 7"),
+        ({"elements": ["a"], "pairs": [[0, True]]}, "pairs[0][1]: expected an integer, got true"),
+        ({"elements": ["a"]}, "pairs: expected an array, got nothing"),
+        ({"elements": ["a"], "pairs": [[0, 0]], "top": 0}, "top: unknown key"),
+    ], ids=["label-not-a-string", "index-a-bool", "no-pairs", "unknown-key"])
+    def test_from_json_checks_the_frame_shape(self, data, message):
+        with pytest.raises(PosetError, match=f"^{re.escape(message)}$"):
+            FinitePoset.from_json(data)
