@@ -3,9 +3,11 @@
 Subcommands cover the whole pipeline: `translate` and `chain` work on
 formulas, `doctrine` loads or receives a finite doctrine and audits it,
 `dial` builds completed fibres, `principles` runs the rule checkers,
-and `examples` generates the two stock doctrine families.  All JSON
-output is deterministic: fixed key order, no timestamps, and a fixed
-default seed for every sampled scan.
+and `examples` generates the two stock doctrine families.  Each
+command declares only the flags its handler reads, so a flag that would
+change nothing is a usage error.  All JSON output is deterministic: fixed
+key order, no timestamps, and a fixed default for the one sampled scan
+(`dial complete --seed`).
 
 Exit status: 0 when every requested check passes, 1 when a check fails
 (the report still goes to stdout), 2 for usage and input errors, 3 for
@@ -60,11 +62,7 @@ DEFAULT_SEED = 0
 
 
 class CliError(Exception):
-    """Input or usage problem; carries the exit status (always 2)."""
-
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
+    """Input or usage problem: exit status 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +85,9 @@ def _read_text(path: str | None) -> tuple[str, str]:
 
 def _load_doctrine(args):
     """The doctrine named by ``--doctrine`` (default stdin), capped by ``--cap``."""
-    text, src = _read_text(getattr(args, "doctrine", None))
+    if args.cap is not None and args.cap < 1:
+        raise CliError("--cap must be positive")
+    text, src = _read_text(args.doctrine)
     kwargs = {} if args.cap is None else {"cap": args.cap}
     try:
         return doctrine_from_json(json.loads(text), **kwargs)
@@ -145,7 +145,7 @@ def cmd_chain(args):
     phi = parse_formula(args.formula, sig)
     if not isinstance(phi, Implies):
         raise CliError("chain needs an implication at the top level")
-    latex = args.format == "latex" or args.latex
+    latex = args.format == "latex"
     psi_d = translate(phi.left, sig)
     phi_d = translate(phi.right, sig)
     steps = implication_chain(psi_d, phi_d)
@@ -471,6 +471,7 @@ def cmd_dial_complete(args):
     fib = build_dial_fibre(D, base, quad_cap=args.quad_cap, universe=universe)
     rep = check_preorder(D, fib, seed=args.seed)
     n = len(fib.quads)
+    classes = len(fib.classes())
     listed = min(n, args.list)
     quads = [q.to_json(D) for q in fib.quads[:listed]]
     matrix = None
@@ -499,7 +500,7 @@ def cmd_dial_complete(args):
         "quadruples": quads,
         "enumerated": n,
         "total": fib.total,
-        "classes": len(fib.classes()),
+        "classes": classes,
         "matrix": matrix,
         "witnessPairs": pairs,
         "preorder": {
@@ -512,7 +513,7 @@ def cmd_dial_complete(args):
         "notes": notes,
     }
     lines = [f"dial complete: {D.name}, fibre over {base.name}"]
-    lines.append(f"  quadruples: {n} of {fib.total}, {len(fib.classes())} order classes")
+    lines.append(f"  quadruples: {n} of {fib.total}, {classes} order classes")
     lines.append(_verdict_line("reflexive and transitive with composed witnesses",
                                rep.passed))
     lines.append(f"verdict: {'pass' if rep.passed else 'fail'}")
@@ -524,6 +525,8 @@ def cmd_dial_complete(args):
 
 
 def cmd_principles(args):
+    if args.jobs != 1:
+        raise CliError("--jobs: parallel rule runs were removed; use 1")
     D = _load_doctrine(args)
     mode = "diagnostic" if args.diagnostic else "strict"
     rules = [args.rule] if args.rule else list(RULES)
@@ -551,16 +554,13 @@ def cmd_principles(args):
 # Example generators
 
 
-def _parse_sizes(args):
-    if args.sizes:
-        try:
-            sizes = tuple(int(p) for p in args.sizes.split(",") if p.strip())
-        except ValueError:
-            raise CliError(f"sizes must be comma-separated integers, not {args.sizes!r}") from None
-        if not sizes:
-            raise CliError("sizes must name at least one carrier")
-    else:
-        sizes = (args.size, args.size)
+def _parse_sizes(text):
+    try:
+        sizes = tuple(int(p) for p in text.split(",") if p.strip())
+    except ValueError:
+        raise CliError(f"sizes must be comma-separated integers, not {text!r}") from None
+    if not sizes:
+        raise CliError("sizes must name at least one carrier")
     if min(sizes) < 1:
         raise CliError("carrier sizes must be positive")
     return sizes
@@ -577,13 +577,13 @@ def _parse_frame(text):
 
 
 def cmd_examples(args):
-    sizes = _parse_sizes(args)
+    sizes = _parse_sizes(args.sizes)
     if args.family == "powerset":
         D = powerset_doctrine(sizes)
     else:
         D = kripke_doctrine(_parse_frame(args.frame), sizes)
     payload = doctrine_to_json(D)
-    if args.out and not args.pipe:
+    if args.out:
         text = json.dumps(payload, indent=2) + "\n"
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -604,70 +604,64 @@ def _verdict_line(label: str, ok: bool) -> str:
     return f"{'PASS' if ok else 'FAIL'} {label}"
 
 
-def _global_flags() -> argparse.ArgumentParser:
-    """The flags every command takes, a parent of each parser that runs a
-    command and of no other: a leaf's defaults would overwrite a value
-    given before the command name."""
-    g = argparse.ArgumentParser(add_help=False)
-    g.add_argument("--cap", type=int, default=None,
-                   help="bound on carrier products and fibre enumerations")
-    g.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help="seed for every sampled scan (default %(default)s)")
-    g.add_argument("--format", choices=("json", "text", "latex"), default="json",
+def _format_flag(p, formats):
+    p.add_argument("--format", choices=formats, default="json",
                    help="output format (default %(default)s)")
-    g.add_argument("--diagnostic", action="store_true",
-                   help="drop rule preconditions to exhibit failures")
-    g.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; only 1 is allowed")
-    return g
+
+
+def _doctrine_flags(p):
+    """The flags of every command that reads a doctrine."""
+    p.add_argument("--doctrine", help="doctrine JSON path (default: stdin)")
+    p.add_argument("--cap", type=int, default=None,
+                   help="bound on carrier products and fibre enumerations")
+    _format_flag(p, ("json", "text"))
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on the first ``main`` call.
 
-    Each subcommand's ``handler`` default is the handler's name, looked up
-    in this module when ``main`` dispatches, so a function replaced on the
-    module after the parser was built is the one that runs.
+    Each command's parser declares exactly the flags its handler reads,
+    spelt out in full: an abbreviation such as ``--size`` for ``--sizes``
+    is a usage error, not a second spelling.  Its ``handler`` default is
+    the handler's name, looked up in this module when ``main`` dispatches,
+    so a function replaced on the module after the parser was built is the
+    one that runs.
     """
-    g = _global_flags()
     parser = argparse.ArgumentParser(
         prog="dialectica",
         description="Dialectica translation and finite doctrine checkers.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    p = sub.add_parser("translate", parents=[g],
-                       help="Dialectica interpretation of one formula")
-    p.add_argument("--formula", required=True, help="formula text")
-    p.add_argument("--sig", help="signature JSON (default: inferred)")
-    p.set_defaults(handler="cmd_translate")
-
-    p = sub.add_parser("chain", parents=[g],
-                       help="six-step derivation chain for an implication")
-    p.add_argument("--formula", required=True, help="implication text")
-    p.add_argument("--sig", help="signature JSON (default: inferred)")
-    p.add_argument("--latex", action="store_true",
-                   help="render the chain formulas as LaTeX")
-    p.set_defaults(handler="cmd_chain")
+    for name, what, extra in (
+            ("translate", "formula", "Dialectica interpretation of one formula"),
+            ("chain", "implication", "six-step derivation chain for an implication")):
+        p = sub.add_parser(name, help=extra, allow_abbrev=False)
+        p.add_argument("--formula", required=True, help=f"{what} text")
+        p.add_argument("--sig", help="signature JSON (default: inferred)")
+        _format_flag(p, ("json", "text", "latex"))
+        p.set_defaults(handler=f"cmd_{name}")
 
     p = sub.add_parser("doctrine", help="audit a finite doctrine")
     dsub = p.add_subparsers(dest="action", required=True, metavar="action")
-    for name, handler, extra in (
-            ("check", "cmd_doctrine_check", "order, lattice, and reindexing laws"),
-            ("adjoints", "cmd_doctrine_adjoints", "certified quantifiers along projections"),
-            ("free", "cmd_doctrine_free", "existential- and quantifier-free census"),
-            ("godel", "cmd_doctrine_godel", "the five characterisation conditions")):
-        q = dsub.add_parser(name, parents=[g], help=extra)
-        q.add_argument("--doctrine", help="doctrine JSON path (default: stdin)")
+    for name, extra in (
+            ("check", "order, lattice, and reindexing laws"),
+            ("adjoints", "certified quantifiers along projections"),
+            ("free", "existential- and quantifier-free census"),
+            ("godel", "the five characterisation conditions")):
+        q = dsub.add_parser(name, help=extra, allow_abbrev=False)
+        _doctrine_flags(q)
         if name == "free":
             q.add_argument("--predicate", help="single predicate as OBJECT:ELEMENT")
-        q.set_defaults(handler=handler)
+        q.set_defaults(handler=f"cmd_doctrine_{name}")
 
     p = sub.add_parser("dial", help="Dialectica completion")
     dsub = p.add_subparsers(dest="action", required=True, metavar="action")
-    q = dsub.add_parser("complete", parents=[g],
-                        help="build one completed fibre and check its order")
-    q.add_argument("--doctrine", help="doctrine JSON path (default: stdin)")
+    q = dsub.add_parser("complete", help="build one completed fibre and check its order",
+                        allow_abbrev=False)
+    _doctrine_flags(q)
+    q.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help="seed of the sampled composition checks (default %(default)s)")
     q.add_argument("--fibre", help="base object name (default: first in the universe)")
     q.add_argument("--bound", help="comma-separated carrier sizes for U and X")
     q.add_argument("--quad-cap", type=int, default=DEFAULT_QUAD_CAP,
@@ -678,27 +672,29 @@ def build_parser() -> argparse.ArgumentParser:
                    help="witness pairs to include (default %(default)s)")
     q.set_defaults(handler="cmd_dial_complete")
 
-    p = sub.add_parser("principles", parents=[g],
-                       help="logical rule checkers over one doctrine")
-    p.add_argument("--doctrine", help="doctrine JSON path (default: stdin)")
+    p = sub.add_parser("principles", help="logical rule checkers over one doctrine",
+                       allow_abbrev=False)
+    _doctrine_flags(p)
     p.add_argument("--rule", choices=tuple(RULES),
                    help="single rule (default: the whole suite)")
+    p.add_argument("--diagnostic", action="store_true",
+                   help="drop rule preconditions to exhibit failures")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; only 1 is allowed")
     p.set_defaults(handler="cmd_principles")
 
     p = sub.add_parser("examples", help="generate a stock doctrine")
     esub = p.add_subparsers(dest="family", required=True, metavar="family")
     for fam, extra in (("powerset", "subset doctrine over finite carriers"),
                        ("kripke", "up-set doctrine over a finite frame")):
-        q = esub.add_parser(fam, parents=[g], help=extra)
-        q.add_argument("--size", type=int, default=2,
-                       help="size of each of the two carriers (default %(default)s)")
-        q.add_argument("--sizes", help="comma-separated carrier sizes (overrides --size)")
+        q = esub.add_parser(fam, help=extra, allow_abbrev=False)
+        q.add_argument("--sizes", default="2,2",
+                       help="comma-separated carrier sizes (default %(default)s)")
         if fam == "kripke":
             q.add_argument("--frame", default="chain2",
                            help="chainN or antichainN (default %(default)s)")
         q.add_argument("--out", help="write the doctrine JSON to this path")
-        q.add_argument("--pipe", action="store_true",
-                       help="stream to stdout even when --out is set")
+        _format_flag(q, ("json", "text"))
         q.set_defaults(handler="cmd_examples")
 
     return parser
@@ -706,12 +702,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(code: int, payload, lines, fmt: str) -> int:
     try:
-        if fmt in ("json", "latex"):
-            if payload is not None:
-                sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-        else:
+        if fmt == "text":
             for line in lines:
                 sys.stdout.write(line + "\n")
+        elif payload is not None:
+            sys.stdout.write(json.dumps(payload, indent=2) + "\n")
         sys.stdout.flush()
     except BrokenPipeError:
         sys.stderr.close()
@@ -719,24 +714,10 @@ def _emit(code: int, payload, lines, fmt: str) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.format == "latex" and args.handler not in ("cmd_translate", "cmd_chain"):
-        print("error: --format latex applies to translate and chain only",
-              file=sys.stderr)
-        return 2
-    if args.jobs != 1:
-        print("error: --jobs: parallel rule runs were removed; use 1", file=sys.stderr)
-        return 2
-    if args.cap is not None and args.cap < 1:
-        print("error: --cap must be positive", file=sys.stderr)
-        return 2
+    args = build_parser().parse_args(argv)
     try:
         code, payload, lines = globals()[args.handler](args)
         return _emit(code, payload, lines, args.format)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except CapExceeded as exc:
         print(f"error: cap exceeded: {exc}", file=sys.stderr)
         return 2
@@ -746,7 +727,7 @@ def main(argv=None) -> int:
     except FolError as exc:
         print(f"error: formula: {exc}", file=sys.stderr)
         return 2
-    except (PosetError, DoctrineError) as exc:
+    except (CliError, PosetError, DoctrineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a fault of the program, not of the input

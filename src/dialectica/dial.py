@@ -18,8 +18,8 @@ through the doctrine's own reindexing and order, so a returned pair is a
 checked certificate, and None means the exhaustive search ran dry.
 Table-replayed doctrines decide the order by that search.
 
-Carriers such as I*U*X come from the doctrine's product table
-(``D.product``, ``D.product_n``), built once each at ``D.cap``.  Products
+Carriers such as I*U*X, built as (I*U)*X, come from the doctrine's
+product table (``D.product``), built once each at ``D.cap``.  Products
 enumerate the left factor slowest, so element ``(i, u, x)`` of I*U*X has
 index ``(i * |U| + u) * |X| + x``, and every map this module builds
 (revalidation, identity, composition, reindexing) is computed on index
@@ -70,8 +70,9 @@ class WitnessPair:
 
 
 def _carrier(D, I: FinObj, U: FinObj, X: FinObj) -> FinObj:
-    """I*U*X from the doctrine's product table."""
-    return D.product_n((I, U, X))[0]
+    """I*U*X from the doctrine's product table, as (I*U)*X: the carrier
+    ``identity_pair`` and ``prenex_order`` project from."""
+    return D.product(D.product(I, U).obj, X).obj
 
 
 def pair_is_valid(D, a: DialObject, b: DialObject, p: WitnessPair) -> bool:

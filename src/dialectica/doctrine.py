@@ -5,8 +5,8 @@ with reindexing along maps and (where present) quantifier adjoints.  Two
 implementations share one calling surface: `ConcreteDoctrine` computes
 fibres of up-closed bitmask predicates in closed form, `TabularDoctrine`
 replays fibres and reindexing tables loaded from data.  Each doctrine
-owns its fibres (`D.fibre`) and its carrier products (`D.product`,
-`D.product_n`), each built once at the doctrine's cap, so every audit,
+owns its fibres (`D.fibre`) and its binary carrier products
+(`D.product`), each built once at the doctrine's cap, so every audit,
 scan and completion check over one doctrine shares one carrier, and one
 set of projections, per shape.  On top of both sit a generic adjoint
 search with self-certifying witnesses, structural audits, Beck-Chevalley
@@ -31,7 +31,6 @@ from .fincat import (
     identity,
     morphism_index,
     product,
-    product_n,
     unit_obj,
 )
 from ._shape import SCALAR, ShapeError, check
@@ -262,9 +261,9 @@ class PosetFibre:
 class ProductTable:
     """A doctrine's carrier products, built once each at its cap.
 
-    ``D.product(a, b)`` and ``D.product_n(objs)`` key each product by its
-    factors' names, arities and elements: `FinObj` equality ignores
-    names, but a product's name (``A*B``) reaches the output.  A kept
+    ``D.product(a, b)`` keys each product by its factors' names, arities
+    and elements: `FinObj` equality ignores names, but a product's name
+    (``A*B``) reaches the output.  A kept
     product keeps its projections, and so their preimage lists.  A
     product over the cap raises CapExceeded and is not kept.
     """
@@ -274,14 +273,6 @@ class ProductTable:
         hit = self._products.get(key)
         if hit is None:
             hit = self._products[key] = product(a, b, self.cap)
-        return hit
-
-    def product_n(self, objs) -> tuple[FinObj, list[FinMor]]:
-        objs = tuple(objs)
-        key = tuple([(o.name, o.arity, o.elements) for o in objs])
-        hit = self._products_n.get(key)
-        if hit is None:
-            hit = self._products_n[key] = product_n(objs, self.cap)
         return hit
 
 
@@ -308,7 +299,6 @@ class ConcreteDoctrine(ProductTable):
         self.generator = generator
         self._fibres: dict[FinObj, MaskFibre] = {}
         self._products: dict = {}
-        self._products_n: dict = {}
 
     def fibre(self, obj: FinObj) -> MaskFibre:
         fib = self._fibres.get(obj)
@@ -353,7 +343,6 @@ class TabularDoctrine(ProductTable):
         self._adj_memo: dict = {}
         self._pulled: dict = {}
         self._products: dict = {}
-        self._products_n: dict = {}
         for f, table in self._reindex.items():
             nc = len(self.fibre(f.cod).elements())
             nd = len(self.fibre(f.dom).elements())
@@ -1093,6 +1082,8 @@ def doctrine_from_json(data, cap: int = DEFAULT_CAP):
         _frame(data["frame"], "frame")
     by_name = {}
     for i, entry in enumerate(declared or []):
+        if "->" in entry["name"] or "#" in entry["name"]:  # a morphism key's separators
+            raise DoctrineDataError(f"universe[{i}].name: {entry['name']!r} contains '->' or '#'")
         try:
             obj = FinObj(entry["name"], map(tuple, entry["elements"]), entry.get("arity"))
         except CategoryError as exc:

@@ -132,11 +132,11 @@ class FinitePoset:
         return f"poset{n}-{strict}e"
 
 
-def chain_poset(n: int, prefix: str = "w") -> FinitePoset:
-    els = [f"{prefix}{i}" for i in range(n)]
+def chain_poset(n: int) -> FinitePoset:
+    els = [f"w{i}" for i in range(n)]
     return FinitePoset(els, [(i, j) for i in range(n) for j in range(i, n)])
 
 
-def antichain_poset(n: int, prefix: str = "w") -> FinitePoset:
-    els = [f"{prefix}{i}" for i in range(n)]
+def antichain_poset(n: int) -> FinitePoset:
+    els = [f"w{i}" for i in range(n)]
     return FinitePoset(els, [(i, i) for i in range(n)])

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import shutil
@@ -42,7 +43,7 @@ def run_json(capsys, *argv):
 @pytest.fixture(scope="module")
 def pow_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("doctrines") / "pow.json"
-    code = cli.main(["examples", "powerset", "--size", "2",
+    code = cli.main(["examples", "powerset", "--sizes", "2,2",
                      "--out", str(path)])
     assert code == 0
     return str(path)
@@ -52,7 +53,7 @@ def pow_path(tmp_path_factory):
 def anti_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("doctrines") / "anti.json"
     code = cli.main(["examples", "kripke", "--frame", "antichain2",
-                     "--size", "2", "--out", str(path)])
+                     "--sizes", "2,2", "--out", str(path)])
     assert code == 0
     return str(path)
 
@@ -104,7 +105,7 @@ class TestChain:
         assert all("formula" in s for s in steps)
 
     def test_latex_flag_keeps_the_record_shape(self, capsys):
-        data = run_json(capsys, "chain", "--latex", "--formula",
+        data = run_json(capsys, "chain", "--format", "latex", "--formula",
                         "(exists x:X. p(x)) -> (exists y:Y. q(y))")
         steps = data["steps"]
         assert [s["index"] for s in steps] == [0, 1, 2, 3, 4, 5]
@@ -142,8 +143,7 @@ class TestDoctrineCommands:
 
     def test_godel_reads_a_generated_doctrine_from_stdin(self, capsys,
                                                          monkeypatch):
-        code, out, _ = run(capsys, "examples", "powerset", "--size", "2",
-                           "--pipe")
+        code, out, _ = run(capsys, "examples", "powerset", "--sizes", "2,2")
         assert code == 0
         monkeypatch.setattr(sys, "stdin", io.StringIO(out))
         data = run_json(capsys, "doctrine", "godel")
@@ -274,14 +274,13 @@ class TestExamples:
         assert data["name"] == "kripke-chain2-2x2"
 
     def test_pipe_streams_to_stdout(self, capsys):
-        code, out, _ = run(capsys, "examples", "powerset", "--size", "2",
-                           "--pipe")
+        code, out, _ = run(capsys, "examples", "powerset", "--sizes", "2,2")
         assert code == 0
         assert json.loads(out)["name"] == "powerset-2x2"
 
     def test_generated_json_is_byte_stable(self, capsys):
-        first = run(capsys, "examples", "powerset", "--size", "2", "--pipe")
-        second = run(capsys, "examples", "powerset", "--size", "2", "--pipe")
+        first = run(capsys, "examples", "powerset", "--sizes", "2,2")
+        second = run(capsys, "examples", "powerset", "--sizes", "2,2")
         assert first == second
 
     def test_unknown_frame_is_an_input_error(self, capsys):
@@ -478,15 +477,16 @@ class TestErrorChannels:
         assert "latex" in err
 
     def test_invalid_jobs_and_cap_values(self, capsys):
+        """Both are rejected before the doctrine is read (here stdin, which
+        the test runner does not let a test read)."""
         for jobs in ("0", "2"):
-            code, out, err = run(capsys, "translate", "--formula", "p()",
-                                 "--jobs", jobs)
+            code, out, err = run(capsys, "principles", "--jobs", jobs)
             assert code == 2
             assert out == ""
             assert err == "error: --jobs: parallel rule runs were removed; use 1\n"
-        code, _, err = run(capsys, "translate", "--formula", "p()",
-                           "--cap", "0")
-        assert code == 2
+        code, out, err = run(capsys, "doctrine", "check", "--cap", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: --cap must be positive\n"
 
     def test_unknown_top_level_key_is_named(self, capsys, pow_path, tmp_path):
         data = json.loads(open(pow_path, encoding="utf-8").read())
@@ -542,8 +542,8 @@ class TestErrorChannels:
         ("doctrine", "--cap", "3", "free", "--doctrine", "POW"),
     ], ids=["format-before-the-command", "cap-before-the-action"])
     def test_shared_flag_before_the_command_exits_2(self, capsys, pow_path, argv):
-        """The shared flags belong to the parsers that run a command; one
-        given earlier is a usage error, not silently dropped."""
+        """A command's flags belong to the parser that runs it; one given
+        before the command name is a usage error, not silently dropped."""
         code, out, err = run(capsys, *(pow_path if a == "POW" else a for a in argv))
         assert (code, out) == (2, "")
         assert "error:" in err
@@ -575,7 +575,77 @@ class TestReusedParser:
         code, out, err = run(capsys, "doctrine", "godel", "--doctrine", pow_path,
                              "--format", "latex")
         assert (code, out) == (2, "")
-        assert err == "error: --format latex applies to translate and chain only\n"
+        assert "error: argument --format: invalid choice: 'latex'" in err
+
+
+def _leaves(parser, path=()):
+    """(command, parser) for each parser that runs a command."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(path), parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _leaves(child, path + (name,))
+
+
+# One short run of each command; TINY stands for a one-carrier doctrine file.
+MINIMAL_ARGV = {
+    "translate": ("translate", "--formula", "p"),
+    "chain": ("chain", "--formula", "p -> q"),
+    "doctrine check": ("doctrine", "check", "--doctrine", "TINY"),
+    "doctrine adjoints": ("doctrine", "adjoints", "--doctrine", "TINY"),
+    "doctrine free": ("doctrine", "free", "--doctrine", "TINY"),
+    "doctrine godel": ("doctrine", "godel", "--doctrine", "TINY"),
+    "dial complete": ("dial", "complete", "--doctrine", "TINY"),
+    "principles": ("principles", "--doctrine", "TINY"),
+    "examples powerset": ("examples", "powerset"),
+    "examples kripke": ("examples", "kripke"),
+}
+
+
+class TestDeclaredFlags:
+    """Each command declares exactly the flags its handler reads."""
+
+    def test_flag_count_and_commands(self):
+        leaves = dict(_leaves(cli.build_parser()))
+        assert set(leaves) == set(MINIMAL_ARGV)
+        flags = [a for p in leaves.values() for a in p._actions
+                 if a.option_strings and not isinstance(a, argparse._HelpAction)]
+        assert len(flags) == 41
+
+    @pytest.mark.parametrize("command", sorted(MINIMAL_ARGV))
+    def test_every_declared_flag_is_read(self, capsys, monkeypatch, tmp_path, command):
+        tiny = str(tmp_path / "tiny.json")
+        assert cli.main(["examples", "powerset", "--sizes", "1", "--out", tiny]) == 0
+        read = set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, name):
+                read.add(name)
+                return super().__getattribute__(name)
+
+        parser = cli.build_parser()
+        monkeypatch.setattr(cli, "build_parser", lambda: argparse.Namespace(
+            parse_args=lambda argv: Recording(**vars(parser.parse_args(argv)))))
+        argv = [tiny if a == "TINY" else a for a in MINIMAL_ARGV[command]]
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1), err
+        declared = set(vars(parser.parse_args(argv))) - {"handler", "command", "action"}
+        assert declared - read == set()
+
+    @pytest.mark.parametrize("argv", [
+        ("translate", "--formula", "p", "--seed", "5"),
+        ("examples", "powerset", "--cap", "1"),
+        ("doctrine", "check", "--doctrine", "POW", "--diagnostic"),
+        ("chain", "--formula", "p -> q", "--latex"),
+        ("examples", "powerset", "--pipe"),
+        ("examples", "powerset", "--size", "2"),
+    ], ids=["translate-seed", "examples-cap", "check-diagnostic", "chain-latex",
+            "examples-pipe", "examples-size"])
+    def test_flag_the_command_does_not_read_exits_2(self, capsys, pow_path, argv):
+        code, out, err = run(capsys, *(pow_path if a == "POW" else a for a in argv))
+        assert (code, out) == (2, "")
+        assert "error: unrecognized arguments: " in err
 
 
 class TestInstalledEntryPoint:
