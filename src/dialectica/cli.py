@@ -32,7 +32,6 @@ from .doctrine import (
     DoctrineError,
     AdjointFailure,
     adjoint_along,
-    beck_chevalley,
     check_doctrine,
     doctrine_from_json,
     doctrine_to_json,
@@ -617,6 +616,18 @@ def _doctrine_flags(p):
     _format_flag(p, ("json", "text"))
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that rejects an argument it does not declare itself, so a
+    flag a command does not take is reported against that command's
+    usage rather than handed back to the parser above it."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        ns, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return ns, extras
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on the first ``main`` call.
@@ -628,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
     so a function replaced on the module after the parser was built is the
     one that runs.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dialectica",
         description="Dialectica translation and finite doctrine checkers.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")

@@ -277,12 +277,12 @@ def enumerate_quads(D, I: FinObj, matrices=None, quad_cap: int = DEFAULT_QUAD_CA
     return quads, total, notes
 
 
-def build_dial_fibre(D, I: FinObj, matrices=None, quad_cap: int = DEFAULT_QUAD_CAP,
+def build_dial_fibre(D, I: FinObj, quad_cap: int = DEFAULT_QUAD_CAP,
                      universe=None) -> DialFibre:
     """Enumerate quadruples and tabulate the dialectica order exhaustively
     on the listed ones: from one signature per quadruple on concrete
     doctrines, by the witness-pair search otherwise."""
-    quads, total, notes = enumerate_quads(D, I, matrices, quad_cap, universe)
+    quads, total, notes = enumerate_quads(D, I, quad_cap=quad_cap, universe=universe)
     if isinstance(D, ConcreteDoctrine):
         sigs = [_signature(D, q) for q in quads]
         rights = [right for _, right in sigs]

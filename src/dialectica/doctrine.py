@@ -460,7 +460,6 @@ class AdjointWitness:
     direction: str
     along: str
     table: dict
-    certified: bool
     monotone: bool
     pairs_checked: int
 
@@ -514,15 +513,10 @@ def adjoint_along(D, f: FinMor, direction: str):
             if not law:
                 return AdjointFailure(direction, key, alpha,
                                       f"adjunction law fails against {cod_fib.describe(b)}")
-    monotone = True
-    checked = 0
-    for alpha, beta in _sample_pairs(dom_els, MONOTONE_SAMPLE):
-        if dom_fib.leq(alpha, beta):
-            checked += 1
-            if not cod_fib.leq(table[alpha], table[beta]):
-                monotone = False
-                break
-    return AdjointWitness(direction, key, table, True, monotone, pairs)
+    monotone = all(cod_fib.leq(table[alpha], table[beta])
+                   for alpha, beta in _sample_pairs(dom_els, MONOTONE_SAMPLE)
+                   if dom_fib.leq(alpha, beta))
+    return AdjointWitness(direction, key, table, monotone, pairs)
 
 
 def _sample(seq, cap: int):
@@ -752,7 +746,6 @@ class BCReport:
     name: str
     direction: str
     squares: int
-    predicates: int
     equality_failures: list
     inequality_failures: list
     skipped: list
@@ -762,18 +755,19 @@ class BCReport:
         return not self.equality_failures and not self.inequality_failures and not self.skipped
 
 
-def beck_chevalley(D, direction: str = "both") -> BCReport:
-    """Check the Beck-Chevalley condition on every pullback square of
-    projections over the universe: for f: A2 -> A1 and the square formed
-    with B, quantifying along the projections must commute with
-    reindexing along f and f x id.  The lax inequality is checked
-    separately from equality."""
-    dirs = ("exists", "forall") if direction == "both" else (direction,)
+def beck_chevalley(D, direction: str) -> BCReport:
+    """Check the Beck-Chevalley condition for one quantifier, "exists" or
+    "forall", on every pullback square of projections over the universe:
+    for f: A2 -> A1 and the square formed with B, quantifying along the
+    projections must commute with reindexing along f and f x id.  The
+    lax inequality is checked separately from equality."""
+    if direction not in ("exists", "forall"):
+        raise ValueError("direction must be 'exists' or 'forall'")
+    along = D.exists_along if direction == "exists" else D.forall_along
     eq_fail: list = []
     ineq_fail: list = []
     skipped: list = []
     squares = 0
-    preds = 0
     for b in D.universe:
         for a1 in D.universe:
             for a2 in D.universe:
@@ -795,28 +789,21 @@ def beck_chevalley(D, direction: str = "both") -> BCReport:
                     squares += 1
                     square = f"{mor_key(f)} x {b.name}"
                     for beta in betas:
-                        preds += 1
                         try:
-                            for d in dirs:
-                                if d == "exists":
-                                    lhs = D.exists_along(p2.proj_left, D.reindex_el(fp, beta))
-                                    rhs = D.reindex_el(f, D.exists_along(p1.proj_left, beta))
-                                    low, high = lhs, rhs
-                                else:
-                                    lhs = D.forall_along(p2.proj_left, D.reindex_el(fp, beta))
-                                    rhs = D.reindex_el(f, D.forall_along(p1.proj_left, beta))
-                                    low, high = rhs, lhs
-                                if lhs != rhs:
-                                    eq_fail.append(
-                                        f"{d} along {square} differs on {fib1.describe(beta)}")
-                                if not fib_a2.leq(low, high):
-                                    ineq_fail.append(
-                                        f"{d} along {square} breaks the lax inequality on "
-                                        f"{fib1.describe(beta)}")
+                            lhs = along(p2.proj_left, D.reindex_el(fp, beta))
+                            rhs = D.reindex_el(f, along(p1.proj_left, beta))
                         except (AdjointMissing, DoctrineDataError) as exc:
                             skipped.append(f"{square}: {exc}")
                             break
-    return BCReport(D.name, direction, squares, preds, eq_fail, ineq_fail, skipped)
+                        low, high = (lhs, rhs) if direction == "exists" else (rhs, lhs)
+                        if lhs != rhs:
+                            eq_fail.append(
+                                f"{direction} along {square} differs on {fib1.describe(beta)}")
+                        if not fib_a2.leq(low, high):
+                            ineq_fail.append(
+                                f"{direction} along {square} breaks the lax inequality on "
+                                f"{fib1.describe(beta)}")
+    return BCReport(D.name, direction, squares, eq_fail, ineq_fail, skipped)
 
 
 @dataclass
@@ -826,7 +813,6 @@ class QuantifierStructureReport:
     witnesses: list
     failures: list
     bc: BCReport
-    closed_form_agrees: bool
 
     @property
     def passed(self) -> bool:
@@ -839,7 +825,6 @@ def quantifier_structure(D, direction: str) -> QuantifierStructureReport:
     universe, plus Beck-Chevalley for the corresponding squares."""
     witnesses: list = []
     failures: list = []
-    agrees = True
     for a1 in D.universe:
         for a2 in D.universe:
             try:
@@ -857,16 +842,14 @@ def quantifier_structure(D, direction: str) -> QuantifierStructureReport:
                 try:
                     for alpha, val in res.table.items():
                         if closed(proj, alpha) != val:
-                            agrees = False
                             failures.append(AdjointFailure(
                                 direction, res.along, alpha,
                                 "doctrine value disagrees with the certified search"))
                             break
                 except (AdjointMissing, DoctrineDataError) as exc:
-                    agrees = False
                     failures.append(AdjointFailure(direction, res.along, None, str(exc)))
     bc = beck_chevalley(D, direction)
-    return QuantifierStructureReport(D.name, direction, witnesses, failures, bc, agrees)
+    return QuantifierStructureReport(D.name, direction, witnesses, failures, bc)
 
 
 @dataclass

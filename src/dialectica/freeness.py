@@ -28,21 +28,11 @@ from .fincat import CapExceeded, FinMor, enumerate_morphisms
 
 
 @dataclass
-class SplitWitness:
-    partner: str
-    beta: object
-    g: FinMor
-
-
-@dataclass
 class SplittingReport:
-    kind: str
-    obj: str
-    alpha: object
+    """Whether every cover has a choice map; ``failure`` is (partner
+    name, cover) of the first cover without one."""
     passed: bool
-    witnesses: list
     failure: tuple | None
-    checked: int
 
 
 @dataclass
@@ -134,9 +124,7 @@ class FreenessAnalyzer:
             return hit
         D = self.D
         fib_a = D.fibre(A)
-        witnesses: list = []
         failure = None
-        checked = 0
         for B in D.universe:
             p = D.product(A, B)
             betas = (D.fibre(p.obj).elements() if kind == "existential"
@@ -148,25 +136,22 @@ class FreenessAnalyzer:
                 else:
                     if not fib_a.leq(D.forall_along(p.proj_left, beta), alpha):
                         continue
-                checked += 1
-                g = self.choice_map(kind, A, B, p, alpha, beta)
-                if g is None:
+                if self.choice_map(kind, A, B, p, alpha, beta) is None:
                     failure = (B.name, beta)
                     break
-                witnesses.append(SplitWitness(B.name, beta, g))
             if failure:
                 break
-        report = SplittingReport(kind, A.name, alpha, failure is None,
-                                 witnesses, failure, checked)
+        report = SplittingReport(failure is None, failure)
         self._split[key] = report
         return report
 
     def choice_map(self, kind, A, B, p, alpha, beta):
-        """The first g: A -> B, in `enumerate_morphisms` order, whose graph
-        realises the cover: alpha <= beta(a, g a) for "existential",
-        beta(a, g a) <= alpha for "universal"; None when no map does.
-        Concrete doctrines use the bitmask kernel, others search every
-        map; either way the map is revalidated before it is returned."""
+        """The index table of the first g: A -> B, in `enumerate_morphisms`
+        order, whose graph realises the cover: alpha <= beta(a, g a) for
+        "existential", beta(a, g a) <= alpha for "universal"; None when
+        no map does.  Concrete doctrines use the bitmask kernel, others
+        search every map; either way the map is revalidated before it is
+        returned."""
         D = self.D
         g_idx = None
         if isinstance(D, ConcreteDoctrine):
@@ -181,7 +166,7 @@ class FreenessAnalyzer:
             return None
         if not self._graph_ok(kind, A, p, alpha, beta, g_idx):
             raise DoctrineError("choice map failed revalidation")
-        return FinMor(A, B, idx=g_idx)
+        return g_idx
 
     def _graph_ok(self, kind, A, p, alpha, beta, g_idx) -> bool:
         """Whether the graph of g (given by its index table) pulls beta

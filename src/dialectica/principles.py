@@ -86,18 +86,19 @@ def _report(rule, D, mode, scanned, instances, vacuous, skipped, witnesses,
                       tuple(notes))
 
 
-def _judge(entry, g, key, witnesses, violations, seq=True):
+def _judge(entry, A, B, g, key, witnesses, violations, seq=True):
     """Record one judged instance: a violation when its sequent fails or
-    no term witness ``g`` exists, otherwise (up to the cap) a witness
-    carrying ``g`` under ``key``.  ``entry()`` builds the instance's
-    report entry; it is called only for an instance that is recorded."""
+    no term witness exists, otherwise (up to the cap) a witness carrying
+    the map A -> B with index table ``g`` under ``key``.  ``entry()``
+    builds the instance's report entry, and the map is built, only for
+    an instance that is recorded."""
     if not seq or g is None:
         e = entry()
         e["kind"] = "no-term-witness" if seq else "sequent-fails"
         violations.append(e)
     elif len(witnesses) < WITNESS_CAP:
         e = entry()
-        e[key] = mor_json(g)
+        e[key] = mor_json(FinMor(A, B, idx=g))
         witnesses.append(e)
 
 
@@ -155,7 +156,7 @@ def check_ip_rule(D, analyzer: FreenessAnalyzer | None = None,
                     "alpha": fibA.describe(alpha),
                     "beta": fibAB.describe(beta),
                     "preconditionsHold": qualifies,
-                }, t, "t", witnesses, violations, seq)
+                }, A, B, t, "t", witnesses, violations, seq)
     return _report("independence-of-premise", D, mode, scanned, instances,
                    vacuous, skipped, witnesses, violations, notes)
 
@@ -207,7 +208,7 @@ def _markov_scan(D, fa, mode, bottom_only: bool, rule_name: str):
                     "base": A.name, "partner": B.name,
                     "alpha": fibAB.describe(alpha),
                     "betaD": fibA.describe(betaD),
-                }, t, "t", witnesses, violations, seq)
+                }, A, B, t, "t", witnesses, violations, seq)
     gate = ("bottomQuantifierFree", gates) if bottom_only else None
     return _report(rule_name, D, mode, scanned, instances, vacuous, skipped,
                    witnesses, violations, notes, gate)
@@ -255,7 +256,7 @@ def check_counterexample_property(D, analyzer: FreenessAnalyzer | None = None,
             _judge(lambda: {
                 "base": A.name, "partner": B.name,
                 "alpha": fibAB.describe(alpha),
-            }, g, "g", witnesses, violations)
+            }, A, B, g, "g", witnesses, violations)
     return _report("counterexample-property", D, mode, scanned, instances,
                    vacuous, 0, witnesses, violations, notes,
                    ("bottomQuantifierFree", gates))
@@ -292,7 +293,7 @@ def check_rule_of_choice(D, analyzer: FreenessAnalyzer | None = None,
                 "base": A.name, "partner": B.name,
                 "alpha": fibAB.describe(alpha),
                 "preconditionsHold": qualifies,
-            }, g, "g", witnesses, violations)
+            }, A, B, g, "g", witnesses, violations)
     return _report("rule-of-choice", D, mode, scanned, instances, vacuous,
                    skipped, witnesses, violations, notes,
                    ("topExistentialFree", gates))

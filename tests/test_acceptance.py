@@ -191,8 +191,8 @@ def test_criterion_8_lattice_hygiene():
                     assert fib.leq(D.reindex_el(p.proj_left, uni), alpha)
         for direction in ("exists", "forall"):
             rep = quantifier_structure(D, direction)
-            assert rep.passed and rep.closed_form_agrees
-        bc = beck_chevalley(D)
-        assert bc.passed and bc.squares > 0
+            assert rep.passed
+            bc = beck_chevalley(D, direction)
+            assert bc.passed and bc.squares > 0
     stamp(8, 60.0, started,
           "residuation, unit/counit, and substitution squares all hold")

@@ -1,5 +1,6 @@
 import argparse
 import io
+import itertools
 import json
 import shutil
 import subprocess
@@ -645,7 +646,9 @@ class TestDeclaredFlags:
     def test_flag_the_command_does_not_read_exits_2(self, capsys, pow_path, argv):
         code, out, err = run(capsys, *(pow_path if a == "POW" else a for a in argv))
         assert (code, out) == (2, "")
-        assert "error: unrecognized arguments: " in err
+        command = " ".join(itertools.takewhile(lambda a: not a.startswith("-"), argv))
+        assert err.startswith(f"usage: dialectica {command} [-h] ")
+        assert f"dialectica {command}: error: unrecognized arguments: " in err
 
 
 class TestInstalledEntryPoint:
