@@ -8,8 +8,8 @@ replays fibres and reindexing tables loaded from data.  Each doctrine
 owns its fibres (`D.fibre`) and its binary carrier products
 (`D.product`), each built once at the doctrine's cap, so every audit,
 scan and completion check over one doctrine shares one carrier, and one
-set of projections, per shape.  On top of both sit a generic adjoint
-search with self-certifying witnesses, structural audits, Beck-Chevalley
+set of projections, per shape.  On top of both sit adjoint
+certification by the adjunction law, structural audits, Beck-Chevalley
 checks, and a JSON exchange format.
 """
 from __future__ import annotations
@@ -361,30 +361,25 @@ class TabularDoctrine(ProductTable):
             raise DoctrineDataError(f"no reindex table for {mor_key(f)}")
         return table[alpha]
 
-    def _search(self, f: FinMor, alpha: int, search):
-        """``search`` over f's pullbacks, which are listed once per map."""
-        pulled = self._pulled.get(f)
-        if pulled is None:
-            pulled = self._pulled[f] = _pullbacks(self, f)
-        return search(self.fibre(f.dom), self.fibre(f.cod), pulled, alpha)
+    def _adjoint(self, direction: str, search, f: FinMor, alpha: int) -> int:
+        """``search`` over f's pullbacks, which are listed once per map;
+        each value, or its absence, is kept."""
+        key = (direction, f, alpha)
+        if key not in self._adj_memo:
+            pulled = self._pulled.get(f)
+            if pulled is None:
+                pulled = self._pulled[f] = _pullbacks(self, f)
+            self._adj_memo[key] = search(self.fibre(f.dom), self.fibre(f.cod), pulled, alpha)
+        val = self._adj_memo[key]
+        if val is None:
+            raise AdjointMissing(direction, mor_key(f), alpha)
+        return val
 
     def exists_along(self, f: FinMor, alpha: int) -> int:
-        key = ("e", f, alpha)
-        if key not in self._adj_memo:
-            self._adj_memo[key] = self._search(f, alpha, _least_exists)
-        val = self._adj_memo[key]
-        if val is None:
-            raise AdjointMissing("exists", mor_key(f), alpha)
-        return val
+        return self._adjoint("exists", _least_exists, f, alpha)
 
     def forall_along(self, f: FinMor, alpha: int) -> int:
-        key = ("a", f, alpha)
-        if key not in self._adj_memo:
-            self._adj_memo[key] = self._search(f, alpha, _greatest_forall)
-        val = self._adj_memo[key]
-        if val is None:
-            raise AdjointMissing("forall", mor_key(f), alpha)
-        return val
+        return self._adjoint("forall", _greatest_forall, f, alpha)
 
     def morphisms(self, a: FinObj, b: FinObj) -> list[FinMor]:
         out = [f for f in self._reindex if f.dom == a and f.cod == b]
@@ -459,7 +454,6 @@ def _greatest_forall(dom_fib, cod_fib, pulled, alpha):
 class AdjointWitness:
     direction: str
     along: str
-    table: dict
     monotone: bool
     pairs_checked: int
 
@@ -473,13 +467,13 @@ class AdjointFailure:
 
 
 def adjoint_along(D, f: FinMor, direction: str):
-    """Search the whole fibre for the quantifier along f and certify it.
+    """Certify the doctrine's own quantifier along f by the adjunction law.
 
-    Returns an AdjointWitness whose table was re-checked against the
-    adjunction law on every (predicate, candidate) pair, or an
-    AdjointFailure naming the first predicate without a value.  Each
-    codomain predicate is pulled back along f once, for the search and
-    the law check alike.
+    Each value is D's (`D.exists_along`/`D.forall_along`), checked against
+    every codomain predicate pulled back along f, once per map; in a
+    poset the law fixes the value.  Returns an AdjointWitness, or an
+    AdjointFailure naming the first predicate without a value, else the
+    first that breaks the law.
     """
     if direction not in ("exists", "forall"):
         raise ValueError("direction must be 'exists' or 'forall'")
@@ -493,17 +487,17 @@ def adjoint_along(D, f: FinMor, direction: str):
         pulled = _pullbacks(D, f) if dom_els else []
     except (CapExceeded, DoctrineDataError) as exc:
         return AdjointFailure(direction, key, None, str(exc))
-    search = _least_exists if direction == "exists" else _greatest_forall
-    table = {}
+    along = D.exists_along if direction == "exists" else D.forall_along
+    value = {}
     for alpha in dom_els:
-        val = search(dom_fib, cod_fib, pulled, alpha)
-        if val is None:
+        try:
+            value[alpha] = along(f, alpha)
+        except AdjointMissing:
             return AdjointFailure(direction, key, alpha,
                                   f"no {direction} value for {dom_fib.describe(alpha)}")
-        table[alpha] = val
     pairs = 0
     for alpha in dom_els:
-        v = table[alpha]
+        v = value[alpha]
         for b, pb in pulled:
             pairs += 1
             if direction == "exists":
@@ -513,10 +507,10 @@ def adjoint_along(D, f: FinMor, direction: str):
             if not law:
                 return AdjointFailure(direction, key, alpha,
                                       f"adjunction law fails against {cod_fib.describe(b)}")
-    monotone = all(cod_fib.leq(table[alpha], table[beta])
+    monotone = all(cod_fib.leq(value[alpha], value[beta])
                    for alpha, beta in _sample_pairs(dom_els, MONOTONE_SAMPLE)
                    if dom_fib.leq(alpha, beta))
-    return AdjointWitness(direction, key, table, monotone, pairs)
+    return AdjointWitness(direction, key, monotone, pairs)
 
 
 def _sample(seq, cap: int):
@@ -571,6 +565,7 @@ def check_doctrine(D) -> DoctrineReport:
         if fib.has_heyting:
             _check_heyting(fib, obj, els, violations, notes, counts)
     _check_reindex(D, fibre_els, violations, notes, counts)
+    violations = list(dict.fromkeys(violations))  # each once, in first-found order
     return DoctrineReport(D.name, not violations, violations, counts, notes)
 
 
@@ -595,14 +590,6 @@ def _check_fibre_order(fib, obj, els, violations, notes):
                 if fib.leq(b, c) and not fib.leq(a, c):
                     violations.append(
                         f"{obj.name}: transitivity fails through {fib.describe(b)}")
-    # dedupe symmetric antisymmetry reports
-    seen = set()
-    out = []
-    for v in violations:
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    violations[:] = out
 
 
 def _check_heyting(fib, obj, els, violations, notes, counts):
@@ -760,7 +747,8 @@ def beck_chevalley(D, direction: str) -> BCReport:
     "forall", on every pullback square of projections over the universe:
     for f: A2 -> A1 and the square formed with B, quantifying along the
     projections must commute with reindexing along f and f x id.  The
-    lax inequality is checked separately from equality."""
+    lax inequality is checked separately from equality.  Each predicate
+    over A1*B is quantified along its projection once, for every f."""
     if direction not in ("exists", "forall"):
         raise ValueError("direction must be 'exists' or 'forall'")
     along = D.exists_along if direction == "exists" else D.forall_along
@@ -770,6 +758,7 @@ def beck_chevalley(D, direction: str) -> BCReport:
     squares = 0
     for b in D.universe:
         for a1 in D.universe:
+            quantified: dict = {}  # beta over A1*B -> its quantifier along A1*B -> A1
             for a2 in D.universe:
                 fs = _available_morphisms(D, a2, a1)
                 if fs is None:
@@ -791,7 +780,9 @@ def beck_chevalley(D, direction: str) -> BCReport:
                     for beta in betas:
                         try:
                             lhs = along(p2.proj_left, D.reindex_el(fp, beta))
-                            rhs = D.reindex_el(f, along(p1.proj_left, beta))
+                            if beta not in quantified:
+                                quantified[beta] = along(p1.proj_left, beta)
+                            rhs = D.reindex_el(f, quantified[beta])
                         except (AdjointMissing, DoctrineDataError) as exc:
                             skipped.append(f"{square}: {exc}")
                             break
@@ -821,8 +812,9 @@ class QuantifierStructureReport:
 
 def quantifier_structure(D, direction: str) -> QuantifierStructureReport:
     """Certify the quantifier structure of the doctrine in one direction:
-    adjoints along both projections of every binary product over the
-    universe, plus Beck-Chevalley for the corresponding squares."""
+    D's adjoints along both projections of every binary product over the
+    universe, by the adjunction law, plus Beck-Chevalley for the
+    corresponding squares."""
     witnesses: list = []
     failures: list = []
     for a1 in D.universe:
@@ -836,18 +828,8 @@ def quantifier_structure(D, direction: str) -> QuantifierStructureReport:
                 res = adjoint_along(D, proj, direction)
                 if isinstance(res, AdjointFailure):
                     failures.append(res)
-                    continue
-                witnesses.append(res)
-                closed = D.exists_along if direction == "exists" else D.forall_along
-                try:
-                    for alpha, val in res.table.items():
-                        if closed(proj, alpha) != val:
-                            failures.append(AdjointFailure(
-                                direction, res.along, alpha,
-                                "doctrine value disagrees with the certified search"))
-                            break
-                except (AdjointMissing, DoctrineDataError) as exc:
-                    failures.append(AdjointFailure(direction, res.along, None, str(exc)))
+                else:
+                    witnesses.append(res)
     bc = beck_chevalley(D, direction)
     return QuantifierStructureReport(D.name, direction, witnesses, failures, bc)
 

@@ -41,8 +41,6 @@ from .fol import (
     substitute_many,
 )
 
-JUSTIFICATIONS = ("Adjunction", "ClassicalEquiv", "IPStar", "IntuitionisticEquiv", "MP", "AC")
-
 
 class SideConditionError(FolError):
     pass

@@ -153,10 +153,11 @@ class TestAdjunctionLaws:
             beck_chevalley(D, "both")
 
 
-def _index_table(D, f, table):
-    """An adjoint table over masks as one over fibre indices."""
+def _index_table(D, f, direction):
+    """D's quantifier values along f, over fibre indices."""
     dom, cod = D.fibre(f.dom), D.fibre(f.cod)
-    return {dom.index(a): cod.index(v) for a, v in table.items()}
+    along = D.exists_along if direction == "exists" else D.forall_along
+    return {dom.index(a): cod.index(along(f, a)) for a in dom.elements()}
 
 
 class TestQuantifierCrossCheck:
@@ -218,7 +219,8 @@ class TestQuantifierCrossCheck:
             for direction in ("exists", "forall"):
                 got, want = adjoint_along(T, f, direction), adjoint_along(D, f, direction)
                 assert isinstance(want, AdjointWitness)
-                assert got.table == _index_table(D, f, want.table), (key, direction)
+                assert _index_table(T, f, direction) == _index_table(D, f, direction), \
+                    (key, direction)
                 assert (got.pairs_checked, got.monotone) == \
                     (want.pairs_checked, want.monotone)
                 assert want.pairs_checked == \
@@ -411,6 +413,37 @@ class TestPlantedDefects:
         res = adjoint_along(D, t, "exists")
         assert isinstance(res, AdjointFailure)
         assert "no exists value" in res.reason
+
+    def test_a_wrong_closed_form_breaks_the_law(self):
+        class TopExists(ConcreteDoctrine):
+            def exists_along(self, f, alpha):
+                return self.fibre(f.cod).top()
+
+        D = TopExists("top-exists", POW.frame, POW.universe)
+        p = D.product(D.universe[1], D.universe[2])
+        res = adjoint_along(D, p.proj_left, "exists")
+        assert isinstance(res, AdjointFailure)
+        assert res.reason.startswith("adjunction law fails against")
+        assert not quantifier_structure(D, "exists").passed
+
+    def test_each_violation_is_listed_once_in_any_universe_order(self):
+        """Over 1 and A, two 3-chains x < y < z whose meet is always the
+        bottom break the same lattice laws several times over."""
+        one, A = unit_obj(), fin_obj("A", ["a0", "a1"])
+        chain = range(3)
+        tables = HeytingTables(
+            top=2, bottom=0, meet=((0,) * 3,) * 3,
+            join=tuple(tuple(max(a, b) for b in chain) for a in chain),
+            imp=tuple(tuple(2 if a <= b else b for b in chain) for a in chain))
+        fibres = {obj: PosetFibre(obj, ("x", "y", "z"), [0b111, 0b110, 0b100], tables)
+                  for obj in (one, A)}
+        reports = [check_doctrine(TabularDoctrine("bottom-meet", universe, fibres, {}))
+                   for universe in ((one, A), (A, one))]
+        for rep in reports:
+            assert len(rep.violations) == len(set(rep.violations)), rep.violations
+            assert "A: meet(z, z) is not greatest" in rep.violations
+            assert "1: meet(z, z) is not greatest" in rep.violations
+        assert set(reports[0].violations) == set(reports[1].violations)
 
 
 class TestJsonRoundTrip:

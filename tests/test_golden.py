@@ -19,6 +19,7 @@ from dialectica.doctrine import (
     TabularDoctrine,
     doctrine_to_json,
     kripke_doctrine,
+    mor_from_key,
     powerset_doctrine,
     quantifier_structure,
 )
@@ -113,11 +114,22 @@ STRUCTURE_GOLDEN = {
 }
 
 
-def _summary(rep) -> str:
+def _table(D, w) -> list:
+    """The certified quantifier table of witness w, read back from D along
+    the projection it names."""
+    objs = {o.name: o for o in D.universe}
+    objs.update((p.obj.name, p.obj) for p in (D.product(a, b) for a in D.universe
+                                              for b in D.universe))
+    f = mor_from_key(w.along, objs)
+    along = D.exists_along if w.direction == "exists" else D.forall_along
+    return sorted((alpha, along(f, alpha)) for alpha in D.fibre(f.dom).elements())
+
+
+def _summary(D, rep) -> str:
     return json.dumps({
         "passed": rep.passed,
         "failures": [[f.direction, f.along, f.alpha, f.reason] for f in rep.failures],
-        "witnesses": [[w.direction, w.along, sorted(w.table.items()), w.monotone,
+        "witnesses": [[w.direction, w.along, _table(D, w), w.monotone,
                        w.pairs_checked] for w in rep.witnesses],
         "bc": [rep.bc.direction, rep.bc.squares, rep.bc.equality_failures,
                rep.bc.inequality_failures, rep.bc.skipped, rep.bc.passed],
@@ -131,4 +143,4 @@ def test_quantifier_structure_is_pinned(D, direction):
     no_value, digest = STRUCTURE_GOLDEN[D.name, direction]
     assert [f.along for f in rep.failures if " value for " in f.reason] == no_value
     assert not rep.passed
-    assert hashlib.sha256(_summary(rep).encode()).hexdigest() == digest
+    assert hashlib.sha256(_summary(D, rep).encode()).hexdigest() == digest
