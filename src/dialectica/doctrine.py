@@ -417,18 +417,6 @@ def _lettered_universe(sizes) -> tuple:
     return tuple(objs)
 
 
-def least_exists_value(D, f: FinMor, alpha):
-    """Least b in the codomain fibre with alpha <= P_f(b), or None."""
-    dom_fib, cod_fib = D.fibre(f.dom), D.fibre(f.cod)
-    return _least_exists(dom_fib, cod_fib, _pullbacks(D, f), alpha)
-
-
-def greatest_forall_value(D, f: FinMor, alpha):
-    """Greatest b in the codomain fibre with P_f(b) <= alpha, or None."""
-    dom_fib, cod_fib = D.fibre(f.dom), D.fibre(f.cod)
-    return _greatest_forall(dom_fib, cod_fib, _pullbacks(D, f), alpha)
-
-
 def _pullbacks(D, f: FinMor) -> list:
     """``(b, P_f(b))`` for every b in the codomain fibre, in its order."""
     return [(b, D.reindex_el(f, b)) for b in D.fibre(f.cod).elements()]
@@ -576,11 +564,10 @@ def _check_fibre_order(fib, obj, els, violations, notes):
     for a in sample:
         if not fib.leq(a, a):
             violations.append(f"{obj.name}: order not reflexive at {fib.describe(a)}")
-    for a in sample:
-        for b in sample:
-            if a != b and fib.leq(a, b) and fib.leq(b, a):
-                violations.append(
-                    f"{obj.name}: antisymmetry fails on {fib.describe(a)}, {fib.describe(b)}")
+    for a, b in itertools.combinations(sample, 2):
+        if fib.leq(a, b) and fib.leq(b, a):
+            violations.append(
+                f"{obj.name}: antisymmetry fails on {fib.describe(a)}, {fib.describe(b)}")
     tri = _sample(sample, TRIPLE_SAMPLE)
     for a in tri:
         for b in tri:

@@ -12,6 +12,7 @@ existential-free part.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -111,6 +112,7 @@ class FreenessAnalyzer:
         self._split: dict = {}
         self._free: dict = {}
         self._free_elements: dict = {}
+        self._images: dict = {}
 
     # -- splitting ---------------------------------------------------
 
@@ -127,16 +129,17 @@ class FreenessAnalyzer:
         failure = None
         for B in D.universe:
             p = D.product(A, B)
+            image = self._image(kind, A, B, p)
             betas = (D.fibre(p.obj).elements() if kind == "existential"
                      else self.exfree_elements(p.obj))
             for beta in betas:
                 if kind == "existential":
-                    if not fib_a.leq(alpha, D.exists_along(p.proj_left, beta)):
+                    if not fib_a.leq(alpha, image(beta)):
                         continue
                 else:
-                    if not fib_a.leq(D.forall_along(p.proj_left, beta), alpha):
+                    if not fib_a.leq(image(beta), alpha):
                         continue
-                if self.choice_map(kind, A, B, p, alpha, beta) is None:
+                if self.choice_index(kind, A, B, p, alpha, beta) is None:
                     failure = (B.name, beta)
                     break
             if failure:
@@ -145,28 +148,39 @@ class FreenessAnalyzer:
         self._split[key] = report
         return report
 
-    def choice_map(self, kind, A, B, p, alpha, beta):
+    def _image(self, kind, A, B, p):
+        """The quantifier of ``kind`` along p's projection to A, taken
+        once per predicate over A*B for every splitting over A."""
+        key = (kind, A.name, A.elements, B.name, B.elements)
+        hit = self._images.get(key)
+        if hit is None:
+            along = self.D.exists_along if kind == "existential" else self.D.forall_along
+            hit = self._images[key] = functools.cache(functools.partial(along, p.proj_left))
+        return hit
+
+    def choice_index(self, kind, A, B, p, alpha, beta):
         """The index table of the first g: A -> B, in `enumerate_morphisms`
         order, whose graph realises the cover: alpha <= beta(a, g a) for
         "existential", beta(a, g a) <= alpha for "universal"; None when
-        no map does.  Concrete doctrines use the bitmask kernel, others
-        search every map; either way the map is revalidated before it is
-        returned."""
+        no map does.  This is the decision alone: concrete doctrines read
+        it off the bitmask kernel, others search every map, and no map is
+        built or revalidated for it."""
         D = self.D
-        g_idx = None
         if isinstance(D, ConcreteDoctrine):
             search = K.exists_gap_g if kind == "existential" else K.forall_gap_g
-            g_idx = search(alpha, beta, len(A), len(B), D.nw)
-        else:
-            for cand in enumerate_morphisms(A, B, D.cap):
-                if self._graph_ok(kind, A, p, alpha, beta, cand.idx):
-                    g_idx = cand.idx
-                    break
-        if g_idx is None:
-            return None
+            return search(alpha, beta, len(A), len(B), D.nw)
+        for cand in enumerate_morphisms(A, B, D.cap):
+            if self._graph_ok(kind, A, p, alpha, beta, cand.idx):
+                return cand.idx
+        return None
+
+    def choice_map(self, kind, A, B, p, alpha, beta, g_idx) -> FinMor:
+        """The map g: A -> B with the index table ``g_idx`` that
+        `choice_index` decided for the cover, built once its graph is
+        revalidated through the doctrine's reindexing and order."""
         if not self._graph_ok(kind, A, p, alpha, beta, g_idx):
             raise DoctrineError("choice map failed revalidation")
-        return g_idx
+        return FinMor(A, B, idx=g_idx)
 
     def _graph_ok(self, kind, A, p, alpha, beta, g_idx) -> bool:
         """Whether the graph of g (given by its index table) pulls beta

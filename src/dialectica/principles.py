@@ -3,7 +3,10 @@
 Each checker scans fibres over the declared universe exhaustively and
 returns a self-certifying report: every positive witness is re-validated
 through the doctrine's own reindexing and order before it is recorded,
-and every violation carries enough data to re-check it.
+and every violation carries enough data to re-check it.  The five rules
+with a term witness share one scan, driven by a table of rows; each
+instance is decided by the analyzer's choice-map decision, and a map is
+built only for a witness the report records.
 
 Strict mode enforces each rule's stated preconditions (freeness of the
 predicates involved, and for the corollary rules a doctrine-level
@@ -15,7 +18,9 @@ residuation in those fibres.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 from .doctrine import mor_json
 from .fincat import CapExceeded, FinMor, exponential
@@ -86,25 +91,30 @@ def _report(rule, D, mode, scanned, instances, vacuous, skipped, witnesses,
                       tuple(notes))
 
 
-def _judge(entry, A, B, g, key, witnesses, violations, seq=True):
-    """Record one judged instance: a violation when its sequent fails or
-    no term witness exists, otherwise (up to the cap) a witness carrying
-    the map A -> B with index table ``g`` under ``key``.  ``entry()``
-    builds the instance's report entry, and the map is built, only for
-    an instance that is recorded."""
-    if not seq or g is None:
-        e = entry()
-        e["kind"] = "no-term-witness" if seq else "sequent-fails"
-        violations.append(e)
-    elif len(witnesses) < WITNESS_CAP:
-        e = entry()
-        e[key] = mor_json(FinMor(A, B, idx=g))
-        witnesses.append(e)
+class _Pair:
+    """One scanned pair of carriers A, B: the projection A*B -> A, both
+    fibres, and the projection's quantifiers and pullback, each taken at
+    most once per predicate."""
+
+    def __init__(self, D, A, B, p, fibA, fibAB):
+        self.A, self.B, self.p, self.fibA, self.fibAB = A, B, p, fibA, fibAB
+        proj = p.proj_left
+        self.exists = functools.cache(functools.partial(D.exists_along, proj))
+        self.forall = functools.cache(functools.partial(D.forall_along, proj))
+        self.pull = functools.cache(functools.partial(D.reindex_el, proj))
+
+    @functools.cached_property
+    def top(self):
+        return self.fibA.top()
+
+    @functools.cached_property
+    def bot(self):
+        return self.fibA.bottom()
 
 
 def _scan(D, notes, scanned):
-    """Yield ``(A, B, p, fibA, fibAB)`` for every ordered pair of carriers
-    whose product and fibres fit the cap, recording each scanned pair."""
+    """Yield a `_Pair` for every ordered pair of carriers whose product
+    and fibres fit the cap, recording each scanned pair."""
     for A in D.universe:
         for B in D.universe:
             try:
@@ -116,7 +126,121 @@ def _scan(D, notes, scanned):
                 notes.append(f"{A.name} with partner fibre skipped: {exc}")
                 continue
             scanned.append(f"{A.name}|{B.name}")
-            yield A, B, p, fibA, fibAB
+            yield _Pair(D, A, B, p, fibA, fibAB)
+
+
+@dataclass(frozen=True)
+class _Row:
+    """One rule of the shared scan.  An instance pairs a predicate alpha
+    with one of the pair's targets; its term g: A -> B must realise the
+    ``kind`` cover of the instance's predicate over A by the one over A*B.
+    Strict mode skips an alpha failing its precondition and a target
+    failing ``target_ok``, and a failed gate leaves no instance judged."""
+
+    name: str
+    alpha_on_base: bool  # alpha over A and targets over A*B, or the reverse
+    targets: Callable  # pair -> the predicates each alpha meets
+    precondition: Callable | None  # (analyzer, alpha's carrier) -> test of alpha
+    target_ok: Callable | None  # (analyzer, pair, target) -> bool
+    premise: Callable  # (pair, alpha, target) -> bool
+    sequent: Callable | None  # as premise; None judges the term alone
+    kind: str  # "existential" or "universal" cover
+    term: str  # report key of the term
+    target_key: str | None = None  # report key of the target, if printed
+    records_precondition: bool = False  # entries carry "preconditionsHold"
+    gate: tuple | None = None  # (hypothesis key, (analyzer, pair) -> bool)
+
+
+def _exfree(fa, obj):
+    return set(fa.exfree_elements(obj)).__contains__
+
+
+_BOTTOM_QF = ("bottomQuantifierFree", lambda fa, c: fa.quantifier_free(c.A, c.bot))
+
+# by residuation, top <= alpha -> beta(a, t a) iff alpha <= beta(a, t a)
+_IP = _Row(
+    "independence-of-premise", True, lambda c: c.fibAB.elements(), _exfree, None,
+    lambda c, a, b: c.fibA.leq(c.top, c.fibA.imp(a, c.exists(b))),
+    lambda c, a, b: c.fibA.leq(c.top, c.exists(c.fibAB.imp(c.pull(a), b))),
+    "existential", "t", "beta", records_precondition=True)
+_MMR = _Row(
+    "modified-markov", False, lambda c: c.fibA.elements(), _exfree,
+    lambda fa, c, d: fa.quantifier_free(c.A, d),
+    lambda c, a, d: c.fibA.leq(c.top, c.fibA.imp(c.forall(a), d)),
+    lambda c, a, d: c.fibA.leq(c.top, c.exists(c.fibAB.imp(a, c.pull(d)))),
+    "universal", "t", "betaD")
+_MARKOV = replace(
+    _MMR, name="markov", targets=lambda c: (c.bot,), target_ok=None,
+    precondition=lambda fa, obj: functools.partial(fa.quantifier_free, obj),
+    gate=_BOTTOM_QF)
+_CEX = _Row(
+    "counterexample-property", False, lambda c: (c.bot,), None, None,
+    lambda c, a, bot: c.fibA.leq(c.forall(a), bot), None,
+    "universal", "g", gate=_BOTTOM_QF)
+_CHOICE = _Row(
+    "rule-of-choice", False, lambda c: (c.top,), _exfree, None,
+    lambda c, a, top: c.fibA.leq(top, c.exists(a)), None,
+    "existential", "g", records_precondition=True,
+    gate=("topExistentialFree", lambda fa, c: fa.is_existential_free(c.A, c.top)))
+
+
+def _rule_scan(row: _Row, D, analyzer, mode) -> RuleReport:
+    """Scan one row over every carrier pair.  Each judged instance is
+    decided by the analyzer's `choice_index`; a violation is recorded
+    when its sequent fails or no term exists, a witness (up to the cap)
+    otherwise.  Report entries are built, and a witness's map built and
+    revalidated by `choice_map`, only for recorded instances."""
+    fa = analyzer or FreenessAnalyzer(D)
+    strict = mode == "strict"
+    premise, sequent, target_ok = row.premise, row.sequent, row.target_ok
+    notes: list = []
+    witnesses: list = []
+    violations: list = []
+    scanned: list = []
+    instances = vacuous = skipped = 0
+    gates: dict = {}
+    for c in _scan(D, notes, scanned):
+        A, B = c.A, c.B
+        if row.gate is not None and A.name not in gates:
+            gates[A.name] = row.gate[1](fa, c)
+        fib, target_fib = (c.fibA, c.fibAB) if row.alpha_on_base else (c.fibAB, c.fibA)
+        targets = row.targets(c)
+        qualifies = None
+        if row.precondition is not None and (strict or row.records_precondition):
+            qualifies = row.precondition(fa, A if row.alpha_on_base else c.p.obj)
+        for alpha in fib.elements():
+            ok = qualifies is None or qualifies(alpha)
+            if strict and not ok:
+                skipped += len(targets)
+                continue
+            for target in targets:
+                if strict and target_ok is not None and not target_ok(fa, c, target):
+                    skipped += 1
+                    continue
+                if not premise(c, alpha, target):
+                    vacuous += 1
+                    continue
+                instances += 1
+                seq = sequent is None or sequent(c, alpha, target)
+                cover = (alpha, target) if row.alpha_on_base else (target, alpha)
+                g = fa.choice_index(row.kind, A, B, c.p, *cover) if seq else None
+                found = g is not None
+                if found and len(witnesses) >= WITNESS_CAP:
+                    continue
+                e = {"base": A.name, "partner": B.name, "alpha": fib.describe(alpha)}
+                if row.target_key:
+                    e[row.target_key] = target_fib.describe(target)
+                if row.records_precondition:
+                    e["preconditionsHold"] = ok
+                if found:
+                    e[row.term] = mor_json(fa.choice_map(row.kind, A, B, c.p, *cover, g))
+                    witnesses.append(e)
+                else:
+                    e["kind"] = "no-term-witness" if seq else "sequent-fails"
+                    violations.append(e)
+    gate = None if row.gate is None else (row.gate[0], gates)
+    return _report(row.name, D, mode, scanned, instances, vacuous, skipped,
+                   witnesses, violations, notes, gate)
 
 
 def check_ip_rule(D, analyzer: FreenessAnalyzer | None = None,
@@ -124,94 +248,7 @@ def check_ip_rule(D, analyzer: FreenessAnalyzer | None = None,
     """Independence of premise: when top entails alpha -> exists-b beta
     for existential-free alpha, some t: A -> B makes top entail
     alpha -> beta(a, t(a)), and the existential sequent follows."""
-    fa = analyzer or FreenessAnalyzer(D)
-    notes: list = []
-    witnesses: list = []
-    violations: list = []
-    scanned: list = []
-    instances = vacuous = skipped = 0
-    for A, B, p, fibA, fibAB in _scan(D, notes, scanned):
-        topA = fibA.top()
-        betas = fibAB.elements()
-        exfree = set(fa.exfree_elements(A))
-        for alpha in fibA.elements():
-            qualifies = alpha in exfree
-            if mode == "strict" and not qualifies:
-                skipped += len(betas)
-                continue
-            for beta in betas:
-                premise = fibA.leq(topA, fibA.imp(
-                    alpha, D.exists_along(p.proj_left, beta)))
-                if not premise:
-                    vacuous += 1
-                    continue
-                instances += 1
-                seq = fibA.leq(topA, D.exists_along(p.proj_left, fibAB.imp(
-                    D.reindex_el(p.proj_left, alpha), beta)))
-                # by residuation, top <= alpha -> beta(a, t a) iff alpha <= beta(a, t a)
-                t = (fa.choice_map("existential", A, B, p, alpha, beta)
-                     if seq else None)
-                _judge(lambda: {
-                    "base": A.name, "partner": B.name,
-                    "alpha": fibA.describe(alpha),
-                    "beta": fibAB.describe(beta),
-                    "preconditionsHold": qualifies,
-                }, A, B, t, "t", witnesses, violations, seq)
-    return _report("independence-of-premise", D, mode, scanned, instances,
-                   vacuous, skipped, witnesses, violations, notes)
-
-
-def _markov_scan(D, fa, mode, bottom_only: bool, rule_name: str):
-    """Shared scan for the modified Markov rule and its bottom instance.
-
-    With bottom_only the target is pinned to bottom and alpha must be
-    quantifier-free in strict mode (the corollary's shape); otherwise
-    targets range over quantifier-free predicates and alpha must be
-    existential-free.
-    """
-    notes: list = []
-    witnesses: list = []
-    violations: list = []
-    scanned: list = []
-    instances = vacuous = skipped = 0
-    gates = {}
-    for A, B, p, fibA, fibAB in _scan(D, notes, scanned):
-        topA = fibA.top()
-        botA = fibA.bottom()
-        if bottom_only and A.name not in gates:
-            gates[A.name] = fa.quantifier_free(A, botA)
-        targets = [botA] if bottom_only else list(fibA.elements())
-        exfree = set(fa.exfree_elements(p.obj))
-        for alpha in fibAB.elements():
-            if mode == "strict":
-                ok = (fa.quantifier_free(p.obj, alpha) if bottom_only
-                      else alpha in exfree)
-                if not ok:
-                    skipped += len(targets)
-                    continue
-            fal = D.forall_along(p.proj_left, alpha)
-            for betaD in targets:
-                if mode == "strict" and not bottom_only \
-                        and not fa.quantifier_free(A, betaD):
-                    skipped += 1
-                    continue
-                premise = fibA.leq(topA, fibA.imp(fal, betaD))
-                if not premise:
-                    vacuous += 1
-                    continue
-                instances += 1
-                seq = fibA.leq(topA, D.exists_along(p.proj_left, fibAB.imp(
-                    alpha, D.reindex_el(p.proj_left, betaD))))
-                t = (fa.choice_map("universal", A, B, p, betaD, alpha)
-                     if seq else None)
-                _judge(lambda: {
-                    "base": A.name, "partner": B.name,
-                    "alpha": fibAB.describe(alpha),
-                    "betaD": fibA.describe(betaD),
-                }, A, B, t, "t", witnesses, violations, seq)
-    gate = ("bottomQuantifierFree", gates) if bottom_only else None
-    return _report(rule_name, D, mode, scanned, instances, vacuous, skipped,
-                   witnesses, violations, notes, gate)
+    return _rule_scan(_IP, D, analyzer, mode)
 
 
 def check_modified_markov(D, analyzer: FreenessAnalyzer | None = None,
@@ -219,16 +256,15 @@ def check_modified_markov(D, analyzer: FreenessAnalyzer | None = None,
     """Modified Markov rule: when top entails (forall-b alpha) -> betaD
     for existential-free alpha and quantifier-free betaD, some t: A -> B
     makes alpha(a, t(a)) entail betaD(a)."""
-    fa = analyzer or FreenessAnalyzer(D)
-    return _markov_scan(D, fa, mode, False, "modified-markov")
+    return _rule_scan(_MMR, D, analyzer, mode)
 
 
 def check_markov(D, analyzer: FreenessAnalyzer | None = None,
                  mode: str = "strict") -> RuleReport:
-    """Markov rule: the modified rule instantiated at betaD = bottom,
-    guarded by the hypothesis that bottom is quantifier-free."""
-    fa = analyzer or FreenessAnalyzer(D)
-    return _markov_scan(D, fa, mode, True, "markov")
+    """Markov rule: the modified rule instantiated at betaD = bottom, for
+    quantifier-free alpha, guarded by the hypothesis that bottom is
+    quantifier-free."""
+    return _rule_scan(_MARKOV, D, analyzer, mode)
 
 
 def check_counterexample_property(D, analyzer: FreenessAnalyzer | None = None,
@@ -236,30 +272,7 @@ def check_counterexample_property(D, analyzer: FreenessAnalyzer | None = None,
     """When forall-b alpha entails bottom, some g: A -> B makes
     alpha(a, g(a)) entail bottom; guarded by bottom being
     quantifier-free."""
-    fa = analyzer or FreenessAnalyzer(D)
-    notes: list = []
-    witnesses: list = []
-    violations: list = []
-    scanned: list = []
-    instances = vacuous = 0
-    gates = {}
-    for A, B, p, fibA, fibAB in _scan(D, notes, scanned):
-        botA = fibA.bottom()
-        if A.name not in gates:
-            gates[A.name] = fa.quantifier_free(A, botA)
-        for alpha in fibAB.elements():
-            if not fibA.leq(D.forall_along(p.proj_left, alpha), botA):
-                vacuous += 1
-                continue
-            instances += 1
-            g = fa.choice_map("universal", A, B, p, botA, alpha)
-            _judge(lambda: {
-                "base": A.name, "partner": B.name,
-                "alpha": fibAB.describe(alpha),
-            }, A, B, g, "g", witnesses, violations)
-    return _report("counterexample-property", D, mode, scanned, instances,
-                   vacuous, 0, witnesses, violations, notes,
-                   ("bottomQuantifierFree", gates))
+    return _rule_scan(_CEX, D, analyzer, mode)
 
 
 def check_rule_of_choice(D, analyzer: FreenessAnalyzer | None = None,
@@ -267,36 +280,7 @@ def check_rule_of_choice(D, analyzer: FreenessAnalyzer | None = None,
     """When top entails exists-b alpha for existential-free alpha, some
     g: A -> B makes top entail alpha(a, g(a)); guarded by top being
     existential-free."""
-    fa = analyzer or FreenessAnalyzer(D)
-    notes: list = []
-    witnesses: list = []
-    violations: list = []
-    scanned: list = []
-    instances = vacuous = skipped = 0
-    gates = {}
-    for A, B, p, fibA, fibAB in _scan(D, notes, scanned):
-        topA = fibA.top()
-        if A.name not in gates:
-            gates[A.name] = fa.is_existential_free(A, topA)
-        exfree = set(fa.exfree_elements(p.obj))
-        for alpha in fibAB.elements():
-            qualifies = alpha in exfree
-            if mode == "strict" and not qualifies:
-                skipped += 1
-                continue
-            if not fibA.leq(topA, D.exists_along(p.proj_left, alpha)):
-                vacuous += 1
-                continue
-            instances += 1
-            g = fa.choice_map("existential", A, B, p, topA, alpha)
-            _judge(lambda: {
-                "base": A.name, "partner": B.name,
-                "alpha": fibAB.describe(alpha),
-                "preconditionsHold": qualifies,
-            }, A, B, g, "g", witnesses, violations)
-    return _report("rule-of-choice", D, mode, scanned, instances, vacuous,
-                   skipped, witnesses, violations, notes,
-                   ("topExistentialFree", gates))
+    return _rule_scan(_CHOICE, D, analyzer, mode)
 
 
 def check_skolemisation(D, analyzer: FreenessAnalyzer | None = None,

@@ -18,9 +18,7 @@ from dialectica.doctrine import (
     doctrine_from_json,
     doctrine_to_json,
     f_times_id,
-    greatest_forall_value,
     kripke_doctrine,
-    least_exists_value,
     mor_from_key,
     mor_key,
     powerset_doctrine,
@@ -151,6 +149,22 @@ class TestAdjunctionLaws:
             assert rep.passed and rep.squares > 0
         with pytest.raises(ValueError):
             beck_chevalley(D, "both")
+
+
+def least_exists_value(D, f, alpha):
+    """The reference search: the least b in the codomain fibre with
+    alpha <= f*b, or None."""
+    dom, cod = D.fibre(f.dom), D.fibre(f.cod)
+    above = [b for b in cod.elements() if dom.leq(alpha, D.reindex_el(f, b))]
+    return next((b for b in above if all(cod.leq(b, c) for c in above)), None)
+
+
+def greatest_forall_value(D, f, alpha):
+    """The reference search: the greatest b in the codomain fibre with
+    f*b <= alpha, or None."""
+    dom, cod = D.fibre(f.dom), D.fibre(f.cod)
+    below = [b for b in cod.elements() if dom.leq(D.reindex_el(f, b), alpha)]
+    return next((b for b in below if all(cod.leq(c, b) for c in below)), None)
 
 
 def _index_table(D, f, direction):
@@ -397,6 +411,16 @@ class TestPlantedDefects:
         D = TabularDoctrine("bent", (A,), {A: fib}, {identity(A): (0, 1, 2)})
         rep = check_doctrine(D)
         assert any("transitivity fails" in v for v in rep.violations)
+
+    def test_antisymmetry_failure_is_named_once(self):
+        """Two predicates below each other are one failure, not one per
+        order of the pair."""
+        one = unit_obj()
+        fib = PosetFibre(one, ("x", "y"), [0b11, 0b11])
+        D = TabularDoctrine("flat", (one,), {one: fib}, {identity(one): (0, 1)})
+        rep = check_doctrine(D)
+        assert [v for v in rep.violations if "antisymmetry" in v] == [
+            "1: antisymmetry fails on x, y"]
 
     def test_missing_adjoint_is_reported(self):
         A = fin_obj("A", ["a0", "a1"])

@@ -2,8 +2,14 @@ import itertools
 
 import pytest
 
-from dialectica.doctrine import kripke_doctrine, powerset_doctrine
-from dialectica.fincat import CapExceeded, FinMor, enumerate_morphisms, product
+from dialectica.doctrine import (
+    ConcreteDoctrine,
+    doctrine_from_json,
+    doctrine_to_json,
+    kripke_doctrine,
+    powerset_doctrine,
+)
+from dialectica.fincat import CapExceeded, FinMor, enumerate_morphisms, fin_obj, product, unit_obj
 from dialectica.freeness import FreenessAnalyzer
 from dialectica.posets import antichain_poset, chain_poset
 
@@ -116,7 +122,7 @@ class TestSplittingWitnesses:
             if not fa.existential_splitting(A, alpha).passed:
                 continue
             for B, p, beta in covers(D, A, alpha):
-                g = fa.choice_map("existential", A, B, p, alpha, beta)
+                g = fa.choice_index("existential", A, B, p, alpha, beta)
                 graph = FinMor(A, p.obj, tuple(
                     e + B.elements[b] for e, b in zip(A.elements, g)))
                 assert fib.leq(alpha, D.reindex_el(graph, beta))
@@ -127,37 +133,66 @@ class TestSplittingWitnesses:
         assert fa.existential_splitting(A, 0).passed
         judged = list(covers(POW, A, 0))
         assert judged
-        assert all(fa.choice_map("existential", A, B, p, 0, beta) is not None
+        assert all(fa.choice_index("existential", A, B, p, 0, beta) is not None
                    for B, p, beta in judged)
 
 
 class TestChoiceMap:
-    """On a concrete doctrine the bitmask kernel picks the choice map; for
-    every pair of predicates it must be the first map the exhaustive
-    search accepts, and None exactly when the search finds none."""
+    """The choice-map decision (`choice_index`: the bitmask kernel on
+    concrete doctrines, the map search on table replays) must name the
+    first map the exhaustive search accepts, and None exactly when it
+    finds none; the revalidated map `choice_map` builds from it is that
+    map."""
+
+    @staticmethod
+    def first_fitting(D, kind, A, p, alpha, beta):
+        fib_a = D.fibre(A)
+        for g in enumerate_morphisms(A, p.right):
+            pulled = D.reindex_el(FinMor(A, p.obj, tuple(e + g(e) for e in A.elements)), beta)
+            if (fib_a.leq(alpha, pulled) if kind == "existential"
+                    else fib_a.leq(pulled, alpha)):
+                return g.idx
+        return None
 
     @pytest.mark.parametrize("kind", ("existential", "universal"))
     def test_kernel_returns_the_first_fitting_map(self, kind):
-        fa = FreenessAnalyzer(ANTI)
-        outcomes = set()
-        for A in ANTI.universe:
-            fib_a = ANTI.fibre(A)
-            for B in ANTI.universe:
-                p = product(A, B)
+        for D in (POW, CHAIN, ANTI):
+            fa = FreenessAnalyzer(D)
+            outcomes = set()
+            for A, B in itertools.product(D.universe, repeat=2):
+                p = D.product(A, B)
                 for alpha, beta in itertools.product(
-                        fib_a.elements(), ANTI.fibre(p.obj).elements()):
-                    first = None
-                    for g in enumerate_morphisms(A, B):
-                        graph = FinMor(A, p.obj,
-                                       tuple(e + g(e) for e in A.elements))
-                        pulled = ANTI.reindex_el(graph, beta)
-                        if (fib_a.leq(alpha, pulled) if kind == "existential"
-                                else fib_a.leq(pulled, alpha)):
-                            first = g
-                            break
-                    assert fa.choice_map(kind, A, B, p, alpha, beta) == (
-                        None if first is None else first.idx)
+                        D.fibre(A).elements(), D.fibre(p.obj).elements()):
+                    first = self.first_fitting(D, kind, A, p, alpha, beta)
+                    g = fa.choice_index(kind, A, B, p, alpha, beta)
+                    assert g == first
+                    if g is not None:
+                        assert fa.choice_map(kind, A, B, p, alpha, beta, g).idx == first
                     outcomes.add(first is None)
+            assert outcomes == {True, False}, D.name
+
+    @pytest.mark.parametrize("kind", ("existential", "universal"))
+    def test_replay_decides_as_the_kernel(self, kind):
+        """A generator-free replay whose universe holds A*A decides every
+        cover over carrier pairs from 1 and A by the map search; its
+        answers must be the kernel's, predicate for predicate."""
+        A = fin_obj("A", ["a0", "a1"])
+        D = ConcreteDoctrine("twin", antichain_poset(2), (unit_obj(), A, product(A, A).obj))
+        data = doctrine_to_json(D)
+        data.pop("generator", None)
+        T = doctrine_from_json(data)
+        assert T.kind == "tabular"
+        fd, ft = FreenessAnalyzer(D), FreenessAnalyzer(T)
+        outcomes = set()
+        for (A1, B1), (A2, B2) in zip(itertools.product(D.universe[:2], repeat=2),
+                                      itertools.product(T.universe[:2], repeat=2)):
+            p1, p2 = D.product(A1, B1), T.product(A2, B2)
+            pairs = zip(itertools.product(D.fibre(A1).elements(), D.fibre(p1.obj).elements()),
+                        itertools.product(T.fibre(A2).elements(), T.fibre(p2.obj).elements()))
+            for (alpha1, beta1), (alpha2, beta2) in pairs:
+                g = fd.choice_index(kind, A1, B1, p1, alpha1, beta1)
+                assert ft.choice_index(kind, A2, B2, p2, alpha2, beta2) == g
+                outcomes.add(g is None)
         assert outcomes == {True, False}
 
 

@@ -4,20 +4,23 @@ from pathlib import Path
 
 import pytest
 
+from dialectica import _kernels as K
 from dialectica import cli
 from dialectica.doctrine import (
     ConcreteDoctrine,
+    DoctrineError,
     doctrine_from_json,
     doctrine_to_json,
     kripke_doctrine,
     mor_from_key,
     powerset_doctrine,
 )
-from dialectica.fincat import FinMor, product, unit_obj
+from dialectica.fincat import CapExceeded, FinMor, product, unit_obj
 from dialectica.freeness import FreenessAnalyzer
 from dialectica.posets import FinitePoset, antichain_poset, chain_poset
 from dialectica.principles import (
     RULES,
+    WITNESS_CAP,
     check_counterexample_property,
     check_ip_rule,
     check_markov,
@@ -285,6 +288,59 @@ class TestWitnessReplay:
         assert kinds <= {"sequent-fails", "no-term-witness"}
         for v in rep.violations[:4]:
             assert set(v) >= {"base", "partner", "alpha", "betaD", "kind"}
+
+
+class TestWitnessRevalidation:
+    """Rule scans take each verdict from the analyzer's choice-map
+    decision; only a witness a report records has its map built, and
+    that map is revalidated through the doctrine before it leaves."""
+
+    @staticmethod
+    def misfit(real, existential):
+        """Decide as the kernel ``real``, but answer with a map that
+        misses the cover at every element where some partner misses."""
+        def kernel(alpha, beta, na, nb, nw):
+            if real(alpha, beta, na, nb, nw) is None:
+                return None
+            full = (1 << nw) - 1
+
+            def misses(a, b):
+                acol = (alpha >> (a * nw)) & full
+                bcol = (beta >> ((a * nb + b) * nw)) & full
+                return acol & ~bcol if existential else bcol & ~acol
+            return tuple(next((b for b in range(nb) if misses(a, b)), 0)
+                         for a in range(na))
+        return kernel
+
+    @pytest.mark.parametrize("rule", ("mmr", "markov", "cex", "choice"))
+    def test_a_wrong_kernel_map_fails_when_recorded(self, rule, monkeypatch):
+        monkeypatch.setattr(K, "exists_gap_g", self.misfit(K.exists_gap_g, True))
+        monkeypatch.setattr(K, "forall_gap_g", self.misfit(K.forall_gap_g, False))
+        with pytest.raises(DoctrineError, match="choice map failed revalidation"):
+            RULES[rule](POW, mode="diagnostic")
+
+    def test_a_report_builds_at_most_the_cap_of_maps(self, monkeypatch):
+        built = []
+        real = FreenessAnalyzer.choice_map
+
+        def counted(self, *args):
+            built.append(args)
+            return real(self, *args)
+        monkeypatch.setattr(FreenessAnalyzer, "choice_map", counted)
+        rep = check_ip_rule(ANTI, mode="diagnostic")
+        assert rep.instances > WITNESS_CAP and len(rep.witnesses) == WITNESS_CAP
+        assert len(built) == WITNESS_CAP
+
+    def test_diagnostic_modified_markov_reads_no_freeness(self):
+        """Without its preconditions the modified rule needs no freeness
+        scan, so a cap that only those scans overrun does not stop it."""
+        D = powerset_doctrine((2, 3), cap=300)
+        with pytest.raises(CapExceeded, match="B[*]B has 512 predicates"):
+            check_modified_markov(D)
+        rep = check_modified_markov(D, mode="diagnostic")
+        assert rep.passed and rep.instances == 678
+        assert rep.notes == (
+            "B with partner fibre skipped: fibre over B*B has 512 predicates; cap 300",)
 
 
 class TestTabularReplay:
