@@ -11,9 +11,10 @@ counterexamples backward:
 The condition splits per slot (i, u), so on concrete doctrines the order
 is decided from a per-quadruple signature (``_kernels.order_signature``)
 without building any pair: a completed fibre's matrix and the Theorem 2/4
-checks come from signatures alone.  A pair is built only where it is
-used: by ``dial_leq`` for CLI witness pairs and sampled compositions, by
-``identity_pair`` for reflexivity.  Every built pair is revalidated
+checks come from signatures alone, each computed once per fibre or
+check.  A pair is built only where it is used: by ``dial_leq`` for CLI
+witness pairs and sampled compositions, by ``identity_pair`` for
+reflexivity.  Every built pair is revalidated
 through the doctrine's own reindexing and order, so a returned pair is a
 checked certificate, and None means the exhaustive search ran dry.
 Table-replayed doctrines decide the order by that search.
@@ -22,8 +23,8 @@ Carriers such as I*U*X, built as (I*U)*X, come from the doctrine's
 product table (``D.product``), built once each at ``D.cap``.  Products
 enumerate the left factor slowest, so element ``(i, u, x)`` of I*U*X has
 index ``(i * |U| + u) * |X| + x``, and every map this module builds
-(revalidation, identity, composition, reindexing) is computed on index
-tables by that arithmetic and handed to ``FinMor`` as ``idx``.
+(revalidation, identity, composition) is computed on index tables by
+that arithmetic and handed to ``FinMor`` as ``idx``.
 """
 from __future__ import annotations
 
@@ -152,17 +153,26 @@ def search_pair(D, a: DialObject, b: DialObject):
     return None
 
 
-def _signature(D, q: DialObject):
-    return K.order_signature(q.alpha, len(q.I), len(q.U), len(q.X), D.nw)
+def _signature(D, q: DialObject, sigs=None):
+    """q's order signature; ``sigs``, a dict the caller keeps, holds
+    each one computed, keyed by the kernel's arguments."""
+    args = (q.alpha, len(q.I), len(q.U), len(q.X), D.nw)
+    if sigs is None:
+        return K.order_signature(*args)
+    hit = sigs.get(args)
+    if hit is None:
+        hit = sigs[args] = K.order_signature(*args)
+    return hit
 
 
-def has_pair(D, a: DialObject, b: DialObject) -> bool:
-    """Whether a <= b, without building the pair on concrete doctrines;
+def has_pair(D, a: DialObject, b: DialObject, sigs=None) -> bool:
+    """Whether a <= b, without building the pair on concrete doctrines
+    (from the two signatures, kept across calls in ``sigs`` when given);
     elsewhere whether ``dial_leq`` finds one."""
     if a.I != b.I:
         raise DoctrineError("dialectica order compares quadruples over one base")
     if isinstance(D, ConcreteDoctrine):
-        return K.signature_leq(_signature(D, a)[0], _signature(D, b)[1])
+        return K.signature_leq(_signature(D, a, sigs)[0], _signature(D, b, sigs)[1])
     return dial_leq(D, a, b) is not None
 
 
@@ -182,18 +192,6 @@ def compose_pairs(D, a: DialObject, b: DialObject, c: DialObject,
     if not pair_is_valid(D, a, c, out):
         raise DoctrineError("composed witness pair failed revalidation")
     return out
-
-
-def dial_reindex(D, f: FinMor, q: DialObject) -> DialObject:
-    """Pull a quadruple over I back along f: J -> I, keeping U and X."""
-    if f.cod != q.I:
-        raise DoctrineError("reindexing map must target the quadruple's base")
-    jux = _carrier(D, f.dom, q.U, q.X)
-    n = len(q.U) * len(q.X)
-    fi = f.idx
-    m = FinMor(jux, _carrier(D, q.I, q.U, q.X),
-               idx=[fi[t // n] * n + t % n for t in range(len(jux))])
-    return DialObject(f.dom, q.U, q.X, D.reindex_el(m, q.alpha))
 
 
 # -- completed fibres ---------------------------------------------------
@@ -414,6 +412,7 @@ def check_theorem2(D, analyzer, I: FinObj, samples: int = 200,
     keys = sorted(pools, key=lambda ux: (ux[0].name, ux[1].name))
     mismatches = []
     checked = 0
+    sigs: dict = {}
     for _ in range(samples):
         U, X = keys[rng.randrange(len(keys))]
         V, Y = keys[rng.randrange(len(keys))]
@@ -423,7 +422,7 @@ def check_theorem2(D, analyzer, I: FinObj, samples: int = 200,
         b = DialObject(I, V, Y, phi)
         lhs = D.fibre(I).leq(prenex_order(D, I, U, X, psi),
                              prenex_order(D, I, V, Y, phi))
-        rhs = has_pair(D, a, b)
+        rhs = has_pair(D, a, b, sigs)
         checked += 1
         if lhs != rhs:
             mismatches.append({
@@ -470,10 +469,11 @@ def check_theorem4(D, analyzer, I: FinObj,
         quads[alpha] = DialObject(I, w.u_obj, w.x_obj, w.beta)
     emb_fail = []
     emb_checked = 0
+    sigs: dict = {}
     pairs = [(a, b) for a in quads for b in quads]
     for a, b in pairs:
         lhs = D.fibre(I).leq(a, b)
-        rhs = has_pair(D, quads[a], quads[b])
+        rhs = has_pair(D, quads[a], quads[b], sigs)
         emb_checked += 1
         if lhs != rhs:
             emb_fail.append({
@@ -493,7 +493,7 @@ def check_theorem4(D, analyzer, I: FinObj,
                              "reason": "prenex form missing for presented predicate"})
             continue
         qa = quads[back]
-        if not (has_pair(D, q, qa) and has_pair(D, qa, q)):
+        if not (has_pair(D, q, qa, sigs) and has_pair(D, qa, q, sigs)):
             sur_fail.append({"quad": q.to_json(D),
                              "alpha": D.fibre(I).describe(back),
                              "reason": "not order-equivalent to its collapse"})

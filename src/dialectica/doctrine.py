@@ -319,6 +319,11 @@ class ConcreteDoctrine(ProductTable):
     def morphisms(self, a: FinObj, b: FinObj) -> list[FinMor]:
         return enumerate_morphisms(a, b, self.cap)
 
+    def pullbacks(self, f: FinMor) -> list:
+        """`_pullbacks` along f, listed afresh: no quantifier here reads
+        them."""
+        return _pullbacks(self, f)
+
 
 class TabularDoctrine(ProductTable):
     """Doctrine replayed from explicit fibre and reindexing tables.
@@ -361,15 +366,21 @@ class TabularDoctrine(ProductTable):
             raise DoctrineDataError(f"no reindex table for {mor_key(f)}")
         return table[alpha]
 
+    def pullbacks(self, f: FinMor) -> list:
+        """`_pullbacks` along f, listed once per map and kept: the
+        quantifier search and `adjoint_along` share the list."""
+        pulled = self._pulled.get(f)
+        if pulled is None:
+            pulled = self._pulled[f] = _pullbacks(self, f)
+        return pulled
+
     def _adjoint(self, direction: str, search, f: FinMor, alpha: int) -> int:
-        """``search`` over f's pullbacks, which are listed once per map;
-        each value, or its absence, is kept."""
+        """``search`` over f's pullbacks; each value, or its absence, is
+        kept."""
         key = (direction, f, alpha)
         if key not in self._adj_memo:
-            pulled = self._pulled.get(f)
-            if pulled is None:
-                pulled = self._pulled[f] = _pullbacks(self, f)
-            self._adj_memo[key] = search(self.fibre(f.dom), self.fibre(f.cod), pulled, alpha)
+            self._adj_memo[key] = search(self.fibre(f.dom), self.fibre(f.cod),
+                                         self.pullbacks(f), alpha)
         val = self._adj_memo[key]
         if val is None:
             raise AdjointMissing(direction, mor_key(f), alpha)
@@ -472,7 +483,7 @@ def adjoint_along(D, f: FinMor, direction: str):
         dom_els = dom_fib.elements()
         cod_fib.elements()
         # an empty domain fibre reads no reindexing table
-        pulled = _pullbacks(D, f) if dom_els else []
+        pulled = D.pullbacks(f) if dom_els else []
     except (CapExceeded, DoctrineDataError) as exc:
         return AdjointFailure(direction, key, None, str(exc))
     along = D.exists_along if direction == "exists" else D.forall_along

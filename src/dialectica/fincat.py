@@ -172,10 +172,6 @@ def compose(g: FinMor, f: FinMor) -> FinMor:
     return FinMor(f.dom, g.cod, tuple(g(v) for v in f.table))
 
 
-def terminal_map(a: FinObj) -> FinMor:
-    return FinMor(a, unit_obj(), ((),) * len(a))
-
-
 @dataclass(frozen=True)
 class Product:
     obj: FinObj

@@ -111,6 +111,7 @@ class FreenessAnalyzer:
         self._by_size = tuple(sorted(D.universe, key=lambda o: (len(o), o.name)))
         self._split: dict = {}
         self._free: dict = {}
+        self._verdicts: dict = {}
         self._free_elements: dict = {}
         self._images: dict = {}
 
@@ -198,16 +199,37 @@ class FreenessAnalyzer:
     # -- freeness ----------------------------------------------------
 
     def is_existential_free(self, I, alpha) -> bool:
-        return self.existential_free_report(I, alpha).passed
+        return self._passes("existential", I, alpha)
 
     def is_universal_free(self, I, alpha) -> bool:
-        return self.universal_free_report(I, alpha).passed
+        return self._passes("universal", I, alpha)
 
     def existential_free_report(self, I, alpha) -> FreeReport:
         return self._free_report("existential", I, alpha)
 
     def universal_free_report(self, I, alpha) -> FreeReport:
         return self._free_report("universal", I, alpha)
+
+    def _passes(self, kind, I, alpha) -> bool:
+        """The free verdict: on concrete doctrines read from the verdict
+        table, filled by one report per key; elsewhere the report's."""
+        if isinstance(self.D, ConcreteDoctrine):
+            hit = self._verdicts.get(self._verdict_key(kind, I, alpha))
+            if hit is not None:
+                return hit
+        return self._free_report(kind, I, alpha).passed
+
+    def _verdict_key(self, kind, I, alpha):
+        """Everything a concrete free verdict depends on: the kind, |I|
+        (through the cap on maps into I) and the set of alpha's columns,
+        as a bitmask over the column values."""
+        nw = self.D.nw
+        full = (1 << nw) - 1
+        n = len(I)
+        cols = 0
+        for s in range(0, n * nw, nw):
+            cols |= 1 << (alpha >> s & full)
+        return kind, n, cols
 
     def _free_report(self, kind, I, alpha) -> FreeReport:
         """alpha is free when f*alpha splits for every f: A -> I, A in
@@ -217,23 +239,26 @@ class FreenessAnalyzer:
 
         On concrete doctrines f*alpha only reads which column of alpha
         each element of A lands on, so the pullbacks along all maps
-        A -> I are exactly the tuples over alpha's distinct columns:
-        at most |cols|^|A| of them, against |I|^|A| maps.  The columns
-        are listed in first-occurrence order, each keyed to the first
-        index of I that carries it, and the tuples are walked as the
-        same odometer as the maps.  Among the maps with one tuple, the
-        one through those first indices comes first; and since first
-        indices grow with the column order, tuple order is map order on
-        those maps.  So the first failing tuple names the first failing
-        map, which is built only then.  Other doctrines reindex by an
-        arbitrary table and scan the maps themselves."""
+        A -> I are exactly the tuples over alpha's distinct columns
+        (`_first_failing_tuple`).  The verdict therefore depends only on
+        the kind, the set of columns and |I|, through the cap on maps
+        into I; it is decided once per such key, by one tuple walk, and
+        kept in the verdict table.  A report whose key has passed is
+        read from the table with no walk; only a failure a report
+        prints is walked to its first failing map.  Other doctrines
+        reindex by an arbitrary table and scan the maps themselves."""
         key = (kind, I.name, I.elements, alpha)
         hit = self._free.get(key)
         if hit is not None:
             return hit
-        scan = (self._first_failing_tuple if isinstance(self.D, ConcreteDoctrine)
-                else self.first_failing_map)
-        failing = scan(kind, I, alpha)
+        if isinstance(self.D, ConcreteDoctrine):
+            vkey = self._verdict_key(kind, I, alpha)
+            if self._verdicts.get(vkey):
+                return FreeReport(kind, I.name, alpha, True, None)
+            failing = self._first_failing_tuple(kind, I, alpha)
+            self._verdicts[vkey] = failing is None
+        else:
+            failing = self.first_failing_map(kind, I, alpha)
         report = FreeReport(kind, I.name, alpha, failing is None, failing)
         self._free[key] = report
         return report
@@ -252,7 +277,15 @@ class FreenessAnalyzer:
 
     def _first_failing_tuple(self, kind, I, alpha):
         """`first_failing_map` on a concrete doctrine, walking tuples of
-        alpha's distinct columns and building no map until one fails."""
+        alpha's distinct columns and building no map until one fails.
+        The columns are listed in first-occurrence order, each keyed to
+        the first index of I that carries it, and the tuples are walked
+        as the same odometer as the maps.  Among the maps with one
+        tuple, the one through those first indices comes first; and
+        since first indices grow with the column order, tuple order is
+        map order on those maps.  So the first failing tuple names the
+        first failing map.  Over a universe object A with |I|^|A| above
+        the cap it raises CapExceeded, as the map scan does."""
         D = self.D
         nw = D.nw
         full = (1 << nw) - 1

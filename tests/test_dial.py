@@ -10,7 +10,6 @@ from dialectica.dial import (
     check_theorem4,
     compose_pairs,
     dial_leq,
-    dial_reindex,
     enumerate_quads,
     has_pair,
     identity_pair,
@@ -47,6 +46,17 @@ ANTI = kripke_doctrine(antichain_poset(2), (2, 2))
 def quads_over(D, I, cap=64):
     quads, _, _ = enumerate_quads(D, I, quad_cap=cap)
     return quads
+
+
+def dial_reindex(D, f, q):
+    """Pull a quadruple over I back along f: J -> I, keeping U and X: the
+    completed fibres' reindexing, on index tables over D's products."""
+    assert f.cod == q.I
+    jux = D.product(D.product(f.dom, q.U).obj, q.X).obj
+    iux = D.product(D.product(q.I, q.U).obj, q.X).obj
+    n = len(q.U) * len(q.X)
+    m = FinMor(jux, iux, idx=[f.idx[t // n] * n + t % n for t in range(len(jux))])
+    return DialObject(f.dom, q.U, q.X, D.reindex_el(m, q.alpha))
 
 
 class TestWitnessPairs:

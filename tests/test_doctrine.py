@@ -259,6 +259,22 @@ class TestQuantifierCrossCheck:
             assert T.forall_along(f, a) == cod.index(ANTI.forall_along(f, alpha))
         assert calls == [f] * 16
 
+    @pytest.mark.parametrize("direction", ("exists", "forall"))
+    def test_adjoint_audit_shares_the_replays_pullbacks(self, monkeypatch, direction):
+        """Certifying a replay's quantifier along one map A -> B reindexes
+        each of the 4 predicates over B once: the law check reads the
+        list the replay's own search keeps."""
+        data = doctrine_to_json(POW)
+        del data["generator"]
+        T = doctrine_from_json(data)
+        objs = {o.name: o for o in POW.universe}
+        f = next(mor_from_key(k, objs) for k in data["reindex"] if k.startswith("A->B#"))
+        reindex, calls = T.reindex_el, []
+        monkeypatch.setattr(T, "reindex_el", lambda g, b: calls.append(g) or reindex(g, b))
+        assert len(T.fibre(f.cod).elements()) == 4
+        assert isinstance(adjoint_along(T, f, direction), AdjointWitness)
+        assert calls == [f] * 4
+
 
 class TestHeyting:
     @pytest.mark.parametrize("D", (POW, CHAIN, ANTI), ids=lambda d: d.name)

@@ -17,13 +17,16 @@ from dialectica.fincat import (
     morphism_index,
     product,
     product_n,
-    terminal_map,
     unit_obj,
 )
 
 A = fin_obj("A", ["a0", "a1"])
 B = fin_obj("B", ["b0", "b1", "b2"])
 C = fin_obj("C", ["c0", "c1"])
+
+
+def terminal_map(a):
+    return FinMor(a, unit_obj(), ((),) * len(a))
 
 
 class TestObjects:
@@ -156,6 +159,7 @@ class TestProduct:
     def test_terminal(self):
         t = terminal_map(B)
         assert all(t(e) == () for e in B)
+        assert enumerate_morphisms(B, unit_obj()) == [t]
 
 
 class TestExponential:

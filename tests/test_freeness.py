@@ -16,6 +16,7 @@ from dialectica.posets import antichain_poset, chain_poset
 POW = powerset_doctrine((2, 2))
 CHAIN = kripke_doctrine(chain_poset(2), (2, 2))
 ANTI = kripke_doctrine(antichain_poset(2), (2, 2))
+ANTI3 = kripke_doctrine(antichain_poset(3), (2,))
 
 
 def census(D):
@@ -224,16 +225,45 @@ class TestColumnScan:
                                    for a in D.universe for b in D.universe]
         assert bool(self.failing_maps(D, kind, objs)) == (D is ANTI)
 
+    @pytest.mark.parametrize("report_first", (True, False), ids=("report", "verdict"))
+    @pytest.mark.parametrize("D", (POW, CHAIN, ANTI, ANTI3), ids=lambda d: d.name)
+    def test_verdicts_equal_the_map_scan(self, D, report_first):
+        """One analyzer over every carrier of D and both kinds, so a
+        verdict decided for one carrier is read for every other carrier
+        of its size with the same set of columns; each verdict, asked
+        before or after the report, must still be the map scan's."""
+        fa = FreenessAnalyzer(D)
+        objs = list(D.universe) + [D.product(a, b).obj
+                                   for a in D.universe for b in D.universe]
+        tests = {"existential": fa.is_existential_free, "universal": fa.is_universal_free}
+        asked = 0
+        for kind, test in tests.items():
+            for I in objs:
+                for alpha in D.fibre(I).elements():
+                    if report_first:
+                        rep = fa._free_report(kind, I, alpha)
+                        verdict = test(I, alpha)
+                    else:
+                        verdict = test(I, alpha)
+                        rep = fa._free_report(kind, I, alpha)
+                    by_maps = fa.first_failing_map(kind, I, alpha)
+                    assert verdict == rep.passed == (by_maps is None), (kind, I.name, alpha)
+                    if by_maps is not None:
+                        assert rep.failing[:3] == by_maps[:3]
+                        assert rep.failing[3].failure == by_maps[3].failure
+                    asked += 1
+        assert len(fa._verdicts) < asked
+
     @pytest.mark.parametrize("kind", ("existential", "universal"))
     def test_column_order_picks_the_first_failing_map(self, kind):
         """Over three incomparable worlds several columns fail on their
         own, so the order of the tuples decides which map is reported."""
-        D = kripke_doctrine(antichain_poset(3), (2,))
-        keys = self.failing_maps(D, kind, D.universe[1:])
+        keys = self.failing_maps(ANTI3, kind, ANTI3.universe[1:])
         assert {"1->A#0", "1->A#1"} <= set(keys)
 
     def test_cap_below_the_map_count_raises_as_the_map_scan(self):
-        """Maps from 1 fit the cap, maps A -> A x B (16) do not."""
+        """Maps from 1 fit the cap, maps A -> A x B (16) do not; the
+        verdict raises as the report does, on every call."""
         D = powerset_doctrine((2, 2), cap=4)
         I = product(D.universe[1], D.universe[2]).obj
         alpha = D.fibre(I).top()
@@ -243,6 +273,23 @@ class TestColumnScan:
             FreenessAnalyzer(D).existential_free_report(I, alpha)
         assert str(by_maps.value) == "16 morphisms exceed cap 4"
         assert str(by_columns.value) == str(by_maps.value)
+        fa = FreenessAnalyzer(D)
+        for _ in range(2):
+            with pytest.raises(CapExceeded) as by_verdict:
+                fa.is_existential_free(I, alpha)
+            assert str(by_verdict.value) == str(by_maps.value)
+
+    def test_a_verdict_is_not_read_across_the_cap(self):
+        """Top over A x B and over (A x B) x A has one column; at cap 16
+        maps A -> A x B fit and maps A -> (A x B) x A (64) do not, so
+        the first verdict passes and the second still raises."""
+        D = powerset_doctrine((2, 2), cap=16)
+        fa = FreenessAnalyzer(D)
+        small = D.product(D.universe[1], D.universe[2]).obj
+        large = D.product(small, D.universe[1]).obj
+        assert fa.is_existential_free(small, D.fibre(small).top())
+        with pytest.raises(CapExceeded, match="^64 morphisms exceed cap 16$"):
+            fa.is_existential_free(large, D.fibre(large).top())
 
 
 class TestGodelReports:
