@@ -14,6 +14,7 @@ checks, and a JSON exchange format.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -299,6 +300,8 @@ class ConcreteDoctrine(ProductTable):
         self.generator = generator
         self._fibres: dict[FinObj, MaskFibre] = {}
         self._products: dict = {}
+        # (op, f.idx, len(f.cod)) -> {predicate: value}, read by `_Along`
+        self._along: dict = {}
 
     def fibre(self, obj: FinObj) -> MaskFibre:
         fib = self._fibres.get(obj)
@@ -318,11 +321,6 @@ class ConcreteDoctrine(ProductTable):
 
     def morphisms(self, a: FinObj, b: FinObj) -> list[FinMor]:
         return enumerate_morphisms(a, b, self.cap)
-
-    def pullbacks(self, f: FinMor) -> list:
-        """`_pullbacks` along f, listed afresh: no quantifier here reads
-        them."""
-        return _pullbacks(self, f)
 
 
 class TabularDoctrine(ProductTable):
@@ -433,6 +431,57 @@ def _pullbacks(D, f: FinMor) -> list:
     return [(b, D.reindex_el(f, b)) for b in D.fibre(f.cod).elements()]
 
 
+class _Along:
+    """The law audits' reading of D's pullbacks and quantifiers, as one
+    reader per map.
+
+    On a concrete doctrine a value along f depends only on f's index
+    table, its codomain's size and the predicate.  So each is asked of
+    D's own method once per (table, predicate) and kept in D's plain
+    dicts (``D._along``), which every audit over D reads, across all
+    maps with one table.  A replay is asked directly: it keeps its
+    quantifier values per map and reads pullbacks from its tables.  A
+    view is built per audit and never kept on D, so D holds no
+    reference back to it."""
+
+    __slots__ = ("D", "_values")
+
+    def __init__(self, D):
+        self.D = D
+        self._values = D._along if isinstance(D, ConcreteDoctrine) else None
+
+    def pull(self, f: FinMor):
+        """beta -> the pullback of beta along f."""
+        return self._reader("reindex", self.D.reindex_el, f)
+
+    def quantifier(self, direction: str, f: FinMor):
+        """alpha -> its quantifier along f, "exists" or "forall"."""
+        ask = self.D.exists_along if direction == "exists" else self.D.forall_along
+        return self._reader(direction, ask, f)
+
+    def pullbacks(self, f: FinMor) -> list:
+        """`_pullbacks` along f: the replay's kept list, or read here."""
+        if self._values is None:
+            return self.D.pullbacks(f)
+        pull = self.pull(f)
+        return [(b, pull(b)) for b in self.D.fibre(f.cod).elements()]
+
+    def _reader(self, op: str, ask, f: FinMor):
+        if self._values is None:
+            return functools.partial(ask, f)
+        key = (op, f.idx, len(f.cod))
+        values = self._values.get(key)
+        if values is None:
+            values = self._values[key] = {}
+
+        def read(alpha):
+            value = values.get(alpha)
+            if value is None:
+                value = values[alpha] = ask(f, alpha)
+            return value
+        return read
+
+
 def _least_exists(dom_fib, cod_fib, pulled, alpha):
     cands = [b for b, pb in pulled if dom_fib.leq(alpha, pb)]
     for b in cands:
@@ -470,12 +519,16 @@ def adjoint_along(D, f: FinMor, direction: str):
 
     Each value is D's (`D.exists_along`/`D.forall_along`), checked against
     every codomain predicate pulled back along f, once per map; in a
-    poset the law fixes the value.  Returns an AdjointWitness, or an
-    AdjointFailure naming the first predicate without a value, else the
-    first that breaks the law.
+    poset the law fixes the value.  Values and pullbacks are read through
+    `_Along`: on a concrete doctrine from the table it keeps on D, shared
+    with every other audit, so each is asked once per index table and
+    predicate.  Returns an AdjointWitness, or an AdjointFailure naming
+    the first predicate without a value, else the first that breaks the
+    law.
     """
     if direction not in ("exists", "forall"):
         raise ValueError("direction must be 'exists' or 'forall'")
+    view = _Along(D)
     key = mor_key(f)
     try:
         dom_fib = D.fibre(f.dom)
@@ -483,14 +536,14 @@ def adjoint_along(D, f: FinMor, direction: str):
         dom_els = dom_fib.elements()
         cod_fib.elements()
         # an empty domain fibre reads no reindexing table
-        pulled = D.pullbacks(f) if dom_els else []
+        pulled = view.pullbacks(f) if dom_els else []
     except (CapExceeded, DoctrineDataError) as exc:
         return AdjointFailure(direction, key, None, str(exc))
-    along = D.exists_along if direction == "exists" else D.forall_along
+    along = view.quantifier(direction, f)
     value = {}
     for alpha in dom_els:
         try:
-            value[alpha] = along(f, alpha)
+            value[alpha] = along(alpha)
         except AdjointMissing:
             return AdjointFailure(direction, key, alpha,
                                   f"no {direction} value for {dom_fib.describe(alpha)}")
@@ -544,6 +597,8 @@ def check_doctrine(D) -> DoctrineReport:
     fibre carries them, functoriality of reindexing, monotonicity, and
     preservation of the lattice operations.  Large fibres are sampled
     deterministically; every shortcut is recorded in the notes.
+    Pullbacks are read through `_Along`: on a concrete doctrine from the
+    table it keeps on D, which the quantifier audits over D share.
     """
     violations: list[str] = []
     notes: list[str] = []
@@ -605,6 +660,7 @@ def _check_heyting(fib, obj, els, violations, notes, counts):
     tri = _sample(els, TRIPLE_SAMPLE)
     if len(tri) < len(els):
         notes.append(f"lattice laws over {obj.name} sampled at {len(tri)}/{len(els)}")
+    imp = {(b, c): fib.imp(b, c) for b in tri for c in tri}
     for a in tri:
         for b in tri:
             m = fib.meet(a, b)
@@ -623,7 +679,7 @@ def _check_heyting(fib, obj, els, violations, notes, counts):
                 if fib.leq(a, c) and fib.leq(b, c) and not fib.leq(j, c):
                     violations.append(
                         f"{obj.name}: join({fib.describe(a)}, {fib.describe(b)}) is not least")
-                if fib.leq(fib.meet(a, b), c) != fib.leq(a, fib.imp(b, c)):
+                if fib.leq(m, c) != fib.leq(a, imp[b, c]):
                     violations.append(
                         f"{obj.name}: residuation fails on {fib.describe(a)}, "
                         f"{fib.describe(b)}, {fib.describe(c)}")
@@ -637,12 +693,17 @@ def _available_morphisms(D, a, b):
 
 
 def _check_reindex(D, fibre_els, violations, notes, counts):
+    """Functoriality, monotonicity and preservation of the lattice
+    operations by reindexing.  Pullbacks are read through `_Along`, once
+    per sampled predicate and map; the codomain's meet, join and
+    implication are taken once per sampled pair for all maps A -> B."""
+    view = _Along(D)
     for obj, els in fibre_els.items():
-        ident = identity(obj)
+        pull = view.pull(identity(obj))
         sample = _sample(els, PAIR_SAMPLE)
         try:
             for alpha in sample:
-                if D.reindex_el(ident, alpha) != alpha:
+                if pull(alpha) != alpha:
                     fib = D.fibre(obj)
                     violations.append(
                         f"{obj.name}: identity reindex moves {fib.describe(alpha)}")
@@ -662,30 +723,36 @@ def _check_reindex(D, fibre_els, violations, notes, counts):
     for (a, b), fs in mors.items():
         fib_a = D.fibre(a)
         fib_b = D.fibre(b)
-        pairs = [(x, y) for x, y in _sample_pairs(fibre_els[b], PAIR_SAMPLE) if fib_b.leq(x, y)]
+        sampled = _sample_pairs(fibre_els[b], PAIR_SAMPLE)
+        pairs = [(x, y) for x, y in sampled if fib_b.leq(x, y)]
+        lattice = fib_a.has_heyting and fib_b.has_heyting
+        if lattice:
+            ops = [(x, y, fib_b.meet(x, y), fib_b.join(x, y), fib_b.imp(x, y))
+                   for x, y in sampled]
         for f in fs:
+            pull = view.pull(f)
             try:
                 for x, y in pairs:
-                    if not fib_a.leq(D.reindex_el(f, x), D.reindex_el(f, y)):
+                    if not fib_a.leq(pull(x), pull(y)):
                         violations.append(
                             f"reindex along {mor_key(f)} is not monotone on "
                             f"{fib_b.describe(x)} <= {fib_b.describe(y)}")
-                if fib_a.has_heyting and fib_b.has_heyting:
-                    if D.reindex_el(f, fib_b.top()) != fib_a.top():
+                if lattice:
+                    if pull(fib_b.top()) != fib_a.top():
                         violations.append(f"reindex along {mor_key(f)} moves top")
-                    if D.reindex_el(f, fib_b.bottom()) != fib_a.bottom():
+                    if pull(fib_b.bottom()) != fib_a.bottom():
                         violations.append(f"reindex along {mor_key(f)} moves bottom")
-                    for x, y in _sample_pairs(fibre_els[b], PAIR_SAMPLE):
-                        rx, ry = D.reindex_el(f, x), D.reindex_el(f, y)
-                        if D.reindex_el(f, fib_b.meet(x, y)) != fib_a.meet(rx, ry):
+                    for x, y, meet, join, imp in ops:
+                        rx, ry = pull(x), pull(y)
+                        if pull(meet) != fib_a.meet(rx, ry):
                             violations.append(
                                 f"reindex along {mor_key(f)} breaks meet on "
                                 f"{fib_b.describe(x)}, {fib_b.describe(y)}")
-                        if D.reindex_el(f, fib_b.join(x, y)) != fib_a.join(rx, ry):
+                        if pull(join) != fib_a.join(rx, ry):
                             violations.append(
                                 f"reindex along {mor_key(f)} breaks join on "
                                 f"{fib_b.describe(x)}, {fib_b.describe(y)}")
-                        if D.reindex_el(f, fib_b.imp(x, y)) != fib_a.imp(rx, ry):
+                        if pull(imp) != fib_a.imp(rx, ry):
                             violations.append(
                                 f"reindex along {mor_key(f)} breaks implication on "
                                 f"{fib_b.describe(x)}, {fib_b.describe(y)}")
@@ -696,16 +763,16 @@ def _check_reindex(D, fibre_els, violations, notes, counts):
             if b2 != b:
                 continue
             sample = _sample(fibre_els[c], PAIR_SAMPLE)
+            pulls = [(g, view.pull(g)) for g in gs]
             for f in fs:
-                for g in gs:
-                    gf_table = tuple(g(v) for v in f.table)
-                    gf = FinMor(a, c, gf_table)
+                pull_f = view.pull(f)
+                for g, pull_g in pulls:
+                    gf = FinMor(a, c, idx=[g.idx[v] for v in f.idx])
+                    pull_gf = view.pull(gf)
                     counts["compositions"] += 1
                     try:
                         for alpha in sample:
-                            via = D.reindex_el(f, D.reindex_el(g, alpha))
-                            direct = D.reindex_el(gf, alpha)
-                            if via != direct:
+                            if pull_f(pull_g(alpha)) != pull_gf(alpha):
                                 violations.append(
                                     f"functoriality fails: {mor_key(g)} after {mor_key(f)}")
                                 break
@@ -745,18 +812,19 @@ def beck_chevalley(D, direction: str) -> BCReport:
     "forall", on every pullback square of projections over the universe:
     for f: A2 -> A1 and the square formed with B, quantifying along the
     projections must commute with reindexing along f and f x id.  The
-    lax inequality is checked separately from equality.  Each predicate
-    over A1*B is quantified along its projection once, for every f."""
+    lax inequality is checked separately from equality.  Quantifiers and
+    pullbacks are read through `_Along`, so on a concrete doctrine each
+    predicate over A1*B is quantified along its projection once for
+    every f, and each value is shared with the other audits over D."""
     if direction not in ("exists", "forall"):
         raise ValueError("direction must be 'exists' or 'forall'")
-    along = D.exists_along if direction == "exists" else D.forall_along
+    view = _Along(D)
     eq_fail: list = []
     ineq_fail: list = []
     skipped: list = []
     squares = 0
     for b in D.universe:
         for a1 in D.universe:
-            quantified: dict = {}  # beta over A1*B -> its quantifier along A1*B -> A1
             for a2 in D.universe:
                 fs = _available_morphisms(D, a2, a1)
                 if fs is None:
@@ -775,12 +843,13 @@ def beck_chevalley(D, direction: str) -> BCReport:
                         continue
                     squares += 1
                     square = f"{mor_key(f)} x {b.name}"
+                    along1 = view.quantifier(direction, p1.proj_left)
+                    along2 = view.quantifier(direction, p2.proj_left)
+                    pull_f, pull_fp = view.pull(f), view.pull(fp)
                     for beta in betas:
                         try:
-                            lhs = along(p2.proj_left, D.reindex_el(fp, beta))
-                            if beta not in quantified:
-                                quantified[beta] = along(p1.proj_left, beta)
-                            rhs = D.reindex_el(f, quantified[beta])
+                            lhs = along2(pull_fp(beta))
+                            rhs = pull_f(along1(beta))
                         except (AdjointMissing, DoctrineDataError) as exc:
                             skipped.append(f"{square}: {exc}")
                             break
@@ -812,7 +881,8 @@ def quantifier_structure(D, direction: str) -> QuantifierStructureReport:
     """Certify the quantifier structure of the doctrine in one direction:
     D's adjoints along both projections of every binary product over the
     universe, by the adjunction law, plus Beck-Chevalley for the
-    corresponding squares."""
+    corresponding squares.  Both read the table of `_Along` on D, so
+    each value is asked of D once per index table and predicate."""
     witnesses: list = []
     failures: list = []
     for a1 in D.universe:

@@ -91,17 +91,21 @@ class Term:
     __slots__ = ()
 
 
+# A term's hash leaves its sort out: hashing a deep sort on every lookup
+# (`subst_term`'s mapping, the free-variable sets) costs more than the
+# rare collision of equal names at two sorts.  Equality still compares
+# sorts.
 @dataclass(frozen=True)
 class Var(Term):
     name: str
-    sort: Sort
+    sort: Sort = field(hash=False)
 
 
 @dataclass(frozen=True)
 class App(Term):
     func: str
     args: tuple[Term, ...]
-    sort: Sort
+    sort: Sort = field(hash=False)
 
 
 @dataclass(frozen=True)
@@ -287,10 +291,6 @@ def substitute_many(phi: Formula, mapping: dict[Var, Term]) -> Formula:
             v = nv
         return type(phi)(v, substitute_many(body, live))
     raise TypeError(f"not a formula: {phi!r}")
-
-
-def substitute(phi: Formula, x: Var, t: Term) -> Formula:
-    return substitute_many(phi, {x: t})
 
 
 def alpha_canonical(phi: Formula) -> Formula:

@@ -12,7 +12,6 @@ existential-free part.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -20,12 +19,15 @@ from . import _kernels as K
 from .doctrine import (
     ConcreteDoctrine,
     DoctrineError,
+    _Along,
     base_closure,
     mor_key,
     quantifier_structure,
     universe_note,
 )
 from .fincat import CapExceeded, FinMor, enumerate_morphisms
+
+_DIRECTION = {"existential": "exists", "universal": "forall"}
 
 
 @dataclass
@@ -108,12 +110,12 @@ class FreenessAnalyzer:
 
     def __init__(self, D):
         self.D = D
+        self._along = _Along(D)
         self._by_size = tuple(sorted(D.universe, key=lambda o: (len(o), o.name)))
         self._split: dict = {}
         self._free: dict = {}
         self._verdicts: dict = {}
         self._free_elements: dict = {}
-        self._images: dict = {}
 
     # -- splitting ---------------------------------------------------
 
@@ -130,7 +132,7 @@ class FreenessAnalyzer:
         failure = None
         for B in D.universe:
             p = D.product(A, B)
-            image = self._image(kind, A, B, p)
+            image = self._image(kind, p)
             betas = (D.fibre(p.obj).elements() if kind == "existential"
                      else self.exfree_elements(p.obj))
             for beta in betas:
@@ -149,15 +151,10 @@ class FreenessAnalyzer:
         self._split[key] = report
         return report
 
-    def _image(self, kind, A, B, p):
-        """The quantifier of ``kind`` along p's projection to A, taken
-        once per predicate over A*B for every splitting over A."""
-        key = (kind, A.name, A.elements, B.name, B.elements)
-        hit = self._images.get(key)
-        if hit is None:
-            along = self.D.exists_along if kind == "existential" else self.D.forall_along
-            hit = self._images[key] = functools.cache(functools.partial(along, p.proj_left))
-        return hit
+    def _image(self, kind, p):
+        """The quantifier of ``kind`` along p's left projection, read
+        through the doctrine's shared table (`_Along`)."""
+        return self._along.quantifier(_DIRECTION[kind], p.proj_left)
 
     def choice_index(self, kind, A, B, p, alpha, beta):
         """The index table of the first g: A -> B, in `enumerate_morphisms`
@@ -340,7 +337,6 @@ class FreenessAnalyzer:
         projection is alpha (and, for "universal", that is universal-free)."""
         D = self.D
         existential = kind == "existential"
-        along = D.exists_along if existential else D.forall_along
         witnesses: list = []
         failures: list = []
         notes: list = []
@@ -355,8 +351,9 @@ class FreenessAnalyzer:
                 for A in self._by_size:
                     try:
                         p = D.product(I, A)
+                        image = self._image(kind, p)
                         for beta in self.exfree_elements(p.obj):
-                            if along(p.proj_left, beta) == alpha and (
+                            if image(beta) == alpha and (
                                     existential or self.is_universal_free(p.obj, beta)):
                                 found = (I.name, alpha, A.name, beta)
                                 break
@@ -385,9 +382,10 @@ class FreenessAnalyzer:
                 except CapExceeded as exc:
                     notes.append(f"{A.name} x {B.name} skipped: {exc}")
                     continue
+                image = self._image("universal", p)
                 for beta in betas:
                     checked += 1
-                    gamma = D.forall_along(p.proj_left, beta)
+                    gamma = image(beta)
                     if not self.is_existential_free(A, gamma):
                         failures.append((A.name, B.name, beta, gamma))
         return StabilityReport(not failures, failures, checked, notes)

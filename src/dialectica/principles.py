@@ -93,8 +93,8 @@ def _report(rule, D, mode, scanned, instances, vacuous, skipped, witnesses,
 
 class _Pair:
     """One scanned pair of carriers A, B: the projection A*B -> A, both
-    fibres, and the projection's quantifiers and pullback, each taken at
-    most once per predicate."""
+    fibres, the projection's quantifiers and pullback, and implication
+    in each fibre, each taken at most once per argument."""
 
     def __init__(self, D, A, B, p, fibA, fibAB):
         self.A, self.B, self.p, self.fibA, self.fibAB = A, B, p, fibA, fibAB
@@ -102,6 +102,8 @@ class _Pair:
         self.exists = functools.cache(functools.partial(D.exists_along, proj))
         self.forall = functools.cache(functools.partial(D.forall_along, proj))
         self.pull = functools.cache(functools.partial(D.reindex_el, proj))
+        self.impA = functools.cache(fibA.imp)
+        self.impAB = functools.cache(fibAB.imp)
 
     @functools.cached_property
     def top(self):
@@ -160,14 +162,14 @@ _BOTTOM_QF = ("bottomQuantifierFree", lambda fa, c: fa.quantifier_free(c.A, c.bo
 # by residuation, top <= alpha -> beta(a, t a) iff alpha <= beta(a, t a)
 _IP = _Row(
     "independence-of-premise", True, lambda c: c.fibAB.elements(), _exfree, None,
-    lambda c, a, b: c.fibA.leq(c.top, c.fibA.imp(a, c.exists(b))),
-    lambda c, a, b: c.fibA.leq(c.top, c.exists(c.fibAB.imp(c.pull(a), b))),
+    lambda c, a, b: c.fibA.leq(c.top, c.impA(a, c.exists(b))),
+    lambda c, a, b: c.fibA.leq(c.top, c.exists(c.impAB(c.pull(a), b))),
     "existential", "t", "beta", records_precondition=True)
 _MMR = _Row(
     "modified-markov", False, lambda c: c.fibA.elements(), _exfree,
     lambda fa, c, d: fa.quantifier_free(c.A, d),
-    lambda c, a, d: c.fibA.leq(c.top, c.fibA.imp(c.forall(a), d)),
-    lambda c, a, d: c.fibA.leq(c.top, c.exists(c.fibAB.imp(a, c.pull(d)))),
+    lambda c, a, d: c.fibA.leq(c.top, c.impA(c.forall(a), d)),
+    lambda c, a, d: c.fibA.leq(c.top, c.exists(c.impAB(a, c.pull(d)))),
     "universal", "t", "betaD")
 _MARKOV = replace(
     _MMR, name="markov", targets=lambda c: (c.bot,), target_ok=None,

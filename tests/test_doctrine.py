@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import weakref
 
 import pytest
 
@@ -12,6 +14,7 @@ from dialectica.doctrine import (
     HeytingTables,
     PosetFibre,
     TabularDoctrine,
+    _Along,
     adjoint_along,
     beck_chevalley,
     check_doctrine,
@@ -28,6 +31,7 @@ from dialectica.fincat import (
     CapExceeded,
     FinMor,
     FinObj,
+    enumerate_morphisms,
     fin_obj,
     identity,
     product,
@@ -274,6 +278,96 @@ class TestQuantifierCrossCheck:
         assert len(T.fibre(f.cod).elements()) == 4
         assert isinstance(adjoint_along(T, f, direction), AdjointWitness)
         assert calls == [f] * 4
+
+
+# Fresh doctrines, so that each test starts from an empty shared table.
+FRESH = {
+    "powerset-2x2": lambda: powerset_doctrine((2, 2)),
+    "chain2": lambda: kripke_doctrine(chain_poset(2), (2, 2)),
+    "antichain2": lambda: kripke_doctrine(antichain_poset(2), (2, 2)),
+    "antichain3-1x2": lambda: kripke_doctrine(antichain_poset(3), (1, 2)),
+}
+
+
+class TestSharedTable:
+    """The audits read a concrete doctrine's pullbacks and quantifiers
+    through `_Along`, which asks D's own methods once per (index table,
+    predicate) and keeps the value on D for every later audit."""
+
+    @pytest.mark.parametrize("make", FRESH.values(), ids=FRESH.keys())
+    def test_the_view_answers_as_the_doctrine(self, make):
+        """Every map between universe objects and their binary products
+        with a universe object at one end, and every f x id the
+        Beck-Chevalley squares read, through one view: each value read,
+        whether asked or shared with an earlier map of the same table,
+        equals D's method on every predicate."""
+        D = make()
+        view = _Along(D)
+        objs = D.universe
+        # each carrier once: 1*A has the elements of A
+        carriers = list(dict.fromkeys(
+            list(objs) + [D.product(a, b).obj for a in objs for b in objs]))
+        maps = [f for x in carriers for y in carriers if x in objs or y in objs
+                for f in enumerate_morphisms(x, y, D.cap)]
+        maps += [f_times_id(D, f, b) for a in objs for a2 in objs
+                 for f in D.morphisms(a, a2) for b in objs]
+        for f in maps:
+            pull = view.pull(f)
+            assert all(pull(beta) == D.reindex_el(f, beta)
+                       for beta in D.fibre(f.cod).elements())
+            for direction, along in (("exists", D.exists_along), ("forall", D.forall_along)):
+                read = view.quantifier(direction, f)
+                assert all(read(alpha) == along(f, alpha)
+                           for alpha in D.fibre(f.dom).elements())
+        assert len(D._along) < 3 * len(maps)  # maps with one table share
+
+    def test_a_wrong_pullback_on_one_map_is_caught(self):
+        """A pullback wrong along one map A -> B of powerset-2x3 is caught
+        by the law audit and by Beck-Chevalley, both reading the shared
+        table.  No other map between the audited carriers has its index
+        table, which is what the table is keyed by."""
+        class OneWrongMap(ConcreteDoctrine):
+            def reindex_el(self, f, alpha):
+                value = super().reindex_el(f, alpha)
+                return value ^ 1 if f.idx == (0, 2) and len(f.cod) == 3 else value
+
+        P = powerset_doctrine((2, 3))
+        D = OneWrongMap("one-wrong-map", P.frame, P.universe)
+        bad = mor_key(FinMor(D.universe[1], D.universe[2], idx=(0, 2)))
+        rep = check_doctrine(D)
+        assert f"reindex along {bad} moves top" in rep.violations
+        assert all(bad in v or "functoriality" in v for v in rep.violations)
+        for direction in ("exists", "forall"):
+            bc = beck_chevalley(D, direction)
+            assert bc.equality_failures
+            assert all(f"along {bad} x " in v for v in bc.equality_failures)
+        assert check_doctrine(P).passed and beck_chevalley(P, "exists").passed
+
+    def test_a_finished_audit_leaves_no_cycle(self):
+        """The view is not kept on D, so a finished doctrine is freed by
+        reference counting alone."""
+        D = powerset_doctrine((2, 2))
+        gc.disable()
+        try:
+            quantifier_structure(D, "exists")
+            ref = weakref.ref(D)
+            del D
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_each_pullback_is_asked_once_per_table(self, monkeypatch):
+        """Both directions of the quantifier audit on powerset-2x2 ask D's
+        `reindex_el` once per distinct (index table, codomain size,
+        predicate), across the adjunction laws and the Beck-Chevalley
+        squares of both directions."""
+        D = powerset_doctrine((2, 2))
+        asked = []
+        monkeypatch.setattr(D, "reindex_el", lambda f, alpha: asked.append(
+            (f.idx, len(f.cod), alpha)) or ConcreteDoctrine.reindex_el(D, f, alpha))
+        assert quantifier_structure(D, "exists").passed
+        assert quantifier_structure(D, "forall").passed
+        assert len(asked) == len(set(asked)) == 132
 
 
 class TestHeyting:

@@ -23,6 +23,7 @@ from dialectica.fol import (
     Pair,
     ProdSort,
     Signature,
+    Sort,
     SyntacticClass,
     Top,
     Var,
@@ -39,7 +40,7 @@ from dialectica.fol import (
     parse_term,
     sort_to_latex,
     sort_to_text,
-    substitute,
+    substitute_many,
     term_sort,
     term_to_text,
 )
@@ -95,6 +96,25 @@ class TestTerms:
         for text in ["hUU(hUU(a))", "FF @ a", "FF @ hUU(a)", "<a, FF @ a>"]:
             t = parse_term(text, SIG, ctx)
             assert parse_term(term_to_text(t), SIG, ctx) == t
+
+    def test_hashing_a_term_does_not_hash_its_sort(self):
+        """A term's hash leaves its sort out, so a mapping lookup does not
+        walk a deep sort; equality still tells two sorts apart."""
+        class CountingSort(Sort):
+            hashed = 0
+
+            def __hash__(self):
+                CountingSort.hashed += 1
+                return 0
+
+        s = CountingSort()
+        x = Var("x", s)
+        hash(x)
+        hash(App("f", (x,), s))
+        assert {x: 1}[Var("x", s)] == 1
+        assert CountingSort.hashed == 0
+        assert Var("x", U) != Var("x", V)
+        assert App("c", (), U) != App("c", (), V)
 
 
 class TestFormulaParsing:
@@ -169,6 +189,11 @@ class TestFormulaParsing:
         f = parse_formula("exists u:U. ~p(u) & false", SIG)
         tex = formula_to_latex(f)
         assert "\\exists" in tex and "\\neg" in tex and "\\bot" in tex
+
+
+def substitute(phi, x, t):
+    """Substitute t for the free occurrences of x in phi."""
+    return substitute_many(phi, {x: t})
 
 
 class TestSubstitution:
