@@ -385,10 +385,10 @@ class Theorem2Report:
 
 def prenex_order(D, I, U, X, alpha):
     """The predicate over I presented by exists-u forall-x alpha, along
-    the left projections of (I*U)*X and I*U."""
+    the left projections of (I*U)*X and I*U, read through `D.along`."""
     iu = D.product(I, U)
-    return D.exists_along(iu.proj_left,
-                          D.forall_along(D.product(iu.obj, X).proj_left, alpha))
+    return D.along("exists", iu.proj_left)(
+        D.along("forall", D.product(iu.obj, X).proj_left)(alpha))
 
 
 def check_theorem2(D, analyzer, I: FinObj, samples: int = 200,

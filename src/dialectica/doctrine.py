@@ -8,13 +8,13 @@ replays fibres and reindexing tables loaded from data.  Each doctrine
 owns its fibres (`D.fibre`) and its binary carrier products
 (`D.product`), each built once at the doctrine's cap, so every audit,
 scan and completion check over one doctrine shares one carrier, and one
-set of projections, per shape.  On top of both sit adjoint
-certification by the adjunction law, structural audits, Beck-Chevalley
-checks, and a JSON exchange format.
+set of projections, per shape.  It also keeps its values along maps
+(`D.along`), each asked of its own method once.  On top of both sit
+adjoint certification by the adjunction law, structural audits,
+Beck-Chevalley checks, and a JSON exchange format.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -259,14 +259,25 @@ class PosetFibre:
         return self.labels[a]
 
 
-class ProductTable:
-    """A doctrine's carrier products, built once each at its cap.
+# The method `Doctrine.along` asks for each op on a miss.
+_ALONG = {"reindex": "reindex_el", "exists": "exists_along", "forall": "forall_along"}
+
+
+class Doctrine:
+    """What both kinds of doctrine share: their carrier products and
+    their values along maps, each kept once per doctrine.
 
     ``D.product(a, b)`` keys each product by its factors' names, arities
     and elements: `FinObj` equality ignores names, but a product's name
-    (``A*B``) reaches the output.  A kept
-    product keeps its projections, and so their preimage lists.  A
-    product over the cap raises CapExceeded and is not kept.
+    (``A*B``) reaches the output.  A kept product keeps its projections,
+    and so their preimage lists.  A product over the cap raises
+    CapExceeded and is not kept.
+
+    ``D.along(op, f)`` reads the pullback ("reindex") or quantifier
+    ("exists", "forall") along f, predicate by predicate, from one dict
+    on D keyed by ``D._table_key(f)``: all that a value along f depends
+    on.  Each value is asked of D's own method once and kept, and so is
+    its absence (`AdjointMissing`).
     """
 
     def product(self, a: FinObj, b: FinObj) -> Product:
@@ -276,8 +287,28 @@ class ProductTable:
             hit = self._products[key] = product(a, b, self.cap)
         return hit
 
+    def along(self, op: str, f: FinMor):
+        """alpha -> the value of ``op`` along f at alpha.  The reader
+        holds D's kept values, but D holds no reader, so a finished
+        doctrine is freed by reference counting alone."""
+        ask = getattr(self, _ALONG[op])
+        values = self._along.setdefault((op, self._table_key(f)), {})
 
-class ConcreteDoctrine(ProductTable):
+        def read(alpha):
+            value = values.get(alpha)
+            if value is None:
+                try:
+                    value = ask(f, alpha)
+                except AdjointMissing:
+                    value = AdjointMissing
+                values[alpha] = value
+            if value is AdjointMissing:
+                raise AdjointMissing(op, mor_key(f), alpha)
+            return value
+        return read
+
+
+class ConcreteDoctrine(Doctrine):
     """Doctrine of up-closed predicates over a Kripke frame.
 
     Carriers are constant along the frame, so reindexing is preimage
@@ -300,7 +331,6 @@ class ConcreteDoctrine(ProductTable):
         self.generator = generator
         self._fibres: dict[FinObj, MaskFibre] = {}
         self._products: dict = {}
-        # (op, f.idx, len(f.cod)) -> {predicate: value}, read by `_Along`
         self._along: dict = {}
 
     def fibre(self, obj: FinObj) -> MaskFibre:
@@ -309,6 +339,11 @@ class ConcreteDoctrine(ProductTable):
             fib = MaskFibre(obj, self.nw, self.frame.up, self.frame.elements, self.cap)
             self._fibres[obj] = fib
         return fib
+
+    def _table_key(self, f: FinMor):
+        """A value along f depends only on f's index table and the size
+        of its codomain, so maps with one table share their values."""
+        return f.idx, len(f.cod)
 
     def reindex_el(self, f: FinMor, alpha: int) -> int:
         return K.reindex_mask(alpha, f.idx, self.nw)
@@ -323,7 +358,7 @@ class ConcreteDoctrine(ProductTable):
         return enumerate_morphisms(a, b, self.cap)
 
 
-class TabularDoctrine(ProductTable):
+class TabularDoctrine(Doctrine):
     """Doctrine replayed from explicit fibre and reindexing tables.
 
     Quantifier values are found by search over the recorded order, so
@@ -343,14 +378,17 @@ class TabularDoctrine(ProductTable):
         self.generator = generator
         self._fibres = dict(fibres)
         self._reindex = dict(reindex)
-        self._adj_memo: dict = {}
-        self._pulled: dict = {}
         self._products: dict = {}
+        self._along: dict = {}
         for f, table in self._reindex.items():
             nc = len(self.fibre(f.cod).elements())
             nd = len(self.fibre(f.dom).elements())
             if len(table) != nc or any(v < 0 or v >= nd for v in table):
                 raise DoctrineDataError(f"reindex table for {mor_key(f)} is malformed")
+
+    def _table_key(self, f: FinMor):
+        """A value along f is read off f's own recorded table."""
+        return f
 
     def fibre(self, obj: FinObj):
         fib = self._fibres.get(obj)
@@ -364,31 +402,27 @@ class TabularDoctrine(ProductTable):
             raise DoctrineDataError(f"no reindex table for {mor_key(f)}")
         return table[alpha]
 
-    def pullbacks(self, f: FinMor) -> list:
-        """`_pullbacks` along f, listed once per map and kept: the
-        quantifier search and `adjoint_along` share the list."""
-        pulled = self._pulled.get(f)
-        if pulled is None:
-            pulled = self._pulled[f] = _pullbacks(self, f)
-        return pulled
-
-    def _adjoint(self, direction: str, search, f: FinMor, alpha: int) -> int:
-        """``search`` over f's pullbacks; each value, or its absence, is
-        kept."""
-        key = (direction, f, alpha)
-        if key not in self._adj_memo:
-            self._adj_memo[key] = search(self.fibre(f.dom), self.fibre(f.cod),
-                                         self.pullbacks(f), alpha)
-        val = self._adj_memo[key]
-        if val is None:
-            raise AdjointMissing(direction, mor_key(f), alpha)
-        return val
-
     def exists_along(self, f: FinMor, alpha: int) -> int:
-        return self._adjoint("exists", _least_exists, f, alpha)
+        return self._search("exists", f, alpha)
 
     def forall_along(self, f: FinMor, alpha: int) -> int:
-        return self._adjoint("forall", _greatest_forall, f, alpha)
+        return self._search("forall", f, alpha)
+
+    def _search(self, direction: str, f: FinMor, alpha: int) -> int:
+        """The least b over f's codomain with alpha <= f*b ("exists"),
+        or the greatest with f*b <= alpha ("forall"), searched over f's
+        pullbacks read through `along`; AdjointMissing when there is
+        none."""
+        dom, cod, pull = self.fibre(f.dom), self.fibre(f.cod), self.along("reindex", f)
+        if direction == "exists":
+            cands = [b for b in cod.elements() if dom.leq(alpha, pull(b))]
+            best = next((b for b in cands if all(cod.leq(b, c) for c in cands)), None)
+        else:
+            cands = [b for b in cod.elements() if dom.leq(pull(b), alpha)]
+            best = next((b for b in cands if all(cod.leq(c, b) for c in cands)), None)
+        if best is None:
+            raise AdjointMissing(direction, mor_key(f), alpha)
+        return best
 
     def morphisms(self, a: FinObj, b: FinObj) -> list[FinMor]:
         out = [f for f in self._reindex if f.dom == a and f.cod == b]
@@ -426,78 +460,6 @@ def _lettered_universe(sizes) -> tuple:
     return tuple(objs)
 
 
-def _pullbacks(D, f: FinMor) -> list:
-    """``(b, P_f(b))`` for every b in the codomain fibre, in its order."""
-    return [(b, D.reindex_el(f, b)) for b in D.fibre(f.cod).elements()]
-
-
-class _Along:
-    """The law audits' reading of D's pullbacks and quantifiers, as one
-    reader per map.
-
-    On a concrete doctrine a value along f depends only on f's index
-    table, its codomain's size and the predicate.  So each is asked of
-    D's own method once per (table, predicate) and kept in D's plain
-    dicts (``D._along``), which every audit over D reads, across all
-    maps with one table.  A replay is asked directly: it keeps its
-    quantifier values per map and reads pullbacks from its tables.  A
-    view is built per audit and never kept on D, so D holds no
-    reference back to it."""
-
-    __slots__ = ("D", "_values")
-
-    def __init__(self, D):
-        self.D = D
-        self._values = D._along if isinstance(D, ConcreteDoctrine) else None
-
-    def pull(self, f: FinMor):
-        """beta -> the pullback of beta along f."""
-        return self._reader("reindex", self.D.reindex_el, f)
-
-    def quantifier(self, direction: str, f: FinMor):
-        """alpha -> its quantifier along f, "exists" or "forall"."""
-        ask = self.D.exists_along if direction == "exists" else self.D.forall_along
-        return self._reader(direction, ask, f)
-
-    def pullbacks(self, f: FinMor) -> list:
-        """`_pullbacks` along f: the replay's kept list, or read here."""
-        if self._values is None:
-            return self.D.pullbacks(f)
-        pull = self.pull(f)
-        return [(b, pull(b)) for b in self.D.fibre(f.cod).elements()]
-
-    def _reader(self, op: str, ask, f: FinMor):
-        if self._values is None:
-            return functools.partial(ask, f)
-        key = (op, f.idx, len(f.cod))
-        values = self._values.get(key)
-        if values is None:
-            values = self._values[key] = {}
-
-        def read(alpha):
-            value = values.get(alpha)
-            if value is None:
-                value = values[alpha] = ask(f, alpha)
-            return value
-        return read
-
-
-def _least_exists(dom_fib, cod_fib, pulled, alpha):
-    cands = [b for b, pb in pulled if dom_fib.leq(alpha, pb)]
-    for b in cands:
-        if all(cod_fib.leq(b, c) for c in cands):
-            return b
-    return None
-
-
-def _greatest_forall(dom_fib, cod_fib, pulled, alpha):
-    cands = [b for b, pb in pulled if dom_fib.leq(pb, alpha)]
-    for b in cands:
-        if all(cod_fib.leq(c, b) for c in cands):
-            return b
-    return None
-
-
 @dataclass
 class AdjointWitness:
     direction: str
@@ -520,26 +482,25 @@ def adjoint_along(D, f: FinMor, direction: str):
     Each value is D's (`D.exists_along`/`D.forall_along`), checked against
     every codomain predicate pulled back along f, once per map; in a
     poset the law fixes the value.  Values and pullbacks are read through
-    `_Along`: on a concrete doctrine from the table it keeps on D, shared
-    with every other audit, so each is asked once per index table and
-    predicate.  Returns an AdjointWitness, or an AdjointFailure naming
-    the first predicate without a value, else the first that breaks the
-    law.
+    `D.along`, shared with every other audit over D, so each is asked of
+    D once per table key and predicate.  Returns an AdjointWitness, or
+    an AdjointFailure naming the first predicate without a value, else
+    the first that breaks the law.
     """
     if direction not in ("exists", "forall"):
         raise ValueError("direction must be 'exists' or 'forall'")
-    view = _Along(D)
     key = mor_key(f)
     try:
         dom_fib = D.fibre(f.dom)
         cod_fib = D.fibre(f.cod)
         dom_els = dom_fib.elements()
-        cod_fib.elements()
+        cod_els = cod_fib.elements()
+        pull = D.along("reindex", f)
         # an empty domain fibre reads no reindexing table
-        pulled = view.pullbacks(f) if dom_els else []
+        pulled = [(b, pull(b)) for b in cod_els] if dom_els else []
     except (CapExceeded, DoctrineDataError) as exc:
         return AdjointFailure(direction, key, None, str(exc))
-    along = view.quantifier(direction, f)
+    along = D.along(direction, f)
     value = {}
     for alpha in dom_els:
         try:
@@ -597,8 +558,8 @@ def check_doctrine(D) -> DoctrineReport:
     fibre carries them, functoriality of reindexing, monotonicity, and
     preservation of the lattice operations.  Large fibres are sampled
     deterministically; every shortcut is recorded in the notes.
-    Pullbacks are read through `_Along`: on a concrete doctrine from the
-    table it keeps on D, which the quantifier audits over D share.
+    Pullbacks are read through `D.along`, which the quantifier audits
+    over D share.
     """
     violations: list[str] = []
     notes: list[str] = []
@@ -694,12 +655,12 @@ def _available_morphisms(D, a, b):
 
 def _check_reindex(D, fibre_els, violations, notes, counts):
     """Functoriality, monotonicity and preservation of the lattice
-    operations by reindexing.  Pullbacks are read through `_Along`, once
-    per sampled predicate and map; the codomain's meet, join and
-    implication are taken once per sampled pair for all maps A -> B."""
-    view = _Along(D)
+    operations by reindexing.  Pullbacks are read through `D.along`, so
+    each is asked of D once per table key and predicate; the codomain's
+    meet, join and implication are taken once per sampled pair for all
+    maps A -> B."""
     for obj, els in fibre_els.items():
-        pull = view.pull(identity(obj))
+        pull = D.along("reindex", identity(obj))
         sample = _sample(els, PAIR_SAMPLE)
         try:
             for alpha in sample:
@@ -730,7 +691,7 @@ def _check_reindex(D, fibre_els, violations, notes, counts):
             ops = [(x, y, fib_b.meet(x, y), fib_b.join(x, y), fib_b.imp(x, y))
                    for x, y in sampled]
         for f in fs:
-            pull = view.pull(f)
+            pull = D.along("reindex", f)
             try:
                 for x, y in pairs:
                     if not fib_a.leq(pull(x), pull(y)):
@@ -763,12 +724,12 @@ def _check_reindex(D, fibre_els, violations, notes, counts):
             if b2 != b:
                 continue
             sample = _sample(fibre_els[c], PAIR_SAMPLE)
-            pulls = [(g, view.pull(g)) for g in gs]
+            pulls = [(g, D.along("reindex", g)) for g in gs]
             for f in fs:
-                pull_f = view.pull(f)
+                pull_f = D.along("reindex", f)
                 for g, pull_g in pulls:
                     gf = FinMor(a, c, idx=[g.idx[v] for v in f.idx])
-                    pull_gf = view.pull(gf)
+                    pull_gf = D.along("reindex", gf)
                     counts["compositions"] += 1
                     try:
                         for alpha in sample:
@@ -813,12 +774,11 @@ def beck_chevalley(D, direction: str) -> BCReport:
     for f: A2 -> A1 and the square formed with B, quantifying along the
     projections must commute with reindexing along f and f x id.  The
     lax inequality is checked separately from equality.  Quantifiers and
-    pullbacks are read through `_Along`, so on a concrete doctrine each
-    predicate over A1*B is quantified along its projection once for
-    every f, and each value is shared with the other audits over D."""
+    pullbacks are read through `D.along`, so each predicate over A1*B is
+    quantified along its projection once for every f, and each value is
+    shared with the other audits over D."""
     if direction not in ("exists", "forall"):
         raise ValueError("direction must be 'exists' or 'forall'")
-    view = _Along(D)
     eq_fail: list = []
     ineq_fail: list = []
     skipped: list = []
@@ -843,9 +803,9 @@ def beck_chevalley(D, direction: str) -> BCReport:
                         continue
                     squares += 1
                     square = f"{mor_key(f)} x {b.name}"
-                    along1 = view.quantifier(direction, p1.proj_left)
-                    along2 = view.quantifier(direction, p2.proj_left)
-                    pull_f, pull_fp = view.pull(f), view.pull(fp)
+                    along1 = D.along(direction, p1.proj_left)
+                    along2 = D.along(direction, p2.proj_left)
+                    pull_f, pull_fp = D.along("reindex", f), D.along("reindex", fp)
                     for beta in betas:
                         try:
                             lhs = along2(pull_fp(beta))
@@ -881,8 +841,8 @@ def quantifier_structure(D, direction: str) -> QuantifierStructureReport:
     """Certify the quantifier structure of the doctrine in one direction:
     D's adjoints along both projections of every binary product over the
     universe, by the adjunction law, plus Beck-Chevalley for the
-    corresponding squares.  Both read the table of `_Along` on D, so
-    each value is asked of D once per index table and predicate."""
+    corresponding squares.  Both read their values through `D.along`,
+    so each is asked of D once per table key and predicate."""
     witnesses: list = []
     failures: list = []
     for a1 in D.universe:

@@ -19,7 +19,6 @@ from . import _kernels as K
 from .doctrine import (
     ConcreteDoctrine,
     DoctrineError,
-    _Along,
     base_closure,
     mor_key,
     quantifier_structure,
@@ -110,7 +109,6 @@ class FreenessAnalyzer:
 
     def __init__(self, D):
         self.D = D
-        self._along = _Along(D)
         self._by_size = tuple(sorted(D.universe, key=lambda o: (len(o), o.name)))
         self._split: dict = {}
         self._free: dict = {}
@@ -153,8 +151,8 @@ class FreenessAnalyzer:
 
     def _image(self, kind, p):
         """The quantifier of ``kind`` along p's left projection, read
-        through the doctrine's shared table (`_Along`)."""
-        return self._along.quantifier(_DIRECTION[kind], p.proj_left)
+        through `D.along`, so each value is asked of D once."""
+        return self.D.along(_DIRECTION[kind], p.proj_left)
 
     def choice_index(self, kind, A, B, p, alpha, beta):
         """The index table of the first g: A -> B, in `enumerate_morphisms`
@@ -334,7 +332,9 @@ class FreenessAnalyzer:
     def _enough(self, kind) -> EnoughReport:
         """For each target alpha over I, the first existential-free beta
         over I x A, partners A in size order, whose image along the
-        projection is alpha (and, for "universal", that is universal-free)."""
+        projection is alpha (and, for "universal", that is universal-free).
+        Each partner's product and existential-free list is decided once
+        per (I, A), so a partner over the cap is noted once."""
         D = self.D
         existential = kind == "existential"
         witnesses: list = []
@@ -346,15 +346,21 @@ class FreenessAnalyzer:
             except CapExceeded as exc:
                 notes.append(f"fibre over {I.name} skipped: {exc}")
                 continue
+            partners = []
+            for A in self._by_size:
+                try:
+                    p = D.product(I, A)
+                    partners.append((A, p.obj, self._image(kind, p),
+                                     self.exfree_elements(p.obj)))
+                except CapExceeded as exc:
+                    notes.append(f"{I.name} x {A.name} skipped: {exc}")
             for alpha in alphas:
                 found = None
-                for A in self._by_size:
+                for A, obj, image, betas in partners:
                     try:
-                        p = D.product(I, A)
-                        image = self._image(kind, p)
-                        for beta in self.exfree_elements(p.obj):
+                        for beta in betas:
                             if image(beta) == alpha and (
-                                    existential or self.is_universal_free(p.obj, beta)):
+                                    existential or self.is_universal_free(obj, beta)):
                                 found = (I.name, alpha, A.name, beta)
                                 break
                     except CapExceeded as exc:
@@ -395,14 +401,15 @@ class FreenessAnalyzer:
     def prenex(self, I, alpha):
         """Smallest presentation of alpha as an existential image of a
         universal image of a predicate free for both quantifiers.
-        Partners are searched through the universe in size order."""
+        Partners are searched through the universe in size order, and
+        both quantifiers are read through `D.along`."""
         D = self.D
         skipped: list = []
         for U in self._by_size:
             try:
                 p_iu = D.product(I, U)
-                gammas = [g for g in self.exfree_elements(p_iu.obj)
-                          if D.exists_along(p_iu.proj_left, g) == alpha]
+                image = D.along("exists", p_iu.proj_left)
+                gammas = [g for g in self.exfree_elements(p_iu.obj) if image(g) == alpha]
             except CapExceeded as exc:
                 skipped.append(str(exc))
                 continue
@@ -415,9 +422,10 @@ class FreenessAnalyzer:
                 except CapExceeded as exc:
                     skipped.append(str(exc))
                     continue
+                image = D.along("forall", p3.proj_left)
                 for gamma in gammas:
                     for beta in betas:
-                        if D.forall_along(p3.proj_left, beta) != gamma:
+                        if image(beta) != gamma:
                             continue
                         if self.is_universal_free(p3.obj, beta):
                             return PrenexWitness(I, alpha, U, X,

@@ -93,15 +93,16 @@ def _report(rule, D, mode, scanned, instances, vacuous, skipped, witnesses,
 
 class _Pair:
     """One scanned pair of carriers A, B: the projection A*B -> A, both
-    fibres, the projection's quantifiers and pullback, and implication
-    in each fibre, each taken at most once per argument."""
+    fibres, the projection's quantifiers and pullback, read through
+    `D.along` and so shared by every row, and implication in each fibre,
+    taken at most once per argument."""
 
     def __init__(self, D, A, B, p, fibA, fibAB):
         self.A, self.B, self.p, self.fibA, self.fibAB = A, B, p, fibA, fibAB
         proj = p.proj_left
-        self.exists = functools.cache(functools.partial(D.exists_along, proj))
-        self.forall = functools.cache(functools.partial(D.forall_along, proj))
-        self.pull = functools.cache(functools.partial(D.reindex_el, proj))
+        self.exists = D.along("exists", proj)
+        self.forall = D.along("forall", proj)
+        self.pull = D.along("reindex", proj)
         self.impA = functools.cache(fibA.imp)
         self.impAB = functools.cache(fibAB.imp)
 

@@ -5,6 +5,7 @@ import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -490,7 +491,7 @@ class TestErrorChannels:
         assert err == "error: --cap must be positive\n"
 
     def test_unknown_top_level_key_is_named(self, capsys, pow_path, tmp_path):
-        data = json.loads(open(pow_path, encoding="utf-8").read())
+        data = json.loads(Path(pow_path).read_text(encoding="utf-8"))
         data["frobnicate"] = 1
         bad = tmp_path / "extra.json"
         bad.write_text(json.dumps(data))
@@ -500,7 +501,7 @@ class TestErrorChannels:
 
     def test_tampered_generator_file_is_named(self, capsys, pow_path, tmp_path):
         """A generator file's recorded tables must match the generator."""
-        data = json.loads(open(pow_path, encoding="utf-8").read())
+        data = json.loads(Path(pow_path).read_text(encoding="utf-8"))
         data["fibres"]["1"]["leq"] = [[1, 1], [1, 1]]
         data["reindex"] = {"bogus": 5}
         bad = tmp_path / "tampered.json"

@@ -447,3 +447,17 @@ class TestTheorem4:
                     prenex_order(POW, qb.I, qb.U, qb.X, qb.alpha))
                 witnessed = dial_leq(POW, qa, qb) is not None
                 assert direct == rebuilt == witnessed
+
+    def test_prenex_forms_ask_each_quantifier_once(self, monkeypatch):
+        """Theorem 4 over A on a fresh powerset-2x2 asks D's quantifiers
+        once per (index table, predicate): the prenex search and
+        `prenex_order` both read them through `D.along`."""
+        D = powerset_doctrine((2, 2))
+        asked = []
+        for name in ("exists_along", "forall_along"):
+            raw = getattr(ConcreteDoctrine, name)
+            monkeypatch.setattr(D, name, lambda f, alpha, name=name, raw=raw: asked.append(
+                (name, f.idx, len(f.cod), alpha)) or raw(D, f, alpha))
+        assert check_theorem4(D, FreenessAnalyzer(D), D.universe[1], quad_cap=4096).passed
+        assert {k[0] for k in asked} == {"exists_along", "forall_along"}
+        assert len(asked) == len(set(asked))

@@ -14,7 +14,6 @@ from dialectica.doctrine import (
     HeytingTables,
     PosetFibre,
     TabularDoctrine,
-    _Along,
     adjoint_along,
     beck_chevalley,
     check_doctrine,
@@ -266,8 +265,8 @@ class TestQuantifierCrossCheck:
     @pytest.mark.parametrize("direction", ("exists", "forall"))
     def test_adjoint_audit_shares_the_replays_pullbacks(self, monkeypatch, direction):
         """Certifying a replay's quantifier along one map A -> B reindexes
-        each of the 4 predicates over B once: the law check reads the
-        list the replay's own search keeps."""
+        each of the 4 predicates over B once: the law check and the
+        replay's own search read the pullbacks through `T.along`."""
         data = doctrine_to_json(POW)
         del data["generator"]
         T = doctrine_from_json(data)
@@ -288,38 +287,88 @@ FRESH = {
     "antichain3-1x2": lambda: kripke_doctrine(antichain_poset(3), (1, 2)),
 }
 
+# The method `D.along` asks for each op.
+METHODS = {"reindex": "reindex_el", "exists": "exists_along", "forall": "forall_along"}
+
+
+def _replay(D):
+    """D replayed from its tables alone, with no generator."""
+    data = doctrine_to_json(D)
+    del data["generator"]
+    return doctrine_from_json(data)
+
+
+def _gap_doctrine():
+    """Two flat 2-element fibres over 1 and A: along t: A -> 1 the
+    predicate y has no least existential value.  Returns D and t."""
+    A = fin_obj("A", ["a0", "a1"])
+    one = unit_obj()
+    flat_a = PosetFibre(A, ("x", "y"), [0b01, 0b10])
+    flat_1 = PosetFibre(one, ("x", "y"), [0b01, 0b10])
+    t = FinMor(A, one, ((), ()))
+    D = TabularDoctrine("gap", (one, A), {A: flat_a, one: flat_1},
+                        {identity(A): (0, 1), identity(one): (0, 1), t: (0, 0)})
+    return D, t
+
 
 class TestSharedTable:
-    """The audits read a concrete doctrine's pullbacks and quantifiers
-    through `_Along`, which asks D's own methods once per (index table,
-    predicate) and keeps the value on D for every later audit."""
+    """The audits read a doctrine's pullbacks and quantifiers through
+    `D.along`, which asks D's own methods once per (table key, predicate)
+    and keeps the value on D for every later audit."""
 
-    @pytest.mark.parametrize("make", FRESH.values(), ids=FRESH.keys())
+    @pytest.mark.parametrize("make", [*FRESH.values(), lambda: _replay(ANTI)],
+                             ids=[*FRESH, "antichain2-replay"])
     def test_the_view_answers_as_the_doctrine(self, make):
-        """Every map between universe objects and their binary products
-        with a universe object at one end, and every f x id the
-        Beck-Chevalley squares read, through one view: each value read,
+        """On a concrete doctrine: every map between universe objects and
+        their binary products with a universe object at one end, and
+        every f x id the Beck-Chevalley squares read, each value read,
         whether asked or shared with an earlier map of the same table,
-        equals D's method on every predicate."""
+        equals D's method on every predicate.  On the antichain2 replay:
+        every recorded map, each value equal to antichain2's, compared by
+        fibre index."""
         D = make()
-        view = _Along(D)
         objs = D.universe
-        # each carrier once: 1*A has the elements of A
-        carriers = list(dict.fromkeys(
-            list(objs) + [D.product(a, b).obj for a in objs for b in objs]))
-        maps = [f for x in carriers for y in carriers if x in objs or y in objs
-                for f in enumerate_morphisms(x, y, D.cap)]
-        maps += [f_times_id(D, f, b) for a in objs for a2 in objs
-                 for f in D.morphisms(a, a2) for b in objs]
+        if D.kind == "tabular":
+            maps = [f for a in objs for b in objs for f in D.morphisms(a, b)]
+
+            def want(op, f, i):
+                src, dst = (f.cod, f.dom) if op == "reindex" else (f.dom, f.cod)
+                value = getattr(ANTI, METHODS[op])(f, ANTI.fibre(src).elements()[i])
+                return ANTI.fibre(dst).index(value)
+        else:
+            # each carrier once: 1*A has the elements of A
+            carriers = list(dict.fromkeys(
+                list(objs) + [D.product(a, b).obj for a in objs for b in objs]))
+            maps = [f for x in carriers for y in carriers if x in objs or y in objs
+                    for f in enumerate_morphisms(x, y, D.cap)]
+            maps += [f_times_id(D, f, b) for a in objs for a2 in objs
+                     for f in D.morphisms(a, a2) for b in objs]
+
+            def want(op, f, alpha):
+                return getattr(D, METHODS[op])(f, alpha)
         for f in maps:
-            pull = view.pull(f)
-            assert all(pull(beta) == D.reindex_el(f, beta)
-                       for beta in D.fibre(f.cod).elements())
-            for direction, along in (("exists", D.exists_along), ("forall", D.forall_along)):
-                read = view.quantifier(direction, f)
-                assert all(read(alpha) == along(f, alpha)
-                           for alpha in D.fibre(f.dom).elements())
-        assert len(D._along) < 3 * len(maps)  # maps with one table share
+            for op in METHODS:
+                read = D.along(op, f)
+                src = f.cod if op == "reindex" else f.dom
+                assert all(read(x) == want(op, f, x) for x in D.fibre(src).elements()), \
+                    (mor_key(f), op)
+        if D.kind == "tabular":
+            assert len(D._along) == 3 * len(maps)  # a replay keys by map
+        else:
+            assert len(D._along) < 3 * len(maps)  # maps with one table share
+
+    def test_a_missing_value_is_kept_as_missing(self, monkeypatch):
+        """A replay's `exists_along` with no value is asked once: every
+        later read, through the same reader or a new one, raises again."""
+        D, t = _gap_doctrine()
+        exists, asked = D.exists_along, []
+        monkeypatch.setattr(D, "exists_along",
+                            lambda f, alpha: asked.append((f, alpha)) or exists(f, alpha))
+        read = D.along("exists", t)
+        for reader in (read, read, D.along("exists", t)):
+            with pytest.raises(AdjointMissing, match="no exists value along A->1#0"):
+                reader(1)
+        assert asked == [(t, 1)]
 
     def test_a_wrong_pullback_on_one_map_is_caught(self):
         """A pullback wrong along one map A -> B of powerset-2x3 is caught
@@ -344,8 +393,8 @@ class TestSharedTable:
         assert check_doctrine(P).passed and beck_chevalley(P, "exists").passed
 
     def test_a_finished_audit_leaves_no_cycle(self):
-        """The view is not kept on D, so a finished doctrine is freed by
-        reference counting alone."""
+        """No reader of `D.along` is kept on D, so a finished doctrine is
+        freed by reference counting alone."""
         D = powerset_doctrine((2, 2))
         gc.disable()
         try:
@@ -533,15 +582,7 @@ class TestPlantedDefects:
             "1: antisymmetry fails on x, y"]
 
     def test_missing_adjoint_is_reported(self):
-        A = fin_obj("A", ["a0", "a1"])
-        one = unit_obj()
-        flat_a = PosetFibre(A, ("x", "y"), [0b01, 0b10])
-        flat_1 = PosetFibre(one, ("x", "y"), [0b01, 0b10])
-        t = FinMor(A, one, ((), ()))
-        D = TabularDoctrine("gap", (one, A),
-                            {A: flat_a, one: flat_1},
-                            {identity(A): (0, 1), identity(one): (0, 1),
-                             t: (0, 0)})
+        D, t = _gap_doctrine()
         with pytest.raises(AdjointMissing):
             D.exists_along(t, 1)
         res = adjoint_along(D, t, "exists")

@@ -320,6 +320,22 @@ class TestGodelReports:
         assert rep.failing[0] == "1" and rep.failing[1] == "1->1#0"
 
 
+class TestEnoughFree:
+    def test_a_partner_over_the_cap_is_noted_once(self):
+        """At cap 10 on powerset-2x2 every product with a partner has a
+        fibre over the cap, so no target finds a witness and each of the
+        9 pairs I x A is noted once."""
+        D = powerset_doctrine((2, 2), cap=10)
+        rep = FreenessAnalyzer(D).enough_existential_free()
+        names = [o.name for o in D.universe]
+        assert [n.split(" skipped: ")[0] for n in rep.notes] == [
+            f"{i} x {a}" for i in names for a in names]
+        assert "1 x 1 skipped: fibre over A*A has 16 predicates; cap 10" in rep.notes
+        assert rep.witnesses == []
+        assert rep.failures == [("1", 0), ("1", 1), ("A", 0), ("A", 2), ("A", 1),
+                                ("A", 3), ("B", 0), ("B", 2), ("B", 1), ("B", 3)]
+
+
 class TestPrenex:
     @pytest.mark.parametrize("D", (POW, CHAIN), ids=lambda d: d.name)
     def test_every_predicate_has_a_presentation(self, D):

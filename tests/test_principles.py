@@ -443,3 +443,23 @@ class TestSuiteAssembly:
         assert list(rep.scanned) == [f"{a},{b},{c}" for a in names
                                      for b in names for c in names]
         assert rep.notes == ()
+
+    def test_the_rows_share_their_values_along_maps(self, monkeypatch):
+        """One strict suite of the five term rules on a fresh powerset-2x2
+        asks D's quantifiers, and its pullbacks along the scanned
+        projections, once per (index table, predicate): every row reads
+        them through `D.along`.  Witness revalidation pulls back along
+        each term's graph, which it asks of D directly."""
+        D = powerset_doctrine((2, 2))
+        asked = []
+        for name in ("reindex_el", "exists_along", "forall_along"):
+            raw = getattr(ConcreteDoctrine, name)
+            monkeypatch.setattr(D, name, lambda f, alpha, name=name, raw=raw: asked.append(
+                (name, f, alpha)) or raw(D, f, alpha))
+        reps = run_suite(D, rules=["ip", "mmr", "markov", "cex", "choice"])
+        assert len(reps) == 5
+        projections = [D.product(a, b).proj_left for a in D.universe for b in D.universe]
+        shared = [(name, f.idx, len(f.cod), alpha) for name, f, alpha in asked
+                  if name != "reindex_el" or any(f is p for p in projections)]
+        assert {k[0] for k in shared} == {"reindex_el", "exists_along", "forall_along"}
+        assert len(shared) == len(set(shared))
