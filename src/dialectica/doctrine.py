@@ -116,6 +116,14 @@ def _el_label(e: tuple) -> str:
     return ".".join(str(x) for x in e)
 
 
+def up_columns(upmasks, nw: int) -> list:
+    """The column values over ``nw`` worlds that are up-sets of the frame
+    whose up-set masks are ``upmasks``, in increasing order."""
+    return [m for m in range(1 << nw) if all(
+        upmasks[w] & ~m == 0 for w in range(nw) if (m >> w) & 1
+    )]
+
+
 class MaskFibre:
     """Up-closed predicates over one carrier, held as bitmask ints.
 
@@ -141,9 +149,7 @@ class MaskFibre:
     def elements(self) -> tuple:
         if self._elements is None:
             nw = self.nw
-            cols = [m for m in range(1 << nw) if all(
-                self.upmasks[w] & ~m == 0 for w in range(nw) if (m >> w) & 1
-            )]
+            cols = up_columns(self.upmasks, nw)
             count = len(cols) ** len(self.obj)
             if count > self.cap:
                 raise CapExceeded(

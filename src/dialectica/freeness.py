@@ -9,6 +9,13 @@ checked by `godel_report`: closure of the base, quantifier structure,
 enough existential-free predicates, stability of freeness under the
 universal quantifier, and enough universal-free predicates inside the
 existential-free part.
+
+On a concrete doctrine the quantifiers along a projection act on each
+point of the base separately, and so does the choice of a witness.  So
+a predicate is free exactly when each of its columns is prime: no cover
+of the column by a row of columns, one per partner element, misses it
+in every component.  `FreenessAnalyzer` keeps one bitmask of prime
+columns per kind and partner size, and reads each free verdict from it.
 """
 from __future__ import annotations
 
@@ -23,10 +30,31 @@ from .doctrine import (
     mor_key,
     quantifier_structure,
     universe_note,
+    up_columns,
 )
 from .fincat import CapExceeded, FinMor, enumerate_morphisms
 
 _DIRECTION = {"existential": "exists", "universal": "forall"}
+
+
+def _join_primes(cands, n: int, nw: int) -> int:
+    """Bitmask over the ``2**nw`` column values: bit c is set when every
+    n-tuple (n >= 1) from ``cands`` whose union contains c has a component
+    that contains c.  Such a tuple fails only with all of its components
+    among those missing c, so the unions of up to n of those are grown
+    until one contains c or they stop growing."""
+    out = 0
+    for c in range(1 << nw):
+        miss = {v for v in cands if c & ~v}
+        unions = set(miss)
+        for _ in range(n - 1):
+            grown = {u | v for u in unions for v in miss}
+            if grown == unions:
+                break
+            unions = grown
+        if all(c & ~u for u in unions):
+            out |= 1 << c
+    return out
 
 
 @dataclass
@@ -110,9 +138,15 @@ class FreenessAnalyzer:
     def __init__(self, D):
         self.D = D
         self._by_size = tuple(sorted(D.universe, key=lambda o: (len(o), o.name)))
+        # A concrete verdict is read per column when every universe object
+        # has a point, so every column of alpha is pulled back somewhere
+        # and every partner row can be filled; otherwise it is walked.
+        self._columnwise = (isinstance(D, ConcreteDoctrine) and bool(D.universe)
+                            and all(len(o) for o in D.universe))
         self._split: dict = {}
         self._free: dict = {}
         self._verdicts: dict = {}
+        self._primes: dict = {}
         self._free_elements: dict = {}
 
     # -- splitting ---------------------------------------------------
@@ -121,6 +155,10 @@ class FreenessAnalyzer:
         return self._splitting("existential", A, alpha)
 
     def _splitting(self, kind, A, alpha) -> SplittingReport:
+        """The cover scan: every cover over A x B, B in the universe, and
+        a choice map for each.  Table replays decide freeness by it, and
+        reports name a failing cover from it; concrete free verdicts read
+        the prime columns instead."""
         key = (kind, A.name, A.elements, alpha)
         hit = self._split.get(key)
         if hit is not None:
@@ -181,11 +219,12 @@ class FreenessAnalyzer:
     def _graph_ok(self, kind, A, p, alpha, beta, g_idx) -> bool:
         """Whether the graph of g (given by its index table) pulls beta
         back above alpha ("existential") or below it ("universal"); the
-        graph ``a -> (a, g a)`` into ``p.obj`` is index ``a * nb + g[a]``."""
+        graph ``a -> (a, g a)`` into ``p.obj`` is index ``a * nb + g[a]``,
+        and the pullback is read through `D.along`."""
         D = self.D
         nb = len(p.right)
         graph = FinMor(A, p.obj, idx=[a * nb + g for a, g in enumerate(g_idx)])
-        pulled = D.reindex_el(graph, beta)
+        pulled = D.along("reindex", graph)(beta)
         fib_a = D.fibre(A)
         if kind == "existential":
             return fib_a.leq(alpha, pulled)
@@ -207,11 +246,9 @@ class FreenessAnalyzer:
 
     def _passes(self, kind, I, alpha) -> bool:
         """The free verdict: on concrete doctrines read from the verdict
-        table, filled by one report per key; elsewhere the report's."""
+        table (`_verdict`), elsewhere the report's."""
         if isinstance(self.D, ConcreteDoctrine):
-            hit = self._verdicts.get(self._verdict_key(kind, I, alpha))
-            if hit is not None:
-                return hit
+            return self._verdict(kind, I, alpha)
         return self._free_report(kind, I, alpha).passed
 
     def _verdict_key(self, kind, I, alpha):
@@ -226,32 +263,95 @@ class FreenessAnalyzer:
             cols |= 1 << (alpha >> s & full)
         return kind, n, cols
 
+    def _verdict(self, kind, I, alpha) -> bool:
+        """The concrete free verdict, decided once per `_verdict_key`: by
+        the prime columns (`_column_verdict`), or by the tuple walk when a
+        universe object is empty.  A CapExceeded is raised, never kept."""
+        key = self._verdict_key(kind, I, alpha)
+        hit = self._verdicts.get(key)
+        if hit is None:
+            hit = (self._column_verdict(kind, I, alpha, key[2]) if self._columnwise
+                   else self._first_failing_tuple(kind, I, alpha) is None)
+            self._verdicts[key] = hit
+        return hit
+
+    def _column_verdict(self, kind, I, alpha, cols) -> bool:
+        """Whether alpha is free, read from its column set ``cols``: the
+        pullbacks of alpha along maps into I are the tuples over its
+        columns, a tuple splits at partner B exactly when each of its
+        columns is prime at |B| (`_prime_columns`), and every column
+        lands in some tuple.  The checks `_first_failing_tuple` makes run
+        in its order, so a cap raises as the walk does: per universe
+        object A the count of maps A -> I, then for the first tuple, all
+        of alpha's first column, each partner's product and the list of
+        its covers, until that column fails."""
+        D = self.D
+        c0 = alpha & ((1 << D.nw) - 1)
+        for A in D.universe:
+            self._check_map_count(I, A)
+            if not len(I):
+                continue
+            for B in D.universe:
+                obj = D.product(A, B).obj
+                if kind == "existential":
+                    D.fibre(obj).elements()
+                else:
+                    self.exfree_elements(obj)
+                if not self._prime_columns(kind, len(B)) >> c0 & 1:
+                    return False
+            if cols & ~self._prime_columns(kind):
+                return False
+        return True
+
+    def _prime_columns(self, kind, n=None) -> int:
+        """Bitmask over the ``2**nw`` column values of the columns prime
+        for ``kind`` at partner size n, or at every partner size of the
+        universe when n is None.  A column c is existentially prime at n
+        when every n-tuple of up-set columns whose union contains c has a
+        component containing c: covers range over the whole fibre.  It is
+        universally prime at n when every n-tuple of existentially prime
+        up-set columns whose intersection lies in c has a component inside
+        c: covers range over the existential-free predicates.  By
+        complement, that is the existential test on the complements."""
+        key = kind, n
+        hit = self._primes.get(key)
+        if hit is None:
+            D = self.D
+            nw = D.nw
+            if n is None:
+                hit = -1
+                for B in D.universe:
+                    hit &= self._prime_columns(kind, len(B))
+            elif kind == "existential":
+                hit = _join_primes(up_columns(D.frame.up, nw), n, nw)
+            else:
+                full = (1 << nw) - 1
+                ex = self._prime_columns("existential")
+                flipped = _join_primes([full ^ v for v in up_columns(D.frame.up, nw)
+                                        if ex >> v & 1], n, nw)
+                hit = sum(1 << (full ^ c) for c in range(full + 1) if flipped >> c & 1)
+            self._primes[key] = hit
+        return hit
+
     def _free_report(self, kind, I, alpha) -> FreeReport:
         """alpha is free when f*alpha splits for every f: A -> I, A in
         the universe; `failing` is (A, key of the first such f in
         `enumerate_morphisms` order whose pullback does not split, the
         pullback, its splitting report).
 
-        On concrete doctrines f*alpha only reads which column of alpha
-        each element of A lands on, so the pullbacks along all maps
-        A -> I are exactly the tuples over alpha's distinct columns
-        (`_first_failing_tuple`).  The verdict therefore depends only on
-        the kind, the set of columns and |I|, through the cap on maps
-        into I; it is decided once per such key, by one tuple walk, and
-        kept in the verdict table.  A report whose key has passed is
-        read from the table with no walk; only a failure a report
-        prints is walked to its first failing map.  Other doctrines
-        reindex by an arbitrary table and scan the maps themselves."""
+        On concrete doctrines the verdict is `_verdict`'s, so a passing
+        report is built with no walk; only a failure a report prints is
+        walked to its first failing map (`_first_failing_tuple`).  Other
+        doctrines reindex by an arbitrary table and scan the maps
+        themselves."""
         key = (kind, I.name, I.elements, alpha)
         hit = self._free.get(key)
         if hit is not None:
             return hit
         if isinstance(self.D, ConcreteDoctrine):
-            vkey = self._verdict_key(kind, I, alpha)
-            if self._verdicts.get(vkey):
+            if self._verdict(kind, I, alpha):
                 return FreeReport(kind, I.name, alpha, True, None)
             failing = self._first_failing_tuple(kind, I, alpha)
-            self._verdicts[vkey] = failing is None
         else:
             failing = self.first_failing_map(kind, I, alpha)
         report = FreeReport(kind, I.name, alpha, failing is None, failing)
@@ -289,9 +389,7 @@ class FreenessAnalyzer:
             first.setdefault((alpha >> (c * nw)) & full, c)
         cols = tuple(first)
         for A in D.universe:
-            n = len(I) ** len(A) if len(A) else 1
-            if n > D.cap:
-                raise CapExceeded(f"{n} morphisms exceed cap {D.cap}")
+            self._check_map_count(I, A)
             shifts = [d * nw for d in range(len(A))]
             for parts in itertools.product(*[[col << s for col in cols] for s in shifts]):
                 pulled = sum(parts)
@@ -301,6 +399,13 @@ class FreenessAnalyzer:
                                            for p, s in zip(parts, shifts)))
                     return (A.name, mor_key(f), pulled, rep)
         return None
+
+    def _check_map_count(self, I, A) -> None:
+        """Raise CapExceeded, as the map scan does, when the maps A -> I
+        are more than the cap."""
+        n = len(I) ** len(A)
+        if n > self.D.cap:
+            raise CapExceeded(f"{n} morphisms exceed cap {self.D.cap}")
 
     def exfree_elements(self, obj) -> tuple:
         key = obj.elements

@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 
+from dialectica import freeness
+from dialectica.dial import check_theorem4
 from dialectica.doctrine import (
     ConcreteDoctrine,
     doctrine_from_json,
@@ -9,9 +11,17 @@ from dialectica.doctrine import (
     kripke_doctrine,
     powerset_doctrine,
 )
-from dialectica.fincat import CapExceeded, FinMor, enumerate_morphisms, fin_obj, product, unit_obj
+from dialectica.fincat import (
+    CapExceeded,
+    FinMor,
+    FinObj,
+    enumerate_morphisms,
+    fin_obj,
+    product,
+    unit_obj,
+)
 from dialectica.freeness import FreenessAnalyzer
-from dialectica.posets import antichain_poset, chain_poset
+from dialectica.posets import FinitePoset, antichain_poset, chain_poset
 
 POW = powerset_doctrine((2, 2))
 CHAIN = kripke_doctrine(chain_poset(2), (2, 2))
@@ -290,6 +300,135 @@ class TestColumnScan:
         assert fa.is_existential_free(small, D.fibre(small).top())
         with pytest.raises(CapExceeded, match="^64 morphisms exceed cap 16$"):
             fa.is_existential_free(large, D.fibre(large).top())
+
+
+def _reflexive(n, *pairs):
+    return [(i, i) for i in range(n)] + list(pairs)
+
+
+# The eight posets on one to three points, up to isomorphism.
+SMALL_FRAMES = {
+    "one": FinitePoset("a", _reflexive(1)),
+    "chain2": FinitePoset("ab", _reflexive(2, (0, 1))),
+    "antichain2": FinitePoset("ab", _reflexive(2)),
+    "chain3": FinitePoset("abc", _reflexive(3, (0, 1), (1, 2), (0, 2))),
+    "antichain3": FinitePoset("abc", _reflexive(3)),
+    "bottom": FinitePoset("abc", _reflexive(3, (0, 1), (0, 2))),
+    "top": FinitePoset("abc", _reflexive(3, (0, 2), (1, 2))),
+    "chain2+1": FinitePoset("abc", _reflexive(3, (0, 1))),
+}
+
+
+class MapScan(FreenessAnalyzer):
+    """Every free verdict by the map scan, so the universal covers of its
+    splitting (`exfree_elements`) come from the scan as well."""
+
+    def _passes(self, kind, I, alpha):
+        return self.first_failing_map(kind, I, alpha) is None
+
+
+class TupleWalk(FreenessAnalyzer):
+    """Every concrete verdict by the tuple walk the reports keep."""
+
+    def _column_verdict(self, kind, I, alpha, cols):
+        return self._first_failing_tuple(kind, I, alpha) is None
+
+
+def _outcome(ask):
+    try:
+        return "answer", ask()
+    except CapExceeded as exc:
+        return "raise", str(exc)
+
+
+class TestPrimeColumns:
+    """A concrete free verdict is read from the table of prime columns;
+    the map scan is its oracle, and the tuple walk its oracle for caps."""
+
+    @pytest.mark.parametrize("name", SMALL_FRAMES)
+    def test_verdicts_equal_the_map_scan_on_every_small_frame(self, name):
+        """Over a chain every column is prime, so everything is free;
+        over any other frame the union of two incomparable up-sets is not."""
+        D = kripke_doctrine(SMALL_FRAMES[name], (2,))
+        fa, scan = FreenessAnalyzer(D), MapScan(D)
+        objs = list(D.universe) + [D.product(a, b).obj
+                                   for a in D.universe for b in D.universe]
+        tests = {"existential": fa.is_existential_free, "universal": fa.is_universal_free}
+        seen = set()
+        for kind, test in tests.items():
+            for I in objs:
+                for alpha in D.fibre(I).elements():
+                    verdict = test(I, alpha)
+                    assert verdict == (scan.first_failing_map(kind, I, alpha) is None), (
+                        kind, I.name, alpha)
+                    seen.add(verdict)
+        assert seen == ({True} if name in ("one", "chain2", "chain3") else {True, False})
+        assert fa._primes and not fa._split
+
+    @pytest.mark.parametrize("frame", (chain_poset(1), antichain_poset(2)), ids=len)
+    def test_a_universe_with_an_empty_object_keeps_the_walk(self, frame):
+        """With no partner element a cover of mixed columns is vacuous, so
+        verdicts are not per column: read from the prime table, 216 of
+        these 712 would disagree with the map scan."""
+        E = FinObj("E", (), arity=1)
+        D = ConcreteDoctrine("empty", frame, (unit_obj(), fin_obj("A", ["a0", "a1"]), E))
+        fa, scan = FreenessAnalyzer(D), MapScan(D)
+        objs = list(D.universe) + [D.product(a, b).obj
+                                   for a in D.universe for b in D.universe]
+        for kind in ("existential", "universal"):
+            for I in objs:
+                for alpha in D.fibre(I).elements():
+                    assert fa._passes(kind, I, alpha) == (
+                        scan.first_failing_map(kind, I, alpha) is None), (kind, I.name, alpha)
+        assert fa._verdicts and not fa._primes
+
+    @pytest.mark.parametrize("D, base", [(POW, 1), (CHAIN, 0)], ids=("powerset-A", "chain2-1"))
+    def test_theorem4_runs_no_gap_kernel(self, monkeypatch, D, base):
+        calls = []
+
+        def counted(search):
+            def run(*args):
+                calls.append(search.__name__)
+                return search(*args)
+            return run
+        monkeypatch.setattr(freeness.K, "exists_gap_g", counted(freeness.K.exists_gap_g))
+        monkeypatch.setattr(freeness.K, "forall_gap_g", counted(freeness.K.forall_gap_g))
+        assert check_theorem4(D, FreenessAnalyzer(D), D.universe[base]).passed
+        assert calls == []
+
+    @pytest.mark.parametrize("D", [
+        *(make(cap=cap) for make in (
+            lambda cap: powerset_doctrine((2, 2), cap=cap),
+            lambda cap: powerset_doctrine((2, 3), cap=cap),
+            lambda cap: kripke_doctrine(antichain_poset(2), (2, 2), cap=cap),
+            lambda cap: kripke_doctrine(antichain_poset(3), (1, 2), cap=cap),
+        ) for cap in (10, 16, 300)),
+        kripke_doctrine(antichain_poset(2), (2, 3), cap=16),
+        powerset_doctrine((5,), cap=4),
+        powerset_doctrine((3,), cap=8),
+    ], ids=lambda D: f"{D.name}-cap{D.cap}")
+    def test_caps_raise_as_the_walk(self, D):
+        """Both analyzers are asked the same questions in the same order
+        over every carrier whose fibre fits the cap: each answer, or the
+        message of each CapExceeded, must be the walk's.  On antichain2
+        with sizes 2,3 at cap 16, top over 1 fails at partner A before
+        the fibre over 1*B overruns the cap, so it is not free; products
+        over the cap and maps over the cap end the last two."""
+        by_columns, by_walk = FreenessAnalyzer(D), TupleWalk(D)
+        objs = list(D.universe) + [D.product(a, b).obj
+                                   for a in D.universe for b in D.universe
+                                   if len(a) * len(b) <= D.cap]
+        outcomes = []
+        for I in objs:
+            how, alphas = _outcome(D.fibre(I).elements)
+            if how == "raise":
+                continue
+            for fa in (by_columns, by_walk):
+                outcomes.append([_outcome(lambda: fa.exfree_elements(I))] + [
+                    _outcome(lambda: test(I, alpha)) for alpha in alphas
+                    for test in (fa.is_existential_free, fa.is_universal_free)])
+            assert outcomes[-2] == outcomes[-1], I.name
+        assert outcomes
 
 
 class TestGodelReports:

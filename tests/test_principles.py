@@ -449,7 +449,7 @@ class TestSuiteAssembly:
         asks D's quantifiers, and its pullbacks along the scanned
         projections, once per (index table, predicate): every row reads
         them through `D.along`.  Witness revalidation pulls back along
-        each term's graph, which it asks of D directly."""
+        each term's graph (`test_each_witness_graph_is_pulled_back_once`)."""
         D = powerset_doctrine((2, 2))
         asked = []
         for name in ("reindex_el", "exists_along", "forall_along"):
@@ -463,3 +463,24 @@ class TestSuiteAssembly:
                   if name != "reindex_el" or any(f is p for p in projections)]
         assert {k[0] for k in shared} == {"reindex_el", "exists_along", "forall_along"}
         assert len(shared) == len(set(shared))
+
+    def test_each_witness_graph_is_pulled_back_once(self, monkeypatch):
+        """The same suite revalidates 30 witnesses, which pull back along
+        8 (graph table, codomain size, predicate) keys.  Revalidation reads
+        them through `D.along` too, so D is asked each key at most once:
+        7 times, since one graph shares its index table with a projection
+        whose pullback of the same predicate a row has already asked."""
+        D = powerset_doctrine((2, 2))
+        revalidated = []
+        real = FreenessAnalyzer._graph_ok
+        monkeypatch.setattr(FreenessAnalyzer, "_graph_ok", lambda self, *args: (
+            revalidated.append(args) or real(self, *args)))
+        pulled = []
+        raw = ConcreteDoctrine.reindex_el
+        monkeypatch.setattr(D, "reindex_el", lambda f, alpha: pulled.append(
+            (f.idx, len(f.cod), alpha, f.cod.name)) or raw(D, f, alpha))
+        run_suite(D, rules=["ip", "mmr", "markov", "cex", "choice"])
+        factors = {o.name for o in D.universe}
+        along_graphs = [k[:3] for k in pulled if k[3] not in factors]
+        assert len(revalidated) == 30
+        assert len(along_graphs) == len(set(along_graphs)) == 7
