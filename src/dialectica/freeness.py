@@ -41,18 +41,21 @@ def _join_primes(cands, n: int, nw: int) -> int:
     """Bitmask over the ``2**nw`` column values: bit c is set when every
     n-tuple (n >= 1) from ``cands`` whose union contains c has a component
     that contains c.  Such a tuple fails only with all of its components
-    among those missing c, so the unions of up to n of those are grown
-    until one contains c or they stop growing."""
+    among those missing c, and only their parts inside c count, so the
+    unions of up to n of those parts are grown until one is c or they
+    stop growing."""
     out = 0
     for c in range(1 << nw):
-        miss = {v for v in cands if c & ~v}
-        unions = set(miss)
+        parts = {v & c for v in cands if c & ~v}
+        unions = parts
         for _ in range(n - 1):
-            grown = {u | v for u in unions for v in miss}
+            if c in unions:
+                break
+            grown = {u | v for u in unions for v in parts}
             if grown == unions:
                 break
             unions = grown
-        if all(c & ~u for u in unions):
+        if c not in unions:
             out |= 1 << c
     return out
 
