@@ -348,7 +348,11 @@ def cmd_doctrine_godel(args):
 
 
 def _godel_failures(rep):
-    out = []
+    out = [{"part": "cartesian closed",
+            "detail": f"{kind} {name} is not in the declared universe"}
+           for kind, names in (("product", rep.closure.missing_products),
+                               ("exponential", rep.closure.missing_exponentials))
+           for name in names]
     for part, coll in (("enough existential-free", rep.enough_existential_free),
                        ("subdoctrine enough universal-free", rep.enough_universal_free)):
         if coll is None:

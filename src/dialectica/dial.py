@@ -8,16 +8,15 @@ counterexamples backward:
 
     alpha(i, u, f1(i, u, y)) <= beta(i, f0(i, u), y)
 
-The condition splits per slot (i, u), so on concrete doctrines the order
-is decided from a per-quadruple signature (``_kernels.order_signature``)
-without building any pair: a completed fibre's matrix and the Theorem 2/4
-checks come from signatures alone, each computed once per fibre or
-check.  A pair is built only where it is used: by ``dial_leq`` for CLI
-witness pairs and sampled compositions, by ``identity_pair`` for
-reflexivity.  Every built pair is revalidated
-through the doctrine's own reindexing and order, so a returned pair is a
-checked certificate, and None means the exhaustive search ran dry.
-Table-replayed doctrines decide the order by that search.
+The doctrine decides the order: ``D.witness_tables`` finds a pair's
+index tables, ``D.has_pair`` and ``D.order_rows`` decide without them.
+The base class searches every pair; a concrete doctrine, since the
+condition splits per slot (i, u), reads per-quadruple signatures.  A
+pair is built only where it is used, and only here: by ``dial_leq`` for
+CLI witness pairs and sampled compositions, by ``identity_pair`` for
+reflexivity.  Every built pair is revalidated through the doctrine's own
+reindexing and order (``D.pair_holds``), so a returned pair is a checked
+certificate, and None means the exhaustive search ran dry.
 
 Carriers such as I*U*X, built as (I*U)*X, come from the doctrine's
 product table (``D.product``), built once each at ``D.cap``.  Products
@@ -33,9 +32,8 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from . import _kernels as K
-from .doctrine import ConcreteDoctrine, DoctrineError, mor_json
-from .fincat import CapExceeded, FinMor, FinObj, enumerate_morphisms
+from .doctrine import DoctrineError, mor_json
+from .fincat import CapExceeded, FinMor, FinObj
 
 DEFAULT_QUAD_CAP = 512
 
@@ -79,33 +77,14 @@ def _carrier(D, I: FinObj, U: FinObj, X: FinObj) -> FinObj:
 def pair_is_valid(D, a: DialObject, b: DialObject, p: WitnessPair) -> bool:
     """Re-check the defining inequality through the doctrine itself:
     alpha pulled back along m1 below beta pulled back along m2, in the
-    fibre over I*U*Y (`_pair_maps`)."""
+    fibre over I*U*Y (`D.pair_holds`)."""
     if a.I != b.I:
         return False
     if p.f0.dom != D.product(a.I, a.U).obj or p.f0.cod != b.U:
         return False
     if p.f1.dom != _carrier(D, a.I, a.U, b.X) or p.f1.cod != a.X:
         return False
-    m1, m2 = _pair_maps(D, a, b, p)
-    lhs = D.reindex_el(m1, a.alpha)
-    rhs = D.reindex_el(m2, b.alpha)
-    return D.fibre(m1.dom).leq(lhs, rhs)
-
-
-def _pair_maps(D, a: DialObject, b: DialObject, p: WitnessPair):
-    """m1 = (i, u, f1(i, u, y)) into I*U*X and m2 = (i, f0(i, u), y) into
-    I*V*Y, both out of f1's domain I*U*Y.  With s = (i * |U| + u) * |Y| + y,
-    m1 sends s to ``s // |Y| * |X| + f1[s]`` and m2 to
-    ``(i * |V| + f0[s // |Y|]) * |Y| + y``."""
-    iuy = p.f1.dom
-    nu, nx, nv, ny = len(a.U), len(a.X), len(b.U), len(b.X)
-    f0, f1 = p.f0.idx, p.f1.idx
-    cells = range(len(iuy))
-    m1 = FinMor(iuy, _carrier(D, a.I, a.U, a.X),
-                idx=[s // ny * nx + f1[s] for s in cells])
-    m2 = FinMor(iuy, _carrier(D, a.I, b.U, b.X),
-                idx=[(s // (nu * ny) * nv + f0[s // ny]) * ny + s % ny for s in cells])
-    return m1, m2
+    return D.pair_holds(a, b, p.f0.idx, p.f1.idx)
 
 
 def identity_pair(D, a: DialObject) -> WitnessPair:
@@ -119,61 +98,27 @@ def identity_pair(D, a: DialObject) -> WitnessPair:
 
 
 def dial_leq(D, a: DialObject, b: DialObject):
-    """Search for a witness pair; a returned pair is revalidated, None is
-    the outcome of an exhaustive scan: the kernel on concrete doctrines,
-    ``search_pair`` otherwise."""
+    """The first witness pair D finds (`D.witness_tables`), built and
+    revalidated, or None when the exhaustive search finds none."""
     if a.I != b.I:
         raise DoctrineError("dialectica order compares quadruples over one base")
-    if isinstance(D, ConcreteDoctrine):
-        found = K.witness_pair(
-            a.alpha, b.alpha,
-            len(a.I), len(a.U), len(a.X), len(b.U), len(b.X), D.nw,
-        )
-        if found is None:
-            return None
-        f0_idx, f1_idx = found
-        p = WitnessPair(FinMor(D.product(a.I, a.U).obj, b.U, idx=f0_idx),
-                        FinMor(_carrier(D, a.I, a.U, b.X), a.X, idx=f1_idx))
-        if not pair_is_valid(D, a, b, p):
-            raise DoctrineError("kernel witness pair failed revalidation")
-        return p
-    return search_pair(D, a, b)
-
-
-def search_pair(D, a: DialObject, b: DialObject):
-    """The first candidate pair, in enumeration order, that passes
-    revalidation through the doctrine's own reindexing, or None."""
+    found = D.witness_tables(a, b)
+    if found is None:
+        return None
     iu = D.product(a.I, a.U).obj
-    iuy = _carrier(D, a.I, a.U, b.X)
-    for f0 in enumerate_morphisms(iu, b.U):
-        for f1 in enumerate_morphisms(iuy, a.X):
-            p = WitnessPair(f0, f1)
-            if pair_is_valid(D, a, b, p):
-                return p
-    return None
-
-
-def _signature(D, q: DialObject, sigs=None):
-    """q's order signature; ``sigs``, a dict the caller keeps, holds
-    each one computed, keyed by the kernel's arguments."""
-    args = (q.alpha, len(q.I), len(q.U), len(q.X), D.nw)
-    if sigs is None:
-        return K.order_signature(*args)
-    hit = sigs.get(args)
-    if hit is None:
-        hit = sigs[args] = K.order_signature(*args)
-    return hit
+    p = WitnessPair(FinMor(iu, b.U, idx=found[0]),
+                    FinMor(D.product(iu, b.X).obj, a.X, idx=found[1]))
+    if not pair_is_valid(D, a, b, p):
+        raise DoctrineError("kernel witness pair failed revalidation")
+    return p
 
 
 def has_pair(D, a: DialObject, b: DialObject, sigs=None) -> bool:
-    """Whether a <= b, without building the pair on concrete doctrines
-    (from the two signatures, kept across calls in ``sigs`` when given);
-    elsewhere whether ``dial_leq`` finds one."""
+    """Whether a <= b, decided by D without building a pair
+    (`D.has_pair`); ``sigs`` is a dict kept across calls."""
     if a.I != b.I:
         raise DoctrineError("dialectica order compares quadruples over one base")
-    if isinstance(D, ConcreteDoctrine):
-        return K.signature_leq(_signature(D, a, sigs)[0], _signature(D, b, sigs)[1])
-    return dial_leq(D, a, b) is not None
+    return D.has_pair(a, b, sigs)
 
 
 def compose_pairs(D, a: DialObject, b: DialObject, c: DialObject,
@@ -278,19 +223,9 @@ def enumerate_quads(D, I: FinObj, matrices=None, quad_cap: int = DEFAULT_QUAD_CA
 def build_dial_fibre(D, I: FinObj, quad_cap: int = DEFAULT_QUAD_CAP,
                      universe=None) -> DialFibre:
     """Enumerate quadruples and tabulate the dialectica order exhaustively
-    on the listed ones: from one signature per quadruple on concrete
-    doctrines, by the witness-pair search otherwise."""
+    on the listed ones (`D.order_rows`)."""
     quads, total, notes = enumerate_quads(D, I, quad_cap=quad_cap, universe=universe)
-    if isinstance(D, ConcreteDoctrine):
-        sigs = [_signature(D, q) for q in quads]
-        rights = [right for _, right in sigs]
-        leq = K.signature_leq
-        rows = [sum(1 << j for j, right in enumerate(rights) if leq(left, right))
-                for left, _ in sigs]
-    else:
-        rows = [sum(1 << j for j, b in enumerate(quads)
-                    if dial_leq(D, a, b) is not None) for a in quads]
-    return DialFibre(I, tuple(quads), tuple(rows), total, tuple(notes))
+    return DialFibre(I, tuple(quads), tuple(D.order_rows(quads)), total, tuple(notes))
 
 
 def check_preorder(D, fib: DialFibre, compositions: int = 64,

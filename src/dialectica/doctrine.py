@@ -2,9 +2,11 @@
 
 A doctrine here assigns to every finite carrier a poset of predicates,
 with reindexing along maps and (where present) quantifier adjoints.  Two
-implementations share one calling surface: `ConcreteDoctrine` computes
-fibres of up-closed bitmask predicates in closed form, `TabularDoctrine`
-replays fibres and reindexing tables loaded from data.  Each doctrine
+implementations share one interface, the methods of `Doctrine`, whose
+decisions are exhaustive searches there: `TabularDoctrine` replays fibres
+and reindexing tables loaded from data and decides by those searches;
+`ConcreteDoctrine` computes fibres of up-closed bitmask predicates and
+overrides each decision with a closed form or kernel.  Each doctrine
 owns its fibres (`D.fibre`) and its binary carrier products
 (`D.product`), each built once at the doctrine's cap, so every audit,
 scan and completion check over one doctrine shares one carrier, and one
@@ -26,6 +28,7 @@ from .fincat import (
     FinMor,
     FinObj,
     Product,
+    check_map_count,
     enumerate_morphisms,
     exponential,
     fin_obj,
@@ -270,8 +273,8 @@ _ALONG = {"reindex": "reindex_el", "exists": "exists_along", "forall": "forall_a
 
 
 class Doctrine:
-    """What both kinds of doctrine share: their carrier products and
-    their values along maps, each kept once per doctrine.
+    """What both kinds of doctrine share: their carrier products, their
+    values along maps, each kept once per doctrine, and the decisions.
 
     ``D.product(a, b)`` keys each product by its factors' names, arities
     and elements: `FinObj` equality ignores names, but a product's name
@@ -284,7 +287,16 @@ class Doctrine:
     on D keyed by ``D._table_key(f)``: all that a value along f depends
     on.  Each value is asked of D's own method once and kept, and so is
     its absence (`AdjointMissing`).
+
+    Each decision is a method whose body here is the exhaustive search:
+    table replays decide by it, and tests call it as the oracle of the
+    kernels that `ConcreteDoctrine` overrides it with.  ``pointwise``
+    says the quantifiers act on each point of the base separately, so
+    `freeness` reads verdicts per column.
     """
+
+    pointwise = False
+    closure_note = "closure judged by carrier equality against the declared universe"
 
     def product(self, a: FinObj, b: FinObj) -> Product:
         key = (a.name, a.arity, a.elements, b.name, b.arity, b.elements)
@@ -313,6 +325,119 @@ class Doctrine:
             return value
         return read
 
+    def exists_along(self, f: FinMor, alpha):
+        return self._search("exists", f, alpha)
+
+    def forall_along(self, f: FinMor, alpha):
+        return self._search("forall", f, alpha)
+
+    def _search(self, direction: str, f: FinMor, alpha):
+        """The least b over f's codomain with alpha <= f*b ("exists"),
+        or the greatest with f*b <= alpha ("forall"), searched over f's
+        pullbacks read through `along`; AdjointMissing when there is
+        none."""
+        dom, cod, pull = self.fibre(f.dom), self.fibre(f.cod), self.along("reindex", f)
+        if direction == "exists":
+            cands = [b for b in cod.elements() if dom.leq(alpha, pull(b))]
+            best = next((b for b in cands if all(cod.leq(b, c) for c in cands)), None)
+        else:
+            cands = [b for b in cod.elements() if dom.leq(pull(b), alpha)]
+            best = next((b for b in cands if all(cod.leq(c, b) for c in cands)), None)
+        if best is None:
+            raise AdjointMissing(direction, mor_key(f), alpha)
+        return best
+
+    def in_base(self, obj: FinObj) -> bool:
+        """Whether obj is a carrier of the base: here, of the universe."""
+        return obj in self.universe
+
+    def pullbacks(self, A: FinObj, I: FinObj, alpha):
+        """Yield (f*alpha, a callable that builds f) for the maps
+        f: A -> I of `D.morphisms`, in `enumerate_morphisms` order; an
+        override may yield only the first map of each pullback."""
+        for f in self.morphisms(A, I):
+            yield self.reindex_el(f, alpha), lambda f=f: f
+
+    def choice_index(self, kind: str, A, B, p, alpha, beta):
+        """The index table of the first g: A -> B, in `enumerate_morphisms`
+        order, whose graph realises the cover (`graph_ok`); None when no
+        map does.  The decision alone: no map is built or revalidated."""
+        for cand in enumerate_morphisms(A, B, self.cap):
+            if self.graph_ok(kind, A, p, alpha, beta, cand.idx):
+                return cand.idx
+        return None
+
+    def choice_map(self, kind: str, A, B, p, alpha, beta, g_idx) -> FinMor:
+        """The map g: A -> B with the index table ``g_idx`` that
+        `choice_index` decided for the cover, built once its graph is
+        revalidated through the doctrine's reindexing and order."""
+        if not self.graph_ok(kind, A, p, alpha, beta, g_idx):
+            raise DoctrineError("choice map failed revalidation")
+        return FinMor(A, B, idx=g_idx)
+
+    def graph_ok(self, kind: str, A, p, alpha, beta, g_idx) -> bool:
+        """Whether the graph of g (given by its index table) pulls beta
+        back above alpha ("existential") or below it ("universal"); the
+        graph ``a -> (a, g a)`` into ``p.obj`` is index ``a * nb + g[a]``,
+        and the pullback is read through `along`."""
+        nb = len(p.right)
+        graph = FinMor(A, p.obj, idx=[a * nb + g for a, g in enumerate(g_idx)])
+        pulled = self.along("reindex", graph)(beta)
+        fib_a = self.fibre(A)
+        if kind == "existential":
+            return fib_a.leq(alpha, pulled)
+        return fib_a.leq(pulled, alpha)
+
+    # The Dialectica order (`dial`) on quadruples a = (I, U, X, alpha)
+    # and b = (I, V, Y, beta), with alpha over (I*U)*X, read from their
+    # fields ``.I .U .X .alpha``.
+
+    def witness_tables(self, a, b):
+        """The index tables (f0, f1) of the first pair, in enumeration
+        order, that takes a below b (`pair_holds`), or None."""
+        iu = self.product(a.I, a.U).obj
+        iuy = self.product(iu, b.X).obj
+        for f0 in enumerate_morphisms(iu, b.U):
+            for f1 in enumerate_morphisms(iuy, a.X):
+                if self.pair_holds(a, b, f0.idx, f1.idx):
+                    return f0.idx, f1.idx
+        return None
+
+    def pair_holds(self, a, b, f0, f1) -> bool:
+        """Whether the pair with index tables f0: I*U -> V and
+        f1: I*U*Y -> X takes a below b: alpha pulled back along m1 lies
+        below beta pulled back along m2 in the fibre over I*U*Y
+        (`_pair_maps`)."""
+        m1, m2 = self._pair_maps(a, b, f0, f1)
+        return self.fibre(m1.dom).leq(self.reindex_el(m1, a.alpha),
+                                      self.reindex_el(m2, b.alpha))
+
+    def _pair_maps(self, a, b, f0, f1):
+        """m1 = (i, u, f1(i, u, y)) into I*U*X and m2 = (i, f0(i, u), y) into
+        I*V*Y, both out of I*U*Y.  With s = (i * |U| + u) * |Y| + y,
+        m1 sends s to ``s // |Y| * |X| + f1[s]`` and m2 to
+        ``(i * |V| + f0[s // |Y|]) * |Y| + y``."""
+        prod = self.product
+        iu = prod(a.I, a.U).obj
+        iuy = prod(iu, b.X).obj
+        nu, nx, nv, ny = len(a.U), len(a.X), len(b.U), len(b.X)
+        cells = range(len(iuy))
+        m1 = FinMor(iuy, prod(iu, a.X).obj, idx=[s // ny * nx + f1[s] for s in cells])
+        m2 = FinMor(iuy, prod(prod(a.I, b.U).obj, b.X).obj,
+                    idx=[(s // (nu * ny) * nv + f0[s // ny]) * ny + s % ny for s in cells])
+        return m1, m2
+
+    def has_pair(self, a, b, sigs=None) -> bool:
+        """Whether a <= b; ``sigs`` is a dict the caller keeps across
+        calls, for an override's per-quadruple data."""
+        return self.witness_tables(a, b) is not None
+
+    def order_rows(self, quads) -> list:
+        """The order on quads as one row per quadruple: bit j of row i
+        is set when `witness_tables` takes quads[i] below quads[j]."""
+        return [sum(1 << j for j, b in enumerate(quads)
+                    if self.witness_tables(a, b) is not None) for a in quads]
+
 
 class ConcreteDoctrine(Doctrine):
     """Doctrine of up-closed predicates over a Kripke frame.
@@ -322,10 +447,14 @@ class ConcreteDoctrine(Doctrine):
     image per world, and the right adjoint is intersection over the
     map's preimage lists (`FinMor.preimages`, built once per map).
     Fibres exist for every finite carrier, not only the declared
-    universe; the universe fixes what the audits quantify over.
+    universe; the universe fixes what the audits quantify over.  Each
+    decision is a bitmask kernel (`_kernels`) that gives the base
+    class's search's answer.
     """
 
     kind = "concrete"
+    pointwise = True
+    closure_note = "base is finite carriers; products and exponentials are constructed"
 
     def __init__(self, name: str, frame: FinitePoset, universe, cap: int = DEFAULT_CAP,
                  generator: dict | None = None):
@@ -363,17 +492,71 @@ class ConcreteDoctrine(Doctrine):
     def morphisms(self, a: FinObj, b: FinObj) -> list[FinMor]:
         return enumerate_morphisms(a, b, self.cap)
 
+    def in_base(self, obj: FinObj) -> bool:
+        return True
+
+    def pullbacks(self, A: FinObj, I: FinObj, alpha: int):
+        """Walk tuples of alpha's distinct columns, building no map until
+        asked.  The columns are listed in first-occurrence order, each
+        keyed to the first index of I that carries it, and the tuples are
+        walked as the same odometer as the maps.  Among the maps with one
+        tuple, the one through those first indices comes first; and since
+        first indices grow with the column order, tuple order is map
+        order on those maps.  So each tuple yields its first map."""
+        nw = self.nw
+        full = (1 << nw) - 1
+        first: dict = {}
+        for c in range(len(I)):
+            first.setdefault(alpha >> c * nw & full, c)
+        check_map_count(A, I, self.cap)
+        shifts = range(0, len(A) * nw, nw)
+        for parts in itertools.product(*[[col << s for col in first] for s in shifts]):
+            yield sum(parts), lambda parts=parts: FinMor(
+                A, I, tuple(I.elements[first[p >> s]] for p, s in zip(parts, shifts)))
+
+    def choice_index(self, kind: str, A, B, p, alpha: int, beta: int):
+        search = K.exists_gap_g if kind == "existential" else K.forall_gap_g
+        return search(alpha, beta, len(A), len(B), self.nw)
+
+    def witness_tables(self, a, b):
+        return K.witness_pair(a.alpha, b.alpha, len(a.I), len(a.U), len(a.X),
+                              len(b.U), len(b.X), self.nw)
+
+    def _signature(self, q, sigs: dict):
+        """q's order signature, kept in ``sigs`` by the kernel's arguments."""
+        args = (q.alpha, len(q.I), len(q.U), len(q.X), self.nw)
+        hit = sigs.get(args)
+        if hit is None:
+            hit = sigs[args] = K.order_signature(*args)
+        return hit
+
+    def has_pair(self, a, b, sigs=None) -> bool:
+        sigs = {} if sigs is None else sigs
+        return K.signature_leq(self._signature(a, sigs)[0], self._signature(b, sigs)[1])
+
+    def order_rows(self, quads) -> list:
+        """One signature per quadruple, and each cell from two of them."""
+        sigs: dict = {}
+        pairs = [self._signature(q, sigs) for q in quads]
+        rights = [right for _, right in pairs]
+        leq = K.signature_leq
+        return [sum(1 << j for j, right in enumerate(rights) if leq(left, right))
+                for left, _ in pairs]
+
 
 class TabularDoctrine(Doctrine):
     """Doctrine replayed from explicit fibre and reindexing tables.
 
-    Quantifier values are found by search over the recorded order, so
-    `exists_along`/`forall_along` raise `AdjointMissing` when the fibre
-    has no least (greatest) admissible value.  Only the morphisms with
-    recorded tables exist from this doctrine's point of view.
+    Every decision is the base class's search over the recorded order,
+    so `exists_along`/`forall_along` raise `AdjointMissing` when the
+    fibre has no least (greatest) admissible value.  Only the morphisms
+    with recorded tables exist from this doctrine's point of view.
     """
 
     kind = "tabular"
+    # in the class body, so that tracing by class and name finds them
+    exists_along = Doctrine.exists_along
+    forall_along = Doctrine.forall_along
 
     def __init__(self, name: str, universe, fibres: dict, reindex: dict,
                  cap: int = DEFAULT_CAP, generator: dict | None = None):
@@ -407,28 +590,6 @@ class TabularDoctrine(Doctrine):
         if table is None:
             raise DoctrineDataError(f"no reindex table for {mor_key(f)}")
         return table[alpha]
-
-    def exists_along(self, f: FinMor, alpha: int) -> int:
-        return self._search("exists", f, alpha)
-
-    def forall_along(self, f: FinMor, alpha: int) -> int:
-        return self._search("forall", f, alpha)
-
-    def _search(self, direction: str, f: FinMor, alpha: int) -> int:
-        """The least b over f's codomain with alpha <= f*b ("exists"),
-        or the greatest with f*b <= alpha ("forall"), searched over f's
-        pullbacks read through `along`; AdjointMissing when there is
-        none."""
-        dom, cod, pull = self.fibre(f.dom), self.fibre(f.cod), self.along("reindex", f)
-        if direction == "exists":
-            cands = [b for b in cod.elements() if dom.leq(alpha, pull(b))]
-            best = next((b for b in cands if all(cod.leq(b, c) for c in cands)), None)
-        else:
-            cands = [b for b in cod.elements() if dom.leq(pull(b), alpha)]
-            best = next((b for b in cands if all(cod.leq(c, b) for c in cands)), None)
-        if best is None:
-            raise AdjointMissing(direction, mor_key(f), alpha)
-        return best
 
     def morphisms(self, a: FinObj, b: FinObj) -> list[FinMor]:
         out = [f for f in self._reindex if f.dom == a and f.cod == b]
@@ -877,38 +1038,22 @@ class ClosureReport:
 
 
 def base_closure(D) -> ClosureReport:
-    """Judge cartesian closure of the base over the declared universe.
-
-    For concrete doctrines products and exponentials of finite carriers
-    are constructed outright; for tabular doctrines closure is judged by
-    carrier equality against the declared universe.
-    """
+    """Judge cartesian closure of the base over the declared universe:
+    every binary product and exponential of universe carriers must lie
+    in the base (`D.in_base`), judged as ``D.closure_note`` says."""
     notes: list = []
     missing_p: list = []
     missing_e: list = []
-    if isinstance(D, ConcreteDoctrine):
-        for a in D.universe:
-            for b in D.universe:
-                try:
-                    D.product(a, b)
-                    exponential(b, a, D.cap)
-                except CapExceeded as exc:
-                    notes.append(f"{a.name}, {b.name}: {exc}")
-        notes.append("base is finite carriers; products and exponentials are constructed")
-        return ClosureReport(not missing_p and not missing_e, missing_p, missing_e, notes)
-    carriers = {obj.elements for obj in D.universe}
     for a in D.universe:
         for b in D.universe:
             try:
-                p = D.product(a, b)
-                if p.obj.elements not in carriers:
+                if not D.in_base(D.product(a, b).obj):
                     missing_p.append(f"{a.name}*{b.name}")
-                e = exponential(b, a, D.cap)
-                if e.obj.elements not in carriers:
+                if not D.in_base(exponential(b, a, D.cap).obj):
                     missing_e.append(f"{b.name}^{a.name}")
             except CapExceeded as exc:
                 notes.append(f"{a.name}, {b.name}: {exc}")
-    notes.append("closure judged by carrier equality against the declared universe")
+    notes.append(D.closure_note)
     return ClosureReport(not missing_p and not missing_e, missing_p, missing_e, notes)
 
 

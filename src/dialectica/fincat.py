@@ -266,11 +266,16 @@ def exponential(b: FinObj, a: FinObj, cap: int = DEFAULT_CAP) -> Exponential:
     return Exponential(obj, b, a, prod.obj, ev)
 
 
-def enumerate_morphisms(a: FinObj, b: FinObj, cap: int = DEFAULT_CAP) -> list[FinMor]:
-    """All maps A -> B in the canonical odometer order."""
-    n = len(b) ** len(a) if len(a) else 1
+def check_map_count(a: FinObj, b: FinObj, cap: int) -> None:
+    """Raise CapExceeded when the maps A -> B are more than the cap."""
+    n = len(b) ** len(a)
     if n > cap:
         raise CapExceeded(f"{n} morphisms exceed cap {cap}")
+
+
+def enumerate_morphisms(a: FinObj, b: FinObj, cap: int = DEFAULT_CAP) -> list[FinMor]:
+    """All maps A -> B in the canonical odometer order."""
+    check_map_count(a, b, cap)
     return [
         FinMor(a, b, table) for table in itertools.product(b.elements, repeat=len(a))
     ]

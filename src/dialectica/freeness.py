@@ -10,42 +10,34 @@ enough existential-free predicates, stability of freeness under the
 universal quantifier, and enough universal-free predicates inside the
 existential-free part.
 
-On a concrete doctrine the quantifiers along a projection act on each
-point of the base separately, and so does the choice of a witness.  So
-a predicate is free exactly when each of its columns is prime: no cover
-of the column by a row of columns, one per partner element, misses it
-in every component.  `FreenessAnalyzer` keeps one bitmask of prime
-columns per kind and partner size, and reads each free verdict from it.
+The doctrine decides each cover (`D.choice_index`) and lists pullbacks
+(`D.pullbacks`).  Where its quantifiers along a projection act on each
+point of the base separately (``D.pointwise``), so does the choice of a
+witness, and a predicate is free exactly when each of its columns is
+prime: no cover of the column by a row of columns, one per partner
+element, misses it in every component.  `FreenessAnalyzer` keeps one
+bitmask of prime columns per kind and partner size, and reads each
+such verdict from it.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from . import _kernels as K
-from .doctrine import (
-    ConcreteDoctrine,
-    DoctrineError,
-    base_closure,
-    mor_key,
-    quantifier_structure,
-    universe_note,
-    up_columns,
-)
-from .fincat import CapExceeded, FinMor, enumerate_morphisms
+from .doctrine import base_closure, mor_key, quantifier_structure, universe_note, up_columns
+from .fincat import CapExceeded, check_map_count
 
 _DIRECTION = {"existential": "exists", "universal": "forall"}
 
 
-def _join_primes(cands, n: int, nw: int) -> int:
-    """Bitmask over the ``2**nw`` column values: bit c is set when every
-    n-tuple (n >= 1) from ``cands`` whose union contains c has a component
-    that contains c.  Such a tuple fails only with all of its components
-    among those missing c, and only their parts inside c count, so the
-    unions of up to n of those parts are grown until one is c or they
-    stop growing."""
+def _join_primes(cands, cols, n: int) -> int:
+    """Bitmask over the column values: bit c, for c in ``cols``, is set
+    when every n-tuple (n >= 1) from ``cands`` whose union contains c has
+    a component that contains c.  Such a tuple fails only with all of its
+    components among those missing c, and only their parts inside c
+    count, so the unions of up to n of those parts are grown until one is
+    c or they stop growing."""
     out = 0
-    for c in range(1 << nw):
+    for c in cols:
         parts = {v & c for v in cands if c & ~v}
         unions = parts
         for _ in range(n - 1):
@@ -141,11 +133,10 @@ class FreenessAnalyzer:
     def __init__(self, D):
         self.D = D
         self._by_size = tuple(sorted(D.universe, key=lambda o: (len(o), o.name)))
-        # A concrete verdict is read per column when every universe object
+        # A pointwise verdict is read per column when every universe object
         # has a point, so every column of alpha is pulled back somewhere
         # and every partner row can be filled; otherwise it is walked.
-        self._columnwise = (isinstance(D, ConcreteDoctrine) and bool(D.universe)
-                            and all(len(o) for o in D.universe))
+        self._columnwise = bool(D.pointwise and D.universe and all(map(len, D.universe)))
         self._split: dict = {}
         self._free: dict = {}
         self._verdicts: dict = {}
@@ -159,9 +150,9 @@ class FreenessAnalyzer:
 
     def _splitting(self, kind, A, alpha) -> SplittingReport:
         """The cover scan: every cover over A x B, B in the universe, and
-        a choice map for each.  Table replays decide freeness by it, and
-        reports name a failing cover from it; concrete free verdicts read
-        the prime columns instead."""
+        a choice map for each (`D.choice_index`).  Free verdicts read per
+        column skip it; every other verdict, and every failing report,
+        comes from it."""
         key = (kind, A.name, A.elements, alpha)
         hit = self._split.get(key)
         if hit is not None:
@@ -181,7 +172,7 @@ class FreenessAnalyzer:
                 else:
                     if not fib_a.leq(image(beta), alpha):
                         continue
-                if self.choice_index(kind, A, B, p, alpha, beta) is None:
+                if D.choice_index(kind, A, B, p, alpha, beta) is None:
                     failure = (B.name, beta)
                     break
             if failure:
@@ -194,44 +185,6 @@ class FreenessAnalyzer:
         """The quantifier of ``kind`` along p's left projection, read
         through `D.along`, so each value is asked of D once."""
         return self.D.along(_DIRECTION[kind], p.proj_left)
-
-    def choice_index(self, kind, A, B, p, alpha, beta):
-        """The index table of the first g: A -> B, in `enumerate_morphisms`
-        order, whose graph realises the cover: alpha <= beta(a, g a) for
-        "existential", beta(a, g a) <= alpha for "universal"; None when
-        no map does.  This is the decision alone: concrete doctrines read
-        it off the bitmask kernel, others search every map, and no map is
-        built or revalidated for it."""
-        D = self.D
-        if isinstance(D, ConcreteDoctrine):
-            search = K.exists_gap_g if kind == "existential" else K.forall_gap_g
-            return search(alpha, beta, len(A), len(B), D.nw)
-        for cand in enumerate_morphisms(A, B, D.cap):
-            if self._graph_ok(kind, A, p, alpha, beta, cand.idx):
-                return cand.idx
-        return None
-
-    def choice_map(self, kind, A, B, p, alpha, beta, g_idx) -> FinMor:
-        """The map g: A -> B with the index table ``g_idx`` that
-        `choice_index` decided for the cover, built once its graph is
-        revalidated through the doctrine's reindexing and order."""
-        if not self._graph_ok(kind, A, p, alpha, beta, g_idx):
-            raise DoctrineError("choice map failed revalidation")
-        return FinMor(A, B, idx=g_idx)
-
-    def _graph_ok(self, kind, A, p, alpha, beta, g_idx) -> bool:
-        """Whether the graph of g (given by its index table) pulls beta
-        back above alpha ("existential") or below it ("universal"); the
-        graph ``a -> (a, g a)`` into ``p.obj`` is index ``a * nb + g[a]``,
-        and the pullback is read through `D.along`."""
-        D = self.D
-        nb = len(p.right)
-        graph = FinMor(A, p.obj, idx=[a * nb + g for a, g in enumerate(g_idx)])
-        pulled = D.along("reindex", graph)(beta)
-        fib_a = D.fibre(A)
-        if kind == "existential":
-            return fib_a.leq(alpha, pulled)
-        return fib_a.leq(pulled, alpha)
 
     # -- freeness ----------------------------------------------------
 
@@ -248,16 +201,16 @@ class FreenessAnalyzer:
         return self._free_report("universal", I, alpha)
 
     def _passes(self, kind, I, alpha) -> bool:
-        """The free verdict: on concrete doctrines read from the verdict
-        table (`_verdict`), elsewhere the report's."""
-        if isinstance(self.D, ConcreteDoctrine):
+        """The free verdict: read per column (`_verdict`) where it can
+        be, elsewhere the report's."""
+        if self._columnwise:
             return self._verdict(kind, I, alpha)
         return self._free_report(kind, I, alpha).passed
 
     def _verdict_key(self, kind, I, alpha):
-        """Everything a concrete free verdict depends on: the kind, |I|
-        (through the cap on maps into I) and the set of alpha's columns,
-        as a bitmask over the column values."""
+        """Everything a free verdict read per column depends on: the
+        kind, |I| (through the cap on maps into I) and the set of alpha's
+        columns, as a bitmask over the column values."""
         nw = self.D.nw
         full = (1 << nw) - 1
         n = len(I)
@@ -267,15 +220,13 @@ class FreenessAnalyzer:
         return kind, n, cols
 
     def _verdict(self, kind, I, alpha) -> bool:
-        """The concrete free verdict, decided once per `_verdict_key`: by
-        the prime columns (`_column_verdict`), or by the tuple walk when a
-        universe object is empty.  A CapExceeded is raised, never kept."""
+        """The free verdict read per column, decided once per
+        `_verdict_key` by the prime columns (`_column_verdict`).  A
+        CapExceeded is raised, never kept."""
         key = self._verdict_key(kind, I, alpha)
         hit = self._verdicts.get(key)
         if hit is None:
-            hit = (self._column_verdict(kind, I, alpha, key[2]) if self._columnwise
-                   else self._first_failing_tuple(kind, I, alpha) is None)
-            self._verdicts[key] = hit
+            hit = self._verdicts[key] = self._column_verdict(kind, I, alpha, key[2])
         return hit
 
     def _column_verdict(self, kind, I, alpha, cols) -> bool:
@@ -283,15 +234,15 @@ class FreenessAnalyzer:
         pullbacks of alpha along maps into I are the tuples over its
         columns, a tuple splits at partner B exactly when each of its
         columns is prime at |B| (`_prime_columns`), and every column
-        lands in some tuple.  The checks `_first_failing_tuple` makes run
-        in its order, so a cap raises as the walk does: per universe
+        lands in some tuple.  The checks `first_failing_map` makes run in
+        its order, so a cap raises as its walk does: per universe
         object A the count of maps A -> I, then for the first tuple, all
         of alpha's first column, each partner's product and the list of
         its covers, until that column fails."""
         D = self.D
         c0 = alpha & ((1 << D.nw) - 1)
         for A in D.universe:
-            self._check_map_count(I, A)
+            check_map_count(A, I, D.cap)
             if not len(I):
                 continue
             for B in D.universe:
@@ -315,24 +266,25 @@ class FreenessAnalyzer:
         universally prime at n when every n-tuple of existentially prime
         up-set columns whose intersection lies in c has a component inside
         c: covers range over the existential-free predicates.  By
-        complement, that is the existential test on the complements."""
+        complement, that is the existential test on the complements.
+        Only the up-set columns, the columns of predicates, are tabled."""
         key = kind, n
         hit = self._primes.get(key)
         if hit is None:
             D = self.D
-            nw = D.nw
             if n is None:
                 hit = -1
                 for B in D.universe:
                     hit &= self._prime_columns(kind, len(B))
             elif kind == "existential":
-                hit = _join_primes(up_columns(D.frame.up, nw), n, nw)
+                ups = up_columns(D.frame.up, D.nw)
+                hit = _join_primes(ups, ups, n)
             else:
-                full = (1 << nw) - 1
+                ups, full = up_columns(D.frame.up, D.nw), (1 << D.nw) - 1
                 ex = self._prime_columns("existential")
-                flipped = _join_primes([full ^ v for v in up_columns(D.frame.up, nw)
-                                        if ex >> v & 1], n, nw)
-                hit = sum(1 << (full ^ c) for c in range(full + 1) if flipped >> c & 1)
+                flipped = _join_primes([full ^ v for v in ups if ex >> v & 1],
+                                       [full ^ v for v in ups], n)
+                hit = sum(1 << v for v in ups if flipped >> (full ^ v) & 1)
             self._primes[key] = hit
         return hit
 
@@ -342,73 +294,29 @@ class FreenessAnalyzer:
         `enumerate_morphisms` order whose pullback does not split, the
         pullback, its splitting report).
 
-        On concrete doctrines the verdict is `_verdict`'s, so a passing
-        report is built with no walk; only a failure a report prints is
-        walked to its first failing map (`_first_failing_tuple`).  Other
-        doctrines reindex by an arbitrary table and scan the maps
-        themselves."""
+        Where the verdict is read per column, a passing report is built
+        with no walk; only a failure a report prints is walked to its
+        first failing map."""
         key = (kind, I.name, I.elements, alpha)
         hit = self._free.get(key)
         if hit is not None:
             return hit
-        if isinstance(self.D, ConcreteDoctrine):
-            if self._verdict(kind, I, alpha):
-                return FreeReport(kind, I.name, alpha, True, None)
-            failing = self._first_failing_tuple(kind, I, alpha)
-        else:
-            failing = self.first_failing_map(kind, I, alpha)
+        if self._columnwise and self._verdict(kind, I, alpha):
+            return FreeReport(kind, I.name, alpha, True, None)
+        failing = self.first_failing_map(kind, I, alpha)
         report = FreeReport(kind, I.name, alpha, failing is None, failing)
         self._free[key] = report
         return report
 
     def first_failing_map(self, kind, I, alpha):
-        """The free-report failure found by pulling alpha back along
-        every map A -> I from `D.morphisms`, or None."""
-        D = self.D
-        for A in D.universe:
-            for f in D.morphisms(A, I):
-                pulled = D.reindex_el(f, alpha)
+        """The free-report failure found by pulling alpha back along the
+        maps A -> I (`D.pullbacks`), or None."""
+        for A in self.D.universe:
+            for pulled, build in self.D.pullbacks(A, I, alpha):
                 rep = self._splitting(kind, A, pulled)
                 if not rep.passed:
-                    return (A.name, mor_key(f), pulled, rep)
+                    return (A.name, mor_key(build()), pulled, rep)
         return None
-
-    def _first_failing_tuple(self, kind, I, alpha):
-        """`first_failing_map` on a concrete doctrine, walking tuples of
-        alpha's distinct columns and building no map until one fails.
-        The columns are listed in first-occurrence order, each keyed to
-        the first index of I that carries it, and the tuples are walked
-        as the same odometer as the maps.  Among the maps with one
-        tuple, the one through those first indices comes first; and
-        since first indices grow with the column order, tuple order is
-        map order on those maps.  So the first failing tuple names the
-        first failing map.  Over a universe object A with |I|^|A| above
-        the cap it raises CapExceeded, as the map scan does."""
-        D = self.D
-        nw = D.nw
-        full = (1 << nw) - 1
-        first: dict = {}
-        for c in range(len(I)):
-            first.setdefault((alpha >> (c * nw)) & full, c)
-        cols = tuple(first)
-        for A in D.universe:
-            self._check_map_count(I, A)
-            shifts = [d * nw for d in range(len(A))]
-            for parts in itertools.product(*[[col << s for col in cols] for s in shifts]):
-                pulled = sum(parts)
-                rep = self._splitting(kind, A, pulled)
-                if not rep.passed:
-                    f = FinMor(A, I, tuple(I.elements[first[p >> s]]
-                                           for p, s in zip(parts, shifts)))
-                    return (A.name, mor_key(f), pulled, rep)
-        return None
-
-    def _check_map_count(self, I, A) -> None:
-        """Raise CapExceeded, as the map scan does, when the maps A -> I
-        are more than the cap."""
-        n = len(I) ** len(A)
-        if n > self.D.cap:
-            raise CapExceeded(f"{n} morphisms exceed cap {self.D.cap}")
 
     def exfree_elements(self, obj) -> tuple:
         key = obj.elements

@@ -5,7 +5,7 @@ returns a self-certifying report: every positive witness is re-validated
 through the doctrine's own reindexing and order before it is recorded,
 and every violation carries enough data to re-check it.  The five rules
 with a term witness share one scan, driven by a table of rows; each
-instance is decided by the analyzer's choice-map decision, and a map is
+instance is decided by the doctrine's choice-map decision, and a map is
 built only for a witness the report records.
 
 Strict mode enforces each rule's stated preconditions (freeness of the
@@ -189,10 +189,10 @@ _CHOICE = _Row(
 
 def _rule_scan(row: _Row, D, analyzer, mode) -> RuleReport:
     """Scan one row over every carrier pair.  Each judged instance is
-    decided by the analyzer's `choice_index`; a violation is recorded
-    when its sequent fails or no term exists, a witness (up to the cap)
+    decided by `D.choice_index`; a violation is recorded when its
+    sequent fails or no term exists, a witness (up to the cap)
     otherwise.  Report entries are built, and a witness's map built and
-    revalidated by `choice_map`, only for recorded instances."""
+    revalidated by `D.choice_map`, only for recorded instances."""
     fa = analyzer or FreenessAnalyzer(D)
     strict = mode == "strict"
     premise, sequent, target_ok = row.premise, row.sequent, row.target_ok
@@ -226,7 +226,7 @@ def _rule_scan(row: _Row, D, analyzer, mode) -> RuleReport:
                 instances += 1
                 seq = sequent is None or sequent(c, alpha, target)
                 cover = (alpha, target) if row.alpha_on_base else (target, alpha)
-                g = fa.choice_index(row.kind, A, B, c.p, *cover) if seq else None
+                g = D.choice_index(row.kind, A, B, c.p, *cover) if seq else None
                 found = g is not None
                 if found and len(witnesses) >= WITNESS_CAP:
                     continue
@@ -236,7 +236,7 @@ def _rule_scan(row: _Row, D, analyzer, mode) -> RuleReport:
                 if row.records_precondition:
                     e["preconditionsHold"] = ok
                 if found:
-                    e[row.term] = mor_json(fa.choice_map(row.kind, A, B, c.p, *cover, g))
+                    e[row.term] = mor_json(D.choice_map(row.kind, A, B, c.p, *cover, g))
                     witnesses.append(e)
                 else:
                     e["kind"] = "no-term-witness" if seq else "sequent-fails"

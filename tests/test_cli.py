@@ -10,7 +10,10 @@ from pathlib import Path
 import pytest
 
 from dialectica import cli
+from dialectica.doctrine import ConcreteDoctrine, base_closure, doctrine_to_json
+from dialectica.fincat import unit_obj
 from dialectica.fol import BaseSort, FunSort, Signature
+from dialectica.posets import chain_poset
 
 SPEC_INPUT = ("(forall x:U. exists v:V. p(x,v)) -> "
               "(exists u:U. forall y:Y. q(u,y))")
@@ -142,6 +145,22 @@ class TestDoctrineCommands:
         assert data["sideConditions"]["failures"] == []
         assert data["sideConditions"]["topExistentialFree"] == {
             "1": True, "A": True, "B": True}
+
+    def test_godel_names_what_the_base_lacks(self, capsys, tmp_path):
+        """Over chain2 the terminal object alone is closed as a concrete
+        doctrine, but its replay lacks 1^1, whose one element is a
+        function table: exit 1 comes with a failure that names it."""
+        D = ConcreteDoctrine("terminal", chain_poset(2), (unit_obj(),))
+        assert base_closure(D).passed
+        path = tmp_path / "terminal.json"
+        path.write_text(json.dumps(doctrine_to_json(D)))
+        code, out, _ = run(capsys, "doctrine", "godel", "--doctrine", str(path))
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["parts"]["cartesian_closed"] is False
+        assert payload["details"]["failures"] == [
+            {"part": "cartesian closed",
+             "detail": "exponential 1^1 is not in the declared universe"}]
 
     def test_godel_reads_a_generated_doctrine_from_stdin(self, capsys,
                                                          monkeypatch):

@@ -2,14 +2,16 @@ import itertools
 
 import pytest
 
-from dialectica import freeness
+from dialectica import _kernels as K
 from dialectica.dial import check_theorem4
 from dialectica.doctrine import (
     ConcreteDoctrine,
+    Doctrine,
     doctrine_from_json,
     doctrine_to_json,
     kripke_doctrine,
     powerset_doctrine,
+    up_columns,
 )
 from dialectica.fincat import (
     CapExceeded,
@@ -133,7 +135,7 @@ class TestSplittingWitnesses:
             if not fa.existential_splitting(A, alpha).passed:
                 continue
             for B, p, beta in covers(D, A, alpha):
-                g = fa.choice_index("existential", A, B, p, alpha, beta)
+                g = D.choice_index("existential", A, B, p, alpha, beta)
                 graph = FinMor(A, p.obj, tuple(
                     e + B.elements[b] for e, b in zip(A.elements, g)))
                 assert fib.leq(alpha, D.reindex_el(graph, beta))
@@ -144,16 +146,16 @@ class TestSplittingWitnesses:
         assert fa.existential_splitting(A, 0).passed
         judged = list(covers(POW, A, 0))
         assert judged
-        assert all(fa.choice_index("existential", A, B, p, 0, beta) is not None
+        assert all(POW.choice_index("existential", A, B, p, 0, beta) is not None
                    for B, p, beta in judged)
 
 
 class TestChoiceMap:
-    """The choice-map decision (`choice_index`: the bitmask kernel on
-    concrete doctrines, the map search on table replays) must name the
-    first map the exhaustive search accepts, and None exactly when it
-    finds none; the revalidated map `choice_map` builds from it is that
-    map."""
+    """The choice-map decision (`D.choice_index`: the bitmask kernel on
+    concrete doctrines, the base class's map search on table replays)
+    must name the first map the exhaustive search accepts, and None
+    exactly when it finds none; the revalidated map `D.choice_map` builds
+    from it is that map."""
 
     @staticmethod
     def first_fitting(D, kind, A, p, alpha, beta):
@@ -168,17 +170,16 @@ class TestChoiceMap:
     @pytest.mark.parametrize("kind", ("existential", "universal"))
     def test_kernel_returns_the_first_fitting_map(self, kind):
         for D in (POW, CHAIN, ANTI):
-            fa = FreenessAnalyzer(D)
             outcomes = set()
             for A, B in itertools.product(D.universe, repeat=2):
                 p = D.product(A, B)
                 for alpha, beta in itertools.product(
                         D.fibre(A).elements(), D.fibre(p.obj).elements()):
                     first = self.first_fitting(D, kind, A, p, alpha, beta)
-                    g = fa.choice_index(kind, A, B, p, alpha, beta)
-                    assert g == first
+                    g = D.choice_index(kind, A, B, p, alpha, beta)
+                    assert g == first == Doctrine.choice_index(D, kind, A, B, p, alpha, beta)
                     if g is not None:
-                        assert fa.choice_map(kind, A, B, p, alpha, beta, g).idx == first
+                        assert D.choice_map(kind, A, B, p, alpha, beta, g).idx == first
                     outcomes.add(first is None)
             assert outcomes == {True, False}, D.name
 
@@ -193,7 +194,6 @@ class TestChoiceMap:
         data.pop("generator", None)
         T = doctrine_from_json(data)
         assert T.kind == "tabular"
-        fd, ft = FreenessAnalyzer(D), FreenessAnalyzer(T)
         outcomes = set()
         for (A1, B1), (A2, B2) in zip(itertools.product(D.universe[:2], repeat=2),
                                       itertools.product(T.universe[:2], repeat=2)):
@@ -201,10 +201,27 @@ class TestChoiceMap:
             pairs = zip(itertools.product(D.fibre(A1).elements(), D.fibre(p1.obj).elements()),
                         itertools.product(T.fibre(A2).elements(), T.fibre(p2.obj).elements()))
             for (alpha1, beta1), (alpha2, beta2) in pairs:
-                g = fd.choice_index(kind, A1, B1, p1, alpha1, beta1)
-                assert ft.choice_index(kind, A2, B2, p2, alpha2, beta2) == g
+                g = D.choice_index(kind, A1, B1, p1, alpha1, beta1)
+                assert T.choice_index(kind, A2, B2, p2, alpha2, beta2) == g
                 outcomes.add(g is None)
         assert outcomes == {True, False}
+
+
+class Searched(ConcreteDoctrine):
+    """A concrete doctrine that decides freeness by the base class's
+    searches: no verdict per column, a pullback along every map, and
+    every cover by the map search."""
+
+    pointwise = False
+    pullbacks = Doctrine.pullbacks
+    choice_index = Doctrine.choice_index
+
+
+def MapScan(D):
+    """An analyzer giving every free verdict of D by the map scan, so the
+    universal covers of its splitting (`exfree_elements`) come from the
+    scan as well."""
+    return FreenessAnalyzer(Searched(D.name, D.frame, D.universe, D.cap))
 
 
 class TestColumnScan:
@@ -215,12 +232,12 @@ class TestColumnScan:
     @staticmethod
     def failing_maps(D, kind, objs):
         """Check the two scans agree over objs; the failing map keys."""
-        fa = FreenessAnalyzer(D)
+        fa, scan = FreenessAnalyzer(D), MapScan(D)
         keys = []
         for I in objs:
             for alpha in D.fibre(I).elements():
                 rep = fa._free_report(kind, I, alpha)
-                by_maps = fa.first_failing_map(kind, I, alpha)
+                by_maps = scan.first_failing_map(kind, I, alpha)
                 assert rep.passed == (by_maps is None)
                 if by_maps is not None:
                     assert rep.failing[:3] == by_maps[:3], (I.name, alpha)
@@ -242,7 +259,7 @@ class TestColumnScan:
         verdict decided for one carrier is read for every other carrier
         of its size with the same set of columns; each verdict, asked
         before or after the report, must still be the map scan's."""
-        fa = FreenessAnalyzer(D)
+        fa, scan = FreenessAnalyzer(D), MapScan(D)
         objs = list(D.universe) + [D.product(a, b).obj
                                    for a in D.universe for b in D.universe]
         tests = {"existential": fa.is_existential_free, "universal": fa.is_universal_free}
@@ -256,7 +273,7 @@ class TestColumnScan:
                     else:
                         verdict = test(I, alpha)
                         rep = fa._free_report(kind, I, alpha)
-                    by_maps = fa.first_failing_map(kind, I, alpha)
+                    by_maps = scan.first_failing_map(kind, I, alpha)
                     assert verdict == rep.passed == (by_maps is None), (kind, I.name, alpha)
                     if by_maps is not None:
                         assert rep.failing[:3] == by_maps[:3]
@@ -278,7 +295,7 @@ class TestColumnScan:
         I = product(D.universe[1], D.universe[2]).obj
         alpha = D.fibre(I).top()
         with pytest.raises(CapExceeded) as by_maps:
-            FreenessAnalyzer(D).first_failing_map("existential", I, alpha)
+            MapScan(D).first_failing_map("existential", I, alpha)
         with pytest.raises(CapExceeded) as by_columns:
             FreenessAnalyzer(D).existential_free_report(I, alpha)
         assert str(by_maps.value) == "16 morphisms exceed cap 4"
@@ -319,19 +336,11 @@ SMALL_FRAMES = {
 }
 
 
-class MapScan(FreenessAnalyzer):
-    """Every free verdict by the map scan, so the universal covers of its
-    splitting (`exfree_elements`) come from the scan as well."""
-
-    def _passes(self, kind, I, alpha):
-        return self.first_failing_map(kind, I, alpha) is None
-
-
 class TupleWalk(FreenessAnalyzer):
     """Every concrete verdict by the tuple walk the reports keep."""
 
     def _column_verdict(self, kind, I, alpha, cols):
-        return self._first_failing_tuple(kind, I, alpha) is None
+        return self.first_failing_map(kind, I, alpha) is None
 
 
 def _outcome(ask):
@@ -380,7 +389,7 @@ class TestPrimeColumns:
                 for alpha in D.fibre(I).elements():
                     assert fa._passes(kind, I, alpha) == (
                         scan.first_failing_map(kind, I, alpha) is None), (kind, I.name, alpha)
-        assert fa._verdicts and not fa._primes
+        assert fa._free and not fa._verdicts and not fa._primes
 
     @pytest.mark.parametrize("D, base", [(POW, 1), (CHAIN, 0)], ids=("powerset-A", "chain2-1"))
     def test_theorem4_runs_no_gap_kernel(self, monkeypatch, D, base):
@@ -391,10 +400,23 @@ class TestPrimeColumns:
                 calls.append(search.__name__)
                 return search(*args)
             return run
-        monkeypatch.setattr(freeness.K, "exists_gap_g", counted(freeness.K.exists_gap_g))
-        monkeypatch.setattr(freeness.K, "forall_gap_g", counted(freeness.K.forall_gap_g))
+        monkeypatch.setattr(K, "exists_gap_g", counted(K.exists_gap_g))
+        monkeypatch.setattr(K, "forall_gap_g", counted(K.forall_gap_g))
         assert check_theorem4(D, FreenessAnalyzer(D), D.universe[base]).passed
         assert calls == []
+
+    def test_only_up_set_columns_are_tabled(self):
+        """Only up-set columns are columns of predicates.  Over a chain
+        of twelve worlds, 13 of the 4 096 column values, and every one of
+        them is prime; over three incomparable worlds, at partner size 2,
+        some are not."""
+        for D in (kripke_doctrine(chain_poset(12), (1,)), ANTI3):
+            ups = sum(1 << c for c in up_columns(D.frame.up, D.nw))
+            fa = FreenessAnalyzer(D)
+            for kind in ("existential", "universal"):
+                table = fa._prime_columns(kind, 2)
+                assert table & ~ups == 0 and table
+                assert (table == ups) == (D is not ANTI3)
 
     @pytest.mark.parametrize("D", [
         *(make(cap=cap) for make in (

@@ -9,7 +9,8 @@ as a name or attribute somewhere in ``src/`` or ``perfbench/`` (the
 benchmark reads some private names, such as ``_kernels._WORD``).  No
 function writes to a module-level dict, list or set, and no module-level
 cache but the command line's parser keeps values across calls, so every
-memo lives on a doctrine or an analyzer and each op starts cold.
+memo lives on a doctrine or an analyzer and each op starts cold.  No
+module but `doctrine` branches on the kind of doctrine or runs a kernel.
 """
 import ast
 from pathlib import Path
@@ -46,6 +47,48 @@ def test_module_uses_every_import(path):
 def test_an_unused_import_is_caught():
     source = "import os\nfrom json import dumps, loads as read\nprint(read)\n"
     assert unused_imports(source) == [(1, "os"), (2, "dumps")]
+
+
+KIND_CLASSES = {"ConcreteDoctrine", "TabularDoctrine"}
+
+
+def kind_branches(source: str) -> list:
+    """``(line, name)`` for each `isinstance` test against a doctrine
+    class and each import of the kernels module (``_kernels``): a decision
+    that depends on the kind of doctrine is a `Doctrine` method, and only
+    `doctrine` runs the kernels."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"):
+            names = {n.id if isinstance(n, ast.Name) else n.attr
+                     for arg in node.args[1:] for n in ast.walk(arg)
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            found += [(node.lineno, name) for name in sorted(names & KIND_CLASSES)]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+            if any(m.split(".")[-1] == "_kernels" for m in modules):
+                found.append((node.lineno, "_kernels"))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_branches_on_the_kind_of_doctrine(path):
+    allowed = {"_kernels"} if path.name == "doctrine.py" else set()
+    assert [hit for hit in kind_branches(path.read_text()) if hit[1] not in allowed] == []
+
+
+def test_a_kind_branch_is_caught():
+    source = ("from . import _kernels as K\n"
+              "from .doctrine import ConcreteDoctrine, Doctrine\n"
+              "from ._kernels import witness_pair\n"
+              "import dialectica._kernels\n"
+              "def f(D):\n"
+              "    if isinstance(D, ConcreteDoctrine):\n"
+              "        return isinstance(D, Doctrine)\n"
+              "    return isinstance(D, (int, doctrine.TabularDoctrine))\n")
+    assert kind_branches(source) == [(1, "_kernels"), (3, "_kernels"), (4, "_kernels"),
+                                     (6, "ConcreteDoctrine"), (8, "TabularDoctrine")]
 
 
 def dead_private_names(sources: dict, readers: list) -> list:

@@ -8,6 +8,7 @@ from dialectica import _kernels as K
 from dialectica import cli
 from dialectica.doctrine import (
     ConcreteDoctrine,
+    Doctrine,
     DoctrineError,
     doctrine_from_json,
     doctrine_to_json,
@@ -321,12 +322,12 @@ class TestWitnessRevalidation:
 
     def test_a_report_builds_at_most_the_cap_of_maps(self, monkeypatch):
         built = []
-        real = FreenessAnalyzer.choice_map
+        real = Doctrine.choice_map
 
         def counted(self, *args):
             built.append(args)
             return real(self, *args)
-        monkeypatch.setattr(FreenessAnalyzer, "choice_map", counted)
+        monkeypatch.setattr(Doctrine, "choice_map", counted)
         rep = check_ip_rule(ANTI, mode="diagnostic")
         assert rep.instances > WITNESS_CAP and len(rep.witnesses) == WITNESS_CAP
         assert len(built) == WITNESS_CAP
@@ -472,9 +473,9 @@ class TestSuiteAssembly:
         whose pullback of the same predicate a row has already asked."""
         D = powerset_doctrine((2, 2))
         revalidated = []
-        real = FreenessAnalyzer._graph_ok
-        monkeypatch.setattr(FreenessAnalyzer, "_graph_ok", lambda self, *args: (
-            revalidated.append(args) or real(self, *args)))
+        real = Doctrine.graph_ok
+        monkeypatch.setattr(D, "graph_ok", lambda *args: (
+            revalidated.append(args) or real(D, *args)))
         pulled = []
         raw = ConcreteDoctrine.reindex_el
         monkeypatch.setattr(D, "reindex_el", lambda f, alpha: pulled.append(
