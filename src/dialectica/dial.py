@@ -113,14 +113,6 @@ def dial_leq(D, a: DialObject, b: DialObject):
     return p
 
 
-def has_pair(D, a: DialObject, b: DialObject, sigs=None) -> bool:
-    """Whether a <= b, decided by D without building a pair
-    (`D.has_pair`); ``sigs`` is a dict kept across calls."""
-    if a.I != b.I:
-        raise DoctrineError("dialectica order compares quadruples over one base")
-    return D.has_pair(a, b, sigs)
-
-
 def compose_pairs(D, a: DialObject, b: DialObject, c: DialObject,
                   p: WitnessPair, q: WitnessPair) -> WitnessPair:
     """Compose certificates a <= b and b <= c into one for a <= c:
@@ -357,7 +349,7 @@ def check_theorem2(D, analyzer, I: FinObj, samples: int = 200,
         b = DialObject(I, V, Y, phi)
         lhs = D.fibre(I).leq(prenex_order(D, I, U, X, psi),
                              prenex_order(D, I, V, Y, phi))
-        rhs = has_pair(D, a, b, sigs)
+        rhs = D.has_pair(a, b, sigs)
         checked += 1
         if lhs != rhs:
             mismatches.append({
@@ -408,7 +400,7 @@ def check_theorem4(D, analyzer, I: FinObj,
     pairs = [(a, b) for a in quads for b in quads]
     for a, b in pairs:
         lhs = D.fibre(I).leq(a, b)
-        rhs = has_pair(D, quads[a], quads[b], sigs)
+        rhs = D.has_pair(quads[a], quads[b], sigs)
         emb_checked += 1
         if lhs != rhs:
             emb_fail.append({
@@ -428,7 +420,7 @@ def check_theorem4(D, analyzer, I: FinObj,
                              "reason": "prenex form missing for presented predicate"})
             continue
         qa = quads[back]
-        if not (has_pair(D, q, qa, sigs) and has_pair(D, qa, q, sigs)):
+        if not (D.has_pair(q, qa, sigs) and D.has_pair(qa, q, sigs)):
             sur_fail.append({"quad": q.to_json(D),
                              "alpha": D.fibre(I).describe(back),
                              "reason": "not order-equivalent to its collapse"})

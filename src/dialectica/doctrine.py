@@ -428,8 +428,9 @@ class Doctrine:
         return m1, m2
 
     def has_pair(self, a, b, sigs=None) -> bool:
-        """Whether a <= b; ``sigs`` is a dict the caller keeps across
-        calls, for an override's per-quadruple data."""
+        """Whether a <= b, for a and b over one base, building no pair;
+        ``sigs`` is a dict the caller keeps across calls, for an
+        override's per-quadruple data."""
         return self.witness_tables(a, b) is not None
 
     def order_rows(self, quads) -> list:

@@ -11,7 +11,6 @@ from dialectica.dial import (
     compose_pairs,
     dial_leq,
     enumerate_quads,
-    has_pair,
     identity_pair,
     pair_is_valid,
     prenex_order,
@@ -330,7 +329,7 @@ class TestSignatureOrder:
     def test_rows_match_the_pair_search(self, D):
         fib = build_dial_fibre(D, D.universe[0], quad_cap=84)
         assert fib.rows == tuple(Doctrine.order_rows(D, fib.quads))
-        assert all(has_pair(D, a, b) == fib.leq(i, j)
+        assert all(D.has_pair(a, b) == fib.leq(i, j)
                    for i, a in enumerate(fib.quads[:12])
                    for j, b in enumerate(fib.quads))
 
