@@ -11,7 +11,8 @@ owns its fibres (`D.fibre`) and its binary carrier products
 (`D.product`), each built once at the doctrine's cap, so every audit,
 scan and completion check over one doctrine shares one carrier, and one
 set of projections, per shape.  It also keeps its values along maps
-(`D.along`), each asked of its own method once.  On top of both sit
+(`D.along`), each asked of its own method once, and its passing law
+verdicts, each decided once per index table.  On top of both sit
 adjoint certification by the adjunction law, structural audits,
 Beck-Chevalley checks, and a JSON exchange format.
 """
@@ -288,6 +289,12 @@ class Doctrine:
     on.  Each value is asked of D's own method once and kept, and so is
     its absence (`AdjointMissing`).
 
+    ``D._passed`` keeps the law audits' passing verdicts (`adjoint_along`,
+    `beck_chevalley`, `check_doctrine`'s reindexing laws), keyed by the
+    audit, ``D._table_key`` of its maps and ``D._carrier_key`` of any
+    other carrier it reads, as plain tuples.  A failure is never kept, so
+    each failing map is scanned and named on its own.
+
     Each decision is a method whose body here is the exhaustive search:
     table replays decide by it, and tests call it as the oracle of the
     kernels that `ConcreteDoctrine` overrides it with.  ``pointwise``
@@ -304,6 +311,10 @@ class Doctrine:
         if hit is None:
             hit = self._products[key] = product(a, b, self.cap)
         return hit
+
+    def _carrier_key(self, obj: FinObj):
+        """All that a law verdict reads of a carrier besides its maps."""
+        return obj.name, obj.arity, obj.elements
 
     def along(self, op: str, f: FinMor):
         """alpha -> the value of ``op`` along f at alpha.  The reader
@@ -468,6 +479,7 @@ class ConcreteDoctrine(Doctrine):
         self._fibres: dict[FinObj, MaskFibre] = {}
         self._products: dict = {}
         self._along: dict = {}
+        self._passed: dict = {}
 
     def fibre(self, obj: FinObj) -> MaskFibre:
         fib = self._fibres.get(obj)
@@ -480,6 +492,10 @@ class ConcreteDoctrine(Doctrine):
         """A value along f depends only on f's index table and the size
         of its codomain, so maps with one table share their values."""
         return f.idx, len(f.cod)
+
+    def _carrier_key(self, obj: FinObj):
+        """A fibre depends only on its carrier's size."""
+        return len(obj)
 
     def reindex_el(self, f: FinMor, alpha: int) -> int:
         return K.reindex_mask(alpha, f.idx, self.nw)
@@ -570,6 +586,7 @@ class TabularDoctrine(Doctrine):
         self._reindex = dict(reindex)
         self._products: dict = {}
         self._along: dict = {}
+        self._passed: dict = {}
         for f, table in self._reindex.items():
             nc = len(self.fibre(f.cod).elements())
             nd = len(self.fibre(f.dom).elements())
@@ -651,13 +668,18 @@ def adjoint_along(D, f: FinMor, direction: str):
     every codomain predicate pulled back along f, once per map; in a
     poset the law fixes the value.  Values and pullbacks are read through
     `D.along`, shared with every other audit over D, so each is asked of
-    D once per table key and predicate.  Returns an AdjointWitness, or
-    an AdjointFailure naming the first predicate without a value, else
-    the first that breaks the law.
+    D once per table key and predicate.  A passing verdict is kept in
+    ``D._passed`` per direction and table key, so it is decided once per
+    index table; a failure is decided afresh for each map.  Returns an
+    AdjointWitness, or an AdjointFailure naming the first predicate
+    without a value, else the first that breaks the law.
     """
     if direction not in ("exists", "forall"):
         raise ValueError("direction must be 'exists' or 'forall'")
     key = mor_key(f)
+    verdict = ("adjoint", direction, D._table_key(f))
+    if verdict in D._passed:
+        return AdjointWitness(direction, key, *D._passed[verdict])
     try:
         dom_fib = D.fibre(f.dom)
         cod_fib = D.fibre(f.cod)
@@ -691,6 +713,7 @@ def adjoint_along(D, f: FinMor, direction: str):
     monotone = all(cod_fib.leq(value[alpha], value[beta])
                    for alpha, beta in _sample_pairs(dom_els, MONOTONE_SAMPLE)
                    if dom_fib.leq(alpha, beta))
+    D._passed[verdict] = monotone, pairs
     return AdjointWitness(direction, key, monotone, pairs)
 
 
@@ -727,7 +750,8 @@ def check_doctrine(D) -> DoctrineReport:
     preservation of the lattice operations.  Large fibres are sampled
     deterministically; every shortcut is recorded in the notes.
     Pullbacks are read through `D.along`, which the quantifier audits
-    over D share.
+    over D share, and passing reindexing laws are decided once per index
+    table (`_check_reindex`).
     """
     violations: list[str] = []
     notes: list[str] = []
@@ -826,7 +850,11 @@ def _check_reindex(D, fibre_els, violations, notes, counts):
     operations by reindexing.  Pullbacks are read through `D.along`, so
     each is asked of D once per table key and predicate; the codomain's
     meet, join and implication are taken once per sampled pair for all
-    maps A -> B."""
+    maps A -> B.  A map's laws that pass are kept in ``D._passed`` per
+    table key, and a composite's per pair of table keys, so each is
+    decided once per index table; a failing map or composite is scanned
+    in full each time, and names its own maps.  A composite with no
+    recorded table is noted and not counted."""
     for obj, els in fibre_els.items():
         pull = D.along("reindex", identity(obj))
         sample = _sample(els, PAIR_SAMPLE)
@@ -859,6 +887,10 @@ def _check_reindex(D, fibre_els, violations, notes, counts):
             ops = [(x, y, fib_b.meet(x, y), fib_b.join(x, y), fib_b.imp(x, y))
                    for x, y in sampled]
         for f in fs:
+            verdict = ("reindex", D._table_key(f))
+            if verdict in D._passed:
+                continue
+            found = len(violations), len(notes)
             pull = D.along("reindex", f)
             try:
                 for x, y in pairs:
@@ -887,28 +919,33 @@ def _check_reindex(D, fibre_els, violations, notes, counts):
                                 f"{fib_b.describe(x)}, {fib_b.describe(y)}")
             except DoctrineDataError as exc:
                 notes.append(f"{mor_key(f)}: {exc}; skipped")
+            if found == (len(violations), len(notes)):
+                D._passed[verdict] = ()
     for (a, b), fs in mors.items():
         for (b2, c), gs in mors.items():
             if b2 != b:
                 continue
             sample = _sample(fibre_els[c], PAIR_SAMPLE)
-            pulls = [(g, D.along("reindex", g)) for g in gs]
+            pulls = [(g, D.along("reindex", g), D._table_key(g)) for g in gs]
             for f in fs:
-                pull_f = D.along("reindex", f)
-                for g, pull_g in pulls:
-                    gf = FinMor(a, c, idx=[g.idx[v] for v in f.idx])
-                    pull_gf = D.along("reindex", gf)
+                pull_f, f_key = D.along("reindex", f), D._table_key(f)
+                for g, pull_g, g_key in pulls:
+                    verdict = ("compose", f_key, g_key)
+                    if verdict not in D._passed:
+                        pull_gf = D.along("reindex", FinMor(a, c, idx=[g.idx[v] for v in f.idx]))
+                        try:
+                            for alpha in sample:
+                                if pull_f(pull_g(alpha)) != pull_gf(alpha):
+                                    violations.append(
+                                        f"functoriality fails: {mor_key(g)} after {mor_key(f)}")
+                                    break
+                            else:
+                                D._passed[verdict] = ()
+                        except DoctrineDataError:
+                            notes.append(
+                                f"composite {mor_key(g)} after {mor_key(f)} not recorded; skipped")
+                            continue
                     counts["compositions"] += 1
-                    try:
-                        for alpha in sample:
-                            if pull_f(pull_g(alpha)) != pull_gf(alpha):
-                                violations.append(
-                                    f"functoriality fails: {mor_key(g)} after {mor_key(f)}")
-                                break
-                    except DoctrineDataError:
-                        notes.append(
-                            f"composite {mor_key(g)} after {mor_key(f)} not recorded; skipped")
-                        break
 
 
 def f_times_id(D, f: FinMor, b: FinObj) -> FinMor:
@@ -944,7 +981,10 @@ def beck_chevalley(D, direction: str) -> BCReport:
     lax inequality is checked separately from equality.  Quantifiers and
     pullbacks are read through `D.along`, so each predicate over A1*B is
     quantified along its projection once for every f, and each value is
-    shared with the other audits over D."""
+    shared with the other audits over D.  A square that passes is kept in
+    ``D._passed`` per direction, table key of f and carrier key of B, so
+    it is checked once per index table and still counted for every f; a
+    square with a failure or a skip is checked in full for each f."""
     if direction not in ("exists", "forall"):
         raise ValueError("direction must be 'exists' or 'forall'")
     eq_fail: list = []
@@ -970,6 +1010,10 @@ def beck_chevalley(D, direction: str) -> BCReport:
                         skipped.append(f"square over {a2.name} -> {a1.name} with {b.name}: {exc}")
                         continue
                     squares += 1
+                    verdict = ("bc", direction, D._table_key(f), D._carrier_key(b))
+                    if verdict in D._passed:
+                        continue
+                    found = len(eq_fail), len(ineq_fail), len(skipped)
                     square = f"{mor_key(f)} x {b.name}"
                     along1 = D.along(direction, p1.proj_left)
                     along2 = D.along(direction, p2.proj_left)
@@ -989,6 +1033,8 @@ def beck_chevalley(D, direction: str) -> BCReport:
                             ineq_fail.append(
                                 f"{direction} along {square} breaks the lax inequality on "
                                 f"{fib1.describe(beta)}")
+                    if found == (len(eq_fail), len(ineq_fail), len(skipped)):
+                        D._passed[verdict] = ()
     return BCReport(D.name, direction, squares, eq_fail, ineq_fail, skipped)
 
 

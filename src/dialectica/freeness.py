@@ -137,6 +137,9 @@ class FreenessAnalyzer:
         # has a point, so every column of alpha is pulled back somewhere
         # and every partner row can be filled; otherwise it is walked.
         self._columnwise = bool(D.pointwise and D.universe and all(map(len, D.universe)))
+        # Splitting reports and existential-free lists are kept per
+        # `D._carrier_key` (a carrier's size, on a concrete doctrine);
+        # free reports per name, since they print the carrier's name.
         self._split: dict = {}
         self._free: dict = {}
         self._verdicts: dict = {}
@@ -153,7 +156,7 @@ class FreenessAnalyzer:
         a choice map for each (`D.choice_index`).  Free verdicts read per
         column skip it; every other verdict, and every failing report,
         comes from it."""
-        key = (kind, A.name, A.elements, alpha)
+        key = (kind, self.D._carrier_key(A), alpha)
         hit = self._split.get(key)
         if hit is not None:
             return hit
@@ -319,7 +322,7 @@ class FreenessAnalyzer:
         return None
 
     def exfree_elements(self, obj) -> tuple:
-        key = obj.elements
+        key = self.D._carrier_key(obj)
         hit = self._free_elements.get(key)
         if hit is None:
             hit = tuple(a for a in self.D.fibre(obj).elements()

@@ -378,12 +378,22 @@ class TestSharedTable:
         assert check_doctrine(P).passed and beck_chevalley(P, "exists").passed
 
     def test_a_finished_audit_leaves_no_cycle(self):
-        """No reader of `D.along` is kept on D, so a finished doctrine is
-        freed by reference counting alone."""
+        """No reader of `D.along` is kept on D, and the kept law verdicts
+        are plain tuples, so a finished doctrine is freed by reference
+        counting alone."""
         D = powerset_doctrine((2, 2))
         gc.disable()
         try:
+            check_doctrine(D)
             quantifier_structure(D, "exists")
+            quantifier_structure(D, "forall")
+            assert D._passed
+
+            def plain(x):
+                if isinstance(x, tuple):
+                    return all(map(plain, x))
+                return isinstance(x, (int, str, bool))
+            assert all(plain(k) and plain(v) for k, v in D._passed.items())
             ref = weakref.ref(D)
             del D
             assert ref() is None
@@ -402,6 +412,99 @@ class TestSharedTable:
         assert quantifier_structure(D, "exists").passed
         assert quantifier_structure(D, "forall").passed
         assert len(asked) == len(set(asked)) == 132
+
+
+class Unshared(ConcreteDoctrine):
+    """A concrete doctrine whose kept values and verdicts are keyed by
+    map and by named carrier, so every audit scans each map itself."""
+
+    def _table_key(self, f):
+        return f
+
+    def _carrier_key(self, obj):
+        return Doctrine._carrier_key(self, obj)
+
+
+def _unshared(D, cls=Unshared):
+    return cls(D.name, D.frame, D.universe, D.cap, D.generator)
+
+
+def _projections(D):
+    return [proj for a in D.universe for b in D.universe
+            for proj in (D.product(a, b).proj_left, D.product(a, b).proj_right)]
+
+
+def _audits(D):
+    """Every law audit's report over D, in the order `doctrine check`
+    runs them, then the adjunction law on every projection."""
+    out = [check_doctrine(D), quantifier_structure(D, "exists"),
+           quantifier_structure(D, "forall")]
+    return out + [adjoint_along(D, proj, direction) for proj in _projections(D)
+                  for direction in ("exists", "forall")]
+
+
+SHARED_VERDICTS = {
+    **FRESH,
+    "powerset-2x3": lambda: powerset_doctrine((2, 3)),
+    "chain3": lambda: kripke_doctrine(chain_poset(3)),
+}
+
+
+class TestSharedVerdicts:
+    """The law audits keep each passing verdict on D once per index
+    table (`D._passed`); a failure is scanned and named per map."""
+
+    @pytest.mark.parametrize("make", SHARED_VERDICTS.values(), ids=SHARED_VERDICTS)
+    def test_shared_verdicts_give_the_per_map_reports(self, make):
+        D = make()
+        assert _audits(D) == _audits(_unshared(D))
+
+    def test_verdicts_are_shared_across_maps(self):
+        """On powerset-2x2, 18 projections have 5 index tables, and the
+        Beck-Chevalley squares of one direction have 16 verdicts."""
+        D = powerset_doctrine((2, 2))
+        quantifier_structure(D, "exists")
+        kinds = [key[0] for key in D._passed]
+        assert kinds.count("adjoint") == 5 and kinds.count("bc") == 16
+        assert quantifier_structure(D, "exists") == quantifier_structure(_unshared(D), "exists")
+
+    def test_a_wrong_closed_form_fails_as_per_map(self):
+        class TopExists(ConcreteDoctrine):
+            def exists_along(self, f, alpha):
+                return self.fibre(f.cod).top()
+
+        class TopExistsUnshared(Unshared, TopExists):
+            pass
+
+        D = TopExists("top-exists", POW.frame, POW.universe)
+        got, want = _audits(D), _audits(_unshared(D, TopExistsUnshared))
+        assert got == want
+        assert not got[1].passed and len(got[1].failures) == 18
+
+    def test_a_wrong_pullback_is_named_for_every_map_of_its_table(self):
+        """A pullback wrong along the index table ((0, 0), 2), the table of
+        the four constant maps to the first element between A and B, is
+        named for each of the four, by the reindexing laws and by the
+        Beck-Chevalley equality of both directions."""
+        class WrongTable(ConcreteDoctrine):
+            def reindex_el(self, f, alpha):
+                value = super().reindex_el(f, alpha)
+                return value ^ 1 if f.idx == (0, 0) and len(f.cod) == 2 else value
+
+        class WrongTableUnshared(Unshared, WrongTable):
+            pass
+
+        D = WrongTable("wrong-table", POW.frame, POW.universe)
+        shared = [f for a in D.universe[1:] for b in D.universe[1:]
+                  for f in D.morphisms(a, b) if f.idx == (0, 0)]
+        assert [mor_key(f) for f in shared] == ["A->A#0", "A->B#0", "B->A#0", "B->B#0"]
+        got = _audits(D)
+        assert got == _audits(_unshared(D, WrongTableUnshared))
+        laws, structures = got[0], got[1:3]
+        for f in shared:
+            assert f"reindex along {mor_key(f)} moves top" in laws.violations
+            for rep in structures:
+                assert any(f"along {mor_key(f)} x " in v for v in rep.bc.equality_failures)
 
 
 class TestHeyting:
@@ -548,6 +651,29 @@ class TestPlantedDefects:
         rep = check_doctrine(D)
         assert not rep.passed
         assert any("functoriality fails" in v for v in rep.violations)
+
+    def test_each_unrecorded_composite_is_noted_and_not_counted(self):
+        """On the powerset-2x2 replay without the table of A->A#0, each of
+        the 8 composable pairs of recorded maps that composes to A->A#0 is
+        noted, and every other composable pair is checked and counted."""
+        data = doctrine_to_json(POW)
+        del data["generator"]
+        full = check_doctrine(doctrine_from_json(data))
+        assert (full.passed, full.counts["compositions"], full.notes) == (True, 195, [])
+        del data["reindex"]["A->A#0"]
+        T = doctrine_from_json(data)
+        rep = check_doctrine(T)
+        maps = [f for a in T.universe for b in T.universe for f in T.morphisms(a, b)]
+        composable = sum(f.cod == g.dom for f in maps for g in maps)
+        skipped = [n for n in rep.notes if n.startswith("composite ")]
+        assert rep.passed and len(skipped) == len(set(skipped)) == 8
+        assert rep.counts["compositions"] + len(skipped) == composable == 177
+        objs = {o.name: o for o in T.universe}
+        for note in skipped:
+            g, _, f = note.removeprefix("composite ").removesuffix(" not recorded; skipped") \
+                .partition(" after ")
+            f, g = mor_from_key(f, objs), mor_from_key(g, objs)
+            assert mor_key(FinMor(f.dom, g.cod, idx=[g.idx[v] for v in f.idx])) == "A->A#0"
 
     def test_nontransitive_order_is_named(self):
         A = fin_obj("A", ["a0", "a1"])

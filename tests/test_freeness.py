@@ -336,6 +336,30 @@ SMALL_FRAMES = {
 }
 
 
+class TestCarrierKeys:
+    """Splitting reports and existential-free lists are kept per
+    `D._carrier_key`: per size on a concrete doctrine, per named carrier
+    on a replay."""
+
+    def test_carriers_of_one_size_share_their_memos(self):
+        fa = MapScan(ANTI)
+        A, B = ANTI.universe[1:]
+        assert fa.exfree_elements(A) is fa.exfree_elements(B)
+        for alpha in ANTI.fibre(A).elements():
+            for kind in ("existential", "universal"):
+                assert fa._splitting(kind, A, alpha) is fa._splitting(kind, B, alpha)
+        # the covers over A*1, A*A and A*B, kept by size
+        assert set(fa._free_elements) == {2, 4}
+
+    def test_a_replay_keeps_each_carrier_apart(self):
+        data = doctrine_to_json(ANTI)
+        del data["generator"]
+        T = doctrine_from_json(data)
+        A, B = T.universe[1:]
+        assert T._carrier_key(A) != T._carrier_key(B)
+        assert T._carrier_key(A) == T._carrier_key(FinObj("A", A.elements))
+
+
 class TupleWalk(FreenessAnalyzer):
     """Every concrete verdict by the tuple walk the reports keep."""
 
