@@ -209,7 +209,10 @@ def cmd_doctrine_check(args):
         lines.append(_verdict_line(f"{d.direction} adjoints with Beck-Chevalley", d.passed))
         for f in d.failures:
             lines.append(f"  failure along {f.along}: {f.reason}")
+        lines += [f"  {v}" for v in d.bc.equality_failures + d.bc.inequality_failures]
+        lines += [f"  skipped: {s}" for s in d.bc.skipped]
     lines += [f"  {v}" for v in laws.violations]
+    lines += [f"  note: {n}" for n in laws.notes]
     lines.append(f"verdict: {'pass' if passed else 'fail'}")
     return (0 if passed else 1), payload, lines
 

@@ -339,7 +339,6 @@ def check_theorem2(D, analyzer, I: FinObj, samples: int = 200,
     keys = sorted(pools, key=lambda ux: (ux[0].name, ux[1].name))
     mismatches = []
     checked = 0
-    sigs: dict = {}
     for _ in range(samples):
         U, X = keys[rng.randrange(len(keys))]
         V, Y = keys[rng.randrange(len(keys))]
@@ -349,7 +348,7 @@ def check_theorem2(D, analyzer, I: FinObj, samples: int = 200,
         b = DialObject(I, V, Y, phi)
         lhs = D.fibre(I).leq(prenex_order(D, I, U, X, psi),
                              prenex_order(D, I, V, Y, phi))
-        rhs = D.has_pair(a, b, sigs)
+        rhs = D.has_pair(a, b)
         checked += 1
         if lhs != rhs:
             mismatches.append({
@@ -396,11 +395,10 @@ def check_theorem4(D, analyzer, I: FinObj,
         quads[alpha] = DialObject(I, w.u_obj, w.x_obj, w.beta)
     emb_fail = []
     emb_checked = 0
-    sigs: dict = {}
     pairs = [(a, b) for a in quads for b in quads]
     for a, b in pairs:
         lhs = D.fibre(I).leq(a, b)
-        rhs = D.has_pair(quads[a], quads[b], sigs)
+        rhs = D.has_pair(quads[a], quads[b])
         emb_checked += 1
         if lhs != rhs:
             emb_fail.append({
@@ -420,7 +418,7 @@ def check_theorem4(D, analyzer, I: FinObj,
                              "reason": "prenex form missing for presented predicate"})
             continue
         qa = quads[back]
-        if not (D.has_pair(q, qa, sigs) and D.has_pair(qa, q, sigs)):
+        if not (D.has_pair(q, qa) and D.has_pair(qa, q)):
             sur_fail.append({"quad": q.to_json(D),
                              "alpha": D.fibre(I).describe(back),
                              "reason": "not order-equivalent to its collapse"})

@@ -11,10 +11,11 @@ owns its fibres (`D.fibre`) and its binary carrier products
 (`D.product`), each built once at the doctrine's cap, so every audit,
 scan and completion check over one doctrine shares one carrier, and one
 set of projections, per shape.  It also keeps its values along maps
-(`D.along`), each asked of its own method once, and its passing law
-verdicts, each decided once per index table.  On top of both sit
-adjoint certification by the adjunction law, structural audits,
-Beck-Chevalley checks, and a JSON exchange format.
+(`D.along`), each asked of its own method once, its passing law
+verdicts, each decided once per index table, and, when concrete, the
+order signature of each quadruple the Dialectica order reads.  On top
+of both sit adjoint certification by the adjunction law, structural
+audits, Beck-Chevalley checks, and a JSON exchange format.
 """
 from __future__ import annotations
 
@@ -29,7 +30,6 @@ from .fincat import (
     FinMor,
     FinObj,
     Product,
-    check_map_count,
     enumerate_morphisms,
     exponential,
     fin_obj,
@@ -362,13 +362,6 @@ class Doctrine:
         """Whether obj is a carrier of the base: here, of the universe."""
         return obj in self.universe
 
-    def pullbacks(self, A: FinObj, I: FinObj, alpha):
-        """Yield (f*alpha, a callable that builds f) for the maps
-        f: A -> I of `D.morphisms`, in `enumerate_morphisms` order; an
-        override may yield only the first map of each pullback."""
-        for f in self.morphisms(A, I):
-            yield self.reindex_el(f, alpha), lambda f=f: f
-
     def choice_index(self, kind: str, A, B, p, alpha, beta):
         """The index table of the first g: A -> B, in `enumerate_morphisms`
         order, whose graph realises the cover (`graph_ok`); None when no
@@ -438,10 +431,8 @@ class Doctrine:
                     idx=[(s // (nu * ny) * nv + f0[s // ny]) * ny + s % ny for s in cells])
         return m1, m2
 
-    def has_pair(self, a, b, sigs=None) -> bool:
-        """Whether a <= b, for a and b over one base, building no pair;
-        ``sigs`` is a dict the caller keeps across calls, for an
-        override's per-quadruple data."""
+    def has_pair(self, a, b) -> bool:
+        """Whether a <= b, for a and b over one base, building no pair."""
         return self.witness_tables(a, b) is not None
 
     def order_rows(self, quads) -> list:
@@ -461,7 +452,9 @@ class ConcreteDoctrine(Doctrine):
     Fibres exist for every finite carrier, not only the declared
     universe; the universe fixes what the audits quantify over.  Each
     decision is a bitmask kernel (`_kernels`) that gives the base
-    class's search's answer.
+    class's search's answer.  The order's signatures are kept in
+    ``D._sigs``, next to ``_along`` and ``_passed``, so every check and
+    fibre over D computes each quadruple's once.
     """
 
     kind = "concrete"
@@ -480,6 +473,7 @@ class ConcreteDoctrine(Doctrine):
         self._products: dict = {}
         self._along: dict = {}
         self._passed: dict = {}
+        self._sigs: dict = {}
 
     def fibre(self, obj: FinObj) -> MaskFibre:
         fib = self._fibres.get(obj)
@@ -512,25 +506,6 @@ class ConcreteDoctrine(Doctrine):
     def in_base(self, obj: FinObj) -> bool:
         return True
 
-    def pullbacks(self, A: FinObj, I: FinObj, alpha: int):
-        """Walk tuples of alpha's distinct columns, building no map until
-        asked.  The columns are listed in first-occurrence order, each
-        keyed to the first index of I that carries it, and the tuples are
-        walked as the same odometer as the maps.  Among the maps with one
-        tuple, the one through those first indices comes first; and since
-        first indices grow with the column order, tuple order is map
-        order on those maps.  So each tuple yields its first map."""
-        nw = self.nw
-        full = (1 << nw) - 1
-        first: dict = {}
-        for c in range(len(I)):
-            first.setdefault(alpha >> c * nw & full, c)
-        check_map_count(A, I, self.cap)
-        shifts = range(0, len(A) * nw, nw)
-        for parts in itertools.product(*[[col << s for col in first] for s in shifts]):
-            yield sum(parts), lambda parts=parts: FinMor(
-                A, I, tuple(I.elements[first[p >> s]] for p, s in zip(parts, shifts)))
-
     def choice_index(self, kind: str, A, B, p, alpha: int, beta: int):
         search = K.exists_gap_g if kind == "existential" else K.forall_gap_g
         return search(alpha, beta, len(A), len(B), self.nw)
@@ -539,22 +514,20 @@ class ConcreteDoctrine(Doctrine):
         return K.witness_pair(a.alpha, b.alpha, len(a.I), len(a.U), len(a.X),
                               len(b.U), len(b.X), self.nw)
 
-    def _signature(self, q, sigs: dict):
-        """q's order signature, kept in ``sigs`` by the kernel's arguments."""
+    def _signature(self, q):
+        """q's order signature, kept in ``D._sigs`` by the kernel's arguments."""
         args = (q.alpha, len(q.I), len(q.U), len(q.X), self.nw)
-        hit = sigs.get(args)
+        hit = self._sigs.get(args)
         if hit is None:
-            hit = sigs[args] = K.order_signature(*args)
+            hit = self._sigs[args] = K.order_signature(*args)
         return hit
 
-    def has_pair(self, a, b, sigs=None) -> bool:
-        sigs = {} if sigs is None else sigs
-        return K.signature_leq(self._signature(a, sigs)[0], self._signature(b, sigs)[1])
+    def has_pair(self, a, b) -> bool:
+        return K.signature_leq(self._signature(a)[0], self._signature(b)[1])
 
     def order_rows(self, quads) -> list:
         """One signature per quadruple, and each cell from two of them."""
-        sigs: dict = {}
-        pairs = [self._signature(q, sigs) for q in quads]
+        pairs = [self._signature(q) for q in quads]
         rights = [right for _, right in pairs]
         leq = K.signature_leq
         return [sum(1 << j for j, right in enumerate(rights) if leq(left, right))
@@ -981,10 +954,12 @@ def beck_chevalley(D, direction: str) -> BCReport:
     lax inequality is checked separately from equality.  Quantifiers and
     pullbacks are read through `D.along`, so each predicate over A1*B is
     quantified along its projection once for every f, and each value is
-    shared with the other audits over D.  A square that passes is kept in
-    ``D._passed`` per direction, table key of f and carrier key of B, so
-    it is checked once per index table and still counted for every f; a
-    square with a failure or a skip is checked in full for each f."""
+    shared with the other audits over D.  The products, fibres, sampled
+    predicates and projection readers are taken once per (B, A1, A2).  A
+    square that passes is kept in ``D._passed`` per direction, table key
+    of f and carrier key of B, so it is checked once per index table,
+    with no f x id built, and still counted for every f; a square with a
+    failure or a skip is checked in full for each f."""
     if direction not in ("exists", "forall"):
         raise ValueError("direction must be 'exists' or 'forall'")
     eq_fail: list = []
@@ -998,26 +973,27 @@ def beck_chevalley(D, direction: str) -> BCReport:
                 if fs is None:
                     skipped.append(f"morphisms {a2.name} -> {a1.name} exceed cap")
                     continue
+                try:
+                    p1 = D.product(a1, b)
+                    p2 = D.product(a2, b)
+                    fib1 = D.fibre(p1.obj)
+                    fib_a2 = D.fibre(a2)
+                    betas = _sample(fib1.elements(), PRED_SAMPLE)
+                except (CapExceeded, DoctrineDataError) as exc:
+                    note = f"square over {a2.name} -> {a1.name} with {b.name}: {exc}"
+                    skipped += [note] * len(fs)  # it names no map, but is made per map
+                    continue
+                along1 = D.along(direction, p1.proj_left)
+                along2 = D.along(direction, p2.proj_left)
                 for f in fs:
-                    try:
-                        p1 = D.product(a1, b)
-                        p2 = D.product(a2, b)
-                        fp = f_times_id(D, f, b)
-                        fib1 = D.fibre(p1.obj)
-                        fib_a2 = D.fibre(a2)
-                        betas = _sample(fib1.elements(), PRED_SAMPLE)
-                    except (CapExceeded, DoctrineDataError) as exc:
-                        skipped.append(f"square over {a2.name} -> {a1.name} with {b.name}: {exc}")
-                        continue
                     squares += 1
                     verdict = ("bc", direction, D._table_key(f), D._carrier_key(b))
                     if verdict in D._passed:
                         continue
                     found = len(eq_fail), len(ineq_fail), len(skipped)
                     square = f"{mor_key(f)} x {b.name}"
-                    along1 = D.along(direction, p1.proj_left)
-                    along2 = D.along(direction, p2.proj_left)
-                    pull_f, pull_fp = D.along("reindex", f), D.along("reindex", fp)
+                    pull_f = D.along("reindex", f)
+                    pull_fp = D.along("reindex", f_times_id(D, f, b))
                     for beta in betas:
                         try:
                             lhs = along2(pull_fp(beta))

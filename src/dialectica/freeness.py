@@ -10,14 +10,15 @@ enough existential-free predicates, stability of freeness under the
 universal quantifier, and enough universal-free predicates inside the
 existential-free part.
 
-The doctrine decides each cover (`D.choice_index`) and lists pullbacks
-(`D.pullbacks`).  Where its quantifiers along a projection act on each
-point of the base separately (``D.pointwise``), so does the choice of a
-witness, and a predicate is free exactly when each of its columns is
-prime: no cover of the column by a row of columns, one per partner
-element, misses it in every component.  `FreenessAnalyzer` keeps one
-bitmask of prime columns per kind and partner size, and reads each
-such verdict from it.
+The doctrine decides each cover (`D.choice_index`).  Where its
+quantifiers along a projection act on each point of the base separately
+(``D.pointwise``), so does the choice of a witness, and a predicate is
+free exactly when each of its columns is prime: no cover of the column
+by a row of columns, one per partner element, misses it in every
+component.  `FreenessAnalyzer` keeps one bitmask of prime columns per
+kind and partner size, and reads each such verdict from it.  A failure
+a report prints, and every verdict on any other doctrine, is found by
+one walk over the maps into the carrier (`first_failing_map`).
 """
 from __future__ import annotations
 
@@ -239,9 +240,10 @@ class FreenessAnalyzer:
         columns is prime at |B| (`_prime_columns`), and every column
         lands in some tuple.  The checks `first_failing_map` makes run in
         its order, so a cap raises as its walk does: per universe
-        object A the count of maps A -> I, then for the first tuple, all
-        of alpha's first column, each partner's product and the list of
-        its covers, until that column fails."""
+        object A the count of maps A -> I, then for the first map, the
+        constant one, alpha's first column at every point, each
+        partner's product and the list of its covers, until that column
+        fails."""
         D = self.D
         c0 = alpha & ((1 << D.nw) - 1)
         for A in D.universe:
@@ -313,12 +315,15 @@ class FreenessAnalyzer:
 
     def first_failing_map(self, kind, I, alpha):
         """The free-report failure found by pulling alpha back along the
-        maps A -> I (`D.pullbacks`), or None."""
-        for A in self.D.universe:
-            for pulled, build in self.D.pullbacks(A, I, alpha):
+        maps A -> I of `D.morphisms`, in `enumerate_morphisms` order, or
+        None."""
+        D = self.D
+        for A in D.universe:
+            for f in D.morphisms(A, I):
+                pulled = D.reindex_el(f, alpha)
                 rep = self._splitting(kind, A, pulled)
                 if not rep.passed:
-                    return (A.name, mor_key(build()), pulled, rep)
+                    return (A.name, mor_key(f), pulled, rep)
         return None
 
     def exfree_elements(self, obj) -> tuple:

@@ -1,5 +1,4 @@
-"""Finite posets, with validation separated from construction so
-deliberately broken inputs can still be represented."""
+"""Finite posets, each validated when it is built."""
 from __future__ import annotations
 
 from ._shape import ShapeError, check
@@ -50,7 +49,7 @@ class FinitePoset:
 
     __slots__ = ("elements", "up", "_index")
 
-    def __init__(self, elements, pairs, validate: bool = True):
+    def __init__(self, elements, pairs):
         self.elements = tuple(elements)
         self._index = {e: i for i, e in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
@@ -61,13 +60,9 @@ class FinitePoset:
             if len(p) != 2 or not (0 <= p[0] < n and 0 <= p[1] < n):
                 raise PosetError(f"pair {list(p)} is not two indices below {n}")
         self.up = _up_masks(n, pairs)
-        if validate:
-            bad = poset_violations(n, self.up)
-            if bad:
-                raise PosetError("; ".join(bad[:5]))
-
-    def violations(self) -> list[str]:
-        return poset_violations(len(self.elements), self.up)
+        bad = poset_violations(n, self.up)
+        if bad:
+            raise PosetError("; ".join(bad[:5]))
 
     def index(self, x) -> int:
         return self._index[x]

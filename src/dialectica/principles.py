@@ -94,8 +94,9 @@ def _report(rule, D, mode, scanned, instances, vacuous, skipped, witnesses,
 class _Pair:
     """One scanned pair of carriers A, B: the projection A*B -> A, both
     fibres, the projection's quantifiers and pullback, read through
-    `D.along` and so shared by every row, and implication in each fibre,
-    taken at most once per argument."""
+    `D.along` and so shared by every row, and implication over A, taken
+    at most once per argument.  Implication over A*B is taken afresh:
+    no sequent repeats its arguments within one pair."""
 
     def __init__(self, D, A, B, p, fibA, fibAB):
         self.A, self.B, self.p, self.fibA, self.fibAB = A, B, p, fibA, fibAB
@@ -104,7 +105,6 @@ class _Pair:
         self.forall = D.along("forall", proj)
         self.pull = D.along("reindex", proj)
         self.impA = functools.cache(fibA.imp)
-        self.impAB = functools.cache(fibAB.imp)
 
     @functools.cached_property
     def top(self):
@@ -164,13 +164,13 @@ _BOTTOM_QF = ("bottomQuantifierFree", lambda fa, c: fa.quantifier_free(c.A, c.bo
 _IP = _Row(
     "independence-of-premise", True, lambda c: c.fibAB.elements(), _exfree, None,
     lambda c, a, b: c.fibA.leq(c.top, c.impA(a, c.exists(b))),
-    lambda c, a, b: c.fibA.leq(c.top, c.exists(c.impAB(c.pull(a), b))),
+    lambda c, a, b: c.fibA.leq(c.top, c.exists(c.fibAB.imp(c.pull(a), b))),
     "existential", "t", "beta", records_precondition=True)
 _MMR = _Row(
     "modified-markov", False, lambda c: c.fibA.elements(), _exfree,
     lambda fa, c, d: fa.quantifier_free(c.A, d),
     lambda c, a, d: c.fibA.leq(c.top, c.impA(c.forall(a), d)),
-    lambda c, a, d: c.fibA.leq(c.top, c.exists(c.impAB(a, c.pull(d)))),
+    lambda c, a, d: c.fibA.leq(c.top, c.exists(c.fibAB.imp(a, c.pull(d)))),
     "universal", "t", "betaD")
 _MARKOV = replace(
     _MMR, name="markov", targets=lambda c: (c.bot,), target_ok=None,

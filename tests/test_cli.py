@@ -218,6 +218,31 @@ class TestDoctrineCommands:
                             path, "--cap", "3", "--format", "text")
             assert skipped in out
 
+    def test_check_text_prints_notes_and_skipped_squares(self, capsys, pow_path, tmp_path):
+        """The text report prints the law notes and the skipped squares
+        the JSON lists: on the powerset-2x2 replay without A->A#0, the 8
+        composites not recorded and 42 squares in each direction."""
+        with open(pow_path) as fh:
+            data = json.load(fh)
+        del data["generator"]
+        del data["reindex"]["A->A#0"]
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(data))
+        argv = ("doctrine", "check", "--doctrine", str(path))
+        code, out, _ = run(capsys, *argv, "--format", "text")
+        assert code == 1
+        report = json.loads(run(capsys, *argv)[1])
+        lines = out.splitlines()
+        notes = [n.removeprefix("  note: ") for n in lines if n.startswith("  note: ")]
+        assert notes == report["laws"]["notes"]
+        assert len([n for n in notes if n.startswith("composite ")]) == 8
+        blocks = out.split("adjoints with Beck-Chevalley\n")[1:]
+        for direction, block in zip(("exists", "forall"), blocks, strict=True):
+            skipped = [s.removeprefix("  skipped: ") for s in block.splitlines()
+                       if s.startswith("  skipped: ")]
+            assert skipped == report["quantifiers"][direction]["beckChevalley"]["skipped"]
+            assert len(skipped) == 42
+
     def test_adjoints_lists_both_directions(self, capsys, pow_path):
         data = run_json(capsys, "doctrine", "adjoints", "--doctrine",
                         pow_path)

@@ -1,5 +1,6 @@
 import pytest
 
+from dialectica import _kernels as K
 from dialectica import dial
 from dialectica.dial import (
     DialObject,
@@ -332,6 +333,18 @@ class TestSignatureOrder:
         assert all(D.has_pair(a, b) == fib.leq(i, j)
                    for i, a in enumerate(fib.quads[:12])
                    for j, b in enumerate(fib.quads))
+
+    def test_signatures_are_kept_by_the_doctrine(self, monkeypatch):
+        """A completed fibre and a Theorem 4 check over one doctrine read
+        one table of signatures on D, so each is computed once."""
+        D = powerset_doctrine((2, 2))
+        keys = []
+        signature = K.order_signature
+        monkeypatch.setattr(K, "order_signature",
+                            lambda *args: keys.append(args) or signature(*args))
+        build_dial_fibre(D, D.universe[0])
+        assert check_theorem4(D, FreenessAnalyzer(D), D.universe[0]).passed
+        assert keys and len(keys) == len(set(keys)) == len(D._sigs)
 
     @pytest.mark.parametrize("frame", [
         FinitePoset(("w0",), [(0, 0)]), chain_poset(2), antichain_poset(2)],

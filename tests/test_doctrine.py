@@ -5,6 +5,7 @@ import weakref
 
 import pytest
 
+from dialectica import doctrine
 from dialectica.doctrine import (
     AdjointFailure,
     AdjointMissing,
@@ -468,6 +469,18 @@ class TestSharedVerdicts:
         assert kinds.count("adjoint") == 5 and kinds.count("bc") == 16
         assert quantifier_structure(D, "exists") == quantifier_structure(_unshared(D), "exists")
 
+    def test_a_kept_square_builds_no_f_times_id(self, monkeypatch):
+        """On antichain2 the 69 squares of each direction have 16
+        verdicts (8 table keys of f, 2 sizes of B), and f x id is built
+        once for each: a kept verdict is read before the map is built."""
+        D = kripke_doctrine(antichain_poset(2), (2, 2))
+        built = []
+        monkeypatch.setattr(doctrine, "f_times_id",
+                            lambda *args: built.append(args) or f_times_id(*args))
+        reps = [beck_chevalley(D, direction) for direction in ("exists", "forall")]
+        assert [(rep.passed, rep.squares) for rep in reps] == [(True, 69)] * 2
+        assert len(built) == 32
+
     def test_a_wrong_closed_form_fails_as_per_map(self):
         class TopExists(ConcreteDoctrine):
             def exists_along(self, f, alpha):
@@ -674,6 +687,21 @@ class TestPlantedDefects:
                 .partition(" after ")
             f, g = mor_from_key(f, objs), mor_from_key(g, objs)
             assert mor_key(FinMor(f.dom, g.cod, idx=[g.idx[v] for v in f.idx])) == "A->A#0"
+
+    def test_each_square_over_an_unrecorded_carrier_is_skipped_per_map(self):
+        """On the same replay no fibre over a product of A or B with A or
+        B is recorded, so each direction notes, once per map, the 38
+        squares over such a product, and the 4 whose f x id has no
+        table; the other 28 are counted."""
+        data = doctrine_to_json(POW)
+        del data["generator"]
+        del data["reindex"]["A->A#0"]
+        T = doctrine_from_json(data)
+        for direction in ("exists", "forall"):
+            rep = beck_chevalley(T, direction)
+            carriers = [s for s in rep.skipped if s.startswith("square over ")]
+            assert (rep.squares, len(rep.skipped), len(carriers)) == (28, 42, 38)
+            assert carriers.count("square over A -> A with A: no fibre recorded over A*A") == 3
 
     def test_nontransitive_order_is_named(self):
         A = fin_obj("A", ["a0", "a1"])

@@ -209,11 +209,10 @@ class TestChoiceMap:
 
 class Searched(ConcreteDoctrine):
     """A concrete doctrine that decides freeness by the base class's
-    searches: no verdict per column, a pullback along every map, and
-    every cover by the map search."""
+    searches: no verdict per column, so every free report walks the
+    maps, and every cover by the map search."""
 
     pointwise = False
-    pullbacks = Doctrine.pullbacks
     choice_index = Doctrine.choice_index
 
 
@@ -225,9 +224,11 @@ def MapScan(D):
 
 
 class TestColumnScan:
-    """On a concrete doctrine the free report scans tuples of alpha's
-    distinct columns; the map enumeration tabular doctrines use is its
-    oracle, failing map included."""
+    """On a concrete doctrine a free verdict is read from the prime
+    columns, and only a failing report walks the maps, deciding each
+    cover by the kernel; the walk with every cover decided by the map
+    search, as a table replay decides, is its oracle, failing map
+    included."""
 
     @staticmethod
     def failing_maps(D, kind, objs):
@@ -284,7 +285,7 @@ class TestColumnScan:
     @pytest.mark.parametrize("kind", ("existential", "universal"))
     def test_column_order_picks_the_first_failing_map(self, kind):
         """Over three incomparable worlds several columns fail on their
-        own, so the order of the tuples decides which map is reported."""
+        own, so the order of the maps decides which one is reported."""
         keys = self.failing_maps(ANTI3, kind, ANTI3.universe[1:])
         assert {"1->A#0", "1->A#1"} <= set(keys)
 
@@ -360,8 +361,8 @@ class TestCarrierKeys:
         assert T._carrier_key(A) == T._carrier_key(FinObj("A", A.elements))
 
 
-class TupleWalk(FreenessAnalyzer):
-    """Every concrete verdict by the tuple walk the reports keep."""
+class MapWalk(FreenessAnalyzer):
+    """Every concrete verdict by the map walk the reports keep."""
 
     def _column_verdict(self, kind, I, alpha, cols):
         return self.first_failing_map(kind, I, alpha) is None
@@ -376,7 +377,7 @@ def _outcome(ask):
 
 class TestPrimeColumns:
     """A concrete free verdict is read from the table of prime columns;
-    the map scan is its oracle, and the tuple walk its oracle for caps."""
+    the map scan is its oracle, and the map walk its oracle for caps."""
 
     @pytest.mark.parametrize("name", SMALL_FRAMES)
     def test_verdicts_equal_the_map_scan_on_every_small_frame(self, name):
@@ -465,7 +466,7 @@ class TestPrimeColumns:
                 _outcome(lambda: test(I, alpha)) for alpha in alphas
                 for test in (fa.is_existential_free, fa.is_universal_free)]
 
-        by_columns, by_walk = FreenessAnalyzer(D), TupleWalk(D)
+        by_columns, by_walk = FreenessAnalyzer(D), MapWalk(D)
         objs = list(D.universe) + [D.product(a, b).obj
                                    for a in D.universe for b in D.universe
                                    if len(a) * len(b) <= D.cap]

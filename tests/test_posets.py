@@ -17,7 +17,7 @@ class TestConstruction:
         p = chain_poset(3)
         assert p.elements == ("w0", "w1", "w2")
         assert p.leq("w0", "w2") and not p.leq("w2", "w0")
-        assert p.violations() == []
+        assert poset_violations(len(p), p.up) == []
 
     def test_antichain(self):
         p = antichain_poset(3)
@@ -47,12 +47,11 @@ class TestConstruction:
         with pytest.raises(PosetError):
             FinitePoset("ab", [(0, 0), (1, 1), (0, 1), (1, 0)])
 
-    def test_transitivity_rejected_but_representable(self):
+    def test_transitivity_rejected(self):
+        """Every poset is validated when built; the error names the break."""
         pairs = [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)]
-        with pytest.raises(PosetError):
+        with pytest.raises(PosetError, match=r"^transitivity fails through 0 <= 1$"):
             FinitePoset("abc", pairs)
-        broken = FinitePoset("abc", pairs, validate=False)
-        assert any("transitivity" in v for v in broken.violations())
 
     def test_violation_listing_names_indices(self):
         up = [0b001, 0b010, 0b100]
@@ -77,12 +76,11 @@ class TestJson:
                   FinitePoset("abc", [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2)])):
             assert FinitePoset.from_json(p.to_json()) == p
 
-    def test_round_trip_preserves_violations(self):
-        broken = FinitePoset("ab", [(0, 0), (1, 1), (0, 1), (1, 0)], validate=False)
-        data = broken.to_json()
-        back = FinitePoset(data["elements"], data["pairs"], validate=False)
-        assert back.violations() == broken.violations()
-        with pytest.raises(PosetError, match="antisymmetry"):
+    def test_from_json_rejects_a_broken_order(self):
+        """A hand-written frame that breaks antisymmetry is rejected on
+        load, as it is when built."""
+        data = {"elements": ["a", "b"], "pairs": [[0, 0], [1, 1], [0, 1], [1, 0]]}
+        with pytest.raises(PosetError, match=r"^antisymmetry fails on 0, 1$"):
             FinitePoset.from_json(data)
 
     @pytest.mark.parametrize("data,message", [
