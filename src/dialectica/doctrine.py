@@ -150,15 +150,21 @@ class MaskFibre:
         self._elements = None
         self._index = None
 
+    def count(self) -> int:
+        """The number of predicates, found without listing them; over the
+        cap it raises the CapExceeded that `elements` raises."""
+        count = len(up_columns(self.upmasks, self.nw)) ** len(self.obj)
+        if count > self.cap:
+            raise CapExceeded(
+                f"fibre over {self.obj.name} has {count} predicates; cap {self.cap}"
+            )
+        return count
+
     def elements(self) -> tuple:
         if self._elements is None:
+            self.count()
             nw = self.nw
             cols = up_columns(self.upmasks, nw)
-            count = len(cols) ** len(self.obj)
-            if count > self.cap:
-                raise CapExceeded(
-                    f"fibre over {self.obj.name} has {count} predicates; cap {self.cap}"
-                )
             out = []
             for combo in itertools.product(cols, repeat=len(self.obj)):
                 mask = 0
@@ -231,6 +237,9 @@ class PosetFibre:
     @property
     def has_heyting(self) -> bool:
         return self.heyting is not None
+
+    def count(self) -> int:
+        return len(self.labels)
 
     def elements(self) -> tuple:
         return tuple(range(len(self.labels)))
@@ -561,8 +570,8 @@ class TabularDoctrine(Doctrine):
         self._along: dict = {}
         self._passed: dict = {}
         for f, table in self._reindex.items():
-            nc = len(self.fibre(f.cod).elements())
-            nd = len(self.fibre(f.dom).elements())
+            nc = self.fibre(f.cod).count()
+            nd = self.fibre(f.dom).count()
             if len(table) != nc or any(v < 0 or v >= nd for v in table):
                 raise DoctrineDataError(f"reindex table for {mor_key(f)} is malformed")
 
@@ -959,7 +968,9 @@ def beck_chevalley(D, direction: str) -> BCReport:
     square that passes is kept in ``D._passed`` per direction, table key
     of f and carrier key of B, so it is checked once per index table,
     with no f x id built, and still counted for every f; a square with a
-    failure or a skip is checked in full for each f."""
+    failure or a skip is checked in full for each f.  A carrier that
+    cannot be read skips the squares over (B, A1, A2) with one note,
+    which names no map."""
     if direction not in ("exists", "forall"):
         raise ValueError("direction must be 'exists' or 'forall'")
     eq_fail: list = []
@@ -980,8 +991,9 @@ def beck_chevalley(D, direction: str) -> BCReport:
                     fib_a2 = D.fibre(a2)
                     betas = _sample(fib1.elements(), PRED_SAMPLE)
                 except (CapExceeded, DoctrineDataError) as exc:
-                    note = f"square over {a2.name} -> {a1.name} with {b.name}: {exc}"
-                    skipped += [note] * len(fs)  # it names no map, but is made per map
+                    if fs:
+                        skipped.append(
+                            f"square over {a2.name} -> {a1.name} with {b.name}: {exc}")
                     continue
                 along1 = D.along(direction, p1.proj_left)
                 along2 = D.along(direction, p2.proj_left)

@@ -7,7 +7,6 @@ and the sorted quantifiers `exists v:S.` / `forall v:S.`.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import re
 from dataclasses import dataclass, field
@@ -293,29 +292,6 @@ def substitute_many(phi: Formula, mapping: dict[Var, Term]) -> Formula:
     raise TypeError(f"not a formula: {phi!r}")
 
 
-def alpha_canonical(phi: Formula) -> Formula:
-    """Rename bound variables to positional names; equal outputs mean alpha-equal inputs."""
-    ctr = itertools.count()
-
-    def go(f: Formula, env: dict[Var, Var]) -> Formula:
-        if isinstance(f, Atom):
-            return Atom(f.pred, tuple(subst_term(a, env) for a in f.args))
-        if isinstance(f, (Top, Bottom)):
-            return f
-        if isinstance(f, (And, Or, Implies)):
-            return type(f)(go(f.left, env), go(f.right, env))
-        if isinstance(f, (Exists, Forall)):
-            nv = Var(f"\x00b{next(ctr)}", f.var.sort)
-            return type(f)(nv, go(f.body, {**env, f.var: nv}))
-        raise TypeError(f"not a formula: {f!r}")
-
-    return go(phi, {})
-
-
-def alpha_equal(a: Formula, b: Formula) -> bool:
-    return alpha_canonical(a) == alpha_canonical(b)
-
-
 class SyntacticClass(Enum):
     QUANTIFIER_FREE = "quantifier-free"
     EXISTS_FREE = "exists-free"
@@ -434,17 +410,14 @@ def _renderers(notation: _Notation):
 _text_sort, _text_formula = _renderers(_Notation(
     term_to_text, "true", "false", "~", " -> ", " | ", " & ",
     "exists", "forall", ":", ". ", " * ", " -> "))
-_latex_sort, _latex_formula = _renderers(_Notation(
+_LATEX = _Notation(
     term_to_latex, "\\top", "\\bot", "\\neg ", " \\rightarrow ", " \\vee ", " \\wedge ",
-    "\\exists", "\\forall", "\\colon ", ".\\, ", " \\times ", " \\to "))
+    "\\exists", "\\forall", "\\colon ", ".\\, ", " \\times ", " \\to ")
+_latex_formula = _renderers(_LATEX)[1]
 
 
 def sort_to_text(s: Sort, prec: int = 0) -> str:
     return _text_sort(s, prec)
-
-
-def sort_to_latex(s: Sort, prec: int = 0) -> str:
-    return _latex_sort(s, prec)
 
 
 def formula_to_text(phi: Formula, prec: int = 0) -> str:
@@ -857,11 +830,6 @@ def parse_formula(text: str, sig: Signature | None = None,
     else:
         p = _Parser(text, sig, context)
     return _run(p, p.formula, "formula")
-
-
-def parse_term(text: str, sig: Signature, context: dict[str, Var] | None = None) -> Term:
-    p = _Parser(text, sig, context)
-    return _run(p, p.term, "term")
 
 
 def parse_sort(text: str, sig: Signature | None = None) -> Sort:

@@ -242,8 +242,8 @@ class FreenessAnalyzer:
         its order, so a cap raises as its walk does: per universe
         object A the count of maps A -> I, then for the first map, the
         constant one, alpha's first column at every point, each
-        partner's product and the list of its covers, until that column
-        fails."""
+        partner's product and the cap check of its covers (their count,
+        or the list of existential-free ones), until that column fails."""
         D = self.D
         c0 = alpha & ((1 << D.nw) - 1)
         for A in D.universe:
@@ -253,7 +253,7 @@ class FreenessAnalyzer:
             for B in D.universe:
                 obj = D.product(A, B).obj
                 if kind == "existential":
-                    D.fibre(obj).elements()
+                    D.fibre(obj).count()
                 else:
                     self.exfree_elements(obj)
                 if not self._prime_columns(kind, len(B)) >> c0 & 1:

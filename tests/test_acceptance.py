@@ -15,11 +15,12 @@ from dialectica.doctrine import (
     quantifier_structure,
 )
 from dialectica.fincat import FinMor, product
-from dialectica.fol import BaseSort, Signature, alpha_equal, parse_formula
+from dialectica.fol import BaseSort, Signature, parse_formula
 from dialectica.freeness import FreenessAnalyzer
 from dialectica.posets import antichain_poset, chain_poset
 from dialectica.principles import check_skolemisation, run_suite
 from dialectica.transform import implication_chain, translate
+from syntax import alpha_equal
 
 POW = powerset_doctrine((2, 2))
 CHAIN = kripke_doctrine(chain_poset(2), (2, 2))

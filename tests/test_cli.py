@@ -221,7 +221,7 @@ class TestDoctrineCommands:
     def test_check_text_prints_notes_and_skipped_squares(self, capsys, pow_path, tmp_path):
         """The text report prints the law notes and the skipped squares
         the JSON lists: on the powerset-2x2 replay without A->A#0, the 8
-        composites not recorded and 42 squares in each direction."""
+        composites not recorded and 16 skip notes in each direction."""
         with open(pow_path) as fh:
             data = json.load(fh)
         del data["generator"]
@@ -241,7 +241,7 @@ class TestDoctrineCommands:
             skipped = [s.removeprefix("  skipped: ") for s in block.splitlines()
                        if s.startswith("  skipped: ")]
             assert skipped == report["quantifiers"][direction]["beckChevalley"]["skipped"]
-            assert len(skipped) == 42
+            assert len(skipped) == 16
 
     def test_adjoints_lists_both_directions(self, capsys, pow_path):
         data = run_json(capsys, "doctrine", "adjoints", "--doctrine",

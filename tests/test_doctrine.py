@@ -690,9 +690,10 @@ class TestPlantedDefects:
 
     def test_each_square_over_an_unrecorded_carrier_is_skipped_per_map(self):
         """On the same replay no fibre over a product of A or B with A or
-        B is recorded, so each direction notes, once per map, the 38
-        squares over such a product, and the 4 whose f x id has no
-        table; the other 28 are counted."""
+        B is recorded, so each direction notes the 38 squares over such a
+        product once per (B, A1, A2), in 12 notes that name no map, and
+        the 4 whose f x id has no table once per map; the other 28 are
+        counted."""
         data = doctrine_to_json(POW)
         del data["generator"]
         del data["reindex"]["A->A#0"]
@@ -700,8 +701,14 @@ class TestPlantedDefects:
         for direction in ("exists", "forall"):
             rep = beck_chevalley(T, direction)
             carriers = [s for s in rep.skipped if s.startswith("square over ")]
-            assert (rep.squares, len(rep.skipped), len(carriers)) == (28, 42, 38)
-            assert carriers.count("square over A -> A with A: no fibre recorded over A*A") == 3
+            assert (rep.squares, len(rep.skipped), len(carriers)) == (28, 16, 12)
+            assert len(set(rep.skipped)) == 16
+            assert carriers.count("square over A -> A with A: no fibre recorded over A*A") == 1
+            assert [s for s in rep.skipped if not s.startswith("square over ")] == [
+                "A->1#0 x A: no reindex table for A*A->1*A#5",
+                "B->1#0 x A: no reindex table for B*A->1*A#5",
+                "A->1#0 x B: no reindex table for A*B->1*B#5",
+                "B->1#0 x B: no reindex table for B*B->1*B#5"]
 
     def test_nontransitive_order_is_named(self):
         A = fin_obj("A", ["a0", "a1"])

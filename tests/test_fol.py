@@ -27,8 +27,6 @@ from dialectica.fol import (
     SyntacticClass,
     Top,
     Var,
-    alpha_canonical,
-    alpha_equal,
     check_formula,
     check_term,
     classify_syntactic,
@@ -37,14 +35,13 @@ from dialectica.fol import (
     free_vars,
     parse_formula,
     parse_sort,
-    parse_term,
-    sort_to_latex,
     sort_to_text,
     substitute_many,
     term_sort,
     term_to_text,
 )
 from gen import SIG, U, V, random_formula
+from syntax import alpha_canonical, alpha_equal, parse_term, sort_to_latex
 
 
 class TestSorts:

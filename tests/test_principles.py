@@ -30,6 +30,7 @@ from dialectica.principles import (
     check_skolemisation,
     run_suite,
 )
+from test_freeness import SMALL_FRAMES, Searched
 
 POW = powerset_doctrine((2, 2))
 CHAIN = kripke_doctrine(chain_poset(2), (2, 2))
@@ -485,3 +486,83 @@ class TestSuiteAssembly:
         along_graphs = [k[:3] for k in pulled if k[3] not in factors]
         assert len(revalidated) == 30
         assert len(along_graphs) == len(set(along_graphs)) == 7
+
+
+class PlantedSlice(ConcreteDoctrine):
+    """Exists along 1*A*B -> 1*A sends bottom to top, so the one-point
+    Skolemisation block (1, A, B) fails on bottom and no other block
+    does."""
+
+    def exists_along(self, f, alpha):
+        if (f.dom.name, f.cod.name) == ("1*A*B", "1*A") and alpha == 0:
+            return self.fibre(f.cod).top()
+        return super().exists_along(f, alpha)
+
+
+class PlantedSliceScanned(PlantedSlice):
+    pointwise = False
+
+
+def _pullbacks_into(D, monkeypatch):
+    """Count D's pullbacks by the name of the map's codomain: the
+    Skolemisation block (A1, A2, B) pulls back into A1*A2*B once per
+    predicate it scans."""
+    into = {}
+    raw = type(D).reindex_el
+    monkeypatch.setattr(D, "reindex_el", lambda f, alpha: into.__setitem__(
+        f.cod.name, into.get(f.cod.name, 0) + 1) or raw(D, f, alpha))
+    return into
+
+
+class TestSkolemPerPoint:
+    """On a pointwise doctrine a Skolemisation block over A1 with more
+    than one point is counted without a scan once the report holds its
+    witnesses and the one-point block over the same (A2, B) passed; the
+    scan of every block is its oracle."""
+
+    @pytest.mark.parametrize("D", [
+        POW, powerset_doctrine((2, 3)), CHAIN, ANTI,
+        kripke_doctrine(chain_poset(3)),
+        kripke_doctrine(antichain_poset(3), (1, 2)),
+        *(kripke_doctrine(frame, (2, 2)) for frame in SMALL_FRAMES.values()),
+    ], ids=lambda D: D.name)
+    def test_reports_equal_the_scan(self, D):
+        """`Searched` is not pointwise, so its Skolemisation scans every block."""
+        scanned = Searched(D.name, D.frame, D.universe, D.cap)
+        assert check_skolemisation(D).to_json() == check_skolemisation(scanned).to_json()
+
+    def test_only_one_point_blocks_are_scanned_when_all_pass(self, monkeypatch):
+        D = powerset_doctrine((2, 2))
+        into = _pullbacks_into(D, monkeypatch)
+        rep = check_skolemisation(D)
+        assert rep.passed and rep.instances == 2266
+        assert set(into) == {f"1*{a}*{b}" for a in "1AB" for b in "1AB"}
+
+    def test_a_failing_slice_scans_its_wide_blocks(self, monkeypatch):
+        P = powerset_doctrine((2, 2))
+        D = PlantedSlice(P.name, P.frame, P.universe, P.cap)
+        into = _pullbacks_into(D, monkeypatch)
+        rep = check_skolemisation(D)
+        assert [v["carriers"] for v in rep.violations] == [["1", "A", "B"]]
+        assert rep.to_json() == check_skolemisation(
+            PlantedSliceScanned(P.name, P.frame, P.universe, P.cap)).to_json()
+        # 2**8 predicates over A*A*B and over B*A*B, none over A*A*A
+        assert (into.get("A*A*B"), into.get("B*A*B"), into.get("A*A*A")) == (256, 256, None)
+
+    def test_a_wrong_pullback_out_of_a_wide_block_is_left_to_the_premise(self):
+        """The count trusts `pointwise`.  A pullback wrong only along the
+        substitution into A*A*B, out of a carrier no law audit reads, is
+        seen by the scan and not by the count: a doctrine that can break
+        the premise must not declare it."""
+        class WrongWide(ConcreteDoctrine):
+            def reindex_el(self, f, alpha):
+                value = super().reindex_el(f, alpha)
+                return value ^ 1 if f.cod.name == "A*A*B" else value
+
+        class WrongWideScanned(WrongWide):
+            pointwise = False
+
+        P = powerset_doctrine((2, 2))
+        assert check_skolemisation(WrongWide(P.name, P.frame, P.universe)).passed
+        rep = check_skolemisation(WrongWideScanned(P.name, P.frame, P.universe))
+        assert {tuple(v["carriers"]) for v in rep.violations} == {("A", "A", "B")}

@@ -21,7 +21,6 @@ from dialectica.fol import (
     SyntacticClass,
     Top,
     Var,
-    alpha_equal,
     check_formula,
     classify_syntactic,
     parse_formula,
@@ -42,6 +41,7 @@ from dialectica.transform import (
     translate,
 )
 from gen import SIG, U, V, random_formula
+from syntax import alpha_equal
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
