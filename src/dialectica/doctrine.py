@@ -308,7 +308,8 @@ class Doctrine:
     table replays decide by it, and tests call it as the oracle of the
     kernels that `ConcreteDoctrine` overrides it with.  ``pointwise``
     says the quantifiers act on each point of the base separately, so
-    `freeness` reads verdicts per column.
+    `freeness` reads verdicts per column, and Skolemisation counts a
+    block over a wide base from its one-point block.
     """
 
     pointwise = False

@@ -520,14 +520,18 @@ class TestSkolemPerPoint:
     witnesses and the one-point block over the same (A2, B) passed; the
     scan of every block is its oracle."""
 
-    @pytest.mark.parametrize("D", [
-        POW, powerset_doctrine((2, 3)), CHAIN, ANTI,
-        kripke_doctrine(chain_poset(3)),
-        kripke_doctrine(antichain_poset(3), (1, 2)),
-        *(kripke_doctrine(frame, (2, 2)) for frame in SMALL_FRAMES.values()),
-    ], ids=lambda D: D.name)
-    def test_reports_equal_the_scan(self, D):
+    ORACLE = {
+        "powerset-2x2": POW, "powerset-2x3": powerset_doctrine((2, 3)),
+        "chain2": CHAIN, "antichain2": ANTI, "chain3": kripke_doctrine(chain_poset(3)),
+        "antichain3-1x2": kripke_doctrine(antichain_poset(3), (1, 2)),
+        **{f"{name}-2x2": kripke_doctrine(frame, (2, 2))
+           for name, frame in SMALL_FRAMES.items()},
+    }
+
+    @pytest.mark.parametrize("name", ORACLE)
+    def test_reports_equal_the_scan(self, name):
         """`Searched` is not pointwise, so its Skolemisation scans every block."""
+        D = self.ORACLE[name]
         scanned = Searched(D.name, D.frame, D.universe, D.cap)
         assert check_skolemisation(D).to_json() == check_skolemisation(scanned).to_json()
 
