@@ -308,8 +308,11 @@ class Doctrine:
     table replays decide by it, and tests call it as the oracle of the
     kernels that `ConcreteDoctrine` overrides it with.  ``pointwise``
     says the quantifiers act on each point of the base separately, so
-    `freeness` reads verdicts per column, and Skolemisation counts a
-    block over a wide base from its one-point block.
+    `freeness` reads verdicts per column, and `principles` reads each
+    rule's carrier pair, or Skolemisation's block, over a wide base from
+    the table of its one-point pair or block.  That is taken on trust: a
+    doctrine that sets it must compute every pullback and quantifier
+    along a wide projection point by point.
     """
 
     pointwise = False
@@ -384,8 +387,9 @@ class Doctrine:
     def choice_map(self, kind: str, A, B, p, alpha, beta, g_idx) -> FinMor:
         """The map g: A -> B with the index table ``g_idx`` that
         `choice_index` decided for the cover, built once its graph is
-        revalidated through the doctrine's reindexing and order."""
-        if not self.graph_ok(kind, A, p, alpha, beta, g_idx):
+        revalidated through the doctrine's reindexing and order; a
+        missing table (None) fails revalidation."""
+        if g_idx is None or not self.graph_ok(kind, A, p, alpha, beta, g_idx):
             raise DoctrineError("choice map failed revalidation")
         return FinMor(A, B, idx=g_idx)
 

@@ -137,7 +137,8 @@ class FreenessAnalyzer:
         # A pointwise verdict is read per column when every universe object
         # has a point, so every column of alpha is pulled back somewhere
         # and every partner row can be filled; otherwise it is walked.
-        self._columnwise = bool(D.pointwise and D.universe and all(map(len, D.universe)))
+        # The rule checkers then read a pair from its one-point pair.
+        self.columnwise = bool(D.pointwise and D.universe and all(map(len, D.universe)))
         # Splitting reports and existential-free lists are kept per
         # `D._carrier_key` (a carrier's size, on a concrete doctrine);
         # free reports per name, since they print the carrier's name.
@@ -207,7 +208,7 @@ class FreenessAnalyzer:
     def _passes(self, kind, I, alpha) -> bool:
         """The free verdict: read per column (`_verdict`) where it can
         be, elsewhere the report's."""
-        if self._columnwise:
+        if self.columnwise:
             return self._verdict(kind, I, alpha)
         return self._free_report(kind, I, alpha).passed
 
@@ -306,7 +307,7 @@ class FreenessAnalyzer:
         hit = self._free.get(key)
         if hit is not None:
             return hit
-        if self._columnwise and self._verdict(kind, I, alpha):
+        if self.columnwise and self._verdict(kind, I, alpha):
             return FreeReport(kind, I.name, alpha, True, None)
         failing = self.first_failing_map(kind, I, alpha)
         report = FreeReport(kind, I.name, alpha, failing is None, failing)

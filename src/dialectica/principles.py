@@ -8,6 +8,19 @@ with a term witness share one scan, driven by a table of rows; each
 instance is decided by the doctrine's choice-map decision, and a map is
 built only for a witness the report records.
 
+Each carrier pair (a block, for Skolemisation) is read from a table of
+the stage each of its instances reaches (`_Table`).  On a pointwise
+doctrine every check of a rule, preconditions included when freeness is
+read per column, reads the base one point at a time: an instance over A
+is the tuple of its one-point instances at the points of A, and stops
+at the earliest stage any of them reaches.  There each pair over a wide
+A is read from the table of its one-point pair, built once per rule and
+partner by the checks themselves: its counts are powers of the table's,
+and its entries are walked from it in scan order, only while the report
+still needs one.  Table replays, analyzers that walk maps for freeness,
+and universes whose one-point carrier comes after a wide one scan each
+pair predicate by predicate.
+
 Strict mode enforces each rule's stated preconditions (freeness of the
 predicates involved, and for the corollary rules a doctrine-level
 hypothesis such as bottom being quantifier-free); diagnostic mode drops
@@ -158,6 +171,10 @@ def _exfree(fa, obj):
     return set(fa.exfree_elements(obj)).__contains__
 
 
+def _qfree(fa, obj):
+    return {a for a in fa.exfree_elements(obj) if fa.is_universal_free(obj, a)}.__contains__
+
+
 _BOTTOM_QF = ("bottomQuantifierFree", lambda fa, c: fa.quantifier_free(c.A, c.bot))
 
 # by residuation, top <= alpha -> beta(a, t a) iff alpha <= beta(a, t a)
@@ -174,7 +191,7 @@ _MMR = _Row(
     "universal", "t", "betaD")
 _MARKOV = replace(
     _MMR, name="markov", targets=lambda c: (c.bot,), target_ok=None,
-    precondition=lambda fa, obj: functools.partial(fa.quantifier_free, obj),
+    precondition=_qfree,
     gate=_BOTTOM_QF)
 _CEX = _Row(
     "counterexample-property", False, lambda c: (c.bot,), None, None,
@@ -187,63 +204,176 @@ _CHOICE = _Row(
     gate=("topExistentialFree", lambda fa, c: fa.is_existential_free(c.A, c.top)))
 
 
+# How far an instance gets through its rule's checks, made in this
+# order: strict mode skips an alpha failing its precondition, then a
+# target failing ``target_ok``; a false premise is vacuous; a judged
+# instance fails (its sequent, or Skolemisation's two sides differ), has
+# no term, or holds.
+_NO_ALPHA, _NO_TARGET, _VACUOUS, _FAILS, _NO_TERM, _HOLDS = range(6)
+
+
+class _Table:
+    """The stage of every instance of one pair of carriers, from a stream
+    of (alpha, target, stage, precondition holds) in scan order.
+
+    ``reach[k]`` counts the instances that reach stage k or a later one.
+    ``rows`` maps each alpha, in scan order, to its judged targets
+    (stage _FAILS or later) with their stages, and ``holds`` to its
+    precondition.  On a pointwise doctrine the one-point pair's table
+    stands for every pair with the same partner: an instance over an
+    n-point base is the tuple of its one-point instances at the points,
+    and it stops at the earliest stage any of them reaches.  So the
+    instances reaching stage k number ``reach[k]**n``, and the walk over
+    tuples of rows in product order is the scan's order."""
+
+    def __init__(self, stream):
+        reach = [0] * (_HOLDS + 2)
+        self.rows: dict = {}
+        self.holds: dict = {}
+        for alpha, target, stage, ok in stream:
+            reach[stage] += 1
+            self.holds[alpha] = ok
+            judged = self.rows.setdefault(alpha, [])
+            if stage >= _FAILS:
+                judged.append((target, stage))
+        for k in reversed(range(_HOLDS + 1)):
+            reach[k] += reach[k + 1]
+        self.reach = reach
+        # each alpha with a judged target, at the least of their stages
+        self.alphas = [(a, min(s for _, s in judged))
+                       for a, judged in self.rows.items() if judged]
+
+    def counts(self, n: int) -> list:
+        """The instances over an n-point base (n >= 1) stopping at each stage."""
+        r = [k ** n for k in self.reach]
+        return [r[k] - r[k + 1] for k in range(_HOLDS + 1)]
+
+    def walk(self, n: int, full):
+        """(alphas, targets, stage), one alpha and one target per point,
+        for the judged instances over an n-point base in scan order;
+        once ``full()`` holds, only the instances that do not hold."""
+        for alphas, _ in _tuples([self.alphas] * n, full):
+            for targets, stage in _tuples([self.rows[a] for a in alphas], full):
+                yield alphas, targets, stage
+
+
+def _tuples(lists, full):
+    """Yield (values, stage) for each tuple of one (value, stage) entry
+    per list, in product order, its stage the least of its entries';
+    once ``full()`` holds, a branch whose tuples all hold is skipped."""
+    n = len(lists)
+    fails_after = [False] * (n + 1)
+    for a in reversed(range(n)):
+        fails_after[a] = fails_after[a + 1] or any(s < _HOLDS for _, s in lists[a])
+
+    def grow(a, least, prefix):
+        if a == n:
+            yield prefix, least
+            return
+        for value, stage in lists[a]:
+            stage = min(least, stage)
+            if stage == _HOLDS and not fails_after[a + 1] and full():
+                continue
+            yield from grow(a + 1, stage, prefix + (value,))
+    return grow(0, _HOLDS, ())
+
+
+def _glue(values, width: int):
+    """The predicate over A*X whose slice at point a of A is values[a], a
+    predicate over X of ``width`` bits, on a pointwise doctrine's masks
+    (the elements of A*X run with A slowest); a single value is itself."""
+    return sum(v << (a * width) for a, v in enumerate(values))
+
+
+def _stages(row: _Row, D, fa, c, strict, qualifies):
+    """Yield (alpha, target, stage, precondition holds) for every
+    instance of the pair c, in scan order, each check made as the row
+    states it."""
+    A, B = c.A, c.B
+    for alpha in (c.fibA if row.alpha_on_base else c.fibAB).elements():
+        ok = qualifies is None or qualifies(alpha)
+        for target in row.targets(c):
+            if strict and not ok:
+                stage = _NO_ALPHA
+            elif strict and row.target_ok is not None and not row.target_ok(fa, c, target):
+                stage = _NO_TARGET
+            elif not row.premise(c, alpha, target):
+                stage = _VACUOUS
+            elif row.sequent is not None and not row.sequent(c, alpha, target):
+                stage = _FAILS
+            else:
+                cover = (alpha, target) if row.alpha_on_base else (target, alpha)
+                found = D.choice_index(row.kind, A, B, c.p, *cover) is not None
+                stage = _HOLDS if found else _NO_TERM
+            yield alpha, target, stage, ok
+
+
 def _rule_scan(row: _Row, D, analyzer, mode) -> RuleReport:
-    """Scan one row over every carrier pair.  Each judged instance is
-    decided by `D.choice_index`; a violation is recorded when its
-    sequent fails or no term exists, a witness (up to the cap)
-    otherwise.  Report entries are built, and a witness's map built and
-    revalidated by `D.choice_map`, only for recorded instances."""
+    """Scan one row over every carrier pair, each read from a `_Table`:
+    the pair's own, or on a pointwise doctrine whose analyzer reads
+    freeness per column the table of its partner's one-point pair.  A
+    violation is recorded when its sequent fails or no term exists, a
+    witness (up to the cap) otherwise.  A witness's term is decided by
+    `D.choice_index` on its own pair, and its map built and revalidated
+    by `D.choice_map`."""
     fa = analyzer or FreenessAnalyzer(D)
     strict = mode == "strict"
-    premise, sequent, target_ok = row.premise, row.sequent, row.target_ok
+    per_point = D.pointwise and fa.columnwise
+    nw = D.nw if per_point else 0
     notes: list = []
     witnesses: list = []
     violations: list = []
     scanned: list = []
-    instances = vacuous = skipped = 0
+    tally = [0] * (_HOLDS + 1)
     gates: dict = {}
+    tables: dict = {}  # partner name -> the table of its one-point pair
+
+    def full():
+        return len(witnesses) >= WITNESS_CAP
+
     for c in _scan(D, notes, scanned):
         A, B = c.A, c.B
         if row.gate is not None and A.name not in gates:
             gates[A.name] = row.gate[1](fa, c)
-        fib, target_fib = (c.fibA, c.fibAB) if row.alpha_on_base else (c.fibAB, c.fibA)
-        targets = row.targets(c)
+        # built on every pair, as the scan builds it, so that a cap which
+        # only its carrier overruns stops the rule here too
         qualifies = None
         if row.precondition is not None and (strict or row.records_precondition):
             qualifies = row.precondition(fa, A if row.alpha_on_base else c.p.obj)
-        for alpha in fib.elements():
-            ok = qualifies is None or qualifies(alpha)
-            if strict and not ok:
-                skipped += len(targets)
+        n = len(A)
+        table = tables.get(B.name) if per_point and n > 1 else None
+        if table is None:
+            table, n = _Table(_stages(row, D, fa, c, strict, qualifies)), 1
+            if per_point and len(A) == 1:
+                tables[B.name] = table
+        counts = table.counts(n)
+        tally = [t + k for t, k in zip(tally, counts)]
+        if full() and not counts[_FAILS] + counts[_NO_TERM]:
+            continue
+        fib, target_fib = (c.fibA, c.fibAB) if row.alpha_on_base else (c.fibAB, c.fibA)
+        # the widths of alpha and of a target at one point of A
+        wa, wt = (nw, len(B) * nw) if row.alpha_on_base else (len(B) * nw, nw)
+        for alphas, targets, stage in table.walk(n, full):
+            found = stage == _HOLDS
+            if found and full():
                 continue
-            for target in targets:
-                if strict and target_ok is not None and not target_ok(fa, c, target):
-                    skipped += 1
-                    continue
-                if not premise(c, alpha, target):
-                    vacuous += 1
-                    continue
-                instances += 1
-                seq = sequent is None or sequent(c, alpha, target)
+            alpha, target = _glue(alphas, wa), _glue(targets, wt)
+            e = {"base": A.name, "partner": B.name, "alpha": fib.describe(alpha)}
+            if row.target_key:
+                e[row.target_key] = target_fib.describe(target)
+            if row.records_precondition:
+                e["preconditionsHold"] = all(map(table.holds.__getitem__, alphas))
+            if found:
                 cover = (alpha, target) if row.alpha_on_base else (target, alpha)
-                g = D.choice_index(row.kind, A, B, c.p, *cover) if seq else None
-                found = g is not None
-                if found and len(witnesses) >= WITNESS_CAP:
-                    continue
-                e = {"base": A.name, "partner": B.name, "alpha": fib.describe(alpha)}
-                if row.target_key:
-                    e[row.target_key] = target_fib.describe(target)
-                if row.records_precondition:
-                    e["preconditionsHold"] = ok
-                if found:
-                    e[row.term] = mor_json(D.choice_map(row.kind, A, B, c.p, *cover, g))
-                    witnesses.append(e)
-                else:
-                    e["kind"] = "no-term-witness" if seq else "sequent-fails"
-                    violations.append(e)
+                g = D.choice_index(row.kind, A, B, c.p, *cover)
+                e[row.term] = mor_json(D.choice_map(row.kind, A, B, c.p, *cover, g))
+                witnesses.append(e)
+            else:
+                e["kind"] = "no-term-witness" if stage == _NO_TERM else "sequent-fails"
+                violations.append(e)
     gate = None if row.gate is None else (row.gate[0], gates)
-    return _report(row.name, D, mode, scanned, instances, vacuous, skipped,
-                   witnesses, violations, notes, gate)
+    return _report(row.name, D, mode, scanned, sum(tally[_FAILS:]), tally[_VACUOUS],
+                   tally[_NO_ALPHA] + tally[_NO_TARGET], witnesses, violations, notes, gate)
 
 
 def check_ip_rule(D, analyzer: FreenessAnalyzer | None = None,
@@ -292,18 +422,24 @@ def check_skolemisation(D, analyzer: FreenessAnalyzer | None = None,
     alpha(a1, a2, f a2), computed through the exponential B^A2 and its
     evaluation, for every predicate over A1 x A2 x B.
 
-    On a pointwise doctrine both sides at a point a1 read only alpha's
-    slice at a1, a predicate of the one-point block (1, A2, B), and every
-    such predicate is a slice.  So once the report holds its witnesses,
-    a block with |A1| > 1 whose one-point block was scanned with no
-    violation is counted without a scan: it would record nothing."""
+    Each block (A1, A2, B) is read from a `_Table` of its predicates'
+    sides.  On a pointwise doctrine both sides at a point a1 read only
+    alpha's slice at a1, a predicate of the one-point block (1, A2, B),
+    and every such predicate is a slice; so a block over a wide A1 is
+    read from its one-point block's table, whose targets are the sides
+    at one point."""
     del analyzer  # no freeness preconditions; kept for a uniform signature
     notes: list = []
     witnesses: list = []
     violations: list = []
     scanned: list = []
     instances = 0
-    passes: set = set()  # (A2, B) whose one-point block has no violation
+    tables: dict = {}  # (A2, B) names -> the table of the one-point block
+    nw = D.nw if D.pointwise else 0
+
+    def full():
+        return len(witnesses) >= WITNESS_CAP
+
     objs = D.universe
     for A1 in objs:
         for A2 in objs:
@@ -313,7 +449,7 @@ def check_skolemisation(D, analyzer: FreenessAnalyzer | None = None,
                     a12 = D.product(A1, A2)
                     tri = D.product(a12.obj, B)
                     fib = D.fibre(tri.obj)
-                    count = fib.count()
+                    fib.count()
                     a1e = D.product(A1, E.obj)
                     fe = D.product(a1e.obj, A2)
                 except CapExceeded as exc:
@@ -321,43 +457,53 @@ def check_skolemisation(D, analyzer: FreenessAnalyzer | None = None,
                         f"{A1.name},{A2.name},{B.name} skipped: {exc}")
                     continue
                 scanned.append(f"{A1.name},{A2.name},{B.name}")
-                if (D.pointwise and len(A1) > 1 and (A2, B) in passes
-                        and len(witnesses) >= WITNESS_CAP):
-                    instances += count
-                    continue
-                failed = len(violations)
-                k1 = A1.arity
-                # (a1, f, a2) goes to (a1, a2, f a2); the projections are
-                # those of the products, A1*A2*B being (A1*A2)*B
-                subst = FinMor(fe.obj, tri.obj, tuple(
-                    e[:k1] + e[k1 + 1:] + e[k1](e[k1 + 1:])
-                    for e in fe.obj.elements))
-                p12, p1 = tri.proj_left, a12.proj_left
-                q, r = fe.proj_left, a1e.proj_left
+                n = len(A1)
+                table = tables.get((A2.name, B.name)) if D.pointwise and n > 1 else None
+                if table is None:
+                    table, n = _Table(_sides(D, A1, a12, tri, a1e, fe, fib)), 1
+                    if D.pointwise and len(A1) == 1:
+                        tables[A2.name, B.name] = table
+                counts = table.counts(n)
+                instances += sum(counts)
                 fibA1 = D.fibre(A1)
-                for alpha in fib.elements():
-                    instances += 1
-                    lhs = D.forall_along(p1, D.exists_along(p12, alpha))
-                    rhs = D.exists_along(r, D.forall_along(
-                        q, D.reindex_el(subst, alpha)))
-                    if lhs == rhs and len(witnesses) >= WITNESS_CAP:
+                if full() and not counts[_FAILS]:
+                    continue
+                width = len(A2) * len(B) * nw  # of a slice at one point of A1
+                for slices, sides, stage in table.walk(n, full):
+                    if stage == _HOLDS and full():
                         continue
+                    lhs = _glue([side[0] for side in sides], nw)
                     entry = {
                         "carriers": [A1.name, A2.name, B.name],
-                        "alpha": fib.describe(alpha),
+                        "alpha": fib.describe(_glue(slices, width)),
                         "bothSides": fibA1.describe(lhs),
                     }
-                    if lhs != rhs:
+                    if stage == _HOLDS:
+                        witnesses.append(entry)
+                    else:
                         entry["kind"] = "sides-differ"
                         entry["prenexSide"] = fibA1.describe(lhs)
-                        entry["skolemSide"] = fibA1.describe(rhs)
+                        entry["skolemSide"] = fibA1.describe(
+                            _glue([side[1] for side in sides], nw))
                         violations.append(entry)
-                    else:
-                        witnesses.append(entry)
-                if len(A1) == 1 and len(violations) == failed:
-                    passes.add((A2, B))
     return _report("skolemisation", D, mode, scanned, instances, 0, 0,
                    witnesses, violations, notes)
+
+
+def _sides(D, A1, a12, tri, a1e, fe, fib):
+    """Yield (alpha, (prenex side, Skolem side), stage, True) for every
+    predicate alpha of the block (A1, A2, B), in its fibre's order."""
+    k1 = A1.arity
+    # (a1, f, a2) goes to (a1, a2, f a2); the projections are those of
+    # the products, A1*A2*B being (A1*A2)*B
+    subst = FinMor(fe.obj, tri.obj, tuple(
+        e[:k1] + e[k1 + 1:] + e[k1](e[k1 + 1:]) for e in fe.obj.elements))
+    p12, p1 = tri.proj_left, a12.proj_left
+    q, r = fe.proj_left, a1e.proj_left
+    for alpha in fib.elements():
+        lhs = D.forall_along(p1, D.exists_along(p12, alpha))
+        rhs = D.exists_along(r, D.forall_along(q, D.reindex_el(subst, alpha)))
+        yield alpha, (lhs, rhs), _HOLDS if lhs == rhs else _FAILS, True
 
 
 RULES = {

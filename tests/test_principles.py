@@ -470,8 +470,9 @@ class TestSuiteAssembly:
         """The same suite revalidates 30 witnesses, which pull back along
         8 (graph table, codomain size, predicate) keys.  Revalidation reads
         them through `D.along` too, so D is asked each key at most once:
-        7 times, since one graph shares its index table with a projection
-        whose pullback of the same predicate a row has already asked."""
+        6 times, since the graph 1 -> 1*1 shares its index table with the
+        projection 1*1 -> 1, whose pullbacks of both its predicates the
+        rows asked while tabling the pair, before recording a witness."""
         D = powerset_doctrine((2, 2))
         revalidated = []
         real = Doctrine.graph_ok
@@ -485,18 +486,23 @@ class TestSuiteAssembly:
         factors = {o.name for o in D.universe}
         along_graphs = [k[:3] for k in pulled if k[3] not in factors]
         assert len(revalidated) == 30
-        assert len(along_graphs) == len(set(along_graphs)) == 7
+        assert len(along_graphs) == len(set(along_graphs)) == 6
 
 
 class PlantedSlice(ConcreteDoctrine):
-    """Exists along 1*A*B -> 1*A sends bottom to top, so the one-point
-    Skolemisation block (1, A, B) fails on bottom and no other block
-    does."""
+    """Exists along X*A*B -> X*A sends a slice of alpha that is bottom at
+    a point x of X to top at x: along 1*A*B -> 1*A it sends bottom to top.
+    The defect acts point by point, so the doctrine stays pointwise, and
+    every block (X, A, B) fails exactly on its predicates with a bottom
+    slice (powerset-2x2 masks: a slice over A*B has 4 bits, over A 2)."""
 
     def exists_along(self, f, alpha):
-        if (f.dom.name, f.cod.name) == ("1*A*B", "1*A") and alpha == 0:
-            return self.fibre(f.cod).top()
-        return super().exists_along(f, alpha)
+        value = super().exists_along(f, alpha)
+        if f.dom.name == f.cod.name + "*B" and f.cod.name.endswith("*A"):
+            for x in range(len(f.cod) // 2):
+                if alpha >> (4 * x) & 0b1111 == 0:
+                    value |= 0b11 << (2 * x)
+        return value
 
 
 class PlantedSliceScanned(PlantedSlice):
@@ -516,9 +522,9 @@ def _pullbacks_into(D, monkeypatch):
 
 class TestSkolemPerPoint:
     """On a pointwise doctrine a Skolemisation block over A1 with more
-    than one point is counted without a scan once the report holds its
-    witnesses and the one-point block over the same (A2, B) passed; the
-    scan of every block is its oracle."""
+    than one point is read from the table of its one-point block over
+    the same (A2, B): its counts are powers of the table's, and its
+    entries are walked from it.  The scan of every block is its oracle."""
 
     ORACLE = {
         "powerset-2x2": POW, "powerset-2x3": powerset_doctrine((2, 3)),
@@ -542,21 +548,46 @@ class TestSkolemPerPoint:
         assert rep.passed and rep.instances == 2266
         assert set(into) == {f"1*{a}*{b}" for a in "1AB" for b in "1AB"}
 
-    def test_a_failing_slice_scans_its_wide_blocks(self, monkeypatch):
+    def test_a_failing_slice_is_listed_in_every_block(self, monkeypatch):
         P = powerset_doctrine((2, 2))
         D = PlantedSlice(P.name, P.frame, P.universe, P.cap)
         into = _pullbacks_into(D, monkeypatch)
         rep = check_skolemisation(D)
-        assert [v["carriers"] for v in rep.violations] == [["1", "A", "B"]]
+        # 16 slices over 1*A*B, one of them bottom: 1 predicate over 1*A*B
+        # and 16**2 - 15**2 over each of A*A*B and B*A*B fail
+        assert [tuple(v["carriers"]) for v in rep.violations] == (
+            [("1", "A", "B")] + [("A", "A", "B")] * 31 + [("B", "A", "B")] * 31)
         assert rep.to_json() == check_skolemisation(
             PlantedSliceScanned(P.name, P.frame, P.universe, P.cap)).to_json()
-        # 2**8 predicates over A*A*B and over B*A*B, none over A*A*A
-        assert (into.get("A*A*B"), into.get("B*A*B"), into.get("A*A*A")) == (256, 256, None)
+        # the wide blocks are listed from the one-point block's table:
+        # its 16 predicates are pulled back, and none over a wide block
+        assert into["1*A*B"] == 16
+        assert (into.get("A*A*B"), into.get("B*A*B"), into.get("A*A*A")) == (None, None, None)
+
+    def test_a_defect_at_one_point_alone_is_reported_at_every_point(self):
+        """A defect of the one-point block alone breaks the premise the
+        other way: the table carries it to every point of a wide block,
+        so the report lists more violations than the scan, and never
+        fewer."""
+        class OnePointOnly(ConcreteDoctrine):
+            def exists_along(self, f, alpha):
+                if (f.dom.name, f.cod.name) == ("1*A*B", "1*A") and alpha == 0:
+                    return self.fibre(f.cod).top()
+                return super().exists_along(f, alpha)
+
+        class OnePointOnlyScanned(OnePointOnly):
+            pointwise = False
+
+        P = powerset_doctrine((2, 2))
+        rep = check_skolemisation(OnePointOnly(P.name, P.frame, P.universe))
+        scanned = check_skolemisation(OnePointOnlyScanned(P.name, P.frame, P.universe))
+        assert [v["carriers"] for v in scanned.violations] == [["1", "A", "B"]]
+        assert rep.violations[0] == scanned.violations[0] and len(rep.violations) == 63
 
     def test_a_wrong_pullback_out_of_a_wide_block_is_left_to_the_premise(self):
-        """The count trusts `pointwise`.  A pullback wrong only along the
+        """The table trusts `pointwise`.  A pullback wrong only along the
         substitution into A*A*B, out of a carrier no law audit reads, is
-        seen by the scan and not by the count: a doctrine that can break
+        seen by the scan and not by the table: a doctrine that can break
         the premise must not declare it."""
         class WrongWide(ConcreteDoctrine):
             def reindex_el(self, f, alpha):
@@ -570,3 +601,180 @@ class TestSkolemPerPoint:
         assert check_skolemisation(WrongWide(P.name, P.frame, P.universe)).passed
         rep = check_skolemisation(WrongWideScanned(P.name, P.frame, P.universe))
         assert {tuple(v["carriers"]) for v in rep.violations} == {("A", "A", "B")}
+
+
+TERM_RULES = ("ip", "mmr", "markov", "cex", "choice")
+
+
+class Scanned(ConcreteDoctrine):
+    """A concrete doctrine that is not pointwise: the term rules scan
+    each carrier pair predicate by predicate, with the same kernels."""
+
+    pointwise = False
+
+
+class PlantedRow(ConcreteDoctrine):
+    """On powerset-2x2, exists along a projection X*Y -> X with |Y| = 2
+    sends a predicate whose row at a point x is full to one without x:
+    along 1*B -> 1 it is wrong on top alone.  The defect reads the map's
+    index table, as `D.along` keys values, and acts point by point, so
+    the doctrine stays pointwise."""
+
+    def exists_along(self, f, alpha):
+        value = super().exists_along(f, alpha)
+        if f.idx == tuple(s // 2 for s in range(len(f.dom))):
+            for x in range(len(f.cod)):
+                if alpha >> (2 * x) & 0b11 == 0b11:
+                    value &= ~(1 << x)
+        return value
+
+
+class PlantedRowScanned(PlantedRow):
+    pointwise = False
+
+
+class TestPointEngine:
+    """On a pointwise doctrine whose analyzer reads freeness per column,
+    a term rule reads each carrier pair (A, B) with |A| > 1 from the
+    table of the one-point pair (1, B).  The oracle is the scan of a
+    twin that is not pointwise and shares the doctrine's analyzer, so
+    the two differ only in how a pair is read."""
+
+    DOCTRINES = {
+        "powerset-2x2": POW, "powerset-2x3": powerset_doctrine((2, 3)),
+        "chain2": CHAIN, "antichain2": ANTI, "chain3": kripke_doctrine(chain_poset(3)),
+        "antichain3-1x2": kripke_doctrine(antichain_poset(3), (1, 2)),
+        **{f"{name}-2x2": kripke_doctrine(SMALL_FRAMES[name], (2, 2))
+           for name in ("bottom", "top", "chain2+1")},
+    }
+    # Every doctrine in strict mode (chain3 is the three-world chain at
+    # 2,2), the first six in diagnostic mode as well.  Left out, timed as
+    # scans on 2 vCPUs: antichain3 at 2,2 (3.3 s strict), and diagnostic
+    # IP and modified Markov on antichain3 1,2 (4.9 s together).
+    CASES = ([(name, "strict") for name in DOCTRINES]
+             + [(name, "diagnostic") for name in list(DOCTRINES)[:6]])
+    LEFT_OUT = {("antichain3-1x2", "diagnostic", "ip"), ("antichain3-1x2", "diagnostic", "mmr")}
+
+    @pytest.mark.parametrize("name,mode", CASES)
+    def test_reports_equal_the_scan(self, name, mode):
+        D = self.DOCTRINES[name]
+        fa = FreenessAnalyzer(D)
+        scanned = Scanned(D.name, D.frame, D.universe, D.cap)
+        for rule in TERM_RULES:
+            if (name, mode, rule) not in self.LEFT_OUT:
+                assert (RULES[rule](D, fa, mode=mode).to_json()
+                        == RULES[rule](scanned, fa, mode=mode).to_json()), rule
+
+    def test_wide_pairs_ask_the_doctrine_nothing(self, monkeypatch):
+        """Both suites on a fresh powerset-2x2 quantify and pull back only
+        along the one-point pairs' projections (1*A -> 1 and 1*B -> 1
+        share one index table), and along the graphs of the witnesses
+        they record."""
+        D = powerset_doctrine((2, 2))
+        asked = set()
+        for name in ("reindex_el", "exists_along", "forall_along"):
+            raw = getattr(ConcreteDoctrine, name)
+            monkeypatch.setattr(D, name, lambda f, alpha, raw=raw: asked.add(
+                (f.dom.name, f.cod.name)) or raw(D, f, alpha))
+        for mode in ("strict", "diagnostic"):
+            run_suite(D, mode=mode, rules=list(TERM_RULES))
+        into_factors = {(dom, cod) for dom, cod in asked if cod in ("1", "A", "B")}
+        assert into_factors and into_factors <= {(f"1*{b}", "1") for b in "1AB"}
+
+    @pytest.mark.parametrize("mode", ("strict", "diagnostic"))
+    def test_a_cap_only_the_wide_precondition_overruns_stops_the_rule(self, mode):
+        """On powerset-3 at cap 600 the fibre over C*C (512 predicates)
+        fits, but the 9**3 maps C -> C*C that its free verdicts count do
+        not, while the 27 maps C -> 1*C do: the rule stops at the wide
+        pair as the scan does, though its table is the one-point pair's."""
+        D = powerset_doctrine((3,), cap=600)
+        with pytest.raises(CapExceeded, match="^729 morphisms exceed cap 600$"):
+            check_rule_of_choice(D, mode=mode)
+
+    def test_a_quantifier_wrong_at_one_point_is_listed_at_every_point(self):
+        """The defect breaks IP and modified Markov over every pair, and
+        the report lists each violation of the wide pairs as the scan
+        does."""
+        D = PlantedRow(POW.name, POW.frame, POW.universe, POW.cap)
+        scanned = PlantedRowScanned(POW.name, POW.frame, POW.universe, POW.cap)
+        fa = FreenessAnalyzer(D)
+        reports = {}
+        for rule in TERM_RULES:
+            for mode in ("strict", "diagnostic"):
+                rep = reports[rule, mode] = RULES[rule](D, fa, mode=mode)
+                assert rep.to_json() == RULES[rule](scanned, fa, mode=mode).to_json()
+        for rule in ("ip", "mmr"):
+            pairs = {(v["base"], v["partner"]) for v in reports[rule, "strict"].violations}
+            assert {("A", "B"), ("B", "B")} <= pairs
+
+    def test_a_wrong_pullback_along_a_wide_projection_is_left_to_the_premise(self):
+        """The table trusts `pointwise`: a pullback to bottom along the
+        projections X*Y -> X with |X| = |Y| = 2, which no one-point pair
+        reads, breaks the modified Markov sequent of d = top for alpha =
+        top over the wide pairs.  The scan sees it and the table does not."""
+        class WrongWide(ConcreteDoctrine):
+            def reindex_el(self, f, alpha):
+                return 0 if f.idx == (0, 0, 1, 1) else super().reindex_el(f, alpha)
+
+        class WrongWideScanned(WrongWide):
+            pointwise = False
+
+        D = WrongWide(POW.name, POW.frame, POW.universe, POW.cap)
+        scanned = WrongWideScanned(POW.name, POW.frame, POW.universe, POW.cap)
+        fa = FreenessAnalyzer(D)
+        for rule in ("ip", "mmr"):
+            assert RULES[rule](D, fa).to_json() == RULES[rule](POW, fa).to_json()
+        rep = check_modified_markov(scanned, fa)
+        assert {(v["base"], v["partner"], v["kind"]) for v in rep.violations} == {
+            (a, b, "sequent-fails") for a in "AB" for b in "AB"}
+
+
+class TestFrameCensus:
+    """Kripke doctrines over the small frames at sizes 2,2: the parts of
+    `godel_report`, each strict rule's verdict with its instance, vacuous
+    and skipped counts, and the rules failing in diagnostic mode.
+    antichain3 is left out: its diagnostic IP and modified Markov list
+    93 672 violations each, and the frame takes 6.5 s (2 vCPUs)."""
+
+    RULE_NAMES = ("skolemisation", "independence-of-premise", "modified-markov",
+                  "markov", "counterexample-property", "rule-of-choice")
+    # godel parts in `parts()` order, then per rule (verdict, instances,
+    # vacuous, skipped), then the failing diagnostic rules
+    CENSUS = {
+        "one": ("11111", [("pass", 2266, 0, 0), ("pass", 231, 77, 0), ("pass", 231, 77, 0),
+                          ("pass", 45, 37, 0), ("pass", 45, 37, 0), ("pass", 45, 37, 0)], ""),
+        "chain2": ("11111", [("pass", 1029, 0, 0), ("pass", 2058, 1083, 0),
+                             ("pass", 2058, 1083, 0), ("pass", 113, 250, 0),
+                             ("pass", 113, 250, 0), ("pass", 113, 250, 0)], ""),
+        "antichain2": ("11111", [("pass", 3172, 0, 0), ("pass", 6616, 2996, 7428),
+                                 ("pass", 1092, 318, 15630), ("hypothesis-failed", 0, 62, 1030),
+                                 ("hypothesis-failed", 0, 747, 345),
+                                 ("hypothesis-failed", 0, 343, 749)], "ip mmr markov cex choice"),
+        "chain3": ("11111", [("pass", 3172, 0, 0), ("pass", 10310, 6730, 0),
+                             ("pass", 10310, 6730, 0), ("pass", 213, 879, 0),
+                             ("pass", 213, 879, 0), ("pass", 213, 879, 0)], ""),
+        "bottom": ("11111", [("pass", 7655, 0, 0), ("pass", 23556, 17464, 23005),
+                             ("pass", 6616, 2996, 54413), ("hypothesis-failed", 0, 343, 2262),
+                             ("hypothesis-failed", 0, 2096, 509), ("pass", 213, 879, 1513)],
+                   "ip mmr markov cex"),
+        "top": ("11111", [("pass", 7655, 0, 0), ("pass", 26757, 14263, 23005),
+                          ("pass", 5655, 3957, 54413), ("pass", 113, 250, 2242),
+                          ("pass", 345, 2260, 0), ("hypothesis-failed", 0, 1072, 1533)],
+                "ip mmr choice"),
+        "chain2+1": ("11110", [("pass", 15774, 0, 0), ("pass", 53595, 30813, 105276),
+                               ("pass", 3025, 1271, 185388), ("hypothesis-failed", 0, 62, 5272),
+                               ("hypothesis-failed", 0, 4401, 933),
+                               ("hypothesis-failed", 0, 1072, 4262)],
+                     "ip mmr markov cex choice"),
+    }
+    SHORT = dict(zip(RULE_NAMES, RULES))
+
+    @pytest.mark.parametrize("name", CENSUS)
+    def test_census(self, name):
+        D = kripke_doctrine(SMALL_FRAMES[name], (2, 2))
+        fa = FreenessAnalyzer(D)
+        parts = "".join("1" if v else "0" for v in fa.godel_report().parts().values())
+        strict = [(r.verdict, r.instances, r.vacuous, r.skipped) for r in run_suite(D, fa)]
+        failing = " ".join(self.SHORT[r.rule] for r in run_suite(D, fa, mode="diagnostic")
+                           if not r.passed)
+        assert (parts, strict, failing) == self.CENSUS[name]
