@@ -217,9 +217,9 @@ class _Table:
     of (alpha, target, stage, precondition holds) in scan order.
 
     ``reach[k]`` counts the instances that reach stage k or a later one.
-    ``rows`` maps each alpha, in scan order, to its judged targets
-    (stage _FAILS or later) with their stages, and ``holds`` to its
-    precondition.  On a pointwise doctrine the one-point pair's table
+    ``rows`` maps each alpha with a judged target (stage _FAILS or
+    later), in scan order, to those targets with their stages, and
+    ``holds`` to its precondition.  On a pointwise doctrine the one-point pair's table
     stands for every pair with the same partner: an instance over an
     n-point base is the tuple of its one-point instances at the points,
     and it stops at the earliest stage any of them reaches.  So the
@@ -232,16 +232,14 @@ class _Table:
         self.holds: dict = {}
         for alpha, target, stage, ok in stream:
             reach[stage] += 1
-            self.holds[alpha] = ok
-            judged = self.rows.setdefault(alpha, [])
             if stage >= _FAILS:
-                judged.append((target, stage))
+                self.rows.setdefault(alpha, []).append((target, stage))
+                self.holds[alpha] = ok
         for k in reversed(range(_HOLDS + 1)):
             reach[k] += reach[k + 1]
         self.reach = reach
-        # each alpha with a judged target, at the least of their stages
-        self.alphas = [(a, min(s for _, s in judged))
-                       for a, judged in self.rows.items() if judged]
+        # each alpha at the least of its judged targets' stages
+        self.alphas = [(a, min(s for _, s in judged)) for a, judged in self.rows.items()]
 
     def counts(self, n: int) -> list:
         """The instances over an n-point base (n >= 1) stopping at each stage."""
@@ -465,9 +463,9 @@ def check_skolemisation(D, analyzer: FreenessAnalyzer | None = None,
                         tables[A2.name, B.name] = table
                 counts = table.counts(n)
                 instances += sum(counts)
-                fibA1 = D.fibre(A1)
                 if full() and not counts[_FAILS]:
                     continue
+                fibA1 = D.fibre(A1)
                 width = len(A2) * len(B) * nw  # of a slice at one point of A1
                 for slices, sides, stage in table.walk(n, full):
                     if stage == _HOLDS and full():
