@@ -32,6 +32,7 @@ residuation in those fibres.
 from __future__ import annotations
 
 import functools
+import itertools
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -219,7 +220,8 @@ class _Table:
     ``reach[k]`` counts the instances that reach stage k or a later one.
     ``rows`` maps each alpha with a judged target (stage _FAILS or
     later), in scan order, to those targets with their stages, and
-    ``holds`` to its precondition.  On a pointwise doctrine the one-point pair's table
+    ``holds`` to its precondition; ``fails`` holds the alphas with a
+    judged target that does not hold.  On a pointwise doctrine the one-point pair's table
     stands for every pair with the same partner: an instance over an
     n-point base is the tuple of its one-point instances at the points,
     and it stops at the earliest stage any of them reaches.  So the
@@ -238,8 +240,7 @@ class _Table:
         for k in reversed(range(_HOLDS + 1)):
             reach[k] += reach[k + 1]
         self.reach = reach
-        # each alpha at the least of its judged targets' stages
-        self.alphas = [(a, min(s for _, s in judged)) for a, judged in self.rows.items()]
+        self.fails = {a for a, judged in self.rows.items() if any(s < _HOLDS for _, s in judged)}
 
     def counts(self, n: int) -> list:
         """The instances over an n-point base (n >= 1) stopping at each stage."""
@@ -249,31 +250,15 @@ class _Table:
     def walk(self, n: int, full):
         """(alphas, targets, stage), one alpha and one target per point,
         for the judged instances over an n-point base in scan order;
-        once ``full()`` holds, only the instances that do not hold."""
-        for alphas, _ in _tuples([self.alphas] * n, full):
-            for targets, stage in _tuples([self.rows[a] for a in alphas], full):
-                yield alphas, targets, stage
-
-
-def _tuples(lists, full):
-    """Yield (values, stage) for each tuple of one (value, stage) entry
-    per list, in product order, its stage the least of its entries';
-    once ``full()`` holds, a branch whose tuples all hold is skipped."""
-    n = len(lists)
-    fails_after = [False] * (n + 1)
-    for a in reversed(range(n)):
-        fails_after[a] = fails_after[a + 1] or any(s < _HOLDS for _, s in lists[a])
-
-    def grow(a, least, prefix):
-        if a == n:
-            yield prefix, least
-            return
-        for value, stage in lists[a]:
-            stage = min(least, stage)
-            if stage == _HOLDS and not fails_after[a + 1] and full():
+        once ``full()`` holds, only those that do not hold, and no alphas
+        all of whose judged targets hold."""
+        for alphas in itertools.product(self.rows, repeat=n):
+            if full() and self.fails.isdisjoint(alphas):
                 continue
-            yield from grow(a + 1, stage, prefix + (value,))
-    return grow(0, _HOLDS, ())
+            for judged in itertools.product(*map(self.rows.__getitem__, alphas)):
+                stage = min(s for _, s in judged)
+                if stage < _HOLDS or not full():
+                    yield alphas, tuple(t for t, _ in judged), stage
 
 
 def _glue(values, width: int):
