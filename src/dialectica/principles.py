@@ -221,26 +221,29 @@ class _Table:
     ``rows`` maps each alpha with a judged target (stage _FAILS or
     later), in scan order, to those targets with their stages, and
     ``holds`` to its precondition; ``fails`` holds the alphas with a
-    judged target that does not hold.  On a pointwise doctrine the one-point pair's table
-    stands for every pair with the same partner: an instance over an
-    n-point base is the tuple of its one-point instances at the points,
-    and it stops at the earliest stage any of them reaches.  So the
-    instances reaching stage k number ``reach[k]**n``, and the walk over
-    tuples of rows in product order is the scan's order."""
+    judged target that does not hold.  On a pointwise doctrine the
+    one-point pair's table stands for every pair with the same partner:
+    an instance over an n-point base is the tuple of its one-point
+    instances at the points, and it stops at the earliest stage any of
+    them reaches.  So the instances reaching stage k number
+    ``reach[k]**n``, and the walk over tuples of rows in product order
+    is the scan's order."""
 
     def __init__(self, stream):
         reach = [0] * (_HOLDS + 2)
         self.rows: dict = {}
         self.holds: dict = {}
+        self.fails: set = set()
         for alpha, target, stage, ok in stream:
             reach[stage] += 1
             if stage >= _FAILS:
                 self.rows.setdefault(alpha, []).append((target, stage))
                 self.holds[alpha] = ok
+                if stage < _HOLDS:
+                    self.fails.add(alpha)
         for k in reversed(range(_HOLDS + 1)):
             reach[k] += reach[k + 1]
         self.reach = reach
-        self.fails = {a for a, judged in self.rows.items() if any(s < _HOLDS for _, s in judged)}
 
     def counts(self, n: int) -> list:
         """The instances over an n-point base (n >= 1) stopping at each stage."""
@@ -338,8 +341,6 @@ def _rule_scan(row: _Row, D, analyzer, mode) -> RuleReport:
         wa, wt = (nw, len(B) * nw) if row.alpha_on_base else (len(B) * nw, nw)
         for alphas, targets, stage in table.walk(n, full):
             found = stage == _HOLDS
-            if found and full():
-                continue
             alpha, target = _glue(alphas, wa), _glue(targets, wt)
             e = {"base": A.name, "partner": B.name, "alpha": fib.describe(alpha)}
             if row.target_key:
@@ -418,6 +419,7 @@ def check_skolemisation(D, analyzer: FreenessAnalyzer | None = None,
     scanned: list = []
     instances = 0
     tables: dict = {}  # (A2, B) names -> the table of the one-point block
+    exps: dict = {}  # (A2, B) names -> B^A2, which A1 does not change
     nw = D.nw if D.pointwise else 0
 
     def full():
@@ -428,7 +430,9 @@ def check_skolemisation(D, analyzer: FreenessAnalyzer | None = None,
         for A2 in objs:
             for B in objs:
                 try:
-                    E = exponential(B, A2, EXP_CAP)
+                    key = A2.name, B.name
+                    E = exps[key] if key in exps else exps.setdefault(
+                        key, exponential(B, A2, EXP_CAP))
                     a12 = D.product(A1, A2)
                     tri = D.product(a12.obj, B)
                     fib = D.fibre(tri.obj)
@@ -441,11 +445,11 @@ def check_skolemisation(D, analyzer: FreenessAnalyzer | None = None,
                     continue
                 scanned.append(f"{A1.name},{A2.name},{B.name}")
                 n = len(A1)
-                table = tables.get((A2.name, B.name)) if D.pointwise and n > 1 else None
+                table = tables.get(key) if D.pointwise and n > 1 else None
                 if table is None:
                     table, n = _Table(_sides(D, A1, a12, tri, a1e, fe, fib)), 1
                     if D.pointwise and len(A1) == 1:
-                        tables[A2.name, B.name] = table
+                        tables[key] = table
                 counts = table.counts(n)
                 instances += sum(counts)
                 if full() and not counts[_FAILS]:
@@ -453,8 +457,6 @@ def check_skolemisation(D, analyzer: FreenessAnalyzer | None = None,
                 fibA1 = D.fibre(A1)
                 width = len(A2) * len(B) * nw  # of a slice at one point of A1
                 for slices, sides, stage in table.walk(n, full):
-                    if stage == _HOLDS and full():
-                        continue
                     lhs = _glue([side[0] for side in sides], nw)
                     entry = {
                         "carriers": [A1.name, A2.name, B.name],
