@@ -734,8 +734,8 @@ class TestFrameCensus:
     `godel_report`, each strict rule's verdict with its instance, vacuous
     and skipped counts, and the rules failing in diagnostic mode.
     antichain3 is left out: its diagnostic IP and modified Markov list
-    93 672 violations each, in 1.2 s each, and the frame takes 3.0 s
-    (2 vCPUs, Python 3.11).
+    93 672 violations each, in 1.2 s each, and the frame takes 3 to
+    6 s (2 vCPUs, Python 3.11, on a noisy host).
 
     Every verdict is relative to the universe {1, A, B}.  Whether the
     godel parts that fail here (chain2+1's last, antichain3's third and
