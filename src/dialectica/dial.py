@@ -14,16 +14,20 @@ The base class searches every pair; a concrete doctrine, since the
 condition splits per slot (i, u), reads per-quadruple signatures.  A
 pair is built only where it is used, and only here: by ``dial_leq`` for
 CLI witness pairs and sampled compositions, by ``identity_pair`` for
-reflexivity.  Every built pair is revalidated through the doctrine's own
-reindexing and order (``D.pair_holds``), so a returned pair is a checked
-certificate, and None means the exhaustive search ran dry.
+reflexivity, and by ``compose_pairs``.  Every built pair is revalidated
+through the doctrine's own reindexing and order (``D.pair_holds``), so a
+returned pair is a checked certificate, and None means the exhaustive
+search ran dry.
 
 Carriers such as I*U*X, built as (I*U)*X, come from the doctrine's
 product table (``D.product``), built once each at ``D.cap``.  Products
 enumerate the left factor slowest, so element ``(i, u, x)`` of I*U*X has
-index ``(i * |U| + u) * |X| + x``, and every map this module builds
-(revalidation, identity, composition) is computed on index tables by
-that arithmetic and handed to ``FinMor`` as ``idx``.
+index ``(i * |U| + u) * |X| + x``, and every table this module reads
+(revalidation, identity, composition) is computed by that arithmetic.
+Revalidation reads the pair's index tables: a concrete doctrine pulls
+back along them without building a map.  ``FinMor``s are built only for
+a pair that leaves this module: its two maps, handed the tables as
+``idx``.
 """
 from __future__ import annotations
 
@@ -77,7 +81,9 @@ def _carrier(D, I: FinObj, U: FinObj, X: FinObj) -> FinObj:
 def pair_is_valid(D, a: DialObject, b: DialObject, p: WitnessPair) -> bool:
     """Re-check the defining inequality through the doctrine itself:
     alpha pulled back along m1 below beta pulled back along m2, in the
-    fibre over I*U*Y (`D.pair_holds`)."""
+    fibre over I*U*Y (`D.pair_holds`, on the index tables of p's maps;
+    a concrete doctrine builds no map for it).  The carriers of p's maps
+    must equal, element by element, the products the pair is over."""
     if a.I != b.I:
         return False
     if p.f0.dom != D.product(a.I, a.U).obj or p.f0.cod != b.U:

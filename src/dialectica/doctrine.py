@@ -30,6 +30,7 @@ from .fincat import (
     FinMor,
     FinObj,
     Product,
+    check_map_count,
     enumerate_morphisms,
     exponential,
     fin_obj,
@@ -287,10 +288,10 @@ class Doctrine:
     values along maps, each kept once per doctrine, and the decisions.
 
     ``D.product(a, b)`` keys each product by its factors' names, arities
-    and elements: `FinObj` equality ignores names, but a product's name
-    (``A*B``) reaches the output.  A kept product keeps its projections,
-    and so their preimage lists.  A product over the cap raises
-    CapExceeded and is not kept.
+    and the factors themselves (their elements, by a kept hash): `FinObj`
+    equality ignores names, but a product's name (``A*B``) reaches the
+    output.  A kept product keeps its projections, and so their preimage
+    lists.  A product over the cap raises CapExceeded and is not kept.
 
     ``D.along(op, f)`` reads the pullback ("reindex") or quantifier
     ("exists", "forall") along f, predicate by predicate, from one dict
@@ -319,7 +320,7 @@ class Doctrine:
     closure_note = "closure judged by carrier equality against the declared universe"
 
     def product(self, a: FinObj, b: FinObj) -> Product:
-        key = (a.name, a.arity, a.elements, b.name, b.arity, b.elements)
+        key = (a.name, a.arity, a, b.name, b.arity, b)
         hit = self._products.get(key)
         if hit is None:
             hit = self._products[key] = product(a, b, self.cap)
@@ -378,10 +379,12 @@ class Doctrine:
     def choice_index(self, kind: str, A, B, p, alpha, beta):
         """The index table of the first g: A -> B, in `enumerate_morphisms`
         order, whose graph realises the cover (`graph_ok`); None when no
-        map does.  The decision alone: no map is built or revalidated."""
-        for cand in enumerate_morphisms(A, B, self.cap):
-            if self.graph_ok(kind, A, p, alpha, beta, cand.idx):
-                return cand.idx
+        map does.  The decision alone: the candidates are index tuples,
+        and no map A -> B is built or revalidated."""
+        check_map_count(A, B, self.cap)
+        for g_idx in itertools.product(range(len(B)), repeat=len(A)):
+            if self.graph_ok(kind, A, p, alpha, beta, g_idx):
+                return g_idx
         return None
 
     def choice_map(self, kind: str, A, B, p, alpha, beta, g_idx) -> FinMor:
@@ -411,39 +414,52 @@ class Doctrine:
     # fields ``.I .U .X .alpha``.
 
     def witness_tables(self, a, b):
-        """The index tables (f0, f1) of the first pair, in enumeration
-        order, that takes a below b (`pair_holds`), or None."""
+        """The index tables (f0, f1) of the first pair, in `enumerate_morphisms`
+        order, that takes a below b (`pair_holds`), or None.  The
+        candidates are index tuples; the f1 tables are listed once."""
         iu = self.product(a.I, a.U).obj
         iuy = self.product(iu, b.X).obj
-        for f0 in enumerate_morphisms(iu, b.U):
-            for f1 in enumerate_morphisms(iuy, a.X):
-                if self.pair_holds(a, b, f0.idx, f1.idx):
-                    return f0.idx, f1.idx
+        check_map_count(iu, b.U, DEFAULT_CAP)
+        f0s = list(itertools.product(range(len(b.U)), repeat=len(iu)))
+        if not f0s:
+            return None
+        check_map_count(iuy, a.X, DEFAULT_CAP)
+        f1s = list(itertools.product(range(len(a.X)), repeat=len(iuy)))
+        for f0 in f0s:
+            for f1 in f1s:
+                if self.pair_holds(a, b, f0, f1):
+                    return f0, f1
         return None
 
     def pair_holds(self, a, b, f0, f1) -> bool:
         """Whether the pair with index tables f0: I*U -> V and
         f1: I*U*Y -> X takes a below b: alpha pulled back along m1 lies
-        below beta pulled back along m2 in the fibre over I*U*Y
-        (`_pair_maps`)."""
+        below beta pulled back along m2 in the fibre over I*U*Y.  Here
+        m1 and m2 are built as maps (`_pair_maps`), since a table replay
+        reads its reindexing off the map; `ConcreteDoctrine` reads the
+        index tables alone and builds no map."""
         m1, m2 = self._pair_maps(a, b, f0, f1)
         return self.fibre(m1.dom).leq(self.reindex_el(m1, a.alpha),
                                       self.reindex_el(m2, b.alpha))
 
+    def _pair_tables(self, a, b, f0, f1):
+        """The index tables of m1 = (i, u, f1(i, u, y)) into I*U*X and
+        m2 = (i, f0(i, u), y) into I*V*Y, both out of I*U*Y.  With
+        s = (i * |U| + u) * |Y| + y, m1 sends s to ``s // |Y| * |X| + f1[s]``
+        and m2 to ``(i * |V| + f0[s // |Y|]) * |Y| + y``."""
+        nu, nx, nv, ny = len(a.U), len(a.X), len(b.U), len(b.X)
+        cells = range(len(a.I) * nu * ny)
+        return ([s // ny * nx + f1[s] for s in cells],
+                [(s // (nu * ny) * nv + f0[s // ny]) * ny + s % ny for s in cells])
+
     def _pair_maps(self, a, b, f0, f1):
-        """m1 = (i, u, f1(i, u, y)) into I*U*X and m2 = (i, f0(i, u), y) into
-        I*V*Y, both out of I*U*Y.  With s = (i * |U| + u) * |Y| + y,
-        m1 sends s to ``s // |Y| * |X| + f1[s]`` and m2 to
-        ``(i * |V| + f0[s // |Y|]) * |Y| + y``."""
+        """m1 and m2 of `_pair_tables` as maps between D's products."""
         prod = self.product
         iu = prod(a.I, a.U).obj
         iuy = prod(iu, b.X).obj
-        nu, nx, nv, ny = len(a.U), len(a.X), len(b.U), len(b.X)
-        cells = range(len(iuy))
-        m1 = FinMor(iuy, prod(iu, a.X).obj, idx=[s // ny * nx + f1[s] for s in cells])
-        m2 = FinMor(iuy, prod(prod(a.I, b.U).obj, b.X).obj,
-                    idx=[(s // (nu * ny) * nv + f0[s // ny]) * ny + s % ny for s in cells])
-        return m1, m2
+        m1, m2 = self._pair_tables(a, b, f0, f1)
+        return (FinMor(iuy, prod(iu, a.X).obj, idx=m1),
+                FinMor(iuy, prod(prod(a.I, b.U).obj, b.X).obj, idx=m2))
 
     def has_pair(self, a, b) -> bool:
         """Whether a <= b, for a and b over one base, building no pair."""
@@ -468,7 +484,11 @@ class ConcreteDoctrine(Doctrine):
     decision is a bitmask kernel (`_kernels`) that gives the base
     class's search's answer.  The order's signatures are kept in
     ``D._sigs``, next to ``_along`` and ``_passed``, so every check and
-    fibre over D computes each quadruple's once.
+    fibre over D computes each quadruple's once.  A witness pair is
+    revalidated on index tables: `pair_holds` pulls both matrices back
+    along the tables of `_pair_tables` by the reindexing kernel and
+    compares them in the mask order, building no map and looking up no
+    product.
     """
 
     kind = "concrete"
@@ -527,6 +547,11 @@ class ConcreteDoctrine(Doctrine):
     def witness_tables(self, a, b):
         return K.witness_pair(a.alpha, b.alpha, len(a.I), len(a.U), len(a.X),
                               len(b.U), len(b.X), self.nw)
+
+    def pair_holds(self, a, b, f0, f1) -> bool:
+        m1, m2 = self._pair_tables(a, b, f0, f1)
+        nw = self.nw
+        return K.reindex_mask(a.alpha, m1, nw) & ~K.reindex_mask(b.alpha, m2, nw) == 0
 
     def _signature(self, q):
         """q's order signature, kept in ``D._sigs`` by the kernel's arguments."""

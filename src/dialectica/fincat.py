@@ -40,9 +40,11 @@ class FnEl:
 
 
 class FinObj:
-    """Finite set of tuple elements; equality ignores the display name."""
+    """Finite set of tuple elements; equality ignores the display name.
+    The hash of the elements is computed once, so a dict keyed by a kept
+    carrier hashes no element tuple on lookup."""
 
-    __slots__ = ("name", "elements", "arity", "_index")
+    __slots__ = ("name", "elements", "arity", "_index", "_hash")
 
     def __init__(self, name: str, elements, arity: int | None = None):
         self.name = name
@@ -62,6 +64,7 @@ class FinObj:
         if len(set(self.elements)) != len(self.elements):
             raise CategoryError(f"duplicate elements in {name}")
         self._index = {e: i for i, e in enumerate(self.elements)}
+        self._hash = hash(self.elements)
 
     def index(self, el) -> int:
         return self._index[el]
@@ -76,10 +79,12 @@ class FinObj:
         return iter(self.elements)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return isinstance(other, FinObj) and self.elements == other.elements
 
     def __hash__(self):
-        return hash(self.elements)
+        return self._hash
 
     def __repr__(self):
         return f"FinObj({self.name}, {len(self.elements)} elements)"

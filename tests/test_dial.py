@@ -122,6 +122,20 @@ class TestWitnessPairs:
                 break
         assert composed > 0
 
+    def test_carriers_are_checked_by_their_elements(self):
+        """A map over a carrier of the right size but other elements
+        fails revalidation, though its index table is the right one."""
+        one, A, B = POW.universe
+        fib = POW.fibre(POW.product(POW.product(one, A).obj, A).obj)
+        for alpha in fib.elements():
+            q = DialObject(one, A, A, alpha)
+            p = identity_pair(POW, q)
+            assert pair_is_valid(POW, q, q, p)
+            other_dom = FinMor(POW.product(one, B).obj, A, idx=p.f0.idx)
+            assert not pair_is_valid(POW, q, q, WitnessPair(other_dom, p.f1))
+            other_cod = FinMor(p.f1.dom, B, idx=p.f1.idx)
+            assert not pair_is_valid(POW, q, q, WitnessPair(p.f0, other_cod))
+
     def test_composition_rejects_a_wrong_pair(self):
         one, A = POW.universe[0], POW.universe[1]
         carrier = product(product(one, A).obj, A).obj
@@ -151,6 +165,32 @@ def value_pair_maps(a, b, p):
     return m1, m2
 
 
+def tampered_tables(a, b, p):
+    """p's index tables, then each with one entry of f0 or of f1 changed."""
+    f0, f1 = list(p.f0.idx), list(p.f1.idx)
+    yield f0, f1
+    for s in range(len(f0)):
+        for v in range(len(b.U)):
+            if v != f0[s]:
+                yield f0[:s] + [v] + f0[s + 1:], f1
+    for s in range(len(f1)):
+        for x in range(len(a.X)):
+            if x != f1[s]:
+                yield f0, f1[:s] + [x] + f1[s + 1:]
+
+
+def count_maps(monkeypatch):
+    """A one-item list counting the `FinMor`s built from here on."""
+    built = [0]
+    init = FinMor.__init__
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(FinMor, "__init__", counting)
+    return built
+
+
 @pytest.fixture(scope="module")
 def fibre_a():
     """The powerset-2x2 fibre over A at quad cap 48, with its cells i < j
@@ -177,6 +217,49 @@ class TestIndexTables:
                 [(m.dom.name, m.cod.name) for m in want]
             checked += 1
         assert checked > 100
+
+    def test_pair_tables(self, fibre_a):
+        """`_pair_tables` gives the index tables of the value-built maps."""
+        for a, b, p in fibre_a[2]:
+            got = POW._pair_tables(a, b, p.f0.idx, p.f1.idx)
+            assert got == tuple(list(m.idx) for m in value_pair_maps(a, b, p))
+
+    def test_concrete_revalidation_matches_the_maps(self, fibre_a):
+        """`ConcreteDoctrine.pair_holds`, on index tables, judges every
+        pair of the fibre, and every one-entry change to its f0 or its
+        f1, as the base method's maps and `reindex_el` judge it."""
+        verdicts = [0, 0]
+        for a, b, p in fibre_a[2]:
+            for f0, f1 in tampered_tables(a, b, p):
+                holds = POW.pair_holds(a, b, f0, f1)
+                assert holds == Doctrine.pair_holds(POW, a, b, f0, f1)
+                verdicts[holds] += 1
+        assert min(verdicts) > 100
+
+    @pytest.mark.parametrize("D", [CHAIN, ANTI], ids=["chain2", "antichain2"])
+    def test_concrete_revalidation_on_two_worlds(self, D):
+        fib = build_dial_fibre(D, D.universe[0], quad_cap=48)
+        verdicts = [0, 0]
+        for i, a in enumerate(fib.quads):
+            for j, b in enumerate(fib.quads):
+                if not fib.leq(i, j):
+                    continue
+                for f0, f1 in tampered_tables(a, b, dial_leq(D, a, b)):
+                    holds = D.pair_holds(a, b, f0, f1)
+                    assert holds == Doctrine.pair_holds(D, a, b, f0, f1)
+                    verdicts[holds] += 1
+        assert min(verdicts) > 100
+
+    def test_revalidation_builds_no_map(self, fibre_a, monkeypatch):
+        built = count_maps(monkeypatch)
+        for a, b, p in fibre_a[2]:
+            assert POW.pair_holds(a, b, p.f0.idx, p.f1.idx)
+            assert pair_is_valid(POW, a, b, p)
+        assert built == [0]
+        for a, b, _ in fibre_a[2]:
+            before = built[0]
+            assert dial_leq(POW, a, b) is not None
+            assert built[0] - before == 2
 
     def test_identity_pairs(self, fibre_a):
         for q in fibre_a[0].quads:

@@ -33,6 +33,12 @@ class TestObjects:
     def test_equality_ignores_name(self):
         assert fin_obj("A", ["a0", "a1"]) == fin_obj("Z", ["a0", "a1"])
 
+    def test_hash_is_kept_and_equality_ignores_names(self):
+        twin = FinObj("Z", A.elements)
+        assert hash(A) == hash(A.elements) == hash(twin)
+        assert A == twin and A == A and A != C
+        assert {A: 1}[twin] == 1
+
     def test_duplicates_rejected(self):
         with pytest.raises(CategoryError):
             fin_obj("D", ["d", "d"])
@@ -147,6 +153,19 @@ class TestProduct:
             assert p.proj_left(e) == e[:1] and p.proj_right(e) == e[1:]
         assert product(product(A, B).obj, C).obj.name == product_n([A, B, C])[0].name
         assert product(product(A, B).obj, C).obj == product_n([A, B, C])[0]
+
+    def test_a_doctrine_keeps_products_by_name(self):
+        """Equal carriers with other names get their own product, named
+        after them, from a doctrine's product table."""
+        from dialectica.doctrine import powerset_doctrine
+
+        D = powerset_doctrine((2, 3))
+        twin = FinObj("C", A.elements)
+        ab, cb = D.product(A, B), D.product(twin, B)
+        assert (ab.obj.name, cb.obj.name) == ("A*B", "C*B")
+        assert ab.obj == cb.obj and ab is not cb
+        assert D.product(FinObj("A", A.elements), B) is ab
+        assert D.product(twin, B) is cb
 
     def test_product_n_projections(self):
         obj, projs = product_n([A, B, C])
