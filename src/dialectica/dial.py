@@ -86,9 +86,10 @@ def pair_is_valid(D, a: DialObject, b: DialObject, p: WitnessPair) -> bool:
     must equal, element by element, the products the pair is over."""
     if a.I != b.I:
         return False
-    if p.f0.dom != D.product(a.I, a.U).obj or p.f0.cod != b.U:
+    iu = D.product(a.I, a.U).obj
+    if p.f0.dom != iu or p.f0.cod != b.U:
         return False
-    if p.f1.dom != _carrier(D, a.I, a.U, b.X) or p.f1.cod != a.X:
+    if p.f1.dom != D.product(iu, b.X).obj or p.f1.cod != a.X:
         return False
     return D.pair_holds(a, b, p.f0.idx, p.f1.idx)
 
