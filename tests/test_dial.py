@@ -179,18 +179,6 @@ def tampered_tables(a, b, p):
                 yield f0, f1[:s] + [x] + f1[s + 1:]
 
 
-def count_maps(monkeypatch):
-    """A one-item list counting the `FinMor`s built from here on."""
-    built = [0]
-    init = FinMor.__init__
-
-    def counting(self, *args, **kwargs):
-        built[0] += 1
-        init(self, *args, **kwargs)
-    monkeypatch.setattr(FinMor, "__init__", counting)
-    return built
-
-
 @pytest.fixture(scope="module")
 def fibre_a():
     """The powerset-2x2 fibre over A at quad cap 48, with its cells i < j
@@ -251,7 +239,13 @@ class TestIndexTables:
         assert min(verdicts) > 100
 
     def test_revalidation_builds_no_map(self, fibre_a, monkeypatch):
-        built = count_maps(monkeypatch)
+        built = [0]
+        init = FinMor.__init__
+
+        def counting(self, *args, **kwargs):
+            built[0] += 1
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(FinMor, "__init__", counting)
         for a, b, p in fibre_a[2]:
             assert POW.pair_holds(a, b, p.f0.idx, p.f1.idx)
             assert pair_is_valid(POW, a, b, p)
