@@ -125,13 +125,13 @@ def compose_pairs(D, a: DialObject, b: DialObject, c: DialObject,
     """Compose certificates a <= b and b <= c into one for a <= c:
     (i, u) goes to q.f0(i, p.f0(i, u)), and (i, u, z) to
     p.f1(i, u, q.f1(i, p.f0(i, u), z)), on index tables."""
-    nu, nv, ny, nz = len(a.U), len(b.U), len(b.X), len(c.X)
+    nu, nv, ny, nz = a.U.size, b.U.size, b.X.size, c.X.size
     f0, f1, g0, g1 = p.f0.idx, p.f1.idx, q.f0.idx, q.f1.idx
     iu = D.product(a.I, a.U).obj
     iuz = _carrier(D, a.I, a.U, c.X)
-    h0 = [g0[s // nu * nv + f0[s]] for s in range(len(iu))]
+    h0 = [g0[s // nu * nv + f0[s]] for s in range(iu.size)]
     h1 = [f1[t // nz * ny + g1[(t // nz // nu * nv + f0[t // nz]) * nz + t % nz]]
-          for t in range(len(iuz))]
+          for t in range(iuz.size)]
     out = WitnessPair(FinMor(iu, c.U, idx=h0), FinMor(iuz, a.X, idx=h1))
     if not pair_is_valid(D, a, c, out):
         raise DoctrineError("composed witness pair failed revalidation")

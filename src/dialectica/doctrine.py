@@ -303,7 +303,12 @@ class Doctrine:
     `beck_chevalley`, `check_doctrine`'s reindexing laws), keyed by the
     audit, ``D._table_key`` of its maps and ``D._carrier_key`` of any
     other carrier it reads, as plain tuples.  A failure is never kept, so
-    each failing map is scanned and named on its own.
+    each failing map is scanned and named on its own.  A Beck-Chevalley
+    square, or a composite's functoriality, is kept as ``(whole,)``:
+    whether it held on every predicate, as a verdict derived from it by
+    `beck_chevalley` needs.  ``D._factors(f)`` names two maps met before
+    f whose composite has f's table; here none, as a table replay keys
+    its verdicts by map and derives none.
 
     Each decision is a method whose body here is the exhaustive search:
     table replays decide by it, and tests call it as the oracle of the
@@ -447,8 +452,8 @@ class Doctrine:
         m2 = (i, f0(i, u), y) into I*V*Y, both out of I*U*Y.  With
         s = (i * |U| + u) * |Y| + y, m1 sends s to ``s // |Y| * |X| + f1[s]``
         and m2 to ``(i * |V| + f0[s // |Y|]) * |Y| + y``."""
-        nu, nx, nv, ny = len(a.U), len(a.X), len(b.U), len(b.X)
-        cells = range(len(a.I) * nu * ny)
+        nu, nx, nv, ny = a.U.size, a.X.size, b.U.size, b.X.size
+        cells = range(a.I.size * nu * ny)
         return ([s // ny * nx + f1[s] for s in cells],
                 [(s // (nu * ny) * nv + f0[s // ny]) * ny + s % ny for s in cells])
 
@@ -460,6 +465,11 @@ class Doctrine:
         m1, m2 = self._pair_tables(a, b, f0, f1)
         return (FinMor(iuy, prod(iu, a.X).obj, idx=m1),
                 FinMor(iuy, prod(prod(a.I, b.U).obj, b.X).obj, idx=m2))
+
+    def _factors(self, f: FinMor):
+        """Two maps (h, g), met before f, whose composite g∘h has f's
+        table and key; None, since verdicts keyed by map derive none."""
+        return None
 
     def has_pair(self, a, b) -> bool:
         """Whether a <= b, for a and b over one base, building no pair."""
@@ -488,7 +498,8 @@ class ConcreteDoctrine(Doctrine):
     revalidated on index tables: `pair_holds` pulls both matrices back
     along the tables of `_pair_tables` by the reindexing kernel and
     compares them in the mask order, building no map and looking up no
-    product.
+    product.  Law verdicts are keyed by index table, so `_factors` finds
+    a table's factorisations among the tables met before it.
     """
 
     kind = "concrete"
@@ -508,6 +519,8 @@ class ConcreteDoctrine(Doctrine):
         self._along: dict = {}
         self._passed: dict = {}
         self._sigs: dict = {}
+        self._met: dict = {}
+        self._composites: dict = {}
 
     def fibre(self, obj: FinObj) -> MaskFibre:
         fib = self._fibres.get(obj)
@@ -524,6 +537,28 @@ class ConcreteDoctrine(Doctrine):
     def _carrier_key(self, obj: FinObj):
         """A fibre depends only on its carrier's size."""
         return len(obj)
+
+    def _factors(self, f: FinMor):
+        """The first pair (h, g) of maps met before f whose composite g∘h
+        has f's table, or None when f's table is a generator.  A table is
+        met with its first map; ``_met`` keeps each met table's first map
+        and factors, and ``_composites`` the first factors of each
+        composite of two met tables, by table key."""
+        key = self._table_key(f)
+        hit = self._met.get(key)
+        if hit is not None:
+            return hit[1]
+        comp = self._composites
+        factors = comp.get(key)
+        self._met[key] = f, factors
+        fi, m, n = f.idx, f.dom.size, f.cod.size
+        for h, _ in self._met.values():
+            hi = h.idx
+            if h.cod.size == m:
+                comp.setdefault((tuple([fi[v] for v in hi]), n), (h, f))
+            if h.dom.size == n:
+                comp.setdefault((tuple([hi[v] for v in fi]), h.cod.size), (f, h))
+        return factors
 
     def reindex_el(self, f: FinMor, alpha: int) -> int:
         return K.reindex_mask(alpha, f.idx, self.nw)
@@ -545,8 +580,8 @@ class ConcreteDoctrine(Doctrine):
         return search(alpha, beta, len(A), len(B), self.nw)
 
     def witness_tables(self, a, b):
-        return K.witness_pair(a.alpha, b.alpha, len(a.I), len(a.U), len(a.X),
-                              len(b.U), len(b.X), self.nw)
+        return K.witness_pair(a.alpha, b.alpha, a.I.size, a.U.size, a.X.size,
+                              b.U.size, b.X.size, self.nw)
 
     def pair_holds(self, a, b, f0, f1) -> bool:
         m1, m2 = self._pair_tables(a, b, f0, f1)
@@ -865,8 +900,9 @@ def _check_reindex(D, fibre_els, violations, notes, counts):
     maps A -> B.  A map's laws that pass are kept in ``D._passed`` per
     table key, and a composite's per pair of table keys, so each is
     decided once per index table; a failing map or composite is scanned
-    in full each time, and names its own maps.  A composite with no
-    recorded table is noted and not counted."""
+    in full each time, and names its own maps.  A composite's verdict
+    says whether its sample was every predicate (see `_functorial`).  A
+    composite with no recorded table is noted and not counted."""
     for obj, els in fibre_els.items():
         pull = D.along("reindex", identity(obj))
         sample = _sample(els, PAIR_SAMPLE)
@@ -938,6 +974,7 @@ def _check_reindex(D, fibre_els, violations, notes, counts):
             if b2 != b:
                 continue
             sample = _sample(fibre_els[c], PAIR_SAMPLE)
+            whole = (len(sample) == len(fibre_els[c]),)
             pulls = [(g, D.along("reindex", g), D._table_key(g)) for g in gs]
             for f in fs:
                 pull_f, f_key = D.along("reindex", f), D._table_key(f)
@@ -952,7 +989,7 @@ def _check_reindex(D, fibre_els, violations, notes, counts):
                                         f"functoriality fails: {mor_key(g)} after {mor_key(f)}")
                                     break
                             else:
-                                D._passed[verdict] = ()
+                                D._passed[verdict] = whole
                         except DoctrineDataError:
                             notes.append(
                                 f"composite {mor_key(g)} after {mor_key(f)} not recorded; skipped")
@@ -994,20 +1031,44 @@ def beck_chevalley(D, direction: str) -> BCReport:
     pullbacks are read through `D.along`, so each predicate over A1*B is
     quantified along its projection once for every f, and each value is
     shared with the other audits over D.  The products, fibres, sampled
-    predicates and projection readers are taken once per (B, A1, A2).  A
-    square that passes is kept in ``D._passed`` per direction, table key
-    of f and carrier key of B, so it is checked once per index table,
+    predicates and projection readers are taken once per (B, A1, A2).
+
+    A square that passes is kept in ``D._passed`` per direction, table
+    key of f and carrier key of B, so it is checked once per index table,
     with no f x id built, and still counted for every f; a square with a
     failure or a skip is checked in full for each f.  A carrier that
     cannot be read skips the squares over (B, A1, A2) with one note,
-    which names no map."""
+    which names no map.
+
+    Where f's table is the composite g∘h of two tables met before it
+    (`D._factors`), its square is the pasting of theirs, and passes
+    without a scan when both of theirs passed on every predicate with
+    the same B and pulling back along g then h is pulling back along f
+    on every predicate over A1 (`_functorial`).  That takes the
+    functoriality of reindexing along (g∘h) x id on trust.  A derived
+    square is counted like a scanned one and builds no f x id.  Once a
+    scanned square fails, every square is scanned, as without the
+    derivation, so failures and skips are listed as a full scan lists
+    them."""
     if direction not in ("exists", "forall"):
         raise ValueError("direction must be 'exists' or 'forall'")
+    report = _bc_walk(D, direction, derive=True)
+    if report is None:  # a scanned square failed after a derived one
+        report = _bc_walk(D, direction, derive=False)
+    return report
+
+
+def _bc_walk(D, direction: str, derive: bool):
+    """One walk over the squares of `beck_chevalley`.  Derivation stops
+    at the first scanned square that fails; if a square was derived by
+    then, its verdict is dropped and the walk gives None."""
     eq_fail: list = []
     ineq_fail: list = []
     skipped: list = []
     squares = 0
+    derived: list = []
     for b in D.universe:
+        part = D._carrier_key(b)
         for a1 in D.universe:
             for a2 in D.universe:
                 fs = _available_morphisms(D, a2, a1)
@@ -1019,18 +1080,24 @@ def beck_chevalley(D, direction: str) -> BCReport:
                     p2 = D.product(a2, b)
                     fib1 = D.fibre(p1.obj)
                     fib_a2 = D.fibre(a2)
-                    betas = _sample(fib1.elements(), PRED_SAMPLE)
+                    preds = fib1.elements()
+                    betas = _sample(preds, PRED_SAMPLE)
                 except (CapExceeded, DoctrineDataError) as exc:
                     if fs:
                         skipped.append(
                             f"square over {a2.name} -> {a1.name} with {b.name}: {exc}")
                     continue
+                whole = (len(betas) == len(preds),)
                 along1 = D.along(direction, p1.proj_left)
                 along2 = D.along(direction, p2.proj_left)
                 for f in fs:
                     squares += 1
-                    verdict = ("bc", direction, D._table_key(f), D._carrier_key(b))
+                    verdict = ("bc", direction, D._table_key(f), part)
                     if verdict in D._passed:
+                        continue
+                    if derive and _pasted(D, direction, f, part):
+                        D._passed[verdict] = (True,)
+                        derived.append(verdict)
                         continue
                     found = len(eq_fail), len(ineq_fail), len(skipped)
                     square = f"{mor_key(f)} x {b.name}"
@@ -1052,8 +1119,51 @@ def beck_chevalley(D, direction: str) -> BCReport:
                                 f"{direction} along {square} breaks the lax inequality on "
                                 f"{fib1.describe(beta)}")
                     if found == (len(eq_fail), len(ineq_fail), len(skipped)):
-                        D._passed[verdict] = ()
+                        D._passed[verdict] = whole
+                    elif derived:
+                        for kept in derived:
+                            del D._passed[kept]
+                        return None
+                    else:
+                        derive = False
     return BCReport(D.name, direction, squares, eq_fail, ineq_fail, skipped)
+
+
+def _pasted(D, direction: str, f: FinMor, part) -> bool:
+    """Whether f's square with a partner of carrier key ``part`` is the
+    pasting of two passing squares: f's table is g∘h for two tables met
+    before it (`D._factors`), the squares of h and g with that partner
+    passed on every predicate, and f's pullback is h's after g's."""
+    factors = D._factors(f)
+    if factors is None:
+        return False
+    h, g = factors
+    whole = (True,)
+    passed = D._passed
+    return (passed.get(("bc", direction, D._table_key(h), part)) == whole
+            and passed.get(("bc", direction, D._table_key(g), part)) == whole
+            and _functorial(D, h, g, f))
+
+
+def _functorial(D, h: FinMor, g: FinMor, gh: FinMor) -> bool:
+    """Whether pulling back along g, then along h, is pulling back along
+    gh (a map with the table of g∘h) on every predicate over g's
+    codomain.  The verdict is kept under `_check_reindex`'s key for the
+    composite, with a flag that says it was reached on every predicate;
+    a verdict reached on a sample answers False."""
+    verdict = ("compose", D._table_key(h), D._table_key(g))
+    kept = D._passed.get(verdict)
+    if kept is None:
+        try:
+            pull_h, pull_g = D.along("reindex", h), D.along("reindex", g)
+            pull_gh = D.along("reindex", gh)
+            if any(pull_h(pull_g(alpha)) != pull_gh(alpha)
+                   for alpha in D.fibre(g.cod).elements()):
+                return False
+        except (CapExceeded, DoctrineDataError):
+            return False
+        kept = D._passed[verdict] = (True,)
+    return kept == (True,)
 
 
 @dataclass

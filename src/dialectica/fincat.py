@@ -42,9 +42,10 @@ class FnEl:
 class FinObj:
     """Finite set of tuple elements; equality ignores the display name.
     The hash of the elements is computed once, so a dict keyed by a kept
-    carrier hashes no element tuple on lookup."""
+    carrier hashes no element tuple on lookup, and so is the size, which
+    hot index arithmetic reads as ``size`` rather than through `len`."""
 
-    __slots__ = ("name", "elements", "arity", "_index", "_hash")
+    __slots__ = ("name", "elements", "arity", "size", "_index", "_hash")
 
     def __init__(self, name: str, elements, arity: int | None = None):
         self.name = name
@@ -63,6 +64,7 @@ class FinObj:
             self.arity = arity
         if len(set(self.elements)) != len(self.elements):
             raise CategoryError(f"duplicate elements in {name}")
+        self.size = len(self.elements)
         self._index = {e: i for i, e in enumerate(self.elements)}
         self._hash = hash(self.elements)
 
@@ -73,7 +75,7 @@ class FinObj:
         return el in self._index
 
     def __len__(self):
-        return len(self.elements)
+        return self.size
 
     def __iter__(self):
         return iter(self.elements)

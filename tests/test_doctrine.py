@@ -404,26 +404,31 @@ class TestSharedTable:
     def test_each_pullback_is_asked_once_per_table(self, monkeypatch):
         """Both directions of the quantifier audit on powerset-2x2 ask D's
         `reindex_el` once per distinct (index table, codomain size,
-        predicate), across the adjunction laws and the Beck-Chevalley
-        squares of both directions."""
+        predicate), across the adjunction laws, the Beck-Chevalley
+        squares of both directions and the functoriality their derived
+        squares read; 132 before squares were derived."""
         D = powerset_doctrine((2, 2))
         asked = []
         monkeypatch.setattr(D, "reindex_el", lambda f, alpha: asked.append(
             (f.idx, len(f.cod), alpha)) or ConcreteDoctrine.reindex_el(D, f, alpha))
         assert quantifier_structure(D, "exists").passed
         assert quantifier_structure(D, "forall").passed
-        assert len(asked) == len(set(asked)) == 132
+        assert len(asked) == len(set(asked)) == 100
 
 
 class Unshared(ConcreteDoctrine):
     """A concrete doctrine whose kept values and verdicts are keyed by
-    map and by named carrier, so every audit scans each map itself."""
+    map and by named carrier, and which derives no verdict from factors,
+    so every audit scans each map itself."""
 
     def _table_key(self, f):
         return f
 
     def _carrier_key(self, obj):
         return Doctrine._carrier_key(self, obj)
+
+    def _factors(self, f):
+        return Doctrine._factors(self, f)
 
 
 def _unshared(D, cls=Unshared):
@@ -472,14 +477,18 @@ class TestSharedVerdicts:
     def test_a_kept_square_builds_no_f_times_id(self, monkeypatch):
         """On antichain2 the 69 squares of each direction have 16
         verdicts (8 table keys of f, 2 sizes of B), and f x id is built
-        once for each: a kept verdict is read before the map is built."""
+        once for each scanned one: a kept verdict is read before the map
+        is built, and a derived one builds none.  Two of the 8 tables
+        are composites of tables met before them, so 12 of each
+        direction's 16 verdicts are scanned (all 16 before squares were
+        derived)."""
         D = kripke_doctrine(antichain_poset(2), (2, 2))
         built = []
         monkeypatch.setattr(doctrine, "f_times_id",
                             lambda *args: built.append(args) or f_times_id(*args))
         reps = [beck_chevalley(D, direction) for direction in ("exists", "forall")]
         assert [(rep.passed, rep.squares) for rep in reps] == [(True, 69)] * 2
-        assert len(built) == 32
+        assert len(built) == 24
 
     def test_a_wrong_closed_form_fails_as_per_map(self):
         class TopExists(ConcreteDoctrine):
@@ -518,6 +527,131 @@ class TestSharedVerdicts:
             assert f"reindex along {mor_key(f)} moves top" in laws.violations
             for rep in structures:
                 assert any(f"along {mor_key(f)} x " in v for v in rep.bc.equality_failures)
+
+
+PASTED = {
+    **{name: FRESH[name] for name in ("powerset-2x2", "chain2", "antichain2")},
+    "powerset-2x3": lambda: powerset_doctrine((2, 3)),
+    "powerset-1x2x3": lambda: powerset_doctrine((1, 2, 3)),
+    "antichain3-1x2": FRESH["antichain3-1x2"],
+    "chain2-2x3": lambda: kripke_doctrine(chain_poset(2), (2, 3)),  # with cap skips
+}
+
+
+def _bc_reports(D):
+    return [beck_chevalley(D, direction) for direction in ("exists", "forall")]
+
+
+def _wrong_along(*tables):
+    """A powerset-2x3 whose pullback is wrong along each index table in
+    ``tables`` (as ``(idx, codomain size)``), and its per-map twin."""
+    class WrongAlong(ConcreteDoctrine):
+        def reindex_el(self, f, alpha):
+            value = super().reindex_el(f, alpha)
+            return value ^ 1 if (f.idx, len(f.cod)) in tables else value
+
+    class WrongAlongUnshared(Unshared, WrongAlong):
+        pass
+
+    P = powerset_doctrine((2, 3))
+    return (WrongAlong(P.name, P.frame, P.universe),
+            WrongAlongUnshared(P.name, P.frame, P.universe))
+
+
+def _times_id_table(D, key, b):
+    """The table key of f x id_b, for the map f met with table ``key``."""
+    f_x_b = f_times_id(D, D._met[key][0], b)
+    return f_x_b.idx, len(f_x_b.cod)
+
+
+class TestPastedSquares:
+    """`beck_chevalley` derives the square of a table that is the
+    composite of two tables met before it, by pasting their squares, and
+    scans every other square; the per-map twin scans every square."""
+
+    @pytest.mark.parametrize("make", PASTED.values(), ids=PASTED)
+    def test_derived_reports_equal_the_scan(self, make):
+        D = make()
+        assert _bc_reports(D) == _bc_reports(_unshared(D))
+
+    def test_powerset_2x3_scans_one_square_in_three(self, monkeypatch):
+        """19 of powerset-2x3's 56 tables are generators: 114 of the 336
+        squares of both directions are scanned, each building f x id."""
+        D = powerset_doctrine((2, 3))
+        built = []
+        monkeypatch.setattr(doctrine, "f_times_id",
+                            lambda *args: built.append(args) or f_times_id(*args))
+        reps = _bc_reports(D)
+        assert [(rep.passed, rep.squares) for rep in reps] == [(True, 168)] * 2
+        assert len(built) == 114
+        assert sum(factors is None for _, factors in D._met.values()) == 19
+
+    def test_a_derived_square_needs_both_factors_whole(self):
+        """B->B#21's square with A pastes from those of B->B#15 and
+        B->B#7 only while both are kept as passing on every predicate."""
+        D = powerset_doctrine((2, 3))
+        beck_chevalley(D, "exists")
+        f, (h, g) = next(met for met in D._met.values() if mor_key(met[0]) == "B->B#21")
+        part = D._carrier_key(D.universe[1])
+        assert doctrine._pasted(D, "exists", f, part)
+        for factor in (h, g):
+            verdict = ("bc", "exists", D._table_key(factor), part)
+            for kept in (None, (False,)):
+                whole = D._passed.pop(verdict)
+                if kept is not None:
+                    D._passed[verdict] = kept
+                assert not doctrine._pasted(D, "exists", f, part)
+                D._passed[verdict] = whole
+        assert doctrine._pasted(D, "exists", f, part)
+
+    @pytest.mark.parametrize("bound", ["PAIR_SAMPLE", "PRED_SAMPLE"])
+    def test_a_sampled_verdict_derives_nothing(self, monkeypatch, bound):
+        """Functoriality that `check_doctrine` checked on a sample, or a
+        factor square scanned on a sample, derives no square: every
+        square of powerset-2x2 is scanned, and the reports are the scan's."""
+        monkeypatch.setattr(doctrine, bound, 1)
+        D = powerset_doctrine((2, 2))
+        check_doctrine(D)
+        built = []
+        monkeypatch.setattr(doctrine, "f_times_id",
+                            lambda *args: built.append(args) or f_times_id(*args))
+        reps = _bc_reports(D)
+        assert len(built) == 32
+        assert reps == _bc_reports(_unshared(D))
+
+    def test_a_defect_on_a_generator_is_listed_as_the_scan_lists_it(self):
+        """Pullbacks wrong along B->B#11 x id_B, the square of the last
+        generator met, and along B->B#21 x id_A, a derived square met
+        before it (the trust line below).  Once the generator fails, the
+        walk drops its derived verdicts and scans every square, so both
+        directions list both failures, as the scan does."""
+        P = powerset_doctrine((2, 3))
+        _bc_reports(P)
+        by_key = {mor_key(f): key for key, (f, _) in P._met.items()}
+        gens = [mor_key(f) for f, factors in P._met.values() if factors is None]
+        assert gens[-1] == "B->B#11"
+        _, A, B = P.universe
+        D, scan = _wrong_along(_times_id_table(P, by_key["B->B#11"], B),
+                               _times_id_table(P, by_key["B->B#21"], A))
+        got = _bc_reports(D)
+        assert got == _bc_reports(scan)
+        for rep in got:
+            assert {v.split(" differs")[0].split(" along ")[1]
+                    for v in rep.equality_failures} == {"B->B#11 x B", "B->B#21 x A"}
+
+    def test_a_defect_only_on_a_derived_f_times_id_is_trusted(self):
+        """The trust line: a pullback wrong only along B->B#21 x id_A,
+        where B->B#21 is derived (from B->B#15 and B->B#7), fails the
+        scan and passes the derivation, which reads no f x id."""
+        P = powerset_doctrine((2, 3))
+        _bc_reports(P)
+        key = next(key for key, (f, _) in P._met.items() if mor_key(f) == "B->B#21")
+        assert [mor_key(f) for f in P._met[key][1]] == ["B->B#15", "B->B#7"]
+        D, scan = _wrong_along(_times_id_table(P, key, P.universe[1]))
+        for got, want in zip(_bc_reports(D), _bc_reports(scan)):
+            assert got.passed and got.squares == want.squares
+            assert want.equality_failures
+            assert all(" along B->B#21 x A " in v for v in want.equality_failures)
 
 
 class TestHeyting:
