@@ -1184,7 +1184,11 @@ def quantifier_structure(D, direction: str) -> QuantifierStructureReport:
     D's adjoints along both projections of every binary product over the
     universe, by the adjunction law, plus Beck-Chevalley for the
     corresponding squares.  Both read their values through `D.along`,
-    so each is asked of D once per table key and predicate."""
+    so each is asked of D once per table key and predicate.  On a
+    concrete doctrine Beck-Chevalley scans only the squares of
+    generator tables and derives the rest by pasting; the functoriality
+    a derived square needs is kept under `check_doctrine`'s key, so it
+    is decided once whether or not `check_doctrine` ran first."""
     witnesses: list = []
     failures: list = []
     for a1 in D.universe:
