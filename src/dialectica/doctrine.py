@@ -514,7 +514,7 @@ class ConcreteDoctrine(Doctrine):
         self.universe = tuple(universe)
         self.cap = cap
         self.generator = generator
-        self._fibres: dict[FinObj, MaskFibre] = {}
+        self._fibres: dict[tuple, MaskFibre] = {}
         self._products: dict = {}
         self._along: dict = {}
         self._passed: dict = {}
@@ -523,10 +523,14 @@ class ConcreteDoctrine(Doctrine):
         self._composites: dict = {}
 
     def fibre(self, obj: FinObj) -> MaskFibre:
-        fib = self._fibres.get(obj)
+        """The fibre over obj, kept per name as well as carrier (`FinObj`
+        equality ignores names), so a cap overrun names the carrier that
+        was asked for."""
+        key = obj.name, obj
+        fib = self._fibres.get(key)
         if fib is None:
             fib = MaskFibre(obj, self.nw, self.frame.up, self.frame.elements, self.cap)
-            self._fibres[obj] = fib
+            self._fibres[key] = fib
         return fib
 
     def _table_key(self, f: FinMor):
@@ -735,7 +739,7 @@ def adjoint_along(D, f: FinMor, direction: str):
         pull = D.along("reindex", f)
         # an empty domain fibre reads no reindexing table
         pulled = [(b, pull(b)) for b in cod_els] if dom_els else []
-    except (CapExceeded, DoctrineDataError) as exc:
+    except DoctrineDataError as exc:
         return AdjointFailure(direction, key, None, str(exc))
     along = D.along(direction, f)
     value = {}
@@ -809,7 +813,7 @@ def check_doctrine(D) -> DoctrineReport:
         try:
             fib = D.fibre(obj)
             els = fib.elements()
-        except (CapExceeded, DoctrineDataError) as exc:
+        except DoctrineDataError as exc:
             notes.append(f"fibre over {obj.name} skipped: {exc}")
             continue
         fibre_els[obj] = els
@@ -885,13 +889,6 @@ def _check_heyting(fib, obj, els, violations, notes, counts):
                         f"{fib.describe(b)}, {fib.describe(c)}")
 
 
-def _available_morphisms(D, a, b):
-    try:
-        return D.morphisms(a, b)
-    except CapExceeded:
-        return None
-
-
 def _check_reindex(D, fibre_els, violations, notes, counts):
     """Functoriality, monotonicity and preservation of the lattice
     operations by reindexing.  Pullbacks are read through `D.along`, so
@@ -919,12 +916,8 @@ def _check_reindex(D, fibre_els, violations, notes, counts):
     for a in D.universe:
         for b in D.universe:
             if a in fibre_els and b in fibre_els:
-                found = _available_morphisms(D, a, b)
-                if found is None:
-                    notes.append(f"morphisms {a.name} -> {b.name} exceed cap; skipped")
-                else:
-                    mors[(a, b)] = found
-                    counts["morphisms"] += len(found)
+                mors[(a, b)] = found = D.morphisms(a, b)
+                counts["morphisms"] += len(found)
     for (a, b), fs in mors.items():
         fib_a = D.fibre(a)
         fib_b = D.fibre(b)
@@ -1036,9 +1029,9 @@ def beck_chevalley(D, direction: str) -> BCReport:
     A square that passes is kept in ``D._passed`` per direction, table
     key of f and carrier key of B, so it is checked once per index table,
     with no f x id built, and still counted for every f; a square with a
-    failure or a skip is checked in full for each f.  A carrier that
-    cannot be read skips the squares over (B, A1, A2) with one note,
-    which names no map.
+    failure or a skip is checked in full for each f.  A carrier that a
+    table replay does not record skips the squares over (B, A1, A2) with
+    one note, which names no map.
 
     Where f's table is the composite g∘h of two tables met before it
     (`D._factors`), its square is the pasting of theirs, and passes
@@ -1071,10 +1064,7 @@ def _bc_walk(D, direction: str, derive: bool):
         part = D._carrier_key(b)
         for a1 in D.universe:
             for a2 in D.universe:
-                fs = _available_morphisms(D, a2, a1)
-                if fs is None:
-                    skipped.append(f"morphisms {a2.name} -> {a1.name} exceed cap")
-                    continue
+                fs = D.morphisms(a2, a1)
                 try:
                     p1 = D.product(a1, b)
                     p2 = D.product(a2, b)
@@ -1082,7 +1072,7 @@ def _bc_walk(D, direction: str, derive: bool):
                     fib_a2 = D.fibre(a2)
                     preds = fib1.elements()
                     betas = _sample(preds, PRED_SAMPLE)
-                except (CapExceeded, DoctrineDataError) as exc:
+                except DoctrineDataError as exc:
                     if fs:
                         skipped.append(
                             f"square over {a2.name} -> {a1.name} with {b.name}: {exc}")
@@ -1154,13 +1144,10 @@ def _functorial(D, h: FinMor, g: FinMor, gh: FinMor) -> bool:
     verdict = ("compose", D._table_key(h), D._table_key(g))
     kept = D._passed.get(verdict)
     if kept is None:
-        try:
-            pull_h, pull_g = D.along("reindex", h), D.along("reindex", g)
-            pull_gh = D.along("reindex", gh)
-            if any(pull_h(pull_g(alpha)) != pull_gh(alpha)
-                   for alpha in D.fibre(g.cod).elements()):
-                return False
-        except (CapExceeded, DoctrineDataError):
+        pull_h, pull_g = D.along("reindex", h), D.along("reindex", g)
+        pull_gh = D.along("reindex", gh)
+        if any(pull_h(pull_g(alpha)) != pull_gh(alpha)
+               for alpha in D.fibre(g.cod).elements()):
             return False
         kept = D._passed[verdict] = (True,)
     return kept == (True,)
@@ -1193,11 +1180,7 @@ def quantifier_structure(D, direction: str) -> QuantifierStructureReport:
     failures: list = []
     for a1 in D.universe:
         for a2 in D.universe:
-            try:
-                p = D.product(a1, a2)
-            except CapExceeded as exc:
-                failures.append(AdjointFailure(direction, f"{a1.name}*{a2.name}", None, str(exc)))
-                continue
+            p = D.product(a1, a2)
             for proj in (p.proj_left, p.proj_right):
                 res = adjoint_along(D, proj, direction)
                 if isinstance(res, AdjointFailure):
@@ -1220,20 +1203,16 @@ def base_closure(D) -> ClosureReport:
     """Judge cartesian closure of the base over the declared universe:
     every binary product and exponential of universe carriers must lie
     in the base (`D.in_base`), judged as ``D.closure_note`` says."""
-    notes: list = []
     missing_p: list = []
     missing_e: list = []
     for a in D.universe:
         for b in D.universe:
-            try:
-                if not D.in_base(D.product(a, b).obj):
-                    missing_p.append(f"{a.name}*{b.name}")
-                if not D.in_base(exponential(b, a, D.cap).obj):
-                    missing_e.append(f"{b.name}^{a.name}")
-            except CapExceeded as exc:
-                notes.append(f"{a.name}, {b.name}: {exc}")
-    notes.append(D.closure_note)
-    return ClosureReport(not missing_p and not missing_e, missing_p, missing_e, notes)
+            if not D.in_base(D.product(a, b).obj):
+                missing_p.append(f"{a.name}*{b.name}")
+            if not D.in_base(exponential(b, a, D.cap).obj):
+                missing_e.append(f"{b.name}^{a.name}")
+    return ClosureReport(not missing_p and not missing_e, missing_p, missing_e,
+                         [D.closure_note])
 
 
 def universe_note(D) -> str:
@@ -1258,8 +1237,9 @@ def doctrine_to_json(D) -> dict:
     reindex = {}
     for a in D.universe:
         for b in D.universe:
-            fs = _available_morphisms(D, a, b)
-            if fs is None:
+            try:
+                fs = D.morphisms(a, b)
+            except CapExceeded:
                 notes.append(f"morphisms {a.name} -> {b.name} exceed cap; omitted")
                 continue
             for f in fs:

@@ -76,7 +76,6 @@ class EnoughReport:
     passed: bool
     witnesses: list
     failures: list
-    notes: list
 
 
 @dataclass
@@ -84,7 +83,6 @@ class StabilityReport:
     passed: bool
     failures: list
     checked: int
-    notes: list
 
 
 @dataclass
@@ -359,84 +357,67 @@ class FreenessAnalyzer:
         over I x A, partners A in size order, whose image along the
         projection is alpha (and, for "universal", that is universal-free).
         Each partner's product and existential-free list is decided once
-        per (I, A), so a partner over the cap is noted once."""
+        per (I, A)."""
         D = self.D
         existential = kind == "existential"
         witnesses: list = []
         failures: list = []
-        notes: list = []
         for I in D.universe:
-            try:
-                alphas = D.fibre(I).elements() if existential else self.exfree_elements(I)
-            except CapExceeded as exc:
-                notes.append(f"fibre over {I.name} skipped: {exc}")
-                continue
+            alphas = D.fibre(I).elements() if existential else self.exfree_elements(I)
             partners = []
             for A in self._by_size:
-                try:
-                    p = D.product(I, A)
-                    partners.append((A, p.obj, self._image(kind, p),
-                                     self.exfree_elements(p.obj)))
-                except CapExceeded as exc:
-                    notes.append(f"{I.name} x {A.name} skipped: {exc}")
+                p = D.product(I, A)
+                partners.append((A, p.obj, self._image(kind, p),
+                                 self.exfree_elements(p.obj)))
             for alpha in alphas:
                 found = None
                 for A, obj, image, betas in partners:
-                    try:
-                        for beta in betas:
-                            if image(beta) == alpha and (
-                                    existential or self.is_universal_free(obj, beta)):
-                                found = (I.name, alpha, A.name, beta)
-                                break
-                    except CapExceeded as exc:
-                        notes.append(f"{I.name} x {A.name} skipped: {exc}")
+                    for beta in betas:
+                        if image(beta) == alpha and (
+                                existential or self.is_universal_free(obj, beta)):
+                            found = (I.name, alpha, A.name, beta)
+                            break
                     if found:
                         break
                 if found:
                     witnesses.append(found)
                 else:
                     failures.append((I.name, alpha))
-        return EnoughReport(kind, not failures, witnesses, failures, notes)
+        return EnoughReport(kind, not failures, witnesses, failures)
 
     def stability_under_forall(self) -> StabilityReport:
         """Quantifying an existential-free predicate universally along a
         projection must land on an existential-free predicate."""
         D = self.D
         failures: list = []
-        notes: list = []
         checked = 0
         for A in D.universe:
             for B in D.universe:
-                try:
-                    p = D.product(A, B)
-                    betas = self.exfree_elements(p.obj)
-                except CapExceeded as exc:
-                    notes.append(f"{A.name} x {B.name} skipped: {exc}")
-                    continue
+                p = D.product(A, B)
+                betas = self.exfree_elements(p.obj)
                 image = self._image("universal", p)
                 for beta in betas:
                     checked += 1
                     gamma = image(beta)
                     if not self.is_existential_free(A, gamma):
                         failures.append((A.name, B.name, beta, gamma))
-        return StabilityReport(not failures, failures, checked, notes)
+        return StabilityReport(not failures, failures, checked)
 
     # -- presentations -------------------------------------------------
 
     def prenex(self, I, alpha):
         """Smallest presentation of alpha as an existential image of a
         universal image of a predicate free for both quantifiers.
-        Partners are searched through the universe in size order, and
-        both quantifiers are read through `D.along`."""
+        Partners are searched through the universe in size order, passing
+        over a partner whose carriers overrun the cap, and both
+        quantifiers are read through `D.along`."""
         D = self.D
-        skipped: list = []
         for U in self._by_size:
             try:
                 p_iu = D.product(I, U)
                 image = D.along("exists", p_iu.proj_left)
                 gammas = [g for g in self.exfree_elements(p_iu.obj) if image(g) == alpha]
-            except CapExceeded as exc:
-                skipped.append(str(exc))
+            except CapExceeded:
                 continue
             if not gammas:
                 continue
@@ -444,8 +425,7 @@ class FreenessAnalyzer:
                 try:
                     p3 = D.product(p_iu.obj, X)
                     betas = self.exfree_elements(p3.obj)
-                except CapExceeded as exc:
-                    skipped.append(str(exc))
+                except CapExceeded:
                     continue
                 image = D.along("forall", p3.proj_left)
                 for gamma in gammas:

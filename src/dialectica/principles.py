@@ -129,19 +129,16 @@ class _Pair:
         return self.fibA.bottom()
 
 
-def _scan(D, notes, scanned):
-    """Yield a `_Pair` for every ordered pair of carriers whose product
-    and fibres fit the cap, recording each scanned pair."""
+def _scan(D, scanned):
+    """Yield a `_Pair` for every ordered pair of carriers, recording each
+    scanned pair; its product and both fibres are checked against the cap
+    before the pair is read."""
     for A in D.universe:
         for B in D.universe:
-            try:
-                p = D.product(A, B)
-                fibA, fibAB = D.fibre(A), D.fibre(p.obj)
-                fibA.count()
-                fibAB.count()
-            except CapExceeded as exc:
-                notes.append(f"{A.name} with partner fibre skipped: {exc}")
-                continue
+            p = D.product(A, B)
+            fibA, fibAB = D.fibre(A), D.fibre(p.obj)
+            fibA.count()
+            fibAB.count()
             scanned.append(f"{A.name}|{B.name}")
             yield _Pair(D, A, B, p, fibA, fibAB)
 
@@ -317,7 +314,7 @@ def _rule_scan(row: _Row, D, analyzer, mode) -> RuleReport:
     def full():
         return len(witnesses) >= WITNESS_CAP
 
-    for c in _scan(D, notes, scanned):
+    for c in _scan(D, scanned):
         A, B = c.A, c.B
         if row.gate is not None and A.name not in gates:
             gates[A.name] = row.gate[1](fa, c)

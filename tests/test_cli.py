@@ -10,10 +10,15 @@ from pathlib import Path
 import pytest
 
 from dialectica import cli
-from dialectica.doctrine import ConcreteDoctrine, base_closure, doctrine_to_json
+from dialectica.doctrine import (
+    ConcreteDoctrine,
+    base_closure,
+    doctrine_to_json,
+    kripke_doctrine,
+)
 from dialectica.fincat import unit_obj
 from dialectica.fol import BaseSort, FunSort, Signature
-from dialectica.posets import chain_poset
+from dialectica.posets import antichain_poset, chain_poset
 
 SPEC_INPUT = ("(forall x:U. exists v:V. p(x,v)) -> "
               "(exists u:U. forall y:Y. q(u,y))")
@@ -206,17 +211,20 @@ class TestDoctrineCommands:
 
     def test_cap_applies_to_tabular_input(self, capsys, pow_path, tmp_path):
         """--cap reaches a doctrine replayed from tables, as it does one
-        rebuilt from its generator."""
+        rebuilt from its generator: both stop with exit 2 at their first
+        overrun.  The closed form lists the fibre over 1*A first; a
+        replay reads its recorded fibres whole, so its first overrun is
+        the product A*A."""
         with open(pow_path) as fh:
             data = json.load(fh)
         del data["generator"]
         tab = tmp_path / "tabular.json"
         tab.write_text(json.dumps(data))
-        skipped = "  A*A: skipped (product size 4 exceeds cap 3)\n"
-        for path in (pow_path, str(tab)):
-            _, out, _ = run(capsys, "doctrine", "adjoints", "--doctrine",
-                            path, "--cap", "3", "--format", "text")
-            assert skipped in out
+        for path, overrun in ((pow_path, "fibre over 1*A has 4 predicates; cap 3"),
+                              (str(tab), "product size 4 exceeds cap 3")):
+            assert run(capsys, "doctrine", "adjoints", "--doctrine", path,
+                       "--cap", "3", "--format", "text") == (
+                2, "", f"error: cap exceeded: {overrun}\n")
 
     def test_check_text_prints_notes_and_skipped_squares(self, capsys, pow_path, tmp_path):
         """The text report prints the law notes and the skipped squares
@@ -251,6 +259,40 @@ class TestDoctrineCommands:
         for row in rows:
             assert row["exists"]["found"] is True
             assert row["forall"]["found"] is True
+
+
+OVERRUNS = {
+    "1,3": "fibre over B*B has 134217728 predicates; cap 4096",
+    "2,3": "fibre over A*B has 262144 predicates; cap 4096",
+}
+
+
+@pytest.fixture(scope="module")
+def antichain3_paths(tmp_path_factory):
+    """The Kripke doctrines over antichain3 with sizes 1,3 and 2,3, whose
+    products overrun the default cap, written once each."""
+    out = tmp_path_factory.mktemp("antichain3")
+    paths = {}
+    for sizes in OVERRUNS:
+        path = paths[sizes] = out / f"antichain3-{sizes.replace(',', 'x')}.json"
+        D = kripke_doctrine(antichain_poset(3), tuple(map(int, sizes.split(","))))
+        path.write_text(json.dumps(doctrine_to_json(D)))
+    return paths
+
+
+class TestCapOverrun:
+    """A cap overrun gets one answer from every audit: exit 2, nothing on
+    stdout, and one stderr line that names the carrier, its predicate
+    count and the cap."""
+
+    @pytest.mark.parametrize("argv", [("doctrine", "check"), ("doctrine", "adjoints"),
+                                      ("doctrine", "godel"), ("doctrine", "free"),
+                                      ("principles",)], ids=" ".join)
+    @pytest.mark.parametrize("sizes", OVERRUNS)
+    def test_every_audit_exits_2_naming_the_carrier(self, capsys, antichain3_paths,
+                                                     sizes, argv):
+        assert run(capsys, *argv, "--doctrine", str(antichain3_paths[sizes])) == (
+            2, "", f"error: cap exceeded: {OVERRUNS[sizes]}\n")
 
 
 class TestDialComplete:

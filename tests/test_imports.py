@@ -228,3 +228,59 @@ def test_module_state_writes_are_caught():
         (6, "_MEMO"), (8, "_SEEN"), (9, "_LOG"), (16, "_MEMO"), (18, "build_parser"),
         (21, "e"), (23, "f"), (24, "_MEMO")]
     assert (18, "build_parser") not in module_state_writes(source, "cli.py")
+
+
+# (module, function) pairs allowed an ``except`` naming `CapExceeded`: the
+# partial scans whose skip notes are part of their output, and the command
+# line's one exit-2 line.  Every other overrun reaches `cli.main`.
+CAP_CATCHERS = {("principles.py", "check_skolemisation"), ("dial.py", "enumerate_quads"),
+                ("dial.py", "check_theorem2"), ("freeness.py", "FreenessAnalyzer.prenex"),
+                ("doctrine.py", "doctrine_to_json"), ("cli.py", "main")}
+
+
+def cap_catches(source: str) -> list:
+    """``(line, scope)`` for each ``except`` clause that names `CapExceeded`,
+    alone or in a tuple; the scope is the dotted name of the function or
+    class it lies in, empty at module level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.ExceptHandler) and child.type is not None and any(
+                    (n.id if isinstance(n, ast.Name) else n.attr) == "CapExceeded"
+                    for n in ast.walk(child.type) if isinstance(n, (ast.Name, ast.Attribute))):
+                found.append((child.lineno, ".".join(scope)))
+            visit(child, scope)
+    visit(ast.parse(source), ())
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_partial_scans_catch_a_cap_overrun(path):
+    """One cap policy: an overrun stops the audit with exit 2, except in
+    the scans that skip and note what overran."""
+    assert [hit for hit in cap_catches(path.read_text())
+            if (path.name, hit[1]) not in CAP_CATCHERS] == []
+
+
+def test_a_cap_catch_is_caught():
+    source = (
+        "from . import fincat\n"
+        "from .fincat import CapExceeded\n"
+        "try:\n    pass\nexcept CapExceeded:\n    pass\n"
+        "class Analyzer:\n"
+        "    def prenex(self):\n"
+        "        try:\n            pass\n"
+        "        except (KeyError, fincat.CapExceeded) as exc:\n            pass\n"
+        "def audit():\n"
+        "    def walk():\n"
+        "        try:\n            pass\n"
+        "        except ValueError:\n            pass\n"
+        "        except CapExceeded:\n            pass\n"
+        "    try:\n        walk()\n    except Exception:\n        pass\n"
+    )
+    assert cap_catches(source) == [(5, ""), (11, "Analyzer.prenex"), (19, "audit.walk")]
+    assert cap_catches(source.replace("CapExceeded", "CategoryError")) == []

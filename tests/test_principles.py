@@ -336,13 +336,12 @@ class TestWitnessRevalidation:
     def test_diagnostic_modified_markov_reads_no_freeness(self):
         """Without its preconditions the modified rule needs no freeness
         scan, so a cap that only those scans overrun does not stop it."""
-        D = powerset_doctrine((2, 3), cap=300)
-        with pytest.raises(CapExceeded, match="B[*]B has 512 predicates"):
+        D = powerset_doctrine((2, 3), cap=512)
+        with pytest.raises(CapExceeded, match="^729 morphisms exceed cap 512$"):
             check_modified_markov(D)
         rep = check_modified_markov(D, mode="diagnostic")
-        assert rep.passed and rep.instances == 678
-        assert rep.notes == (
-            "B with partner fibre skipped: fibre over B*B has 512 predicates; cap 300",)
+        assert rep.passed and rep.instances == 4053
+        assert rep.notes == ()
 
 
 class TestTabularReplay:
