@@ -9,6 +9,7 @@ stable across runs.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 DEFAULT_CAP = 4096
@@ -200,7 +201,7 @@ def product(a: FinObj, b: FinObj, cap: int = DEFAULT_CAP) -> Product:
     element ``i * len(b) + j`` is ``a[i] + b[j]``."""
     n = len(a) * len(b)
     if n > cap:
-        raise CapExceeded(f"product size {n} exceeds cap {cap}")
+        raise CapExceeded(f"product {a.name}*{b.name} has {n} elements; cap {cap}")
     obj = FinObj(
         f"{a.name}*{b.name}",
         tuple(x + y for x in a.elements for y in b.elements),
@@ -218,12 +219,10 @@ def product_n(objs, cap: int = DEFAULT_CAP) -> tuple[FinObj, list[FinMor]]:
     if not objs:
         u = unit_obj()
         return u, []
-    n = 1
-    for o in objs:
-        n *= len(o)
-        if n > cap:
-            raise CapExceeded(f"product size {n} exceeds cap {cap}")
     name = "*".join(o.name for o in objs)
+    n = math.prod(len(o) for o in objs)
+    if n > cap:
+        raise CapExceeded(f"product {name} has {n} elements; cap {cap}")
     elements = tuple(
         sum(combo, ()) for combo in itertools.product(*(o.elements for o in objs))
     )
@@ -262,7 +261,7 @@ def exponential(b: FinObj, a: FinObj, cap: int = DEFAULT_CAP) -> Exponential:
     """B^A, enumerated as a big-endian odometer over the elements of A."""
     n = len(b) ** len(a)
     if n > cap:
-        raise CapExceeded(f"exponential size {n} exceeds cap {cap}")
+        raise CapExceeded(f"exponential {b.name}^{a.name} has {n} elements; cap {cap}")
     elements = tuple(
         (FnEl(tuple(zip(a.elements, vals))),)
         for vals in itertools.product(b.elements, repeat=len(a))
@@ -277,7 +276,7 @@ def check_map_count(a: FinObj, b: FinObj, cap: int) -> None:
     """Raise CapExceeded when the maps A -> B are more than the cap."""
     n = len(b) ** len(a)
     if n > cap:
-        raise CapExceeded(f"{n} morphisms exceed cap {cap}")
+        raise CapExceeded(f"{n} maps {a.name} -> {b.name}; cap {cap}")
 
 
 def enumerate_morphisms(a: FinObj, b: FinObj, cap: int = DEFAULT_CAP) -> list[FinMor]:

@@ -104,20 +104,18 @@ class GodelReport:
     forall_structure: object
     enough_existential_free: EnoughReport
     stability: StabilityReport
-    enough_universal_free: EnoughReport | None
+    enough_universal_free: EnoughReport
     note: str
 
     def parts(self) -> dict:
-        out = {
+        return {
             "cartesian_closed": self.closure.passed,
             "existential_universal": (self.exists_structure.passed
                                       and self.forall_structure.passed),
             "enough_existential_free": self.enough_existential_free.passed,
             "existential_free_stable_under_forall": self.stability.passed,
+            "subdoctrine_enough_universal_free": self.enough_universal_free.passed,
         }
-        if self.enough_universal_free is not None:
-            out["subdoctrine_enough_universal_free"] = self.enough_universal_free.passed
-        return out
 
 
 class FreenessAnalyzer:
@@ -439,19 +437,15 @@ class FreenessAnalyzer:
 
     # -- the characterisation ------------------------------------------
 
-    def godel_report(self, skolem_only: bool = False) -> GodelReport:
+    def godel_report(self) -> GodelReport:
         D = self.D
         closure = base_closure(D)
         ex_struct = quantifier_structure(D, "exists")
         fa_struct = quantifier_structure(D, "forall")
         enough_ex = self.enough_existential_free()
         stab = self.stability_under_forall()
-        enough_un = None if skolem_only else self.enough_universal_free_sub()
+        enough_un = self.enough_universal_free_sub()
         passed = (closure.passed and ex_struct.passed and fa_struct.passed
-                  and enough_ex.passed and stab.passed
-                  and (enough_un is None or enough_un.passed))
+                  and enough_ex.passed and stab.passed and enough_un.passed)
         return GodelReport(D.name, passed, closure, ex_struct, fa_struct,
                            enough_ex, stab, enough_un, universe_note(D))
-
-    def skolem_report(self) -> GodelReport:
-        return self.godel_report(skolem_only=True)

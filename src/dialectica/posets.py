@@ -19,27 +19,31 @@ def _up_masks(n: int, pairs) -> list[int]:
     return up
 
 
+def _members(mask: int):
+    """The indices of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def poset_violations(n: int, up: list[int]) -> list[str]:
-    """Reflexivity, antisymmetry and transitivity violations by index."""
+    """Reflexivity, antisymmetry and transitivity violations by index.
+    Each scan walks the set bits of the up-sets, so it costs the number
+    of related pairs, not n squared."""
     out = []
     for i in range(n):
         if not (up[i] >> i) & 1:
             out.append(f"not reflexive at {i}")
     for i in range(n):
-        for j in range(n):
-            if i != j and (up[i] >> j) & 1 and (up[j] >> i) & 1:
-                if i < j:
-                    out.append(f"antisymmetry fails on {i}, {j}")
+        for j in _members(up[i] >> (i + 1) << (i + 1)):
+            if (up[j] >> i) & 1:
+                out.append(f"antisymmetry fails on {i}, {j}")
     for i in range(n):
         mask = up[i]
-        j = 0
-        m = mask
-        while m:
-            if m & 1:
-                if up[j] & ~mask:
-                    out.append(f"transitivity fails through {i} <= {j}")
-            j += 1
-            m >>= 1
+        for j in _members(mask):
+            if up[j] & ~mask:
+                out.append(f"transitivity fails through {i} <= {j}")
     return out
 
 

@@ -211,20 +211,34 @@ class TestDoctrineCommands:
 
     def test_cap_applies_to_tabular_input(self, capsys, pow_path, tmp_path):
         """--cap reaches a doctrine replayed from tables, as it does one
-        rebuilt from its generator: both stop with exit 2 at their first
-        overrun.  The closed form lists the fibre over 1*A first; a
-        replay reads its recorded fibres whole, so its first overrun is
-        the product A*A."""
+        rebuilt from its generator: both stop with exit 2 at the first
+        fibre over the cap.  The closed form lists the fibre over 1*A
+        first; a replay keys its recorded fibres by carrier, so it reads
+        1*A's from the fibre recorded over A."""
         with open(pow_path) as fh:
             data = json.load(fh)
         del data["generator"]
         tab = tmp_path / "tabular.json"
         tab.write_text(json.dumps(data))
         for path, overrun in ((pow_path, "fibre over 1*A has 4 predicates; cap 3"),
-                              (str(tab), "product size 4 exceeds cap 3")):
+                              (str(tab), "fibre over A has 4 predicates; cap 3")):
             assert run(capsys, "doctrine", "adjoints", "--doctrine", path,
                        "--cap", "3", "--format", "text") == (
                 2, "", f"error: cap exceeded: {overrun}\n")
+
+    def test_a_recorded_order_that_is_no_partial_order_exits_2(self, capsys, pow_path,
+                                                               tmp_path):
+        """A replay's recorded order is checked when it loads: the diamond
+        over A without 0 <= 3 is rejected before any audit runs."""
+        with open(pow_path) as fh:
+            data = json.load(fh)
+        del data["generator"]
+        data["fibres"]["A"]["leq"][0][3] = 0
+        bad = tmp_path / "bent.json"
+        bad.write_text(json.dumps(data))
+        assert run(capsys, "doctrine", "check", "--doctrine", str(bad)) == (
+            2, "", f"error: malformed doctrine JSON: {bad}: "
+                   "fibre over A: transitivity fails through 0 <= 1\n")
 
     def test_check_text_prints_notes_and_skipped_squares(self, capsys, pow_path, tmp_path):
         """The text report prints the law notes and the skipped squares

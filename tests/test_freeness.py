@@ -299,7 +299,7 @@ class TestColumnScan:
             MapScan(D).first_failing_map("existential", I, alpha)
         with pytest.raises(CapExceeded) as by_columns:
             FreenessAnalyzer(D).existential_free_report(I, alpha)
-        assert str(by_maps.value) == "16 morphisms exceed cap 4"
+        assert str(by_maps.value) == "16 maps A -> A*B; cap 4"
         assert str(by_columns.value) == str(by_maps.value)
         fa = FreenessAnalyzer(D)
         for _ in range(2):
@@ -316,7 +316,7 @@ class TestColumnScan:
         small = D.product(D.universe[1], D.universe[2]).obj
         large = D.product(small, D.universe[1]).obj
         assert fa.is_existential_free(small, D.fibre(small).top())
-        with pytest.raises(CapExceeded, match="^64 morphisms exceed cap 16$"):
+        with pytest.raises(CapExceeded, match=r"^64 maps A -> A\*B\*A; cap 16$"):
             fa.is_existential_free(large, D.fibre(large).top())
 
 
@@ -488,11 +488,6 @@ class TestGodelReports:
             "existential_free_stable_under_forall": True,
             "subdoctrine_enough_universal_free": True,
         }
-
-    def test_skolem_report_skips_the_subdoctrine_clause(self):
-        rep = FreenessAnalyzer(POW).skolem_report()
-        assert rep.passed and rep.enough_universal_free is None
-        assert "subdoctrine_enough_universal_free" not in rep.parts()
 
     def test_failing_reports_name_universe_objects(self):
         """Memoised reports must keep the object they were asked about,

@@ -1,12 +1,14 @@
 """Every name a library module imports is used in that module, and every
-private module-level name it defines is read somewhere.
+private module-level name and module-level constant it defines is read
+somewhere.
 
 No linter is a dependency of the project, so the checks read each
 module's syntax tree: a name bound by an import must occur as a name
 somewhere else in the module (annotations included), or be listed in
-``__all__``; a module-level ``_name`` defined in the library must occur
-as a name or attribute somewhere in ``src/`` or ``perfbench/`` (the
-benchmark reads some private names, such as ``_kernels._WORD``).  No
+``__all__``; a module-level ``_name`` or ``UPPER_CASE`` constant defined
+in the library must occur as a name or attribute somewhere in ``src/`` or
+``perfbench/`` (the benchmark reads some private names, such as
+``_kernels._WORD``), so a bound that nothing reads any more is caught.  No
 function writes to a module-level dict, list or set, and no module-level
 cache but the command line's parser keeps values across calls, so every
 memo lives on a doctrine or an analyzer and each op starts cold.  No
@@ -91,10 +93,18 @@ def test_a_kind_branch_is_caught():
                                      (6, "ConcreteDoctrine"), (8, "TabularDoctrine")]
 
 
-def dead_private_names(sources: dict, readers: list) -> list:
-    """``(module, name)`` for each module-level private name defined in
-    ``sources`` (module -> text) that no text in ``readers`` reads as a
-    name or attribute."""
+def _checked(name: str) -> bool:
+    """Whether a module-level name must be read: a private name, or an
+    UPPER_CASE constant."""
+    if name.startswith("__"):
+        return False
+    return name.startswith("_") or (name.isupper() and name[0].isalpha())
+
+
+def dead_names(sources: dict, readers: list) -> list:
+    """``(module, name)`` for each module-level private name or UPPER_CASE
+    constant defined in ``sources`` (module -> text) that no text in
+    ``readers`` reads as a name or attribute."""
     read = set()
     for text in readers:
         for node in ast.walk(ast.parse(text)):
@@ -112,9 +122,7 @@ def dead_private_names(sources: dict, readers: list) -> list:
                 names = [t.id for t in targets if isinstance(t, ast.Name)]
             else:
                 continue
-            dead += [(module, name) for name in names
-                     if name.startswith("_") and not name.startswith("__")
-                     and name not in read]
+            dead += [(module, name) for name in names if _checked(name) and name not in read]
     return dead
 
 
@@ -122,15 +130,29 @@ def test_every_private_name_is_read():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     readers = [path.read_text() for folder in (ROOT / "src", ROOT / "perfbench")
                for path in sorted(folder.rglob("*.py"))]
-    assert dead_private_names(sources, readers) == []
+    assert dead_names(sources, readers) == []
 
 
 def test_an_unread_private_name_is_caught():
     lib = ("_LIMIT = 3\n_SEEN: set = set()\n"
            "def _used(): pass\ndef _dead(): pass\nclass _Kept: pass\n")
     bench = "import lib\nlib._used()\nprint(lib._LIMIT, isinstance(0, lib._Kept))\n"
-    assert dead_private_names({"lib.py": lib}, [lib, bench]) == \
+    assert dead_names({"lib.py": lib}, [lib, bench]) == \
         [("lib.py", "_SEEN"), ("lib.py", "_dead")]
+
+
+def test_an_unread_constant_is_caught():
+    """A sample bound left behind when the scan that read it is deleted is
+    dead, as is one only tests read; one the module or the benchmark reads
+    is not, and neither is a dunder or a lower-case public name."""
+    lib = ("__all__ = ['run']\nORDER_SAMPLE = 64\nMONOTONE_SAMPLE = 4096\n"
+           "PAIR_SAMPLE: int = 256\nCAP2 = 8\nlimit = 3\n"
+           "def run(xs):\n    return xs[:ORDER_SAMPLE]\n")
+    bench = "import lib\nprint(lib.CAP2)\n"
+    tests = "import lib\nprint(lib.PAIR_SAMPLE)\n"
+    assert dead_names({"lib.py": lib}, [lib, bench]) == \
+        [("lib.py", "MONOTONE_SAMPLE"), ("lib.py", "PAIR_SAMPLE")]
+    assert dead_names({"lib.py": lib}, [lib, bench, tests]) == [("lib.py", "MONOTONE_SAMPLE")]
 
 
 CONTAINER_CALLS = ("dict", "list", "set", "defaultdict", "Counter", "OrderedDict")

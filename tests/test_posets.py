@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 
 import pytest
@@ -57,6 +58,23 @@ class TestConstruction:
         up = [0b001, 0b010, 0b100]
         assert poset_violations(3, [0, 0b010, 0b100])[0] == "not reflexive at 0"
         assert poset_violations(3, up) == []
+
+    def test_violations_follow_the_definitions(self):
+        """On random relations over up to 5 points the listing is the one
+        the three laws give when read pair by pair and triple by triple."""
+        rng = random.Random("poset-violations")
+        for _ in range(2000):
+            n = rng.randrange(6)
+            density = rng.random()
+            up = [sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)]
+            leq = [[bool((up[i] >> j) & 1) for j in range(n)] for i in range(n)]
+            want = [f"not reflexive at {i}" for i in range(n) if not leq[i][i]]
+            want += [f"antisymmetry fails on {i}, {j}" for i in range(n)
+                     for j in range(i + 1, n) if leq[i][j] and leq[j][i]]
+            want += [f"transitivity fails through {i} <= {j}" for i in range(n)
+                     for j in range(n)
+                     if leq[i][j] and any(leq[j][k] and not leq[i][k] for k in range(n))]
+            assert poset_violations(n, up) == want, up
 
 
 class TestShapeLabel:

@@ -337,7 +337,7 @@ class TestWitnessRevalidation:
         """Without its preconditions the modified rule needs no freeness
         scan, so a cap that only those scans overrun does not stop it."""
         D = powerset_doctrine((2, 3), cap=512)
-        with pytest.raises(CapExceeded, match="^729 morphisms exceed cap 512$"):
+        with pytest.raises(CapExceeded, match=r"^729 maps B -> B\*B; cap 512$"):
             check_modified_markov(D)
         rep = check_modified_markov(D, mode="diagnostic")
         assert rep.passed and rep.instances == 4053
@@ -687,7 +687,7 @@ class TestPointEngine:
         not, while the 27 maps C -> 1*C do: the rule stops at the wide
         pair as the scan does, though its table is the one-point pair's."""
         D = powerset_doctrine((3,), cap=600)
-        with pytest.raises(CapExceeded, match="^729 morphisms exceed cap 600$"):
+        with pytest.raises(CapExceeded, match=r"^729 maps A -> A\*A; cap 600$"):
             check_rule_of_choice(D, mode=mode)
 
     def test_a_quantifier_wrong_at_one_point_is_listed_at_every_point(self):
