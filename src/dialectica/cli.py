@@ -116,8 +116,11 @@ def _find_object(D, name: str):
 # Formula subcommands
 
 
-def _render(phi, latex: bool) -> str:
-    return formula_to_latex(phi) if latex else formula_to_text(phi)
+def _render(phi, latex: bool, memo: dict) -> str:
+    """`memo` is the op's one render memo: the translated formula repeats
+    the matrix and the chain's steps repeat its two matrices, so each
+    shared node is rendered once per op."""
+    return formula_to_latex(phi, 0, memo) if latex else formula_to_text(phi, 0, memo)
 
 
 def cmd_translate(args):
@@ -125,15 +128,16 @@ def cmd_translate(args):
     phi = parse_formula(args.formula, sig)
     form = translate(phi, sig)
     latex = args.format == "latex"
+    memo: dict = {}
     payload = {
         "command": "translate",
-        "input": _render(phi, latex),
-        "witnesses": [{"name": v.name, "sort": sort_to_text(v.sort)}
+        "input": _render(phi, latex, memo),
+        "witnesses": [{"name": v.name, "sort": sort_to_text(v.sort, 0, memo)}
                       for v in form.witnesses],
-        "counters": [{"name": v.name, "sort": sort_to_text(v.sort)}
+        "counters": [{"name": v.name, "sort": sort_to_text(v.sort, 0, memo)}
                      for v in form.counters],
-        "matrix": _render(form.matrix, latex),
-        "formula": _render(form.as_formula(), latex),
+        "matrix": _render(form.matrix, latex, memo),
+        "formula": _render(form.as_formula(), latex, memo),
     }
     lines = [payload["formula"]]
     return 0, payload, lines
@@ -148,13 +152,14 @@ def cmd_chain(args):
     psi_d = translate(phi.left, sig)
     phi_d = translate(phi.right, sig)
     steps = implication_chain(psi_d, phi_d)
+    memo: dict = {}
     payload = {
         "command": "chain",
-        "input": _render(phi, latex),
+        "input": _render(phi, latex, memo),
         "steps": [
             {"index": s.index,
              "justification": list(s.justification),
-             "formula": _render(s.formula, latex)}
+             "formula": _render(s.formula, latex, memo)}
             for s in steps
         ],
     }

@@ -145,42 +145,56 @@ def _match_sorts(expected, args, sort_of) -> None:
 
 
 def term_to_text(t: Term, prec: int = 0) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, App):
-        if not t.args:
-            return t.func
-        return f"{t.func}({', '.join(term_to_text(a) for a in t.args)})"
-    if isinstance(t, Pair):
-        return f"<{', '.join(term_to_text(i) for i in t.items)}>"
-    if isinstance(t, Ev):
-        body = f"{term_to_text(t.fn, 1)} @ {term_to_text(t.arg, 2)}"
-        return f"({body})" if prec >= 2 else body
-    raise TypeError(f"not a term: {t!r}")
+    return _text_term(t, prec, {})
 
 
-def free_term_vars(t: Term) -> frozenset[Var]:
+def free_term_vars(t: Term, memo: dict | None = None) -> frozenset[Var]:
+    """The variables of `t`; `memo` is as for `subst_term`, so a shared
+    subterm is walked once."""
     if isinstance(t, Var):
         return frozenset((t,))
+    if memo is None:
+        memo = {}
+    hit = memo.get(id(t))
+    if hit is not None:
+        return hit[1]
     if isinstance(t, App):
-        return frozenset().union(*(free_term_vars(a) for a in t.args)) if t.args else frozenset()
-    if isinstance(t, Pair):
-        return frozenset().union(*(free_term_vars(i) for i in t.items))
-    if isinstance(t, Ev):
-        return free_term_vars(t.fn) | free_term_vars(t.arg)
-    raise TypeError(f"not a term: {t!r}")
+        out = frozenset().union(*[free_term_vars(a, memo) for a in t.args])
+    elif isinstance(t, Pair):
+        out = frozenset().union(*[free_term_vars(i, memo) for i in t.items])
+    elif isinstance(t, Ev):
+        out = free_term_vars(t.fn, memo) | free_term_vars(t.arg, memo)
+    else:
+        raise TypeError(f"not a term: {t!r}")
+    memo[id(t)] = (t, out)
+    return out
 
 
-def subst_term(t: Term, mapping: dict[Var, Term]) -> Term:
+def subst_term(t: Term, mapping: dict[Var, Term], memo: dict | None = None) -> Term:
+    """`t` with each variable in `mapping` replaced by its image.  `memo`
+    maps the id() of each compound subterm already substituted under this
+    mapping to (subterm, result), so a subterm shared by several positions
+    is substituted once and every position gets the same result object;
+    the entry keeps its key alive, so no id is reused while it stands."""
     if isinstance(t, Var):
         return mapping.get(t, t)
+    if isinstance(t, App) and not t.args:
+        return t
+    if memo is None:
+        memo = {}
+    hit = memo.get(id(t))
+    if hit is not None:
+        return hit[1]
     if isinstance(t, App):
-        return App(t.func, tuple(subst_term(a, mapping) for a in t.args), t.sort)
-    if isinstance(t, Pair):
-        return Pair(tuple(subst_term(i, mapping) for i in t.items))
-    if isinstance(t, Ev):
-        return Ev(subst_term(t.fn, mapping), subst_term(t.arg, mapping))
-    raise TypeError(f"not a term: {t!r}")
+        out = App(t.func, tuple([subst_term(a, mapping, memo) for a in t.args]), t.sort)
+    elif isinstance(t, Pair):
+        out = Pair(tuple([subst_term(i, mapping, memo) for i in t.items]))
+    elif isinstance(t, Ev):
+        out = Ev(subst_term(t.fn, mapping, memo), subst_term(t.arg, mapping, memo))
+    else:
+        raise TypeError(f"not a term: {t!r}")
+    memo[id(t)] = (t, out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -245,18 +259,21 @@ def is_negation(phi: Formula) -> bool:
     return isinstance(phi, Implies) and isinstance(phi.right, Bottom)
 
 
-def free_vars(phi: Formula) -> frozenset[Var]:
+def free_vars(phi: Formula, memo: dict | None = None) -> frozenset[Var]:
+    """The free variables of phi; `memo` is `free_term_vars`'s, one per call."""
+    if isinstance(phi, (Top, Bottom)):
+        return frozenset()
+    if memo is None:
+        memo = {}
     if isinstance(phi, Atom):
         out: frozenset[Var] = frozenset()
         for a in phi.args:
-            out |= free_term_vars(a)
+            out |= free_term_vars(a, memo)
         return out
-    if isinstance(phi, (Top, Bottom)):
-        return frozenset()
     if isinstance(phi, (And, Or, Implies)):
-        return free_vars(phi.left) | free_vars(phi.right)
+        return free_vars(phi.left, memo) | free_vars(phi.right, memo)
     if isinstance(phi, (Exists, Forall)):
-        return free_vars(phi.body) - {phi.var}
+        return free_vars(phi.body, memo) - {phi.var}
     raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -267,28 +284,34 @@ def _fresh_name(base: str, avoid: set[str]) -> str:
     return name
 
 
-def substitute_many(phi: Formula, mapping: dict[Var, Term]) -> Formula:
-    """Simultaneous capture-avoiding substitution."""
-    if not mapping:
+def substitute_many(phi: Formula, mapping: dict[Var, Term], memo: dict | None = None) -> Formula:
+    """Simultaneous capture-avoiding substitution.  `memo` is `subst_term`'s,
+    shared by every term under the same mapping; a binder that changes the
+    mapping starts its own."""
+    if not mapping or isinstance(phi, (Top, Bottom)):
         return phi
+    if memo is None:
+        memo = {}
     if isinstance(phi, Atom):
-        return Atom(phi.pred, tuple(subst_term(a, mapping) for a in phi.args))
-    if isinstance(phi, (Top, Bottom)):
-        return phi
+        return Atom(phi.pred, tuple([subst_term(a, mapping, memo) for a in phi.args]))
     if isinstance(phi, (And, Or, Implies)):
-        return type(phi)(substitute_many(phi.left, mapping), substitute_many(phi.right, mapping))
+        return type(phi)(substitute_many(phi.left, mapping, memo),
+                         substitute_many(phi.right, mapping, memo))
     if isinstance(phi, (Exists, Forall)):
         v, body = phi.var, phi.body
-        live = {k: t for k, t in mapping.items() if k != v and k in free_vars(body)}
+        free = free_vars(body)
+        live = {k: t for k, t in mapping.items() if k != v and k in free}
         if not live:
             return type(phi)(v, body)
+        if len(live) < len(mapping):
+            memo = {}
         incoming = {fv.name for t in live.values() for fv in free_term_vars(t)}
         if v.name in incoming:
-            avoid = incoming | {fv.name for fv in free_vars(body)} | {k.name for k in live}
+            avoid = incoming | {fv.name for fv in free} | {k.name for k in live}
             nv = Var(_fresh_name(v.name, avoid), v.sort)
             body = substitute_many(body, {v: nv})
             v = nv
-        return type(phi)(v, substitute_many(body, live))
+        return type(phi)(v, substitute_many(body, live, memo))
     raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -326,26 +349,61 @@ def classify_syntactic(phi: Formula) -> SyntacticClass:
     return SyntacticClass.QUANTIFIER_FREE
 
 
-def term_to_latex(t: Term) -> str:
+# Rendering.  Each walk below takes the memo table of its format, which
+# maps the id() of every compound term, sort and formula it has rendered to
+# (node, body, paren): the text without outer parentheses and the lowest
+# precedence that needs them.  A node shared by several positions, or by
+# several renders of one op, is rendered once.  The entry keeps its node
+# alive, so no id is reused while the table stands.
+
+_NEVER = 9  # above every precedence: the node never takes parentheses
+
+
+def _text_term(t: Term, prec: int, table: dict) -> str:
     if isinstance(t, Var):
         return t.name
-    if isinstance(t, App):
-        if not t.args:
-            return t.func
-        return f"{t.func}({', '.join(term_to_latex(a) for a in t.args)})"
-    if isinstance(t, Pair):
-        return f"({', '.join(term_to_latex(i) for i in t.items)})"
-    if isinstance(t, Ev):
-        if isinstance(t.arg, Pair):
-            return f"{term_to_latex(t.fn)}({', '.join(term_to_latex(i) for i in t.arg.items)})"
-        return f"{term_to_latex(t.fn)}({term_to_latex(t.arg)})"
-    raise TypeError(f"not a term: {t!r}")
+    hit = table.get(id(t))
+    if hit is None:
+        if isinstance(t, App):
+            if not t.args:
+                return t.func
+            hit = (t, f"{t.func}({', '.join([_text_term(a, 0, table) for a in t.args])})", _NEVER)
+        elif isinstance(t, Pair):
+            hit = (t, f"<{', '.join([_text_term(i, 0, table) for i in t.items])}>", _NEVER)
+        elif isinstance(t, Ev):
+            hit = (t, f"{_text_term(t.fn, 1, table)} @ {_text_term(t.arg, 2, table)}", 2)
+        else:
+            raise TypeError(f"not a term: {t!r}")
+        table[id(t)] = hit
+    return f"({hit[1]})" if prec >= hit[2] else hit[1]
+
+
+def _latex_term(t: Term, prec: int, table: dict) -> str:
+    """LaTeX writes a tuple (s, t) and an evaluation as application, f(s, t)
+    for a tuple argument, so it never adds parentheses."""
+    if isinstance(t, Var):
+        return t.name
+    hit = table.get(id(t))
+    if hit is None:
+        if isinstance(t, App):
+            if not t.args:
+                return t.func
+            text = f"{t.func}({', '.join([_latex_term(a, 0, table) for a in t.args])})"
+        elif isinstance(t, Pair):
+            text = f"({', '.join([_latex_term(i, 0, table) for i in t.items])})"
+        elif isinstance(t, Ev):
+            arg = _latex_term(t.arg, 0, table)
+            text = f"{_latex_term(t.fn, 0, table)}{arg if isinstance(t.arg, Pair) else f'({arg})'}"
+        else:
+            raise TypeError(f"not a term: {t!r}")
+        hit = table[id(t)] = (t, text, _NEVER)
+    return hit[1]
 
 
 class _Notation(NamedTuple):
     """The symbols of one output format."""
 
-    term: Callable[[Term], str]
+    term: Callable[[Term, int, dict], str]
     true: str
     false: str
     neg: str
@@ -365,67 +423,86 @@ def _renderers(notation: _Notation):
     -> and the quantifiers 1, | 2, & 3, ~ 4, atoms 5."""
     term, true, false, neg, imp, vee, wedge, exists, forall, colon, dot, times, to = notation
 
-    def sort(s: Sort, prec: int) -> str:
+    def sort(s: Sort, prec: int, table: dict) -> str:
         if isinstance(s, BaseSort):
             return s.name
-        if isinstance(s, ProdSort):
-            if not s.factors:
-                return "1"
-            body = times.join(sort(f, 2) for f in s.factors)
-            return f"({body})" if prec >= 2 else body
-        if isinstance(s, FunSort):
-            body = f"{sort(s.dom, 1)}{to}{sort(s.cod, 0)}"
-            return f"({body})" if prec >= 1 else body
-        raise TypeError(f"not a sort: {s!r}")
+        hit = table.get(id(s))
+        if hit is None:
+            if isinstance(s, ProdSort):
+                if not s.factors:
+                    return "1"
+                hit = (s, times.join([sort(f, 2, table) for f in s.factors]), 2)
+            elif isinstance(s, FunSort):
+                hit = (s, f"{sort(s.dom, 1, table)}{to}{sort(s.cod, 0, table)}", 1)
+            else:
+                raise TypeError(f"not a sort: {s!r}")
+            table[id(s)] = hit
+        return f"({hit[1]})" if prec >= hit[2] else hit[1]
 
-    def formula(phi: Formula, prec: int) -> str:
+    def formula(phi: Formula, prec: int, table: dict) -> str:
         if isinstance(phi, Atom):
             if not phi.args:
                 return phi.pred
-            return f"{phi.pred}({', '.join(term(a) for a in phi.args)})"
+            return f"{phi.pred}({', '.join([term(a, 0, table) for a in phi.args])})"
         if isinstance(phi, Top):
             return true
         if isinstance(phi, Bottom):
             return false
-        if is_negation(phi):
-            return neg + formula(phi.left, 4)
-        if isinstance(phi, Implies):
-            body = f"{formula(phi.left, 2)}{imp}{formula(phi.right, 1)}"
-            return f"({body})" if prec >= 2 else body
-        if isinstance(phi, Or):
-            body = f"{formula(phi.left, 2)}{vee}{formula(phi.right, 3)}"
-            return f"({body})" if prec >= 3 else body
-        if isinstance(phi, And):
-            body = f"{formula(phi.left, 3)}{wedge}{formula(phi.right, 4)}"
-            return f"({body})" if prec >= 4 else body
-        if isinstance(phi, (Exists, Forall)):
-            kw = exists if isinstance(phi, Exists) else forall
-            body = f"{kw} {phi.var.name}{colon}{sort(phi.var.sort, 0)}{dot}{formula(phi.body, 1)}"
-            return f"({body})" if prec >= 2 else body
-        raise TypeError(f"not a formula: {phi!r}")
+        hit = table.get(id(phi))
+        if hit is None:
+            if is_negation(phi):
+                hit = (phi, neg + formula(phi.left, 4, table), _NEVER)
+            elif isinstance(phi, Implies):
+                hit = (phi, f"{formula(phi.left, 2, table)}{imp}{formula(phi.right, 1, table)}", 2)
+            elif isinstance(phi, Or):
+                hit = (phi, f"{formula(phi.left, 2, table)}{vee}{formula(phi.right, 3, table)}", 3)
+            elif isinstance(phi, And):
+                hit = (phi, f"{formula(phi.left, 3, table)}{wedge}{formula(phi.right, 4, table)}", 4)
+            elif isinstance(phi, (Exists, Forall)):
+                kw = exists if isinstance(phi, Exists) else forall
+                body = (f"{kw} {phi.var.name}{colon}{sort(phi.var.sort, 0, table)}{dot}"
+                        f"{formula(phi.body, 1, table)}")
+                hit = (phi, body, 2)
+            else:
+                raise TypeError(f"not a formula: {phi!r}")
+            table[id(phi)] = hit
+        return f"({hit[1]})" if prec >= hit[2] else hit[1]
 
     return sort, formula
 
 
 _text_sort, _text_formula = _renderers(_Notation(
-    term_to_text, "true", "false", "~", " -> ", " | ", " & ",
+    _text_term, "true", "false", "~", " -> ", " | ", " & ",
     "exists", "forall", ":", ". ", " * ", " -> "))
 _LATEX = _Notation(
-    term_to_latex, "\\top", "\\bot", "\\neg ", " \\rightarrow ", " \\vee ", " \\wedge ",
+    _latex_term, "\\top", "\\bot", "\\neg ", " \\rightarrow ", " \\vee ", " \\wedge ",
     "\\exists", "\\forall", "\\colon ", ".\\, ", " \\times ", " \\to ")
 _latex_formula = _renderers(_LATEX)[1]
 
 
-def sort_to_text(s: Sort, prec: int = 0) -> str:
-    return _text_sort(s, prec)
+def _table(memo: dict | None, key: str) -> dict:
+    """The table of format `key` in a caller's memo, made on first use; a
+    fresh table for one render without a memo.  A caller keeps one memo
+    for the renders of one op, never longer: its tables keep every node
+    they have rendered alive."""
+    if memo is None:
+        return {}
+    table = memo.get(key)
+    if table is None:
+        table = memo[key] = {}
+    return table
 
 
-def formula_to_text(phi: Formula, prec: int = 0) -> str:
-    return _text_formula(phi, prec)
+def sort_to_text(s: Sort, prec: int = 0, memo: dict | None = None) -> str:
+    return _text_sort(s, prec, _table(memo, "text"))
 
 
-def formula_to_latex(phi: Formula, prec: int = 0) -> str:
-    return _latex_formula(phi, prec)
+def formula_to_text(phi: Formula, prec: int = 0, memo: dict | None = None) -> str:
+    return _text_formula(phi, prec, _table(memo, "text"))
+
+
+def formula_to_latex(phi: Formula, prec: int = 0, memo: dict | None = None) -> str:
+    return _latex_formula(phi, prec, _table(memo, "latex"))
 
 
 # ---------------------------------------------------------------------------

@@ -566,6 +566,18 @@ class TestErrorChannels:
         assert out == ""
         assert err == "error: formula nested too deeply\n"
 
+    @pytest.mark.parametrize("fmt", ["json", "text", "latex"])
+    @pytest.mark.parametrize("verb, formula", [("translate", "~" * 900 + "q"),
+                                               ("chain", "~" * 900 + "q -> q")],
+                             ids=["translate", "chain"])
+    def test_nine_hundred_negations_exit_0(self, capsys, verb, formula, fmt):
+        """The parser takes up to 987 negations; every later walk (the
+        translation, substitution, the chain and each render) must take one
+        stack frame per nesting level, or 900 would overflow the stack."""
+        code, out, err = run(capsys, verb, "--format", fmt, "--formula", formula)
+        assert (code, err) == (0, "")
+        assert out.count("~" if fmt != "latex" else "\\neg") >= 900
+
     def test_cap_exceeded_message(self, capsys, pow_path):
         code, _, err = run(capsys, "doctrine", "free", "--doctrine", pow_path,
                            "--cap", "3")

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dialectica.fol import (
     UNIT,
@@ -40,8 +42,19 @@ from dialectica.fol import (
     term_sort,
     term_to_text,
 )
+from dialectica.transform import implication_chain, translate
 from gen import SIG, U, V, random_formula
-from syntax import alpha_canonical, alpha_equal, parse_term, sort_to_latex
+from syntax import (
+    LATEX,
+    TEXT,
+    alpha_canonical,
+    alpha_equal,
+    parse_term,
+    sort_to_latex,
+    tree_formula,
+    tree_sort,
+    tree_substitute_many,
+)
 
 
 class TestSorts:
@@ -357,3 +370,143 @@ class TestRenderings:
     def test_formulas(self, text, plain, latex):
         phi = parse_formula(text, SIG)
         assert (formula_to_text(phi), formula_to_latex(phi)) == (plain, latex)
+
+
+# ---------------------------------------------------------------------------
+# Shared subterms: substitution and rendering visit each distinct object once,
+# and must agree with the tree walks of `syntax`.
+
+X, Y, Z, G = Var("x", U), Var("y", U), Var("z", V), Var("g", FunSort(ProdSort((U, V)), U))
+# Term objects planted at several positions.  x is free in both, so a binder
+# on x above a planted copy blocks substitution into it, and substituting
+# PLANTED for z under a binder on x forces a rename.
+PLANTED = Ev(FF, App("hUU", (X,), U))
+PAIRED = Ev(G, Pair((X, Z)))
+HY = App("hUU", (Y,), U)
+MAPPINGS = [{X: HY}, {Z: PLANTED}, {X: HY, Z: PLANTED}, {X: HY, Z: CV}]
+BINDERS = [X, Y, Var("y'", U), Var("w", U), G]
+
+LEAVES = st.sampled_from([
+    Atom("q", (PLANTED,)), Atom("r", (X, PLANTED)), Atom("q", (Z,)), Atom("p", (Y,)),
+    Atom("r", (Y, Z)), Atom("p", (App("hUU", (X,), U),)), Atom("p", (PAIRED,)),
+    Atom("r", (PAIRED, PLANTED)), Atom("s0"), Top(), Bottom()])
+FORMULAS = st.recursive(LEAVES, lambda sub: st.one_of(
+    st.builds(And, sub, sub), st.builds(Or, sub, sub), st.builds(Implies, sub, sub),
+    st.builds(Not, sub),
+    st.builds(Exists, st.sampled_from(BINDERS), sub),
+    st.builds(Forall, st.sampled_from(BINDERS), sub)), max_leaves=12)
+
+PLANTED_SORT = FunSort(ProdSort((U, V)), U)
+SORTS = st.recursive(st.sampled_from([U, V, UNIT, PLANTED_SORT]), lambda sub: st.one_of(
+    st.builds(FunSort, sub, sub),
+    st.lists(sub, min_size=2, max_size=3).map(lambda fs: ProdSort(tuple(fs)))), max_leaves=8)
+
+SHARING = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+
+
+def subformulas(phi):
+    yield phi
+    if isinstance(phi, (And, Or, Implies)):
+        yield from subformulas(phi.left)
+        yield from subformulas(phi.right)
+    elif isinstance(phi, (Exists, Forall)):
+        yield from subformulas(phi.body)
+
+
+def subterms(phi):
+    """Every term at every position of phi, nested ones included."""
+    stack = [a for f in subformulas(phi) if isinstance(f, Atom) for a in f.args]
+    while stack:
+        t = stack.pop()
+        yield t
+        if isinstance(t, App):
+            stack += t.args
+        elif isinstance(t, Pair):
+            stack += t.items
+        elif isinstance(t, Ev):
+            stack += (t.fn, t.arg)
+
+
+class TestSharedSubterms:
+    @SHARING
+    @given(FORMULAS)
+    def test_substitution_agrees_with_the_tree_walk(self, phi):
+        for mapping in MAPPINGS:
+            assert substitute_many(phi, mapping) == tree_substitute_many(phi, mapping)
+
+    @SHARING
+    @given(FORMULAS)
+    def test_every_position_of_a_shared_term_gets_one_result(self, phi):
+        """Outside binders on x, each copy of PLANTED becomes the same object."""
+        out = substitute_many(And(And(Atom("q", (PLANTED,)), phi), Atom("r", (X, PLANTED))),
+                              MAPPINGS[0])
+        image = out.left.left.args[0]
+        assert image == Ev(FF, App("hUU", (App("hUU", (Y,), U),), U))
+        assert out.right.args[1] is image
+
+    def test_a_binder_that_drops_a_key_starts_its_own_memo(self):
+        """Under forall x the mapping loses x, so PLANTED there keeps its x,
+        though PLANTED outside was already substituted."""
+        phi = And(Atom("q", (PLANTED,)), Forall(X, And(Atom("q", (Z,)), Atom("q", (PLANTED,)))))
+        out = substitute_many(phi, MAPPINGS[3])
+        assert out == tree_substitute_many(phi, MAPPINGS[3])
+        assert out.right.body.right.args[0] == PLANTED
+
+    @SHARING
+    @given(FORMULAS)
+    def test_rendering_agrees_with_the_tree_walk(self, phi):
+        for f in [phi] + [substitute_many(phi, m) for m in MAPPINGS]:
+            assert formula_to_text(f) == tree_formula(f, TEXT)
+            assert formula_to_latex(f) == tree_formula(f, LATEX)
+
+    @SHARING
+    @given(SORTS)
+    def test_sort_rendering_agrees_with_the_tree_walk(self, s):
+        assert sort_to_text(s) == tree_sort(s, TEXT)
+        assert sort_to_latex(s) == tree_sort(s, LATEX)
+
+    @SHARING
+    @given(FORMULAS, SORTS)
+    def test_one_memo_serves_every_precedence(self, phi, s):
+        """One memo, reused across subformulas, sorts and precedences 0 and
+        2, gives what fresh renders give."""
+        memo: dict = {}
+        for prec in (0, 2, 0, 2):
+            for f in subformulas(phi):
+                assert formula_to_text(f, prec, memo) == formula_to_text(f, prec) \
+                    == tree_formula(f, TEXT, prec)
+                assert formula_to_latex(f, prec, memo) == formula_to_latex(f, prec) \
+                    == tree_formula(f, LATEX, prec)
+            assert sort_to_text(s, prec, memo) == sort_to_text(s, prec) == tree_sort(s, TEXT, prec)
+
+    def test_a_memo_keeps_what_it_rendered_alive(self):
+        """Formulas built, rendered and dropped one after another through one
+        memo: were a memo entry not to keep its node alive, a later node
+        could take a freed node's id and be given its text."""
+        memo: dict = {}
+        for k in range(200):
+            f = Forall(Var(f"v{k}", FunSort(U, V)), Atom("q", (App(f"c{k}", (), V),)))
+            assert formula_to_text(f, 0, memo) == f"forall v{k}:U -> V. q(c{k})"
+            assert sort_to_text(FunSort(BaseSort(f"S{k}"), U), 0, memo) == f"S{k} -> U"
+
+    @SHARING
+    @given(st.lists(st.sampled_from([
+        Atom("p", (X,)), Atom("q", (App("fUV", (X,), V),)), Atom("r", (App("hUU", (X,), U), CV)),
+        Atom("r", (Var("a", U), App("fUV", (X,), V)))]), min_size=2, max_size=5))
+    def test_a_witness_tuple_is_one_object_after_renaming(self, atoms):
+        """The counter x of the premise becomes X(u, y) at each occurrence:
+        one tuple object, and one application, in the renamed matrix and in
+        the chain's last step."""
+        body = atoms[0]
+        for a in atoms[1:]:
+            body = And(body, a)
+        premise = Exists(Var("a", U), Forall(X, body))
+        conclusion = Forall(Y, Atom("p", (Y,)))
+        form = translate(Implies(premise, conclusion))
+        final = implication_chain(translate(premise), translate(conclusion))[-1].formula
+        for matrix in (form.matrix, final):
+            pairs = [t for t in subterms(matrix) if isinstance(t, Pair)]
+            evs = [t for t in subterms(matrix) if isinstance(t, Ev)]
+            assert len(pairs) == len(evs) == len(atoms)
+            assert all(t is pairs[0] for t in pairs)
+            assert all(t is evs[0] for t in evs)
