@@ -350,11 +350,13 @@ def classify_syntactic(phi: Formula) -> SyntacticClass:
 
 
 # Rendering.  Each walk below takes the memo table of its format, which
-# maps the id() of every compound term, sort and formula it has rendered to
-# (node, body, paren): the text without outer parentheses and the lowest
-# precedence that needs them.  A node shared by several positions, or by
-# several renders of one op, is rendered once.  The entry keeps its node
-# alive, so no id is reused while the table stands.
+# maps the id() of every compound term, compound sort and connective or
+# quantifier node it has rendered to (node, body, paren): the text without
+# outer parentheses and the lowest precedence that needs them.  A node
+# shared by several positions, or by several renders of one op, is
+# rendered once.  The entry keeps its node alive, so no id is reused while
+# the table stands.  Atoms and constants take no entry of their own: an
+# atom's compound arguments have theirs, and a constant is its name.
 
 _NEVER = 9  # above every precedence: the node never takes parentheses
 

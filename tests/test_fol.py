@@ -396,8 +396,7 @@ FORMULAS = st.recursive(LEAVES, lambda sub: st.one_of(
     st.builds(Exists, st.sampled_from(BINDERS), sub),
     st.builds(Forall, st.sampled_from(BINDERS), sub)), max_leaves=12)
 
-PLANTED_SORT = FunSort(ProdSort((U, V)), U)
-SORTS = st.recursive(st.sampled_from([U, V, UNIT, PLANTED_SORT]), lambda sub: st.one_of(
+SORTS = st.recursive(st.sampled_from([U, V, UNIT, G.sort]), lambda sub: st.one_of(
     st.builds(FunSort, sub, sub),
     st.lists(sub, min_size=2, max_size=3).map(lambda fs: ProdSort(tuple(fs)))), max_leaves=8)
 
