@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 
@@ -126,7 +127,7 @@ def _render(phi, latex: bool, memo: dict) -> str:
 def cmd_translate(args):
     sig = _load_signature(args.sig)
     phi = parse_formula(args.formula, sig)
-    form = translate(phi, sig)
+    form = translate(phi)
     latex = args.format == "latex"
     memo: dict = {}
     payload = {
@@ -149,8 +150,8 @@ def cmd_chain(args):
     if not isinstance(phi, Implies):
         raise CliError("chain needs an implication at the top level")
     latex = args.format == "latex"
-    psi_d = translate(phi.left, sig)
-    phi_d = translate(phi.right, sig)
+    psi_d = translate(phi.left)
+    phi_d = translate(phi.right)
     steps = implication_chain(psi_d, phi_d)
     memo: dict = {}
     payload = {
@@ -584,10 +585,9 @@ def cmd_examples(args):
         D = kripke_doctrine(_parse_frame(args.frame), sizes)
     payload = doctrine_to_json(D)
     if args.out:
-        text = json.dumps(payload, indent=2) + "\n"
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                _write_json(fh, payload)
         except OSError as exc:
             raise CliError(f"cannot write {args.out}: {exc.strerror or exc}") from None
         return 0, None, [f"wrote {D.name} to {args.out}"]
@@ -712,13 +712,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Encoder chunks joined into one write.  A report is written a block at a
+# time, so no string of the whole report is ever built; a chunk averages
+# about seven characters, so a block is a few kilobytes.
+JSON_BLOCK = 1024
+
+
+def _write_json(fh, payload) -> None:
+    """Write the bytes of ``json.dumps(payload, indent=2) + "\\n"`` to
+    ``fh``, one block of encoder chunks per write.  The encoder never
+    yields an empty chunk, so an empty block means the payload is done."""
+    chunks = json.JSONEncoder(indent=2).iterencode(payload)
+    while block := "".join(itertools.islice(chunks, JSON_BLOCK)):
+        fh.write(block)
+    fh.write("\n")
+
+
 def _emit(code: int, payload, lines, fmt: str) -> int:
     try:
         if fmt == "text":
             for line in lines:
                 sys.stdout.write(line + "\n")
         elif payload is not None:
-            sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+            _write_json(sys.stdout, payload)
         sys.stdout.flush()
     except BrokenPipeError:
         sys.stderr.close()

@@ -68,6 +68,9 @@ class RuleReport:
         return self.verdict == "pass"
 
     def to_json(self) -> dict:
+        """The report as a JSON object.  Its witness and violation entries
+        are the report's own dicts, not copies: a report's listing can be
+        most of its size, so two copies of it would double the peak."""
         return {
             "rule": self.rule,
             "doctrine": self.doctrine,
@@ -77,8 +80,8 @@ class RuleReport:
             "instances": self.instances,
             "vacuous": self.vacuous,
             "skipped": self.skipped,
-            "witnesses": [dict(w) for w in self.witnesses],
-            "violations": [dict(v) for v in self.violations],
+            "witnesses": list(self.witnesses),
+            "violations": list(self.violations),
             "hypothesis": self.hypothesis,
             "notes": list(self.notes),
         }
