@@ -20,6 +20,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 
 from .dial import (
@@ -737,6 +738,11 @@ def _emit(code: int, payload, lines, fmt: str) -> int:
             _write_json(sys.stdout, payload)
         sys.stdout.flush()
     except BrokenPipeError:
+        # The reader has gone.  Whatever stdout still buffers would fail
+        # again in the flush at exit, so it goes to the null device.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         sys.stderr.close()
     return code
 

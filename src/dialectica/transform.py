@@ -27,14 +27,12 @@ from .fol import (
     Not,
     Or,
     Pair,
-    Signature,
     Sort,
     SyntacticClass,
     Term,
     Top,
     Var,
     _fresh_name,
-    check_formula,
     classify_syntactic,
     free_vars,
     prod_sort,
@@ -143,10 +141,8 @@ def _rename(blocks, formula: Formula, taken: set[str]) -> tuple[list, Formula]:
     return out, substitute_many(formula, sub)
 
 
-def translate(phi: Formula, sig: Signature | None = None) -> DialecticaForm:
+def translate(phi: Formula) -> DialecticaForm:
     """Goedel's Dialectica interpretation: phi maps to exists u. forall x. phi_D."""
-    if sig is not None:
-        check_formula(phi, sig)
     u, x, mat = _Translator().run(phi)
     (w, c), m = _rename((("u", u), ("x", x)), mat, {v.name for v in free_vars(phi)})
     return DialecticaForm(tuple(w), tuple(c), m)

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -459,16 +460,24 @@ class TestJsonWriter:
         payload = doctrine_to_json(kripke_doctrine(antichain_poset(2), (2, 2)))
         assert target.read_text(encoding="utf-8") == json.dumps(payload, indent=2) + "\n"
 
-    def test_a_reader_that_closes_early(self, pow_path):
+    @pytest.mark.parametrize("wait", [0.0, 0.5])
+    def test_a_reader_that_closes_early(self, pow_path, wait):
         """The report is far larger than a pipe's buffer, so the write
-        meets the closed pipe: the command still exits 0 and says nothing."""
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        meets the closed pipe: the command still exits 0 and says nothing.
+        After ``wait`` seconds the child has filled the pipe and blocks in
+        a write, which the close cuts short; stdout is block-buffered, as
+        it is by default, so the unwritten rest of that write stays in the
+        buffer and would fail again in the flush at exit (status 120)."""
+        env = {key: value for key, value in os.environ.items()
+               if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
         with subprocess.Popen(
                 [sys.executable, "-m", "dialectica.cli", *self.CERTIFY,
                  "--doctrine", pow_path],
                 stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                 env=env) as proc:
             head = proc.stdout.read(100)
+            time.sleep(wait)
             proc.stdout.close()
             err = proc.stderr.read()
             code = proc.wait()

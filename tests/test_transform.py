@@ -144,14 +144,16 @@ class TestClauses:
         rng = random.Random(424)
         for _ in range(150):
             f = random_formula(rng)
-            d = translate(f, SIG)
+            check_formula(f, SIG)
+            d = translate(f)
             assert classify_syntactic(d.matrix) == SyntacticClass.QUANTIFIER_FREE
 
     def test_output_well_sorted_corpus(self):
         rng = random.Random(425)
         for _ in range(100):
             f = random_formula(rng)
-            d = translate(f, SIG)
+            check_formula(f, SIG)
+            d = translate(f)
             check_formula(d.as_formula(), SIG)
 
     def test_free_variables_preserved(self):
