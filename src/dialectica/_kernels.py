@@ -64,6 +64,45 @@ def imp_mask(a: int, b: int, ne: int, nw: int, upmasks) -> int:
     return out
 
 
+def uppers(ps, full: int):
+    """x -> the bitmask of the j with ``x & ~ps[j] == 0``: the entries of
+    ``ps`` that lie above x in the mask order.
+
+    Bit-sliced: one mask of the j per carrier bit that ``ps[j]`` lacks,
+    so x misses exactly the j of the slices over x's set bits.  Masks
+    with bits outside ``full`` are compared as they are.
+    """
+    width = full
+    for p in ps:
+        width |= p
+    every = (1 << len(ps)) - 1
+    lacks = {}
+    for k in range(width.bit_length()):
+        bit = 1 << k
+        lacks[bit] = sum(1 << j for j, p in enumerate(ps) if not p & bit)
+
+    def up(x: int) -> int:
+        if x & ~width:
+            return 0
+        out = 0
+        while x:
+            low = x & -x
+            out |= lacks[low]
+            x ^= low
+        return every & ~out
+    return up
+
+
+def lowers(ps, full: int):
+    """x -> the bitmask of the j with ``ps[j] & ~x == 0``: `uppers` on
+    the complements within ``full`` and every bit of ``ps``."""
+    width = full
+    for p in ps:
+        width |= p
+    up = uppers([width & ~p for p in ps], width)
+    return lambda x: up(width & ~x)
+
+
 def exists_gap_g(alpha: int, beta: int, na: int, nb: int, nw: int):
     """Find g: A -> B with alpha(a) <= beta(a, g(a)) pointwise, or None.
     ``beta`` lives over A x B with pair index ``a * nb + b``."""

@@ -183,6 +183,14 @@ class MaskFibre:
     def leq(self, a: int, b: int) -> bool:
         return a & ~b == 0
 
+    def uppers(self, ps):
+        """x -> the bitmask of the j with ``leq(x, ps[j])``."""
+        return K.uppers(ps, self.full)
+
+    def lowers(self, ps):
+        """x -> the bitmask of the j with ``leq(ps[j], x)``."""
+        return K.lowers(ps, self.full)
+
     def top(self) -> int:
         return self.full
 
@@ -263,6 +271,20 @@ class PosetFibre:
 
     def leq(self, a: int, b: int) -> bool:
         return bool((self.up[a] >> b) & 1)
+
+    def uppers(self, ps):
+        """x -> the bitmask of the j with ``leq(x, ps[j])``: x lies below
+        ps[j] exactly when ps[j]'s up-set lies inside x's."""
+        up = self.up
+        below = K.lowers([up[p] for p in ps], (1 << len(up)) - 1)
+        return lambda x: below(up[x])
+
+    def lowers(self, ps):
+        """x -> the bitmask of the j with ``leq(ps[j], x)``: x's up-set
+        lies inside ps[j]'s."""
+        up = self.up
+        above = K.uppers([up[p] for p in ps], (1 << len(up)) - 1)
+        return lambda x: above(up[x])
 
     def _need(self):
         if self.heyting is None:
@@ -731,11 +753,17 @@ def adjoint_along(D, f: FinMor, direction: str):
     every codomain predicate pulled back along f, once per map; in a
     poset the law fixes the value.  Values and pullbacks are read through
     `D.along`, shared with every other audit over D, so each is asked of
-    D once per table key and predicate.  A passing verdict is kept in
-    ``D._passed`` per direction and table key, so it is decided once per
-    index table; a failure is decided afresh for each map.  Returns an
-    AdjointWitness, or an AdjointFailure naming the first predicate
-    without a value, else the first that breaks the law.
+    D once per table key and predicate.  The law is decided on order
+    sets, one domain predicate at a time: for "exists", the codomain
+    predicates above its value (`uppers`) must be those whose pullback
+    lies above it, and dually for "forall" (`lowers`).  The lowest bit
+    where the two sets differ is the first codomain predicate that
+    breaks the law.  A passing verdict is kept in ``D._passed`` per
+    direction and table key, so it is decided once per index table; a
+    failure is decided afresh for each map.  Returns an AdjointWitness,
+    which counts every (domain, codomain) predicate pair, or an
+    AdjointFailure naming the first predicate without a value, else the
+    first that breaks the law and the codomain predicate it breaks on.
     """
     if direction not in ("exists", "forall"):
         raise ValueError("direction must be 'exists' or 'forall'")
@@ -750,30 +778,33 @@ def adjoint_along(D, f: FinMor, direction: str):
         cod_els = cod_fib.elements()
         pull = D.along("reindex", f)
         # an empty domain fibre reads no reindexing table
-        pulled = [(b, pull(b)) for b in cod_els] if dom_els else []
+        pulled = [pull(b) for b in cod_els] if dom_els else []
     except DoctrineDataError as exc:
         return AdjointFailure(direction, key, None, str(exc))
     along = D.along(direction, f)
-    value = {}
+    values = []
     for alpha in dom_els:
         try:
-            value[alpha] = along(alpha)
+            values.append(along(alpha))
         except AdjointMissing:
             return AdjointFailure(direction, key, alpha,
                                   f"no {direction} value for {dom_fib.describe(alpha)}")
-    pairs = 0
-    for alpha in dom_els:
-        v = value[alpha]
-        for b, pb in pulled:
-            pairs += 1
-            if direction == "exists":
-                law = cod_fib.leq(v, b) == dom_fib.leq(alpha, pb)
-            else:
-                law = cod_fib.leq(b, v) == dom_fib.leq(pb, alpha)
-            if not law:
-                return AdjointFailure(direction, key, alpha,
-                                      f"adjunction law fails against {cod_fib.describe(b)}")
+    if direction == "exists":
+        lhs, rhs = cod_fib.uppers(cod_els), dom_fib.uppers(pulled)
+    else:
+        lhs, rhs = cod_fib.lowers(cod_els), dom_fib.lowers(pulled)
+    sides = {}  # value -> its codomain order set; values repeat
+    for alpha, v in zip(dom_els, values):
+        side = sides.get(v)
+        if side is None:
+            side = sides[v] = lhs(v)
+        bad = side ^ rhs(alpha)
+        if bad:
+            b = cod_els[(bad & -bad).bit_length() - 1]
+            return AdjointFailure(direction, key, alpha,
+                                  f"adjunction law fails against {cod_fib.describe(b)}")
     # The law on every pair between two partial orders makes the value monotone.
+    pairs = len(dom_els) * len(cod_els)
     D._passed[verdict] = (pairs,)
     return AdjointWitness(direction, key, pairs)
 
@@ -811,7 +842,9 @@ def check_doctrine(D) -> DoctrineReport:
     lattice operations.  Each fibre's order is a partial order by
     construction (mask inclusion, or a recorded order checked at load),
     so it is not audited.  Large fibres are sampled deterministically;
-    every shortcut is recorded in the notes.
+    every shortcut is recorded in the notes.  The lattice laws are
+    decided per pair of predicates on bitmasks over the sampled third
+    (`_check_heyting`), not by one `leq` per triple.
     Pullbacks are read through `D.along`, which the quantifier audits
     over D share, and passing reindexing laws are decided once per index
     table (`_check_reindex`).
@@ -839,6 +872,14 @@ def check_doctrine(D) -> DoctrineReport:
 
 
 def _check_heyting(fib, obj, els, violations, notes, counts):
+    """Top, bottom, and the lattice laws with residuation on sampled
+    triples (a, b, c).  Per (a, b), the c that break each law are one
+    bitmask over the triple sample, from the fibre's order sets (`uppers`,
+    `lowers`): meet(a, b) is greatest where no c below a and b lies
+    outside it, join(a, b) least where no c above both lies outside it,
+    and residuation holds where meet(a, b) <= c exactly when
+    a <= imp(b, c).  Violations are listed per (a, b) in c order, as a
+    scan of every triple lists them."""
     sample = _sample(els, ORDER_SAMPLE)
     try:
         top, bot = fib.top(), fib.bottom()
@@ -853,9 +894,14 @@ def _check_heyting(fib, obj, els, violations, notes, counts):
     tri = _sample(els, TRIPLE_SAMPLE)
     if len(tri) < len(els):
         notes.append(f"lattice laws over {obj.name} sampled at {len(tri)}/{len(els)}")
-    imp = {(b, c): fib.imp(b, c) for b in tri for c in tri}
-    for a in tri:
-        for b in tri:
+    up, down = fib.uppers(tri), fib.lowers(tri)
+    ups = [up(a) for a in tri]
+    downs = [down(a) for a in tri]
+    # bit c of below_imp[b](a): a <= imp(b, c)
+    below_imp = [fib.uppers([fib.imp(b, c) for c in tri]) for b in tri]
+    counts["triples"] += len(tri) ** 3
+    for ia, a in enumerate(tri):
+        for ib, b in enumerate(tri):
             m = fib.meet(a, b)
             if not (fib.leq(m, a) and fib.leq(m, b)):
                 violations.append(
@@ -864,15 +910,21 @@ def _check_heyting(fib, obj, els, violations, notes, counts):
             if not (fib.leq(a, j) and fib.leq(b, j)):
                 violations.append(
                     f"{obj.name}: join({fib.describe(a)}, {fib.describe(b)}) is not an upper bound")
-            for c in tri:
-                counts["triples"] += 1
-                if fib.leq(c, a) and fib.leq(c, b) and not fib.leq(c, m):
+            greatest = downs[ia] & downs[ib] & ~down(m)
+            least = ups[ia] & ups[ib] & ~up(j)
+            residuation = up(m) ^ below_imp[ib](a)
+            bad = greatest | least | residuation
+            while bad:
+                low = bad & -bad
+                bad ^= low
+                if greatest & low:
                     violations.append(
                         f"{obj.name}: meet({fib.describe(a)}, {fib.describe(b)}) is not greatest")
-                if fib.leq(a, c) and fib.leq(b, c) and not fib.leq(j, c):
+                if least & low:
                     violations.append(
                         f"{obj.name}: join({fib.describe(a)}, {fib.describe(b)}) is not least")
-                if fib.leq(m, c) != fib.leq(a, imp[b, c]):
+                if residuation & low:
+                    c = tri[low.bit_length() - 1]
                     violations.append(
                         f"{obj.name}: residuation fails on {fib.describe(a)}, "
                         f"{fib.describe(b)}, {fib.describe(c)}")
@@ -882,13 +934,14 @@ def _check_reindex(D, fibre_els, violations, notes, counts):
     """Functoriality, monotonicity and preservation of the lattice
     operations by reindexing.  Pullbacks are read through `D.along`, so
     each is asked of D once per table key and predicate; the codomain's
-    meet, join and implication are taken once per sampled pair for all
-    maps A -> B.  A map's laws that pass are kept in ``D._passed`` per
-    table key, and a composite's per pair of table keys, so each is
-    decided once per index table; a failing map or composite is scanned
-    in full each time, and names its own maps.  A composite's verdict
-    says whether its sample was every predicate (see `_functorial`).  A
-    composite with no recorded table is noted and not counted."""
+    order pairs, meet, join and implication are taken once per sampled
+    pair for all maps into it.  A map's laws that pass are kept in
+    ``D._passed`` per table key, and a composite's per pair of table
+    keys, so each is decided once per index table; a failing map or
+    composite is scanned in full each time, and names its own maps.  A
+    composite's verdict says whether its sample was every predicate (see
+    `_functorial`).  A composite with no recorded table is noted and not
+    counted."""
     for obj, els in fibre_els.items():
         pull = D.along("reindex", identity(obj))
         sample = _sample(els, PAIR_SAMPLE)
@@ -907,15 +960,17 @@ def _check_reindex(D, fibre_els, violations, notes, counts):
             if a in fibre_els and b in fibre_els:
                 mors[(a, b)] = found = D.morphisms(a, b)
                 counts["morphisms"] += len(found)
+    per_cod = {}
     for (a, b), fs in mors.items():
         fib_a = D.fibre(a)
         fib_b = D.fibre(b)
-        sampled = _sample_pairs(fibre_els[b], PAIR_SAMPLE)
-        pairs = [(x, y) for x, y in sampled if fib_b.leq(x, y)]
+        if b not in per_cod:
+            sampled = _sample_pairs(fibre_els[b], PAIR_SAMPLE)
+            per_cod[b] = ([(x, y) for x, y in sampled if fib_b.leq(x, y)],
+                          [(x, y, fib_b.meet(x, y), fib_b.join(x, y), fib_b.imp(x, y))
+                           for x, y in sampled] if fib_b.has_heyting else None)
+        pairs, ops = per_cod[b]
         lattice = fib_a.has_heyting and fib_b.has_heyting
-        if lattice:
-            ops = [(x, y, fib_b.meet(x, y), fib_b.join(x, y), fib_b.imp(x, y))
-                   for x, y in sampled]
         for f in fs:
             verdict = ("reindex", D._table_key(f))
             if verdict in D._passed:

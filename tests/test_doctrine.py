@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import random
@@ -14,6 +15,7 @@ from dialectica.doctrine import (
     Doctrine,
     DoctrineDataError,
     HeytingTables,
+    MaskFibre,
     PosetFibre,
     TabularDoctrine,
     adjoint_along,
@@ -1068,3 +1070,265 @@ class TestJsonRoundTrip:
         a = json.dumps(doctrine_to_json(powerset_doctrine((2, 2))))
         b = json.dumps(doctrine_to_json(powerset_doctrine((2, 2))))
         assert a == b
+
+
+# -- order-set decisions against the scans they replaced ----------------------
+
+
+def adjoint_pairs(D, f, direction):
+    """The adjunction law scanned one (domain, codomain) predicate pair at
+    a time through the fibres' `leq`: the oracle of `adjoint_along`'s
+    order-set decision.  It keeps no verdict."""
+    key = mor_key(f)
+    try:
+        dom_fib, cod_fib = D.fibre(f.dom), D.fibre(f.cod)
+        dom_els, cod_els = dom_fib.elements(), cod_fib.elements()
+        pull = D.along("reindex", f)
+        pulled = [(b, pull(b)) for b in cod_els] if dom_els else []
+    except DoctrineDataError as exc:
+        return AdjointFailure(direction, key, None, str(exc))
+    along = D.along(direction, f)
+    value = {}
+    for alpha in dom_els:
+        try:
+            value[alpha] = along(alpha)
+        except AdjointMissing:
+            return AdjointFailure(direction, key, alpha,
+                                  f"no {direction} value for {dom_fib.describe(alpha)}")
+    pairs = 0
+    for alpha in dom_els:
+        v = value[alpha]
+        for b, pb in pulled:
+            pairs += 1
+            if direction == "exists":
+                law = cod_fib.leq(v, b) == dom_fib.leq(alpha, pb)
+            else:
+                law = cod_fib.leq(b, v) == dom_fib.leq(pb, alpha)
+            if not law:
+                return AdjointFailure(direction, key, alpha,
+                                      f"adjunction law fails against {cod_fib.describe(b)}")
+    return AdjointWitness(direction, key, pairs)
+
+
+def heyting_triples(fib, obj, els):
+    """The lattice and residuation laws scanned one triple at a time: the
+    oracle of `_check_heyting`.  Returns (violations, notes, triples)."""
+    violations, notes, triples = [], [], 0
+    sample = doctrine._sample(els, doctrine.ORDER_SAMPLE)
+    top, bot = fib.top(), fib.bottom()
+    for a in sample:
+        if not fib.leq(a, top):
+            violations.append(f"{obj.name}: top is not above {fib.describe(a)}")
+        if not fib.leq(bot, a):
+            violations.append(f"{obj.name}: bottom is not below {fib.describe(a)}")
+    tri = doctrine._sample(els, doctrine.TRIPLE_SAMPLE)
+    if len(tri) < len(els):
+        notes.append(f"lattice laws over {obj.name} sampled at {len(tri)}/{len(els)}")
+    imp = {(b, c): fib.imp(b, c) for b in tri for c in tri}
+    for a in tri:
+        for b in tri:
+            m = fib.meet(a, b)
+            if not (fib.leq(m, a) and fib.leq(m, b)):
+                violations.append(
+                    f"{obj.name}: meet({fib.describe(a)}, {fib.describe(b)}) is not a lower bound")
+            j = fib.join(a, b)
+            if not (fib.leq(a, j) and fib.leq(b, j)):
+                violations.append(
+                    f"{obj.name}: join({fib.describe(a)}, {fib.describe(b)}) is not an upper bound")
+            for c in tri:
+                triples += 1
+                if fib.leq(c, a) and fib.leq(c, b) and not fib.leq(c, m):
+                    violations.append(
+                        f"{obj.name}: meet({fib.describe(a)}, {fib.describe(b)}) is not greatest")
+                if fib.leq(a, c) and fib.leq(b, c) and not fib.leq(j, c):
+                    violations.append(
+                        f"{obj.name}: join({fib.describe(a)}, {fib.describe(b)}) is not least")
+                if fib.leq(m, c) != fib.leq(a, imp[b, c]):
+                    violations.append(
+                        f"{obj.name}: residuation fails on {fib.describe(a)}, "
+                        f"{fib.describe(b)}, {fib.describe(c)}")
+    return violations, notes, triples
+
+
+def _heyting_audit(fib, obj):
+    """`_check_heyting` over all of fib, as (violations, notes, triples)."""
+    violations, notes, counts = [], [], {"triples": 0}
+    doctrine._check_heyting(fib, obj, fib.elements(), violations, notes, counts)
+    return violations, notes, counts["triples"]
+
+
+STOCK = {name: FRESH[name] for name in ("powerset-2x2", "chain2", "antichain2")}
+STOCK["powerset-2x3"] = lambda: powerset_doctrine((2, 3))
+ORACLE = {
+    **STOCK,
+    "antichain3-1x2": FRESH["antichain3-1x2"],
+    **{f"replay-{name}": (lambda make=make: _replay(make())) for name, make in STOCK.items()},
+}
+
+
+def _law_maps(D):
+    """Both projections of every binary product over the universe, then
+    every map between universe objects."""
+    return _projections(D) + [f for a in D.universe for b in D.universe
+                              for f in D.morphisms(a, b)]
+
+
+def _planted(bad):
+    """A concrete doctrine whose ops along a map are wrong where
+    ``bad(op, f, alpha, value)`` returns a replacement value."""
+
+    class Planted(ConcreteDoctrine):
+        def reindex_el(self, f, alpha):
+            value = super().reindex_el(f, alpha)
+            return bad("reindex", self, f, alpha, value)
+
+        def exists_along(self, f, alpha):
+            value = super().exists_along(f, alpha)
+            return bad("exists", self, f, alpha, value)
+
+        def forall_along(self, f, alpha):
+            value = super().forall_along(f, alpha)
+            return bad("forall", self, f, alpha, value)
+    return Planted
+
+
+def _nth(D, obj, k):
+    els = D.fibre(obj).elements()
+    return els[k % len(els)] if els else None
+
+
+# Each defect is keyed by index table, as the kept verdicts are, and hits
+# one predicate per table: a value or pullback off by one mask bit (so
+# possibly no predicate of the fibre), or the fibre's top or bottom.
+ADJOINT_DEFECTS = {
+    "exists-bit": lambda op, D, f, alpha, v: (
+        v ^ 1 if op == "exists" and alpha == _nth(D, f.dom, len(f.idx) + 3) else v),
+    "forall-top": lambda op, D, f, alpha, v: (
+        D.fibre(f.cod).top() if op == "forall" and alpha == _nth(D, f.dom, 1) else v),
+    "exists-bottom": lambda op, D, f, alpha, v: (
+        0 if op == "exists" and alpha == _nth(D, f.dom, -1) else v),
+    "pullback-bit": lambda op, D, f, alpha, v: (
+        v ^ (1 << (sum(f.idx) % max(1, D.fibre(f.dom).full.bit_length())))
+        if op == "reindex" and alpha == _nth(D, f.cod, 2) else v),
+}
+
+
+class TestOrderSetOracle:
+    """`adjoint_along` and `_check_heyting` decide on order sets what the
+    pair and triple scans above decide one `leq` at a time: the same
+    verdicts, the same first failure, the same violations in the same
+    order, and the same counts."""
+
+    @pytest.mark.parametrize("name", ORACLE)
+    def test_adjoint_along_agrees_with_the_pair_scan(self, name):
+        D = ORACLE[name]()
+        for f in _law_maps(D):
+            for direction in ("exists", "forall"):
+                assert adjoint_along(D, f, direction) == adjoint_pairs(D, f, direction), \
+                    (mor_key(f), direction)
+
+    def test_a_missing_value_is_named_as_the_pair_scan_names_it(self):
+        D, t = _gap_doctrine()
+        for direction in ("exists", "forall"):
+            assert adjoint_along(D, t, direction) == adjoint_pairs(D, t, direction)
+        assert adjoint_along(D, t, "exists").reason == "no exists value for x"
+
+    @pytest.mark.parametrize("defect", ADJOINT_DEFECTS)
+    @pytest.mark.parametrize("name", ("powerset-2x2", "chain2", "antichain2"))
+    def test_a_planted_defect_fails_where_the_pair_scan_fails(self, name, defect):
+        base = FRESH[name]()
+        D = _planted(ADJOINT_DEFECTS[defect])(
+            base.name, base.frame, base.universe, base.cap, base.generator)
+        failed = 0
+        for f in _law_maps(D):
+            for direction in ("exists", "forall"):
+                want = adjoint_pairs(D, f, direction)
+                assert adjoint_along(D, f, direction) == want, (mor_key(f), direction)
+                failed += isinstance(want, AdjointFailure)
+        assert failed > 0
+
+    @pytest.mark.parametrize("name", ORACLE)
+    def test_check_heyting_agrees_with_the_triple_scan(self, name):
+        D = ORACLE[name]()
+        for obj in D.universe:
+            fib = D.fibre(obj)
+            assert _heyting_audit(fib, obj) == heyting_triples(fib, obj, fib.elements())
+
+    @staticmethod
+    def _mask_fibres():
+        for D in (POW, CHAIN, ANTI, kripke_doctrine(antichain_poset(3), (1, 2))):
+            for obj in D.universe:
+                yield D, obj
+
+    @pytest.mark.parametrize("op,wrong", [
+        ("meet", lambda fib, a, b, v: a | b),           # not a lower bound
+        ("meet", lambda fib, a, b, v: v & (v - 1)),     # a lower bound, not greatest
+        ("meet", lambda fib, a, b, v: v ^ 1),           # off by the first bit
+        ("join", lambda fib, a, b, v: a & b),           # not an upper bound
+        ("join", lambda fib, a, b, v: fib.full),        # an upper bound, not least
+        ("imp", lambda fib, a, b, v: v ^ (1 << (a % 5))),
+        ("imp", lambda fib, a, b, v: fib.full),
+    ], ids=["meet-join", "meet-low", "meet-bit", "join-meet", "join-top",
+            "imp-bit", "imp-top"])
+    def test_a_planted_lattice_defect_is_listed_as_the_triple_scan_lists_it(self, op, wrong):
+        def planted(self, a, b):
+            value = getattr(MaskFibre, op)(self, a, b)
+            return wrong(self, a, b, value) if (3 * a + b) % 7 == 2 else value
+
+        Planted = type("Planted", (MaskFibre,), {op: planted})
+        listed = 0
+        for D, obj in self._mask_fibres():
+            fib = Planted(obj, D.nw, D.frame.up, D.frame.elements, D.cap)
+            got = _heyting_audit(fib, obj)
+            assert got == heyting_triples(fib, obj, fib.elements()), obj.name
+            listed += len(got[0])
+        assert listed > 0
+
+    @pytest.mark.parametrize("table,cell,value", [
+        ("meet", (1, 2), 3), ("meet", (3, 3), 0), ("join", (1, 2), 1),
+        ("join", (0, 0), 3), ("imp", (1, 2), 3), ("imp", (3, 0), 1)])
+    def test_a_planted_table_cell_is_listed_as_the_triple_scan_lists_it(
+            self, table, cell, value):
+        A = fin_obj("A", ["a0", "a1"])
+        fib = _diamond_fibre(A)
+        rows = [list(r) for r in getattr(fib.heyting, table)]
+        rows[cell[0]][cell[1]] = value
+        fib.heyting = dataclasses.replace(fib.heyting, **{table: tuple(map(tuple, rows))})
+        got = _heyting_audit(fib, A)
+        assert got[0] and got == heyting_triples(fib, A, fib.elements())
+
+
+class TestOrderSetGuard:
+    """On antichain3 `1,2` (4 096 predicates over B*B) the law audits make
+    no pair-by-pair order test: `adjoint_along` none, and `_check_heyting`
+    only the bound and top/bottom tests, outside the triple loop."""
+
+    @pytest.fixture
+    def leq_calls(self, monkeypatch):
+        calls = [0]
+        leq = MaskFibre.leq
+
+        def counting(self, a, b):
+            calls[0] += 1
+            return leq(self, a, b)
+        monkeypatch.setattr(MaskFibre, "leq", counting)
+        return calls
+
+    def test_adjoint_along_makes_no_leq_call(self, leq_calls):
+        D = FRESH["antichain3-1x2"]()
+        results = [adjoint_along(D, f, direction) for f in _projections(D)
+                   for direction in ("exists", "forall")]
+        assert all(isinstance(r, AdjointWitness) for r in results)
+        assert max(r.pairs_checked for r in results) == 4096 * 64
+        assert leq_calls == [0]
+
+    def test_check_heyting_tests_only_bounds(self, leq_calls):
+        D = FRESH["antichain3-1x2"]()
+        for obj in D.universe:
+            els = D.fibre(obj).elements()
+            tri = doctrine._sample(els, doctrine.TRIPLE_SAMPLE)
+            sample = doctrine._sample(els, doctrine.ORDER_SAMPLE)
+            before = leq_calls[0]
+            violations, _, triples = _heyting_audit(D.fibre(obj), obj)
+            assert not violations and triples == len(tri) ** 3
+            assert leq_calls[0] - before <= 4 * len(tri) ** 2 + 2 * len(sample)

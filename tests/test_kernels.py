@@ -2,6 +2,9 @@ import itertools
 import random
 
 from dialectica import _kernels as K
+from dialectica.doctrine import PosetFibre, doctrine_from_json, doctrine_to_json, kripke_doctrine
+from dialectica.fincat import fin_obj
+from dialectica.posets import antichain_poset, chain_poset
 
 
 def witness_pair_naive(alpha, beta, ni, nu, nx, nv, ny, nw):
@@ -129,6 +132,77 @@ class TestOrderSignature:
                                       K.order_signature(beta, ni, nv, ny, nw)[1])
             assert decided == (K.witness_pair(*args) is not None)
             assert decided == (witness_pair_naive(*args) is not None)
+
+
+def order_sets_naive(ps, x):
+    """The definition of `uppers` and `lowers` at x, one pair at a time."""
+    return (sum(1 << j for j, p in enumerate(ps) if x & ~p == 0),
+            sum(1 << j for j, p in enumerate(ps) if p & ~x == 0))
+
+
+class TestOrderSets:
+    """`uppers` and `lowers` against their definition, and the fibres'
+    order sets against their own `leq`."""
+
+    def test_seeded_mask_lists(self):
+        rng = random.Random(34)
+        for _ in range(300):
+            nbits = rng.randint(0, 9)
+            full = (1 << nbits) - 1
+            ps = [rng.getrandbits(nbits) for _ in range(rng.randint(0, 12))]
+            if ps:  # repeated entries
+                ps += rng.choices(ps, k=rng.randint(1, 3))
+                rng.shuffle(ps)
+            up, down = K.uppers(ps, full), K.lowers(ps, full)
+            # a few masks with bits outside the carrier as well
+            for x in [rng.getrandbits(nbits) for _ in range(20)] + [
+                    rng.getrandbits(nbits + 2) for _ in range(4)]:
+                assert (up(x), down(x)) == order_sets_naive(ps, x), (ps, full, x)
+
+    def test_empty_carrier_and_empty_list(self):
+        # over no bits every mask is 0, and 0 lies below and above each entry
+        up, down = K.uppers([0, 0, 0], 0), K.lowers([0, 0, 0], 0)
+        assert (up(0), down(0)) == (0b111, 0b111)
+        assert (up(0b10), down(0b10)) == (0, 0b111)
+        for full in (0, 0b1, 0b1111):
+            up, down = K.uppers([], full), K.lowers([], full)
+            assert all((up(x), down(x)) == (0, 0) for x in range(full + 1))
+
+    def test_repeated_entries_set_every_position(self):
+        up, down = K.uppers([0b01, 0b11, 0b01], 0b11), K.lowers([0b01, 0b11, 0b01], 0b11)
+        assert (up(0b01), down(0b01)) == (0b111, 0b101)
+        assert (up(0b11), down(0b11)) == (0b010, 0b111)
+        assert (up(0), down(0)) == (0b111, 0)
+
+    @staticmethod
+    def _poset_fibres():
+        """Replayed fibres of Kripke doctrines, and subposets of a mask
+        fibre with repeated and missing predicates."""
+        for frame in (chain_poset(3), antichain_poset(2)):
+            data = doctrine_to_json(kripke_doctrine(frame, (2,)))
+            del data["generator"]
+            T = doctrine_from_json(data)
+            yield from (T.fibre(obj) for obj in T.universe)
+        rng = random.Random(35)
+        masks = kripke_doctrine(antichain_poset(3), (1,)).fibre(
+            fin_obj("A", ["a0"])).elements()
+        for n in (0, 1, 5, 8):
+            picked = rng.sample(masks, n)
+            up = [sum(1 << j for j, q in enumerate(picked) if p & ~q == 0) for p in picked]
+            yield PosetFibre(fin_obj("P", ["p"]), [str(p) for p in picked], up)
+
+    def test_poset_fibres_agree_with_their_order(self):
+        rng = random.Random(36)
+        for fib in self._poset_fibres():
+            els = fib.elements()
+            lists = [list(els), list(reversed(els))]
+            if els:
+                lists.append(rng.choices(els, k=7))
+            for ps in lists:
+                up, down = fib.uppers(ps), fib.lowers(ps)
+                for x in els:
+                    assert up(x) == sum(1 << j for j, p in enumerate(ps) if fib.leq(x, p))
+                    assert down(x) == sum(1 << j for j, p in enumerate(ps) if fib.leq(p, x))
 
 
 class TestDispatch:
