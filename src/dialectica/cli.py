@@ -22,6 +22,7 @@ import itertools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .dial import (
     DEFAULT_QUAD_CAP,
@@ -713,20 +714,81 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Encoder chunks joined into one write.  A report is written a block at a
-# time, so no string of the whole report is ever built; a chunk averages
-# about seven characters, so a block is a few kilobytes.
-JSON_BLOCK = 1024
+# Pieces of text held before a write.  The buffer is written out between
+# two list elements once it holds this many, so no string of the whole
+# report is ever built; a piece of a certify or diagnostic report averages
+# about 25 characters, so a write carries a few kilobytes.
+JSON_BLOCK = 256
 
 
 def _write_json(fh, payload) -> None:
     """Write the bytes of ``json.dumps(payload, indent=2) + "\\n"`` to
-    ``fh``, one block of encoder chunks per write.  The encoder never
-    yields an empty chunk, so an empty block means the payload is done."""
-    chunks = json.JSONEncoder(indent=2).iterencode(payload)
-    while block := "".join(itertools.islice(chunks, JSON_BLOCK)):
-        fh.write(block)
-    fh.write("\n")
+    ``fh``, a block of ``JSON_BLOCK`` pieces per write.
+
+    ``value`` recurses once per nesting level, so the writer takes one
+    stack frame per level and builds no generator.  The types a report is
+    made of are encoded here, picked by exact type: ``str`` through the
+    encoder's own C function, ``int``, ``None``, ``True``, ``False``,
+    lists and tuples, a list of ``int`` only with one join, and dicts
+    whose keys are all strings.  Anything else (a float, a subclass of
+    ``int`` or ``str``, a dict with other keys) is handed to ``json.dumps``
+    and its newlines indented: encoded JSON holds no raw newline inside a
+    string, so that text is exactly what the stdlib would write in its
+    place.
+    """
+    out: list[str] = []
+    append = out.append
+
+    def value(o, ind: str) -> None:
+        # ``ind`` is a newline and the indentation of o's closing bracket.
+        t = type(o)
+        if t is str:
+            append(_encode_str(o))
+        elif t is int:
+            append(int.__repr__(o))
+        elif t is dict and all(map(isinstance, o, itertools.repeat(str))):
+            if not o:
+                append("{}")
+                return
+            inner = ind + "  "
+            sep = "{" + inner
+            for k, v in o.items():
+                if type(v) is str:
+                    append(sep + _encode_str(k) + ": " + _encode_str(v))
+                else:
+                    append(sep + _encode_str(k) + ": ")
+                    value(v, inner)
+                sep = "," + inner
+            append(ind + "}")
+        elif t is list or t is tuple:
+            if not o:
+                append("[]")
+                return
+            inner = ind + "  "
+            if {*map(type, o)} == {int}:
+                append("[" + inner + ("," + inner).join(map(int.__repr__, o)) + ind + "]")
+                return
+            append("[" + inner)
+            sep = "," + inner
+            for x in o:
+                if len(out) >= JSON_BLOCK:
+                    fh.write("".join(out))
+                    out.clear()
+                value(x, inner)
+                append(sep)
+            out[-1] = ind + "]"
+        elif o is None:
+            append("null")
+        elif o is True:
+            append("true")
+        elif o is False:
+            append("false")
+        else:
+            append(json.dumps(o, indent=2).replace("\n", ind))
+
+    value(payload, "\n")
+    append("\n")
+    fh.write("".join(out))
 
 
 def _emit(code: int, payload, lines, fmt: str) -> int:
