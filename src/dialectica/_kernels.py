@@ -4,8 +4,17 @@ A predicate over an object with ``ne`` elements, interpreted at ``nw``
 worlds, is one Python int: bit ``e * nw + w`` records whether element
 ``e`` satisfies the predicate at world ``w``.  Every kernel below works
 on such masks; none of them assumes the masks fit a machine word.
+
+A list of masks transposes into *planes* (`transpose`): one int per
+carrier bit, whose bit ``j`` is that bit of mask ``j``.  Each kernel
+acts on the carrier bit by bit, so its plane form (``*_planes``) acts on
+every mask of the list at once, and its output is the transposition of
+the kernel's outputs.  The OR of two plane lists' XORs (`differ`) is the
+set of list positions where they disagree.
 """
 from __future__ import annotations
+
+import itertools
 
 # perfbench prints BACKEND and counts kernel calls on masks over _WORD bits.
 BACKEND = "pure"
@@ -64,22 +73,23 @@ def imp_mask(a: int, b: int, ne: int, nw: int, upmasks) -> int:
     return out
 
 
-def uppers(ps, full: int):
+def uppers(ps, full: int, count=None):
     """x -> the bitmask of the j with ``x & ~ps[j] == 0``: the entries of
-    ``ps`` that lie above x in the mask order.
+    ``ps`` that lie above x in the mask order.  With ``count``, ``ps`` are
+    already the planes of ``count`` masks.
 
     Bit-sliced: one mask of the j per carrier bit that ``ps[j]`` lacks,
     so x misses exactly the j of the slices over x's set bits.  Masks
     with bits outside ``full`` are compared as they are.
     """
-    width = full
-    for p in ps:
-        width |= p
-    every = (1 << len(ps)) - 1
-    lacks = {}
-    for k in range(width.bit_length()):
-        bit = 1 << k
-        lacks[bit] = sum(1 << j for j, p in enumerate(ps) if not p & bit)
+    if count is None:
+        count = len(ps)
+        ps = transpose(ps, full.bit_length())
+    every = (1 << count) - 1
+    lacks = {1 << k: every & ~p for k, p in enumerate(ps)}
+    for k in range(len(ps), full.bit_length()):
+        lacks[1 << k] = every
+    width = (1 << len(lacks)) - 1
 
     def up(x: int) -> int:
         if x & ~width:
@@ -91,6 +101,95 @@ def uppers(ps, full: int):
             x ^= low
         return every & ~out
     return up
+
+
+def transpose(rows, width: int) -> list:
+    """The planes of the masks ``rows``: ``out[k]`` has bit ``j`` when
+    ``rows[j]`` has bit ``k``, for k below ``width`` or the widest row.
+    Planes of ``n`` masks transpose back with ``transpose(planes, n)``."""
+    if rows:
+        width = max(width, max(rows).bit_length())
+    if len(rows) * width <= 256:  # few bits: walk the set bits
+        out = [0] * width
+        for j, r in enumerate(rows):
+            while r:
+                low = r & -r
+                out[low.bit_length() - 1] |= 1 << j
+                r ^= low
+        return out
+    form = f"0{width}b"
+    cols = zip(*[format(r, form) for r in reversed(rows)])
+    return [int("".join(col), 2) for col in cols][::-1]
+
+
+def differ(xs, ys) -> int:
+    """The positions where two plane lists disagree: the OR of their XORs."""
+    out = 0
+    for x, y in itertools.zip_longest(xs, ys, fillvalue=0):
+        out |= x ^ y
+    return out
+
+
+def exceeds(xs, ys) -> int:
+    """The positions j where mask j of ``xs`` is not below mask j of ``ys``."""
+    out = 0
+    for x, y in itertools.zip_longest(xs, ys, fillvalue=0):
+        out |= x & ~y
+    return out
+
+
+def meet_planes(xs, ys) -> list:
+    return [x & y for x, y in itertools.zip_longest(xs, ys, fillvalue=0)]
+
+
+def join_planes(xs, ys) -> list:
+    return [x | y for x, y in itertools.zip_longest(xs, ys, fillvalue=0)]
+
+
+def reindex_planes(planes, fmap, nw: int) -> list:
+    """`reindex_mask` on planes: gather each domain element's planes from
+    the codomain element it lands on."""
+    return [planes[c * nw + w] for c in fmap for w in range(nw)]
+
+
+def exists_planes(planes, fibs, nw: int) -> list:
+    """`exists_image` on planes: OR the planes over each fibre, per world."""
+    out = []
+    for ds in fibs:
+        for w in range(nw):
+            col = 0
+            for d in ds:
+                col |= planes[d * nw + w]
+            out.append(col)
+    return out
+
+
+def forall_planes(planes, fibs, nw: int, every: int) -> list:
+    """`forall_preimage` on planes of the masks ``every`` marks: AND the
+    planes over each fibre, per world (``every`` when the fibre is empty)."""
+    out = []
+    for ds in fibs:
+        for w in range(nw):
+            col = every
+            for d in ds:
+                col &= planes[d * nw + w]
+            out.append(col)
+    return out
+
+
+def imp_planes(xs, ys, ne: int, nw: int, upmasks, every: int) -> list:
+    """`imp_mask` on planes of the masks ``every`` marks: at (e, w), the
+    AND over the worlds above w of ``~x | y``."""
+    ups = [[v for v in range(nw) if upmasks[w] >> v & 1] for w in range(nw)]
+    out = []
+    for e in range(ne):
+        ok = [every & ~(xs[e * nw + v] & ~ys[e * nw + v]) for v in range(nw)]
+        for above in ups:
+            col = every
+            for v in above:
+                col &= ok[v]
+            out.append(col)
+    return out
 
 
 def lowers(ps, full: int):

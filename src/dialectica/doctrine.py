@@ -11,9 +11,11 @@ owns its fibres (`D.fibre`) and its binary carrier products
 (`D.product`), each built once at the doctrine's cap, so every audit,
 scan and completion check over one doctrine shares one carrier, and one
 set of projections, per shape.  It also keeps its values along maps
-(`D.along`), each asked of its own method once, its passing law
-verdicts, each decided once per index table, and, when concrete, the
-order signature of each quadruple the Dialectica order reads.  On top
+(`D.along`), each asked of its own method once, the planes of the law
+audits' sampled predicates (`D.planes_along` reads values along maps
+for a whole list of predicates at once), its passing law verdicts, each
+decided once per index table, and, when concrete, the order signature
+of each quadruple the Dialectica order reads.  On top
 of both sit adjoint certification by the adjunction law, structural
 audits, Beck-Chevalley checks, and a JSON exchange format.
 """
@@ -183,9 +185,10 @@ class MaskFibre:
     def leq(self, a: int, b: int) -> bool:
         return a & ~b == 0
 
-    def uppers(self, ps):
-        """x -> the bitmask of the j with ``leq(x, ps[j])``."""
-        return K.uppers(ps, self.full)
+    def uppers(self, ps, count=None):
+        """x -> the bitmask of the j with ``leq(x, ps[j])``; with
+        ``count``, ps are the planes of ``count`` predicates."""
+        return K.uppers(ps, self.full, count)
 
     def lowers(self, ps):
         """x -> the bitmask of the j with ``leq(ps[j], x)``."""
@@ -205,6 +208,27 @@ class MaskFibre:
 
     def imp(self, a: int, b: int) -> int:
         return K.imp_mask(a, b, len(self.obj), self.nw, self.upmasks)
+
+    def planes(self, preds) -> list:
+        """The planes of a list of predicates (`_kernels.transpose`)."""
+        return K.transpose(preds, len(self.obj) * self.nw)
+
+    def not_leq(self, xs, ys, count: int) -> int:
+        """The j where predicate j of planes xs is not below that of ys."""
+        return K.exceeds(xs, ys)
+
+    def on_planes(self, op: str, xs, ys, count: int) -> list:
+        """The planes of ``op`` ("meet", "join" or "imp") of predicate j
+        of xs and predicate j of ys, for each of the ``count`` j, by the
+        plane kernels; an op overridden on a subclass is asked predicate
+        by predicate."""
+        if getattr(type(self), op) is not getattr(MaskFibre, op):
+            return _lifted(self, getattr(self, op), count, xs, ys)
+        if op == "meet":
+            return K.meet_planes(xs, ys)
+        if op == "join":
+            return K.join_planes(xs, ys)
+        return K.imp_planes(xs, ys, len(self.obj), self.nw, self.upmasks, (1 << count) - 1)
 
     def describe(self, mask: int) -> str:
         colmask = (1 << self.nw) - 1
@@ -272,9 +296,12 @@ class PosetFibre:
     def leq(self, a: int, b: int) -> bool:
         return bool((self.up[a] >> b) & 1)
 
-    def uppers(self, ps):
+    def uppers(self, ps, count=None):
         """x -> the bitmask of the j with ``leq(x, ps[j])``: x lies below
-        ps[j] exactly when ps[j]'s up-set lies inside x's."""
+        ps[j] exactly when ps[j]'s up-set lies inside x's.  With
+        ``count``, ps are the planes of ``count`` predicates."""
+        if count is not None:
+            ps = K.transpose(ps, count)[:count]
         up = self.up
         below = K.lowers([up[p] for p in ps], (1 << len(up)) - 1)
         return lambda x: below(up[x])
@@ -313,6 +340,26 @@ class PosetFibre:
     def describe(self, a: int) -> str:
         return self.labels[a]
 
+    # A predicate here is an index, so its planes are those of the index,
+    # and every op on planes is asked predicate by predicate.
+
+    def planes(self, preds) -> list:
+        return K.transpose(preds, 0)
+
+    def not_leq(self, xs, ys, count: int) -> int:
+        xs, ys = (K.transpose(p, count)[:count] for p in (xs, ys))
+        return sum(1 << j for j, (x, y) in enumerate(zip(xs, ys)) if not self.leq(x, y))
+
+    def on_planes(self, op: str, xs, ys, count: int) -> list:
+        return _lifted(self, getattr(self, op), count, xs, ys)
+
+
+def _lifted(fib, fn, count: int, *plane_lists) -> list:
+    """The planes of fn applied to the predicates of ``plane_lists``,
+    position by position, over ``count`` positions."""
+    rows = [K.transpose(p, count)[:count] for p in plane_lists]
+    return fib.planes([fn(*args) for args in zip(*rows)])
+
 
 # The method `Doctrine.along` asks for each op on a miss.
 _ALONG = {"reindex": "reindex_el", "exists": "exists_along", "forall": "forall_along"}
@@ -334,16 +381,19 @@ class Doctrine:
     on.  Each value is asked of D's own method once and kept, and so is
     its absence (`AdjointMissing`).
 
+    ``D.planes_along(op, f, planes, count)`` gives the same values for a
+    whole list of predicates at once, as planes (`_kernels.transpose`):
+    the law audits read it.  Here it reads each predicate through
+    ``D.along`` and stops at the first without a value, so the audits
+    list what a scan one predicate at a time lists.  The planes of the
+    audits' sampled predicates are kept in ``D._planes``, per carrier
+    key and sample stride.
+
     ``D._passed`` keeps the law audits' passing verdicts (`adjoint_along`,
     `beck_chevalley`, `check_doctrine`'s reindexing laws), keyed by the
     audit, ``D._table_key`` of its maps and ``D._carrier_key`` of any
     other carrier it reads, as plain tuples.  A failure is never kept, so
-    each failing map is scanned and named on its own.  A Beck-Chevalley
-    square, or a composite's functoriality, is kept as ``(whole,)``:
-    whether it held on every predicate, as a verdict derived from it by
-    `beck_chevalley` needs.  ``D._factors(f)`` names two maps met before
-    f whose composite has f's table; here none, as a table replay keys
-    its verdicts by map and derives none.
+    each failing map is scanned and named on its own.
 
     Each decision is a method whose body here is the exhaustive search:
     table replays decide by it, and tests call it as the oracle of the
@@ -389,6 +439,26 @@ class Doctrine:
                 raise AdjointMissing(op, mor_key(f), alpha)
             return value
         return read
+
+    def planes_along(self, op: str, f: FinMor, planes, count: int, b: FinObj | None = None):
+        """The planes of the values of ``op`` along f, or along f x id_b
+        when b is given, at the ``count`` predicates of ``planes``; and
+        where they stop: None, or ``(j, exc)`` when predicate j raised
+        exc, the planes then holding the j values before it."""
+        if b is not None:
+            f = f_times_id(self, f, b)
+        read = self.along(op, f)
+        values = []
+        stop = None
+        for alpha in K.transpose(planes, count)[:count]:
+            try:
+                values.append(read(alpha))
+            except (AdjointMissing, DoctrineDataError) as exc:
+                stop = len(values), exc
+                break
+        if not values:  # the fibre need not exist when no value does
+            return [], stop
+        return self.fibre(f.dom if op == "reindex" else f.cod).planes(values), stop
 
     def exists_along(self, f: FinMor, alpha):
         return self._search("exists", f, alpha)
@@ -501,11 +571,6 @@ class Doctrine:
         return (FinMor(iuy, prod(iu, a.X).obj, idx=m1),
                 FinMor(iuy, prod(prod(a.I, b.U).obj, b.X).obj, idx=m2))
 
-    def _factors(self, f: FinMor):
-        """Two maps (h, g), met before f, whose composite g∘h has f's
-        table and key; None, since verdicts keyed by map derive none."""
-        return None
-
     def has_pair(self, a, b) -> bool:
         """Whether a <= b, for a and b over one base, building no pair."""
         return self.witness_tables(a, b) is not None
@@ -533,8 +598,12 @@ class ConcreteDoctrine(Doctrine):
     revalidated on index tables: `pair_holds` pulls both matrices back
     along the tables of `_pair_tables` by the reindexing kernel and
     compares them in the mask order, building no map and looking up no
-    product.  Law verdicts are keyed by index table, so `_factors` finds
-    a table's factorisations among the tables met before it.
+    product.  The law audits' values along maps are the plane kernels'
+    (`planes_along`): a pullback gathers planes by the map's index table,
+    and a quantifier ORs or ANDs them over each preimage list, for every
+    sampled predicate at once.  When `reindex_el`, `exists_along` or
+    `forall_along` is overridden, on a subclass or on the instance, the
+    audits read that method through the base class's body instead.
     """
 
     kind = "concrete"
@@ -554,8 +623,7 @@ class ConcreteDoctrine(Doctrine):
         self._along: dict = {}
         self._passed: dict = {}
         self._sigs: dict = {}
-        self._met: dict = {}
-        self._composites: dict = {}
+        self._planes: dict = {}
 
     def fibre(self, obj: FinObj) -> MaskFibre:
         """The fibre over obj, kept per name as well as carrier (`FinObj`
@@ -577,30 +645,21 @@ class ConcreteDoctrine(Doctrine):
         """A fibre depends only on its carrier's size."""
         return len(obj)
 
-    def _factors(self, f: FinMor):
-        """The first pair (h, g) of maps met before f whose composite g∘h
-        has f's table, or None when f's table is a generator.  A table is
-        met with its first map; ``_met`` keeps each met table's first map
-        and factors, and ``_composites`` the first factors of each
-        composite of two met tables, by table key."""
-        key = self._table_key(f)
-        hit = self._met.get(key)
-        if hit is not None:
-            return hit[1]
-        comp = self._composites
-        factors = comp.get(key)
-        self._met[key] = f, factors
-        fi, m, n = f.idx, f.dom.size, f.cod.size
-        for h, _ in self._met.values():
-            hi = h.idx
-            if h.cod.size == m:
-                comp.setdefault((tuple([fi[v] for v in hi]), n), (h, f))
-            if h.dom.size == n:
-                comp.setdefault((tuple([hi[v] for v in fi]), h.cod.size), (f, h))
-        return factors
-
     def reindex_el(self, f: FinMor, alpha: int) -> int:
         return K.reindex_mask(alpha, f.idx, self.nw)
+
+    def planes_along(self, op: str, f: FinMor, planes, count: int, b: FinObj | None = None):
+        cls, own = type(self), vars(self)
+        for name in _ALONG.values():
+            if getattr(cls, name) is not getattr(ConcreteDoctrine, name) or name in own:
+                return Doctrine.planes_along(self, op, f, planes, count, b)
+        nw = self.nw
+        if op == "reindex":
+            table = f.idx if b is None else _times_id(f.idx, len(b))
+            return K.reindex_planes(planes, table, nw), None
+        if op == "exists":
+            return K.exists_planes(planes, f.preimages(), nw), None
+        return K.forall_planes(planes, f.preimages(), nw, (1 << count) - 1), None
 
     def exists_along(self, f: FinMor, alpha: int) -> int:
         return K.exists_image(alpha, f.preimages(), self.nw)
@@ -673,6 +732,7 @@ class TabularDoctrine(Doctrine):
         self._products: dict = {}
         self._along: dict = {}
         self._passed: dict = {}
+        self._planes: dict = {}
         for f, table in self._reindex.items():
             nc = len(self.fibre(f.cod).labels)
             nd = len(self.fibre(f.dom).labels)
@@ -751,9 +811,10 @@ def adjoint_along(D, f: FinMor, direction: str):
 
     Each value is D's (`D.exists_along`/`D.forall_along`), checked against
     every codomain predicate pulled back along f, once per map; in a
-    poset the law fixes the value.  Values and pullbacks are read through
-    `D.along`, shared with every other audit over D, so each is asked of
-    D once per table key and predicate.  The law is decided on order
+    poset the law fixes the value.  Pullbacks are read through `D.along`,
+    shared with every other audit over D, so each is asked of D once per
+    table key and predicate, and the values are taken for every domain
+    predicate at once on planes (`D.planes_along`).  The law is decided on order
     sets, one domain predicate at a time: for "exists", the codomain
     predicates above its value (`uppers`) must be those whose pullback
     lies above it, and dually for "forall" (`lowers`).  The lowest bit
@@ -781,14 +842,17 @@ def adjoint_along(D, f: FinMor, direction: str):
         pulled = [pull(b) for b in cod_els] if dom_els else []
     except DoctrineDataError as exc:
         return AdjointFailure(direction, key, None, str(exc))
-    along = D.along(direction, f)
-    values = []
-    for alpha in dom_els:
-        try:
-            values.append(along(alpha))
-        except AdjointMissing:
-            return AdjointFailure(direction, key, alpha,
-                                  f"no {direction} value for {dom_fib.describe(alpha)}")
+    n = len(dom_els)
+    whole = _sample_planes(D, f.dom, dom_els, n)[1]  # a sample at cap n is every predicate
+    planes, stop = D.planes_along(direction, f, whole, n)
+    if stop is not None:
+        j, exc = stop
+        if not isinstance(exc, AdjointMissing):
+            raise exc
+        alpha = dom_els[j]
+        return AdjointFailure(direction, key, alpha,
+                              f"no {direction} value for {dom_fib.describe(alpha)}")
+    values = K.transpose(planes, n)[:n]
     if direction == "exists":
         lhs, rhs = cod_fib.uppers(cod_els), dom_fib.uppers(pulled)
     else:
@@ -809,12 +873,12 @@ def adjoint_along(D, f: FinMor, direction: str):
     return AdjointWitness(direction, key, pairs)
 
 
+def _stride(n: int, cap: int) -> int:
+    return 1 if n <= cap else -(-n // cap)
+
+
 def _sample(seq, cap: int):
-    n = len(seq)
-    if n <= cap:
-        return list(seq)
-    step = -(-n // cap)
-    return list(seq[::step])
+    return list(seq[::_stride(len(seq), cap)])
 
 
 def _sample_pairs(seq, cap: int):
@@ -823,6 +887,46 @@ def _sample_pairs(seq, cap: int):
         return [(a, b) for a in seq for b in seq]
     side = _sample(seq, max(1, int(cap**0.5)))
     return [(a, b) for a in side for b in side]
+
+
+def _sample_planes(D, obj: FinObj, els, cap: int):
+    """`_sample` of obj's predicates ``els`` and its planes, kept in
+    ``D._planes`` per carrier key and stride, so the audits over D
+    transpose each sample once."""
+    step = _stride(len(els), cap)
+    sample = list(els[::step])
+    key = D._carrier_key(obj), step
+    planes = D._planes.get(key)
+    if planes is None:
+        planes = D._planes[key] = D.fibre(obj).planes(sample)
+    return sample, planes
+
+
+def _then(D, state, op: str, f: FinMor, b: FinObj | None = None):
+    """A chain of values along maps, one step further.  A state is
+    ``(planes, n, exc)``: the planes of the values of a list's first n
+    predicates, and the exception its next predicate raised on the way
+    (None when all n have values)."""
+    planes, n, exc = state
+    planes, stop = D.planes_along(op, f, planes, n, b)
+    return (planes, n, exc) if stop is None else (planes, *stop)
+
+
+def _pull(D, f: FinMor, planes, count: int) -> list:
+    """The planes of the pullbacks along f, or the exception of the first
+    predicate without one."""
+    planes, stop = D.planes_along("reindex", f, planes, count)
+    if stop is not None:
+        raise stop[1]
+    return planes
+
+
+def _bits(mask: int):
+    """The positions of mask's set bits, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass
@@ -844,10 +948,10 @@ def check_doctrine(D) -> DoctrineReport:
     so it is not audited.  Large fibres are sampled deterministically;
     every shortcut is recorded in the notes.  The lattice laws are
     decided per pair of predicates on bitmasks over the sampled third
-    (`_check_heyting`), not by one `leq` per triple.
-    Pullbacks are read through `D.along`, which the quantifier audits
-    over D share, and passing reindexing laws are decided once per index
-    table (`_check_reindex`).
+    (`_check_heyting`), not by one `leq` per triple.  The reindexing laws
+    are decided on planes, for every sampled predicate of a codomain at
+    once (`_check_reindex`), read through `D.planes_along`, and a passing
+    map or composite is decided once per index table.
     """
     violations: list[str] = []
     notes: list[str] = []
@@ -878,8 +982,10 @@ def _check_heyting(fib, obj, els, violations, notes, counts):
     `lowers`): meet(a, b) is greatest where no c below a and b lies
     outside it, join(a, b) least where no c above both lies outside it,
     and residuation holds where meet(a, b) <= c exactly when
-    a <= imp(b, c).  Violations are listed per (a, b) in c order, as a
-    scan of every triple lists them."""
+    a <= imp(b, c).  The implications of each b are taken against the
+    whole sample at once, on planes (`on_planes`), and their order sets
+    read off those planes.  Violations are listed per (a, b) in c order,
+    as a scan of every triple lists them."""
     sample = _sample(els, ORDER_SAMPLE)
     try:
         top, bot = fib.top(), fib.bottom()
@@ -897,9 +1003,14 @@ def _check_heyting(fib, obj, els, violations, notes, counts):
     up, down = fib.uppers(tri), fib.lowers(tri)
     ups = [up(a) for a in tri]
     downs = [down(a) for a in tri]
-    # bit c of below_imp[b](a): a <= imp(b, c)
-    below_imp = [fib.uppers([fib.imp(b, c) for c in tri]) for b in tri]
-    counts["triples"] += len(tri) ** 3
+    t = len(tri)
+    planes = fib.planes(tri)
+    every = (1 << t) - 1
+    # bit c of below_imp[b](a): a <= imp(b, c); b's planes are b's bits, spread
+    below_imp = [fib.uppers(fib.on_planes(
+        "imp", [every if b >> k & 1 else 0 for k in range(len(planes))], planes, t), t)
+        for b in tri]
+    counts["triples"] += t ** 3
     for ia, a in enumerate(tri):
         for ib, b in enumerate(tri):
             m = fib.meet(a, b)
@@ -913,46 +1024,46 @@ def _check_heyting(fib, obj, els, violations, notes, counts):
             greatest = downs[ia] & downs[ib] & ~down(m)
             least = ups[ia] & ups[ib] & ~up(j)
             residuation = up(m) ^ below_imp[ib](a)
-            bad = greatest | least | residuation
-            while bad:
-                low = bad & -bad
-                bad ^= low
-                if greatest & low:
+            for c in _bits(greatest | least | residuation):
+                if greatest >> c & 1:
                     violations.append(
                         f"{obj.name}: meet({fib.describe(a)}, {fib.describe(b)}) is not greatest")
-                if least & low:
+                if least >> c & 1:
                     violations.append(
                         f"{obj.name}: join({fib.describe(a)}, {fib.describe(b)}) is not least")
-                if residuation & low:
-                    c = tri[low.bit_length() - 1]
+                if residuation >> c & 1:
                     violations.append(
                         f"{obj.name}: residuation fails on {fib.describe(a)}, "
-                        f"{fib.describe(b)}, {fib.describe(c)}")
+                        f"{fib.describe(b)}, {fib.describe(tri[c])}")
 
 
 def _check_reindex(D, fibre_els, violations, notes, counts):
     """Functoriality, monotonicity and preservation of the lattice
-    operations by reindexing.  Pullbacks are read through `D.along`, so
-    each is asked of D once per table key and predicate; the codomain's
-    order pairs, meet, join and implication are taken once per sampled
-    pair for all maps into it.  A map's laws that pass are kept in
-    ``D._passed`` per table key, and a composite's per pair of table
-    keys, so each is decided once per index table; a failing map or
-    composite is scanned in full each time, and names its own maps.  A
-    composite's verdict says whether its sample was every predicate (see
-    `_functorial`).  A composite with no recorded table is noted and not
-    counted."""
+    operations by reindexing, decided on planes (`D.planes_along`).  Per
+    codomain, the sampled pairs (x, y), their order, meet, join and
+    implication are transposed once; per map, the planes of their
+    pullbacks are compared with the domain's order and operations on the
+    pulled planes, so each law is decided for every sampled pair at
+    once, and a law's failing pairs are the set bits of the comparison.
+    They are listed per map as a scan lists them: the pairs that break
+    monotonicity, then top and bottom, then meet, join and implication
+    per pair.  Functoriality is decided on the planes of each codomain's
+    sample, pulled back along g then f and along the composite.  A map's
+    laws that pass are kept in ``D._passed`` per table key, and a
+    composite's per pair of table keys, so each is decided once per
+    index table; a failing map or composite is decided again for each
+    map, and names its own maps.  A map whose pullback is missing on a
+    sampled predicate is noted and skipped, and a composite with no
+    recorded table is noted and not counted."""
     for obj, els in fibre_els.items():
-        pull = D.along("reindex", identity(obj))
-        sample = _sample(els, PAIR_SAMPLE)
-        try:
-            for alpha in sample:
-                if pull(alpha) != alpha:
-                    fib = D.fibre(obj)
-                    violations.append(
-                        f"{obj.name}: identity reindex moves {fib.describe(alpha)}")
-                    break
-        except DoctrineDataError:
+        sample, planes = _sample_planes(D, obj, els, PAIR_SAMPLE)
+        moved, n, exc = _then(D, (planes, len(sample), None), "reindex", identity(obj))
+        bad = K.differ(moved, planes) & ((1 << n) - 1)
+        if bad:
+            fib = D.fibre(obj)
+            violations.append(
+                f"{obj.name}: identity reindex moves {fib.describe(sample[next(_bits(bad))])}")
+        elif exc is not None:
             notes.append(f"identity reindex over {obj.name} not recorded; skipped")
     mors = {}
     for a in D.universe:
@@ -966,83 +1077,92 @@ def _check_reindex(D, fibre_els, violations, notes, counts):
         fib_b = D.fibre(b)
         if b not in per_cod:
             sampled = _sample_pairs(fibre_els[b], PAIR_SAMPLE)
-            per_cod[b] = ([(x, y) for x, y in sampled if fib_b.leq(x, y)],
-                          [(x, y, fib_b.meet(x, y), fib_b.join(x, y), fib_b.imp(x, y))
-                           for x, y in sampled] if fib_b.has_heyting else None)
-        pairs, ops = per_cod[b]
+            n = len(sampled)
+            xs = fib_b.planes([x for x, _ in sampled])
+            ys = fib_b.planes([y for _, y in sampled])
+            ordered = ((1 << n) - 1) & ~fib_b.not_leq(xs, ys, n)
+            ops = None
+            if fib_b.has_heyting:
+                ops = (fib_b.planes([fib_b.top(), fib_b.bottom()]),
+                       *(fib_b.on_planes(op, xs, ys, n) for op in ("meet", "join", "imp")))
+            per_cod[b] = sampled, xs, ys, ordered, ops
+        sampled, xs, ys, ordered, ops = per_cod[b]
+        n = len(sampled)
         lattice = fib_a.has_heyting and fib_b.has_heyting
+        if lattice:
+            ends_a = fib_a.planes([fib_a.top(), fib_a.bottom()])
         for f in fs:
             verdict = ("reindex", D._table_key(f))
             if verdict in D._passed:
                 continue
             found = len(violations), len(notes)
-            pull = D.along("reindex", f)
             try:
-                for x, y in pairs:
-                    if not fib_a.leq(pull(x), pull(y)):
-                        violations.append(
-                            f"reindex along {mor_key(f)} is not monotone on "
-                            f"{fib_b.describe(x)} <= {fib_b.describe(y)}")
+                px, py = _pull(D, f, xs, n), _pull(D, f, ys, n)
+                for j in _bits(ordered & fib_a.not_leq(px, py, n)):
+                    x, y = sampled[j]
+                    violations.append(
+                        f"reindex along {mor_key(f)} is not monotone on "
+                        f"{fib_b.describe(x)} <= {fib_b.describe(y)}")
                 if lattice:
-                    if pull(fib_b.top()) != fib_a.top():
+                    ends, *cod_ops = ops
+                    moved = K.differ(_pull(D, f, ends, 2), ends_a)
+                    if moved & 1:
                         violations.append(f"reindex along {mor_key(f)} moves top")
-                    if pull(fib_b.bottom()) != fib_a.bottom():
+                    if moved & 2:
                         violations.append(f"reindex along {mor_key(f)} moves bottom")
-                    for x, y, meet, join, imp in ops:
-                        rx, ry = pull(x), pull(y)
-                        if pull(meet) != fib_a.meet(rx, ry):
-                            violations.append(
-                                f"reindex along {mor_key(f)} breaks meet on "
-                                f"{fib_b.describe(x)}, {fib_b.describe(y)}")
-                        if pull(join) != fib_a.join(rx, ry):
-                            violations.append(
-                                f"reindex along {mor_key(f)} breaks join on "
-                                f"{fib_b.describe(x)}, {fib_b.describe(y)}")
-                        if pull(imp) != fib_a.imp(rx, ry):
-                            violations.append(
-                                f"reindex along {mor_key(f)} breaks implication on "
-                                f"{fib_b.describe(x)}, {fib_b.describe(y)}")
+                    broken = [K.differ(_pull(D, f, cod_op, n), fib_a.on_planes(op, px, py, n))
+                              for op, cod_op in zip(("meet", "join", "imp"), cod_ops)]
+                    for j in _bits(broken[0] | broken[1] | broken[2]):
+                        x, y = sampled[j]
+                        for name, bad in zip(("meet", "join", "implication"), broken):
+                            if bad >> j & 1:
+                                violations.append(
+                                    f"reindex along {mor_key(f)} breaks {name} on "
+                                    f"{fib_b.describe(x)}, {fib_b.describe(y)}")
             except DoctrineDataError as exc:
                 notes.append(f"{mor_key(f)}: {exc}; skipped")
             if found == (len(violations), len(notes)):
                 D._passed[verdict] = ()
+    pulled = {}  # table key of g -> the sample over g's codomain pulled back along g
     for (a, b), fs in mors.items():
         for (b2, c), gs in mors.items():
             if b2 != b:
                 continue
-            sample = _sample(fibre_els[c], PAIR_SAMPLE)
-            whole = (len(sample) == len(fibre_els[c]),)
-            pulls = [(g, D.along("reindex", g), D._table_key(g)) for g in gs]
+            sample, planes = _sample_planes(D, c, fibre_els[c], PAIR_SAMPLE)
+            start = planes, len(sample), None
             for f in fs:
-                pull_f, f_key = D.along("reindex", f), D._table_key(f)
-                for g, pull_g, g_key in pulls:
+                f_key = D._table_key(f)
+                for g in gs:
+                    g_key = D._table_key(g)
                     verdict = ("compose", f_key, g_key)
                     if verdict not in D._passed:
-                        pull_gf = D.along("reindex", FinMor(a, c, idx=[g.idx[v] for v in f.idx]))
-                        try:
-                            for alpha in sample:
-                                if pull_f(pull_g(alpha)) != pull_gf(alpha):
-                                    violations.append(
-                                        f"functoriality fails: {mor_key(g)} after {mor_key(f)}")
-                                    break
-                            else:
-                                D._passed[verdict] = whole
-                        except DoctrineDataError:
+                        if g_key not in pulled:
+                            pulled[g_key] = _then(D, start, "reindex", g)
+                        fg = _then(D, pulled[g_key], "reindex", f)
+                        gf = _then(D, start, "reindex",
+                                   FinMor(a, c, idx=[g.idx[v] for v in f.idx]))
+                        n = min(fg[1], gf[1])
+                        if K.differ(fg[0], gf[0]) & ((1 << n) - 1):
+                            violations.append(
+                                f"functoriality fails: {mor_key(g)} after {mor_key(f)}")
+                        elif n < len(sample):
                             notes.append(
                                 f"composite {mor_key(g)} after {mor_key(f)} not recorded; skipped")
                             continue
+                        else:
+                            D._passed[verdict] = ()
                     counts["compositions"] += 1
 
 
+def _times_id(fi, nb: int) -> list:
+    """The index table of f x id_B from f's: ``(a, y)`` goes to ``(f a, y)``."""
+    return [c * nb + y for c in fi for y in range(nb)]
+
+
 def f_times_id(D, f: FinMor, b: FinObj) -> FinMor:
-    """The map f x id_B between the evident products of D's table, from
-    its index table: ``(a, y)`` goes to ``(f a, y)``."""
-    p_dom = D.product(f.dom, b)
-    p_cod = D.product(f.cod, b)
-    nb = len(b)
-    fi = f.idx
-    return FinMor(p_dom.obj, p_cod.obj,
-                  idx=[fi[s // nb] * nb + s % nb for s in range(len(p_dom.obj))])
+    """The map f x id_B between the evident products of D's table."""
+    return FinMor(D.product(f.dom, b).obj, D.product(f.cod, b).obj,
+                  idx=_times_id(f.idx, len(b)))
 
 
 @dataclass
@@ -1064,49 +1184,35 @@ def beck_chevalley(D, direction: str) -> BCReport:
     "forall", on every pullback square of projections over the universe:
     for f: A2 -> A1 and the square formed with B, quantifying along the
     projections must commute with reindexing along f and f x id.  The
-    lax inequality is checked separately from equality.  Quantifiers and
-    pullbacks are read through `D.along`, so each predicate over A1*B is
-    quantified along its projection once for every f, and each value is
-    shared with the other audits over D.  The products, fibres, sampled
-    predicates and projection readers are taken once per (B, A1, A2).
+    lax inequality is checked separately from equality.
+
+    Every square is decided on every sampled predicate over A1*B, on
+    planes (`D.planes_along`): the sample's planes are kept on D and
+    shared by both directions, and are quantified along A1*B -> A1 once
+    per (B, A1).  Each square then gathers them along the table of f x id
+    (on a concrete doctrine from its arithmetic, with no map built) and
+    quantifies, and compares that with the gather along f of the
+    quantified planes; the set bits of the comparisons are the failing
+    predicates, listed in sample order.  Where a predicate has no value
+    on one side, the square lists the failures of the predicates before
+    it and one skip note, as a scan one predicate at a time does.
 
     A square that passes is kept in ``D._passed`` per direction, table
-    key of f and carrier key of B, so it is checked once per index table,
-    with no f x id built, and still counted for every f; a square with a
-    failure or a skip is checked in full for each f.  A carrier that a
-    table replay does not record skips the squares over (B, A1, A2) with
-    one note, which names no map.
-
-    Where f's table is the composite g∘h of two tables met before it
-    (`D._factors`), its square is the pasting of theirs, and passes
-    without a scan when both of theirs passed on every predicate with
-    the same B and pulling back along g then h is pulling back along f
-    on every predicate over A1 (`_functorial`).  That takes the
-    functoriality of reindexing along (g∘h) x id on trust.  A derived
-    square is counted like a scanned one and builds no f x id.  Once a
-    scanned square fails, every square is scanned, as without the
-    derivation, so failures and skips are listed as a full scan lists
-    them."""
+    key of f and carrier key of B, so it is decided once per index table
+    and still counted for every f; a square with a failure or a skip is
+    decided again for each f.  A carrier that a table replay does not
+    record skips the squares over (B, A1, A2) with one note, which names
+    no map."""
     if direction not in ("exists", "forall"):
         raise ValueError("direction must be 'exists' or 'forall'")
-    report = _bc_walk(D, direction, derive=True)
-    if report is None:  # a scanned square failed after a derived one
-        report = _bc_walk(D, direction, derive=False)
-    return report
-
-
-def _bc_walk(D, direction: str, derive: bool):
-    """One walk over the squares of `beck_chevalley`.  Derivation stops
-    at the first scanned square that fails; if a square was derived by
-    then, its verdict is dropped and the walk gives None."""
     eq_fail: list = []
     ineq_fail: list = []
     skipped: list = []
     squares = 0
-    derived: list = []
     for b in D.universe:
         part = D._carrier_key(b)
         for a1 in D.universe:
+            quantified = None  # the betas quantified along A1*B -> A1
             for a2 in D.universe:
                 fs = D.morphisms(a2, a1)
                 try:
@@ -1114,87 +1220,37 @@ def _bc_walk(D, direction: str, derive: bool):
                     p2 = D.product(a2, b)
                     fib1 = D.fibre(p1.obj)
                     fib_a2 = D.fibre(a2)
-                    preds = fib1.elements()
-                    betas = _sample(preds, PRED_SAMPLE)
+                    betas, planes = _sample_planes(D, p1.obj, fib1.elements(), PRED_SAMPLE)
                 except DoctrineDataError as exc:
                     if fs:
                         skipped.append(
                             f"square over {a2.name} -> {a1.name} with {b.name}: {exc}")
                     continue
-                whole = (len(betas) == len(preds),)
-                along1 = D.along(direction, p1.proj_left)
-                along2 = D.along(direction, p2.proj_left)
+                start = planes, len(betas), None
                 for f in fs:
                     squares += 1
                     verdict = ("bc", direction, D._table_key(f), part)
                     if verdict in D._passed:
                         continue
-                    if derive and _pasted(D, direction, f, part):
-                        D._passed[verdict] = (True,)
-                        derived.append(verdict)
-                        continue
-                    found = len(eq_fail), len(ineq_fail), len(skipped)
+                    if quantified is None:
+                        quantified = _then(D, start, direction, p1.proj_left)
+                    lhs = _then(D, _then(D, start, "reindex", f, b), direction, p2.proj_left)
+                    rhs = _then(D, quantified, "reindex", f)
+                    n = min(lhs[1], rhs[1])  # the betas with both sides
+                    inside = (1 << n) - 1
+                    low, high = (lhs, rhs) if direction == "exists" else (rhs, lhs)
+                    differs = K.differ(lhs[0], rhs[0]) & inside
+                    lax = fib_a2.not_leq(low[0], high[0], n) & inside
                     square = f"{mor_key(f)} x {b.name}"
-                    pull_f = D.along("reindex", f)
-                    pull_fp = D.along("reindex", f_times_id(D, f, b))
-                    for beta in betas:
-                        try:
-                            lhs = along2(pull_fp(beta))
-                            rhs = pull_f(along1(beta))
-                        except (AdjointMissing, DoctrineDataError) as exc:
-                            skipped.append(f"{square}: {exc}")
-                            break
-                        low, high = (lhs, rhs) if direction == "exists" else (rhs, lhs)
-                        if lhs != rhs:
-                            eq_fail.append(
-                                f"{direction} along {square} differs on {fib1.describe(beta)}")
-                        if not fib_a2.leq(low, high):
-                            ineq_fail.append(
-                                f"{direction} along {square} breaks the lax inequality on "
-                                f"{fib1.describe(beta)}")
-                    if found == (len(eq_fail), len(ineq_fail), len(skipped)):
-                        D._passed[verdict] = whole
-                    elif derived:
-                        for kept in derived:
-                            del D._passed[kept]
-                        return None
-                    else:
-                        derive = False
+                    eq_fail += [f"{direction} along {square} differs on {fib1.describe(betas[j])}"
+                                for j in _bits(differs)]
+                    ineq_fail += [f"{direction} along {square} breaks the lax inequality on "
+                                  f"{fib1.describe(betas[j])}" for j in _bits(lax)]
+                    if n < len(betas):  # the left side is read first
+                        skipped.append(f"{square}: {(lhs if lhs[1] == n else rhs)[2]}")
+                    elif not differs | lax:
+                        D._passed[verdict] = ()
     return BCReport(D.name, direction, squares, eq_fail, ineq_fail, skipped)
-
-
-def _pasted(D, direction: str, f: FinMor, part) -> bool:
-    """Whether f's square with a partner of carrier key ``part`` is the
-    pasting of two passing squares: f's table is g∘h for two tables met
-    before it (`D._factors`), the squares of h and g with that partner
-    passed on every predicate, and f's pullback is h's after g's."""
-    factors = D._factors(f)
-    if factors is None:
-        return False
-    h, g = factors
-    whole = (True,)
-    passed = D._passed
-    return (passed.get(("bc", direction, D._table_key(h), part)) == whole
-            and passed.get(("bc", direction, D._table_key(g), part)) == whole
-            and _functorial(D, h, g, f))
-
-
-def _functorial(D, h: FinMor, g: FinMor, gh: FinMor) -> bool:
-    """Whether pulling back along g, then along h, is pulling back along
-    gh (a map with the table of g∘h) on every predicate over g's
-    codomain.  The verdict is kept under `_check_reindex`'s key for the
-    composite, with a flag that says it was reached on every predicate;
-    a verdict reached on a sample answers False."""
-    verdict = ("compose", D._table_key(h), D._table_key(g))
-    kept = D._passed.get(verdict)
-    if kept is None:
-        pull_h, pull_g = D.along("reindex", h), D.along("reindex", g)
-        pull_gh = D.along("reindex", gh)
-        if any(pull_h(pull_g(alpha)) != pull_gh(alpha)
-               for alpha in D.fibre(g.cod).elements()):
-            return False
-        kept = D._passed[verdict] = (True,)
-    return kept == (True,)
 
 
 @dataclass
@@ -1214,12 +1270,11 @@ def quantifier_structure(D, direction: str) -> QuantifierStructureReport:
     """Certify the quantifier structure of the doctrine in one direction:
     D's adjoints along both projections of every binary product over the
     universe, by the adjunction law, plus Beck-Chevalley for the
-    corresponding squares.  Both read their values through `D.along`,
-    so each is asked of D once per table key and predicate.  On a
-    concrete doctrine Beck-Chevalley scans only the squares of
-    generator tables and derives the rest by pasting; the functoriality
-    a derived square needs is kept under `check_doctrine`'s key, so it
-    is decided once whether or not `check_doctrine` ran first."""
+    corresponding squares.  The adjunction law reads its values through
+    `D.along`, and Beck-Chevalley through `D.planes_along`, so each value
+    is asked of D once per table key and predicate, or computed on
+    planes for the whole sample; each passing verdict is kept on D per
+    index table, whether or not `check_doctrine` ran first."""
     witnesses: list = []
     failures: list = []
     for a1 in D.universe:

@@ -146,9 +146,6 @@ class FreenessAnalyzer:
 
     # -- splitting ---------------------------------------------------
 
-    def existential_splitting(self, A, alpha) -> SplittingReport:
-        return self._splitting("existential", A, alpha)
-
     def _splitting(self, kind, A, alpha) -> SplittingReport:
         """The cover scan: every cover over A x B, B in the universe, and
         a choice map for each (`D.choice_index`).  Free verdicts read per

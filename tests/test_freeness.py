@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -132,7 +133,7 @@ class TestSplittingWitnesses:
         A = D.universe[1]
         fib = D.fibre(A)
         for alpha in fib.elements():
-            if not fa.existential_splitting(A, alpha).passed:
+            if not fa._splitting("existential", A, alpha).passed:
                 continue
             for B, p, beta in covers(D, A, alpha):
                 g = D.choice_index("existential", A, B, p, alpha, beta)
@@ -143,11 +144,28 @@ class TestSplittingWitnesses:
     def test_vacuous_covers_do_not_count(self):
         fa = FreenessAnalyzer(POW)
         A = POW.universe[1]
-        assert fa.existential_splitting(A, 0).passed
+        assert fa._splitting("existential", A, 0).passed
         judged = list(covers(POW, A, 0))
         assert judged
         assert all(POW.choice_index("existential", A, B, p, 0, beta) is not None
                    for B, p, beta in judged)
+
+
+def _reflexive(n, *pairs):
+    return [(i, i) for i in range(n)] + list(pairs)
+
+
+# The eight posets on one to three points, up to isomorphism.
+SMALL_FRAMES = {
+    "one": FinitePoset("a", _reflexive(1)),
+    "chain2": FinitePoset("ab", _reflexive(2, (0, 1))),
+    "antichain2": FinitePoset("ab", _reflexive(2)),
+    "chain3": FinitePoset("abc", _reflexive(3, (0, 1), (1, 2), (0, 2))),
+    "antichain3": FinitePoset("abc", _reflexive(3)),
+    "bottom": FinitePoset("abc", _reflexive(3, (0, 1), (0, 2))),
+    "top": FinitePoset("abc", _reflexive(3, (0, 2), (1, 2))),
+    "chain2+1": FinitePoset("abc", _reflexive(3, (0, 1))),
+}
 
 
 class TestChoiceMap:
@@ -168,20 +186,29 @@ class TestChoiceMap:
         return None
 
     @pytest.mark.parametrize("kind", ("existential", "universal"))
-    def test_kernel_returns_the_first_fitting_map(self, kind):
-        for D in (POW, CHAIN, ANTI):
-            outcomes = set()
-            for A, B in itertools.product(D.universe, repeat=2):
-                p = D.product(A, B)
-                for alpha, beta in itertools.product(
-                        D.fibre(A).elements(), D.fibre(p.obj).elements()):
-                    first = self.first_fitting(D, kind, A, p, alpha, beta)
-                    g = D.choice_index(kind, A, B, p, alpha, beta)
-                    assert g == first == Doctrine.choice_index(D, kind, A, B, p, alpha, beta)
-                    if g is not None:
-                        assert D.choice_map(kind, A, B, p, alpha, beta, g).idx == first
-                    outcomes.add(first is None)
-            assert outcomes == {True, False}, D.name
+    @pytest.mark.parametrize("name", SMALL_FRAMES)
+    def test_kernel_returns_the_first_fitting_map(self, name, kind):
+        """Over the 2x2 doctrine of each small frame, on every
+        (alpha, beta) over a carrier pair with at most 4 096 of them (all
+        of them on the three stock frames), else on 512 seeded ones."""
+        D = kripke_doctrine(SMALL_FRAMES[name], (2, 2))
+        rng = random.Random(f"choice:{name}:{kind}")
+        outcomes = set()
+        for A, B in itertools.product(D.universe, repeat=2):
+            p = D.product(A, B)
+            alphas, betas = D.fibre(A).elements(), D.fibre(p.obj).elements()
+            if len(alphas) * len(betas) <= 4096:
+                pairs = itertools.product(alphas, betas)
+            else:
+                pairs = [(rng.choice(alphas), rng.choice(betas)) for _ in range(512)]
+            for alpha, beta in pairs:
+                first = self.first_fitting(D, kind, A, p, alpha, beta)
+                g = D.choice_index(kind, A, B, p, alpha, beta)
+                assert g == first == Doctrine.choice_index(D, kind, A, B, p, alpha, beta)
+                if g is not None:
+                    assert D.choice_map(kind, A, B, p, alpha, beta, g).idx == first
+                outcomes.add(first is None)
+        assert outcomes == {True, False}, D.name
 
     @pytest.mark.parametrize("kind", ("existential", "universal"))
     def test_replay_decides_as_the_kernel(self, kind):
@@ -318,23 +345,6 @@ class TestColumnScan:
         assert fa.is_existential_free(small, D.fibre(small).top())
         with pytest.raises(CapExceeded, match=r"^64 maps A -> A\*B\*A; cap 16$"):
             fa.is_existential_free(large, D.fibre(large).top())
-
-
-def _reflexive(n, *pairs):
-    return [(i, i) for i in range(n)] + list(pairs)
-
-
-# The eight posets on one to three points, up to isomorphism.
-SMALL_FRAMES = {
-    "one": FinitePoset("a", _reflexive(1)),
-    "chain2": FinitePoset("ab", _reflexive(2, (0, 1))),
-    "antichain2": FinitePoset("ab", _reflexive(2)),
-    "chain3": FinitePoset("abc", _reflexive(3, (0, 1), (1, 2), (0, 2))),
-    "antichain3": FinitePoset("abc", _reflexive(3)),
-    "bottom": FinitePoset("abc", _reflexive(3, (0, 1), (0, 2))),
-    "top": FinitePoset("abc", _reflexive(3, (0, 2), (1, 2))),
-    "chain2+1": FinitePoset("abc", _reflexive(3, (0, 1))),
-}
 
 
 class TestCarrierKeys:

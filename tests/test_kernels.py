@@ -1,10 +1,19 @@
 import itertools
 import random
 
+import pytest
+
 from dialectica import _kernels as K
-from dialectica.doctrine import PosetFibre, doctrine_from_json, doctrine_to_json, kripke_doctrine
+from dialectica.doctrine import (
+    PosetFibre,
+    doctrine_from_json,
+    doctrine_to_json,
+    kripke_doctrine,
+    up_columns,
+)
 from dialectica.fincat import fin_obj
 from dialectica.posets import antichain_poset, chain_poset
+from test_freeness import SMALL_FRAMES
 
 
 def witness_pair_naive(alpha, beta, ni, nu, nx, nv, ny, nw):
@@ -203,6 +212,131 @@ class TestOrderSets:
                 for x in els:
                     assert up(x) == sum(1 << j for j, p in enumerate(ps) if fib.leq(x, p))
                     assert down(x) == sum(1 << j for j, p in enumerate(ps) if fib.leq(p, x))
+
+
+def _up_closed(rng, frame, ne, count):
+    """``count`` seeded predicates over ``ne`` elements, each element's
+    column an up-set of the frame."""
+    cols = up_columns(frame.up, len(frame))
+    return [sum(rng.choice(cols) << (e * len(frame)) for e in range(ne)) for _ in range(count)]
+
+
+def _seeded_map(rng, nd, nc):
+    """A map from nd to nc elements, as its index table, that misses at
+    least one codomain element when nc > 1."""
+    if nc == 0:
+        return ()
+    hit = rng.randrange(nc)
+    return tuple(rng.choice([c for c in range(nc) if c != hit] or [hit]) for _ in range(nd))
+
+
+def _preimages(fmap, nc):
+    return [tuple(d for d, c in enumerate(fmap) if c == k) for k in range(nc)]
+
+
+# (domain size, codomain size): empty carriers, a point, and a codomain
+# of 25 elements, whose masks are wider than 64 bits on two or three worlds
+SHAPES = ((0, 2), (3, 1), (1, 3), (4, 3), (6, 25), (25, 4))
+
+
+class TestPlaneOracle:
+    """The plane kernels give the transposition of the per-mask kernels'
+    results, on seeded predicate lists (empty, one predicate, and many)
+    over every frame of `SMALL_FRAMES`."""
+
+    @staticmethod
+    def _lists(rng, frame, ne):
+        return [[], _up_closed(rng, frame, ne, 1), _up_closed(rng, frame, ne, 37)]
+
+    @pytest.mark.parametrize("name", SMALL_FRAMES)
+    def test_transpose_round_trip(self, name):
+        frame = SMALL_FRAMES[name]
+        nw = len(frame)
+        rng = random.Random(f"transpose:{name}")
+        for ne in (0, 1, 25):
+            for ps in self._lists(rng, frame, ne):
+                planes = K.transpose(ps, ne * nw)
+                assert len(planes) == ne * nw
+                assert all((planes[k] >> j & 1) == (p >> k & 1)
+                           for k in range(ne * nw) for j, p in enumerate(ps))
+                assert K.transpose(planes, len(ps)) == ps
+
+    @pytest.mark.parametrize("name", SMALL_FRAMES)
+    def test_reindex_and_quantifiers(self, name):
+        frame = SMALL_FRAMES[name]
+        nw = len(frame)
+        rng = random.Random(f"along:{name}")
+        for nd, nc in SHAPES:
+            fmap = _seeded_map(rng, nd, nc)
+            fibs = _preimages(fmap, nc)
+            assert nc < 2 or () in fibs  # a missed point: forall is full there
+            for ps in self._lists(rng, frame, nc):
+                want = [K.reindex_mask(p, fmap, nw) for p in ps]
+                got = K.reindex_planes(K.transpose(ps, nc * nw), fmap, nw)
+                assert got == K.transpose(want, nd * nw), (nd, nc, len(ps))
+            for ps in self._lists(rng, frame, nd):
+                planes, every = K.transpose(ps, nd * nw), (1 << len(ps)) - 1
+                want = [K.exists_image(p, fibs, nw) for p in ps]
+                assert K.exists_planes(planes, fibs, nw) == K.transpose(want, nc * nw)
+                want = [K.forall_preimage(p, fibs, nw) for p in ps]
+                assert K.forall_planes(planes, fibs, nw, every) == K.transpose(want, nc * nw)
+
+    @pytest.mark.parametrize("name", SMALL_FRAMES)
+    def test_lattice_operations_and_comparisons(self, name):
+        frame = SMALL_FRAMES[name]
+        nw = len(frame)
+        rng = random.Random(f"lattice:{name}")
+        for ne in (0, 1, 3, 25):
+            for n in (0, 1, 37):
+                xs, ys = _up_closed(rng, frame, ne, n), _up_closed(rng, frame, ne, n)
+                if n:  # equal and comparable pairs as well
+                    ys[0] = xs[0]
+                    ys[-1] |= xs[-1]
+                px, py = K.transpose(xs, ne * nw), K.transpose(ys, ne * nw)
+                every = (1 << n) - 1
+                ops = {"meet": (K.meet_planes(px, py), [x & y for x, y in zip(xs, ys)]),
+                       "join": (K.join_planes(px, py), [x | y for x, y in zip(xs, ys)]),
+                       "imp": (K.imp_planes(px, py, ne, nw, frame.up, every),
+                               [K.imp_mask(x, y, ne, nw, frame.up) for x, y in zip(xs, ys)])}
+                for op, (got, want) in ops.items():
+                    assert got == K.transpose(want, ne * nw), (op, ne, n)
+                assert K.differ(px, py) == sum(1 << j for j in range(n) if xs[j] != ys[j])
+                assert K.exceeds(px, py) == sum(1 << j for j in range(n) if xs[j] & ~ys[j])
+
+    @pytest.mark.parametrize("D", (
+        kripke_doctrine(chain_poset(1), (2, 2)), kripke_doctrine(chain_poset(2), (2, 2)),
+        kripke_doctrine(antichain_poset(2), (2, 2))), ids=lambda d: d.name)
+    def test_stock_fibres(self, D):
+        """Every predicate of the stock fibres over A and A*B: pullbacks
+        along the left projection, both quantifiers along it, and the
+        implication of every predicate over A*B against its mirror."""
+        A, B = D.universe[1:]
+        p = D.product(A, B)
+        nw, nd, nc = D.nw, len(p.obj), len(A)
+        over_a, over_ab = list(D.fibre(A).elements()), list(D.fibre(p.obj).elements())
+        fmap, fibs = p.proj_left.idx, p.proj_left.preimages()
+        assert K.reindex_planes(K.transpose(over_a, nc * nw), fmap, nw) == K.transpose(
+            [K.reindex_mask(a, fmap, nw) for a in over_a], nd * nw)
+        planes, every = K.transpose(over_ab, nd * nw), (1 << len(over_ab)) - 1
+        assert K.exists_planes(planes, fibs, nw) == K.transpose(
+            [K.exists_image(x, fibs, nw) for x in over_ab], nc * nw)
+        assert K.forall_planes(planes, fibs, nw, every) == K.transpose(
+            [K.forall_preimage(x, fibs, nw) for x in over_ab], nc * nw)
+        mirror = over_ab[::-1]
+        assert K.imp_planes(planes, K.transpose(mirror, nd * nw), nd, nw, D.frame.up,
+                            every) == K.transpose(
+            [K.imp_mask(x, y, nd, nw, D.frame.up) for x, y in zip(over_ab, mirror)], nd * nw)
+
+    def test_order_sets_read_planes(self):
+        """`uppers` on the planes of a list answers as on the list."""
+        rng = random.Random(37)
+        for nbits in (0, 3, 70):
+            full = (1 << nbits) - 1
+            for n in (0, 1, 9):
+                ps = [rng.getrandbits(nbits) if nbits else 0 for _ in range(n)]
+                up, planes_up = K.uppers(ps, full), K.uppers(K.transpose(ps, nbits), full, n)
+                for x in [rng.getrandbits(nbits) if nbits else 0 for _ in range(12)]:
+                    assert up(x) == planes_up(x) == order_sets_naive(ps, x)[0]
 
 
 class TestDispatch:
