@@ -109,14 +109,8 @@ def transpose(rows, width: int) -> list:
     Planes of ``n`` masks transpose back with ``transpose(planes, n)``."""
     if rows:
         width = max(width, max(rows).bit_length())
-    if len(rows) * width <= 256:  # few bits: walk the set bits
-        out = [0] * width
-        for j, r in enumerate(rows):
-            while r:
-                low = r & -r
-                out[low.bit_length() - 1] |= 1 << j
-                r ^= low
-        return out
+    if not rows or not width:
+        return [0] * width
     form = f"0{width}b"
     cols = zip(*[format(r, form) for r in reversed(rows)])
     return [int("".join(col), 2) for col in cols][::-1]

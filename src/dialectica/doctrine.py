@@ -136,7 +136,10 @@ class MaskFibre:
 
     Bit ``e * nw + w`` says element ``e`` satisfies the predicate at
     world ``w``.  Order is mask inclusion; the lattice operations are
-    bitwise, with implication via the frame's up-sets.
+    bitwise, with implication via the frame's up-sets.  The forms on
+    planes (`not_leq`, `on_planes`) ask an order or operation that a
+    subclass overrides predicate by predicate; the order sets (`uppers`,
+    `lowers`) are those of mask inclusion.
     """
 
     has_heyting = True
@@ -215,6 +218,8 @@ class MaskFibre:
 
     def not_leq(self, xs, ys, count: int) -> int:
         """The j where predicate j of planes xs is not below that of ys."""
+        if type(self).leq is not MaskFibre.leq:
+            return _not_leq(self, xs, ys, count)
         return K.exceeds(xs, ys)
 
     def on_planes(self, op: str, xs, ys, count: int) -> list:
@@ -347,11 +352,16 @@ class PosetFibre:
         return K.transpose(preds, 0)
 
     def not_leq(self, xs, ys, count: int) -> int:
-        xs, ys = (K.transpose(p, count)[:count] for p in (xs, ys))
-        return sum(1 << j for j, (x, y) in enumerate(zip(xs, ys)) if not self.leq(x, y))
+        return _not_leq(self, xs, ys, count)
 
     def on_planes(self, op: str, xs, ys, count: int) -> list:
         return _lifted(self, getattr(self, op), count, xs, ys)
+
+
+def _not_leq(fib, xs, ys, count: int) -> int:
+    """`not_leq` asked of ``fib.leq`` position by position."""
+    xs, ys = (K.transpose(p, count)[:count] for p in (xs, ys))
+    return sum(1 << j for j, (x, y) in enumerate(zip(xs, ys)) if not fib.leq(x, y))
 
 
 def _lifted(fib, fn, count: int, *plane_lists) -> list:
@@ -657,9 +667,13 @@ class ConcreteDoctrine(Doctrine):
         if op == "reindex":
             table = f.idx if b is None else _times_id(f.idx, len(b))
             return K.reindex_planes(planes, table, nw), None
+        fibs = f.preimages()
+        if b is not None:  # (c, y) has the preimages (d, y) of the d over c
+            nb = len(b)
+            fibs = [[d * nb + y for d in ds] for ds in fibs for y in range(nb)]
         if op == "exists":
-            return K.exists_planes(planes, f.preimages(), nw), None
-        return K.forall_planes(planes, f.preimages(), nw, (1 << count) - 1), None
+            return K.exists_planes(planes, fibs, nw), None
+        return K.forall_planes(planes, fibs, nw, (1 << count) - 1), None
 
     def exists_along(self, f: FinMor, alpha: int) -> int:
         return K.exists_image(alpha, f.preimages(), self.nw)
@@ -912,13 +926,30 @@ def _then(D, state, op: str, f: FinMor, b: FinObj | None = None):
     return (planes, n, exc) if stop is None else (planes, *stop)
 
 
-def _pull(D, f: FinMor, planes, count: int) -> list:
-    """The planes of the pullbacks along f, or the exception of the first
-    predicate without one."""
-    planes, stop = D.planes_along("reindex", f, planes, count)
-    if stop is not None:
-        raise stop[1]
-    return planes
+def _pulls(D, f: FinMor, fib, plane_lists, count: int):
+    """The planes of the pullbacks along f of lists of ``count``
+    predicates each (planes of ``fib``), and where a scan that reads the
+    j-th predicate of each list in turn, j by j, first meets one without
+    a pullback: None, or ``(j, i, exc)`` for list i.  A stop other than
+    `DoctrineDataError` is raised."""
+    out, first = [], None
+    for i, planes in enumerate(plane_lists):
+        pulled, stop = D.planes_along("reindex", f, planes, count)
+        out.append(pulled or fib.planes([]))
+        if stop is not None and (first is None or stop[0] < first[0]):
+            first = stop[0], i, stop[1]
+    if first is not None and not isinstance(first[2], DoctrineDataError):
+        raise first[2]
+    return out, first
+
+
+def _before(stop, last: int) -> int:
+    """The positions that a scan stopped at ``stop`` (see `_pulls`) has
+    decided, for a law that reads the lists up to index ``last``."""
+    if stop is None:
+        return -1
+    j, i, _ = stop
+    return (1 << (j + (i > last))) - 1
 
 
 def _bits(mask: int):
@@ -1053,7 +1084,8 @@ def _check_reindex(D, fibre_els, violations, notes, counts):
     composite's per pair of table keys, so each is decided once per
     index table; a failing map or composite is decided again for each
     map, and names its own maps.  A map whose pullback is missing on a
-    sampled predicate is noted and skipped, and a composite with no
+    sampled predicate lists the failures that a scan one predicate at a
+    time reads before it, and one note (`_pulls`); a composite with no
     recorded table is noted and not counted."""
     for obj, els in fibre_els.items():
         sample, planes = _sample_planes(D, obj, els, PAIR_SAMPLE)
@@ -1096,31 +1128,43 @@ def _check_reindex(D, fibre_els, violations, notes, counts):
             if verdict in D._passed:
                 continue
             found = len(violations), len(notes)
-            try:
-                px, py = _pull(D, f, xs, n), _pull(D, f, ys, n)
-                for j in _bits(ordered & fib_a.not_leq(px, py, n)):
+            # A scan reads x and y of each ordered pair, then top and
+            # bottom, then x, y, meet, join and implication of each pair,
+            # and stops at the first predicate without a pullback.
+            (px, py), stop = _pulls(D, f, fib_a, (xs, ys), n)
+            not_monotone = ordered & fib_a.not_leq(px, py, n)
+            if stop is not None:  # so find where the scan of the ordered pairs stops
+                rows = list(_bits(ordered))
+                lists = [fib_b.planes([sampled[j][side] for j in rows]) for side in (0, 1)]
+                (px, py), stop = _pulls(D, f, fib_a, lists, len(rows))
+                bad = fib_a.not_leq(px, py, len(rows)) & _before(stop, 1)
+                not_monotone = sum(1 << rows[k] for k in _bits(bad))
+            for j in _bits(not_monotone):
+                x, y = sampled[j]
+                violations.append(
+                    f"reindex along {mor_key(f)} is not monotone on "
+                    f"{fib_b.describe(x)} <= {fib_b.describe(y)}")
+            if lattice and stop is None:
+                ends, *cod_ops = ops
+                (pulled,), stop = _pulls(D, f, fib_a, (ends,), 2)
+                moved = K.differ(pulled, ends_a) & _before(stop, 0)
+                if moved & 1:
+                    violations.append(f"reindex along {mor_key(f)} moves top")
+                if moved & 2:
+                    violations.append(f"reindex along {mor_key(f)} moves bottom")
+            if lattice and stop is None:
+                (px, py, *pulled), stop = _pulls(D, f, fib_a, (xs, ys, *cod_ops), n)
+                broken = [K.differ(p, fib_a.on_planes(op, px, py, n)) & _before(stop, i)
+                          for i, op, p in zip((2, 3, 4), ("meet", "join", "imp"), pulled)]
+                for j in _bits(broken[0] | broken[1] | broken[2]):
                     x, y = sampled[j]
-                    violations.append(
-                        f"reindex along {mor_key(f)} is not monotone on "
-                        f"{fib_b.describe(x)} <= {fib_b.describe(y)}")
-                if lattice:
-                    ends, *cod_ops = ops
-                    moved = K.differ(_pull(D, f, ends, 2), ends_a)
-                    if moved & 1:
-                        violations.append(f"reindex along {mor_key(f)} moves top")
-                    if moved & 2:
-                        violations.append(f"reindex along {mor_key(f)} moves bottom")
-                    broken = [K.differ(_pull(D, f, cod_op, n), fib_a.on_planes(op, px, py, n))
-                              for op, cod_op in zip(("meet", "join", "imp"), cod_ops)]
-                    for j in _bits(broken[0] | broken[1] | broken[2]):
-                        x, y = sampled[j]
-                        for name, bad in zip(("meet", "join", "implication"), broken):
-                            if bad >> j & 1:
-                                violations.append(
-                                    f"reindex along {mor_key(f)} breaks {name} on "
-                                    f"{fib_b.describe(x)}, {fib_b.describe(y)}")
-            except DoctrineDataError as exc:
-                notes.append(f"{mor_key(f)}: {exc}; skipped")
+                    for name, bad in zip(("meet", "join", "implication"), broken):
+                        if bad >> j & 1:
+                            violations.append(
+                                f"reindex along {mor_key(f)} breaks {name} on "
+                                f"{fib_b.describe(x)}, {fib_b.describe(y)}")
+            if stop is not None:
+                notes.append(f"{mor_key(f)}: {stop[2]}; skipped")
             if found == (len(violations), len(notes)):
                 D._passed[verdict] = ()
     pulled = {}  # table key of g -> the sample over g's codomain pulled back along g

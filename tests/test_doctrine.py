@@ -445,8 +445,8 @@ class TestSharedTable:
         """`ConcreteDoctrine.planes_along` (the plane kernels) gives the
         planes and stops of `Doctrine.planes_along` (each predicate read
         through `D.along`) for every op along every map between universe
-        objects and along each projection, and for pullbacks along each
-        f x id, on every predicate and on a seeded sublist."""
+        objects, along each projection and along each f x id, on every
+        predicate and on a seeded sublist."""
         D = make()
         rng = random.Random(f"planes:{D.name}")
         objs = D.universe
@@ -454,10 +454,11 @@ class TestSharedTable:
                  for op in METHODS]
         cases += [(op, proj, None) for a in objs for b in objs for op in ("exists", "forall")
                   for proj in (D.product(a, b).proj_left, D.product(a, b).proj_right)]
-        cases += [("reindex", f, b) for a in objs for a2 in objs for f in D.morphisms(a, a2)
-                  for b in objs]
+        cases += [(op, f, b) for a in objs for a2 in objs for f in D.morphisms(a, a2)
+                  for b in objs for op in METHODS]
         for op, f, b in cases:
-            src = (f.cod if b is None else D.product(f.cod, b).obj) if op == "reindex" else f.dom
+            src = f.cod if op == "reindex" else f.dom
+            src = src if b is None else D.product(src, b).obj
             els = list(D.fibre(src).elements())
             for preds in (els, rng.sample(els, min(len(els), 5)), []):
                 args = (op, f, D.fibre(src).planes(preds), len(preds), b)
@@ -1473,6 +1474,10 @@ MISSING = {
     "forall-late": lambda op, D, f, alpha: (
         AdjointMissing(op, mor_key(f), alpha)
         if op == "forall" and f.idx == (0, 0, 1, 1) and alpha == _nth(D, f.dom, -2) else None),
+    "pullback-some": lambda op, D, f, alpha: (
+        DoctrineDataError(f"no pullback of {alpha} along {f.idx}")
+        if op == "reindex" and f.idx == (1, 0) and len(f.cod) == 2
+        and alpha in (_nth(D, f.cod, 5), _nth(D, f.cod, 11)) else None),
     "pullback-table": lambda op, D, f, alpha: (
         DoctrineDataError(f"no table along {f.idx}")
         if op == "reindex" and f.idx == (1, 0) and len(f.cod) == 2 else None),
@@ -1539,6 +1544,110 @@ class TestPlaneOracle:
         assert rep.equality_failures and rep.skipped
         square = rep.skipped[0].split(":")[0]
         assert len([v for v in rep.equality_failures if f" along {square} " in v]) == 9
+
+
+    def test_failures_before_a_missing_pullback_are_listed(self):
+        """On antichain3-1x2 the pair sample of B's 64 predicates squares
+        a side of 16 that meet and join keep but implication leaves.
+        Reindexing along the swap B->B#2 is off by one bit everywhere and
+        missing on one implication outside the side, so the pair scan
+        first meets it on the implication of pair 16: the map lists
+        failures of every law on the pairs before, then the meet and join
+        of pair 16, then one note."""
+        base = FRESH["antichain3-1x2"]()
+        B = next(o for o in base.universe if o.name == "B")
+        els = base.fibre(B).elements()
+
+        class WrongThenMissing(ConcreteDoctrine):
+            def reindex_el(self, f, alpha):
+                if f.idx != (1, 0):
+                    return super().reindex_el(f, alpha)
+                if alpha == els[59]:
+                    raise DoctrineDataError("no pullback recorded")
+                return super().reindex_el(f, alpha) ^ 4
+
+        def make():
+            return WrongThenMissing(base.name, base.frame, base.universe, base.cap)
+        got = _reindex_audit(make())
+        D = make()
+        assert got == reindex_pairs(D, {o: D.fibre(o).elements() for o in D.universe})
+        along = [v for v in got[0] if v.startswith("reindex along B->B#2 ")]
+        assert {v.split(" on ")[0].split()[-1] for v in along} == {
+            "monotone", "top", "bottom", "meet", "join", "implication"}
+        x, y = (D.fibre(B).describe(p) for p in doctrine._sample_pairs(els, doctrine.PAIR_SAMPLE)[16])
+        assert along[-2:] == [f"reindex along B->B#2 breaks {law} on {x}, {y}"
+                              for law in ("meet", "join")]
+        assert "B->B#2: no pullback recorded; skipped" in got[1]
+
+    def test_a_missing_pullback_stops_the_order_scan_where_the_scan_stops(self):
+        """On antichain2, with bottom planted not below one predicate m of
+        B, the pair scan reads m first as y of the unordered pair
+        (bottom, m), which it skips, and stops on the ordered pair (m, m)
+        much later.  Along the swap B->B#2, wrong everywhere and missing
+        on m, the monotonicity failures of the ordered pairs between are
+        listed, as the scan lists them."""
+        base = FRESH["antichain2"]()
+        B = next(o for o in base.universe if o.name == "B")
+        m = base.fibre(B).elements()[5]
+
+        class BottomNotBelowM(MaskFibre):
+            def leq(self, a, b):
+                return MaskFibre.leq(self, a, b) and not (a == 0 and b == m)
+
+        class WrongThenMissing(ConcreteDoctrine):
+            def fibre(self, obj):
+                key = obj.name, obj
+                if key not in self._fibres:
+                    self._fibres[key] = BottomNotBelowM(
+                        obj, self.nw, self.frame.up, self.frame.elements, self.cap)
+                return self._fibres[key]
+
+            def reindex_el(self, f, alpha):
+                if f.idx != (1, 0):
+                    return super().reindex_el(f, alpha)
+                if alpha == m:
+                    raise DoctrineDataError("no pullback recorded")
+                return super().reindex_el(f, alpha) ^ 1
+
+        def make():
+            return WrongThenMissing(base.name, base.frame, base.universe, base.cap)
+        got, D = _reindex_audit(make()), make()
+        assert got == reindex_pairs(D, {o: D.fibre(o).elements() for o in D.universe})
+        along = [v for v in got[0] if v.startswith("reindex along B->B#2 ")]
+        assert along and all(" is not monotone on " in v for v in along)
+        els = D.fibre(B).elements()
+        index = {D.fibre(B).describe(p): i for i, p in enumerate(els)}
+        pairs = [tuple(index[p] for p in v.split(" on ")[1].split(" <= ")) for v in along]
+        assert max(x * len(els) + y for x, y in pairs) > els.index(m)  # read after m
+        assert "B->B#2: no pullback recorded; skipped" in got[1]
+
+    @pytest.mark.parametrize("name", ("powerset-2x2", "chain2", "antichain2"))
+    def test_a_planted_order_is_asked_as_the_scans_ask_it(self, name):
+        """A mask fibre whose `leq` is wrong on some pairs: the audits'
+        order tests on planes ask it predicate by predicate, so the
+        monotonicity scan and the lax inequality list what the scans
+        list."""
+        class WrongOrder(MaskFibre):
+            def leq(self, a, b):
+                return MaskFibre.leq(self, a, b) and (a * 5 + b) % 11 != 3
+
+        class PlantedOrder(ConcreteDoctrine):
+            def fibre(self, obj):
+                key = obj.name, obj
+                if key not in self._fibres:
+                    self._fibres[key] = WrongOrder(
+                        obj, self.nw, self.frame.up, self.frame.elements, self.cap)
+                return self._fibres[key]
+
+        base = FRESH[name]()
+
+        def make():
+            return PlantedOrder(base.name, base.frame, base.universe, base.cap)
+        got, D = _reindex_audit(make()), make()
+        assert got == reindex_pairs(D, {o: D.fibre(o).elements() for o in D.universe})
+        assert any(" is not monotone on " in v for v in got[0])
+        for direction in ("exists", "forall"):
+            assert beck_chevalley(make(), direction) == squares_betas(make(), direction)
 
 
 class TestOrderSetGuard:
