@@ -13,7 +13,8 @@ scan and completion check over one doctrine shares one carrier, and one
 set of projections, per shape.  It also keeps its values along maps
 (`D.along`), each asked of its own method once, the planes of the law
 audits' sampled predicates (`D.planes_along` reads values along maps
-for a whole list of predicates at once), its passing law verdicts, each
+for a whole list of predicates at once, as do Skolemisation's chains
+and the recorded tables), its passing law verdicts, each
 decided once per index table, and, when concrete, the order signature
 of each quadruple the Dialectica order reads.  On top
 of both sit adjoint certification by the adjunction law, structural
@@ -140,11 +141,20 @@ class MaskFibre:
     planes (`not_leq`, `on_planes`) ask an order or operation that a
     subclass overrides predicate by predicate; the order sets (`uppers`,
     `lowers`) are those of mask inclusion.
+
+    A predicate is a tuple of up-set columns, one per element, drawn
+    from ``cols`` (the frame's up-sets, in increasing order, kept from
+    construction), and its index among `elements` is mixed-radix in the
+    columns' positions in ``cols``, element 0 the most significant
+    digit.  So the recorded tables are closed forms in those digits:
+    `op_table` a Kronecker power of the one-column table, and
+    `pullback_table` a sum of digits times weights.
     """
 
     has_heyting = True
 
-    __slots__ = ("obj", "nw", "upmasks", "worlds", "full", "cap", "_elements", "_index")
+    __slots__ = ("obj", "nw", "upmasks", "worlds", "full", "cap", "cols", "_elements",
+                 "_index")
 
     def __init__(self, obj: FinObj, nw: int, upmasks, worlds, cap: int):
         self.obj = obj
@@ -153,13 +163,14 @@ class MaskFibre:
         self.worlds = tuple(worlds)
         self.full = (1 << (len(obj) * nw)) - 1 if len(obj) else 0
         self.cap = cap
+        self.cols = up_columns(self.upmasks, nw)
         self._elements = None
         self._index = None
 
     def count(self) -> int:
         """The number of predicates, found without listing them; over the
         cap it raises the CapExceeded that `elements` raises."""
-        count = len(up_columns(self.upmasks, self.nw)) ** len(self.obj)
+        count = len(self.cols) ** len(self.obj)
         if count > self.cap:
             raise CapExceeded(
                 f"fibre over {self.obj.name} has {count} predicates; cap {self.cap}"
@@ -170,9 +181,8 @@ class MaskFibre:
         if self._elements is None:
             self.count()
             nw = self.nw
-            cols = up_columns(self.upmasks, nw)
             out = []
-            for combo in itertools.product(cols, repeat=len(self.obj)):
+            for combo in itertools.product(self.cols, repeat=len(self.obj)):
                 mask = 0
                 for e, col in enumerate(combo):
                     mask |= col << (e * nw)
@@ -234,6 +244,56 @@ class MaskFibre:
         if op == "join":
             return K.join_planes(xs, ys)
         return K.imp_planes(xs, ys, len(self.obj), self.nw, self.upmasks, (1 << count) - 1)
+
+    def op_table(self, op: str) -> list:
+        """The table of ``op`` ("leq", "meet", "join" or "imp") over the
+        predicates in their order: entry [i][j] is 1 or 0 for "leq", else
+        the index of ``op(i, j)``.  It is the Kronecker power of the
+        one-column table C over ``cols``: with k columns, entry
+        ``[i*k + c][j*k + d]`` of the table over one more element is
+        ``T[i][j]*k + C[c][d]``, or ``T[i][j] & C[c][d]`` for "leq".  An
+        op overridden on a subclass is asked pair by pair."""
+        els = self.elements()  # the cap, as a table asked pair by pair meets it
+        if getattr(type(self), op) is not getattr(MaskFibre, op):
+            return _pair_table(self, op, els)
+        cols, k = self.cols, len(self.cols)
+        if op == "leq":
+            one = [[int(c & ~d == 0) for d in cols] for c in cols]
+            table = [[1]]
+            for _ in range(len(self.obj)):
+                table = [[t & x for t in row for x in crow] for row in table for crow in one]
+            return table
+        at = {c: i for i, c in enumerate(cols)}
+        if op == "meet":
+            one = [[at[c & d] for d in cols] for c in cols]
+        elif op == "join":
+            one = [[at[c | d] for d in cols] for c in cols]
+        else:
+            one = [[at[K.imp_mask(c, d, 1, self.nw, self.upmasks)] for d in cols] for c in cols]
+        table = [[0]]
+        for _ in range(len(self.obj)):
+            table = [[t * k + x for t in row for x in crow] for row in table for crow in one]
+        return table
+
+    def pullback_table(self, fmap, cod) -> list:
+        """The index in this fibre of the pullback, along the map with
+        index table ``fmap``, of each predicate of the fibre ``cod`` over
+        its codomain, in cod's order.  A pullback copies the column at
+        f(i) to element i, so its index is linear in cod's digits: digit
+        c weighs ``W[c] = sum(k**(nd-1-i) for i with f(i) = c)``, and the
+        table grows one digit at a time, most significant first.  Both
+        counts are taken first, cod's then this fibre's, so a cap raises
+        as it does for a table asked predicate by predicate."""
+        cod.count()
+        self.count()
+        k, nd = len(self.cols), len(self.obj)
+        weights = [0] * len(cod.obj)
+        for i, c in enumerate(fmap):
+            weights[c] += k ** (nd - 1 - i)
+        table = [0]
+        for w in weights:
+            table = [t + d * w for t in table for d in range(k)]
+        return table
 
     def describe(self, mask: int) -> str:
         colmask = (1 << self.nw) - 1
@@ -342,6 +402,10 @@ class PosetFibre:
         self._need()
         return self.heyting.imp[a][b]
 
+    def op_table(self, op: str) -> list:
+        """`MaskFibre.op_table`, asked pair by pair."""
+        return _pair_table(self, op, self.elements())
+
     def describe(self, a: int) -> str:
         return self.labels[a]
 
@@ -362,6 +426,15 @@ def _not_leq(fib, xs, ys, count: int) -> int:
     """`not_leq` asked of ``fib.leq`` position by position."""
     xs, ys = (K.transpose(p, count)[:count] for p in (xs, ys))
     return sum(1 << j for j, (x, y) in enumerate(zip(xs, ys)) if not fib.leq(x, y))
+
+
+def _pair_table(fib, op: str, els) -> list:
+    """`op_table` asked of ``fib``'s op on each pair of ``els``."""
+    fn = getattr(fib, op)
+    if op == "leq":
+        return [[1 if fn(a, b) else 0 for b in els] for a in els]
+    idx = {a: i for i, a in enumerate(els)}
+    return [[idx[fn(a, b)] for b in els] for a in els]
 
 
 def _lifted(fib, fn, count: int, *plane_lists) -> list:
@@ -397,7 +470,17 @@ class Doctrine:
     ``D.along`` and stops at the first without a value, so the audits
     list what a scan one predicate at a time lists.  The planes of the
     audits' sampled predicates are kept in ``D._planes``, per carrier
-    key and sample stride.
+    key and sample stride.  ``D.table_pull()`` is the same pullback as a
+    reader taken once per audit, along a map given by its index table
+    (the functoriality audit's composites).
+
+    Two more decisions take whole predicate lists: ``D.chain_values``
+    (each predicate's value along chains of ops along maps, which
+    Skolemisation's two sides are) and ``D.reindex_table(f)`` (the
+    recorded reindexing table along f).  Their bodies here ask D's own
+    value methods one predicate at a time, in the order a scan asks
+    them; table replays, and concrete doctrines that override a value
+    method, decide by these bodies.
 
     ``D._passed`` keeps the law audits' passing verdicts (`adjoint_along`,
     `beck_chevalley`, `check_doctrine`'s reindexing laws), keyed by the
@@ -469,6 +552,41 @@ class Doctrine:
         if not values:  # the fibre need not exist when no value does
             return [], stop
         return self.fibre(f.dom if op == "reindex" else f.cod).planes(values), stop
+
+    def table_pull(self):
+        """``pull(dom, cod, table, planes, count)``: `planes_along` of
+        "reindex" along the map dom -> cod with the index table
+        ``table``, for an audit that pulls back along many maps and takes
+        the reader once.  Here the map is built and read through
+        `planes_along`."""
+        return lambda dom, cod, table, planes, count: self.planes_along(
+            "reindex", FinMor(dom, cod, idx=table), planes, count)
+
+    def chain_values(self, preds, chains) -> list:
+        """For each chain of ``(op, f)`` steps, the list of its values at
+        the predicates ``preds``: a predicate's value along a chain is
+        the predicate, then its value of each op along each map in turn.
+        Here each predicate runs each chain in turn through D's own
+        `reindex_el`, `exists_along` and `forall_along`, not through
+        `along`'s memo keyed by index table, so a method that reads a
+        carrier's name is asked on that carrier; the first exception
+        propagates."""
+        steps = [[(getattr(self, _ALONG[op]), f) for op, f in chain] for chain in chains]
+        out = [[] for _ in chains]
+        for alpha in preds:
+            for chain, values in zip(steps, out):
+                value = alpha
+                for ask, f in chain:
+                    value = ask(f, value)
+                values.append(value)
+        return out
+
+    def reindex_table(self, f: FinMor) -> list:
+        """The reindexing table along f that `doctrine_to_json` records:
+        the index over f's domain of the pullback of each predicate over
+        its codomain, each asked of `reindex_el`."""
+        fib_a = self.fibre(f.dom)
+        return [fib_a.index(self.reindex_el(f, beta)) for beta in self.fibre(f.cod).elements()]
 
     def exists_along(self, f: FinMor, alpha):
         return self._search("exists", f, alpha)
@@ -609,11 +727,15 @@ class ConcreteDoctrine(Doctrine):
     along the tables of `_pair_tables` by the reindexing kernel and
     compares them in the mask order, building no map and looking up no
     product.  The law audits' values along maps are the plane kernels'
-    (`planes_along`): a pullback gathers planes by the map's index table,
-    and a quantifier ORs or ANDs them over each preimage list, for every
-    sampled predicate at once.  When `reindex_el`, `exists_along` or
-    `forall_along` is overridden, on a subclass or on the instance, the
-    audits read that method through the base class's body instead.
+    (`planes_along`, `table_pull`): a pullback gathers planes by the
+    map's index table, and a quantifier ORs or ANDs them over each
+    preimage list, for every sampled predicate at once.  Skolemisation's
+    chains run on the planes of a whole fibre (`chain_values`), and a
+    recorded reindexing table is a closed form in the digits of the
+    predicates' indices (`reindex_table`, `MaskFibre.pullback_table`).
+    When `reindex_el`, `exists_along` or `forall_along` is overridden, on
+    a subclass or on the instance (`_asks_values`), each of these reads
+    that method through the base class's body instead.
     """
 
     kind = "concrete"
@@ -658,22 +780,66 @@ class ConcreteDoctrine(Doctrine):
     def reindex_el(self, f: FinMor, alpha: int) -> int:
         return K.reindex_mask(alpha, f.idx, self.nw)
 
-    def planes_along(self, op: str, f: FinMor, planes, count: int, b: FinObj | None = None):
-        cls, own = type(self), vars(self)
-        for name in _ALONG.values():
-            if getattr(cls, name) is not getattr(ConcreteDoctrine, name) or name in own:
-                return Doctrine.planes_along(self, op, f, planes, count, b)
+    def _asks_values(self) -> bool:
+        """Whether `reindex_el`, `exists_along` or `forall_along` is
+        overridden, on a subclass or on the instance: then the values
+        along maps are asked of them, through the base class's bodies.
+        Asked once per call of `planes_along`, so the class test is
+        skipped for ConcreteDoctrine itself."""
+        cls = type(self)
+        if cls is not ConcreteDoctrine and any(
+                getattr(cls, name) is not getattr(ConcreteDoctrine, name)
+                for name in _ALONG.values()):
+            return True
+        return not vars(self).keys().isdisjoint(_ALONG.values())
+
+    def _kernel_planes(self, op: str, f: FinMor, planes, count: int, b: FinObj | None = None):
+        """The planes of ``op`` along f (or f x id_b) by the plane kernels."""
         nw = self.nw
         if op == "reindex":
-            table = f.idx if b is None else _times_id(f.idx, len(b))
-            return K.reindex_planes(planes, table, nw), None
+            return K.reindex_planes(planes, f.idx if b is None else _times_id(f.idx, len(b)), nw)
         fibs = f.preimages()
         if b is not None:  # (c, y) has the preimages (d, y) of the d over c
             nb = len(b)
             fibs = [[d * nb + y for d in ds] for ds in fibs for y in range(nb)]
         if op == "exists":
-            return K.exists_planes(planes, fibs, nw), None
-        return K.forall_planes(planes, fibs, nw, (1 << count) - 1), None
+            return K.exists_planes(planes, fibs, nw)
+        return K.forall_planes(planes, fibs, nw, (1 << count) - 1)
+
+    def planes_along(self, op: str, f: FinMor, planes, count: int, b: FinObj | None = None):
+        if self._asks_values():
+            return Doctrine.planes_along(self, op, f, planes, count, b)
+        return self._kernel_planes(op, f, planes, count, b), None
+
+    def table_pull(self):
+        """A gather of the planes by the table, building no map; the
+        override test is made here, once per reader."""
+        if self._asks_values():
+            return Doctrine.table_pull(self)
+        nw = self.nw
+        return lambda dom, cod, table, planes, count: (K.reindex_planes(planes, table, nw), None)
+
+    def chain_values(self, preds, chains) -> list:
+        """The predicates are transposed once, each chain runs on their
+        planes by the plane kernels, and its planes are transposed back."""
+        if self._asks_values():
+            return Doctrine.chain_values(self, preds, chains)
+        op, f = chains[0][0]
+        n = len(preds)
+        start = self.fibre(f.cod if op == "reindex" else f.dom).planes(preds)
+        out = []
+        for chain in chains:
+            planes = start
+            for op, f in chain:
+                planes = self._kernel_planes(op, f, planes, n)
+            out.append(K.transpose(planes, n)[:n])
+        return out
+
+    def reindex_table(self, f: FinMor) -> list:
+        """In closed form (`MaskFibre.pullback_table`)."""
+        if self._asks_values():
+            return Doctrine.reindex_table(self, f)
+        return self.fibre(f.dom).pullback_table(f.idx, self.fibre(f.cod))
 
     def exists_along(self, f: FinMor, alpha: int) -> int:
         return K.exists_image(alpha, f.preimages(), self.nw)
@@ -982,7 +1148,8 @@ def check_doctrine(D) -> DoctrineReport:
     (`_check_heyting`), not by one `leq` per triple.  The reindexing laws
     are decided on planes, for every sampled predicate of a codomain at
     once (`_check_reindex`), read through `D.planes_along`, and a passing
-    map or composite is decided once per index table.
+    map or composite is decided once per index table; a composite
+    pulls back along its index table alone (`D.table_pull`).
     """
     violations: list[str] = []
     notes: list[str] = []
@@ -1079,7 +1246,10 @@ def _check_reindex(D, fibre_els, violations, notes, counts):
     They are listed per map as a scan lists them: the pairs that break
     monotonicity, then top and bottom, then meet, join and implication
     per pair.  Functoriality is decided on the planes of each codomain's
-    sample, pulled back along g then f and along the composite.  A map's
+    sample, pulled back along g then f and along the composite's index
+    table, through one `D.table_pull` reader per audit: on a concrete
+    doctrine a gather by the table, with no composite map built and no
+    override test per pair.  A map's
     laws that pass are kept in ``D._passed`` per table key, and a
     composite's per pair of table keys, so each is decided once per
     index table; a failing map or composite is decided again for each
@@ -1167,6 +1337,13 @@ def _check_reindex(D, fibre_els, violations, notes, counts):
                 notes.append(f"{mor_key(f)}: {stop[2]}; skipped")
             if found == (len(violations), len(notes)):
                 D._passed[verdict] = ()
+    pull = D.table_pull()
+
+    def then(state, dom, cod, table):  # `_then` along a map given by its table
+        planes, n, exc = state
+        planes, stop = pull(dom, cod, table, planes, n)
+        return (planes, n, exc) if stop is None else (planes, *stop)
+
     pulled = {}  # table key of g -> the sample over g's codomain pulled back along g
     for (a, b), fs in mors.items():
         for (b2, c), gs in mors.items():
@@ -1181,10 +1358,9 @@ def _check_reindex(D, fibre_els, violations, notes, counts):
                     verdict = ("compose", f_key, g_key)
                     if verdict not in D._passed:
                         if g_key not in pulled:
-                            pulled[g_key] = _then(D, start, "reindex", g)
-                        fg = _then(D, pulled[g_key], "reindex", f)
-                        gf = _then(D, start, "reindex",
-                                   FinMor(a, c, idx=[g.idx[v] for v in f.idx]))
+                            pulled[g_key] = then(start, g.dom, g.cod, g.idx)
+                        fg = then(pulled[g_key], f.dom, f.cod, f.idx)
+                        gf = then(start, a, c, [g.idx[v] for v in f.idx])
                         n = min(fg[1], gf[1])
                         if K.differ(fg[0], gf[0]) & ((1 << n) - 1):
                             violations.append(
@@ -1387,7 +1563,7 @@ def doctrine_to_json(D) -> dict:
                 continue
             for f in fs:
                 try:
-                    reindex[mor_key(f)] = _reindex_json(D, f)
+                    reindex[mor_key(f)] = D.reindex_table(f)
                 except DoctrineDataError:
                     continue
     data["reindex"] = reindex
@@ -1397,7 +1573,11 @@ def doctrine_to_json(D) -> dict:
 
 
 def _carriers_json(D, notes: list) -> dict:
-    """Every section of `doctrine_to_json` but the reindexing tables."""
+    """Every section of `doctrine_to_json` but the reindexing tables.
+    Each order and lattice table is the fibre's `op_table`: a Kronecker
+    power on a mask fibre, the op asked pair by pair on a recorded
+    fibre or an overridden op.  Listing a fibre's elements first meets
+    the cap."""
     data: dict = {"name": D.name, "kind": D.kind}
     if D.generator:
         data["generator"] = D.generator
@@ -1416,8 +1596,7 @@ def _carriers_json(D, notes: list) -> dict:
         n = len(els)
         fibres[obj.name] = {
             "elements": [fib.describe(a) for a in els],
-            "leq": [[1 if fib.leq(els[i], els[j]) else 0 for j in range(n)]
-                    for i in range(n)],
+            "leq": fib.op_table("leq"),
         }
         if fib.has_heyting:
             if n > HEYTING_TABLE_CAP:
@@ -1427,21 +1606,12 @@ def _carriers_json(D, notes: list) -> dict:
             heyting[obj.name] = {
                 "top": idx[fib.top()],
                 "bottom": idx[fib.bottom()],
-                "meet": [[idx[fib.meet(a, b)] for b in els] for a in els],
-                "join": [[idx[fib.join(a, b)] for b in els] for a in els],
-                "imp": [[idx[fib.imp(a, b)] for b in els] for a in els],
+                **{op: fib.op_table(op) for op in ("meet", "join", "imp")},
             }
     data["fibres"] = fibres
     if heyting:
         data["heyting"] = heyting
     return data
-
-
-def _reindex_json(D, f: FinMor) -> list:
-    """The reindexing table along f: the index over f's domain of the
-    pullback of each predicate over its codomain."""
-    fib_a = D.fibre(f.dom)
-    return [fib_a.index(D.reindex_el(f, beta)) for beta in D.fibre(f.cod).elements()]
 
 
 def _is_table(value: list, n: int, cells) -> bool:
@@ -1470,10 +1640,12 @@ def _from_generator(gen: dict, name, cap: int) -> ConcreteDoctrine:
 def _match_recorded(data: dict, D: ConcreteDoctrine, gen: dict) -> None:
     """Every table a generator file records must be the one
     `doctrine_to_json` writes for the regenerated doctrine; a file may
-    record fewer.  A reindexing table is recomputed from its key alone,
-    so no hom-set is enumerated.  Fibres are listed at the default cap
-    or the load cap, if larger: `--cap` does not turn a stock file into
-    a mismatch."""
+    record fewer.  A reindexing table is recomputed from its key alone
+    (`D.reindex_table`, a closed form), so no hom-set is enumerated and
+    no predicate pulled back; the fibres' tables are closed forms too
+    (`_carriers_json`).  Fibres are listed at the default cap or the
+    load cap, if larger: `--cap` does not turn a stock file into a
+    mismatch."""
     recorded = [k for k in TABLE_KEYS if k in data]
     if not recorded:
         return
@@ -1493,7 +1665,7 @@ def _match_recorded(data: dict, D: ConcreteDoctrine, gen: dict) -> None:
                 want = ref.get(section, {}).get(key, missing)
             else:
                 try:
-                    want = _reindex_json(D, mor_from_key(key, by_name))
+                    want = D.reindex_table(mor_from_key(key, by_name))
                 except DoctrineDataError:
                     want = missing
             if value != want:

@@ -411,7 +411,10 @@ def check_skolemisation(D, analyzer: FreenessAnalyzer | None = None,
     alpha's slice at a1, a predicate of the one-point block (1, A2, B),
     and every such predicate is a slice; so a block over a wide A1 is
     read from its one-point block's table, whose targets are the sides
-    at one point."""
+    at one point.  A scanned block asks both sides of its whole fibre in
+    one `D.chain_values` call (`_sides`): on the predicates' planes on a
+    concrete doctrine, through D's value methods one predicate at a time
+    on a table replay or where one of them is overridden."""
     del analyzer  # no freeness preconditions; kept for a uniform signature
     notes: list = []
     witnesses: list = []
@@ -477,7 +480,10 @@ def check_skolemisation(D, analyzer: FreenessAnalyzer | None = None,
 
 def _sides(D, A1, a12, tri, a1e, fe, fib):
     """Yield (alpha, (prenex side, Skolem side), stage, True) for every
-    predicate alpha of the block (A1, A2, B), in its fibre's order."""
+    predicate alpha of the block (A1, A2, B), in its fibre's order.  Both
+    sides of the whole fibre are one `D.chain_values` call: forall along
+    p1 after exists along p12, and exists along r after forall along q
+    after the pullback along the substitution."""
     k1 = A1.arity
     # (a1, f, a2) goes to (a1, a2, f a2); the projections are those of
     # the products, A1*A2*B being (A1*A2)*B
@@ -485,9 +491,11 @@ def _sides(D, A1, a12, tri, a1e, fe, fib):
         e[:k1] + e[k1 + 1:] + e[k1](e[k1 + 1:]) for e in fe.obj.elements))
     p12, p1 = tri.proj_left, a12.proj_left
     q, r = fe.proj_left, a1e.proj_left
-    for alpha in fib.elements():
-        lhs = D.forall_along(p1, D.exists_along(p12, alpha))
-        rhs = D.exists_along(r, D.forall_along(q, D.reindex_el(subst, alpha)))
+    alphas = fib.elements()
+    prenex, skolem = D.chain_values(alphas, (
+        (("exists", p12), ("forall", p1)),
+        (("reindex", subst), ("forall", q), ("exists", r))))
+    for alpha, lhs, rhs in zip(alphas, prenex, skolem):
         yield alpha, (lhs, rhs), _HOLDS if lhs == rhs else _FAILS, True
 
 

@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 
-from dialectica import doctrine
+from dialectica import cli, doctrine
 from dialectica.doctrine import (
     AdjointFailure,
     AdjointMissing,
@@ -42,6 +42,7 @@ from dialectica.fincat import (
     unit_obj,
 )
 from dialectica.posets import antichain_poset, chain_poset
+from test_freeness import SMALL_FRAMES
 
 POW = powerset_doctrine((2, 2))
 CHAIN = kripke_doctrine(chain_poset(2), (2, 2))
@@ -1684,3 +1685,134 @@ class TestOrderSetGuard:
             violations, _, triples = _heyting_audit(D.fibre(obj), obj)
             assert not violations and triples == len(tri) ** 3
             assert leq_calls[0] - before <= 4 * len(tri) ** 2 + 2 * len(sample)
+
+
+SIZES = ((1, 1), (2, 2), (2, 3))
+SMALL = {f"{name}-{'x'.join(map(str, sizes))}": (frame, sizes)
+         for name, frame in SMALL_FRAMES.items() for sizes in SIZES}
+
+
+class TestClosedFormTables:
+    """The recorded tables of a concrete doctrine are closed forms in the
+    digits of a predicate's index (`MaskFibre.op_table`,
+    `MaskFibre.pullback_table`); the tables asked pair by pair and
+    predicate by predicate are their oracle."""
+
+    @pytest.mark.parametrize("name", SMALL)
+    def test_op_tables_are_the_pair_tables(self, name):
+        """Every order table, and every lattice table that
+        `doctrine_to_json` writes (fibres of at most HEYTING_TABLE_CAP
+        predicates)."""
+        D = kripke_doctrine(*SMALL[name])
+        for obj in D.universe:
+            fib = D.fibre(obj)
+            els = fib.elements()
+            ops = ("leq", "meet", "join", "imp") if len(els) <= doctrine.HEYTING_TABLE_CAP \
+                else ("leq",)
+            for op in ops:
+                assert fib.op_table(op) == doctrine._pair_table(fib, op, els), (obj.name, op)
+
+    @pytest.mark.parametrize("name", SMALL)
+    def test_reindex_tables_are_the_per_predicate_tables(self, name):
+        D = kripke_doctrine(*SMALL[name])
+        for a in D.universe:
+            for b in D.universe:
+                for f in D.morphisms(a, b):
+                    assert D.reindex_table(f) == Doctrine.reindex_table(D, f), mor_key(f)
+
+    @pytest.mark.parametrize("op", ("leq", "imp"))
+    def test_an_overridden_op_is_asked_pair_by_pair(self, op):
+        """A mask fibre whose `leq` or `imp` is wrong on one pair records
+        its own answer there, as a table asked pair by pair does."""
+        class Planted(MaskFibre):
+            def leq(self, a, b):
+                return MaskFibre.leq(self, a, b) != (op == "leq" and (a, b) == (0, 0))
+
+            def imp(self, a, b):
+                value = MaskFibre.imp(self, a, b)
+                return self.full ^ value if op == "imp" and (a, b) == (0, 0) else value
+
+        A = POW.universe[1]
+        fib = Planted(A, 1, POW.frame.up, POW.frame.elements, POW.cap)
+        plain = POW.fibre(A)
+        got = fib.op_table(op)
+        assert got == doctrine._pair_table(fib, op, fib.elements())
+        assert got != plain.op_table(op) and got[1:] == plain.op_table(op)[1:]
+
+    def test_an_instance_reindex_el_is_asked_per_predicate(self):
+        D = powerset_doctrine((2, 2))
+        f = D.morphisms(D.universe[1], D.universe[2])[1]
+        want = D.reindex_table(f)
+        D.reindex_el = lambda g, alpha: ConcreteDoctrine.reindex_el(D, g, alpha) | 1
+        got = D.reindex_table(f)
+        assert got == Doctrine.reindex_table(D, f) != want
+
+    def test_a_table_over_the_cap_raises_where_it_did(self):
+        """The codomain's count is taken first, then the domain's."""
+        D = powerset_doctrine((1, 3), cap=4)
+        one, A, B = D.universe
+        with pytest.raises(CapExceeded, match="fibre over B has 8"):
+            D.reindex_table(D.morphisms(A, B)[0])
+        with pytest.raises(CapExceeded, match="fibre over B has 8"):
+            D.reindex_table(D.morphisms(B, A)[0])
+        with pytest.raises(CapExceeded, match="fibre over B has 8"):
+            D.fibre(B).op_table("leq")
+
+    @pytest.mark.parametrize("section,path", [
+        ("fibres", ("A", "leq", 1, 0)), ("heyting", ("A", "meet", 2, 3)),
+        ("heyting", ("A", "join", 0, 0)), ("heyting", ("A", "imp", 3, 1)),
+        ("reindex", ("A->B#1", 2))])
+    def test_one_wrong_cell_of_a_stock_file_exits_2(self, capsys, tmp_path, section, path):
+        data = doctrine_to_json(CHAIN)
+        *where, last = path
+        cell = data[section]
+        for key in where:
+            cell = cell[key]
+        cell[last] = (cell[last] + 1) % 2
+        file = tmp_path / "chain.json"
+        file.write_text(json.dumps(data))
+        assert cli.main(["doctrine", "check", "--doctrine", str(file)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (f"error: malformed doctrine JSON: {file}: recorded "
+                                     f"{section} '{path[0]}' does not match the generator\n")
+
+
+class TestFunctoriality:
+    """The functoriality audit gathers planes by index tables on a
+    concrete doctrine, and builds maps only when a value method is
+    overridden; a composite whose pullback is not the pullback along its
+    factors is reported either way."""
+
+    def test_a_concrete_doctrine_builds_no_composite(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(doctrine, "FinMor", lambda *a, **k: built.append(a) or FinMor(*a, **k))
+        D = powerset_doctrine((2, 3))
+        rep = check_doctrine(D)
+        assert rep.passed and rep.counts["compositions"] == 1618 and built == []
+
+    def test_a_planted_non_functorial_composite_is_reported(self):
+        """A pullback wrong along the table (1, 1, 0) into B (powerset-2x3)
+        alone: each composable pair (f, g) with that table as f, g or the
+        composite breaks functoriality, as the pair scan finds, clean
+        factors of a planted composite included."""
+        class WrongComposite(ConcreteDoctrine):
+            def reindex_el(self, f, alpha):
+                value = super().reindex_el(f, alpha)
+                return value ^ 1 if f.idx == (1, 1, 0) and len(f.cod) == 3 else value
+
+        P = powerset_doctrine((2, 3))
+        D = WrongComposite(P.name, P.frame, P.universe)
+        got = _reindex_audit(D)
+        assert got == reindex_pairs(D, {o: D.fibre(o).elements() for o in D.universe})
+        broken = [v for v in got[0] if v.startswith("functoriality fails: ")]
+        assert broken and all(" after " in v for v in broken)
+        objs = {o.name: o for o in P.universe}
+        planted = (1, 1, 0)
+        clean_factors = 0
+        for v in broken:
+            g, _, f = v.removeprefix("functoriality fails: ").partition(" after ")
+            f, g = mor_from_key(f, objs), mor_from_key(g, objs)
+            composite = tuple(g.idx[x] for x in f.idx)
+            assert planted in (f.idx, g.idx, composite)
+            clean_factors += planted not in (f.idx, g.idx)
+        assert clean_factors

@@ -14,12 +14,16 @@ from dialectica.doctrine import (
     doctrine_to_json,
     kripke_doctrine,
     mor_from_key,
+    mor_key,
     powerset_doctrine,
 )
-from dialectica.fincat import CapExceeded, FinMor, product, unit_obj
+from dialectica.fincat import CapExceeded, FinMor, exponential, product, unit_obj
 from dialectica.freeness import FreenessAnalyzer
 from dialectica.posets import FinitePoset, antichain_poset, chain_poset
 from dialectica.principles import (
+    _FAILS,
+    _HOLDS,
+    EXP_CAP,
     RULES,
     WITNESS_CAP,
     check_counterexample_property,
@@ -27,10 +31,13 @@ from dialectica.principles import (
     check_markov,
     check_modified_markov,
     check_rule_of_choice,
+    _sides,
     check_skolemisation,
     run_suite,
 )
+from test_doctrine import _replay_data
 from test_freeness import SMALL_FRAMES, Searched
+from test_golden import STOCK
 
 POW = powerset_doctrine((2, 2))
 CHAIN = kripke_doctrine(chain_poset(2), (2, 2))
@@ -600,6 +607,114 @@ class TestSkolemPerPoint:
         assert check_skolemisation(WrongWide(P.name, P.frame, P.universe)).passed
         rep = check_skolemisation(WrongWideScanned(P.name, P.frame, P.universe))
         assert {tuple(v["carriers"]) for v in rep.violations} == {("A", "A", "B")}
+
+
+def _sides_per_predicate(D, A1, a12, tri, a1e, fe, fib):
+    """Skolemisation's two sides asked of D's methods one predicate at a
+    time, prenex side first: the oracle of `D.chain_values`."""
+    k1 = A1.arity
+    subst = FinMor(fe.obj, tri.obj, tuple(
+        e[:k1] + e[k1 + 1:] + e[k1](e[k1 + 1:]) for e in fe.obj.elements))
+    p12, p1 = tri.proj_left, a12.proj_left
+    q, r = fe.proj_left, a1e.proj_left
+    for alpha in fib.elements():
+        lhs = D.forall_along(p1, D.exists_along(p12, alpha))
+        rhs = D.exists_along(r, D.forall_along(q, D.reindex_el(subst, alpha)))
+        yield alpha, (lhs, rhs), _HOLDS if lhs == rhs else _FAILS, True
+
+
+def _blocks(D):
+    """The arguments of `_sides` for each block of D's universe within
+    the caps, as `check_skolemisation` builds them."""
+    for A1 in D.universe:
+        for A2 in D.universe:
+            for B in D.universe:
+                try:
+                    E = exponential(B, A2, EXP_CAP)
+                    a12 = D.product(A1, A2)
+                    tri = D.product(a12.obj, B)
+                    fib = D.fibre(tri.obj)
+                    fib.count()
+                    a1e = D.product(A1, E.obj)
+                    yield A1, a12, tri, a1e, D.product(a1e.obj, A2), fib
+                except CapExceeded:
+                    continue
+
+
+def _outcome(sides):
+    """The list a sides generator yields, or the message it raises."""
+    try:
+        return list(sides)
+    except DoctrineError as exc:
+        return str(exc)
+
+
+class TestSkolemChains:
+    """`D.chain_values` gives the sides that D's methods give one
+    predicate at a time: on the plane kernels for a concrete doctrine,
+    and through those methods for a table replay or a doctrine that
+    overrides one."""
+
+    @pytest.mark.parametrize("name", TestSkolemPerPoint.ORACLE)
+    def test_sides_are_the_per_predicate_sides(self, name):
+        D = TestSkolemPerPoint.ORACLE[name]
+        blocks = 0
+        for args in _blocks(D):
+            assert list(_sides(D, *args)) == list(_sides_per_predicate(D, *args))
+            blocks += 1
+        assert blocks
+
+    @pytest.mark.parametrize("make", STOCK.values(), ids=STOCK)
+    def test_a_replay_stops_where_the_per_predicate_sides_stop(self, make):
+        D = doctrine_from_json(_replay_data(make()))
+        for args in _blocks(D):
+            got = _outcome(_sides(D, *args))
+            assert got == _outcome(_sides_per_predicate(D, *args))
+            if isinstance(got, str):
+                assert got == "no reindex table for 1*1^1*1->1*1*1#0"
+                break
+        else:
+            pytest.fail("no block stopped")
+
+    def test_an_overridden_method_is_asked_per_predicate(self):
+        """A planted quantifier (`PlantedSlice`) and a pullback set on the
+        instance are asked as the per-predicate sides ask them: the same
+        calls in the same order, and the same sides."""
+        P = powerset_doctrine((2, 2))
+        planted = PlantedSlice(P.name, P.frame, P.universe, P.cap)
+        D = powerset_doctrine((2, 2))
+        D.reindex_el = lambda f, alpha: ConcreteDoctrine.reindex_el(D, f, alpha) ^ (
+            f.cod.name == "1*A*B")
+        for doc in (planted, D):
+            calls = []
+            for name in ("reindex_el", "exists_along", "forall_along"):
+                ask = getattr(doc, name)
+                setattr(doc, name, lambda f, alpha, name=name, ask=ask: calls.append(
+                    (name, mor_key(f), alpha)) or ask(f, alpha))
+            differ = 0
+            for args in _blocks(doc):
+                calls.clear()
+                got = list(_sides(doc, *args))
+                asked = calls[:]
+                calls.clear()
+                assert got == list(_sides_per_predicate(doc, *args))
+                assert asked == calls
+                differ += sum(stage == _FAILS for _, _, stage, _ in got)
+            assert differ
+
+    @pytest.mark.parametrize("make", STOCK.values(), ids=STOCK)
+    @pytest.mark.parametrize("flags", ([], ["--diagnostic"], ["--rule", "skolem"]),
+                             ids=("strict", "diagnostic", "skolem"))
+    def test_principles_on_a_replay_exits_2_naming_the_table(self, capsys, tmp_path,
+                                                             make, flags):
+        """Stdout, stderr and the exit status: a generator-free replay of
+        a stock 2x2 doctrine records no table along Skolemisation's
+        first substitution."""
+        path = tmp_path / "replay.json"
+        path.write_text(json.dumps(_replay_data(make())))
+        code = cli.main(["principles", *flags, "--doctrine", str(path)])
+        assert (code, *capsys.readouterr()) == (
+            2, "", "error: no reindex table for 1*1^1*1->1*1*1#0\n")
 
 
 TERM_RULES = ("ip", "mmr", "markov", "cex", "choice")
