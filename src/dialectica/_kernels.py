@@ -294,7 +294,7 @@ def signature_leq(left_a, right_b) -> bool:
 
 
 def witness_pair(alpha: int, beta: int, ni: int, nu: int, nx: int,
-                 nv: int, ny: int, nw: int):
+                 nv: int, ny: int, nw: int, *, memo=None):
     """Search for (f0: IxU -> V, f1: IxUxY -> X) with
     alpha(i, u, f1(i, u, y)) <= beta(i, f0(i, u), y) at every world.
 
@@ -302,35 +302,49 @@ def witness_pair(alpha: int, beta: int, ni: int, nu: int, nx: int,
     pick the first v admitting, for every y, some x whose alpha column is
     below the beta column.  Returns (f0, f1) as flat index tuples, with
     f0 indexed by ``i * nu + u`` and f1 by ``(i * nu + u) * ny + y``.
+
+    A slot's answer depends only on its own columns of alpha, on row i
+    of beta and on the shape, so it is kept in ``memo`` under
+    ``(slot columns, beta row, nx, nv, ny, nw)``, each columns block read
+    as one int: ``(v, picks)``, or ``()`` when no v admits the slot.  A
+    memo shared across calls answers each distinct slot once.
     """
+    memo = {} if memo is None else memo
     full = (1 << nw) - 1
+    aw = nx * nw
+    bw = nv * ny * nw
+    amask = (1 << aw) - 1
+    bmask = (1 << bw) - 1
     f0 = []
     f1 = []
     for i in range(ni):
-        for u in range(nu):
-            iu = i * nu + u
-            acols = [(alpha >> ((iu * nx + x) * nw)) & full for x in range(nx)]
-            found = -1
-            rows = None
-            for v in range(nv):
-                row = []
-                for y in range(ny):
-                    bcol = (beta >> (((i * nv + v) * ny + y) * nw)) & full
-                    pick = -1
-                    for x in range(nx):
-                        if acols[x] & ~bcol == 0:
-                            pick = x
-                            break
-                    if pick < 0:
-                        row = None
-                        break
-                    row.append(pick)
-                if row is not None:
-                    found = v
-                    rows = row
-                    break
-            if found < 0:
+        brow = (beta >> (i * bw)) & bmask
+        for iu in range(i * nu, (i + 1) * nu):
+            key = (alpha >> (iu * aw)) & amask, brow, nx, nv, ny, nw
+            hit = memo.get(key)
+            if hit is None:
+                hit = memo[key] = _witness_slot(key[0], brow, nx, nv, ny, nw, full)
+            if not hit:
                 return None
-            f0.append(found)
-            f1.extend(rows)
+            f0.append(hit[0])
+            f1.extend(hit[1])
     return tuple(f0), tuple(f1)
+
+
+def _witness_slot(acols: int, brow: int, nx: int, nv: int, ny: int, nw: int, full: int):
+    """One slot of `witness_pair`: the first v, with the first x for each
+    y, that answers the columns ``acols`` from the beta row ``brow``."""
+    cols = [(acols >> (x * nw)) & full for x in range(nx)]
+    for v in range(nv):
+        picks = []
+        for y in range(ny):
+            bcol = (brow >> ((v * ny + y) * nw)) & full
+            for x, col in enumerate(cols):
+                if col & ~bcol == 0:
+                    picks.append(x)
+                    break
+            else:
+                break
+        else:
+            return v, tuple(picks)
+    return ()

@@ -26,8 +26,13 @@ index ``(i * |U| + u) * |X| + x``, and every table this module reads
 (revalidation, identity, composition) is computed by that arithmetic.
 Revalidation reads the pair's index tables: a concrete doctrine pulls
 back along them without building a map.  ``FinMor``s are built only for
-a pair that leaves this module: its two maps, handed the tables as
-``idx``.
+a pair that leaves this module: its two maps, f0: I*U -> V and
+f1: I*U*Y -> X, handed the tables as ``idx``.  ``dial_leq`` and
+``compose_pairs`` take them from ``D.kept_map``, which builds one map
+per distinct carrier pair and table and keeps it on D, so a table that
+many pairs share is one map; ``identity_pair`` reads the projections
+that D's product table keeps, and builds none.  Each pair is still
+revalidated whole, whether its maps were kept already or not.
 """
 from __future__ import annotations
 
@@ -36,7 +41,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .doctrine import DoctrineError, mor_json
+from .doctrine import DoctrineError
 from .fincat import CapExceeded, FinMor, FinObj
 
 DEFAULT_QUAD_CAP = 512
@@ -68,8 +73,8 @@ class WitnessPair:
     f0: FinMor
     f1: FinMor
 
-    def to_json(self) -> dict:
-        return {"f0": mor_json(self.f0), "f1": mor_json(self.f1)}
+    def to_json(self, D) -> dict:
+        return {"f0": D.map_json(self.f0), "f1": D.map_json(self.f1)}
 
 
 def _carrier(D, I: FinObj, U: FinObj, X: FinObj) -> FinObj:
@@ -113,8 +118,8 @@ def dial_leq(D, a: DialObject, b: DialObject):
     if found is None:
         return None
     iu = D.product(a.I, a.U).obj
-    p = WitnessPair(FinMor(iu, b.U, idx=found[0]),
-                    FinMor(D.product(iu, b.X).obj, a.X, idx=found[1]))
+    p = WitnessPair(D.kept_map(iu, b.U, found[0]),
+                    D.kept_map(D.product(iu, b.X).obj, a.X, found[1]))
     if not pair_is_valid(D, a, b, p):
         raise DoctrineError("kernel witness pair failed revalidation")
     return p
@@ -132,7 +137,7 @@ def compose_pairs(D, a: DialObject, b: DialObject, c: DialObject,
     h0 = [g0[s // nu * nv + f0[s]] for s in range(iu.size)]
     h1 = [f1[t // nz * ny + g1[(t // nz // nu * nv + f0[t // nz]) * nz + t % nz]]
           for t in range(iuz.size)]
-    out = WitnessPair(FinMor(iu, c.U, idx=h0), FinMor(iuz, a.X, idx=h1))
+    out = WitnessPair(D.kept_map(iu, c.U, h0), D.kept_map(iuz, a.X, h1))
     if not pair_is_valid(D, a, c, out):
         raise DoctrineError("composed witness pair failed revalidation")
     return out

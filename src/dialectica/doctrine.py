@@ -154,7 +154,7 @@ class MaskFibre:
     has_heyting = True
 
     __slots__ = ("obj", "nw", "upmasks", "worlds", "full", "cap", "cols", "_elements",
-                 "_index")
+                 "_index", "_described")
 
     def __init__(self, obj: FinObj, nw: int, upmasks, worlds, cap: int):
         self.obj = obj
@@ -166,6 +166,7 @@ class MaskFibre:
         self.cols = up_columns(self.upmasks, nw)
         self._elements = None
         self._index = None
+        self._described = {}
 
     def count(self) -> int:
         """The number of predicates, found without listing them; over the
@@ -296,6 +297,10 @@ class MaskFibre:
         return table
 
     def describe(self, mask: int) -> str:
+        """The predicate as text, kept per mask in ``_described``."""
+        text = self._described.get(mask)
+        if text is not None:
+            return text
         colmask = (1 << self.nw) - 1
         parts = []
         for e, el in enumerate(self.obj.elements):
@@ -307,7 +312,8 @@ class MaskFibre:
             else:
                 ws = ",".join(self.worlds[w] for w in range(self.nw) if (col >> w) & 1)
                 parts.append(f"{_el_label(el)}@{ws}")
-        return "{" + ", ".join(parts) + "}"
+        text = self._described[mask] = "{" + ", ".join(parts) + "}"
+        return text
 
 
 @dataclass(frozen=True)
@@ -482,6 +488,11 @@ class Doctrine:
     them; table replays, and concrete doctrines that override a value
     method, decide by these bodies.
 
+    ``D.kept_map(dom, cod, idx)`` builds each map it is asked for once
+    and keeps it, so the Dialectica order's certificates (`dial`) build
+    one map per distinct table; ``D.map_json(f)`` encodes a map with its
+    `mor_key` computed once.
+
     ``D._passed`` keeps the law audits' passing verdicts (`adjoint_along`,
     `beck_chevalley`, `check_doctrine`'s reindexing laws), keyed by the
     audit, ``D._table_key`` of its maps and ``D._carrier_key`` of any
@@ -508,6 +519,27 @@ class Doctrine:
         if hit is None:
             hit = self._products[key] = product(a, b, self.cap)
         return hit
+
+    def kept_map(self, dom: FinObj, cod: FinObj, idx) -> FinMor:
+        """The map dom -> cod with index table ``idx``, built once per
+        doctrine and kept, by the names and arities of its carriers as
+        well as the carriers, as `product` keys its factors."""
+        idx = tuple(idx)
+        key = (dom.name, dom.arity, dom, cod.name, cod.arity, cod, idx)
+        hit = self._maps.get(key)
+        if hit is None:
+            hit = self._maps[key] = FinMor(dom, cod, idx=idx)
+        return hit
+
+    def map_json(self, f: FinMor) -> dict:
+        """`mor_json` of f, with `mor_key` computed once per doctrine for
+        what it reads: the carriers' names, the codomain's size and the
+        table.  The dict is new on every call."""
+        key = (f.dom.name, f.cod.name, f.cod.size, f.idx)
+        text = self._map_keys.get(key)
+        if text is None:
+            text = self._map_keys[key] = mor_key(f)
+        return {"mor": text, "table": list(f.idx)}
 
     def _carrier_key(self, obj: FinObj):
         """All that a law verdict reads of a carrier besides its maps."""
@@ -682,13 +714,10 @@ class Doctrine:
 
     def _pair_tables(self, a, b, f0, f1):
         """The index tables of m1 = (i, u, f1(i, u, y)) into I*U*X and
-        m2 = (i, f0(i, u), y) into I*V*Y, both out of I*U*Y.  With
-        s = (i * |U| + u) * |Y| + y, m1 sends s to ``s // |Y| * |X| + f1[s]``
-        and m2 to ``(i * |V| + f0[s // |Y|]) * |Y| + y``."""
-        nu, nx, nv, ny = a.U.size, a.X.size, b.U.size, b.X.size
-        cells = range(a.I.size * nu * ny)
-        return ([s // ny * nx + f1[s] for s in cells],
-                [(s // (nu * ny) * nv + f0[s // ny]) * ny + s % ny for s in cells])
+        m2 = (i, f0(i, u), y) into I*V*Y, both out of I*U*Y
+        (`_m1_table`, `_m2_table`)."""
+        return (_m1_table(a.X.size, b.X.size, f1),
+                _m2_table(a.U.size, b.U.size, b.X.size, f0))
 
     def _pair_maps(self, a, b, f0, f1):
         """m1 and m2 of `_pair_tables` as maps between D's products."""
@@ -710,6 +739,18 @@ class Doctrine:
                     if self.witness_tables(a, b) is not None) for a in quads]
 
 
+def _m1_table(nx: int, ny: int, f1) -> list:
+    """m1's index table: with s = (i * |U| + u) * |Y| + y, s goes to
+    ``s // |Y| * |X| + f1[s]``."""
+    return [s // ny * nx + x for s, x in enumerate(f1)]
+
+
+def _m2_table(nu: int, nv: int, ny: int, f0) -> list:
+    """m2's index table: s = t * |Y| + y, for the slot t = i * |U| + u,
+    goes to ``(i * |V| + f0[t]) * |Y| + y``."""
+    return [(t // nu * nv + v) * ny + y for t, v in enumerate(f0) for y in range(ny)]
+
+
 class ConcreteDoctrine(Doctrine):
     """Doctrine of up-closed predicates over a Kripke frame.
 
@@ -722,17 +763,24 @@ class ConcreteDoctrine(Doctrine):
     decision is a bitmask kernel (`_kernels`) that gives the base
     class's search's answer.  The order's signatures are kept in
     ``D._sigs``, next to ``_along`` and ``_passed``, so every check and
-    fibre over D computes each quadruple's once.  A witness pair is
-    revalidated on index tables: `pair_holds` pulls both matrices back
-    along the tables of `_pair_tables` by the reindexing kernel and
-    compares them in the mask order, building no map and looking up no
-    product.  The law audits' values along maps are the plane kernels'
-    (`planes_along`, `table_pull`): a pullback gathers planes by the
-    map's index table, and a quantifier ORs or ANDs them over each
-    preimage list, for every sampled predicate at once.  Skolemisation's
-    chains run on the planes of a whole fibre (`chain_values`), and a
-    recorded reindexing table is a closed form in the digits of the
-    predicates' indices (`reindex_table`, `MaskFibre.pullback_table`).
+    fibre over D computes each quadruple's once.  `order_rows` reads
+    them on classes: the quadruples with one right signature are one
+    bitmask, and each distinct left signature's row is the OR of the
+    classes it reaches.  The witness search's slot decisions are kept in
+    ``D._slots`` (`_kernels.witness_pair`'s ``memo``), so a slot that
+    many pairs share is decided once.  A witness pair is revalidated on
+    index tables: `pair_holds` pulls both matrices back along m1 and m2
+    by the reindexing kernel and compares them in the mask order, for
+    every pair, building no map and looking up no product; the two
+    tables are kept in ``D._m1s`` and ``D._m2s`` by the part of the
+    pair's tables and shapes each is computed from.  The law audits'
+    values along maps are the plane kernels' (`planes_along`,
+    `table_pull`): a pullback gathers planes by the map's index table,
+    and a quantifier ORs or ANDs them over each preimage list, for
+    every sampled predicate at once.  Skolemisation's chains run on the
+    planes of a whole fibre (`chain_values`), and a recorded reindexing
+    table is a closed form in the digits of the predicates' indices
+    (`reindex_table`, `MaskFibre.pullback_table`).
     When `reindex_el`, `exists_along` or `forall_along` is overridden, on
     a subclass or on the instance (`_asks_values`), each of these reads
     that method through the base class's body instead.
@@ -755,7 +803,12 @@ class ConcreteDoctrine(Doctrine):
         self._along: dict = {}
         self._passed: dict = {}
         self._sigs: dict = {}
+        self._slots: dict = {}
+        self._m1s: dict = {}
+        self._m2s: dict = {}
         self._planes: dict = {}
+        self._maps: dict = {}
+        self._map_keys: dict = {}
 
     def fibre(self, obj: FinObj) -> MaskFibre:
         """The fibre over obj, kept per name as well as carrier (`FinObj`
@@ -859,10 +912,22 @@ class ConcreteDoctrine(Doctrine):
 
     def witness_tables(self, a, b):
         return K.witness_pair(a.alpha, b.alpha, a.I.size, a.U.size, a.X.size,
-                              b.U.size, b.X.size, self.nw)
+                              b.U.size, b.X.size, self.nw, memo=self._slots)
 
     def pair_holds(self, a, b, f0, f1) -> bool:
-        m1, m2 = self._pair_tables(a, b, f0, f1)
+        """Both pullbacks and the comparison run for every pair; m1's
+        table is kept in ``D._m1s`` by (|X|, |Y|, f1) and m2's in
+        ``D._m2s`` by (|U|, |V|, |Y|, f0), all that each is computed from."""
+        f0, f1 = tuple(f0), tuple(f1)
+        nx, ny = a.X.size, b.X.size
+        key = nx, ny, f1
+        m1 = self._m1s.get(key)
+        if m1 is None:
+            m1 = self._m1s[key] = _m1_table(nx, ny, f1)
+        key = a.U.size, b.U.size, ny, f0
+        m2 = self._m2s.get(key)
+        if m2 is None:
+            m2 = self._m2s[key] = _m2_table(*key)
         nw = self.nw
         return K.reindex_mask(a.alpha, m1, nw) & ~K.reindex_mask(b.alpha, m2, nw) == 0
 
@@ -878,12 +943,27 @@ class ConcreteDoctrine(Doctrine):
         return K.signature_leq(self._signature(a)[0], self._signature(b)[1])
 
     def order_rows(self, quads) -> list:
-        """One signature per quadruple, and each cell from two of them."""
-        pairs = [self._signature(q) for q in quads]
-        rights = [right for _, right in pairs]
+        """On signature classes: the quadruples with one right signature
+        are one class, held as the bitmask of their positions, and each
+        distinct left signature's row is the OR of the classes it reaches
+        (`signature_leq`), computed once."""
+        sigs = [self._signature(q) for q in quads]
+        classes = {}
+        for j, (_, right) in enumerate(sigs):
+            classes[right] = classes.get(right, 0) | 1 << j
         leq = K.signature_leq
-        return [sum(1 << j for j, right in enumerate(rights) if leq(left, right))
-                for left, _ in pairs]
+        rows = {}
+        out = []
+        for left, _ in sigs:
+            row = rows.get(left)
+            if row is None:
+                row = 0
+                for right, members in classes.items():
+                    if leq(left, right):
+                        row |= members
+                rows[left] = row
+            out.append(row)
+        return out
 
 
 class TabularDoctrine(Doctrine):
@@ -913,6 +993,8 @@ class TabularDoctrine(Doctrine):
         self._along: dict = {}
         self._passed: dict = {}
         self._planes: dict = {}
+        self._maps: dict = {}
+        self._map_keys: dict = {}
         for f, table in self._reindex.items():
             nc = len(self.fibre(f.cod).labels)
             nd = len(self.fibre(f.dom).labels)

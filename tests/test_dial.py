@@ -238,7 +238,14 @@ class TestIndexTables:
                     verdicts[holds] += 1
         assert min(verdicts) > 100
 
-    def test_revalidation_builds_no_map(self, fibre_a, monkeypatch):
+    def test_revalidation_builds_no_map(self, monkeypatch):
+        """Revalidation builds no map.  `dial_leq` builds at most its two,
+        none for a table the doctrine keeps already, and hands out the
+        kept map; a second pass over the fibre builds none."""
+        D = powerset_doctrine((2, 2))
+        fib = build_dial_fibre(D, D.universe[1], quad_cap=48)
+        cells = [(a, b) for i, a in enumerate(fib.quads) for j, b in enumerate(fib.quads)
+                 if i != j and fib.leq(i, j)]
         built = [0]
         init = FinMor.__init__
 
@@ -246,14 +253,41 @@ class TestIndexTables:
             built[0] += 1
             init(self, *args, **kwargs)
         monkeypatch.setattr(FinMor, "__init__", counting)
-        for a, b, p in fibre_a[2]:
-            assert POW.pair_holds(a, b, p.f0.idx, p.f1.idx)
-            assert pair_is_valid(POW, a, b, p)
-        assert built == [0]
-        for a, b, _ in fibre_a[2]:
+        seen = {}
+        for a, b in cells:
             before = built[0]
-            assert dial_leq(POW, a, b) is not None
-            assert built[0] - before == 2
+            p = dial_leq(D, a, b)
+            fresh = 0
+            for m in (p.f0, p.f1):
+                key = m.dom.name, m.cod.name, m.idx
+                fresh += key not in seen
+                assert seen.setdefault(key, m) is m
+            assert built[0] - before == fresh <= 2
+            before = built[0]
+            assert D.pair_holds(a, b, p.f0.idx, p.f1.idx)
+            assert pair_is_valid(D, a, b, p)
+            assert built[0] == before
+        assert len(cells) > 100 and len(seen) < len(cells)
+        before = built[0]
+        for a, b in cells:
+            assert dial_leq(D, a, b) is not None
+        assert built[0] == before
+
+    def test_kept_maps_are_keyed_by_names(self):
+        """Carriers with one set of elements and two names give two kept
+        maps and two `mor` keys; one name and table give one map."""
+        D = powerset_doctrine((2, 2))
+        A, twin = D.universe[1], FinObj("A2", D.universe[1].elements)
+        assert A == twin and A.name != twin.name
+        maps = [D.kept_map(dom, cod, (1, 0)) for dom in (A, twin) for cod in (A, twin)]
+        assert len({id(m) for m in maps}) == 4
+        assert len({D.map_json(m)["mor"] for m in maps}) == 4
+        assert [D.map_json(m)["mor"] for m in maps] == [
+            "A->A#2", "A->A2#2", "A2->A#2", "A2->A2#2"]
+        assert D.kept_map(A, twin, [1, 0]) is maps[1]
+        one, other = D.map_json(maps[0]), D.map_json(maps[0])
+        one["table"].append(9)
+        assert one is not other and other == {"mor": "A->A#2", "table": [1, 0]}
 
     def test_identity_pairs(self, fibre_a):
         for q in fibre_a[0].quads:
@@ -389,7 +423,7 @@ class TestCompletedFibres:
         a = next(q for q in quads if q.alpha == 0)
         b = quads[-1]
         p = dial_leq(POW, a, b)
-        data = p.to_json()
+        data = p.to_json(POW)
         assert set(data) == {"f0", "f1"}
         assert data["f0"]["table"] == [
             b.U.elements.index(p.f0(e)) for e in p.f0.dom.elements]
@@ -397,6 +431,14 @@ class TestCompletedFibres:
     def test_classes_collapse_to_the_base_order(self):
         fib = build_dial_fibre(POW, POW.universe[0], quad_cap=128)
         assert len(fib.classes()) == 2
+
+
+def signature_rows(D, quads):
+    """The order rows cell by cell: `signature_leq` on each pair's two
+    signatures."""
+    sigs = [K.order_signature(q.alpha, q.I.size, q.U.size, q.X.size, D.nw) for q in quads]
+    return [sum(1 << j for j, (_, right) in enumerate(sigs) if K.signature_leq(left, right))
+            for left, _ in sigs]
 
 
 class TestSignatureOrder:
@@ -410,6 +452,21 @@ class TestSignatureOrder:
         assert all(D.has_pair(a, b) == fib.leq(i, j)
                    for i, a in enumerate(fib.quads[:12])
                    for j, b in enumerate(fib.quads))
+
+    @pytest.mark.parametrize("D", (POW, CHAIN, ANTI), ids=lambda d: d.name)
+    def test_class_rows_match_the_cells_unsampled(self, D):
+        """On every fibre of the stock doctrine, every quadruple listed,
+        the rows read on signature classes are the rows decided cell by
+        cell; over the terminal object, at a small cap, they are also
+        the base class's pair search's.  The order reads carriers by
+        their sizes alone, so one base of each size stands for its
+        fibre."""
+        for I in {len(I): I for I in D.universe}.values():
+            quads, total, _ = enumerate_quads(D, I, quad_cap=10**6)
+            assert len(quads) == total
+            assert D.order_rows(quads) == signature_rows(D, quads)
+        quads = quads_over(D, D.universe[0], cap=40)
+        assert D.order_rows(quads) == Doctrine.order_rows(D, quads)
 
     def test_signatures_are_kept_by_the_doctrine(self, monkeypatch):
         """A completed fibre and a Theorem 4 check over one doctrine read

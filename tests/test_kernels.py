@@ -113,6 +113,30 @@ class TestSearchAgreement:
             args = (alpha, beta, ni, nu, nx, nv, ny, nw)
             assert K.witness_pair(*args) == witness_pair_naive(*args)
 
+    def test_a_shared_memo_answers_as_no_memo(self):
+        """One memo across every case, of every shape and one to three
+        worlds: each answer equals the answer without a memo and the
+        exhaustive one, both as the memo fills and once other shapes
+        have filled it.  The first cases give one slot the same column
+        ints at one and at two worlds, where the answers differ."""
+        rng = random.Random(23)
+        cases = [(0b10, 0b1, 1, 1, 2, 1, 1, nw) for nw in (1, 2)]
+        assert K.witness_pair(*cases[0]) != K.witness_pair(*cases[1])
+        for _ in range(200):
+            ni, nu, nx, nv, ny = (rng.randint(0, 2) for _ in range(5))
+            nw = rng.randint(1, 3)
+            alpha = rng.getrandbits(ni * nu * nx * nw)
+            beta = rng.getrandbits(ni * nv * ny * nw)
+            cases.append((alpha, beta, ni, nu, nx, nv, ny, nw))
+        memo = {}
+        for args in cases:
+            want = K.witness_pair(*args)
+            assert want == witness_pair_naive(*args)
+            assert K.witness_pair(*args, memo=memo) == want
+        assert len(memo) > 50
+        for args in reversed(cases):
+            assert K.witness_pair(*args, memo=memo) == K.witness_pair(*args)
+
 
 class TestOrderSignature:
     def test_signature_layout(self):
