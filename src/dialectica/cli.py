@@ -493,7 +493,7 @@ def cmd_dial_complete(args):
             p = dial_leq(D, fib.quads[i], fib.quads[j])
             if p is None:
                 raise DoctrineError(f"order matrix cell ({i}, {j}) has no witness pair")
-            pairs.append({"from": i, "to": j, "pair": p.to_json(D)})
+            pairs.append({"from": i, "to": j, "pair": p.to_json()})
             if len(pairs) >= args.pairs:
                 break
     payload = {

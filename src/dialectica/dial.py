@@ -41,7 +41,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .doctrine import DoctrineError
+from .doctrine import DoctrineError, mor_json
 from .fincat import CapExceeded, FinMor, FinObj
 
 DEFAULT_QUAD_CAP = 512
@@ -73,8 +73,8 @@ class WitnessPair:
     f0: FinMor
     f1: FinMor
 
-    def to_json(self, D) -> dict:
-        return {"f0": D.map_json(self.f0), "f1": D.map_json(self.f1)}
+    def to_json(self) -> dict:
+        return {"f0": mor_json(self.f0), "f1": mor_json(self.f1)}
 
 
 def _carrier(D, I: FinObj, U: FinObj, X: FinObj) -> FinObj:

@@ -490,8 +490,7 @@ class Doctrine:
 
     ``D.kept_map(dom, cod, idx)`` builds each map it is asked for once
     and keeps it, so the Dialectica order's certificates (`dial`) build
-    one map per distinct table; ``D.map_json(f)`` encodes a map with its
-    `mor_key` computed once.
+    one map per distinct table.
 
     ``D._passed`` keeps the law audits' passing verdicts (`adjoint_along`,
     `beck_chevalley`, `check_doctrine`'s reindexing laws), keyed by the
@@ -530,16 +529,6 @@ class Doctrine:
         if hit is None:
             hit = self._maps[key] = FinMor(dom, cod, idx=idx)
         return hit
-
-    def map_json(self, f: FinMor) -> dict:
-        """`mor_json` of f, with `mor_key` computed once per doctrine for
-        what it reads: the carriers' names, the codomain's size and the
-        table.  The dict is new on every call."""
-        key = (f.dom.name, f.cod.name, f.cod.size, f.idx)
-        text = self._map_keys.get(key)
-        if text is None:
-            text = self._map_keys[key] = mor_key(f)
-        return {"mor": text, "table": list(f.idx)}
 
     def _carrier_key(self, obj: FinObj):
         """All that a law verdict reads of a carrier besides its maps."""
@@ -712,19 +701,15 @@ class Doctrine:
         return self.fibre(m1.dom).leq(self.reindex_el(m1, a.alpha),
                                       self.reindex_el(m2, b.alpha))
 
-    def _pair_tables(self, a, b, f0, f1):
-        """The index tables of m1 = (i, u, f1(i, u, y)) into I*U*X and
-        m2 = (i, f0(i, u), y) into I*V*Y, both out of I*U*Y
-        (`_m1_table`, `_m2_table`)."""
-        return (_m1_table(a.X.size, b.X.size, f1),
-                _m2_table(a.U.size, b.U.size, b.X.size, f0))
-
     def _pair_maps(self, a, b, f0, f1):
-        """m1 and m2 of `_pair_tables` as maps between D's products."""
+        """m1 = (i, u, f1(i, u, y)) into I*U*X and m2 = (i, f0(i, u), y)
+        into I*V*Y, both out of I*U*Y, as maps between D's products, on
+        the tables of `_m1_table` and `_m2_table`."""
         prod = self.product
         iu = prod(a.I, a.U).obj
         iuy = prod(iu, b.X).obj
-        m1, m2 = self._pair_tables(a, b, f0, f1)
+        m1 = _m1_table(a.X.size, b.X.size, f1)
+        m2 = _m2_table(a.U.size, b.U.size, b.X.size, f0)
         return (FinMor(iuy, prod(iu, a.X).obj, idx=m1),
                 FinMor(iuy, prod(prod(a.I, b.U).obj, b.X).obj, idx=m2))
 
@@ -808,7 +793,6 @@ class ConcreteDoctrine(Doctrine):
         self._m2s: dict = {}
         self._planes: dict = {}
         self._maps: dict = {}
-        self._map_keys: dict = {}
 
     def fibre(self, obj: FinObj) -> MaskFibre:
         """The fibre over obj, kept per name as well as carrier (`FinObj`
@@ -994,7 +978,6 @@ class TabularDoctrine(Doctrine):
         self._passed: dict = {}
         self._planes: dict = {}
         self._maps: dict = {}
-        self._map_keys: dict = {}
         for f, table in self._reindex.items():
             nc = len(self.fibre(f.cod).labels)
             nd = len(self.fibre(f.dom).labels)

@@ -20,9 +20,12 @@ from dialectica.doctrine import (
     ConcreteDoctrine,
     Doctrine,
     DoctrineError,
+    _m1_table,
+    _m2_table,
     doctrine_from_json,
     doctrine_to_json,
     kripke_doctrine,
+    mor_json,
     powerset_doctrine,
 )
 from dialectica.fincat import (
@@ -207,9 +210,11 @@ class TestIndexTables:
         assert checked > 100
 
     def test_pair_tables(self, fibre_a):
-        """`_pair_tables` gives the index tables of the value-built maps."""
+        """`_m1_table` and `_m2_table` give the index tables of the
+        value-built maps."""
         for a, b, p in fibre_a[2]:
-            got = POW._pair_tables(a, b, p.f0.idx, p.f1.idx)
+            got = (_m1_table(a.X.size, b.X.size, p.f1.idx),
+                   _m2_table(a.U.size, b.U.size, b.X.size, p.f0.idx))
             assert got == tuple(list(m.idx) for m in value_pair_maps(a, b, p))
 
     def test_concrete_revalidation_matches_the_maps(self, fibre_a):
@@ -281,13 +286,9 @@ class TestIndexTables:
         assert A == twin and A.name != twin.name
         maps = [D.kept_map(dom, cod, (1, 0)) for dom in (A, twin) for cod in (A, twin)]
         assert len({id(m) for m in maps}) == 4
-        assert len({D.map_json(m)["mor"] for m in maps}) == 4
-        assert [D.map_json(m)["mor"] for m in maps] == [
+        assert [mor_json(m)["mor"] for m in maps] == [
             "A->A#2", "A->A2#2", "A2->A#2", "A2->A2#2"]
         assert D.kept_map(A, twin, [1, 0]) is maps[1]
-        one, other = D.map_json(maps[0]), D.map_json(maps[0])
-        one["table"].append(9)
-        assert one is not other and other == {"mor": "A->A#2", "table": [1, 0]}
 
     def test_identity_pairs(self, fibre_a):
         for q in fibre_a[0].quads:
@@ -423,7 +424,7 @@ class TestCompletedFibres:
         a = next(q for q in quads if q.alpha == 0)
         b = quads[-1]
         p = dial_leq(POW, a, b)
-        data = p.to_json(POW)
+        data = p.to_json()
         assert set(data) == {"f0", "f1"}
         assert data["f0"]["table"] == [
             b.U.elements.index(p.f0(e)) for e in p.f0.dom.elements]
