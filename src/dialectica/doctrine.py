@@ -6,7 +6,8 @@ implementations share one interface, the methods of `Doctrine`, whose
 decisions are exhaustive searches there: `TabularDoctrine` replays fibres
 and reindexing tables loaded from data and decides by those searches;
 `ConcreteDoctrine` computes fibres of up-closed bitmask predicates and
-overrides each decision with a closed form or kernel.  Each doctrine
+overrides each decision with a closed form or kernel, its one lane: no
+method looks for an override of another.  Each doctrine
 owns its fibres (`D.fibre`) and its binary carrier products
 (`D.product`), each built once at the doctrine's cap, so every audit,
 scan and completion check over one doctrine shares one carrier, and one
@@ -137,10 +138,11 @@ class MaskFibre:
 
     Bit ``e * nw + w`` says element ``e`` satisfies the predicate at
     world ``w``.  Order is mask inclusion; the lattice operations are
-    bitwise, with implication via the frame's up-sets.  The forms on
-    planes (`not_leq`, `on_planes`) ask an order or operation that a
-    subclass overrides predicate by predicate; the order sets (`uppers`,
-    `lowers`) are those of mask inclusion.
+    bitwise, with implication via the frame's up-sets, and so are their
+    forms on planes (`not_leq`, `on_planes`) and the order sets
+    (`uppers`, `lowers`): each is a kernel, and none asks `leq`,
+    `meet`, `join` or `imp`.  `PosetFibre`'s bodies ask those pair by
+    pair.
 
     A predicate is a tuple of up-set columns, one per element, drawn
     from ``cols`` (the frame's up-sets, in increasing order, kept from
@@ -229,17 +231,12 @@ class MaskFibre:
 
     def not_leq(self, xs, ys, count: int) -> int:
         """The j where predicate j of planes xs is not below that of ys."""
-        if type(self).leq is not MaskFibre.leq:
-            return _not_leq(self, xs, ys, count)
         return K.exceeds(xs, ys)
 
     def on_planes(self, op: str, xs, ys, count: int) -> list:
         """The planes of ``op`` ("meet", "join" or "imp") of predicate j
         of xs and predicate j of ys, for each of the ``count`` j, by the
-        plane kernels; an op overridden on a subclass is asked predicate
-        by predicate."""
-        if getattr(type(self), op) is not getattr(MaskFibre, op):
-            return _lifted(self, getattr(self, op), count, xs, ys)
+        plane kernels."""
         if op == "meet":
             return K.meet_planes(xs, ys)
         if op == "join":
@@ -252,11 +249,8 @@ class MaskFibre:
         the index of ``op(i, j)``.  It is the Kronecker power of the
         one-column table C over ``cols``: with k columns, entry
         ``[i*k + c][j*k + d]`` of the table over one more element is
-        ``T[i][j]*k + C[c][d]``, or ``T[i][j] & C[c][d]`` for "leq".  An
-        op overridden on a subclass is asked pair by pair."""
-        els = self.elements()  # the cap, as a table asked pair by pair meets it
-        if getattr(type(self), op) is not getattr(MaskFibre, op):
-            return _pair_table(self, op, els)
+        ``T[i][j]*k + C[c][d]``, or ``T[i][j] & C[c][d]`` for "leq"."""
+        self.elements()  # the cap, as a table asked pair by pair meets it
         cols, k = self.cols, len(self.cols)
         if op == "leq":
             one = [[int(c & ~d == 0) for d in cols] for c in cols]
@@ -409,8 +403,13 @@ class PosetFibre:
         return self.heyting.imp[a][b]
 
     def op_table(self, op: str) -> list:
-        """`MaskFibre.op_table`, asked pair by pair."""
-        return _pair_table(self, op, self.elements())
+        """`MaskFibre.op_table`, asked of ``op`` on each pair of the
+        elements."""
+        els, fn = self.elements(), getattr(self, op)
+        if op == "leq":
+            return [[1 if fn(a, b) else 0 for b in els] for a in els]
+        idx = {a: i for i, a in enumerate(els)}
+        return [[idx[fn(a, b)] for b in els] for a in els]
 
     def describe(self, a: int) -> str:
         return self.labels[a]
@@ -422,32 +421,13 @@ class PosetFibre:
         return K.transpose(preds, 0)
 
     def not_leq(self, xs, ys, count: int) -> int:
-        return _not_leq(self, xs, ys, count)
+        xs, ys = (K.transpose(p, count)[:count] for p in (xs, ys))
+        return sum(1 << j for j, (x, y) in enumerate(zip(xs, ys)) if not self.leq(x, y))
 
     def on_planes(self, op: str, xs, ys, count: int) -> list:
-        return _lifted(self, getattr(self, op), count, xs, ys)
-
-
-def _not_leq(fib, xs, ys, count: int) -> int:
-    """`not_leq` asked of ``fib.leq`` position by position."""
-    xs, ys = (K.transpose(p, count)[:count] for p in (xs, ys))
-    return sum(1 << j for j, (x, y) in enumerate(zip(xs, ys)) if not fib.leq(x, y))
-
-
-def _pair_table(fib, op: str, els) -> list:
-    """`op_table` asked of ``fib``'s op on each pair of ``els``."""
-    fn = getattr(fib, op)
-    if op == "leq":
-        return [[1 if fn(a, b) else 0 for b in els] for a in els]
-    idx = {a: i for i, a in enumerate(els)}
-    return [[idx[fn(a, b)] for b in els] for a in els]
-
-
-def _lifted(fib, fn, count: int, *plane_lists) -> list:
-    """The planes of fn applied to the predicates of ``plane_lists``,
-    position by position, over ``count`` positions."""
-    rows = [K.transpose(p, count)[:count] for p in plane_lists]
-    return fib.planes([fn(*args) for args in zip(*rows)])
+        fn = getattr(self, op)
+        xs, ys = (K.transpose(p, count)[:count] for p in (xs, ys))
+        return self.planes([fn(x, y) for x, y in zip(xs, ys)])
 
 
 # The method `Doctrine.along` asks for each op on a miss.
@@ -485,8 +465,8 @@ class Doctrine:
     Skolemisation's two sides are) and ``D.reindex_table(f)`` (the
     recorded reindexing table along f).  Their bodies here ask D's own
     value methods one predicate at a time, in the order a scan asks
-    them; table replays, and concrete doctrines that override a value
-    method, decide by these bodies.
+    them; table replays decide by these bodies, and a concrete doctrine
+    by its kernels alone.
 
     ``D.kept_map(dom, cod, idx)`` builds each map it is asked for once
     and keeps it, so the Dialectica order's certificates (`dial`) build
@@ -765,10 +745,10 @@ class ConcreteDoctrine(Doctrine):
     every sampled predicate at once.  Skolemisation's chains run on the
     planes of a whole fibre (`chain_values`), and a recorded reindexing
     table is a closed form in the digits of the predicates' indices
-    (`reindex_table`, `MaskFibre.pullback_table`).
-    When `reindex_el`, `exists_along` or `forall_along` is overridden, on
-    a subclass or on the instance (`_asks_values`), each of these reads
-    that method through the base class's body instead.
+    (`reindex_table`, `MaskFibre.pullback_table`).  These are the one
+    lane: none of them asks `reindex_el`, `exists_along` or
+    `forall_along`, so a subclass that overrides those and wants them
+    asked takes the base class's bodies as well.
     """
 
     kind = "concrete"
@@ -817,50 +797,28 @@ class ConcreteDoctrine(Doctrine):
     def reindex_el(self, f: FinMor, alpha: int) -> int:
         return K.reindex_mask(alpha, f.idx, self.nw)
 
-    def _asks_values(self) -> bool:
-        """Whether `reindex_el`, `exists_along` or `forall_along` is
-        overridden, on a subclass or on the instance: then the values
-        along maps are asked of them, through the base class's bodies.
-        Asked once per call of `planes_along`, so the class test is
-        skipped for ConcreteDoctrine itself."""
-        cls = type(self)
-        if cls is not ConcreteDoctrine and any(
-                getattr(cls, name) is not getattr(ConcreteDoctrine, name)
-                for name in _ALONG.values()):
-            return True
-        return not vars(self).keys().isdisjoint(_ALONG.values())
-
-    def _kernel_planes(self, op: str, f: FinMor, planes, count: int, b: FinObj | None = None):
-        """The planes of ``op`` along f (or f x id_b) by the plane kernels."""
+    def planes_along(self, op: str, f: FinMor, planes, count: int, b: FinObj | None = None):
+        """By the plane kernels, which raise nothing, so no stop."""
         nw = self.nw
         if op == "reindex":
-            return K.reindex_planes(planes, f.idx if b is None else _times_id(f.idx, len(b)), nw)
+            table = f.idx if b is None else _times_id(f.idx, len(b))
+            return K.reindex_planes(planes, table, nw), None
         fibs = f.preimages()
         if b is not None:  # (c, y) has the preimages (d, y) of the d over c
             nb = len(b)
             fibs = [[d * nb + y for d in ds] for ds in fibs for y in range(nb)]
         if op == "exists":
-            return K.exists_planes(planes, fibs, nw)
-        return K.forall_planes(planes, fibs, nw, (1 << count) - 1)
-
-    def planes_along(self, op: str, f: FinMor, planes, count: int, b: FinObj | None = None):
-        if self._asks_values():
-            return Doctrine.planes_along(self, op, f, planes, count, b)
-        return self._kernel_planes(op, f, planes, count, b), None
+            return K.exists_planes(planes, fibs, nw), None
+        return K.forall_planes(planes, fibs, nw, (1 << count) - 1), None
 
     def table_pull(self):
-        """A gather of the planes by the table, building no map; the
-        override test is made here, once per reader."""
-        if self._asks_values():
-            return Doctrine.table_pull(self)
+        """A gather of the planes by the table, building no map."""
         nw = self.nw
         return lambda dom, cod, table, planes, count: (K.reindex_planes(planes, table, nw), None)
 
     def chain_values(self, preds, chains) -> list:
         """The predicates are transposed once, each chain runs on their
         planes by the plane kernels, and its planes are transposed back."""
-        if self._asks_values():
-            return Doctrine.chain_values(self, preds, chains)
         op, f = chains[0][0]
         n = len(preds)
         start = self.fibre(f.cod if op == "reindex" else f.dom).planes(preds)
@@ -868,14 +826,12 @@ class ConcreteDoctrine(Doctrine):
         for chain in chains:
             planes = start
             for op, f in chain:
-                planes = self._kernel_planes(op, f, planes, n)
+                planes = self.planes_along(op, f, planes, n)[0]
             out.append(K.transpose(planes, n)[:n])
         return out
 
     def reindex_table(self, f: FinMor) -> list:
         """In closed form (`MaskFibre.pullback_table`)."""
-        if self._asks_values():
-            return Doctrine.reindex_table(self, f)
         return self.fibre(f.dom).pullback_table(f.idx, self.fibre(f.cod))
 
     def exists_along(self, f: FinMor, alpha: int) -> int:
@@ -1313,8 +1269,7 @@ def _check_reindex(D, fibre_els, violations, notes, counts):
     per pair.  Functoriality is decided on the planes of each codomain's
     sample, pulled back along g then f and along the composite's index
     table, through one `D.table_pull` reader per audit: on a concrete
-    doctrine a gather by the table, with no composite map built and no
-    override test per pair.  A map's
+    doctrine a gather by the table, with no composite map built.  A map's
     laws that pass are kept in ``D._passed`` per table key, and a
     composite's per pair of table keys, so each is decided once per
     index table; a failing map or composite is decided again for each

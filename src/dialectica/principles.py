@@ -413,8 +413,8 @@ def check_skolemisation(D, analyzer: FreenessAnalyzer | None = None,
     read from its one-point block's table, whose targets are the sides
     at one point.  A scanned block asks both sides of its whole fibre in
     one `D.chain_values` call (`_sides`): on the predicates' planes on a
-    concrete doctrine, through D's value methods one predicate at a time
-    on a table replay or where one of them is overridden."""
+    concrete doctrine, and on a table replay through D's value methods
+    one predicate at a time (the base body)."""
     del analyzer  # no freeness preconditions; kept for a uniform signature
     notes: list = []
     witnesses: list = []

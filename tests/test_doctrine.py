@@ -49,6 +49,28 @@ CHAIN = kripke_doctrine(chain_poset(2), (2, 2))
 ANTI = kripke_doctrine(antichain_poset(2), (2, 2))
 
 
+class PerPredicate(ConcreteDoctrine):
+    """A concrete doctrine whose whole-list decisions are the base class's
+    bodies, which ask `reindex_el`, `exists_along` and `forall_along` one
+    predicate at a time: the lane of a test that plants a defect in one
+    of them, on a subclass or on the instance."""
+
+    planes_along = Doctrine.planes_along
+    table_pull = Doctrine.table_pull
+    chain_values = Doctrine.chain_values
+    reindex_table = Doctrine.reindex_table
+
+
+class PerPair(MaskFibre):
+    """A mask fibre whose order and ops on planes, and whose tables, are
+    `PosetFibre`'s, which ask `leq`, `meet`, `join` and `imp` pair by
+    pair: the lane of a test that plants a defect in one of them."""
+
+    not_leq = PosetFibre.not_leq
+    on_planes = PosetFibre.on_planes
+    op_table = PosetFibre.op_table
+
+
 def mask_of(D, obj, table):
     """Mask from {element: iterable of world labels}; element by label tuple."""
     worlds = list(D.frame.elements)
@@ -384,7 +406,7 @@ class TestSharedTable:
         by the law audit and by Beck-Chevalley, both reading the shared
         table.  No other map between the audited carriers has its index
         table, which is what the table is keyed by."""
-        class OneWrongMap(ConcreteDoctrine):
+        class OneWrongMap(PerPredicate):
             def reindex_el(self, f, alpha):
                 value = super().reindex_el(f, alpha)
                 return value ^ 1 if f.idx == (0, 2) and len(f.cod) == 3 else value
@@ -425,15 +447,16 @@ class TestSharedTable:
             gc.enable()
 
     def test_each_pullback_is_asked_once_per_table(self, monkeypatch):
-        """A `reindex_el` set on the instance sends the audits to the base
-        class's `planes_along`, which reads every predicate through
-        `D.along`: both directions of the quantifier audit on
-        powerset-2x2 then ask it once per distinct (index table,
-        codomain size, predicate), across the adjunction laws and every
-        Beck-Chevalley square of both directions, each f x id included.
-        (100 while squares were derived by pasting, which read no f x id
-        of a derived square.)"""
-        D = powerset_doctrine((2, 2))
+        """The base class's `planes_along` (`PerPredicate`) reads every
+        predicate through `D.along`: both directions of the quantifier
+        audit on powerset-2x2 then ask a `reindex_el` set on the
+        instance once per distinct (index table, codomain size,
+        predicate), across the adjunction laws and every Beck-Chevalley
+        square of both directions, each f x id included.  (100 while
+        squares were derived by pasting, which read no f x id of a
+        derived square.)"""
+        P = powerset_doctrine((2, 2))
+        D = PerPredicate(P.name, P.frame, P.universe, P.cap, P.generator)
         asked = []
         monkeypatch.setattr(D, "reindex_el", lambda f, alpha: asked.append(
             (f.idx, len(f.cod), alpha)) or ConcreteDoctrine.reindex_el(D, f, alpha))
@@ -543,7 +566,7 @@ class TestSharedVerdicts:
         assert (len(scanned), len(set(scanned)), built) == (32, 16, [])
 
     def test_a_wrong_closed_form_fails_as_per_map(self):
-        class TopExists(ConcreteDoctrine):
+        class TopExists(PerPredicate):
             def exists_along(self, f, alpha):
                 return self.fibre(f.cod).top()
 
@@ -560,7 +583,7 @@ class TestSharedVerdicts:
         the four constant maps to the first element between A and B, is
         named for each of the four, by the reindexing laws and by the
         Beck-Chevalley equality of both directions."""
-        class WrongTable(ConcreteDoctrine):
+        class WrongTable(PerPredicate):
             def reindex_el(self, f, alpha):
                 value = super().reindex_el(f, alpha)
                 return value ^ 1 if f.idx == (0, 0) and len(f.cod) == 2 else value
@@ -621,7 +644,7 @@ def _bc_outcomes(D):
 def _wrong_along(*tables):
     """A powerset-2x3 whose pullback is wrong along each index table in
     ``tables`` (as ``(idx, codomain size)``), and its per-map twin."""
-    class WrongAlong(ConcreteDoctrine):
+    class WrongAlong(PerPredicate):
         def reindex_el(self, f, alpha):
             value = super().reindex_el(f, alpha)
             return value ^ 1 if (f.idx, len(f.cod)) in tables else value
@@ -916,7 +939,7 @@ class TestPlantedDefects:
         assert "no exists value" in res.reason
 
     def test_a_wrong_closed_form_breaks_the_law(self):
-        class TopExists(ConcreteDoctrine):
+        class TopExists(PerPredicate):
             def exists_along(self, f, alpha):
                 return self.fibre(f.cod).top()
 
@@ -1319,7 +1342,7 @@ def _planted(bad):
     """A concrete doctrine whose ops along a map are wrong where
     ``bad(op, f, alpha, value)`` returns a replacement value."""
 
-    class Planted(ConcreteDoctrine):
+    class Planted(PerPredicate):
         def reindex_el(self, f, alpha):
             value = super().reindex_el(f, alpha)
             return bad("reindex", self, f, alpha, value)
@@ -1417,7 +1440,7 @@ class TestOrderSetOracle:
             value = getattr(MaskFibre, op)(self, a, b)
             return wrong(self, a, b, value) if (3 * a + b) % 7 == 2 else value
 
-        Planted = type("Planted", (MaskFibre,), {op: planted})
+        Planted = type("Planted", (PerPair,), {op: planted})
         listed = 0
         for D, obj in self._mask_fibres():
             fib = Planted(obj, D.nw, D.frame.up, D.frame.elements, D.cap)
@@ -1444,7 +1467,7 @@ def _raising(missing):
     """A concrete doctrine whose values along a map raise where
     ``missing(op, D, f, alpha)`` returns an exception."""
 
-    class Raising(ConcreteDoctrine):
+    class Raising(PerPredicate):
         def reindex_el(self, f, alpha):
             exc = missing("reindex", self, f, alpha)
             if exc:
@@ -1532,7 +1555,7 @@ class TestPlaneOracle:
         """Along the projections A*A -> A of powerset-2x2, exists is wrong
         on every predicate and missing on the tenth: each square over it
         lists the failures of the betas before the tenth, then skips."""
-        class WrongThenMissing(ConcreteDoctrine):
+        class WrongThenMissing(PerPredicate):
             def exists_along(self, f, alpha):
                 if f.idx == (0, 0, 1, 1) and alpha == self.fibre(f.dom).elements()[9]:
                     raise AdjointMissing("exists", mor_key(f), alpha)
@@ -1559,7 +1582,7 @@ class TestPlaneOracle:
         B = next(o for o in base.universe if o.name == "B")
         els = base.fibre(B).elements()
 
-        class WrongThenMissing(ConcreteDoctrine):
+        class WrongThenMissing(PerPredicate):
             def reindex_el(self, f, alpha):
                 if f.idx != (1, 0):
                     return super().reindex_el(f, alpha)
@@ -1591,11 +1614,11 @@ class TestPlaneOracle:
         B = next(o for o in base.universe if o.name == "B")
         m = base.fibre(B).elements()[5]
 
-        class BottomNotBelowM(MaskFibre):
+        class BottomNotBelowM(PerPair):
             def leq(self, a, b):
                 return MaskFibre.leq(self, a, b) and not (a == 0 and b == m)
 
-        class WrongThenMissing(ConcreteDoctrine):
+        class WrongThenMissing(PerPredicate):
             def fibre(self, obj):
                 key = obj.name, obj
                 if key not in self._fibres:
@@ -1624,11 +1647,11 @@ class TestPlaneOracle:
 
     @pytest.mark.parametrize("name", ("powerset-2x2", "chain2", "antichain2"))
     def test_a_planted_order_is_asked_as_the_scans_ask_it(self, name):
-        """A mask fibre whose `leq` is wrong on some pairs: the audits'
-        order tests on planes ask it predicate by predicate, so the
-        monotonicity scan and the lax inequality list what the scans
+        """A `PerPair` fibre whose `leq` is wrong on some pairs: the
+        audits' order tests on planes ask it predicate by predicate, so
+        the monotonicity scan and the lax inequality list what the scans
         list."""
-        class WrongOrder(MaskFibre):
+        class WrongOrder(PerPair):
             def leq(self, a, b):
                 return MaskFibre.leq(self, a, b) and (a * 5 + b) % 11 != 3
 
@@ -1710,7 +1733,7 @@ class TestClosedFormTables:
             ops = ("leq", "meet", "join", "imp") if len(els) <= doctrine.HEYTING_TABLE_CAP \
                 else ("leq",)
             for op in ops:
-                assert fib.op_table(op) == doctrine._pair_table(fib, op, els), (obj.name, op)
+                assert fib.op_table(op) == PosetFibre.op_table(fib, op), (obj.name, op)
 
     @pytest.mark.parametrize("name", SMALL)
     def test_reindex_tables_are_the_per_predicate_tables(self, name):
@@ -1722,9 +1745,10 @@ class TestClosedFormTables:
 
     @pytest.mark.parametrize("op", ("leq", "imp"))
     def test_an_overridden_op_is_asked_pair_by_pair(self, op):
-        """A mask fibre whose `leq` or `imp` is wrong on one pair records
-        its own answer there, as a table asked pair by pair does."""
-        class Planted(MaskFibre):
+        """A `PerPair` fibre whose `leq` or `imp` is wrong on one pair
+        records its own answer there, and the closed form's elsewhere;
+        the closed form itself asks no op."""
+        class Planted(PerPair):
             def leq(self, a, b):
                 return MaskFibre.leq(self, a, b) != (op == "leq" and (a, b) == (0, 0))
 
@@ -1736,16 +1760,8 @@ class TestClosedFormTables:
         fib = Planted(A, 1, POW.frame.up, POW.frame.elements, POW.cap)
         plain = POW.fibre(A)
         got = fib.op_table(op)
-        assert got == doctrine._pair_table(fib, op, fib.elements())
+        assert MaskFibre.op_table(fib, op) == plain.op_table(op)
         assert got != plain.op_table(op) and got[1:] == plain.op_table(op)[1:]
-
-    def test_an_instance_reindex_el_is_asked_per_predicate(self):
-        D = powerset_doctrine((2, 2))
-        f = D.morphisms(D.universe[1], D.universe[2])[1]
-        want = D.reindex_table(f)
-        D.reindex_el = lambda g, alpha: ConcreteDoctrine.reindex_el(D, g, alpha) | 1
-        got = D.reindex_table(f)
-        assert got == Doctrine.reindex_table(D, f) != want
 
     def test_a_table_over_the_cap_raises_where_it_did(self):
         """The codomain's count is taken first, then the domain's."""
@@ -1779,9 +1795,9 @@ class TestClosedFormTables:
 
 class TestFunctoriality:
     """The functoriality audit gathers planes by index tables on a
-    concrete doctrine, and builds maps only when a value method is
-    overridden; a composite whose pullback is not the pullback along its
-    factors is reported either way."""
+    concrete doctrine, and builds maps only through the base class's
+    `table_pull` (`PerPredicate`); a composite whose pullback is not the
+    pullback along its factors is reported either way."""
 
     def test_a_concrete_doctrine_builds_no_composite(self, monkeypatch):
         built = []
@@ -1795,7 +1811,7 @@ class TestFunctoriality:
         alone: each composable pair (f, g) with that table as f, g or the
         composite breaks functoriality, as the pair scan finds, clean
         factors of a planted composite included."""
-        class WrongComposite(ConcreteDoctrine):
+        class WrongComposite(PerPredicate):
             def reindex_el(self, f, alpha):
                 value = super().reindex_el(f, alpha)
                 return value ^ 1 if f.idx == (1, 1, 0) and len(f.cod) == 3 else value

@@ -12,7 +12,10 @@ in the library must occur as a name or attribute somewhere in ``src/`` or
 function writes to a module-level dict, list or set, and no module-level
 cache but the command line's parser keeps values across calls, so every
 memo lives on a doctrine or an analyzer and each op starts cold.  No
-module but `doctrine` branches on the kind of doctrine or runs a kernel.
+module but `doctrine` branches on the kind of doctrine or runs a kernel,
+and no function picks its lane by sniffing for an override: a class
+keeps one body per decision, and a test double picks another body by
+class attribute.
 """
 import ast
 from pathlib import Path
@@ -91,6 +94,67 @@ def test_a_kind_branch_is_caught():
               "    return isinstance(D, (int, doctrine.TabularDoctrine))\n")
     assert kind_branches(source) == [(1, "_kernels"), (3, "_kernels"), (4, "_kernels"),
                                      (6, "ConcreteDoctrine"), (8, "TabularDoctrine")]
+
+
+def _self_call(node, fn: str) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == fn and len(node.args) == 1
+            and isinstance(node.args[0], ast.Name) and node.args[0].id == "self")
+
+
+def class_names(sources) -> set:
+    return {node.name for text in sources for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.ClassDef)}
+
+
+def override_sniffs(source: str, classes: set) -> list:
+    """``(line, code)`` for each call of ``type(self)`` or ``vars(self)``
+    and each ``is``/``is not`` test against an attribute of one of the
+    ``classes`` (``Cls.name`` or ``getattr(Cls, name)``) or of
+    ``type(self)``: the ways a method finds out whether it was
+    overridden."""
+    def class_attribute(node):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "getattr" and node.args):
+            owner = node.args[0]
+        elif isinstance(node, ast.Attribute):
+            owner = node.value
+        else:
+            return False
+        return (isinstance(owner, ast.Name) and owner.id in classes) or _self_call(owner, "type")
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if _self_call(node, "type") or _self_call(node, "vars"):
+            found.append((node.lineno, ast.unparse(node)))
+        elif (isinstance(node, ast.Compare)
+              and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+              and any(map(class_attribute, [node.left, *node.comparators]))):
+            found.append((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_sniffs_for_an_override(path):
+    """A class keeps one body per decision; a test double picks another
+    body by class attribute, which no library method looks for."""
+    classes = class_names(p.read_text() for p in SRC.glob("*.py"))
+    assert override_sniffs(path.read_text(), classes) == []
+
+
+def test_an_override_sniff_is_caught():
+    source = ("class Fibre:\n"
+              "    def leq(self, a, b):\n"
+              "        if type(self).leq is not Fibre.leq:\n"
+              "            return False\n"
+              "        return 'leq' in vars(self)\n"
+              "    def op(self, op):\n"
+              "        return getattr(self, op) is getattr(Fibre, op) or self.up is None\n"
+              "def plain(x, D):\n"
+              "    return x is None or D.top is not x or type(x) is int\n")
+    assert override_sniffs(source, class_names([source])) == [
+        (3, "type(self)"), (3, "type(self).leq is not Fibre.leq"), (5, "vars(self)"),
+        (7, "getattr(self, op) is getattr(Fibre, op)")]
 
 
 def _checked(name: str) -> bool:

@@ -35,7 +35,7 @@ from dialectica.principles import (
     check_skolemisation,
     run_suite,
 )
-from test_doctrine import _replay_data
+from test_doctrine import PerPredicate, _replay_data
 from test_freeness import SMALL_FRAMES, Searched
 from test_golden import STOCK
 
@@ -495,7 +495,7 @@ class TestSuiteAssembly:
         assert len(along_graphs) == len(set(along_graphs)) == 6
 
 
-class PlantedSlice(ConcreteDoctrine):
+class PlantedSlice(PerPredicate):
     """Exists along X*A*B -> X*A sends a slice of alpha that is bottom at
     a point x of X to top at x: along 1*A*B -> 1*A it sends bottom to top.
     The defect acts point by point, so the doctrine stays pointwise, and
@@ -548,7 +548,8 @@ class TestSkolemPerPoint:
         assert check_skolemisation(D).to_json() == check_skolemisation(scanned).to_json()
 
     def test_only_one_point_blocks_are_scanned_when_all_pass(self, monkeypatch):
-        D = powerset_doctrine((2, 2))
+        P = powerset_doctrine((2, 2))
+        D = PerPredicate(P.name, P.frame, P.universe, P.cap)
         into = _pullbacks_into(D, monkeypatch)
         rep = check_skolemisation(D)
         assert rep.passed and rep.instances == 2266
@@ -575,7 +576,7 @@ class TestSkolemPerPoint:
         other way: the table carries it to every point of a wide block,
         so the report lists more violations than the scan, and never
         fewer."""
-        class OnePointOnly(ConcreteDoctrine):
+        class OnePointOnly(PerPredicate):
             def exists_along(self, f, alpha):
                 if (f.dom.name, f.cod.name) == ("1*A*B", "1*A") and alpha == 0:
                     return self.fibre(f.cod).top()
@@ -595,7 +596,7 @@ class TestSkolemPerPoint:
         substitution into A*A*B, out of a carrier no law audit reads, is
         seen by the scan and not by the table: a doctrine that can break
         the premise must not declare it."""
-        class WrongWide(ConcreteDoctrine):
+        class WrongWide(PerPredicate):
             def reindex_el(self, f, alpha):
                 value = super().reindex_el(f, alpha)
                 return value ^ 1 if f.cod.name == "A*A*B" else value
@@ -652,8 +653,7 @@ def _outcome(sides):
 class TestSkolemChains:
     """`D.chain_values` gives the sides that D's methods give one
     predicate at a time: on the plane kernels for a concrete doctrine,
-    and through those methods for a table replay or a doctrine that
-    overrides one."""
+    and through those methods for a table replay or a `PerPredicate`."""
 
     @pytest.mark.parametrize("name", TestSkolemPerPoint.ORACLE)
     def test_sides_are_the_per_predicate_sides(self, name):
@@ -677,12 +677,12 @@ class TestSkolemChains:
             pytest.fail("no block stopped")
 
     def test_an_overridden_method_is_asked_per_predicate(self):
-        """A planted quantifier (`PlantedSlice`) and a pullback set on the
-        instance are asked as the per-predicate sides ask them: the same
-        calls in the same order, and the same sides."""
+        """On `PerPredicate`, a planted quantifier (`PlantedSlice`) and a
+        pullback set on the instance are asked as the per-predicate sides
+        ask them: the same calls in the same order, and the same sides."""
         P = powerset_doctrine((2, 2))
         planted = PlantedSlice(P.name, P.frame, P.universe, P.cap)
-        D = powerset_doctrine((2, 2))
+        D = PerPredicate(P.name, P.frame, P.universe, P.cap)
         D.reindex_el = lambda f, alpha: ConcreteDoctrine.reindex_el(D, f, alpha) ^ (
             f.cod.name == "1*A*B")
         for doc in (planted, D):
@@ -727,7 +727,7 @@ class Scanned(ConcreteDoctrine):
     pointwise = False
 
 
-class PlantedRow(ConcreteDoctrine):
+class PlantedRow(PerPredicate):
     """On powerset-2x2, exists along a projection X*Y -> X with |Y| = 2
     sends a predicate whose row at a point x is full to one without x:
     along 1*B -> 1 it is wrong on top alone.  The defect reads the map's
@@ -826,7 +826,7 @@ class TestPointEngine:
         projections X*Y -> X with |X| = |Y| = 2, which no one-point pair
         reads, breaks the modified Markov sequent of d = top for alpha =
         top over the wide pairs.  The scan sees it and the table does not."""
-        class WrongWide(ConcreteDoctrine):
+        class WrongWide(PerPredicate):
             def reindex_el(self, f, alpha):
                 return 0 if f.idx == (0, 0, 1, 1) else super().reindex_el(f, alpha)
 
