@@ -20,6 +20,14 @@ decided once per index table, and, when concrete, the order signature
 of each quadruple the Dialectica order reads.  On top
 of both sit adjoint certification by the adjunction law, structural
 audits, Beck-Chevalley checks, and a JSON exchange format.
+
+Reindexing along a map is a functor on the whole fibre: a concrete
+doctrine computes every pullback, and a replay checks each recorded
+table whole at load and lists only the maps it records.  So a pullback
+is there for every predicate or for none, and the reindexing audit
+skips a map without one in one step.  A replay's quantifier, though,
+can be missing on some predicates alone, and the audits that read
+quantifiers list the failures before such a predicate.
 """
 from __future__ import annotations
 
@@ -458,7 +466,8 @@ class Doctrine:
     audits' sampled predicates are kept in ``D._planes``, per carrier
     key and sample stride.  ``D.table_pull()`` is the same pullback as a
     reader taken once per audit, along a map given by its index table
-    (the functoriality audit's composites).
+    (the functoriality audit's composites); it returns planes alone and
+    raises where a pullback is missing.
 
     Two more decisions take whole predicate lists: ``D.chain_values``
     (each predicate's value along chains of ops along maps, which
@@ -555,13 +564,14 @@ class Doctrine:
         return self.fibre(f.dom if op == "reindex" else f.cod).planes(values), stop
 
     def table_pull(self):
-        """``pull(dom, cod, table, planes, count)``: `planes_along` of
-        "reindex" along the map dom -> cod with the index table
+        """``pull(dom, cod, table, planes, count)``: the planes of the
+        pullbacks along the map dom -> cod with the index table
         ``table``, for an audit that pulls back along many maps and takes
         the reader once.  Here the map is built and read through
-        `planes_along`."""
-        return lambda dom, cod, table, planes, count: self.planes_along(
-            "reindex", FinMor(dom, cod, idx=table), planes, count)
+        `planes_along`, and a missing pullback raises its exception: a
+        map has its pullbacks on the whole fibre or on none."""
+        return lambda dom, cod, table, planes, count: _pull(
+            self, FinMor(dom, cod, idx=table), planes, count)
 
     def chain_values(self, preds, chains) -> list:
         """For each chain of ``(op, f)`` steps, the list of its values at
@@ -798,23 +808,21 @@ class ConcreteDoctrine(Doctrine):
         return K.reindex_mask(alpha, f.idx, self.nw)
 
     def planes_along(self, op: str, f: FinMor, planes, count: int, b: FinObj | None = None):
-        """By the plane kernels, which raise nothing, so no stop."""
+        """By the plane kernels, which raise nothing, so no stop.  ``b``
+        is read with "reindex" alone: its one use is `beck_chevalley`'s
+        pullback along f x id."""
         nw = self.nw
         if op == "reindex":
             table = f.idx if b is None else _times_id(f.idx, len(b))
             return K.reindex_planes(planes, table, nw), None
-        fibs = f.preimages()
-        if b is not None:  # (c, y) has the preimages (d, y) of the d over c
-            nb = len(b)
-            fibs = [[d * nb + y for d in ds] for ds in fibs for y in range(nb)]
         if op == "exists":
-            return K.exists_planes(planes, fibs, nw), None
-        return K.forall_planes(planes, fibs, nw, (1 << count) - 1), None
+            return K.exists_planes(planes, f.preimages(), nw), None
+        return K.forall_planes(planes, f.preimages(), nw, (1 << count) - 1), None
 
     def table_pull(self):
         """A gather of the planes by the table, building no map."""
         nw = self.nw
-        return lambda dom, cod, table, planes, count: (K.reindex_planes(planes, table, nw), None)
+        return lambda dom, cod, table, planes, count: K.reindex_planes(planes, table, nw)
 
     def chain_values(self, preds, chains) -> list:
         """The predicates are transposed once, each chain runs on their
@@ -1047,10 +1055,7 @@ def adjoint_along(D, f: FinMor, direction: str):
     whole = _sample_planes(D, f.dom, dom_els, n)[1]  # a sample at cap n is every predicate
     planes, stop = D.planes_along(direction, f, whole, n)
     if stop is not None:
-        j, exc = stop
-        if not isinstance(exc, AdjointMissing):
-            raise exc
-        alpha = dom_els[j]
+        alpha = dom_els[stop[0]]
         return AdjointFailure(direction, key, alpha,
                               f"no {direction} value for {dom_fib.describe(alpha)}")
     values = K.transpose(planes, n)[:n]
@@ -1113,30 +1118,13 @@ def _then(D, state, op: str, f: FinMor, b: FinObj | None = None):
     return (planes, n, exc) if stop is None else (planes, *stop)
 
 
-def _pulls(D, f: FinMor, fib, plane_lists, count: int):
-    """The planes of the pullbacks along f of lists of ``count``
-    predicates each (planes of ``fib``), and where a scan that reads the
-    j-th predicate of each list in turn, j by j, first meets one without
-    a pullback: None, or ``(j, i, exc)`` for list i.  A stop other than
-    `DoctrineDataError` is raised."""
-    out, first = [], None
-    for i, planes in enumerate(plane_lists):
-        pulled, stop = D.planes_along("reindex", f, planes, count)
-        out.append(pulled or fib.planes([]))
-        if stop is not None and (first is None or stop[0] < first[0]):
-            first = stop[0], i, stop[1]
-    if first is not None and not isinstance(first[2], DoctrineDataError):
-        raise first[2]
-    return out, first
-
-
-def _before(stop, last: int) -> int:
-    """The positions that a scan stopped at ``stop`` (see `_pulls`) has
-    decided, for a law that reads the lists up to index ``last``."""
-    if stop is None:
-        return -1
-    j, i, _ = stop
-    return (1 << (j + (i > last))) - 1
+def _pull(D, f: FinMor, planes, count: int) -> list:
+    """The planes of the pullbacks along f of ``count`` predicates, given
+    as planes; where `D.planes_along` stops, its exception is raised."""
+    pulled, stop = D.planes_along("reindex", f, planes, count)
+    if stop is not None:
+        raise stop[1]
+    return pulled
 
 
 def _bits(mask: int):
@@ -1206,11 +1194,7 @@ def _check_heyting(fib, obj, els, violations, notes, counts):
     read off those planes.  Violations are listed per (a, b) in c order,
     as a scan of every triple lists them."""
     sample = _sample(els, ORDER_SAMPLE)
-    try:
-        top, bot = fib.top(), fib.bottom()
-    except DoctrineDataError as exc:
-        violations.append(f"{obj.name}: {exc}")
-        return
+    top, bot = fib.top(), fib.bottom()
     for a in sample:
         if not fib.leq(a, top):
             violations.append(f"{obj.name}: top is not above {fib.describe(a)}")
@@ -1273,20 +1257,23 @@ def _check_reindex(D, fibre_els, violations, notes, counts):
     laws that pass are kept in ``D._passed`` per table key, and a
     composite's per pair of table keys, so each is decided once per
     index table; a failing map or composite is decided again for each
-    map, and names its own maps.  A map whose pullback is missing on a
-    sampled predicate lists the failures that a scan one predicate at a
-    time reads before it, and one note (`_pulls`); a composite with no
-    recorded table is noted and not counted."""
+    map, and names its own maps.  A pullback exists on a whole fibre or
+    on none (a concrete doctrine computes every one, and a replay checks
+    each recorded table whole at load), so a map, identity or composite
+    without one is noted once and skipped whole, and a skipped composite
+    is not counted."""
     for obj, els in fibre_els.items():
         sample, planes = _sample_planes(D, obj, els, PAIR_SAMPLE)
-        moved, n, exc = _then(D, (planes, len(sample), None), "reindex", identity(obj))
-        bad = K.differ(moved, planes) & ((1 << n) - 1)
+        try:
+            moved = _pull(D, identity(obj), planes, len(sample))
+        except DoctrineDataError:
+            notes.append(f"identity reindex over {obj.name} not recorded; skipped")
+            continue
+        bad = K.differ(moved, planes)
         if bad:
             fib = D.fibre(obj)
             violations.append(
                 f"{obj.name}: identity reindex moves {fib.describe(sample[next(_bits(bad))])}")
-        elif exc is not None:
-            notes.append(f"identity reindex over {obj.name} not recorded; skipped")
     mors = {}
     for a in D.universe:
         for b in D.universe:
@@ -1317,35 +1304,28 @@ def _check_reindex(D, fibre_els, violations, notes, counts):
             verdict = ("reindex", D._table_key(f))
             if verdict in D._passed:
                 continue
-            found = len(violations), len(notes)
-            # A scan reads x and y of each ordered pair, then top and
-            # bottom, then x, y, meet, join and implication of each pair,
-            # and stops at the first predicate without a pullback.
-            (px, py), stop = _pulls(D, f, fib_a, (xs, ys), n)
-            not_monotone = ordered & fib_a.not_leq(px, py, n)
-            if stop is not None:  # so find where the scan of the ordered pairs stops
-                rows = list(_bits(ordered))
-                lists = [fib_b.planes([sampled[j][side] for j in rows]) for side in (0, 1)]
-                (px, py), stop = _pulls(D, f, fib_a, lists, len(rows))
-                bad = fib_a.not_leq(px, py, len(rows)) & _before(stop, 1)
-                not_monotone = sum(1 << rows[k] for k in _bits(bad))
-            for j in _bits(not_monotone):
+            try:
+                px, py = _pull(D, f, xs, n), _pull(D, f, ys, n)
+                if lattice:
+                    ends, *cod_ops = ops
+                    moved = K.differ(_pull(D, f, ends, 2), ends_a)
+                    pulled = [_pull(D, f, p, n) for p in cod_ops]
+            except DoctrineDataError as exc:
+                notes.append(f"{mor_key(f)}: {exc}; skipped")
+                continue
+            found = len(violations)
+            for j in _bits(ordered & fib_a.not_leq(px, py, n)):
                 x, y = sampled[j]
                 violations.append(
                     f"reindex along {mor_key(f)} is not monotone on "
                     f"{fib_b.describe(x)} <= {fib_b.describe(y)}")
-            if lattice and stop is None:
-                ends, *cod_ops = ops
-                (pulled,), stop = _pulls(D, f, fib_a, (ends,), 2)
-                moved = K.differ(pulled, ends_a) & _before(stop, 0)
+            if lattice:
                 if moved & 1:
                     violations.append(f"reindex along {mor_key(f)} moves top")
                 if moved & 2:
                     violations.append(f"reindex along {mor_key(f)} moves bottom")
-            if lattice and stop is None:
-                (px, py, *pulled), stop = _pulls(D, f, fib_a, (xs, ys, *cod_ops), n)
-                broken = [K.differ(p, fib_a.on_planes(op, px, py, n)) & _before(stop, i)
-                          for i, op, p in zip((2, 3, 4), ("meet", "join", "imp"), pulled)]
+                broken = [K.differ(p, fib_a.on_planes(op, px, py, n))
+                          for op, p in zip(("meet", "join", "imp"), pulled)]
                 for j in _bits(broken[0] | broken[1] | broken[2]):
                     x, y = sampled[j]
                     for name, bad in zip(("meet", "join", "implication"), broken):
@@ -1353,42 +1333,34 @@ def _check_reindex(D, fibre_els, violations, notes, counts):
                             violations.append(
                                 f"reindex along {mor_key(f)} breaks {name} on "
                                 f"{fib_b.describe(x)}, {fib_b.describe(y)}")
-            if stop is not None:
-                notes.append(f"{mor_key(f)}: {stop[2]}; skipped")
-            if found == (len(violations), len(notes)):
+            if found == len(violations):
                 D._passed[verdict] = ()
     pull = D.table_pull()
-
-    def then(state, dom, cod, table):  # `_then` along a map given by its table
-        planes, n, exc = state
-        planes, stop = pull(dom, cod, table, planes, n)
-        return (planes, n, exc) if stop is None else (planes, *stop)
-
     pulled = {}  # table key of g -> the sample over g's codomain pulled back along g
     for (a, b), fs in mors.items():
         for (b2, c), gs in mors.items():
             if b2 != b:
                 continue
             sample, planes = _sample_planes(D, c, fibre_els[c], PAIR_SAMPLE)
-            start = planes, len(sample), None
+            n = len(sample)
             for f in fs:
                 f_key = D._table_key(f)
                 for g in gs:
                     g_key = D._table_key(g)
                     verdict = ("compose", f_key, g_key)
                     if verdict not in D._passed:
-                        if g_key not in pulled:
-                            pulled[g_key] = then(start, g.dom, g.cod, g.idx)
-                        fg = then(pulled[g_key], f.dom, f.cod, f.idx)
-                        gf = then(start, a, c, [g.idx[v] for v in f.idx])
-                        n = min(fg[1], gf[1])
-                        if K.differ(fg[0], gf[0]) & ((1 << n) - 1):
-                            violations.append(
-                                f"functoriality fails: {mor_key(g)} after {mor_key(f)}")
-                        elif n < len(sample):
+                        try:
+                            if g_key not in pulled:
+                                pulled[g_key] = pull(g.dom, g.cod, g.idx, planes, n)
+                            fg = pull(f.dom, f.cod, f.idx, pulled[g_key], n)
+                            gf = pull(a, c, [g.idx[v] for v in f.idx], planes, n)
+                        except DoctrineDataError:
                             notes.append(
                                 f"composite {mor_key(g)} after {mor_key(f)} not recorded; skipped")
                             continue
+                        if K.differ(fg, gf):
+                            violations.append(
+                                f"functoriality fails: {mor_key(g)} after {mor_key(f)}")
                         else:
                             D._passed[verdict] = ()
                     counts["compositions"] += 1
@@ -1582,10 +1554,7 @@ def doctrine_to_json(D) -> dict:
                 notes.append(f"morphisms {a.name} -> {b.name} exceed cap; omitted")
                 continue
             for f in fs:
-                try:
-                    reindex[mor_key(f)] = D.reindex_table(f)
-                except DoctrineDataError:
-                    continue
+                reindex[mor_key(f)] = D.reindex_table(f)
     data["reindex"] = reindex
     if notes:
         data["notes"] = notes

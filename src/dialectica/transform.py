@@ -96,31 +96,37 @@ class _Translator:
         wx, sub_x = self.functionalise(x, u + y)
         return wv, wx, Implies(substitute_many(a, sub_x), substitute_many(b, sub_v))
 
-    def run(self, phi: Formula) -> tuple[list[Var], list[Var], Formula]:
-        if isinstance(phi, (Atom, Top, Bottom)):
+    def run(self, phi: Formula, bound: dict | None = None) -> tuple[list[Var], list[Var], Formula]:
+        """The witnesses, counters and matrix of phi.  ``bound`` maps each
+        variable bound around phi to the fresh variable that replaces it;
+        it is applied at the atoms alone, so each binder costs one step
+        and not a walk of its body."""
+        if isinstance(phi, Atom):
+            return [], [], substitute_many(phi, bound)
+        if isinstance(phi, (Top, Bottom)):
             return [], [], phi
         if isinstance(phi, And):
-            u, x, a = self.run(phi.left)
-            v, y, b = self.run(phi.right)
+            u, x, a = self.run(phi.left, bound)
+            v, y, b = self.run(phi.right, bound)
             return u + v, x + y, And(a, b)
         if isinstance(phi, Or):
-            u, x, a = self.run(phi.left)
-            v, y, b = self.run(phi.right)
+            u, x, a = self.run(phi.left, bound)
+            v, y, b = self.run(phi.right, bound)
             z = self.fresh(BIT)
             zbit = Atom("bit0", (z,))
             return [z] + u + v, x + y, And(Implies(zbit, a), Implies(Not(zbit), b))
         if isinstance(phi, Exists):
             nv = self.fresh(phi.var.sort)
-            u, x, a = self.run(substitute_many(phi.body, {phi.var: nv}))
+            u, x, a = self.run(phi.body, {**(bound or {}), phi.var: nv})
             return [nv] + u, x, a
         if isinstance(phi, Forall):
             nv = self.fresh(phi.var.sort)
-            u, x, a = self.run(substitute_many(phi.body, {phi.var: nv}))
+            u, x, a = self.run(phi.body, {**(bound or {}), phi.var: nv})
             wit, sub = self.functionalise(u, [nv])
             return wit, [nv] + x, substitute_many(a, sub)
         if isinstance(phi, Implies):
-            u, x, a = self.run(phi.left)
-            v, y, b = self.run(phi.right)
+            u, x, a = self.run(phi.left, bound)
+            v, y, b = self.run(phi.right, bound)
             wv, wx, mat = self.implication(u, x, a, v, y, b)
             return wv + wx, u + y, mat
         raise TypeError(f"not a formula: {phi!r}")

@@ -469,7 +469,8 @@ class TestSharedTable:
         """`ConcreteDoctrine.planes_along` (the plane kernels) gives the
         planes and stops of `Doctrine.planes_along` (each predicate read
         through `D.along`) for every op along every map between universe
-        objects, along each projection and along each f x id, on every
+        objects and along each projection, and for the pullback along
+        each f x id, the one op `beck_chevalley` reads along it, on every
         predicate and on a seeded sublist."""
         D = make()
         rng = random.Random(f"planes:{D.name}")
@@ -478,8 +479,8 @@ class TestSharedTable:
                  for op in METHODS]
         cases += [(op, proj, None) for a in objs for b in objs for op in ("exists", "forall")
                   for proj in (D.product(a, b).proj_left, D.product(a, b).proj_right)]
-        cases += [(op, f, b) for a in objs for a2 in objs for f in D.morphisms(a, a2)
-                  for b in objs for op in METHODS]
+        cases += [("reindex", f, b) for a in objs for a2 in objs for f in D.morphisms(a, a2)
+                  for b in objs]
         for op, f, b in cases:
             src = f.cod if op == "reindex" else f.dom
             src = src if b is None else D.product(src, b).obj
@@ -1488,8 +1489,12 @@ def _raising(missing):
     return Raising
 
 
-# Values that are missing on some predicates of one map's table, or
-# pullbacks missing along one whole table, as a table replay misses them.
+# Quantifier values missing on some predicates of one map's table, as a
+# table replay's can be, and pullbacks missing along one whole table, as a
+# replay without that table misses them.  No doctrine misses a pullback on
+# some predicates alone (`test_a_replay_pulls_back_on_a_whole_fibre_or_none`);
+# "pullback-some" does, with no wrong value, so the scans too skip each map
+# it meets whole.
 MISSING = {
     "exists-some": lambda op, D, f, alpha: (
         AdjointMissing(op, mor_key(f), alpha)
@@ -1570,80 +1575,61 @@ class TestPlaneOracle:
         assert len([v for v in rep.equality_failures if f" along {square} " in v]) == 9
 
 
-    def test_failures_before_a_missing_pullback_are_listed(self):
-        """On antichain3-1x2 the pair sample of B's 64 predicates squares
-        a side of 16 that meet and join keep but implication leaves.
-        Reindexing along the swap B->B#2 is off by one bit everywhere and
-        missing on one implication outside the side, so the pair scan
-        first meets it on the implication of pair 16: the map lists
-        failures of every law on the pairs before, then the meet and join
-        of pair 16, then one note."""
+    def test_a_replay_pulls_back_on_a_whole_fibre_or_none(self):
+        """What `_check_reindex` rests on when it skips a map whole: on
+        the generator-free replay of each stock 2x2 doctrine, and on the
+        powerset one without the table of A->A#0, every recorded map has
+        a pullback of every predicate of its codomain fibre, and A->A#0
+        raises one and the same error on every predicate."""
+        data = _replay_data(POW)
+        del data["reindex"]["A->A#0"]
+        cut = doctrine_from_json(data)
+        for T in (_replay(POW), _replay(CHAIN), _replay(ANTI), cut):
+            for a in T.universe:
+                for b in T.universe:
+                    for f in T.morphisms(a, b):
+                        dom = T.fibre(a).elements()
+                        assert all(T.reindex_el(f, beta) in dom for beta in T.fibre(b).elements())
+        f = mor_from_key("A->A#0", {o.name: o for o in cut.universe})
+        assert f not in cut.morphisms(f.dom, f.cod)
+        errors = set()
+        for beta in cut.fibre(f.cod).elements():
+            with pytest.raises(DoctrineDataError) as exc:
+                cut.reindex_el(f, beta)
+            errors.add(str(exc.value))
+        assert errors == {"no reindex table for A->A#0"}
+
+    def test_a_pullback_missing_late_skips_the_map_whole(self):
+        """On antichain3-1x2, reindexing along the swap B->B#2 is off by
+        one bit everywhere, so the audit lists failures of every law
+        along it; planted missing on a late predicate as well, the map
+        gets one note and not one failure, where a scan one pair at a
+        time lists the failures it reads first, and is not kept as
+        passed."""
         base = FRESH["antichain3-1x2"]()
         B = next(o for o in base.universe if o.name == "B")
-        els = base.fibre(B).elements()
+        late = base.fibre(B).elements()[59]
 
-        class WrongThenMissing(PerPredicate):
-            def reindex_el(self, f, alpha):
-                if f.idx != (1, 0):
-                    return super().reindex_el(f, alpha)
-                if alpha == els[59]:
-                    raise DoctrineDataError("no pullback recorded")
-                return super().reindex_el(f, alpha) ^ 4
+        def planted(missing):
+            class Wrong(PerPredicate):
+                def reindex_el(self, f, alpha):
+                    if f.idx != (1, 0):
+                        return super().reindex_el(f, alpha)
+                    if missing and alpha == late:
+                        raise DoctrineDataError("no pullback recorded")
+                    return super().reindex_el(f, alpha) ^ 4
+            return Wrong(base.name, base.frame, base.universe, base.cap)
 
-        def make():
-            return WrongThenMissing(base.name, base.frame, base.universe, base.cap)
-        got = _reindex_audit(make())
-        D = make()
-        assert got == reindex_pairs(D, {o: D.fibre(o).elements() for o in D.universe})
-        along = [v for v in got[0] if v.startswith("reindex along B->B#2 ")]
+        wrong = _reindex_audit(planted(False))
+        along = [v for v in wrong[0] if v.startswith("reindex along B->B#2 ")]
         assert {v.split(" on ")[0].split()[-1] for v in along} == {
             "monotone", "top", "bottom", "meet", "join", "implication"}
-        x, y = (D.fibre(B).describe(p) for p in doctrine._sample_pairs(els, doctrine.PAIR_SAMPLE)[16])
-        assert along[-2:] == [f"reindex along B->B#2 breaks {law} on {x}, {y}"
-                              for law in ("meet", "join")]
-        assert "B->B#2: no pullback recorded; skipped" in got[1]
-
-    def test_a_missing_pullback_stops_the_order_scan_where_the_scan_stops(self):
-        """On antichain2, with bottom planted not below one predicate m of
-        B, the pair scan reads m first as y of the unordered pair
-        (bottom, m), which it skips, and stops on the ordered pair (m, m)
-        much later.  Along the swap B->B#2, wrong everywhere and missing
-        on m, the monotonicity failures of the ordered pairs between are
-        listed, as the scan lists them."""
-        base = FRESH["antichain2"]()
-        B = next(o for o in base.universe if o.name == "B")
-        m = base.fibre(B).elements()[5]
-
-        class BottomNotBelowM(PerPair):
-            def leq(self, a, b):
-                return MaskFibre.leq(self, a, b) and not (a == 0 and b == m)
-
-        class WrongThenMissing(PerPredicate):
-            def fibre(self, obj):
-                key = obj.name, obj
-                if key not in self._fibres:
-                    self._fibres[key] = BottomNotBelowM(
-                        obj, self.nw, self.frame.up, self.frame.elements, self.cap)
-                return self._fibres[key]
-
-            def reindex_el(self, f, alpha):
-                if f.idx != (1, 0):
-                    return super().reindex_el(f, alpha)
-                if alpha == m:
-                    raise DoctrineDataError("no pullback recorded")
-                return super().reindex_el(f, alpha) ^ 1
-
-        def make():
-            return WrongThenMissing(base.name, base.frame, base.universe, base.cap)
-        got, D = _reindex_audit(make()), make()
-        assert got == reindex_pairs(D, {o: D.fibre(o).elements() for o in D.universe})
-        along = [v for v in got[0] if v.startswith("reindex along B->B#2 ")]
-        assert along and all(" is not monotone on " in v for v in along)
-        els = D.fibre(B).elements()
-        index = {D.fibre(B).describe(p): i for i, p in enumerate(els)}
-        pairs = [tuple(index[p] for p in v.split(" on ")[1].split(" <= ")) for v in along]
-        assert max(x * len(els) + y for x, y in pairs) > els.index(m)  # read after m
-        assert "B->B#2: no pullback recorded; skipped" in got[1]
+        D = planted(True)
+        violations, notes, _ = _reindex_audit(D)
+        assert not [v for v in violations if v.startswith("reindex along B->B#2 ")]
+        assert [n for n in notes if n.startswith("B->B#2")] == [
+            "B->B#2: no pullback recorded; skipped"]
+        assert ("reindex", D._table_key(mor_from_key("B->B#2", {"B": B}))) not in D._passed
 
     @pytest.mark.parametrize("name", ("powerset-2x2", "chain2", "antichain2"))
     def test_a_planted_order_is_asked_as_the_scans_ask_it(self, name):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from dialectica import cli
+from dialectica import cli, fol
 
 from dialectica.fol import (
     And,
@@ -163,6 +163,24 @@ class TestClauses:
         f = Forall(Var("w", V), Atom("r", (x, Var("w", V))))
         d = translate(f)
         assert free_vars(d.as_formula()) == {x}
+
+    def test_free_variable_walks_grow_linearly_with_nesting(self, monkeypatch):
+        """Each binder hands its fresh variable down to the atoms below
+        it and substitutes into no body, so the free-variable walks of a
+        translation grow linearly with quantifier nesting, not
+        quadratically as one substitution per binder made them."""
+        walks = []
+        real = fol.free_vars
+        monkeypatch.setattr(fol, "free_vars", lambda *a: walks.append(1) or real(*a))
+        counts = []
+        for k in (25, 50, 100):
+            phi = parse_formula("".join(f"forall x{i}:U. " for i in range(k))
+                                + f"p(x0) & p(x{k - 1})")
+            walks.clear()
+            d = translate(phi)
+            assert d.counters == tuple(Var(f"x{i}", U) for i in range(k))
+            counts.append(len(walks))
+        assert counts[2] - counts[1] == 2 * (counts[1] - counts[0])
 
 
 class TestChain:
