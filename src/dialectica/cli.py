@@ -56,7 +56,7 @@ from .fol import (
     sort_to_text,
 )
 from .freeness import FreenessAnalyzer
-from .posets import PosetError, antichain_poset, chain_poset
+from .posets import PosetError, _members, antichain_poset, chain_poset
 from .principles import RULES, run_suite
 from .transform import implication_chain, translate
 
@@ -480,22 +480,16 @@ def cmd_dial_complete(args):
     matrix = None
     notes = list(fib.notes)
     if n <= args.list:
-        matrix = [[1 if fib.leq(i, j) else 0 for j in range(n)] for i in range(n)]
+        matrix = [[row >> j & 1 for j in range(n)] for row in fib.rows]
     else:
         notes.append(f"quadruple list and matrix truncated to {listed} of {n}")
     pairs = []
-    for i in range(n):
-        if len(pairs) >= args.pairs:
-            break
-        for j in range(n):
-            if i == j or not fib.leq(i, j):
-                continue
-            p = dial_leq(D, fib.quads[i], fib.quads[j])
-            if p is None:
-                raise DoctrineError(f"order matrix cell ({i}, {j}) has no witness pair")
-            pairs.append({"from": i, "to": j, "pair": p.to_json()})
-            if len(pairs) >= args.pairs:
-                break
+    cells = ((i, j) for i, row in enumerate(fib.rows) for j in _members(row & ~(1 << i)))
+    for i, j in itertools.islice(cells, args.pairs):
+        p = dial_leq(D, fib.quads[i], fib.quads[j])
+        if p is None:
+            raise DoctrineError(f"order matrix cell ({i}, {j}) has no witness pair")
+        pairs.append({"from": i, "to": j, "pair": p.to_json()})
     payload = {
         "command": "dial complete",
         "doctrine": D.name,

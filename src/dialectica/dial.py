@@ -8,16 +8,20 @@ counterexamples backward:
 
     alpha(i, u, f1(i, u, y)) <= beta(i, f0(i, u), y)
 
-The doctrine decides the order: ``D.witness_tables`` finds a pair's
-index tables, ``D.has_pair`` and ``D.order_rows`` decide without them.
-The base class searches every pair; a concrete doctrine, since the
-condition splits per slot (i, u), reads per-quadruple signatures.  A
-pair is built only where it is used, and only here: by ``dial_leq`` for
-CLI witness pairs and sampled compositions, by ``identity_pair`` for
-reflexivity, and by ``compose_pairs``.  Every built pair is revalidated
-through the doctrine's own reindexing and order (``D.pair_holds``), so a
-returned pair is a checked certificate, and None means the exhaustive
-search ran dry.
+The doctrine decides the order: ``D.witness_tables`` finds one pair's
+index tables, or None, and ``D.order_rows`` gives the rows of a list of
+quadruples.  The base class searches every pair; a concrete doctrine,
+since the condition splits per slot (i, u), decides per slot and reads
+the rows off per-quadruple signatures.  A pair is built only where it is
+used, and only by one builder (``_certified``), which ``dial_leq`` (CLI
+witness pairs and sampled compositions), ``identity_pair``
+(reflexivity) and ``compose_pairs`` hand a pair's two index tables.  It
+takes the maps from ``D.kept_map``, which builds one map per distinct
+carrier pair and table and keeps it on D, so a table that many pairs
+share is one map, and it revalidates every pair whole through the
+doctrine's own reindexing and order (``D.pair_holds``).  So a returned
+pair is a checked certificate, and None means the exhaustive search ran
+dry.
 
 Carriers such as I*U*X, built as (I*U)*X, come from the doctrine's
 product table (``D.product``), built once each at ``D.cap``.  Products
@@ -25,14 +29,7 @@ enumerate the left factor slowest, so element ``(i, u, x)`` of I*U*X has
 index ``(i * |U| + u) * |X| + x``, and every table this module reads
 (revalidation, identity, composition) is computed by that arithmetic.
 Revalidation reads the pair's index tables: a concrete doctrine pulls
-back along them without building a map.  ``FinMor``s are built only for
-a pair that leaves this module: its two maps, f0: I*U -> V and
-f1: I*U*Y -> X, handed the tables as ``idx``.  ``dial_leq`` and
-``compose_pairs`` take them from ``D.kept_map``, which builds one map
-per distinct carrier pair and table and keeps it on D, so a table that
-many pairs share is one map; ``identity_pair`` reads the projections
-that D's product table keeps, and builds none.  Each pair is still
-revalidated whole, whether its maps were kept already or not.
+back along them without building a map.
 """
 from __future__ import annotations
 
@@ -78,8 +75,7 @@ class WitnessPair:
 
 
 def _carrier(D, I: FinObj, U: FinObj, X: FinObj) -> FinObj:
-    """I*U*X from the doctrine's product table, as (I*U)*X: the carrier
-    ``identity_pair`` and ``prenex_order`` project from."""
+    """I*U*X from the doctrine's product table, as (I*U)*X."""
     return D.product(D.product(I, U).obj, X).obj
 
 
@@ -99,14 +95,25 @@ def pair_is_valid(D, a: DialObject, b: DialObject, p: WitnessPair) -> bool:
     return D.pair_holds(a, b, p.f0.idx, p.f1.idx)
 
 
+def _certified(D, a: DialObject, b: DialObject, f0, f1, kind: str) -> WitnessPair:
+    """The pair with index tables f0: I*U -> V and f1: I*U*Y -> X, its
+    maps taken from `D.kept_map` and the pair revalidated whole
+    (`pair_is_valid`); a pair that fails raises "<kind> pair failed
+    revalidation"."""
+    iu = D.product(a.I, a.U).obj
+    p = WitnessPair(D.kept_map(iu, b.U, f0), D.kept_map(D.product(iu, b.X).obj, a.X, f1))
+    if not pair_is_valid(D, a, b, p):
+        raise DoctrineError(f"{kind} pair failed revalidation")
+    return p
+
+
 def identity_pair(D, a: DialObject) -> WitnessPair:
     """The pair certifying a <= a: project the witness, project the
     counterexample (the right projections of I*U and (I*U)*X)."""
-    iu = D.product(a.I, a.U)
-    p = WitnessPair(iu.proj_right, D.product(iu.obj, a.X).proj_right)
-    if not pair_is_valid(D, a, a, p):
-        raise DoctrineError("identity pair failed revalidation")
-    return p
+    nu, nx = a.U.size, a.X.size
+    n = a.I.size * nu
+    return _certified(D, a, a, [s % nu for s in range(n)],
+                      [t % nx for t in range(n * nx)], "identity")
 
 
 def dial_leq(D, a: DialObject, b: DialObject):
@@ -115,14 +122,7 @@ def dial_leq(D, a: DialObject, b: DialObject):
     if a.I != b.I:
         raise DoctrineError("dialectica order compares quadruples over one base")
     found = D.witness_tables(a, b)
-    if found is None:
-        return None
-    iu = D.product(a.I, a.U).obj
-    p = WitnessPair(D.kept_map(iu, b.U, found[0]),
-                    D.kept_map(D.product(iu, b.X).obj, a.X, found[1]))
-    if not pair_is_valid(D, a, b, p):
-        raise DoctrineError("kernel witness pair failed revalidation")
-    return p
+    return None if found is None else _certified(D, a, b, *found, "kernel witness")
 
 
 def compose_pairs(D, a: DialObject, b: DialObject, c: DialObject,
@@ -132,15 +132,11 @@ def compose_pairs(D, a: DialObject, b: DialObject, c: DialObject,
     p.f1(i, u, q.f1(i, p.f0(i, u), z)), on index tables."""
     nu, nv, ny, nz = a.U.size, b.U.size, b.X.size, c.X.size
     f0, f1, g0, g1 = p.f0.idx, p.f1.idx, q.f0.idx, q.f1.idx
-    iu = D.product(a.I, a.U).obj
-    iuz = _carrier(D, a.I, a.U, c.X)
-    h0 = [g0[s // nu * nv + f0[s]] for s in range(iu.size)]
+    n = a.I.size * nu
+    h0 = [g0[s // nu * nv + f0[s]] for s in range(n)]
     h1 = [f1[t // nz * ny + g1[(t // nz // nu * nv + f0[t // nz]) * nz + t % nz]]
-          for t in range(iuz.size)]
-    out = WitnessPair(D.kept_map(iu, c.U, h0), D.kept_map(iuz, a.X, h1))
-    if not pair_is_valid(D, a, c, out):
-        raise DoctrineError("composed witness pair failed revalidation")
-    return out
+          for t in range(n * nz)]
+    return _certified(D, a, c, h0, h1, "composed witness")
 
 
 # -- completed fibres ---------------------------------------------------
@@ -234,15 +230,18 @@ def build_dial_fibre(D, I: FinObj, quad_cap: int = DEFAULT_QUAD_CAP,
 
 def check_preorder(D, fib: DialFibre, compositions: int = 64,
                    seed: int = 0) -> PreorderReport:
-    """Reflexivity via explicit identity pairs, transitivity on the full
-    matrix, and revalidated composition on sampled chains a <= b <= c."""
+    """Reflexivity via explicit identity pairs and the matrix's diagonal
+    (each failing index listed once), transitivity on the full matrix,
+    and revalidated composition on sampled chains a <= b <= c, where a
+    pair that fails to build or revalidate is a composition failure."""
     refl = []
     for k, q in enumerate(fib.quads):
+        ok = fib.leq(k, k)
         try:
             identity_pair(D, q)
         except DoctrineError:
-            refl.append(k)
-        if not fib.leq(k, k):
+            ok = False
+        if not ok:
             refl.append(k)
     trans = []
     n = len(fib.quads)
@@ -289,12 +288,12 @@ def check_preorder(D, fib: DialFibre, compositions: int = 64,
     comp_fail = []
     for (i, j, k) in chains:
         a, b, c = fib.quads[i], fib.quads[j], fib.quads[k]
-        p = dial_leq(D, a, b)
-        q = dial_leq(D, b, c)
-        if p is None or q is None:
-            comp_fail.append((i, j, k, "order matrix entry has no witness pair"))
-            continue
         try:
+            p = dial_leq(D, a, b)
+            q = dial_leq(D, b, c)
+            if p is None or q is None:
+                comp_fail.append((i, j, k, "order matrix entry has no witness pair"))
+                continue
             compose_pairs(D, a, b, c, p, q)
         except DoctrineError as exc:
             comp_fail.append((i, j, k, str(exc)))
@@ -333,7 +332,9 @@ def prenex_order(D, I, U, X, alpha):
 def check_theorem2(D, analyzer, I: FinObj, samples: int = 200,
                    seed: int = 0) -> Theorem2Report:
     """On quantifier-free matrices the order between prenex forms in P(I)
-    must coincide with the existence of a witness pair."""
+    must coincide with the existence of a witness pair.  Where no carrier
+    pair has a quantifier-free matrix, nothing is sampled: the report
+    checks none and keeps the skip notes."""
     rng = random.Random(seed)
     pools = {}
     notes = []
@@ -351,7 +352,7 @@ def check_theorem2(D, analyzer, I: FinObj, samples: int = 200,
     keys = sorted(pools, key=lambda ux: (ux[0].name, ux[1].name))
     mismatches = []
     checked = 0
-    for _ in range(samples):
+    for _ in range(samples if keys else 0):
         U, X = keys[rng.randrange(len(keys))]
         V, Y = keys[rng.randrange(len(keys))]
         psi = pools[(U, X)][rng.randrange(len(pools[(U, X)]))]
@@ -360,7 +361,7 @@ def check_theorem2(D, analyzer, I: FinObj, samples: int = 200,
         b = DialObject(I, V, Y, phi)
         lhs = D.fibre(I).leq(prenex_order(D, I, U, X, psi),
                              prenex_order(D, I, V, Y, phi))
-        rhs = D.has_pair(a, b)
+        rhs = D.witness_tables(a, b) is not None
         checked += 1
         if lhs != rhs:
             mismatches.append({
@@ -406,18 +407,15 @@ def check_theorem4(D, analyzer, I: FinObj,
             continue
         quads[alpha] = DialObject(I, w.u_obj, w.x_obj, w.beta)
     emb_fail = []
-    emb_checked = 0
-    pairs = [(a, b) for a in quads for b in quads]
-    for a, b in pairs:
-        lhs = D.fibre(I).leq(a, b)
-        rhs = D.has_pair(quads[a], quads[b])
-        emb_checked += 1
-        if lhs != rhs:
-            emb_fail.append({
-                "alpha": D.fibre(I).describe(a),
-                "beta": D.fibre(I).describe(b),
-                "fibreOrder": lhs, "witnessPair": rhs,
-            })
+    for a, row in zip(quads, D.order_rows(list(quads.values()))):
+        for j, b in enumerate(quads):
+            lhs, rhs = D.fibre(I).leq(a, b), bool(row >> j & 1)
+            if lhs != rhs:
+                emb_fail.append({
+                    "alpha": D.fibre(I).describe(a),
+                    "beta": D.fibre(I).describe(b),
+                    "fibreOrder": lhs, "witnessPair": rhs,
+                })
     qf_quads, _, notes = enumerate_quads(D, I, matrices=analyzer.quantifier_free,
                                          quad_cap=quad_cap)
     sur_fail = []
@@ -430,10 +428,10 @@ def check_theorem4(D, analyzer, I: FinObj,
                              "reason": "prenex form missing for presented predicate"})
             continue
         qa = quads[back]
-        if not (D.has_pair(q, qa) and D.has_pair(qa, q)):
+        if D.witness_tables(q, qa) is None or D.witness_tables(qa, q) is None:
             sur_fail.append({"quad": q.to_json(D),
                              "alpha": D.fibre(I).describe(back),
                              "reason": "not order-equivalent to its collapse"})
-    return Theorem4Report(D.name, I.name, emb_checked, tuple(emb_fail),
+    return Theorem4Report(D.name, I.name, len(quads) ** 2, tuple(emb_fail),
                           sur_checked, tuple(sur_fail), tuple(missing),
                           tuple(notes))

@@ -52,7 +52,7 @@ from .fincat import (
     unit_obj,
 )
 from ._shape import SCALAR, ShapeError, check
-from .posets import FRAME, FinitePoset, PosetError, poset_violations
+from .posets import FRAME, FinitePoset, PosetError, _members, poset_violations
 
 # Sample bounds of the audits (top and bottom, lattice-law triples,
 # reindexing pairs, predicates per Beck-Chevalley square) and the largest
@@ -477,9 +477,12 @@ class Doctrine:
     them; table replays decide by these bodies, and a concrete doctrine
     by its kernels alone.
 
-    ``D.kept_map(dom, cod, idx)`` builds each map it is asked for once
-    and keeps it, so the Dialectica order's certificates (`dial`) build
-    one map per distinct table.
+    The Dialectica order (`dial`) has two decisions: ``D.witness_tables``
+    for one pair of quadruples, whose index tables it returns or None,
+    and ``D.order_rows`` for the rows of a list; ``D.pair_holds`` judges
+    one pair's tables.  ``D.kept_map(dom, cod, idx)`` builds each map it
+    is asked for once and keeps it, so `dial`'s one pair builder, which
+    makes every witness pair, builds one map per distinct table.
 
     ``D._passed`` keeps the law audits' passing verdicts (`adjoint_along`,
     `beck_chevalley`, `check_doctrine`'s reindexing laws), keyed by the
@@ -703,10 +706,6 @@ class Doctrine:
         return (FinMor(iuy, prod(iu, a.X).obj, idx=m1),
                 FinMor(iuy, prod(prod(a.I, b.U).obj, b.X).obj, idx=m2))
 
-    def has_pair(self, a, b) -> bool:
-        """Whether a <= b, for a and b over one base, building no pair."""
-        return self.witness_tables(a, b) is not None
-
     def order_rows(self, quads) -> list:
         """The order on quads as one row per quadruple: bit j of row i
         is set when `witness_tables` takes quads[i] below quads[j]."""
@@ -729,32 +728,33 @@ def _m2_table(nu: int, nv: int, ny: int, f0) -> list:
 class ConcreteDoctrine(Doctrine):
     """Doctrine of up-closed predicates over a Kripke frame.
 
-    Carriers are constant along the frame, so reindexing is preimage
-    along the map's `idx`, the left adjoint along any map is direct
-    image per world, and the right adjoint is intersection over the
-    map's preimage lists (`FinMor.preimages`, built once per map).
-    Fibres exist for every finite carrier, not only the declared
-    universe; the universe fixes what the audits quantify over.  Each
-    decision is a bitmask kernel (`_kernels`) that gives the base
-    class's search's answer.  The order's signatures are kept in
-    ``D._sigs``, next to ``_along`` and ``_passed``, so every check and
-    fibre over D computes each quadruple's once.  `order_rows` reads
-    them on classes: the quadruples with one right signature are one
-    bitmask, and each distinct left signature's row is the OR of the
-    classes it reaches.  The witness search's slot decisions are kept in
-    ``D._slots`` (`_kernels.witness_pair`'s ``memo``), so a slot that
-    many pairs share is decided once.  A witness pair is revalidated on
-    index tables: `pair_holds` pulls both matrices back along m1 and m2
-    by the reindexing kernel and compares them in the mask order, for
-    every pair, building no map and looking up no product; the two
-    tables are kept in ``D._m1s`` and ``D._m2s`` by the part of the
+    Carriers are constant along the frame, so reindexing is preimage along
+    the map's `idx`, the left adjoint along any map is direct image per
+    world, and the right adjoint is intersection over the map's preimage
+    lists (`FinMor.preimages`, built once per map).  Fibres exist for
+    every finite carrier, not only the declared universe; the universe
+    fixes what the audits quantify over.  Each decision is a bitmask
+    kernel (`_kernels`) that gives the base class's search's answer.  The
+    order's signatures are kept in ``D._sigs``, next to ``_along`` and
+    ``_passed``, so every fibre and Theorem 4 check over D computes each
+    quadruple's once.  `order_rows` reads them on classes: the quadruples
+    with one right signature are one bitmask, and each distinct left
+    signature's row is the OR of the classes it reaches.
+    `witness_tables`, the decision for one pair (Theorems 2 and 4 ask it
+    too), keeps its slot decisions in ``D._slots``
+    (`_kernels.witness_pair`'s ``memo``), so a slot that many pairs share
+    is decided once.  Every witness pair, made by `dial`'s one builder, is
+    revalidated on index tables: `pair_holds` pulls both matrices back
+    along m1 and m2 by the reindexing kernel and compares them in the mask
+    order, for every pair, building no map and looking up no product; the
+    two tables are kept in ``D._m1s`` and ``D._m2s`` by the part of the
     pair's tables and shapes each is computed from.  The law audits'
     values along maps are the plane kernels' (`planes_along`,
-    `table_pull`): a pullback gathers planes by the map's index table,
-    and a quantifier ORs or ANDs them over each preimage list, for
-    every sampled predicate at once.  Skolemisation's chains run on the
-    planes of a whole fibre (`chain_values`), and a recorded reindexing
-    table is a closed form in the digits of the predicates' indices
+    `table_pull`): a pullback gathers planes by the map's index table, and
+    a quantifier ORs or ANDs them over each preimage list, for every
+    sampled predicate at once.  Skolemisation's chains run on the planes
+    of a whole fibre (`chain_values`), and a recorded reindexing table is
+    a closed form in the digits of the predicates' indices
     (`reindex_table`, `MaskFibre.pullback_table`).  These are the one
     lane: none of them asks `reindex_el`, `exists_along` or
     `forall_along`, so a subclass that overrides those and wants them
@@ -886,9 +886,6 @@ class ConcreteDoctrine(Doctrine):
         if hit is None:
             hit = self._sigs[args] = K.order_signature(*args)
         return hit
-
-    def has_pair(self, a, b) -> bool:
-        return K.signature_leq(self._signature(a)[0], self._signature(b)[1])
 
     def order_rows(self, quads) -> list:
         """On signature classes: the quadruples with one right signature
@@ -1127,14 +1124,6 @@ def _pull(D, f: FinMor, planes, count: int) -> list:
     return pulled
 
 
-def _bits(mask: int):
-    """The positions of mask's set bits, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 @dataclass
 class DoctrineReport:
     name: str
@@ -1227,7 +1216,7 @@ def _check_heyting(fib, obj, els, violations, notes, counts):
             greatest = downs[ia] & downs[ib] & ~down(m)
             least = ups[ia] & ups[ib] & ~up(j)
             residuation = up(m) ^ below_imp[ib](a)
-            for c in _bits(greatest | least | residuation):
+            for c in _members(greatest | least | residuation):
                 if greatest >> c & 1:
                     violations.append(
                         f"{obj.name}: meet({fib.describe(a)}, {fib.describe(b)}) is not greatest")
@@ -1273,7 +1262,7 @@ def _check_reindex(D, fibre_els, violations, notes, counts):
         if bad:
             fib = D.fibre(obj)
             violations.append(
-                f"{obj.name}: identity reindex moves {fib.describe(sample[next(_bits(bad))])}")
+                f"{obj.name}: identity reindex moves {fib.describe(sample[next(_members(bad))])}")
     mors = {}
     for a in D.universe:
         for b in D.universe:
@@ -1314,7 +1303,7 @@ def _check_reindex(D, fibre_els, violations, notes, counts):
                 notes.append(f"{mor_key(f)}: {exc}; skipped")
                 continue
             found = len(violations)
-            for j in _bits(ordered & fib_a.not_leq(px, py, n)):
+            for j in _members(ordered & fib_a.not_leq(px, py, n)):
                 x, y = sampled[j]
                 violations.append(
                     f"reindex along {mor_key(f)} is not monotone on "
@@ -1326,7 +1315,7 @@ def _check_reindex(D, fibre_els, violations, notes, counts):
                     violations.append(f"reindex along {mor_key(f)} moves bottom")
                 broken = [K.differ(p, fib_a.on_planes(op, px, py, n))
                           for op, p in zip(("meet", "join", "imp"), pulled)]
-                for j in _bits(broken[0] | broken[1] | broken[2]):
+                for j in _members(broken[0] | broken[1] | broken[2]):
                     x, y = sampled[j]
                     for name, bad in zip(("meet", "join", "implication"), broken):
                         if bad >> j & 1:
@@ -1455,9 +1444,9 @@ def beck_chevalley(D, direction: str) -> BCReport:
                     lax = fib_a2.not_leq(low[0], high[0], n) & inside
                     square = f"{mor_key(f)} x {b.name}"
                     eq_fail += [f"{direction} along {square} differs on {fib1.describe(betas[j])}"
-                                for j in _bits(differs)]
+                                for j in _members(differs)]
                     ineq_fail += [f"{direction} along {square} breaks the lax inequality on "
-                                  f"{fib1.describe(betas[j])}" for j in _bits(lax)]
+                                  f"{fib1.describe(betas[j])}" for j in _members(lax)]
                     if n < len(betas):  # the left side is read first
                         skipped.append(f"{square}: {(lhs if lhs[1] == n else rhs)[2]}")
                     elif not differs | lax:

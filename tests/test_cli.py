@@ -183,6 +183,22 @@ class TestDoctrineCommands:
             {"part": "cartesian closed",
              "detail": "exponential 1^1 is not in the declared universe"}]
 
+    def test_godel_lists_the_failures_of_each_part(self, capsys, tmp_path):
+        """Over antichain3 at sizes 2,2 two parts fail, and the report's
+        failures name both."""
+        path = tmp_path / "antichain3.json"
+        path.write_text(json.dumps(doctrine_to_json(
+            kripke_doctrine(antichain_poset(3), (2, 2)))))
+        code, out, _ = run(capsys, "doctrine", "godel", "--doctrine", str(path))
+        assert code == 1
+        payload = json.loads(out)
+        assert [k for k, ok in payload["parts"].items() if not ok] == [
+            "enough_existential_free", "subdoctrine_enough_universal_free"]
+        failures = payload["details"]["failures"]
+        assert {f["part"] for f in failures} == {
+            "enough existential-free", "subdoctrine enough universal-free"}
+        assert all(f["detail"] for f in failures)
+
     def test_godel_reads_a_generated_doctrine_from_stdin(self, capsys,
                                                          monkeypatch):
         code, out, _ = run(capsys, "examples", "powerset", "--sizes", "2,2")
@@ -217,6 +233,17 @@ class TestDoctrineCommands:
         assert rows["A"]["existentialFree"] == 4
         assert rows["A"]["quantifierFree"] == 4
         assert rows["1"]["topExistentialFree"] is True
+
+    def test_free_predicate_needs_a_colon(self, capsys, pow_path):
+        assert run(capsys, "doctrine", "free", "--doctrine", pow_path,
+                   "--predicate", "A0") == (
+            2, "", "error: predicate selector must look like OBJECT:ELEMENT\n")
+
+    def test_free_predicate_by_its_description(self, capsys, pow_path):
+        data = run_json(capsys, "doctrine", "free", "--doctrine", pow_path,
+                        "--predicate", "A:{a0}")
+        assert (data["object"], data["predicate"]) == ("A", "{a0}")
+        assert data["quantifierFree"] is True
 
     def test_free_single_predicate_query(self, capsys, pow_path):
         data = run_json(capsys, "doctrine", "free", "--doctrine", pow_path,
@@ -354,6 +381,13 @@ class TestDialComplete:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("bound,message", [
+        ("x", "bounds must be a comma-separated list of sizes, not 'x'"),
+        ("5", "no universe object has a size within the bounds")])
+    def test_unusable_bounds_are_input_errors(self, capsys, pow_path, bound, message):
+        assert run(capsys, "dial", "complete", "--doctrine", pow_path,
+                   "--bound", bound) == (2, "", f"error: {message}\n")
+
 
 class TestPrinciples:
     def test_single_rule_pass(self, capsys, pow_path):
@@ -405,6 +439,21 @@ class TestExamples:
         code, _, err = run(capsys, "examples", "kripke", "--frame", "blob")
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("sizes,message", [
+        ("a", "sizes must be comma-separated integers, not 'a'"),
+        (",", "sizes must name at least one carrier")])
+    def test_unusable_sizes_are_input_errors(self, capsys, sizes, message):
+        assert run(capsys, "examples", "powerset", "--sizes", sizes) == (
+            2, "", f"error: {message}\n")
+
+    def test_out_into_a_missing_directory_is_an_input_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "pow.json"
+        code, out, err = run(capsys, "examples", "powerset", "--sizes", "2,2",
+                             "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert not target.parent.exists()
 
 
 class _Kind(enum.IntEnum):

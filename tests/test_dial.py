@@ -1,8 +1,11 @@
+import itertools
+
 import pytest
 
 from dialectica import _kernels as K
 from dialectica import dial
 from dialectica.dial import (
+    DialFibre,
     DialObject,
     WitnessPair,
     build_dial_fibre,
@@ -434,6 +437,65 @@ class TestCompletedFibres:
         assert len(fib.classes()) == 2
 
 
+def bottom_and_top():
+    """The quadruples (1, 1, 1, bottom) and (1, 1, 1, top) of powerset-2x2:
+    the first lies below the second, not above it."""
+    one = POW.universe[0]
+    fib = POW.fibre(POW.product(POW.product(one, one).obj, one).obj)
+    return DialObject(one, one, one, fib.bottom()), DialObject(one, one, one, fib.top())
+
+
+def planted(quads, rows):
+    return DialFibre(quads[0].I, tuple(quads), tuple(rows), len(quads), ())
+
+
+class TestPlantedPreorders:
+    """`check_preorder` on fibres whose order rows are planted, not
+    decided: each failure list names what the rows or the doctrine get
+    wrong."""
+
+    def test_a_reflexive_failure_is_listed_once(self, monkeypatch):
+        """An index whose diagonal bit is unset and whose identity pair
+        fails revalidation is one reflexive failure; a pair that fails
+        to build in a sampled chain is a composition failure.  The rows
+        put 0 below 1 and 1 below 0, but not 0 below itself."""
+        D = powerset_doctrine((2, 2))
+        monkeypatch.setattr(D, "pair_holds", lambda a, b, f0, f1: False)
+        rep = check_preorder(D, planted(bottom_and_top(), (0b10, 0b11)))
+        assert rep.reflexive_failures == (0, 1)
+        assert rep.transitive_failures == ((0, 1, 0),)
+        assert rep.composition_failures == (
+            (0, 1, 0, "kernel witness pair failed revalidation"),
+            (1, 0, 1, "kernel witness pair failed revalidation"))
+
+    def test_an_unset_diagonal_bit_is_a_reflexive_failure(self):
+        rep = check_preorder(POW, planted(bottom_and_top(), (0b10, 0b10)))
+        assert rep.reflexive_failures == (0,)
+        assert not rep.passed
+
+    def test_a_missing_composite_is_a_transitive_failure(self):
+        """Rows that put q0 below q1 and q1 below q2, but not q0 below
+        q2, name the triple; the sampled chain still composes."""
+        fib = build_dial_fibre(POW, POW.universe[0], quad_cap=128)
+        i, j, k = next((i, j, k) for i, j, k in itertools.permutations(range(8), 3)
+                       if fib.leq(i, j) and fib.leq(j, k))
+        rep = check_preorder(POW, planted([fib.quads[x] for x in (i, j, k)],
+                                          (0b011, 0b110, 0b100)))
+        assert rep.reflexive_failures == ()
+        assert rep.transitive_failures == ((0, 1, 2),)
+        assert rep.compositions_checked == 1
+        assert rep.composition_failures == ()
+
+    def test_a_cell_without_a_pair_is_a_composition_failure(self):
+        """Rows that claim the top quadruple below the bottom one hold
+        reflexively and transitively; every sampled chain through that
+        cell lacks a witness pair."""
+        rep = check_preorder(POW, planted(bottom_and_top(), (0b11, 0b11)))
+        assert (rep.reflexive_failures, rep.transitive_failures) == ((), ())
+        missing = "order matrix entry has no witness pair"
+        assert rep.composition_failures == ((0, 1, 0, missing), (1, 0, 1, missing))
+
+
 def signature_rows(D, quads):
     """The order rows cell by cell: `signature_leq` on each pair's two
     signatures."""
@@ -450,7 +512,7 @@ class TestSignatureOrder:
     def test_rows_match_the_pair_search(self, D):
         fib = build_dial_fibre(D, D.universe[0], quad_cap=84)
         assert fib.rows == tuple(Doctrine.order_rows(D, fib.quads))
-        assert all(D.has_pair(a, b) == fib.leq(i, j)
+        assert all((D.witness_tables(a, b) is not None) == fib.leq(i, j)
                    for i, a in enumerate(fib.quads[:12])
                    for j, b in enumerate(fib.quads))
 
@@ -536,6 +598,14 @@ class TestTheorem2:
                              samples=60, seed=1)
         assert rep.passed and rep.checked == 60
         assert rep.mismatches == ()
+
+    def test_no_pool_checks_nothing(self):
+        """At cap 1 every carrier over the terminal object is skipped, so
+        no pair is sampled and the report keeps the skip notes."""
+        D = powerset_doctrine((2, 2), cap=1)
+        rep = check_theorem2(D, FreenessAnalyzer(D), D.universe[0])
+        assert rep.passed and rep.checked == 0 and rep.mismatches == ()
+        assert len(rep.notes) == 9 and all("skipped" in n for n in rep.notes)
 
     def test_reports_are_reproducible(self):
         fa = FreenessAnalyzer(POW)
