@@ -39,6 +39,7 @@ from .doctrine import (
     doctrine_from_json,
     doctrine_to_json,
     kripke_doctrine,
+    mor_json,
     mor_key,
     powerset_doctrine,
     quantifier_structure,
@@ -483,13 +484,24 @@ def cmd_dial_complete(args):
         matrix = [[row >> j & 1 for j in range(n)] for row in fib.rows]
     else:
         notes.append(f"quadruple list and matrix truncated to {listed} of {n}")
+    # Each kept map is encoded once: every pair that uses it holds the same
+    # dict, whose table the writer renders once.  The memo holds the map,
+    # so its id is not reused while the op runs.
+    encoded: dict = {}
+
+    def encode(f):
+        hit = encoded.get(id(f))
+        if hit is None:
+            hit = encoded[id(f)] = (f, mor_json(f))
+        return hit[1]
+
     pairs = []
     cells = ((i, j) for i, row in enumerate(fib.rows) for j in _members(row & ~(1 << i)))
     for i, j in itertools.islice(cells, args.pairs):
         p = dial_leq(D, fib.quads[i], fib.quads[j])
         if p is None:
             raise DoctrineError(f"order matrix cell ({i}, {j}) has no witness pair")
-        pairs.append({"from": i, "to": j, "pair": p.to_json()})
+        pairs.append({"from": i, "to": j, "pair": p.to_json(encode)})
     payload = {
         "command": "dial complete",
         "doctrine": D.name,
@@ -711,7 +723,8 @@ def build_parser() -> argparse.ArgumentParser:
 # Pieces of text held before a write.  The buffer is written out between
 # two list elements once it holds this many, so no string of the whole
 # report is ever built; a piece of a certify or diagnostic report averages
-# about 25 characters, so a write carries a few kilobytes.
+# about 25 characters, so a write carries a few kilobytes.  A list of
+# ints met again at the same indentation is one piece, its kept text.
 JSON_BLOCK = 256
 
 
@@ -729,9 +742,19 @@ def _write_json(fh, payload) -> None:
     and its newlines indented: encoded JSON holds no raw newline inside a
     string, so that text is exactly what the stdlib would write in its
     place.
+
+    The text of each list of ``int`` is kept for the length of the call,
+    under ``(id(list), indentation)`` beside the list itself, so the id
+    is not reused while it is kept; a list met again at the same
+    indentation (the table of a map that many witness pairs share) is
+    appended as that text.  ``value`` is a closure that refers to itself,
+    so it outlives the call until the cyclic collector runs; the kept
+    texts and the buffer are cleared before the call returns, also when
+    a write raises.
     """
     out: list[str] = []
     append = out.append
+    ints: dict = {}
 
     def value(o, ind: str) -> None:
         # ``ind`` is a newline and the indentation of o's closing bracket.
@@ -758,9 +781,15 @@ def _write_json(fh, payload) -> None:
             if not o:
                 append("[]")
                 return
+            hit = ints.get((id(o), ind))
+            if hit is not None:
+                append(hit[1])
+                return
             inner = ind + "  "
             if {*map(type, o)} == {int}:
-                append("[" + inner + ("," + inner).join(map(int.__repr__, o)) + ind + "]")
+                text = "[" + inner + ("," + inner).join(map(int.__repr__, o)) + ind + "]"
+                ints[id(o), ind] = (o, text)
+                append(text)
                 return
             append("[" + inner)
             sep = "," + inner
@@ -780,9 +809,13 @@ def _write_json(fh, payload) -> None:
         else:
             append(json.dumps(o, indent=2).replace("\n", ind))
 
-    value(payload, "\n")
-    append("\n")
-    fh.write("".join(out))
+    try:
+        value(payload, "\n")
+        append("\n")
+        fh.write("".join(out))
+    finally:
+        ints.clear()
+        out.clear()
 
 
 def _emit(code: int, payload, lines, fmt: str) -> int:

@@ -21,7 +21,10 @@ carrier pair and table and keeps it on D, so a table that many pairs
 share is one map, and it revalidates every pair whole through the
 doctrine's own reindexing and order (``D.pair_holds``).  So a returned
 pair is a checked certificate, and None means the exhaustive search ran
-dry.
+dry.  A report encodes each distinct kept map once per op:
+``WitnessPair.to_json`` takes the encoder, and ``dial complete`` hands
+it one that keeps a ``mor_json`` dict per map, so every pair that uses
+a map holds the same dict.
 
 Carriers such as I*U*X, built as (I*U)*X, come from the doctrine's
 product table (``D.product``), built once each at ``D.cap``.  Products
@@ -70,8 +73,9 @@ class WitnessPair:
     f0: FinMor
     f1: FinMor
 
-    def to_json(self) -> dict:
-        return {"f0": mor_json(self.f0), "f1": mor_json(self.f1)}
+    def to_json(self, encode=mor_json) -> dict:
+        """The pair as its two maps, each written by ``encode``."""
+        return {"f0": encode(self.f0), "f1": encode(self.f1)}
 
 
 def _carrier(D, I: FinObj, U: FinObj, X: FinObj) -> FinObj:

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import enum
+import gc
 import io
 import itertools
 import json
@@ -474,10 +475,17 @@ _ATOMS = ('', 'plain', 'quote " and back\\slash', 'ctl \x00\x01\x1f\x7f\t\n\r\x0
 _KEYS = ('a', 'quote"', '\u00e9\U0001f600', 3, -1, 2.5, float('nan'), True, False, None)
 
 
-def _random_payload(rng, depth):
+def _random_payload(rng, depth, made=None):
     """A random JSON value nested at most ``depth`` deep, with empty
     containers, lists of integers with a stray ``True`` or ``None``, and
-    dicts keyed by strings only or by any key type the stdlib takes."""
+    dicts keyed by strings only or by any key type the stdlib takes.  A
+    container already made for the payload is at times placed again, at
+    its own depth or nearer the top, so one object sits at two places."""
+    if made is None:
+        made = []
+    fits = [o for d, o in made if d <= depth]
+    if fits and rng.random() < 0.35:
+        return rng.choice(fits)
     kind = rng.randrange(6) if depth else 0
     if kind == 0:
         return rng.choice(_ATOMS)
@@ -485,16 +493,21 @@ def _random_payload(rng, depth):
         ints = [rng.randrange(-2**66, 2**66) for _ in range(rng.randrange(6))]
         if ints and rng.random() < 0.4:
             ints.insert(rng.randrange(len(ints)), rng.choice((True, False, None)))
-        return ints if rng.random() < 0.7 else tuple(ints)
-    size = rng.randrange(4) if rng.random() < 0.8 else rng.randrange(40)
-    items = [_random_payload(rng, depth - 1) for _ in range(size)]
-    if kind == 2:
-        return tuple(items)
-    if kind == 3:
-        return {f"k{i}\u00e9\"": v for i, v in enumerate(items)}
-    if kind == 4:
-        return {rng.choice(_KEYS): v for v in items}
-    return items
+        o = ints if rng.random() < 0.7 else tuple(ints)
+    else:
+        size = rng.randrange(4) if rng.random() < 0.8 else rng.randrange(40)
+        items = [_random_payload(rng, depth - 1, made) for _ in range(size)]
+        if kind == 2:
+            o = tuple(items)
+        elif kind == 3:
+            o = {f"k{i}\u00e9\"": v for i, v in enumerate(items)}
+        elif kind == 4:
+            o = {rng.choice(_KEYS): v for v in items}
+        else:
+            o = items
+    # Each entry is kept with its nesting; a list of ints nests one deep.
+    made.append((1 if kind == 1 else depth, o))
+    return o
 
 
 class TestJsonWriter:
@@ -549,6 +562,88 @@ class TestJsonWriter:
         out = io.StringIO()
         cli._write_json(out, payload)
         assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+    def test_generated_payloads_repeat_lists_of_ints(self):
+        """Among the seeds above, one list of ints sits twice at one
+        indentation (the writer appends its kept text) and once at two
+        (the writer renders it for each)."""
+        def places(o, depth, seen):
+            # The lists of ints the writer renders, with their depths: a
+            # dict with a key other than a string goes to ``json.dumps``.
+            if type(o) is dict:
+                if not all(map(isinstance, o, itertools.repeat(str))):
+                    return seen
+                o = list(o.values())
+            if type(o) in (list, tuple) and o:
+                if {*map(type, o)} == {int}:
+                    seen.append((id(o), depth))
+                    return seen
+                for x in o:
+                    places(x, depth + 1, seen)
+            return seen
+
+        same = two = False
+        for seed in range(16):
+            seen = places(_random_payload(random.Random(seed), 4), 0, [])
+            same |= len(set(seen)) < len(seen)
+            two |= len({i for i, _ in set(seen)}) < len(set(seen))
+        assert same and two
+
+    def test_one_list_at_two_indentations(self):
+        ints = [1, 2]
+        payload = {"a": ints, "b": [ints, {"c": ints}], "d": ints}
+        out = io.StringIO()
+        cli._write_json(out, payload)
+        assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_the_writer_keeps_nothing_once_it_returns(self, fails):
+        """``value`` refers to itself, so the writer's buffer and kept texts
+        live on after the call until the cyclic collector runs; they are
+        cleared on the way out, also when a write raises.  With the
+        collector off, the traced memory after the call is back near its
+        level before it; the kept texts alone would hold about 2 MB."""
+        class Sink:
+            def write(self, s):
+                if fails:
+                    raise BrokenPipeError
+
+        tables = [list(range(k, k + 1024)) for k in range(200)]
+        payload = [{"f0": t, "f1": t} for t in tables]
+        enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            raised = False
+            try:
+                cli._write_json(Sink(), payload)
+            except BrokenPipeError:
+                raised = True
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            if enabled:
+                gc.enable()
+        assert raised == fails
+        assert after - before < 100_000
+
+    def test_certify_pairs_share_their_maps(self, pow_path):
+        """Every pair that uses one kept map holds one dict and so one
+        ``table`` list; a second run builds its own, so no encoding
+        outlives its op; the bytes are the stdlib's."""
+        argv = [*self.CERTIFY, "--doctrine", pow_path]
+        out, _, payload, _ = self.emit(argv)
+        assert out == json.dumps(payload, indent=2) + "\n"
+        maps = [p["pair"][f] for p in payload["witnessPairs"] for f in ("f0", "f1")]
+        first = {}
+        for m in maps:
+            assert first.setdefault(m["mor"], m) is m
+        assert len(first) < len(maps) / 4
+        again = self.emit(argv)[2]
+        assert again == payload
+        assert not {*map(id, maps)} & {
+            id(p["pair"][f]) for p in again["witnessPairs"] for f in ("f0", "f1")}
 
     def test_text_format_writes_the_lines(self, pow_path):
         out, _, _, lines = self.emit([*self.CERTIFY, "--doctrine", pow_path], "text")
