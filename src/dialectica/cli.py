@@ -484,16 +484,20 @@ def cmd_dial_complete(args):
         matrix = [[row >> j & 1 for j in range(n)] for row in fib.rows]
     else:
         notes.append(f"quadruple list and matrix truncated to {listed} of {n}")
-    # Each kept map is encoded once: every pair that uses it holds the same
-    # dict, whose table the writer renders once.  The memo holds the map,
-    # so its id is not reused while the op runs.
+    # Each kept map and each kept pair is encoded once: every pair that
+    # uses a map holds the same dict, and every cell that a pair certifies
+    # holds the same pair dict, whose text the writer renders once.  The
+    # memo holds the map or pair, so its id is not reused while the op runs.
     encoded: dict = {}
 
-    def encode(f):
-        hit = encoded.get(id(f))
+    def encode(o, make=mor_json):
+        hit = encoded.get(id(o))
         if hit is None:
-            hit = encoded[id(f)] = (f, mor_json(f))
+            hit = encoded[id(o)] = (o, make(o))
         return hit[1]
+
+    def pair_json(p):
+        return p.to_json(encode)
 
     pairs = []
     cells = ((i, j) for i, row in enumerate(fib.rows) for j in _members(row & ~(1 << i)))
@@ -501,7 +505,7 @@ def cmd_dial_complete(args):
         p = dial_leq(D, fib.quads[i], fib.quads[j])
         if p is None:
             raise DoctrineError(f"order matrix cell ({i}, {j}) has no witness pair")
-        pairs.append({"from": i, "to": j, "pair": p.to_json(encode)})
+        pairs.append({"from": i, "to": j, "pair": encode(p, pair_json)})
     payload = {
         "command": "dial complete",
         "doctrine": D.name,
@@ -724,7 +728,8 @@ def build_parser() -> argparse.ArgumentParser:
 # two list elements once it holds this many, so no string of the whole
 # report is ever built; a piece of a certify or diagnostic report averages
 # about 25 characters, so a write carries a few kilobytes.  A list of
-# ints met again at the same indentation is one piece, its kept text.
+# ints, or a kept dict, met again at the same indentation is one piece,
+# its kept text.
 JSON_BLOCK = 256
 
 
@@ -737,24 +742,28 @@ def _write_json(fh, payload) -> None:
     made of are encoded here, picked by exact type: ``str`` through the
     encoder's own C function, ``int``, ``None``, ``True``, ``False``,
     lists and tuples, a list of ``int`` only with one join, and dicts
-    whose keys are all strings.  Anything else (a float, a subclass of
-    ``int`` or ``str``, a dict with other keys) is handed to ``json.dumps``
-    and its newlines indented: encoded JSON holds no raw newline inside a
-    string, so that text is exactly what the stdlib would write in its
-    place.
+    whose keys are all strings, with ``str`` and ``int`` values written
+    inline.  Anything else (a float, a subclass of ``int`` or ``str``, a
+    dict with other keys) is handed to ``json.dumps`` and its newlines
+    indented: encoded JSON holds no raw newline inside a string, so that
+    text is exactly what the stdlib would write in its place.
 
-    The text of each list of ``int`` is kept for the length of the call,
-    under ``(id(list), indentation)`` beside the list itself, so the id
-    is not reused while it is kept; a list met again at the same
-    indentation (the table of a map that many witness pairs share) is
-    appended as that text.  ``value`` is a closure that refers to itself,
-    so it outlives the call until the cyclic collector runs; the kept
-    texts and the buffer are cleared before the call returns, also when
-    a write raises.
+    Texts are kept for the length of the call, under ``(id(o),
+    indentation)`` beside the object itself, so the id is not reused
+    while it is kept.  The writer keeps the text of each list of ``int``,
+    and of each dict that holds at least one kept text and whose other
+    values are all strings: such a dict never spans a block write.  A
+    dict with an ``int`` value, a container met for the first time, or
+    strings only is written afresh and not kept.  An object met again at
+    the same indentation (the table or a map of a witness pair, or a pair
+    that many cells share) is appended as its kept text.  ``value`` is a
+    closure that refers to itself, so it outlives the call until the
+    cyclic collector runs; the kept texts and the buffer are cleared
+    before the call returns, also when a write raises.
     """
     out: list[str] = []
     append = out.append
-    ints: dict = {}
+    kept: dict = {}
 
     def value(o, ind: str) -> None:
         # ``ind`` is a newline and the indentation of o's closing bracket.
@@ -767,28 +776,47 @@ def _write_json(fh, payload) -> None:
             if not o:
                 append("{}")
                 return
+            hit = kept.get((id(o), ind))
+            if hit is not None:
+                append(hit[1])
+                return
+            start = len(out)
+            hits = 0
+            fresh = False
             inner = ind + "  "
             sep = "{" + inner
             for k, v in o.items():
-                if type(v) is str:
+                tv = type(v)
+                if tv is str:
                     append(sep + _encode_str(k) + ": " + _encode_str(v))
+                elif tv is int:
+                    append(sep + _encode_str(k) + ": " + int.__repr__(v))
+                    fresh = True
                 else:
                     append(sep + _encode_str(k) + ": ")
-                    value(v, inner)
+                    hit = kept.get((id(v), inner))
+                    if hit is not None:
+                        append(hit[1])
+                        hits += 1
+                    else:
+                        value(v, inner)
+                        fresh = True
                 sep = "," + inner
             append(ind + "}")
+            if hits and not fresh:
+                kept[id(o), ind] = (o, "".join(out[start:]))
         elif t is list or t is tuple:
             if not o:
                 append("[]")
                 return
-            hit = ints.get((id(o), ind))
+            hit = kept.get((id(o), ind))
             if hit is not None:
                 append(hit[1])
                 return
             inner = ind + "  "
             if {*map(type, o)} == {int}:
                 text = "[" + inner + ("," + inner).join(map(int.__repr__, o)) + ind + "]"
-                ints[id(o), ind] = (o, text)
+                kept[id(o), ind] = (o, text)
                 append(text)
                 return
             append("[" + inner)
@@ -814,7 +842,7 @@ def _write_json(fh, payload) -> None:
         append("\n")
         fh.write("".join(out))
     finally:
-        ints.clear()
+        kept.clear()
         out.clear()
 
 

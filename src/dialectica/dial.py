@@ -16,15 +16,19 @@ the rows off per-quadruple signatures.  A pair is built only where it is
 used, and only by one builder (``_certified``), which ``dial_leq`` (CLI
 witness pairs and sampled compositions), ``identity_pair``
 (reflexivity) and ``compose_pairs`` hand a pair's two index tables.  It
-takes the maps from ``D.kept_map``, which builds one map per distinct
-carrier pair and table and keeps it on D, so a table that many pairs
-share is one map, and it revalidates every pair whole through the
-doctrine's own reindexing and order (``D.pair_holds``).  So a returned
-pair is a checked certificate, and None means the exhaustive search ran
-dry.  A report encodes each distinct kept map once per op:
-``WitnessPair.to_json`` takes the encoder, and ``dial complete`` hands
-it one that keeps a ``mor_json`` dict per map, so every pair that uses
-a map holds the same dict.
+builds each distinct pair once per doctrine and keeps it on D
+(``D._pairs``, keyed by the names and carriers of I, U, X, V and Y and
+by the two tables).  It takes the maps from ``D.kept_map``, which
+builds one map per distinct carrier pair and table and keeps it on D, so
+a table that many pairs share is one map.  On every call, a kept pair
+too, it revalidates the pair whole through the doctrine's own
+reindexing and order (``D.pair_holds``).  So a returned pair is a
+checked certificate, and None means the exhaustive search ran dry.  A
+report encodes each distinct kept map and pair once per op:
+``WitnessPair.to_json`` takes the map encoder, and ``dial complete``
+keeps one ``mor_json`` dict per map and one pair dict per pair, so every
+pair that uses a map holds the same dict, and every cell that one pair
+certifies holds the same pair dict.
 
 Carriers such as I*U*X, built as (I*U)*X, come from the doctrine's
 product table (``D.product``), built once each at ``D.cap``.  Products
@@ -100,12 +104,21 @@ def pair_is_valid(D, a: DialObject, b: DialObject, p: WitnessPair) -> bool:
 
 
 def _certified(D, a: DialObject, b: DialObject, f0, f1, kind: str) -> WitnessPair:
-    """The pair with index tables f0: I*U -> V and f1: I*U*Y -> X, its
-    maps taken from `D.kept_map` and the pair revalidated whole
-    (`pair_is_valid`); a pair that fails raises "<kind> pair failed
-    revalidation"."""
-    iu = D.product(a.I, a.U).obj
-    p = WitnessPair(D.kept_map(iu, b.U, f0), D.kept_map(D.product(iu, b.X).obj, a.X, f1))
+    """The pair with index tables f0: I*U -> V and f1: I*U*Y -> X,
+    revalidated whole (`pair_is_valid`) on every call; a pair that fails
+    raises "<kind> pair failed revalidation".  The pair is built once per
+    doctrine, its maps taken from `D.kept_map`, and kept on D, keyed as
+    `kept_map` keys its maps: by the name, arity and carrier of each of
+    I, U, X, V and Y, and by both tables."""
+    I, U, X, V, Y = a.I, a.U, a.X, b.U, b.X
+    carriers = (I.name, I.arity, I, U.name, U.arity, U, X.name, X.arity, X,
+                V.name, V.arity, V, Y.name, Y.arity, Y)
+    p = D._pairs.get((*carriers, tuple(f0), tuple(f1)))
+    if p is None:
+        iu = D.product(I, U).obj
+        p = WitnessPair(D.kept_map(iu, V, f0), D.kept_map(D.product(iu, Y).obj, X, f1))
+        # The kept key holds the maps' own tables, not a second copy.
+        D._pairs[(*carriers, p.f0.idx, p.f1.idx)] = p
     if not pair_is_valid(D, a, b, p):
         raise DoctrineError(f"{kind} pair failed revalidation")
     return p

@@ -783,6 +783,7 @@ class ConcreteDoctrine(Doctrine):
         self._m2s: dict = {}
         self._planes: dict = {}
         self._maps: dict = {}
+        self._pairs: dict = {}
 
     def fibre(self, obj: FinObj) -> MaskFibre:
         """The fibre over obj, kept per name as well as carrier (`FinObj`
@@ -939,6 +940,7 @@ class TabularDoctrine(Doctrine):
         self._passed: dict = {}
         self._planes: dict = {}
         self._maps: dict = {}
+        self._pairs: dict = {}
         for f, table in self._reindex.items():
             nc = len(self.fibre(f.cod).labels)
             nd = len(self.fibre(f.dom).labels)

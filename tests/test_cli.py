@@ -480,13 +480,17 @@ def _random_payload(rng, depth, made=None):
     containers, lists of integers with a stray ``True`` or ``None``, and
     dicts keyed by strings only or by any key type the stdlib takes.  A
     container already made for the payload is at times placed again, at
-    its own depth or nearer the top, so one object sits at two places."""
+    its own depth or nearer the top, so one object sits at two places.
+    Some lists hold one dict several times, as a certify report's cells
+    hold a witness pair: its values are strings and containers already
+    made, mostly lists of integers only and dicts of that kind, whose
+    texts the writer keeps."""
     if made is None:
         made = []
-    fits = [o for d, o in made if d <= depth]
+    fits = [o for d, o, _ in made if d <= depth]
     if fits and rng.random() < 0.35:
         return rng.choice(fits)
-    kind = rng.randrange(6) if depth else 0
+    kind = rng.randrange(8 if depth > 1 else 6) if depth else 0
     if kind == 0:
         return rng.choice(_ATOMS)
     if kind == 1:
@@ -494,6 +498,23 @@ def _random_payload(rng, depth, made=None):
         if ints and rng.random() < 0.4:
             ints.insert(rng.randrange(len(ints)), rng.choice((True, False, None)))
         o = ints if rng.random() < 0.7 else tuple(ints)
+    elif kind >= 6:
+        o, nest = {}, 1
+        for i in range(rng.randrange(1, 4)):
+            if depth < 3 or rng.random() < 0.2:
+                o[f"s{i}"] = rng.choice(_ATOMS[:5])
+                continue
+            parts = [(d, x) for d, x, kept in made if d < depth - 1
+                     and (kept or rng.random() < 0.2)]
+            if not parts or rng.random() < 0.3:
+                x = [rng.randrange(-9, 9) for _ in range(rng.randrange(1, 4))]
+                made.append((1, x, True))
+                parts = [(1, x)]
+            d, o[f"p{i}"] = rng.choice(parts)
+            nest = max(nest, d + 1)
+        made.append((nest, o, True))
+        made.append((nest + 1, [o] * rng.randrange(3, 6), False))
+        return made[-1][1]
     else:
         size = rng.randrange(4) if rng.random() < 0.8 else rng.randrange(40)
         items = [_random_payload(rng, depth - 1, made) for _ in range(size)]
@@ -505,8 +526,10 @@ def _random_payload(rng, depth, made=None):
             o = {rng.choice(_KEYS): v for v in items}
         else:
             o = items
-    # Each entry is kept with its nesting; a list of ints nests one deep.
-    made.append((1 if kind == 1 else depth, o))
+    # Each entry is kept with its nesting (a list of ints nests one deep)
+    # and whether the writer keeps its text: a list of ints only.
+    kept = kind == 1 and bool(o) and {*map(type, o)} == {int}
+    made.append((1 if kind == 1 else depth, o, kept))
     return o
 
 
@@ -589,6 +612,37 @@ class TestJsonWriter:
             two |= len({i for i, _ in set(seen)}) < len(set(seen))
         assert same and two
 
+    def test_generated_payloads_repeat_kept_dicts(self):
+        """Among the seeds above, a dict of strings and lists of ints
+        already met at its values' indentation is met again at its own,
+        so the writer appends its kept text."""
+        def kept_text(o, depth, kept, hits):
+            # Whether the writer appends o as a kept text, by its rule.
+            if type(o) in (list, tuple) and o:
+                if (id(o), depth) in kept:
+                    return True
+                if {*map(type, o)} == {int}:
+                    kept.add((id(o), depth))
+                    return False
+                for x in o:
+                    kept_text(x, depth + 1, kept, hits)
+            elif type(o) is dict and o and all(map(isinstance, o, itertools.repeat(str))):
+                if (id(o), depth) in kept:
+                    hits.append(o)
+                    return True
+                appended = [kept_text(v, depth + 1, kept, hits)
+                            for v in o.values() if type(v) is not str]
+                if appended and all(appended):
+                    kept.add((id(o), depth))
+            return False
+
+        seeds = 0
+        for seed in range(16):
+            hits = []
+            kept_text(_random_payload(random.Random(seed), 4), 0, set(), hits)
+            seeds += any(type(v) is list for o in hits for v in o.values())
+        assert seeds > 2
+
     def test_one_list_at_two_indentations(self):
         ints = [1, 2]
         payload = {"a": ints, "b": [ints, {"c": ints}], "d": ints}
@@ -596,20 +650,69 @@ class TestJsonWriter:
         cli._write_json(out, payload)
         assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
 
+    def test_one_dict_at_two_indentations(self):
+        """A map dict and a pair dict of two maps, each met often enough
+        at two indentations to be kept at both, inside a dict and in a
+        list."""
+        ints = [3, 1, 4]
+        m = {"mor": "A->B#7", "table": ints}
+        p = {"f0": m, "f1": m}
+        cells = [{"from": k, "pair": p} for k in range(4)]
+        payload = {"cells": cells, "maps": [m, m, m], "pairs": [p, p, [p, p, m]],
+                   "by": {"m": m, "p": p}}
+        out = io.StringIO()
+        cli._write_json(out, payload)
+        assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("case", ["int value", "new container", "strings only", "kept"])
+    def test_a_dict_not_kept_is_written_afresh(self, monkeypatch, case):
+        """A dict with an ``int`` value, one whose list of ints is met for
+        the first time, and one of strings only are not kept: changed by
+        the sink between two places (at a block of one piece, the writer
+        writes before each list element), such a dict is written as it
+        stands at each.  A dict of a string and a kept list is kept, and
+        written as it stood."""
+        monkeypatch.setattr(cli, "JSON_BLOCK", 1)
+        ints = [1, 2]
+        d = {"name": "first"} if case == "strings only" else {"name": "first", "table": ints}
+        if case == "int value":
+            d["n"] = 3
+        payload = [d, d] if case in ("new container", "strings only") else [
+            {"other": "x", "table": ints}, d, d]
+        stood = [json.loads(json.dumps(o)) for o in payload]
+
+        class Sink(io.StringIO):
+            def write(self, s):
+                if '"first"' in s:
+                    d["name"] = "second"
+                return super().write(s)
+
+        out = Sink()
+        cli._write_json(out, payload)
+        if case != "kept":
+            stood[-1]["name"] = "second"
+        assert out.getvalue() == json.dumps(stood, indent=2) + "\n"
+
+    @pytest.mark.parametrize("shared", ["lists", "dicts"])
     @pytest.mark.parametrize("fails", [False, True])
-    def test_the_writer_keeps_nothing_once_it_returns(self, fails):
+    def test_the_writer_keeps_nothing_once_it_returns(self, fails, shared):
         """``value`` refers to itself, so the writer's buffer and kept texts
         live on after the call until the cyclic collector runs; they are
         cleared on the way out, also when a write raises.  With the
         collector off, the traced memory after the call is back near its
-        level before it; the kept texts alone would hold about 2 MB."""
+        level before it; without the clearing the kept texts held 2.3 MB,
+        and 12.6 MB with maps and pairs of shared dicts."""
         class Sink:
             def write(self, s):
                 if fails:
                     raise BrokenPipeError
 
         tables = [list(range(k, k + 1024)) for k in range(200)]
-        payload = [{"f0": t, "f1": t} for t in tables]
+        if shared == "lists":
+            payload = [{"f0": t, "f1": t} for t in tables]
+        else:
+            maps = [{"mor": f"m{k}", "table": t} for k, t in enumerate(tables)]
+            payload = [[p, p, p] for p in ({"f0": m, "f1": m} for m in maps)]
         enabled = gc.isenabled()
         gc.disable()
         tracemalloc.start()
@@ -630,7 +733,8 @@ class TestJsonWriter:
 
     def test_certify_pairs_share_their_maps(self, pow_path):
         """Every pair that uses one kept map holds one dict and so one
-        ``table`` list; a second run builds its own, so no encoding
+        ``table`` list, and every cell with the same two maps holds one
+        ``pair`` dict; a second run builds its own, so no encoding
         outlives its op; the bytes are the stdlib's."""
         argv = [*self.CERTIFY, "--doctrine", pow_path]
         out, _, payload, _ = self.emit(argv)
@@ -640,10 +744,15 @@ class TestJsonWriter:
         for m in maps:
             assert first.setdefault(m["mor"], m) is m
         assert len(first) < len(maps) / 4
+        pairs = [p["pair"] for p in payload["witnessPairs"]]
+        same = {}
+        for p in pairs:
+            assert same.setdefault((p["f0"]["mor"], p["f1"]["mor"]), p) is p
+        assert len(same) < len(pairs) / 2
         again = self.emit(argv)[2]
         assert again == payload
-        assert not {*map(id, maps)} & {
-            id(p["pair"][f]) for p in again["witnessPairs"] for f in ("f0", "f1")}
+        assert not {*map(id, maps + pairs)} & {
+            id(o) for p in again["witnessPairs"] for o in (p["pair"], *p["pair"].values())}
 
     def test_text_format_writes_the_lines(self, pow_path):
         out, _, _, lines = self.emit([*self.CERTIFY, "--doctrine", pow_path], "text")

@@ -293,6 +293,66 @@ class TestIndexTables:
             "A->A#2", "A->A2#2", "A2->A#2", "A2->A2#2"]
         assert D.kept_map(A, twin, [1, 0]) is maps[1]
 
+    def test_kept_pairs_are_keyed_by_names(self):
+        """Quadruples over twin carriers (one set of elements, two names)
+        give two kept pairs whose maps carry two `mor` keys; one set of
+        names and tables gives the one kept pair."""
+        D = powerset_doctrine((2, 2))
+        one, A = D.universe[0], D.universe[1]
+        twin = FinObj("A2", A.elements)
+        fib = D.fibre(D.product(D.product(one, A).obj, A).obj)
+        alpha = next(m for m in fib.elements()
+                     if fib.describe(m) == "{a0.a0, a0.a1, a1.a1}")
+        a = DialObject(one, A, A, alpha)
+        pairs = [dial_leq(D, a, DialObject(one, U, U, fib.top())) for U in (A, twin)]
+        assert pairs[0] is not pairs[1]
+        assert {mor_json(pairs[0].f0)["mor"], mor_json(pairs[0].f1)["mor"]}.isdisjoint(
+            {mor_json(pairs[1].f0)["mor"], mor_json(pairs[1].f1)["mor"]})
+        for U, p in zip((A, twin), pairs):
+            b = DialObject(one, U, U, fib.top())
+            assert dial_leq(D, DialObject(one, A, A, alpha), b) is p
+            assert dial._certified(D, a, b, list(p.f0.idx), list(p.f1.idx), "kernel witness") is p
+
+    def test_a_kept_pair_is_revalidated_on_every_call(self, monkeypatch):
+        """A doctrine whose `pair_holds` accepts a table pair only the
+        first time it sees it: the second `dial_leq` over the same tables
+        hands back no kept pair but raises, and `check_preorder` lists
+        that chain as a composition failure.  Every `_certified` call
+        revalidates once."""
+        D = powerset_doctrine((2, 2))
+        holds, seen = D.pair_holds, set()
+
+        def once(a, b, f0, f1):
+            key = tuple(f0), tuple(f1)
+            first = key not in seen
+            seen.add(key)
+            return first and holds(a, b, f0, f1)
+        monkeypatch.setattr(D, "pair_holds", once)
+        calls = {"_certified": 0, "pair_is_valid": 0}
+        for name in calls:
+            def spy(*args, name=name, inner=getattr(dial, name)):
+                calls[name] += 1
+                return inner(*args)
+            monkeypatch.setattr(dial, name, spy)
+
+        low, high = bottom_and_top()
+        assert dial_leq(D, low, high) is not None
+        with pytest.raises(DoctrineError, match="^kernel witness pair failed revalidation$"):
+            dial_leq(D, low, high)
+
+        full = build_dial_fibre(D, D.universe[1], quad_cap=48)
+        i, j, k = next((i, j, k) for i, j, k in itertools.permutations(range(len(full.quads)), 3)
+                       if full.leq(i, j) and full.leq(j, k) and not full.leq(j, i)
+                       and not full.leq(k, j))
+        quads = [full.quads[n] for n in (i, j, k)]
+        rows = [sum(full.leq(m, n) << b for b, n in enumerate((i, j, k))) for m in (i, j, k)]
+        assert dial_leq(D, quads[0], quads[1]) is not None
+        rep = check_preorder(D, planted(quads, rows))
+        assert rep.compositions_checked == 1
+        assert rep.composition_failures == (
+            (0, 1, 2, "kernel witness pair failed revalidation"),)
+        assert calls["_certified"] == calls["pair_is_valid"] > 4
+
     def test_identity_pairs(self, fibre_a):
         for q in fibre_a[0].quads:
             ki, ku = q.I.arity, q.U.arity
