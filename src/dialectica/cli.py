@@ -481,7 +481,9 @@ def cmd_dial_complete(args):
     matrix = None
     notes = list(fib.notes)
     if n <= args.list:
-        matrix = [[row >> j & 1 for j in range(n)] for row in fib.rows]
+        # One list per distinct row, which the writer renders once.
+        made = {row: [row >> j & 1 for j in range(n)] for row in set(fib.rows)}
+        matrix = [made[row] for row in fib.rows]
     else:
         notes.append(f"quadruple list and matrix truncated to {listed} of {n}")
     # Each kept map and each kept pair is encoded once: every pair that

@@ -12,13 +12,16 @@ The doctrine decides the order: ``D.witness_tables`` finds one pair's
 index tables, or None, and ``D.order_rows`` gives the rows of a list of
 quadruples.  The base class searches every pair; a concrete doctrine,
 since the condition splits per slot (i, u), decides per slot and reads
-the rows off per-quadruple signatures.  A pair is built only where it is
-used, and only by one builder (``_certified``), which ``dial_leq`` (CLI
-witness pairs and sampled compositions), ``identity_pair``
-(reflexivity) and ``compose_pairs`` hand a pair's two index tables.  It
-builds each distinct pair once per doctrine and keeps it on D
-(``D._pairs``, keyed by the names and carriers of I, U, X, V and Y and
-by the two tables).  It takes the maps from ``D.kept_map``, which
+the rows off per-quadruple signatures.  Every reader of the rows takes
+them as bitmasks: `check_preorder` checks transitivity once per distinct
+row, `DialFibre.classes` reads two bits per pair, and `check_theorem4`
+XORs each row with alpha's upper set in P(I).  A pair is built only
+where it is used, and only by one builder (``_certified``), which
+``dial_leq`` (CLI witness pairs and sampled compositions),
+``identity_pair`` (reflexivity) and ``compose_pairs`` hand a pair's two
+index tables.  It builds each distinct pair once per doctrine and keeps
+it on D (``D._pairs``, keyed by the names and carriers of I, U, X, V and
+Y and by the two tables).  It takes the maps from ``D.kept_map``, which
 builds one map per distinct carrier pair and table and keeps it on D, so
 a table that many pairs share is one map.  On every call, a kept pair
 too, it revalidates the pair whole through the doctrine's own
@@ -47,6 +50,7 @@ from dataclasses import dataclass
 
 from .doctrine import DoctrineError, mor_json
 from .fincat import CapExceeded, FinMor, FinObj
+from .posets import _members
 
 DEFAULT_QUAD_CAP = 512
 
@@ -173,16 +177,19 @@ class DialFibre:
         return bool(self.rows[i] >> j & 1)
 
     def classes(self) -> tuple:
-        """Partition into order-equivalence classes (the poset reflection)."""
+        """Partition into order-equivalence classes (the poset reflection):
+        k joins the first class whose first index r has k <= r and r <= k
+        in the rows, or starts one, so classes come in index order."""
+        rows = self.rows
         seen = {}
-        for k in range(len(self.quads)):
-            key = None
-            for rep in seen:
-                if self.leq(k, rep) and self.leq(rep, k):
-                    key = rep
+        for k, row in enumerate(rows):
+            for rep, members in seen.items():
+                if row >> rep & 1 and rows[rep] >> k & 1:
+                    members.append(k)
                     break
-            seen.setdefault(key if key is not None else k, []).append(k)
-        return tuple(tuple(v) for _, v in sorted(seen.items()))
+            else:
+                seen[k] = [k]
+        return tuple(map(tuple, seen.values()))
 
 
 @dataclass
@@ -249,8 +256,10 @@ def check_preorder(D, fib: DialFibre, compositions: int = 64,
                    seed: int = 0) -> PreorderReport:
     """Reflexivity via explicit identity pairs and the matrix's diagonal
     (each failing index listed once), transitivity on the full matrix,
-    and revalidated composition on sampled chains a <= b <= c, where a
-    pair that fails to build or revalidate is a composition failure."""
+    each distinct row once (a row's failures depend only on its value,
+    and the scan stops at the first row with any), and revalidated
+    composition on sampled chains a <= b <= c, where a pair that fails to
+    build or revalidate is a composition failure."""
     refl = []
     for k, q in enumerate(fib.quads):
         ok = fib.leq(k, k)
@@ -260,17 +269,16 @@ def check_preorder(D, fib: DialFibre, compositions: int = 64,
             ok = False
         if not ok:
             refl.append(k)
+    rows = fib.rows
+    n = len(rows)
     trans = []
-    n = len(fib.quads)
-    for i in range(n):
-        row = fib.rows[i]
-        m = row
-        while m:
-            j = (m & -m).bit_length() - 1
-            m &= m - 1
-            if fib.rows[j] & ~row:
-                k = (fib.rows[j] & ~row).bit_length() - 1
-                trans.append((i, j, k))
+    checked = set()
+    for i, row in enumerate(rows):
+        if row in checked:
+            continue
+        checked.add(row)
+        trans = [(i, j, (rows[j] & ~row).bit_length() - 1)
+                 for j in _members(row) if rows[j] & ~row]
         if trans:
             break
     # Sample composable triples i -> j -> k (i != j, j != k) without
@@ -279,7 +287,7 @@ def check_preorder(D, fib: DialFibre, compositions: int = 64,
     # the links of i and of j.  links[i] holds the j != i above i and
     # reach[j] counts links[j]; grouping j by reach turns each i's count
     # of triples into one popcount per distinct reach.
-    links = [row & ~(1 << i) for i, row in enumerate(fib.rows)]
+    links = [row & ~(1 << i) for i, row in enumerate(rows)]
     reach = [m.bit_count() for m in links]
     with_reach = {}
     for j, c in enumerate(reach):
@@ -414,25 +422,26 @@ def check_theorem4(D, analyzer, I: FinObj,
     """The prenex presentation must embed P(I) into the completed fibre
     order-exactly, and every quantifier-free quadruple must collapse back
     to the predicate its prenex form presents."""
-    alphas = D.fibre(I).elements()
+    fib = D.fibre(I)
     quads = {}
     missing = []
-    for alpha in alphas:
+    for alpha in fib.elements():
         w = analyzer.prenex(I, alpha)
         if w is None:
-            missing.append(D.fibre(I).describe(alpha))
+            missing.append(fib.describe(alpha))
             continue
         quads[alpha] = DialObject(I, w.u_obj, w.x_obj, w.beta)
+    keys = list(quads)
+    up = fib.uppers(keys)
     emb_fail = []
-    for a, row in zip(quads, D.order_rows(list(quads.values()))):
-        for j, b in enumerate(quads):
-            lhs, rhs = D.fibre(I).leq(a, b), bool(row >> j & 1)
-            if lhs != rhs:
-                emb_fail.append({
-                    "alpha": D.fibre(I).describe(a),
-                    "beta": D.fibre(I).describe(b),
-                    "fibreOrder": lhs, "witnessPair": rhs,
-                })
+    for a, row in zip(keys, D.order_rows(list(quads.values()))):
+        above = up(a)
+        for j in _members(above ^ row):
+            emb_fail.append({
+                "alpha": fib.describe(a),
+                "beta": fib.describe(keys[j]),
+                "fibreOrder": bool(above >> j & 1), "witnessPair": bool(row >> j & 1),
+            })
     qf_quads, _, notes = enumerate_quads(D, I, matrices=analyzer.quantifier_free,
                                          quad_cap=quad_cap)
     sur_fail = []
@@ -447,7 +456,7 @@ def check_theorem4(D, analyzer, I: FinObj,
         qa = quads[back]
         if D.witness_tables(q, qa) is None or D.witness_tables(qa, q) is None:
             sur_fail.append({"quad": q.to_json(D),
-                             "alpha": D.fibre(I).describe(back),
+                             "alpha": fib.describe(back),
                              "reason": "not order-equivalent to its collapse"})
     return Theorem4Report(D.name, I.name, len(quads) ** 2, tuple(emb_fail),
                           sur_checked, tuple(sur_fail), tuple(missing),

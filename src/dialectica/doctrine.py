@@ -504,6 +504,20 @@ class Doctrine:
     pointwise = False
     closure_note = "closure judged by carrier equality against the declared universe"
 
+    def __init__(self, name: str, universe, cap: int, generator: dict | None, frame):
+        """The state both kinds keep; each declares only its own tables."""
+        self.name = name
+        self.universe = tuple(universe)
+        self.cap = cap
+        self.generator = generator
+        self.frame = frame
+        self._products: dict = {}
+        self._along: dict = {}
+        self._passed: dict = {}
+        self._planes: dict = {}
+        self._maps: dict = {}
+        self._pairs: dict = {}
+
     def product(self, a: FinObj, b: FinObj) -> Product:
         key = (a.name, a.arity, a, b.name, b.arity, b)
         hit = self._products.get(key)
@@ -734,12 +748,11 @@ class ConcreteDoctrine(Doctrine):
     lists (`FinMor.preimages`, built once per map).  Fibres exist for
     every finite carrier, not only the declared universe; the universe
     fixes what the audits quantify over.  Each decision is a bitmask
-    kernel (`_kernels`) that gives the base class's search's answer.  The
-    order's signatures are kept in ``D._sigs``, next to ``_along`` and
-    ``_passed``, so every fibre and Theorem 4 check over D computes each
-    quadruple's once.  `order_rows` reads them on classes: the quadruples
-    with one right signature are one bitmask, and each distinct left
-    signature's row is the OR of the classes it reaches.
+    kernel (`_kernels`) that gives the base class's search's answer.
+    `order_rows` computes each listed quadruple's order signature and
+    reads the rows on classes: the quadruples with one right signature
+    are one bitmask, and each distinct left signature's row is the OR of
+    the classes it reaches.
     `witness_tables`, the decision for one pair (Theorems 2 and 4 ask it
     too), keeps its slot decisions in ``D._slots``
     (`_kernels.witness_pair`'s ``memo``), so a slot that many pairs share
@@ -767,23 +780,12 @@ class ConcreteDoctrine(Doctrine):
 
     def __init__(self, name: str, frame: FinitePoset, universe, cap: int = DEFAULT_CAP,
                  generator: dict | None = None):
-        self.name = name
-        self.frame = frame
+        super().__init__(name, universe, cap, generator, frame)
         self.nw = len(frame)
-        self.universe = tuple(universe)
-        self.cap = cap
-        self.generator = generator
         self._fibres: dict[tuple, MaskFibre] = {}
-        self._products: dict = {}
-        self._along: dict = {}
-        self._passed: dict = {}
-        self._sigs: dict = {}
         self._slots: dict = {}
         self._m1s: dict = {}
         self._m2s: dict = {}
-        self._planes: dict = {}
-        self._maps: dict = {}
-        self._pairs: dict = {}
 
     def fibre(self, obj: FinObj) -> MaskFibre:
         """The fibre over obj, kept per name as well as carrier (`FinObj`
@@ -880,20 +882,13 @@ class ConcreteDoctrine(Doctrine):
         nw = self.nw
         return K.reindex_mask(a.alpha, m1, nw) & ~K.reindex_mask(b.alpha, m2, nw) == 0
 
-    def _signature(self, q):
-        """q's order signature, kept in ``D._sigs`` by the kernel's arguments."""
-        args = (q.alpha, len(q.I), len(q.U), len(q.X), self.nw)
-        hit = self._sigs.get(args)
-        if hit is None:
-            hit = self._sigs[args] = K.order_signature(*args)
-        return hit
-
     def order_rows(self, quads) -> list:
         """On signature classes: the quadruples with one right signature
         are one class, held as the bitmask of their positions, and each
         distinct left signature's row is the OR of the classes it reaches
         (`signature_leq`), computed once."""
-        sigs = [self._signature(q) for q in quads]
+        nw = self.nw
+        sigs = [K.order_signature(q.alpha, len(q.I), len(q.U), len(q.X), nw) for q in quads]
         classes = {}
         for j, (_, right) in enumerate(sigs):
             classes[right] = classes.get(right, 0) | 1 << j
@@ -928,19 +923,9 @@ class TabularDoctrine(Doctrine):
 
     def __init__(self, name: str, universe, fibres: dict, reindex: dict,
                  cap: int = DEFAULT_CAP, generator: dict | None = None):
-        self.name = name
-        self.universe = tuple(universe)
-        self.cap = cap
-        self.frame = None
-        self.generator = generator
+        super().__init__(name, universe, cap, generator, None)
         self._fibres = dict(fibres)
         self._reindex = dict(reindex)
-        self._products: dict = {}
-        self._along: dict = {}
-        self._passed: dict = {}
-        self._planes: dict = {}
-        self._maps: dict = {}
-        self._pairs: dict = {}
         for f, table in self._reindex.items():
             nc = len(self.fibre(f.cod).labels)
             nd = len(self.fibre(f.dom).labels)

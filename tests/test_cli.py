@@ -754,6 +754,19 @@ class TestJsonWriter:
         assert not {*map(id, maps + pairs)} & {
             id(o) for p in again["witnessPairs"] for o in (p["pair"], *p["pair"].values())}
 
+    def test_equal_order_rows_share_one_matrix_list(self, pow_path):
+        """Quadruples with one order row hold one matrix list, and rows
+        that differ hold lists that differ; the bytes are the stdlib's."""
+        argv = ["dial", "complete", "--quad-cap", "84", "--list", "128", "--pairs", "8",
+                "--doctrine", pow_path]
+        out, _, payload, _ = self.emit(argv)
+        assert out == json.dumps(payload, indent=2) + "\n"
+        matrix = payload["matrix"]
+        first = {}
+        for row in matrix:
+            assert first.setdefault(tuple(row), row) is row
+        assert 1 < len(first) < len(matrix) / 4
+
     def test_text_format_writes_the_lines(self, pow_path):
         out, _, _, lines = self.emit([*self.CERTIFY, "--doctrine", pow_path], "text")
         assert out == "".join(line + "\n" for line in lines)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -556,6 +557,122 @@ class TestPlantedPreorders:
         assert rep.composition_failures == ((0, 1, 0, missing), (1, 0, 1, missing))
 
 
+def transitive_cells(rows):
+    """The transitivity scan cell by cell: for the first row i with any,
+    each j above i whose row has a bit outside i's, with the highest."""
+    width = max(rows, default=0).bit_length()
+    for i, row in enumerate(rows):
+        out = [(i, j, max(k for k in range(width) if rows[j] >> k & 1 and not row >> k & 1))
+               for j in range(len(rows)) if row >> j & 1
+               and any(rows[j] >> k & 1 and not row >> k & 1 for k in range(width))]
+        if out:
+            return tuple(out)
+    return ()
+
+
+def scanned_classes(fib):
+    """The classes by a scan over the representatives met so far, asking
+    `leq` both ways, sorted by representative."""
+    seen = {}
+    for k in range(len(fib.quads)):
+        key = None
+        for rep in seen:
+            if fib.leq(k, rep) and fib.leq(rep, k):
+                key = rep
+                break
+        seen.setdefault(key if key is not None else k, []).append(k)
+    return tuple(tuple(v) for _, v in sorted(seen.items()))
+
+
+def embedding_cells(D, I, alphas, rows):
+    """Theorem 4's embedding failures cell by cell: each (alpha, beta)
+    where the fibre's `leq` and the order row disagree."""
+    fib = D.fibre(I)
+    out = []
+    for a, row in zip(alphas, rows):
+        for j, b in enumerate(alphas):
+            lhs, rhs = fib.leq(a, b), bool(row >> j & 1)
+            if lhs != rhs:
+                out.append({"alpha": fib.describe(a), "beta": fib.describe(b),
+                            "fibreOrder": lhs, "witnessPair": rhs})
+    return out
+
+
+class TestRowReaders:
+    """The readers of the order rows (the transitivity scan, the classes
+    and Theorem 4's embedding) against the cell-by-cell references
+    above, on planted rows."""
+
+    def test_a_repeated_passing_row_is_checked_once(self):
+        """Indices 0 and 1 share a passing row; index 3's row fails."""
+        quads = quads_over(POW, POW.universe[0], cap=4)
+        rows = (0b0011, 0b0011, 0b0111, 0b1100)
+        rep = check_preorder(POW, planted(quads, rows), compositions=0)
+        assert rep.transitive_failures == transitive_cells(rows) == ((3, 2, 1),)
+
+    def test_a_repeated_failing_row_lists_one_index(self):
+        """Indices 0 and 1 share a failing row: the scan stops at 0."""
+        quads = quads_over(POW, POW.universe[0], cap=3)
+        rows = (0b101, 0b101, 0b110)
+        rep = check_preorder(POW, planted(quads, rows), compositions=0)
+        assert rep.transitive_failures == transitive_cells(rows) == ((0, 2, 1),)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_transitivity_on_flipped_rows(self, seed):
+        """A decided fibre's rows, a few of whose values repeat many
+        times, with up to three cells flipped (none at seed 0)."""
+        fib = build_dial_fibre(POW, POW.universe[0], quad_cap=24)
+        rng = random.Random(seed)
+        rows = list(fib.rows)
+        n = len(rows)
+        for _ in range(rng.randint(1, 3) if seed else 0):
+            rows[rng.randrange(n)] ^= 1 << rng.randrange(n)
+        rep = check_preorder(POW, planted(fib.quads, rows), compositions=0)
+        assert rep.transitive_failures == transitive_cells(rows)
+        assert len(set(rows)) < n / 2
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_classes_match_the_scan(self, seed):
+        """Seeded random rows, reflexive or not, from a few values or many."""
+        rng = random.Random(seed)
+        n = rng.randint(0, 12)
+        pool = [rng.getrandbits(n) for _ in range(rng.choice((2, 4, n + 1)))]
+        rows = [rng.choice(pool) for _ in range(n)]
+        if seed % 2:
+            rows = [row | 1 << k for k, row in enumerate(rows)]
+        fib = DialFibre(POW.universe[0], tuple(range(n)), tuple(rows), n, ())
+        assert fib.classes() == scanned_classes(fib)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("D,base", ((POW, 1), (CHAIN, 0), (ANTI, 1)),
+                             ids=("powerset-A", "chain-1", "antichain-A"))
+    def test_embedding_failures_on_flipped_rows(self, monkeypatch, D, base, seed):
+        """`D.order_rows` wrapped to flip seeded cells: the embedding
+        failures are the cell loop's, entry for entry, key order and
+        flags' types included.  Antichain over A leaves two predicates
+        without a prenex form, so the rows' positions skip them."""
+        I = D.universe[base]
+        fa = FreenessAnalyzer(D)
+        alphas = [a for a in D.fibre(I).elements() if fa.prenex(I, a) is not None]
+        rng = random.Random(seed)
+        made = []
+
+        def flipped(quads):
+            rows = [row ^ rng.getrandbits(len(quads)) & rng.getrandbits(len(quads))
+                    for row in type(D).order_rows(D, quads)]
+            made.append(rows)
+            return rows
+
+        monkeypatch.setattr(D, "order_rows", flipped)
+        rep = check_theorem4(D, fa, I, quad_cap=16)
+        want = embedding_cells(D, I, alphas, made[0])
+        assert len(made) == 1 and want
+        assert [list(f.items()) for f in rep.embedding_failures] == \
+            [list(f.items()) for f in want]
+        assert all(type(f[k]) is bool for f in rep.embedding_failures
+                   for k in ("fibreOrder", "witnessPair"))
+
+
 def signature_rows(D, quads):
     """The order rows cell by cell: `signature_leq` on each pair's two
     signatures."""
@@ -590,18 +707,6 @@ class TestSignatureOrder:
             assert D.order_rows(quads) == signature_rows(D, quads)
         quads = quads_over(D, D.universe[0], cap=40)
         assert D.order_rows(quads) == Doctrine.order_rows(D, quads)
-
-    def test_signatures_are_kept_by_the_doctrine(self, monkeypatch):
-        """A completed fibre and a Theorem 4 check over one doctrine read
-        one table of signatures on D, so each is computed once."""
-        D = powerset_doctrine((2, 2))
-        keys = []
-        signature = K.order_signature
-        monkeypatch.setattr(K, "order_signature",
-                            lambda *args: keys.append(args) or signature(*args))
-        build_dial_fibre(D, D.universe[0])
-        assert check_theorem4(D, FreenessAnalyzer(D), D.universe[0]).passed
-        assert keys and len(keys) == len(set(keys)) == len(D._sigs)
 
     @pytest.mark.parametrize("frame", [
         FinitePoset(("w0",), [(0, 0)]), chain_poset(2), antichain_poset(2)],
