@@ -377,12 +377,11 @@ def cmd_doctrine_free(args):
     rows = []
     for obj in D.universe:
         fib = D.fibre(obj)
-        els = fib.elements()
-        ex = [a for a in els if analyzer.is_existential_free(obj, a)]
-        qf = [a for a in ex if analyzer.is_universal_free(obj, a)]
+        ex = analyzer.exfree_elements(obj)
+        qf = analyzer.qfree_elements(obj)
         rows.append({
             "object": obj.name,
-            "predicates": len(els),
+            "predicates": fib.count(),
             "existentialFree": len(ex),
             "quantifierFree": len(qf),
             "topExistentialFree": fib.top() in ex,

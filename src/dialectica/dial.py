@@ -39,7 +39,10 @@ enumerate the left factor slowest, so element ``(i, u, x)`` of I*U*X has
 index ``(i * |U| + u) * |X| + x``, and every table this module reads
 (revalidation, identity, composition) is computed by that arithmetic.
 Revalidation reads the pair's index tables: a concrete doctrine pulls
-back along them without building a map.
+back along them without building a map.  Theorems 2 and 4 list their
+quantifier-free matrices by `FreenessAnalyzer.qfree_elements` and take
+their prenex values a list at a time (`prenex_values`, one
+``D.chain_values`` call).
 """
 from __future__ import annotations
 
@@ -208,36 +211,31 @@ class PreorderReport:
                     or self.composition_failures)
 
 
-def enumerate_quads(D, I: FinObj, matrices=None, quad_cap: int = DEFAULT_QUAD_CAP,
+def enumerate_quads(D, I: FinObj, pool=None, quad_cap: int = DEFAULT_QUAD_CAP,
                     universe=None):
     """List quadruples (I, U, X, alpha) with U, X in the universe and
-    alpha drawn from `matrices` (a filter on predicates; default all).
+    alpha among the predicates ``pool(I*U*X)`` lists (default: all).
 
-    Over the cap the list is stride-sampled and a note records the
-    sampling; the returned triple is (quads, total, notes).  A cap
-    below 1 is a ValueError.
+    A carrier whose listing overruns the cap is skipped, and over the
+    quad cap the list is stride-sampled; notes record both.  The returned
+    triple is (quads, total, notes).  A cap below 1 is a ValueError.
     """
     if quad_cap < 1:
         raise ValueError(f"quad_cap must be at least 1, got {quad_cap}")
     objs = tuple(universe) if universe is not None else tuple(D.universe)
     notes = []
     quads = []
-    total = 0
-    for U in objs:
-        for X in objs:
-            try:
-                carrier = _carrier(D, I, U, X)
-                alphas = D.fibre(carrier).elements()
-            except CapExceeded as exc:
-                notes.append(f"quads over {I.name}*{U.name}*{X.name} skipped: {exc}")
-                continue
-            for alpha in alphas:
-                if matrices is not None and not matrices(carrier, alpha):
-                    continue
-                total += 1
-                quads.append(DialObject(I, U, X, alpha))
-    if len(quads) > quad_cap:
-        step = -(-len(quads) // quad_cap)
+    for U, X in itertools.product(objs, repeat=2):
+        try:
+            carrier = _carrier(D, I, U, X)
+            alphas = D.fibre(carrier).elements() if pool is None else pool(carrier)
+        except CapExceeded as exc:
+            notes.append(f"quads over {I.name}*{U.name}*{X.name} skipped: {exc}")
+            continue
+        quads.extend(DialObject(I, U, X, alpha) for alpha in alphas)
+    total = len(quads)
+    if total > quad_cap:
+        step = -(-total // quad_cap)
         quads = quads[::step]
         notes.append(
             f"quadruple list sampled every {step}th of {total}")
@@ -346,48 +344,44 @@ class Theorem2Report:
         return not self.mismatches
 
 
-def prenex_order(D, I, U, X, alpha):
-    """The predicate over I presented by exists-u forall-x alpha, along
-    the left projections of (I*U)*X and I*U, read through `D.along`."""
-    iu = D.product(I, U)
-    return D.along("exists", iu.proj_left)(
-        D.along("forall", D.product(iu.obj, X).proj_left)(alpha))
+def prenex_values(D, I, U, X, alphas) -> list:
+    """The predicates over I presented by exists-u forall-x alpha, for
+    each alpha over I*U*X: forall along the left projection of (I*U)*X,
+    then exists along that of I*U, in one `D.chain_values` call."""
+    p_iu = D.product(I, U)
+    chain = ("forall", D.product(p_iu.obj, X).proj_left), ("exists", p_iu.proj_left)
+    return D.chain_values(alphas, (chain,))[0]
 
 
 def check_theorem2(D, analyzer, I: FinObj, samples: int = 200,
                    seed: int = 0) -> Theorem2Report:
     """On quantifier-free matrices the order between prenex forms in P(I)
-    must coincide with the existence of a witness pair.  Where no carrier
-    pair has a quantifier-free matrix, nothing is sampled: the report
-    checks none and keeps the skip notes."""
+    must coincide with the existence of a witness pair, sampled from each
+    carrier's pool (`qfree_elements`, valued by `prenex_values`).  Where
+    no carrier pair has a quantifier-free matrix, nothing is sampled: the
+    report checks none and keeps the skip notes."""
     rng = random.Random(seed)
     pools = {}
     notes = []
-    for U in D.universe:
-        for X in D.universe:
-            try:
-                carrier = _carrier(D, I, U, X)
-                qf = tuple(a for a in D.fibre(carrier).elements()
-                           if analyzer.quantifier_free(carrier, a))
-            except CapExceeded as exc:
-                notes.append(f"{I.name}*{U.name}*{X.name} skipped: {exc}")
-                continue
-            if qf:
-                pools[(U, X)] = qf
+    for U, X in itertools.product(D.universe, repeat=2):
+        try:
+            qf = analyzer.qfree_elements(_carrier(D, I, U, X))
+        except CapExceeded as exc:
+            notes.append(f"{I.name}*{U.name}*{X.name} skipped: {exc}")
+            continue
+        if qf:
+            pools[(U, X)] = tuple(zip(qf, prenex_values(D, I, U, X, qf)))
     keys = sorted(pools, key=lambda ux: (ux[0].name, ux[1].name))
     mismatches = []
-    checked = 0
-    for _ in range(samples if keys else 0):
+    checked = max(samples, 0) if keys else 0
+    for _ in range(checked):
         U, X = keys[rng.randrange(len(keys))]
         V, Y = keys[rng.randrange(len(keys))]
-        psi = pools[(U, X)][rng.randrange(len(pools[(U, X)]))]
-        phi = pools[(V, Y)][rng.randrange(len(pools[(V, Y)]))]
-        a = DialObject(I, U, X, psi)
-        b = DialObject(I, V, Y, phi)
-        lhs = D.fibre(I).leq(prenex_order(D, I, U, X, psi),
-                             prenex_order(D, I, V, Y, phi))
+        psi, psi_value = pools[(U, X)][rng.randrange(len(pools[(U, X)]))]
+        phi, phi_value = pools[(V, Y)][rng.randrange(len(pools[(V, Y)]))]
+        a, b = DialObject(I, U, X, psi), DialObject(I, V, Y, phi)
+        lhs = D.fibre(I).leq(psi_value, phi_value)
         rhs = D.witness_tables(a, b) is not None
-        checked += 1
         if lhs != rhs:
             mismatches.append({
                 "psi": a.to_json(D), "phi": b.to_json(D),
@@ -421,7 +415,8 @@ def check_theorem4(D, analyzer, I: FinObj,
                    quad_cap: int = DEFAULT_QUAD_CAP) -> Theorem4Report:
     """The prenex presentation must embed P(I) into the completed fibre
     order-exactly, and every quantifier-free quadruple must collapse back
-    to the predicate its prenex form presents."""
+    to the predicate its prenex form presents (`qfree_elements`, and
+    `prenex_values` once per run of one carrier pair)."""
     fib = D.fibre(I)
     quads = {}
     missing = []
@@ -442,13 +437,14 @@ def check_theorem4(D, analyzer, I: FinObj,
                 "beta": fib.describe(keys[j]),
                 "fibreOrder": bool(above >> j & 1), "witnessPair": bool(row >> j & 1),
             })
-    qf_quads, _, notes = enumerate_quads(D, I, matrices=analyzer.quantifier_free,
+    qf_quads, _, notes = enumerate_quads(D, I, pool=analyzer.qfree_elements,
                                          quad_cap=quad_cap)
+    backs = []
+    for _, run in itertools.groupby(qf_quads, lambda q: (q.U.name, q.X.name)):
+        run = list(run)
+        backs += prenex_values(D, I, run[0].U, run[0].X, [q.alpha for q in run])
     sur_fail = []
-    sur_checked = 0
-    for q in qf_quads:
-        back = prenex_order(D, q.I, q.U, q.X, q.alpha)
-        sur_checked += 1
+    for q, back in zip(qf_quads, backs):
         if back not in quads:
             sur_fail.append({"quad": q.to_json(D),
                              "reason": "prenex form missing for presented predicate"})
@@ -459,5 +455,5 @@ def check_theorem4(D, analyzer, I: FinObj,
                              "alpha": fib.describe(back),
                              "reason": "not order-equivalent to its collapse"})
     return Theorem4Report(D.name, I.name, len(quads) ** 2, tuple(emb_fail),
-                          sur_checked, tuple(sur_fail), tuple(missing),
+                          len(qf_quads), tuple(sur_fail), tuple(missing),
                           tuple(notes))

@@ -135,7 +135,7 @@ class FreenessAnalyzer:
         # and every partner row can be filled; otherwise it is walked.
         # The rule checkers then read a pair from its one-point pair.
         self.columnwise = bool(D.pointwise and D.universe and all(map(len, D.universe)))
-        # Splitting reports and existential-free lists are kept per
+        # Splitting reports and the lists of free predicates are kept per
         # `D._carrier_key` (a carrier's size, on a concrete doctrine);
         # free reports per name, since they print the carrier's name.
         self._split: dict = {}
@@ -326,6 +326,17 @@ class FreenessAnalyzer:
         if hit is None:
             hit = tuple(a for a in self.D.fibre(obj).elements()
                         if self.is_existential_free(obj, a))
+            self._free_elements[key] = hit
+        return hit
+
+    def qfree_elements(self, obj) -> tuple:
+        """The quantifier-free predicates over obj in fibre order, kept
+        per `D._carrier_key` beside `exfree_elements`."""
+        key = "quantifier-free", self.D._carrier_key(obj)
+        hit = self._free_elements.get(key)
+        if hit is None:
+            hit = tuple(a for a in self.exfree_elements(obj)
+                        if self.is_universal_free(obj, a))
             self._free_elements[key] = hit
         return hit
 

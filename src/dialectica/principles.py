@@ -157,7 +157,7 @@ class _Row:
     name: str
     alpha_on_base: bool  # alpha over A and targets over A*B, or the reverse
     targets: Callable  # pair -> the predicates each alpha meets
-    precondition: Callable | None  # (analyzer, alpha's carrier) -> test of alpha
+    precondition: Callable | None  # (analyzer, alpha's carrier) -> the alphas meeting it
     target_ok: Callable | None  # (analyzer, pair, target) -> bool
     premise: Callable  # (pair, alpha, target) -> bool
     sequent: Callable | None  # as premise; None judges the term alone
@@ -168,38 +168,31 @@ class _Row:
     gate: tuple | None = None  # (hypothesis key, (analyzer, pair) -> bool)
 
 
-def _exfree(fa, obj):
-    return set(fa.exfree_elements(obj)).__contains__
-
-
-def _qfree(fa, obj):
-    return {a for a in fa.exfree_elements(obj) if fa.is_universal_free(obj, a)}.__contains__
-
-
 _BOTTOM_QF = ("bottomQuantifierFree", lambda fa, c: fa.quantifier_free(c.A, c.bot))
 
 # by residuation, top <= alpha -> beta(a, t a) iff alpha <= beta(a, t a)
 _IP = _Row(
-    "independence-of-premise", True, lambda c: c.fibAB.elements(), _exfree, None,
+    "independence-of-premise", True, lambda c: c.fibAB.elements(),
+    FreenessAnalyzer.exfree_elements, None,
     lambda c, a, b: c.fibA.leq(c.top, c.impA(a, c.exists(b))),
     lambda c, a, b: c.fibA.leq(c.top, c.exists(c.fibAB.imp(c.pull(a), b))),
     "existential", "t", "beta", records_precondition=True)
 _MMR = _Row(
-    "modified-markov", False, lambda c: c.fibA.elements(), _exfree,
+    "modified-markov", False, lambda c: c.fibA.elements(), FreenessAnalyzer.exfree_elements,
     lambda fa, c, d: fa.quantifier_free(c.A, d),
     lambda c, a, d: c.fibA.leq(c.top, c.impA(c.forall(a), d)),
     lambda c, a, d: c.fibA.leq(c.top, c.exists(c.fibAB.imp(a, c.pull(d)))),
     "universal", "t", "betaD")
 _MARKOV = replace(
     _MMR, name="markov", targets=lambda c: (c.bot,), target_ok=None,
-    precondition=_qfree,
+    precondition=FreenessAnalyzer.qfree_elements,
     gate=_BOTTOM_QF)
 _CEX = _Row(
     "counterexample-property", False, lambda c: (c.bot,), None, None,
     lambda c, a, bot: c.fibA.leq(c.forall(a), bot), None,
     "universal", "g", gate=_BOTTOM_QF)
 _CHOICE = _Row(
-    "rule-of-choice", False, lambda c: (c.top,), _exfree, None,
+    "rule-of-choice", False, lambda c: (c.top,), FreenessAnalyzer.exfree_elements, None,
     lambda c, a, top: c.fibA.leq(top, c.exists(a)), None,
     "existential", "g", records_precondition=True,
     gate=("topExistentialFree", lambda fa, c: fa.is_existential_free(c.A, c.top)))
@@ -274,10 +267,10 @@ def _glue(values, width: int):
 def _stages(row: _Row, D, fa, c, strict, qualifies):
     """Yield (alpha, target, stage, precondition holds) for every
     instance of the pair c, in scan order, each check made as the row
-    states it."""
+    states it; ``qualifies`` is None or the alphas meeting the precondition."""
     A, B = c.A, c.B
     for alpha in (c.fibA if row.alpha_on_base else c.fibAB).elements():
-        ok = qualifies is None or qualifies(alpha)
+        ok = qualifies is None or alpha in qualifies
         for target in row.targets(c):
             if strict and not ok:
                 stage = _NO_ALPHA
@@ -325,7 +318,7 @@ def _rule_scan(row: _Row, D, analyzer, mode) -> RuleReport:
         # only its carrier overruns stops the rule here too
         qualifies = None
         if row.precondition is not None and (strict or row.records_precondition):
-            qualifies = row.precondition(fa, A if row.alpha_on_base else c.p.obj)
+            qualifies = set(row.precondition(fa, A if row.alpha_on_base else c.p.obj))
         n = len(A)
         table = tables.get(B.name) if per_point and n > 1 else None
         if table is None:

@@ -235,6 +235,18 @@ class TestDoctrineCommands:
         assert rows["A"]["quantifierFree"] == 4
         assert rows["1"]["topExistentialFree"] is True
 
+    def test_free_census_on_the_antichain(self, capsys, anti_path):
+        """The counts and flags of the census the freeness tests take
+        predicate by predicate (`test_freeness.census`): top is not
+        existential-free and bottom not quantifier-free anywhere."""
+        data = run_json(capsys, "doctrine", "free", "--doctrine", anti_path)
+        assert {r["object"]: (r["existentialFree"], r["quantifierFree"], r["predicates"],
+                              r["topExistentialFree"], r["bottomQuantifierFree"])
+                for r in data["census"]} == {
+            "1": (3, 2, 4, False, False),
+            "A": (9, 4, 16, False, False),
+            "B": (9, 4, 16, False, False)}
+
     def test_free_predicate_needs_a_colon(self, capsys, pow_path):
         assert run(capsys, "doctrine", "free", "--doctrine", pow_path,
                    "--predicate", "A0") == (

@@ -18,7 +18,7 @@ from dialectica.dial import (
     enumerate_quads,
     identity_pair,
     pair_is_valid,
-    prenex_order,
+    prenex_values,
 )
 from dialectica.doctrine import (
     ConcreteDoctrine,
@@ -33,6 +33,7 @@ from dialectica.doctrine import (
     powerset_doctrine,
 )
 from dialectica.fincat import (
+    CapExceeded,
     FinMor,
     FinObj,
     compose,
@@ -44,6 +45,7 @@ from dialectica.fincat import (
 )
 from dialectica.freeness import FreenessAnalyzer
 from dialectica.posets import FinitePoset, antichain_poset, chain_poset
+from test_doctrine import PerPredicate
 
 POW = powerset_doctrine((2, 2))
 CHAIN = kripke_doctrine(chain_poset(2), (2, 2))
@@ -744,16 +746,69 @@ class TestSignatureOrder:
             assert len(fib.classes()) == len(D.fibre(I).elements())
 
 
+def prenex_reference(D, I, U, X, alpha):
+    """The predicate over I presented by exists-u forall-x alpha, one
+    predicate at a time through `D.along`: the reference for
+    `prenex_values`."""
+    iu = D.product(I, U)
+    return D.along("exists", iu.proj_left)(
+        D.along("forall", D.product(iu.obj, X).proj_left)(alpha))
+
+
+def closed_pair(frame):
+    """The concrete Kripke doctrine of ``frame`` on the terminal object
+    alone, and its replay from its tables with no generator."""
+    D = ConcreteDoctrine("closed", frame, (unit_obj(),))
+    data = doctrine_to_json(D)
+    data.pop("generator", None)
+    return D, doctrine_from_json(data)
+
+
 class TestPrenexOrder:
     def test_golden_exists_forall(self):
+        """The graph of the identity presents bottom over 1, and top
+        presents top, read for both in one `prenex_values` call."""
         one, A = POW.universe[0], POW.universe[1]
         carrier = product(product(one, A).obj, A).obj
         fib = POW.fibre(carrier)
         graph = next(m for m in fib.elements()
                      if fib.describe(m) == "{a0.a0, a1.a1}")
-        assert prenex_order(POW, one, A, A, graph) == 0
-        assert prenex_order(POW, one, A, A, fib.top()) == \
-            POW.fibre(one).top()
+        assert prenex_values(POW, one, A, A, [graph, fib.top()]) == \
+            [0, POW.fibre(one).top()]
+
+    @pytest.mark.parametrize("D", (
+        POW, CHAIN, ANTI, PerPredicate(POW.name, POW.frame, POW.universe, POW.cap)),
+        ids=("powerset", "chain", "antichain", "per-predicate"))
+    def test_values_match_the_per_predicate_reference(self, D):
+        """On every quantifier-free pool over the bases 1, A and B within
+        the cap, the values on the plane kernels (or, on `PerPredicate`,
+        the base class's body) are the reference's, predicate by
+        predicate."""
+        fa = FreenessAnalyzer(D)
+        pools = 0
+        for I, U, X in itertools.product(D.universe, repeat=3):
+            try:
+                pool = fa.qfree_elements(dial._carrier(D, I, U, X))
+            except CapExceeded:
+                continue
+            assert prenex_values(D, I, U, X, pool) == \
+                [prenex_reference(D, I, U, X, a) for a in pool]
+            pools += bool(pool)
+        assert pools
+
+    @pytest.mark.parametrize("frame", (chain_poset(2), antichain_poset(2), chain_poset(3)),
+                             ids=("chain2", "antichain2", "chain3"))
+    def test_theorems_agree_with_the_table_replay(self, frame):
+        """Theorems 2 and 4 over the terminal object give one report on
+        the concrete doctrine, values on the plane kernels, and on its
+        replay, values predicate by predicate."""
+        D, T = closed_pair(frame)
+        assert T.kind == "tabular"
+        one = D.universe[0]
+        assert check_theorem2(D, FreenessAnalyzer(D), one, samples=60, seed=3) == \
+            check_theorem2(T, FreenessAnalyzer(T), one, samples=60, seed=3)
+        assert check_theorem4(D, FreenessAnalyzer(D), one) == \
+            check_theorem4(T, FreenessAnalyzer(T), one)
 
 
 class TestTheorem2:
@@ -808,10 +863,27 @@ class TestTheorem4:
         assert rep.embedding_failures == ()
         assert rep.embedding_checked == 196
 
+    def test_a_cap_overrun_in_a_verdict_is_a_skip_note(self):
+        """On the one-world closed universe {1, A, 1*A*A}, the freeness
+        verdicts over each carrier I*U*X read a fibre over the cap:
+        Theorem 4 notes the carrier as skipped, as Theorem 2 does, and
+        raises nothing."""
+        one, A = unit_obj(), FinObj("A", (("a0",), ("a1",)))
+        D = ConcreteDoctrine("closed", FinitePoset(("w0",), [(0, 0)]),
+                             (one, A, product_n((one, A, A))[0]))
+        rep = check_theorem4(D, FreenessAnalyzer(D), one)
+        assert rep.surjectivity_checked == 0
+        assert rep.notes[0] == ("quads over 1*1*1 skipped: "
+                                "fibre over 1*A*A*1*A*A has 65536 predicates; cap 4096")
+        assert len(rep.notes) == 9 and all("skipped" in n for n in rep.notes)
+        two = check_theorem2(D, FreenessAnalyzer(D), one)
+        assert [n.removeprefix("quads over ") for n in rep.notes] == list(two.notes)
+
     def test_embedding_agrees_with_the_order_comparison_path(self):
         """Cross-check the two characterisation code paths on every pair:
         the direct fibre order, the order between reconstructed prenex
-        presentations, and witness-pair existence must coincide."""
+        presentations (each read by `prenex_values` alone), and
+        witness-pair existence must coincide."""
         fa = FreenessAnalyzer(POW)
         A = POW.universe[1]
         fib = POW.fibre(A)
@@ -819,20 +891,20 @@ class TestTheorem4:
         for alpha in fib.elements():
             w = fa.prenex(A, alpha)
             quads[alpha] = DialObject(A, w.u_obj, w.x_obj, w.beta)
+        rebuilt = {a: prenex_values(POW, q.I, q.U, q.X, [q.alpha])[0]
+                   for a, q in quads.items()}
+        assert all(rebuilt[a] == a for a in quads)
         for a, qa in quads.items():
-            assert prenex_order(POW, qa.I, qa.U, qa.X, qa.alpha) == a
             for b, qb in quads.items():
                 direct = fib.leq(a, b)
-                rebuilt = fib.leq(
-                    prenex_order(POW, qa.I, qa.U, qa.X, qa.alpha),
-                    prenex_order(POW, qb.I, qb.U, qb.X, qb.alpha))
                 witnessed = dial_leq(POW, qa, qb) is not None
-                assert direct == rebuilt == witnessed
+                assert direct == fib.leq(rebuilt[a], rebuilt[b]) == witnessed
 
     def test_prenex_forms_ask_each_quantifier_once(self, monkeypatch):
         """Theorem 4 over A on a fresh powerset-2x2 asks D's quantifiers
-        once per (index table, predicate): the prenex search and
-        `prenex_order` both read them through `D.along`."""
+        once per (index table, predicate): the prenex search reads them
+        through `D.along`, and `prenex_values` asks neither, since a
+        concrete doctrine's `D.chain_values` runs on the plane kernels."""
         D = powerset_doctrine((2, 2))
         asked = []
         for name in ("exists_along", "forall_along"):

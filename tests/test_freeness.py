@@ -371,6 +371,34 @@ class TestCarrierKeys:
         assert T._carrier_key(A) == T._carrier_key(FinObj("A", A.elements))
 
 
+class TestQfreeElements:
+    """`qfree_elements` lists the quantifier-free predicates over a
+    carrier in fibre order, and keeps the list beside the
+    existential-free ones."""
+
+    @pytest.mark.parametrize("name", ["powerset", *SMALL_FRAMES])
+    def test_lists_the_filtered_fibre(self, name):
+        """On every universe object and product of two (all within the
+        cap), the list is the fibre filtered by `quantifier_free`, asked
+        of a second analyzer."""
+        D = POW if name == "powerset" else kripke_doctrine(SMALL_FRAMES[name], (2, 2))
+        fa, ref = FreenessAnalyzer(D), FreenessAnalyzer(D)
+        carriers = [*D.universe, *(D.product(A, B).obj
+                                   for A, B in itertools.product(D.universe, repeat=2))]
+        for obj in carriers:
+            want = [a for a in D.fibre(obj).elements() if ref.quantifier_free(obj, a)]
+            assert list(fa.qfree_elements(obj)) == want
+
+    def test_kept_per_carrier_key(self):
+        """A second call, and a carrier of the same size on a concrete
+        doctrine, return the kept tuple."""
+        fa = FreenessAnalyzer(ANTI)
+        A, B = ANTI.universe[1:]
+        kept = fa.qfree_elements(A)
+        assert fa.qfree_elements(A) is kept and fa.qfree_elements(B) is kept
+        assert fa._free_elements[("quantifier-free", 2)] is kept
+
+
 class MapWalk(FreenessAnalyzer):
     """Every concrete verdict by the map walk the reports keep."""
 
