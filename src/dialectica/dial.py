@@ -9,10 +9,12 @@ counterexamples backward:
     alpha(i, u, f1(i, u, y)) <= beta(i, f0(i, u), y)
 
 The doctrine decides the order: ``D.witness_tables`` finds one pair's
-index tables, or None, and ``D.order_rows`` gives the rows of a list of
-quadruples.  The base class searches every pair; a concrete doctrine,
-since the condition splits per slot (i, u), decides per slot and reads
-the rows off per-quadruple signatures.  Every reader of the rows takes
+index tables, or None, ``D.witness_exists`` says only whether there is
+one, and ``D.order_rows`` gives the rows of a list of quadruples.  The
+base class searches every pair; a concrete doctrine, since the
+condition splits per slot (i, u), decides per slot, keeps each verdict
+of one row i of both quadruples for `witness_exists`, and reads the
+rows off per-quadruple signatures.  Every reader of the rows takes
 them as bitmasks: `check_preorder` checks transitivity once per distinct
 row, `DialFibre.classes` reads two bits per pair, and `check_theorem4`
 XORs each row with alpha's upper set in P(I).  A pair is built only
@@ -40,9 +42,11 @@ index ``(i * |U| + u) * |X| + x``, and every table this module reads
 (revalidation, identity, composition) is computed by that arithmetic.
 Revalidation reads the pair's index tables: a concrete doctrine pulls
 back along them without building a map.  Theorems 2 and 4 list their
-quantifier-free matrices by `FreenessAnalyzer.qfree_elements` and take
-their prenex values a list at a time (`prenex_values`, one
-``D.chain_values`` call).
+quantifier-free matrices by `FreenessAnalyzer.qfree_elements` (the
+product of the prime columns on a concrete doctrine), take their prenex
+values a list at a time (`prenex_values`, one ``D.chain_values`` call),
+and ask ``D.witness_exists`` for each pair they compare; neither builds
+a pair.
 """
 from __future__ import annotations
 
@@ -55,7 +59,7 @@ from .doctrine import DoctrineError, mor_json
 from .fincat import CapExceeded, FinMor, FinObj
 from .posets import _members
 
-DEFAULT_QUAD_CAP = 512
+DEFAULT_QUAD_CAP = 1092
 
 
 @dataclass(frozen=True)
@@ -356,10 +360,12 @@ def prenex_values(D, I, U, X, alphas) -> list:
 def check_theorem2(D, analyzer, I: FinObj, samples: int = 200,
                    seed: int = 0) -> Theorem2Report:
     """On quantifier-free matrices the order between prenex forms in P(I)
-    must coincide with the existence of a witness pair, sampled from each
-    carrier's pool (`qfree_elements`, valued by `prenex_values`).  Where
-    no carrier pair has a quantifier-free matrix, nothing is sampled: the
-    report checks none and keeps the skip notes."""
+    must coincide with the existence of a witness pair
+    (`D.witness_exists`), sampled from each carrier's pool
+    (`qfree_elements`, valued by `prenex_values`).  A carrier whose
+    listing overruns the cap is noted as skipped.  Where no carrier pair
+    has a quantifier-free matrix, nothing is sampled: the report checks
+    none and keeps the skip notes."""
     rng = random.Random(seed)
     pools = {}
     notes = []
@@ -381,7 +387,7 @@ def check_theorem2(D, analyzer, I: FinObj, samples: int = 200,
         phi, phi_value = pools[(V, Y)][rng.randrange(len(pools[(V, Y)]))]
         a, b = DialObject(I, U, X, psi), DialObject(I, V, Y, phi)
         lhs = D.fibre(I).leq(psi_value, phi_value)
-        rhs = D.witness_tables(a, b) is not None
+        rhs = D.witness_exists(a, b)
         if lhs != rhs:
             mismatches.append({
                 "psi": a.to_json(D), "phi": b.to_json(D),
@@ -414,16 +420,29 @@ class Theorem4Report:
 def check_theorem4(D, analyzer, I: FinObj,
                    quad_cap: int = DEFAULT_QUAD_CAP) -> Theorem4Report:
     """The prenex presentation must embed P(I) into the completed fibre
-    order-exactly, and every quantifier-free quadruple must collapse back
-    to the predicate its prenex form presents (`qfree_elements`, and
-    `prenex_values` once per run of one carrier pair)."""
+    order-exactly (`D.order_rows`), and every quantifier-free quadruple
+    must collapse back to the predicate its prenex form presents and be
+    order-equivalent to that predicate's presentation (`qfree_elements`,
+    `prenex_values` once per run of one carrier pair, and
+    `D.witness_exists` both ways).  A predicate whose prenex search
+    passed over a partner over the cap and found nothing is noted as
+    skipped with the first such cap message, after the skipped
+    quadruple carriers, as Theorem 2 notes the carriers it skips; only
+    a search that saw every partner and found nothing is
+    ``prenex_missing``."""
     fib = D.fibre(I)
     quads = {}
     missing = []
+    capped = []
     for alpha in fib.elements():
-        w = analyzer.prenex(I, alpha)
+        skipped = []
+        w = analyzer.prenex(I, alpha, skipped)
         if w is None:
-            missing.append(fib.describe(alpha))
+            if skipped:
+                capped.append(f"prenex of {fib.describe(alpha)} over {I.name} "
+                              f"skipped: {skipped[0]}")
+            else:
+                missing.append(fib.describe(alpha))
             continue
         quads[alpha] = DialObject(I, w.u_obj, w.x_obj, w.beta)
     keys = list(quads)
@@ -450,10 +469,10 @@ def check_theorem4(D, analyzer, I: FinObj,
                              "reason": "prenex form missing for presented predicate"})
             continue
         qa = quads[back]
-        if D.witness_tables(q, qa) is None or D.witness_tables(qa, q) is None:
+        if not (D.witness_exists(q, qa) and D.witness_exists(qa, q)):
             sur_fail.append({"quad": q.to_json(D),
                              "alpha": fib.describe(back),
                              "reason": "not order-equivalent to its collapse"})
     return Theorem4Report(D.name, I.name, len(quads) ** 2, tuple(emb_fail),
                           len(qf_quads), tuple(sur_fail), tuple(missing),
-                          tuple(notes))
+                          (*notes, *capped))

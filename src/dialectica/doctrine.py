@@ -477,10 +477,11 @@ class Doctrine:
     them; table replays decide by these bodies, and a concrete doctrine
     by its kernels alone.
 
-    The Dialectica order (`dial`) has two decisions: ``D.witness_tables``
+    The Dialectica order (`dial`) has three decisions: ``D.witness_tables``
     for one pair of quadruples, whose index tables it returns or None,
-    and ``D.order_rows`` for the rows of a list; ``D.pair_holds`` judges
-    one pair's tables.  ``D.kept_map(dom, cod, idx)`` builds each map it
+    ``D.witness_exists`` for whether one pair is ordered at all, and
+    ``D.order_rows`` for the rows of a list; ``D.pair_holds`` judges one
+    pair's tables.  ``D.kept_map(dom, cod, idx)`` builds each map it
     is asked for once and keeps it, so `dial`'s one pair builder, which
     makes every witness pair, builds one map per distinct table.
 
@@ -697,6 +698,10 @@ class Doctrine:
                     return f0, f1
         return None
 
+    def witness_exists(self, a, b) -> bool:
+        """Whether a lies below b: whether `witness_tables` finds a pair."""
+        return self.witness_tables(a, b) is not None
+
     def pair_holds(self, a, b, f0, f1) -> bool:
         """Whether the pair with index tables f0: I*U -> V and
         f1: I*U*Y -> X takes a below b: alpha pulled back along m1 lies
@@ -753,10 +758,12 @@ class ConcreteDoctrine(Doctrine):
     reads the rows on classes: the quadruples with one right signature
     are one bitmask, and each distinct left signature's row is the OR of
     the classes it reaches.
-    `witness_tables`, the decision for one pair (Theorems 2 and 4 ask it
-    too), keeps its slot decisions in ``D._slots``
-    (`_kernels.witness_pair`'s ``memo``), so a slot that many pairs share
-    is decided once.  Every witness pair, made by `dial`'s one builder, is
+    `witness_tables`, the decision for one pair, keeps its slot decisions
+    in ``D._slots`` (`_kernels.witness_pair`'s ``memo``), so a slot that
+    many pairs share is decided once.  `witness_exists`, the verdict
+    alone that Theorems 2 and 4 ask, keeps one bool per row i of the two
+    quadruples and their shapes in ``D._rows``, each found through the
+    same slot memo.  Every witness pair, made by `dial`'s one builder, is
     revalidated on index tables: `pair_holds` pulls both matrices back
     along m1 and m2 by the reindexing kernel and compares them in the mask
     order, for every pair, building no map and looking up no product; the
@@ -784,6 +791,7 @@ class ConcreteDoctrine(Doctrine):
         self.nw = len(frame)
         self._fibres: dict[tuple, MaskFibre] = {}
         self._slots: dict = {}
+        self._rows: dict = {}
         self._m1s: dict = {}
         self._m2s: dict = {}
 
@@ -864,6 +872,27 @@ class ConcreteDoctrine(Doctrine):
     def witness_tables(self, a, b):
         return K.witness_pair(a.alpha, b.alpha, a.I.size, a.U.size, a.X.size,
                               b.U.size, b.X.size, self.nw, memo=self._slots)
+
+    def witness_exists(self, a, b) -> bool:
+        """The verdict row by row: the condition splits per point i of
+        I, so a is below b when every row i of alpha (over U*X) is below
+        row i of beta (over V*Y).  Each row's verdict is kept in
+        ``D._rows`` by the two rows and |U|, |X|, |V|, |Y|, found on a
+        miss by `_kernels.witness_pair` over that one row through the
+        slot memo."""
+        nu, nx, nv, ny, nw = a.U.size, a.X.size, b.U.size, b.X.size, self.nw
+        aw, bw = nu * nx * nw, nv * ny * nw
+        amask, bmask = (1 << aw) - 1, (1 << bw) - 1
+        rows = self._rows
+        for i in range(a.I.size):
+            key = a.alpha >> i * aw & amask, b.alpha >> i * bw & bmask, nu, nx, nv, ny
+            hit = rows.get(key)
+            if hit is None:
+                hit = rows[key] = K.witness_pair(key[0], key[1], 1, nu, nx, nv, ny, nw,
+                                                 memo=self._slots) is not None
+            if not hit:
+                return False
+        return True
 
     def pair_holds(self, a, b, f0, f1) -> bool:
         """Both pullbacks and the comparison run for every pair; m1's

@@ -16,9 +16,13 @@ quantifiers along a projection act on each point of the base separately
 free exactly when each of its columns is prime: no cover of the column
 by a row of columns, one per partner element, misses it in every
 component.  `FreenessAnalyzer` keeps one bitmask of prime columns per
-kind and partner size, and reads each such verdict from it.  A failure
-a report prints, and every verdict on any other doctrine, is found by
-one walk over the maps into the carrier (`first_failing_map`).
+kind and partner size, and reads each such verdict from it.  Its two
+listings, the existential-free predicates over a carrier
+(`exfree_elements`) and the quantifier-free ones (`qfree_elements`),
+are then the products of the prime columns, with no test per predicate.
+A failure a report prints, and every verdict on any other doctrine
+(whose listings filter the fibre by it), is found by one walk over the
+maps into the carrier (`first_failing_map`).
 """
 from __future__ import annotations
 
@@ -321,24 +325,61 @@ class FreenessAnalyzer:
         return None
 
     def exfree_elements(self, obj) -> tuple:
+        """The existential-free predicates over obj in fibre order, kept
+        per `D._carrier_key`: on a column-wise analyzer the product of
+        the prime columns (`_column_pool`), elsewhere the fibre filtered
+        by the free test."""
         key = self.D._carrier_key(obj)
         hit = self._free_elements.get(key)
         if hit is None:
-            hit = tuple(a for a in self.D.fibre(obj).elements()
-                        if self.is_existential_free(obj, a))
+            if self.columnwise:
+                hit = self._column_pool(obj, ("existential",))
+            else:
+                hit = tuple(a for a in self.D.fibre(obj).elements()
+                            if self.is_existential_free(obj, a))
             self._free_elements[key] = hit
         return hit
 
     def qfree_elements(self, obj) -> tuple:
         """The quantifier-free predicates over obj in fibre order, kept
-        per `D._carrier_key` beside `exfree_elements`."""
+        per `D._carrier_key` beside `exfree_elements`: on a column-wise
+        analyzer the product of the columns prime for both kinds,
+        elsewhere the existential-free list filtered by the free test."""
         key = "quantifier-free", self.D._carrier_key(obj)
         hit = self._free_elements.get(key)
         if hit is None:
-            hit = tuple(a for a in self.exfree_elements(obj)
-                        if self.is_universal_free(obj, a))
+            if self.columnwise:
+                hit = self._column_pool(obj, ("existential", "universal"))
+            else:
+                hit = tuple(a for a in self.exfree_elements(obj)
+                            if self.is_universal_free(obj, a))
             self._free_elements[key] = hit
         return hit
+
+    def _column_pool(self, obj, kinds) -> tuple:
+        """The predicates over obj free for each of ``kinds``, in fibre
+        order.  A constant predicate is free exactly when its column is
+        prime (`_prime_columns`), and any other exactly when each of its
+        columns is, so they are the mixed-radix product, element 0 the
+        most significant digit as in `MaskFibre`, of the up-set columns
+        whose constant passes each kind's verdict in turn (`_verdict`,
+        the universal one asked only of the existential-free constants).
+        The fibre is counted first, and each constant's verdict walks
+        every cap check that a verdict on a predicate with that first
+        column walks; the first column, the empty one, is prime, so its
+        walk is the whole walk.  A cap thus raises here as it does in
+        the filter over the fibre."""
+        fib = self.D.fibre(obj)
+        fib.count()
+        nw = self.D.nw
+        spots = range(0, len(obj) * nw, nw)
+        cols = fib.cols
+        for kind in kinds:
+            cols = [c for c in cols if self._verdict(kind, obj, sum(c << s for s in spots))]
+        out = [0]
+        for s in spots:
+            out = [m | c << s for m in out for c in cols]
+        return tuple(out)
 
     def quantifier_free(self, I, alpha) -> bool:
         """Existential-free, and universal-free within the subdoctrine of
@@ -411,19 +452,22 @@ class FreenessAnalyzer:
 
     # -- presentations -------------------------------------------------
 
-    def prenex(self, I, alpha):
+    def prenex(self, I, alpha, skipped=None):
         """Smallest presentation of alpha as an existential image of a
         universal image of a predicate free for both quantifiers.
         Partners are searched through the universe in size order, passing
-        over a partner whose carriers overrun the cap, and both
+        over a partner whose carriers overrun the cap (each overrun's
+        message is appended to the list ``skipped``, when given), and both
         quantifiers are read through `D.along`."""
         D = self.D
+        skipped = [] if skipped is None else skipped
         for U in self._by_size:
             try:
                 p_iu = D.product(I, U)
                 image = D.along("exists", p_iu.proj_left)
                 gammas = [g for g in self.exfree_elements(p_iu.obj) if image(g) == alpha]
-            except CapExceeded:
+            except CapExceeded as exc:
+                skipped.append(str(exc))
                 continue
             if not gammas:
                 continue
@@ -431,7 +475,8 @@ class FreenessAnalyzer:
                 try:
                     p3 = D.product(p_iu.obj, X)
                     betas = self.exfree_elements(p3.obj)
-                except CapExceeded:
+                except CapExceeded as exc:
+                    skipped.append(str(exc))
                     continue
                 image = D.along("forall", p3.proj_left)
                 for gamma in gammas:

@@ -827,6 +827,36 @@ class TestTheorem2:
         assert rep.passed and rep.checked == 0 and rep.mismatches == ()
         assert len(rep.notes) == 9 and all("skipped" in n for n in rep.notes)
 
+    def test_witness_exists_is_the_pair_search_on_every_pair(self):
+        """`D.witness_exists`, row by row, is the base class's exhaustive
+        pair search on every pair of chain2's fibre over 1 on the universe
+        {1, A}, failing pairs included."""
+        one, A = CHAIN.universe[:2]
+        quads, total, _ = enumerate_quads(CHAIN, one, quad_cap=4096, universe=(one, A))
+        assert len(quads) == total == 102
+        verdicts = [(CHAIN.witness_exists(a, b), Doctrine.witness_tables(CHAIN, a, b) is not None)
+                    for a in quads for b in quads]
+        assert all(mine == searched for mine, searched in verdicts)
+        assert {mine for mine, _ in verdicts} == {True, False}
+
+    def test_every_pair_of_the_pool_over_a(self):
+        """Theorem 2 on every pair of powerset-2x2's quantifier-free pool
+        over A, unsampled: `D.witness_exists` is `D.order_rows`, and both
+        are the order of the prenex values in P(A)."""
+        fa = FreenessAnalyzer(POW)
+        A = POW.universe[1]
+        quads, total, _ = enumerate_quads(POW, A, pool=fa.qfree_elements, quad_cap=4096)
+        assert len(quads) == total == 1092
+        values = []
+        for _, run in itertools.groupby(quads, lambda q: (q.U.name, q.X.name)):
+            run = list(run)
+            values += prenex_values(POW, A, run[0].U, run[0].X, [q.alpha for q in run])
+        up = POW.fibre(A).uppers(values)
+        exists = POW.witness_exists
+        for a, row, value in zip(quads, POW.order_rows(quads), values):
+            assert row == up(value)
+            assert row == sum(1 << j for j, b in enumerate(quads) if exists(a, b))
+
     def test_reports_are_reproducible(self):
         fa = FreenessAnalyzer(POW)
         one = POW.universe[0]
@@ -855,19 +885,32 @@ class TestTheorem4:
         assert rep.passed
         assert (rep.embedding_checked, rep.surjectivity_checked) == (emb, sur)
 
-    def test_antichain_missing_presentations_are_reported(self):
+    def test_antichain_capped_presentations_are_notes(self):
+        """Over A on antichain2 the prenex search for {a0} and {a1} passes
+        over the partners over the cap and finds nothing: both are noted
+        as skipped, not missing.  Above the cap both have a presentation
+        and the theorem holds on all 16 predicates."""
         rep = check_theorem4(ANTI, FreenessAnalyzer(ANTI), ANTI.universe[1],
                              quad_cap=4096)
-        assert not rep.passed
-        assert sorted(rep.prenex_missing) == ["{a0}", "{a1}"]
+        assert rep.passed and rep.prenex_missing == ()
+        assert rep.notes[4:] == tuple(
+            f"prenex of {{{a}}} over A skipped: fibre over A*A*A has 65536 predicates; "
+            "cap 4096" for a in ("a1", "a0"))
         assert rep.embedding_failures == ()
         assert rep.embedding_checked == 196
+        D = kripke_doctrine(antichain_poset(2), (2, 2), cap=65536)
+        rep = check_theorem4(D, FreenessAnalyzer(D), D.universe[1], quad_cap=4096)
+        assert rep.passed and rep.notes == ()
+        assert (rep.embedding_checked, rep.surjectivity_checked) == (256, 1092)
 
     def test_a_cap_overrun_in_a_verdict_is_a_skip_note(self):
         """On the one-world closed universe {1, A, 1*A*A}, the freeness
         verdicts over each carrier I*U*X read a fibre over the cap:
         Theorem 4 notes the carrier as skipped, as Theorem 2 does, and
-        raises nothing."""
+        raises nothing.  The prenex search of both predicates over 1
+        passes over every partner for the same cap, so each is noted as
+        skipped, not missing, and the report passes as Theorem 2's
+        does."""
         one, A = unit_obj(), FinObj("A", (("a0",), ("a1",)))
         D = ConcreteDoctrine("closed", FinitePoset(("w0",), [(0, 0)]),
                              (one, A, product_n((one, A, A))[0]))
@@ -875,9 +918,14 @@ class TestTheorem4:
         assert rep.surjectivity_checked == 0
         assert rep.notes[0] == ("quads over 1*1*1 skipped: "
                                 "fibre over 1*A*A*1*A*A has 65536 predicates; cap 4096")
-        assert len(rep.notes) == 9 and all("skipped" in n for n in rep.notes)
+        assert len(rep.notes) == 11 and all("skipped" in n for n in rep.notes)
+        assert rep.notes[9:] == tuple(
+            f"prenex of {p} over 1 skipped: fibre over 1*A*A*1*A*A has 65536 predicates; "
+            "cap 4096" for p in ("{}", "{*}"))
+        assert rep.prenex_missing == () and rep.embedding_checked == 0 and rep.passed
         two = check_theorem2(D, FreenessAnalyzer(D), one)
-        assert [n.removeprefix("quads over ") for n in rep.notes] == list(two.notes)
+        assert two.passed and two.checked == 0
+        assert [n.removeprefix("quads over ") for n in rep.notes[:9]] == list(two.notes)
 
     def test_embedding_agrees_with_the_order_comparison_path(self):
         """Cross-check the two characterisation code paths on every pair:

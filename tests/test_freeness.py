@@ -389,6 +389,24 @@ class TestQfreeElements:
             want = [a for a in D.fibre(obj).elements() if ref.quantifier_free(obj, a)]
             assert list(fa.qfree_elements(obj)) == want
 
+    @pytest.mark.parametrize("name", ["powerset", *(f for f in SMALL_FRAMES if f != "antichain3")])
+    def test_prime_column_pools_are_the_filter_at_every_cap(self, name):
+        """On the census frames and powerset-2x2, over every universe object
+        and product of two, at caps 16 to 4096, each listing is the
+        fibre filtered by the free tests (`Filtered`), or raises the same
+        CapExceeded message.  Each carrier is listed on fresh analyzers,
+        so every verdict walk runs cold."""
+        for cap in (16, 64, 256, 4096):
+            D = (powerset_doctrine((2, 2), cap=cap) if name == "powerset"
+                 else kripke_doctrine(SMALL_FRAMES[name], (2, 2), cap=cap))
+            carriers = [*D.universe, *(D.product(A, B).obj
+                                       for A, B in itertools.product(D.universe, repeat=2))]
+            for obj, listing in itertools.product(carriers, ("exfree_elements",
+                                                             "qfree_elements")):
+                got = _outcome(lambda: getattr(FreenessAnalyzer(D), listing)(obj))
+                want = _outcome(lambda: getattr(Filtered(D), listing)(obj))
+                assert got == want, (cap, obj.name, listing)
+
     def test_kept_per_carrier_key(self):
         """A second call, and a carrier of the same size on a concrete
         doctrine, return the kept tuple."""
@@ -397,6 +415,22 @@ class TestQfreeElements:
         kept = fa.qfree_elements(A)
         assert fa.qfree_elements(A) is kept and fa.qfree_elements(B) is kept
         assert fa._free_elements[("quantifier-free", 2)] is kept
+
+
+class Filtered(FreenessAnalyzer):
+    """Both listings as the fibre filtered by the free tests, each verdict
+    read per column: the oracle of the prime-column pools."""
+
+    def exfree_elements(self, obj):
+        key = self.D._carrier_key(obj)
+        hit = self._free_elements.get(key)
+        if hit is None:
+            hit = self._free_elements[key] = tuple(
+                a for a in self.D.fibre(obj).elements() if self.is_existential_free(obj, a))
+        return hit
+
+    def qfree_elements(self, obj):
+        return tuple(a for a in self.exfree_elements(obj) if self.is_universal_free(obj, a))
 
 
 class MapWalk(FreenessAnalyzer):
