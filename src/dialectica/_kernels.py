@@ -331,6 +331,24 @@ def witness_pair(alpha: int, beta: int, ni: int, nu: int, nx: int,
     return tuple(f0), tuple(f1)
 
 
+def pair_holds(alpha: int, beta: int, f0, f1, nu: int, nx: int, nv: int, ny: int,
+               nw: int) -> bool:
+    """Whether the pair with index tables f0 and f1 (laid out as
+    `witness_pair` returns them) has alpha(i, u, f1(i, u, y)) <=
+    beta(i, f0(i, u), y) at every world, checked slot (i, u) by slot
+    with neither pullback along the pair's maps built."""
+    full = (1 << nw) - 1
+    s = 0
+    for t, v in enumerate(f0):
+        row = (t // nu * nv + v) * ny
+        for y in range(ny):
+            acol = (alpha >> ((t * nx + f1[s]) * nw)) & full
+            if acol & ~(beta >> ((row + y) * nw)):
+                return False
+            s += 1
+    return True
+
+
 def _witness_slot(acols: int, brow: int, nx: int, nv: int, ny: int, nw: int, full: int):
     """One slot of `witness_pair`: the first v, with the first x for each
     y, that answers the columns ``acols`` from the beta row ``brow``."""

@@ -40,13 +40,14 @@ product table (``D.product``), built once each at ``D.cap``.  Products
 enumerate the left factor slowest, so element ``(i, u, x)`` of I*U*X has
 index ``(i * |U| + u) * |X| + x``, and every table this module reads
 (revalidation, identity, composition) is computed by that arithmetic.
-Revalidation reads the pair's index tables: a concrete doctrine pulls
-back along them without building a map.  Theorems 2 and 4 list their
+Revalidation reads the pair's index tables: a concrete doctrine
+compares the two matrices on them slot by slot (`_kernels.pair_holds`),
+building no map or pullback.  Theorems 2 and 4 list their
 quantifier-free matrices by `FreenessAnalyzer.qfree_elements` (the
-product of the prime columns on a concrete doctrine), take their prenex
-values a list at a time (`prenex_values`, one ``D.chain_values`` call),
-and ask ``D.witness_exists`` for each pair they compare; neither builds
-a pair.
+fibre's `masks` over the prime columns on a concrete doctrine), take
+their prenex values a list at a time (`prenex_values`, one
+``D.chain_values`` call), and ask ``D.witness_exists`` for each pair
+they compare; neither builds a pair.
 """
 from __future__ import annotations
 

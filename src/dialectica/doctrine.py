@@ -156,15 +156,16 @@ class MaskFibre:
     from ``cols`` (the frame's up-sets, in increasing order, kept from
     construction), and its index among `elements` is mixed-radix in the
     columns' positions in ``cols``, element 0 the most significant
-    digit.  So the recorded tables are closed forms in those digits:
-    `op_table` a Kronecker power of the one-column table, and
-    `pullback_table` a sum of digits times weights.
+    digit.  So every table is a closed form in those digits, none kept:
+    `masks` lists the predicates over any set of columns, `index` reads
+    a place off the digits, `op_table` is a Kronecker power of the
+    one-column table, and `pullback_table` a sum of digits times weights.
     """
 
     has_heyting = True
 
     __slots__ = ("obj", "nw", "upmasks", "worlds", "full", "cap", "cols", "_elements",
-                 "_index", "_described")
+                 "_described")
 
     def __init__(self, obj: FinObj, nw: int, upmasks, worlds, cap: int):
         self.obj = obj
@@ -175,7 +176,6 @@ class MaskFibre:
         self.cap = cap
         self.cols = up_columns(self.upmasks, nw)
         self._elements = None
-        self._index = None
         self._described = {}
 
     def count(self) -> int:
@@ -188,23 +188,31 @@ class MaskFibre:
             )
         return count
 
+    def masks(self, cols) -> tuple:
+        """The predicates with every column in ``cols`` (increasing up-set
+        columns), in fibre order: their mixed-radix product, element 0 the
+        most significant digit.  The cap is not checked."""
+        out = [0]
+        for s in range(0, len(self.obj) * self.nw, self.nw):
+            out = [m | c << s for m in out for c in cols]
+        return tuple(out)
+
     def elements(self) -> tuple:
         if self._elements is None:
             self.count()
-            nw = self.nw
-            out = []
-            for combo in itertools.product(self.cols, repeat=len(self.obj)):
-                mask = 0
-                for e, col in enumerate(combo):
-                    mask |= col << (e * nw)
-                out.append(mask)
-            self._elements = tuple(out)
-            self._index = {m: i for i, m in enumerate(self._elements)}
+            self._elements = self.masks(self.cols)
         return self._elements
 
     def index(self, mask: int) -> int:
-        self.elements()
-        return self._index[mask]
+        """The place of ``mask`` in `elements`, from the positions of its
+        columns in ``cols``; over the cap, the CapExceeded of `elements`."""
+        self.count()
+        cols, nw = self.cols, self.nw
+        full = (1 << nw) - 1
+        i = 0
+        for s in range(0, len(self.obj) * nw, nw):
+            i = i * len(cols) + cols.index(mask >> s & full)
+        return i
 
     def leq(self, a: int, b: int) -> bool:
         return a & ~b == 0
@@ -483,7 +491,8 @@ class Doctrine:
     ``D.order_rows`` for the rows of a list; ``D.pair_holds`` judges one
     pair's tables.  ``D.kept_map(dom, cod, idx)`` builds each map it
     is asked for once and keeps it, so `dial`'s one pair builder, which
-    makes every witness pair, builds one map per distinct table.
+    makes every witness pair, and `graph_ok`, which reads each tested
+    choice's graph, build one map per distinct table.
 
     ``D._passed`` keeps the law audits' passing verdicts (`adjoint_along`,
     `beck_chevalley`, `check_doctrine`'s reindexing laws), keyed by the
@@ -667,9 +676,9 @@ class Doctrine:
         """Whether the graph of g (given by its index table) pulls beta
         back above alpha ("existential") or below it ("universal"); the
         graph ``a -> (a, g a)`` into ``p.obj`` is index ``a * nb + g[a]``,
-        and the pullback is read through `along`."""
+        taken from `kept_map`, and the pullback is read through `along`."""
         nb = len(p.right)
-        graph = FinMor(A, p.obj, idx=[a * nb + g for a, g in enumerate(g_idx)])
+        graph = self.kept_map(A, p.obj, [a * nb + g for a, g in enumerate(g_idx)])
         pulled = self.along("reindex", graph)(beta)
         fib_a = self.fibre(A)
         if kind == "existential":
@@ -764,11 +773,10 @@ class ConcreteDoctrine(Doctrine):
     alone that Theorems 2 and 4 ask, keeps one bool per row i of the two
     quadruples and their shapes in ``D._rows``, each found through the
     same slot memo.  Every witness pair, made by `dial`'s one builder, is
-    revalidated on index tables: `pair_holds` pulls both matrices back
-    along m1 and m2 by the reindexing kernel and compares them in the mask
-    order, for every pair, building no map and looking up no product; the
-    two tables are kept in ``D._m1s`` and ``D._m2s`` by the part of the
-    pair's tables and shapes each is computed from.  The law audits'
+    revalidated on its index tables by one slot-wise kernel
+    (`_kernels.pair_holds`), which compares alpha's column at
+    (i, u, f1(i, u, y)) with beta's at (i, f0(i, u), y) for every pair,
+    building no map or table and keeping nothing.  The law audits'
     values along maps are the plane kernels' (`planes_along`,
     `table_pull`): a pullback gathers planes by the map's index table, and
     a quantifier ORs or ANDs them over each preimage list, for every
@@ -792,8 +800,6 @@ class ConcreteDoctrine(Doctrine):
         self._fibres: dict[tuple, MaskFibre] = {}
         self._slots: dict = {}
         self._rows: dict = {}
-        self._m1s: dict = {}
-        self._m2s: dict = {}
 
     def fibre(self, obj: FinObj) -> MaskFibre:
         """The fibre over obj, kept per name as well as carrier (`FinObj`
@@ -895,21 +901,10 @@ class ConcreteDoctrine(Doctrine):
         return True
 
     def pair_holds(self, a, b, f0, f1) -> bool:
-        """Both pullbacks and the comparison run for every pair; m1's
-        table is kept in ``D._m1s`` by (|X|, |Y|, f1) and m2's in
-        ``D._m2s`` by (|U|, |V|, |Y|, f0), all that each is computed from."""
-        f0, f1 = tuple(f0), tuple(f1)
-        nx, ny = a.X.size, b.X.size
-        key = nx, ny, f1
-        m1 = self._m1s.get(key)
-        if m1 is None:
-            m1 = self._m1s[key] = _m1_table(nx, ny, f1)
-        key = a.U.size, b.U.size, ny, f0
-        m2 = self._m2s.get(key)
-        if m2 is None:
-            m2 = self._m2s[key] = _m2_table(*key)
-        nw = self.nw
-        return K.reindex_mask(a.alpha, m1, nw) & ~K.reindex_mask(b.alpha, m2, nw) == 0
+        """Both pullbacks and the comparison, slot by slot
+        (`_kernels.pair_holds`), for every pair."""
+        return K.pair_holds(a.alpha, b.alpha, f0, f1, a.U.size, a.X.size, b.U.size,
+                            b.X.size, self.nw)
 
     def order_rows(self, quads) -> list:
         """On signature classes: the quadruples with one right signature
@@ -1596,10 +1591,9 @@ def _carriers_json(D, notes: list) -> dict:
             if n > HEYTING_TABLE_CAP:
                 notes.append(f"lattice tables over {obj.name} omitted ({n} predicates)")
                 continue
-            idx = {a: i for i, a in enumerate(els)}
             heyting[obj.name] = {
-                "top": idx[fib.top()],
-                "bottom": idx[fib.bottom()],
+                "top": fib.index(fib.top()),
+                "bottom": fib.index(fib.bottom()),
                 **{op: fib.op_table(op) for op in ("meet", "join", "imp")},
             }
     data["fibres"] = fibres

@@ -19,10 +19,11 @@ component.  `FreenessAnalyzer` keeps one bitmask of prime columns per
 kind and partner size, and reads each such verdict from it.  Its two
 listings, the existential-free predicates over a carrier
 (`exfree_elements`) and the quantifier-free ones (`qfree_elements`),
-are then the products of the prime columns, with no test per predicate.
-A failure a report prints, and every verdict on any other doctrine
-(whose listings filter the fibre by it), is found by one walk over the
-maps into the carrier (`first_failing_map`).
+share one body: the fibre's own lister (`MaskFibre.masks`) over the
+prime columns, with no test per predicate.  A failure a report prints,
+and every verdict on any other doctrine (whose listings filter the
+fibre by it), is found by one walk over the maps into the carrier
+(`first_failing_map`).
 """
 from __future__ import annotations
 
@@ -325,61 +326,45 @@ class FreenessAnalyzer:
         return None
 
     def exfree_elements(self, obj) -> tuple:
-        """The existential-free predicates over obj in fibre order, kept
-        per `D._carrier_key`: on a column-wise analyzer the product of
-        the prime columns (`_column_pool`), elsewhere the fibre filtered
-        by the free test."""
-        key = self.D._carrier_key(obj)
-        hit = self._free_elements.get(key)
-        if hit is None:
-            if self.columnwise:
-                hit = self._column_pool(obj, ("existential",))
-            else:
-                hit = tuple(a for a in self.D.fibre(obj).elements()
-                            if self.is_existential_free(obj, a))
-            self._free_elements[key] = hit
-        return hit
+        """The existential-free predicates over obj in fibre order
+        (`_free_listing`), kept per `D._carrier_key`."""
+        return self._free_listing(obj, "existential")
 
     def qfree_elements(self, obj) -> tuple:
-        """The quantifier-free predicates over obj in fibre order, kept
-        per `D._carrier_key` beside `exfree_elements`: on a column-wise
-        analyzer the product of the columns prime for both kinds,
-        elsewhere the existential-free list filtered by the free test."""
-        key = "quantifier-free", self.D._carrier_key(obj)
+        """The quantifier-free predicates over obj in fibre order
+        (`_free_listing`), kept per ``("quantifier-free", D._carrier_key)``."""
+        return self._free_listing(obj, "universal")
+
+    def _free_listing(self, obj, kind) -> tuple:
+        """The predicates over obj that are existential-free and, for
+        kind "universal", universal-free too, in fibre order.  Column-wise,
+        a predicate is free exactly when the constant of each of its
+        columns is (`_prime_columns`): the listing is ``fib.masks`` of the
+        up-set columns whose constant passes each verdict in turn, the
+        universal one asked only of existential-free constants.  The fibre
+        is counted first, and the first column's constant (the empty
+        column, prime) walks every cap check any predicate's verdict walks,
+        so a cap raises as in the filter every other analyzer runs."""
+        key = self.D._carrier_key(obj)
+        existential = kind == "existential"
+        if not existential:
+            key = "quantifier-free", key
         hit = self._free_elements.get(key)
         if hit is None:
+            fib = self.D.fibre(obj)
             if self.columnwise:
-                hit = self._column_pool(obj, ("existential", "universal"))
+                fib.count()
+                cols = fib.cols
+                for k in ("existential",) if existential else ("existential", "universal"):
+                    cols = [c for c in cols if self._verdict(k, obj, fib.masks([c])[0])]
+                hit = fib.masks(cols)
+            elif existential:
+                hit = tuple(a for a in fib.elements() if self.is_existential_free(obj, a))
             else:
                 hit = tuple(a for a in self.exfree_elements(obj)
                             if self.is_universal_free(obj, a))
             self._free_elements[key] = hit
         return hit
-
-    def _column_pool(self, obj, kinds) -> tuple:
-        """The predicates over obj free for each of ``kinds``, in fibre
-        order.  A constant predicate is free exactly when its column is
-        prime (`_prime_columns`), and any other exactly when each of its
-        columns is, so they are the mixed-radix product, element 0 the
-        most significant digit as in `MaskFibre`, of the up-set columns
-        whose constant passes each kind's verdict in turn (`_verdict`,
-        the universal one asked only of the existential-free constants).
-        The fibre is counted first, and each constant's verdict walks
-        every cap check that a verdict on a predicate with that first
-        column walks; the first column, the empty one, is prime, so its
-        walk is the whole walk.  A cap thus raises here as it does in
-        the filter over the fibre."""
-        fib = self.D.fibre(obj)
-        fib.count()
-        nw = self.D.nw
-        spots = range(0, len(obj) * nw, nw)
-        cols = fib.cols
-        for kind in kinds:
-            cols = [c for c in cols if self._verdict(kind, obj, sum(c << s for s in spots))]
-        out = [0]
-        for s in spots:
-            out = [m | c << s for m in out for c in cols]
-        return tuple(out)
 
     def quantifier_free(self, I, alpha) -> bool:
         """Existential-free, and universal-free within the subdoctrine of

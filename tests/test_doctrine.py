@@ -31,6 +31,7 @@ from dialectica.doctrine import (
     quantifier_structure,
 )
 from dialectica.fincat import (
+    DEFAULT_CAP,
     CapExceeded,
     FinMor,
     FinObj,
@@ -1720,6 +1721,39 @@ class TestClosedFormTables:
                 else ("leq",)
             for op in ops:
                 assert fib.op_table(op) == PosetFibre.op_table(fib, op), (obj.name, op)
+
+    @pytest.mark.parametrize("name", [f for f in SMALL_FRAMES if f != "antichain3"])
+    def test_masks_and_index_are_closed_forms_of_the_listing(self, name):
+        """On the `TestFrameCensus` frames at sizes 2,2, over every universe
+        object and product of two: `index` is a predicate's place in
+        `elements`, and `masks` of each set of columns is `elements`
+        filtered to the predicates with every column in that set, in
+        order.  At cap 8 some fibres of every frame are over the cap, and
+        there `index` raises the CapExceeded that `elements` raises."""
+        outcomes = set()
+        for cap in (8, DEFAULT_CAP):
+            D = kripke_doctrine(SMALL_FRAMES[name], (2, 2), cap=cap)
+            nw, full = D.nw, (1 << D.nw) - 1
+            for A, B in [(A, None) for A in D.universe] + [
+                    (A, B) for A in D.universe for B in D.universe]:
+                obj = A if B is None else D.product(A, B).obj
+                fib = D.fibre(obj)
+                try:
+                    els = fib.elements()
+                except CapExceeded as exc:
+                    with pytest.raises(CapExceeded) as by_index:
+                        fib.index(0)
+                    assert str(by_index.value) == str(exc)
+                    outcomes.add("raise")
+                    continue
+                outcomes.add("fits")
+                assert [fib.index(m) for m in els] == list(range(len(els)))
+                spots = range(0, len(obj) * nw, nw)
+                for pick in range(1 << len(fib.cols)):
+                    cols = [c for j, c in enumerate(fib.cols) if pick >> j & 1]
+                    want = tuple(m for m in els if all(m >> s & full in cols for s in spots))
+                    assert fib.masks(cols) == want, (cap, obj.name, cols)
+        assert outcomes == {"raise", "fits"}
 
     @pytest.mark.parametrize("name", SMALL)
     def test_reindex_tables_are_the_per_predicate_tables(self, name):

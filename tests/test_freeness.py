@@ -25,6 +25,7 @@ from dialectica.fincat import (
 )
 from dialectica.freeness import FreenessAnalyzer
 from dialectica.posets import FinitePoset, antichain_poset, chain_poset
+from dialectica.principles import RULES
 
 POW = powerset_doctrine((2, 2))
 CHAIN = kripke_doctrine(chain_poset(2), (2, 2))
@@ -241,6 +242,31 @@ class Searched(ConcreteDoctrine):
 
     pointwise = False
     choice_index = Doctrine.choice_index
+
+
+def test_the_map_search_builds_each_graph_once(monkeypatch):
+    """The base `graph_ok` takes each tested choice's graph from
+    `D.kept_map`: IP on the `Searched` twin of powerset-2x3 tests 32 736
+    choices and builds one map per distinct graph table, each kept."""
+    P = powerset_doctrine((2, 3))
+    D = Searched(P.name, P.frame, P.universe, P.cap)
+    built, tested = [0], [0, 0]
+    init, graph_ok = FinMor.__init__, Doctrine.graph_ok
+
+    def counting_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    def counting_graph_ok(self, *args):
+        before = built[0]
+        ok = graph_ok(self, *args)
+        tested[0] += 1
+        tested[1] += built[0] - before
+        return ok
+    monkeypatch.setattr(FinMor, "__init__", counting_init)
+    monkeypatch.setattr(Searched, "graph_ok", counting_graph_ok)
+    assert RULES["ip"](D, FreenessAnalyzer(D)).verdict == "pass"
+    assert tested == [32736, len(D._maps)] and len(D._maps) == 56
 
 
 def MapScan(D):

@@ -6,6 +6,8 @@ import pytest
 from dialectica import _kernels as K
 from dialectica.doctrine import (
     PosetFibre,
+    _m1_table,
+    _m2_table,
     doctrine_from_json,
     doctrine_to_json,
     kripke_doctrine,
@@ -136,6 +138,36 @@ class TestSearchAgreement:
         assert len(memo) > 50
         for args in reversed(cases):
             assert K.witness_pair(*args, memo=memo) == K.witness_pair(*args)
+
+
+    def test_pair_check_is_the_two_pullbacks(self):
+        """`pair_holds`, slot by slot, judges as alpha pulled back along m1
+        and beta along m2 (`_m1_table`, `_m2_table`) compared in the mask
+        order, on seeded shapes with every size up to 3 at one to three
+        worlds (so some masks pass 64 bits): on seeded tables, and on the
+        tables `witness_pair` finds."""
+        rng = random.Random(48)
+        verdicts, wide = set(), 0
+        for _ in range(2000):
+            ni, nu, nx, nv, ny = (rng.randint(0, 3) for _ in range(5))
+            nw = rng.randint(1, 3)
+            if (nv == 0 and ni * nu) or (nx == 0 and ni * nu * ny):
+                continue  # no pair of tables
+            aw, bw = ni * nu * nx * nw, ni * nv * ny * nw
+            alpha = rng.getrandbits(aw) & rng.getrandbits(aw)
+            beta = rng.getrandbits(bw) | rng.getrandbits(bw)
+            tables = [([rng.randrange(nv) for _ in range(ni * nu)],
+                       [rng.randrange(nx) for _ in range(ni * nu * ny)])]
+            found = K.witness_pair(alpha, beta, ni, nu, nx, nv, ny, nw)
+            if found:
+                tables.append(found)
+            for f0, f1 in tables:
+                want = (K.reindex_mask(alpha, _m1_table(nx, ny, f1), nw)
+                        & ~K.reindex_mask(beta, _m2_table(nu, nv, ny, f0), nw) == 0)
+                assert K.pair_holds(alpha, beta, f0, f1, nu, nx, nv, ny, nw) == want
+                verdicts.add(want)
+            wide += max(aw, bw) > K._WORD
+        assert verdicts == {True, False} and wide > 5
 
 
 class TestOrderSignature:
