@@ -16,8 +16,9 @@ set of projections, per shape.  It also keeps its values along maps
 audits' sampled predicates (`D.planes_along` reads values along maps
 for a whole list of predicates at once, as do Skolemisation's chains
 and the recorded tables), its passing law verdicts, each
-decided once per index table, and, when concrete, the order signature
-of each quadruple the Dialectica order reads.  On top
+decided once per index table, and, when concrete, the witness decision
+of each slot (``D._slots``) and the order verdict of each pair of rows
+(``D._rows``) that the Dialectica order reads.  On top
 of both sit adjoint certification by the adjunction law, structural
 audits, Beck-Chevalley checks, and a JSON exchange format.
 

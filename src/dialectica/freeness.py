@@ -141,10 +141,8 @@ class FreenessAnalyzer:
         # The rule checkers then read a pair from its one-point pair.
         self.columnwise = bool(D.pointwise and D.universe and all(map(len, D.universe)))
         # Splitting reports and the lists of free predicates are kept per
-        # `D._carrier_key` (a carrier's size, on a concrete doctrine);
-        # free reports per name, since they print the carrier's name.
+        # `D._carrier_key` (a carrier's size, on a concrete doctrine).
         self._split: dict = {}
-        self._free: dict = {}
         self._verdicts: dict = {}
         self._primes: dict = {}
         self._free_elements: dict = {}
@@ -301,16 +299,10 @@ class FreenessAnalyzer:
         Where the verdict is read per column, a passing report is built
         with no walk; only a failure a report prints is walked to its
         first failing map."""
-        key = (kind, I.name, I.elements, alpha)
-        hit = self._free.get(key)
-        if hit is not None:
-            return hit
         if self.columnwise and self._verdict(kind, I, alpha):
             return FreeReport(kind, I.name, alpha, True, None)
         failing = self.first_failing_map(kind, I, alpha)
-        report = FreeReport(kind, I.name, alpha, failing is None, failing)
-        self._free[key] = report
-        return report
+        return FreeReport(kind, I.name, alpha, failing is None, failing)
 
     def first_failing_map(self, kind, I, alpha):
         """The free-report failure found by pulling alpha back along the

@@ -9,17 +9,19 @@ instance is decided by the doctrine's choice-map decision, and a map is
 built only for a witness the report records.
 
 Each carrier pair (a block, for Skolemisation) is read from a table of
-the stage each of its instances reaches (`_Table`).  On a pointwise
-doctrine every check of a rule, preconditions included when freeness is
-read per column, reads the base one point at a time: an instance over A
-is the tuple of its one-point instances at the points of A, and stops
-at the earliest stage any of them reaches.  There each pair over a wide
-A is read from the table of its one-point pair, built once per rule and
-partner by the checks themselves: its counts are powers of the table's,
-and its entries are walked from it in scan order, only while the report
-still needs one.  Table replays, analyzers that walk maps for freeness,
-and universes whose one-point carrier comes after a wide one scan each
-pair predicate by predicate.
+the stage each of its instances reaches (`_Table`), and both kinds of
+check read their tables through one scan (`_Scan`), which also keeps
+the stage tally, the report's entries and the witness cap.  On a
+pointwise doctrine every check of a rule, preconditions included when
+freeness is read per column, reads the base one point at a time: an
+instance over A is the tuple of its one-point instances at the points
+of A, and stops at the earliest stage any of them reaches.  There each
+pair over a wide A is read from the table of its one-point pair, built
+once per rule and partner by the checks themselves: its counts are
+powers of the table's, and its entries are walked from it in scan
+order, only while the report still needs one.  Table replays,
+analyzers that walk maps for freeness, and universes whose one-point
+carrier comes after a wide one scan each pair predicate by predicate.
 
 Strict mode enforces each rule's stated preconditions (freeness of the
 predicates involved, and for the corollary rules a doctrine-level
@@ -85,27 +87,6 @@ class RuleReport:
             "hypothesis": self.hypothesis,
             "notes": list(self.notes),
         }
-
-
-def _report(rule, D, mode, scanned, instances, vacuous, skipped, witnesses,
-            violations, notes, gate=None) -> RuleReport:
-    """Assemble one rule's report.  ``gate`` is ``(key, {object: holds})``
-    for a corollary rule's doctrine-level hypothesis; in strict mode a
-    failed gate leaves every instance unjudged."""
-    hypothesis = None
-    if gate is not None:
-        key, gates = gate
-        holds = all(gates.values())
-        hypothesis = {key: gates, "holds": holds}
-        if mode == "strict" and not holds:
-            notes.append("corollary hypothesis fails; instances not judged")
-            return RuleReport(rule, D.name, mode, "hypothesis-failed",
-                              tuple(scanned), 0, vacuous, skipped + instances,
-                              (), (), hypothesis, tuple(notes))
-    return RuleReport(rule, D.name, mode, "fail" if violations else "pass",
-                      tuple(scanned), instances, vacuous, skipped,
-                      tuple(witnesses), tuple(violations), hypothesis,
-                      tuple(notes))
 
 
 class _Pair:
@@ -208,30 +189,27 @@ _NO_ALPHA, _NO_TARGET, _VACUOUS, _FAILS, _NO_TERM, _HOLDS = range(6)
 
 class _Table:
     """The stage of every instance of one pair of carriers, from a stream
-    of (alpha, target, stage, precondition holds) in scan order.
+    of (alpha, target, stage) in scan order.
 
     ``reach[k]`` counts the instances that reach stage k or a later one.
     ``rows`` maps each alpha with a judged target (stage _FAILS or
-    later), in scan order, to those targets with their stages, and
-    ``holds`` to its precondition; ``fails`` holds the alphas with a
-    judged target that does not hold.  On a pointwise doctrine the
-    one-point pair's table stands for every pair with the same partner:
-    an instance over an n-point base is the tuple of its one-point
-    instances at the points, and it stops at the earliest stage any of
-    them reaches.  So the instances reaching stage k number
-    ``reach[k]**n``, and the walk over tuples of rows in product order
-    is the scan's order."""
+    later), in scan order, to those targets with their stages; ``fails``
+    holds the alphas with a judged target that does not hold.  On a
+    pointwise doctrine the one-point pair's table stands for every pair
+    with the same partner: an instance over an n-point base is the tuple
+    of its one-point instances at the points, and it stops at the
+    earliest stage any of them reaches.  So the instances reaching stage
+    k number ``reach[k]**n``, and the walk over tuples of rows in product
+    order is the scan's order."""
 
     def __init__(self, stream):
         reach = [0] * (_HOLDS + 2)
         self.rows: dict = {}
-        self.holds: dict = {}
         self.fails: set = set()
-        for alpha, target, stage, ok in stream:
+        for alpha, target, stage in stream:
             reach[stage] += 1
             if stage >= _FAILS:
                 self.rows.setdefault(alpha, []).append((target, stage))
-                self.holds[alpha] = ok
                 if stage < _HOLDS:
                     self.fails.add(alpha)
         for k in reversed(range(_HOLDS + 1)):
@@ -257,6 +235,65 @@ class _Table:
                     yield alphas, tuple(t for t, _ in judged), stage
 
 
+class _Scan:
+    """One check's scan: the scanned list, the report's witnesses (up to
+    the cap), violations and notes, the tally of instances per stage and,
+    on a pointwise doctrine (``per_point``), the one-point tables, kept
+    by partner."""
+
+    def __init__(self, per_point: bool):
+        self.per_point = per_point
+        self.scanned: list = []
+        self.witnesses: list = []
+        self.violations: list = []
+        self.notes: list = []
+        self.tally = [0] * (_HOLDS + 1)
+        self.tables: dict = {}
+
+    def full(self) -> bool:
+        return len(self.witnesses) >= WITNESS_CAP
+
+    def judged(self, partner, A, stream):
+        """Tally the instances over base A with this partner and return
+        the walk (`_Table.walk`) of its judged ones.  A wide A is read
+        from the partner's one-point table when there is one; otherwise
+        the table is built from ``stream``, a lazy iterator of stages,
+        and kept when A is a point.  Once the cap is full and no instance
+        fails, the walk is empty."""
+        n = len(A)
+        table = self.tables.get(partner) if self.per_point and n > 1 else None
+        if table is None:
+            table, n = _Table(stream), 1
+            if self.per_point and len(A) == 1:
+                self.tables[partner] = table
+        counts = table.counts(n)
+        self.tally = [t + k for t, k in zip(self.tally, counts)]
+        if self.full() and not counts[_FAILS] + counts[_NO_TERM]:
+            return ()
+        return table.walk(n, self.full)
+
+    def report(self, rule, D, mode, gate=None) -> RuleReport:
+        """The rule's report.  ``gate`` is ``(key, {object: holds})`` for
+        a corollary rule's doctrine-level hypothesis; in strict mode a
+        failed gate leaves every instance unjudged."""
+        t = self.tally
+        instances, skipped = sum(t[_FAILS:]), t[_NO_ALPHA] + t[_NO_TARGET]
+        hypothesis = None
+        if gate is not None:
+            key, gates = gate
+            holds = all(gates.values())
+            hypothesis = {key: gates, "holds": holds}
+            if mode == "strict" and not holds:
+                self.notes.append("corollary hypothesis fails; instances not judged")
+                return RuleReport(rule, D.name, mode, "hypothesis-failed",
+                                  tuple(self.scanned), 0, t[_VACUOUS], skipped + instances,
+                                  (), (), hypothesis, tuple(self.notes))
+        return RuleReport(rule, D.name, mode, "fail" if self.violations else "pass",
+                          tuple(self.scanned), instances, t[_VACUOUS], skipped,
+                          tuple(self.witnesses), tuple(self.violations), hypothesis,
+                          tuple(self.notes))
+
+
 def _glue(values, width: int):
     """The predicate over A*X whose slice at point a of A is values[a], a
     predicate over X of ``width`` bits, on a pointwise doctrine's masks
@@ -265,9 +302,9 @@ def _glue(values, width: int):
 
 
 def _stages(row: _Row, D, fa, c, strict, qualifies):
-    """Yield (alpha, target, stage, precondition holds) for every
-    instance of the pair c, in scan order, each check made as the row
-    states it; ``qualifies`` is None or the alphas meeting the precondition."""
+    """Yield (alpha, target, stage) for every instance of the pair c, in
+    scan order, each check made as the row states it; ``qualifies`` is
+    None or the alphas meeting the precondition."""
     A, B = c.A, c.B
     for alpha in (c.fibA if row.alpha_on_base else c.fibAB).elements():
         ok = qualifies is None or alpha in qualifies
@@ -284,33 +321,25 @@ def _stages(row: _Row, D, fa, c, strict, qualifies):
                 cover = (alpha, target) if row.alpha_on_base else (target, alpha)
                 found = D.choice_index(row.kind, A, B, c.p, *cover) is not None
                 stage = _HOLDS if found else _NO_TERM
-            yield alpha, target, stage, ok
+            yield alpha, target, stage
 
 
 def _rule_scan(row: _Row, D, analyzer, mode) -> RuleReport:
-    """Scan one row over every carrier pair, each read from a `_Table`:
-    the pair's own, or on a pointwise doctrine whose analyzer reads
-    freeness per column the table of its partner's one-point pair.  A
+    """Scan one row over every carrier pair through a `_Scan`, per point
+    on a pointwise doctrine whose analyzer reads freeness per column.  A
     violation is recorded when its sequent fails or no term exists, a
     witness (up to the cap) otherwise.  A witness's term is decided by
     `D.choice_index` on its own pair, and its map built and revalidated
-    by `D.choice_map`."""
+    by `D.choice_map`.  An entry's "preconditionsHold" is whether its
+    alpha is in the pair's precondition set; per point, that is whether
+    every slice of alpha is."""
     fa = analyzer or FreenessAnalyzer(D)
     strict = mode == "strict"
     per_point = D.pointwise and fa.columnwise
     nw = D.nw if per_point else 0
-    notes: list = []
-    witnesses: list = []
-    violations: list = []
-    scanned: list = []
-    tally = [0] * (_HOLDS + 1)
+    scan = _Scan(per_point)
     gates: dict = {}
-    tables: dict = {}  # partner name -> the table of its one-point pair
-
-    def full():
-        return len(witnesses) >= WITNESS_CAP
-
-    for c in _scan(D, scanned):
+    for c in _scan(D, scan.scanned):
         A, B = c.A, c.B
         if row.gate is not None and A.name not in gates:
             gates[A.name] = row.gate[1](fa, c)
@@ -319,38 +348,26 @@ def _rule_scan(row: _Row, D, analyzer, mode) -> RuleReport:
         qualifies = None
         if row.precondition is not None and (strict or row.records_precondition):
             qualifies = set(row.precondition(fa, A if row.alpha_on_base else c.p.obj))
-        n = len(A)
-        table = tables.get(B.name) if per_point and n > 1 else None
-        if table is None:
-            table, n = _Table(_stages(row, D, fa, c, strict, qualifies)), 1
-            if per_point and len(A) == 1:
-                tables[B.name] = table
-        counts = table.counts(n)
-        tally = [t + k for t, k in zip(tally, counts)]
-        if full() and not counts[_FAILS] + counts[_NO_TERM]:
-            continue
+        walk = scan.judged(B.name, A, _stages(row, D, fa, c, strict, qualifies))
         fib, target_fib = (c.fibA, c.fibAB) if row.alpha_on_base else (c.fibAB, c.fibA)
         # the widths of alpha and of a target at one point of A
         wa, wt = (nw, len(B) * nw) if row.alpha_on_base else (len(B) * nw, nw)
-        for alphas, targets, stage in table.walk(n, full):
-            found = stage == _HOLDS
+        for alphas, targets, stage in walk:
             alpha, target = _glue(alphas, wa), _glue(targets, wt)
             e = {"base": A.name, "partner": B.name, "alpha": fib.describe(alpha)}
             if row.target_key:
                 e[row.target_key] = target_fib.describe(target)
             if row.records_precondition:
-                e["preconditionsHold"] = all(map(table.holds.__getitem__, alphas))
-            if found:
+                e["preconditionsHold"] = alpha in qualifies
+            if stage == _HOLDS:
                 cover = (alpha, target) if row.alpha_on_base else (target, alpha)
                 g = D.choice_index(row.kind, A, B, c.p, *cover)
                 e[row.term] = mor_json(D.choice_map(row.kind, A, B, c.p, *cover, g))
-                witnesses.append(e)
+                scan.witnesses.append(e)
             else:
                 e["kind"] = "no-term-witness" if stage == _NO_TERM else "sequent-fails"
-                violations.append(e)
-    gate = None if row.gate is None else (row.gate[0], gates)
-    return _report(row.name, D, mode, scanned, sum(tally[_FAILS:]), tally[_VACUOUS],
-                   tally[_NO_ALPHA] + tally[_NO_TARGET], witnesses, violations, notes, gate)
+                scan.violations.append(e)
+    return scan.report(row.name, D, mode, None if row.gate is None else (row.gate[0], gates))
 
 
 def check_ip_rule(D, analyzer: FreenessAnalyzer | None = None,
@@ -399,80 +416,57 @@ def check_skolemisation(D, analyzer: FreenessAnalyzer | None = None,
     alpha(a1, a2, f a2), computed through the exponential B^A2 and its
     evaluation, for every predicate over A1 x A2 x B.
 
-    Each block (A1, A2, B) is read from a `_Table` of its predicates'
-    sides.  On a pointwise doctrine both sides at a point a1 read only
-    alpha's slice at a1, a predicate of the one-point block (1, A2, B),
-    and every such predicate is a slice; so a block over a wide A1 is
-    read from its one-point block's table, whose targets are the sides
-    at one point.  A scanned block asks both sides of its whole fibre in
-    one `D.chain_values` call (`_sides`): on the predicates' planes on a
-    concrete doctrine, and on a table replay through D's value methods
-    one predicate at a time (the base body)."""
+    Each block (A1, A2, B) is read through the `_Scan` the term rules
+    use, with base A1 and partner (A2, B), from a `_Table` of its
+    predicates' sides.  On a pointwise doctrine both sides at a point a1
+    read only alpha's slice at a1, a predicate of the one-point block
+    (1, A2, B), and every such predicate is a slice; so a block over a
+    wide A1 is read from its one-point block's table, whose targets are
+    the sides at one point.  A scanned block asks both sides of its
+    whole fibre in one `D.chain_values` call (`_sides`): on the
+    predicates' planes on a concrete doctrine, and on a table replay
+    through D's value methods one predicate at a time (the base body)."""
     del analyzer  # no freeness preconditions; kept for a uniform signature
-    notes: list = []
-    witnesses: list = []
-    violations: list = []
-    scanned: list = []
-    instances = 0
-    tables: dict = {}  # (A2, B) names -> the table of the one-point block
+    scan = _Scan(D.pointwise)
     exps: dict = {}  # (A2, B) names -> B^A2, which A1 does not change
     nw = D.nw if D.pointwise else 0
-
-    def full():
-        return len(witnesses) >= WITNESS_CAP
-
-    objs = D.universe
-    for A1 in objs:
-        for A2 in objs:
-            for B in objs:
-                try:
-                    key = A2.name, B.name
-                    E = exps[key] if key in exps else exps.setdefault(
-                        key, exponential(B, A2, EXP_CAP))
-                    a12 = D.product(A1, A2)
-                    tri = D.product(a12.obj, B)
-                    fib = D.fibre(tri.obj)
-                    fib.count()
-                    a1e = D.product(A1, E.obj)
-                    fe = D.product(a1e.obj, A2)
-                except CapExceeded as exc:
-                    notes.append(
-                        f"{A1.name},{A2.name},{B.name} skipped: {exc}")
-                    continue
-                scanned.append(f"{A1.name},{A2.name},{B.name}")
-                n = len(A1)
-                table = tables.get(key) if D.pointwise and n > 1 else None
-                if table is None:
-                    table, n = _Table(_sides(D, A1, a12, tri, a1e, fe, fib)), 1
-                    if D.pointwise and len(A1) == 1:
-                        tables[key] = table
-                counts = table.counts(n)
-                instances += sum(counts)
-                if full() and not counts[_FAILS]:
-                    continue
-                fibA1 = D.fibre(A1)
-                width = len(A2) * len(B) * nw  # of a slice at one point of A1
-                for slices, sides, stage in table.walk(n, full):
-                    lhs = _glue([side[0] for side in sides], nw)
-                    entry = {
-                        "carriers": [A1.name, A2.name, B.name],
-                        "alpha": fib.describe(_glue(slices, width)),
-                        "bothSides": fibA1.describe(lhs),
-                    }
-                    if stage == _HOLDS:
-                        witnesses.append(entry)
-                    else:
-                        entry["kind"] = "sides-differ"
-                        entry["prenexSide"] = fibA1.describe(lhs)
-                        entry["skolemSide"] = fibA1.describe(
-                            _glue([side[1] for side in sides], nw))
-                        violations.append(entry)
-    return _report("skolemisation", D, mode, scanned, instances, 0, 0,
-                   witnesses, violations, notes)
+    for A1, A2, B in itertools.product(D.universe, repeat=3):
+        try:
+            key = A2.name, B.name
+            E = exps[key] if key in exps else exps.setdefault(
+                key, exponential(B, A2, EXP_CAP))
+            a12 = D.product(A1, A2)
+            tri = D.product(a12.obj, B)
+            fib = D.fibre(tri.obj)
+            fib.count()
+            a1e = D.product(A1, E.obj)
+            fe = D.product(a1e.obj, A2)
+        except CapExceeded as exc:
+            scan.notes.append(f"{A1.name},{A2.name},{B.name} skipped: {exc}")
+            continue
+        scan.scanned.append(f"{A1.name},{A2.name},{B.name}")
+        fibA1 = D.fibre(A1)
+        width = len(A2) * len(B) * nw  # of a slice at one point of A1
+        for slices, sides, stage in scan.judged(key, A1, _sides(D, A1, a12, tri, a1e, fe, fib)):
+            lhs = _glue([side[0] for side in sides], nw)
+            entry = {
+                "carriers": [A1.name, A2.name, B.name],
+                "alpha": fib.describe(_glue(slices, width)),
+                "bothSides": fibA1.describe(lhs),
+            }
+            if stage == _HOLDS:
+                scan.witnesses.append(entry)
+            else:
+                entry["kind"] = "sides-differ"
+                entry["prenexSide"] = fibA1.describe(lhs)
+                entry["skolemSide"] = fibA1.describe(
+                    _glue([side[1] for side in sides], nw))
+                scan.violations.append(entry)
+    return scan.report("skolemisation", D, mode)
 
 
 def _sides(D, A1, a12, tri, a1e, fe, fib):
-    """Yield (alpha, (prenex side, Skolem side), stage, True) for every
+    """Yield (alpha, (prenex side, Skolem side), stage) for every
     predicate alpha of the block (A1, A2, B), in its fibre's order.  Both
     sides of the whole fibre are one `D.chain_values` call: forall along
     p1 after exists along p12, and exists along r after forall along q
@@ -489,7 +483,7 @@ def _sides(D, A1, a12, tri, a1e, fe, fib):
         (("exists", p12), ("forall", p1)),
         (("reindex", subst), ("forall", q), ("exists", r))))
     for alpha, lhs, rhs in zip(alphas, prenex, skolem):
-        yield alpha, (lhs, rhs), _HOLDS if lhs == rhs else _FAILS, True
+        yield alpha, (lhs, rhs), _HOLDS if lhs == rhs else _FAILS
 
 
 RULES = {

@@ -512,7 +512,7 @@ class TestPrimeColumns:
                 for alpha in D.fibre(I).elements():
                     assert fa._passes(kind, I, alpha) == (
                         scan.first_failing_map(kind, I, alpha) is None), (kind, I.name, alpha)
-        assert fa._free and not fa._verdicts and not fa._primes
+        assert not fa._verdicts and not fa._primes
 
     @pytest.mark.parametrize("D, base", [(POW, 1), (CHAIN, 0)], ids=("powerset-A", "chain2-1"))
     def test_theorem4_runs_no_gap_kernel(self, monkeypatch, D, base):
