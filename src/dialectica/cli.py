@@ -26,9 +26,9 @@ from json.encoder import encode_basestring_ascii as _encode_str
 
 from .dial import (
     DEFAULT_QUAD_CAP,
+    _certified,
     build_dial_fibre,
     check_preorder,
-    dial_leq,
 )
 from .doctrine import (
     DoctrineDataError,
@@ -500,13 +500,19 @@ def cmd_dial_complete(args):
     def pair_json(p):
         return p.to_json(encode)
 
+    def found(i, j):
+        tables = D.witness_tables(fib.quads[i], fib.quads[j])
+        if tables is None:
+            raise DoctrineError(f"order matrix cell ({i}, {j}) has no witness pair")
+        return fib.quads[j], *tables
+
+    # The first --pairs cells, one builder call per row.
     pairs = []
     cells = ((i, j) for i, row in enumerate(fib.rows) for j in _members(row & ~(1 << i)))
-    for i, j in itertools.islice(cells, args.pairs):
-        p = dial_leq(D, fib.quads[i], fib.quads[j])
-        if p is None:
-            raise DoctrineError(f"order matrix cell ({i}, {j}) has no witness pair")
-        pairs.append({"from": i, "to": j, "pair": encode(p, pair_json)})
+    for i, group in itertools.groupby(itertools.islice(cells, args.pairs), lambda c: c[0]):
+        js = [j for _, j in group]
+        made = _certified(D, fib.quads[i], (found(i, j) for j in js), "kernel witness")
+        pairs += ({"from": i, "to": j, "pair": encode(p, pair_json)} for j, p in zip(js, made))
     payload = {
         "command": "dial complete",
         "doctrine": D.name,

@@ -18,22 +18,19 @@ rows off per-quadruple signatures.  Every reader of the rows takes
 them as bitmasks: `check_preorder` checks transitivity once per distinct
 row, `DialFibre.classes` reads two bits per pair, and `check_theorem4`
 XORs each row with alpha's upper set in P(I).  A pair is built only
-where it is used, and only by one builder (``_certified``), which
-``dial_leq`` (CLI witness pairs and sampled compositions),
-``identity_pair`` (reflexivity) and ``compose_pairs`` hand a pair's two
-index tables.  It builds each distinct pair once per doctrine and keeps
-it on D (``D._pairs``, keyed by the names and carriers of I, U, X, V and
-Y and by the two tables).  It takes the maps from ``D.kept_map``, which
-builds one map per distinct carrier pair and table and keeps it on D, so
-a table that many pairs share is one map.  On every call, a kept pair
-too, it revalidates the pair whole through the doctrine's own
-reindexing and order (``D.pair_holds``).  So a returned pair is a
-checked certificate, and None means the exhaustive search ran dry.  A
-report encodes each distinct kept map and pair once per op:
-``WitnessPair.to_json`` takes the map encoder, and ``dial complete``
-keeps one ``mor_json`` dict per map and one pair dict per pair, so every
-pair that uses a map holds the same dict, and every cell that one pair
-certifies holds the same pair dict.
+where it is used, and only by one builder (``_certified``), which takes
+cells (b, f0, f1) below one quadruple a: ``dial complete`` hands it a
+row's cells, each searched by ``D.witness_tables``; ``dial_leq``
+(sampled compositions), ``identity_pair`` (reflexivity) and
+``compose_pairs`` one cell each.  What depends on the carriers alone is
+looked up once per run of cells whose b share V and Y: ``D._pairs``'
+entry, keyed by the names and carriers of I, U, X, V and Y, holds the
+run's pairs by both tables, I*U and I*U*Y.  Each distinct pair is built
+once per doctrine from ``D.kept_map`` (one map per carrier pair and
+table), and every cell's pair is revalidated whole, a kept pair too: its
+carriers, then ``D.pair_holds`` (the doctrine's own reindexing and
+order).  So a returned pair is a checked certificate, and None means the
+exhaustive search ran dry.
 
 Carriers such as I*U*X, built as (I*U)*X, come from the doctrine's
 product table (``D.product``), built once each at ``D.cap``.  Products
@@ -102,38 +99,46 @@ def _carrier(D, I: FinObj, U: FinObj, X: FinObj) -> FinObj:
 def pair_is_valid(D, a: DialObject, b: DialObject, p: WitnessPair) -> bool:
     """Re-check the defining inequality through the doctrine itself:
     alpha pulled back along m1 below beta pulled back along m2, in the
-    fibre over I*U*Y (`D.pair_holds`, on the index tables of p's maps;
-    a concrete doctrine builds no map for it).  The carriers of p's maps
-    must equal, element by element, the products the pair is over."""
-    if a.I != b.I:
-        return False
+    fibre over I*U*Y (`D.pair_holds` on p's index tables), p's maps
+    running between the pair's products, equal element by element."""
     iu = D.product(a.I, a.U).obj
-    if p.f0.dom != iu or p.f0.cod != b.U:
-        return False
-    if p.f1.dom != D.product(iu, b.X).obj or p.f1.cod != a.X:
-        return False
-    return D.pair_holds(a, b, p.f0.idx, p.f1.idx)
+    return _valid(D, a, b, p, iu, D.product(iu, b.X).obj)
 
 
-def _certified(D, a: DialObject, b: DialObject, f0, f1, kind: str) -> WitnessPair:
-    """The pair with index tables f0: I*U -> V and f1: I*U*Y -> X,
-    revalidated whole (`pair_is_valid`) on every call; a pair that fails
-    raises "<kind> pair failed revalidation".  The pair is built once per
-    doctrine, its maps taken from `D.kept_map`, and kept on D, keyed as
-    `kept_map` keys its maps: by the name, arity and carrier of each of
-    I, U, X, V and Y, and by both tables."""
-    I, U, X, V, Y = a.I, a.U, a.X, b.U, b.X
-    carriers = (I.name, I.arity, I, U.name, U.arity, U, X.name, X.arity, X,
-                V.name, V.arity, V, Y.name, Y.arity, Y)
-    p = D._pairs.get((*carriers, tuple(f0), tuple(f1)))
-    if p is None:
-        iu = D.product(I, U).obj
-        p = WitnessPair(D.kept_map(iu, V, f0), D.kept_map(D.product(iu, Y).obj, X, f1))
-        # The kept key holds the maps' own tables, not a second copy.
-        D._pairs[(*carriers, p.f0.idx, p.f1.idx)] = p
-    if not pair_is_valid(D, a, b, p):
-        raise DoctrineError(f"{kind} pair failed revalidation")
-    return p
+def _valid(D, a, b, p, iu, iuy) -> bool:
+    """`pair_is_valid` on I*U and I*U*Y, carriers compared by identity first."""
+    f0, f1 = p.f0, p.f1
+    return ((a.I is b.I or a.I == b.I) and (f0.dom is iu or f0.dom == iu)
+            and (f0.cod is b.U or f0.cod == b.U) and (f1.dom is iuy or f1.dom == iuy)
+            and (f1.cod is a.X or f1.cod == a.X) and D.pair_holds(a, b, f0.idx, f1.idx))
+
+
+def _certified(D, a: DialObject, cells, kind: str):
+    """Yield the pair of each cell (b, f0, f1), index tuples f0: I*U -> V
+    and f1: I*U*Y -> X, revalidated whole (`_valid`) on every call; one
+    that fails raises "<kind> pair failed revalidation".  Per run of b
+    sharing the carriers V and Y (by identity), one `D._pairs` lookup,
+    keyed as `kept_map` keys maps (name, arity, carrier of I, U, X, V, Y),
+    gives the run's pairs by both tables, I*U and I*U*Y."""
+    I, U, X = a.I, a.U, a.X
+    V = Y = None
+    for b, f0, f1 in cells:
+        if b.U is not V or b.X is not Y:
+            V, Y = b.U, b.X
+            key = (I.name, I.arity, I, U.name, U.arity, U, X.name, X.arity, X,
+                   V.name, V.arity, V, Y.name, Y.arity, Y)
+            run = D._pairs.get(key)
+            if run is None:
+                iu = D.product(I, U).obj
+                run = D._pairs[key] = ({}, iu, D.product(iu, Y).obj)
+            pairs, iu, iuy = run
+        p = pairs.get((f0, f1))
+        if p is None:
+            p = WitnessPair(D.kept_map(iu, V, f0), D.kept_map(iuy, X, f1))
+            pairs[p.f0.idx, p.f1.idx] = p  # the maps' own tables, not a copy
+        if not _valid(D, a, b, p, iu, iuy):
+            raise DoctrineError(f"{kind} pair failed revalidation")
+        yield p
 
 
 def identity_pair(D, a: DialObject) -> WitnessPair:
@@ -141,8 +146,8 @@ def identity_pair(D, a: DialObject) -> WitnessPair:
     counterexample (the right projections of I*U and (I*U)*X)."""
     nu, nx = a.U.size, a.X.size
     n = a.I.size * nu
-    return _certified(D, a, a, [s % nu for s in range(n)],
-                      [t % nx for t in range(n * nx)], "identity")
+    return next(_certified(D, a, ((a, tuple(s % nu for s in range(n)),
+                                   tuple(t % nx for t in range(n * nx))),), "identity"))
 
 
 def dial_leq(D, a: DialObject, b: DialObject):
@@ -151,7 +156,7 @@ def dial_leq(D, a: DialObject, b: DialObject):
     if a.I != b.I:
         raise DoctrineError("dialectica order compares quadruples over one base")
     found = D.witness_tables(a, b)
-    return None if found is None else _certified(D, a, b, *found, "kernel witness")
+    return None if found is None else next(_certified(D, a, ((b, *found),), "kernel witness"))
 
 
 def compose_pairs(D, a: DialObject, b: DialObject, c: DialObject,
@@ -162,10 +167,10 @@ def compose_pairs(D, a: DialObject, b: DialObject, c: DialObject,
     nu, nv, ny, nz = a.U.size, b.U.size, b.X.size, c.X.size
     f0, f1, g0, g1 = p.f0.idx, p.f1.idx, q.f0.idx, q.f1.idx
     n = a.I.size * nu
-    h0 = [g0[s // nu * nv + f0[s]] for s in range(n)]
-    h1 = [f1[t // nz * ny + g1[(t // nz // nu * nv + f0[t // nz]) * nz + t % nz]]
-          for t in range(n * nz)]
-    return _certified(D, a, c, h0, h1, "composed witness")
+    h0 = tuple(g0[s // nu * nv + f0[s]] for s in range(n))
+    h1 = tuple(f1[t // nz * ny + g1[(t // nz // nu * nv + f0[t // nz]) * nz + t % nz]]
+               for t in range(n * nz))
+    return next(_certified(D, a, ((c, h0, h1),), "composed witness"))
 
 
 # -- completed fibres ---------------------------------------------------
@@ -242,8 +247,7 @@ def enumerate_quads(D, I: FinObj, pool=None, quad_cap: int = DEFAULT_QUAD_CAP,
     if total > quad_cap:
         step = -(-total // quad_cap)
         quads = quads[::step]
-        notes.append(
-            f"quadruple list sampled every {step}th of {total}")
+        notes.append(f"quadruple list sampled every {step}th of {total}")
     return quads, total, notes
 
 

@@ -527,7 +527,7 @@ class Doctrine:
         self._passed: dict = {}
         self._planes: dict = {}
         self._maps: dict = {}
-        self._pairs: dict = {}
+        self._pairs: dict = {}  # carrier key -> (pairs by (f0, f1), I*U, I*U*Y)
 
     def product(self, a: FinObj, b: FinObj) -> Product:
         key = (a.name, a.arity, a, b.name, b.arity, b)

@@ -140,9 +140,10 @@ class FreenessAnalyzer:
         # and every partner row can be filled; otherwise it is walked.
         # The rule checkers then read a pair from its one-point pair.
         self.columnwise = bool(D.pointwise and D.universe and all(map(len, D.universe)))
-        # Splitting reports and the lists of free predicates are kept per
-        # `D._carrier_key` (a carrier's size, on a concrete doctrine).
+        # Splitting reports, walked verdicts and free predicate lists are
+        # kept per `D._carrier_key` (a carrier's size, on a concrete doctrine).
         self._split: dict = {}
+        self._walked: dict = {}
         self._verdicts: dict = {}
         self._primes: dict = {}
         self._free_elements: dict = {}
@@ -203,10 +204,14 @@ class FreenessAnalyzer:
 
     def _passes(self, kind, I, alpha) -> bool:
         """The free verdict: read per column (`_verdict`) where it can
-        be, elsewhere the report's."""
+        be, elsewhere walked (`first_failing_map`) once per question."""
         if self.columnwise:
             return self._verdict(kind, I, alpha)
-        return self._free_report(kind, I, alpha).passed
+        key = kind, self.D._carrier_key(I), alpha
+        hit = self._walked.get(key)
+        if hit is None:
+            hit = self._walked[key] = self.first_failing_map(kind, I, alpha) is None
+        return hit
 
     def _verdict_key(self, kind, I, alpha):
         """Everything a free verdict read per column depends on: the

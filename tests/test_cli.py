@@ -17,15 +17,18 @@ from pathlib import Path
 import pytest
 
 from dialectica import cli
+from dialectica.dial import build_dial_fibre, dial_leq
 from dialectica.doctrine import (
     ConcreteDoctrine,
     base_closure,
     doctrine_to_json,
     kripke_doctrine,
+    mor_json,
+    powerset_doctrine,
 )
 from dialectica.fincat import unit_obj
 from dialectica.fol import BaseSort, FunSort, Signature
-from dialectica.posets import antichain_poset, chain_poset
+from dialectica.posets import _members, antichain_poset, chain_poset
 
 SPEC_INPUT = ("(forall x:U. exists v:V. p(x,v)) -> "
               "(exists u:U. forall y:Y. q(u,y))")
@@ -400,6 +403,53 @@ class TestDialComplete:
     def test_unusable_bounds_are_input_errors(self, capsys, pow_path, bound, message):
         assert run(capsys, "dial", "complete", "--doctrine", pow_path,
                    "--bound", bound) == (2, "", f"error: {message}\n")
+
+
+class TestWitnessPairRuns:
+    """`dial complete` certifies a row's cells in runs that share the
+    carriers of b; its witness pairs equal a per-cell oracle, `dial_leq`
+    on a fresh doctrine and `mor_json`, cell by cell and at every cut."""
+
+    DOCTRINES = {
+        "powerset": (("powerset", "--sizes", "2,2"), lambda: powerset_doctrine((2, 2))),
+        "chain2": (("kripke", "--frame", "chain2", "--sizes", "2,2"),
+                   lambda: kripke_doctrine(chain_poset(2), (2, 2))),
+        "antichain2": (("kripke", "--frame", "antichain2", "--sizes", "2,2"),
+                       lambda: kripke_doctrine(antichain_poset(2), (2, 2))),
+    }
+
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        where = tmp_path_factory.mktemp("runs")
+        for name, (argv, _) in self.DOCTRINES.items():
+            assert cli.main(["examples", *argv, "--out", str(where / name)]) == 0
+        return where
+
+    @pytest.mark.parametrize("cap", [48, 84])
+    @pytest.mark.parametrize("name, fibre", [
+        ("powerset", "1"), ("powerset", "A"), ("powerset", "B"),
+        ("chain2", "1"), ("antichain2", "1")])
+    def test_every_cut_equals_the_per_cell_oracle(self, paths, name, fibre, cap):
+        D = self.DOCTRINES[name][1]()
+        base = next(o for o in D.universe if o.name == fibre)
+        fib = build_dial_fibre(D, base, quad_cap=cap)
+        cells = [(i, j) for i, row in enumerate(fib.rows) for j in _members(row & ~(1 << i))]
+        oracle = []
+        for i, j in cells:
+            p = dial_leq(D, fib.quads[i], fib.quads[j])
+            oracle.append({"from": i, "to": j,
+                           "pair": {"f0": mor_json(p.f0), "f1": mor_json(p.f1)}})
+        end = sum(i == cells[0][0] for i, _ in cells)
+        runs = sum(1 for _ in itertools.groupby(
+            cells, lambda c: (c[0], fib.quads[c[1]].U.name, fib.quads[c[1]].X.name)))
+        assert runs > len({i for i, _ in cells}) and end > 1
+        for cut in sorted({0, 1, end - 1, end, end + 1, len(cells)}):
+            args = cli.build_parser().parse_args(
+                ["dial", "complete", "--doctrine", str(paths / name), "--fibre", fibre,
+                 "--quad-cap", str(cap), "--pairs", str(cut)])
+            code, payload, _ = cli.cmd_dial_complete(args)
+            assert code == 0
+            assert payload["witnessPairs"] == oracle[:cut], cut
 
 
 class TestPrinciples:

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from dialectica import _kernels as K
-from dialectica import dial
+from dialectica import cli, dial
 from dialectica.dial import (
     DialFibre,
     DialObject,
@@ -44,7 +44,7 @@ from dialectica.fincat import (
     unit_obj,
 )
 from dialectica.freeness import FreenessAnalyzer
-from dialectica.posets import FinitePoset, antichain_poset, chain_poset
+from dialectica.posets import FinitePoset, _members, antichain_poset, chain_poset
 from test_doctrine import PerPredicate
 
 POW = powerset_doctrine((2, 2))
@@ -132,8 +132,9 @@ class TestWitnessPairs:
         assert composed > 0
 
     def test_carriers_are_checked_by_their_elements(self):
-        """A map over a carrier of the right size but other elements
-        fails revalidation, though its index table is the right one."""
+        """A map over a carrier of the right size but other elements, at
+        any of its four carriers, fails revalidation, though its index
+        table is the right one."""
         one, A, B = POW.universe
         fib = POW.fibre(POW.product(POW.product(one, A).obj, A).obj)
         for alpha in fib.elements():
@@ -144,6 +145,10 @@ class TestWitnessPairs:
             assert not pair_is_valid(POW, q, q, WitnessPair(other_dom, p.f1))
             other_cod = FinMor(p.f1.dom, B, idx=p.f1.idx)
             assert not pair_is_valid(POW, q, q, WitnessPair(p.f0, other_cod))
+            other_v = FinMor(p.f0.dom, B, idx=p.f0.idx)
+            assert not pair_is_valid(POW, q, q, WitnessPair(other_v, p.f1))
+            other_iuy = FinMor(POW.product(p.f0.dom, B).obj, A, idx=p.f1.idx)
+            assert not pair_is_valid(POW, q, q, WitnessPair(p.f0, other_iuy))
 
     def test_composition_rejects_a_wrong_pair(self):
         one, A = POW.universe[0], POW.universe[1]
@@ -314,14 +319,40 @@ class TestIndexTables:
         for U, p in zip((A, twin), pairs):
             b = DialObject(one, U, U, fib.top())
             assert dial_leq(D, DialObject(one, A, A, alpha), b) is p
-            assert dial._certified(D, a, b, list(p.f0.idx), list(p.f1.idx), "kernel witness") is p
+            cell = b, (*p.f0.idx,), (*p.f1.idx,)
+            assert next(dial._certified(D, a, [cell], "kernel witness")) is p
 
-    def test_a_kept_pair_is_revalidated_on_every_call(self, monkeypatch):
+    def test_a_row_over_twin_carriers_splits_its_runs_by_name(self):
+        """One row whose b alternate between A and a twin A2 (one set of
+        elements, two names), in runs of one to seven: each cell's pair
+        carries its own names, as a fresh doctrine's one-cell pair does,
+        so runs split by carrier identity and name, never by `==`."""
+        D, fresh = powerset_doctrine((2, 2)), powerset_doctrine((2, 2))
+        one, A = D.universe[0], D.universe[1]
+        twin = FinObj("A2", A.elements)
+        fib = D.fibre(D.product(D.product(one, A).obj, A).obj)
+        a = DialObject(one, A, A, next(m for m in fib.elements()
+                                       if fib.describe(m) == "{a0.a0, a0.a1, a1.a1}"))
+        above = [b for b in (DialObject(one, A, A, beta) for beta in fib.elements())
+                 if D.witness_exists(a, b)]
+        bs = [DialObject(one, U, U, b.alpha) for U, run in (
+            (A, above), (twin, above[:1]), (A, above[1:2]), (twin, above[::-1]), (A, above[:3]))
+            for b in run]
+        assert len(above) > 4
+        made = list(dial._certified(D, a, [(b, *D.witness_tables(a, b)) for b in bs], "kernel witness"))
+        for b, p in zip(bs, made, strict=True):
+            want = dial_leq(fresh, a, b)
+            assert (mor_json(p.f0), mor_json(p.f1)) == (mor_json(want.f0), mor_json(want.f1))
+            assert (p.f0.cod.name, p.f1.dom.name) == (b.U.name, f"1*A*{b.X.name}")
+
+    def test_a_kept_pair_is_revalidated_on_every_call(self, monkeypatch, tmp_path, capsys):
         """A doctrine whose `pair_holds` accepts a table pair only the
         first time it sees it: the second `dial_leq` over the same tables
         hands back no kept pair but raises, and `check_preorder` lists
         that chain as a composition failure.  Every `_certified` call
-        revalidates once."""
+        revalidates once.  `dial complete` searches and revalidates each
+        emitted cell once, after `check_preorder`'s calls, and a
+        revalidation that fails inside a run exits 2."""
         D = powerset_doctrine((2, 2))
         holds, seen = D.pair_holds, set()
 
@@ -331,7 +362,7 @@ class TestIndexTables:
             seen.add(key)
             return first and holds(a, b, f0, f1)
         monkeypatch.setattr(D, "pair_holds", once)
-        calls = {"_certified": 0, "pair_is_valid": 0}
+        calls = {"_certified": 0, "_valid": 0}
         for name in calls:
             def spy(*args, name=name, inner=getattr(dial, name)):
                 calls[name] += 1
@@ -354,7 +385,44 @@ class TestIndexTables:
         assert rep.compositions_checked == 1
         assert rep.composition_failures == (
             (0, 1, 2, "kernel witness pair failed revalidation"),)
-        assert calls["_certified"] == calls["pair_is_valid"] > 4
+        assert calls["_certified"] == calls["_valid"] > 4
+
+        path = tmp_path / "pow.json"
+        assert cli.main(["examples", "powerset", "--sizes", "2,2", "--out", str(path)]) == 0
+        argv = ["dial", "complete", "--doctrine", str(path), "--fibre", "A", "--quad-cap", "48"]
+        fib = build_dial_fibre(powerset_doctrine((2, 2)), D.universe[1], quad_cap=48)
+        cells = [(i, j) for i, row in enumerate(fib.rows) for j in _members(row & ~(1 << i))]
+        log = []
+        for name in ("witness_tables", "pair_holds"):
+            def spy(self, a, b, *rest, name=name, inner=getattr(ConcreteDoctrine, name)):
+                log.append((name, a, b))
+                return inner(self, a, b, *rest)
+            monkeypatch.setattr(ConcreteDoctrine, name, spy)
+        assert cli.main([*argv, "--pairs", "0"]) == 0
+        preorder = log[:]
+        log.clear()
+        cut = len(cells) // 2
+        assert cli.main([*argv, "--pairs", str(cut)]) == 0
+        assert log[:len(preorder)] == preorder
+        assert log[len(preorder):] == [(name, fib.quads[i], fib.quads[j]) for i, j in cells[:cut]
+                                       for name in ("witness_tables", "pair_holds")]
+
+        # A cell inside a run of three or more that check_preorder never asks.
+        runs = [list(run) for _, run in itertools.groupby(
+            cells, lambda c: (c[0], id(fib.quads[c[1]].U), id(fib.quads[c[1]].X)))]
+        asked = {(a, b) for _, a, b in preorder}
+        at = next(cells.index(c) for run in runs if len(run) > 2 for c in run[1:-1]
+                  if (fib.quads[c[0]], fib.quads[c[1]]) not in asked)
+        bad = fib.quads[cells[at][0]], fib.quads[cells[at][1]]
+
+        def fails_at_bad(self, a, b, f0, f1, inner=holds.__func__):
+            return (a, b) != bad and inner(self, a, b, f0, f1)
+        monkeypatch.setattr(ConcreteDoctrine, "pair_holds", fails_at_bad)
+        capsys.readouterr()
+        assert cli.main([*argv, "--pairs", str(at)]) == 0
+        assert cli.main([*argv, "--pairs", str(at + 1)]) == 2
+        assert capsys.readouterr().err.endswith(
+            "error: kernel witness pair failed revalidation\n")
 
     def test_identity_pairs(self, fibre_a):
         for q in fibre_a[0].quads:

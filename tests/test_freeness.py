@@ -514,6 +514,31 @@ class TestPrimeColumns:
                         scan.first_failing_map(kind, I, alpha) is None), (kind, I.name, alpha)
         assert not fa._verdicts and not fa._primes
 
+    def test_a_walked_verdict_is_walked_once_per_question(self, monkeypatch):
+        """Over chain2 with universe (1, A, E), E empty, the analyzer walks
+        maps.  The five term rules in both modes, each on a fresh
+        analyzer, walk once per distinct question of that analyzer, 444
+        times (764 when the walked verdict was not kept); on one shared
+        analyzer they walk once per distinct question, 117 times."""
+        E = FinObj("E", (), arity=1)
+        D = ConcreteDoctrine("empty", SMALL_FRAMES["chain2"],
+                             (unit_obj(), fin_obj("A", ["a0", "a1"]), E))
+        walks = []
+        walk = FreenessAnalyzer.first_failing_map
+
+        def counted(fa, kind, I, alpha):
+            walks.append((fa, kind, D._carrier_key(I), alpha))
+            return walk(fa, kind, I, alpha)
+        monkeypatch.setattr(FreenessAnalyzer, "first_failing_map", counted)
+        terms = [RULES[name] for name in ("ip", "mmr", "markov", "cex", "choice")]
+        for shared, count in ((None, 444), (FreenessAnalyzer(D), 117)):
+            walks.clear()
+            for mode in ("strict", "diagnostic"):
+                for rule in terms:
+                    rule(D, shared, mode)
+            assert len(walks) == len(set(walks)) == count
+            assert shared is None or not shared.columnwise
+
     @pytest.mark.parametrize("D, base", [(POW, 1), (CHAIN, 0)], ids=("powerset-A", "chain2-1"))
     def test_theorem4_runs_no_gap_kernel(self, monkeypatch, D, base):
         calls = []
